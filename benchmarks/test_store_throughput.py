@@ -21,8 +21,9 @@ Pinned here:
   the committed-transactions-per-second of broadcast-everything A2
   (~3-4x measured on an idle machine).
 
-The measured numbers land in ``BENCH_store.json`` at the repository
-root so later PRs inherit the serving-layer perf trajectory.  The
+The measured numbers land in ``BENCH_store.json`` under pytest's
+temporary directory — running the suite never rewrites the tracked
+copy at the repository root.  The
 engine benchmarks (``test_throughput.py``) are untouched and keep
 asserting against their own committed baselines.
 """
@@ -36,9 +37,6 @@ import pytest
 
 from repro.checkers.properties import check_all
 from repro.store import StoreCluster, StoreSpec, check_serializability
-
-REPORT_FILE = os.path.join(os.path.dirname(__file__), "..",
-                           "BENCH_store.json")
 
 #: Loose wall-clock floor for genuine-vs-broadcast throughput at 8
 #: groups; the real measurement (~3-4x) lands in BENCH_store.json.
@@ -87,7 +85,13 @@ def _run(protocol: str, routing: str):
 
 
 @pytest.fixture(scope="module")
-def results():
+def report_file(tmp_path_factory):
+    """Where this run's report goes: never the tracked repo-root copy."""
+    return str(tmp_path_factory.mktemp("bench") / "BENCH_store.json")
+
+
+@pytest.fixture(scope="module")
+def results(report_file):
     """Run every deployment (best of 2 walls) and write the report."""
     measured = {}
     for name, (protocol, routing) in DEPLOYMENTS.items():
@@ -134,7 +138,7 @@ def results():
         "traffic_ratio": round(
             bc["network_messages"] / a1["network_messages"], 2),
     }
-    with open(REPORT_FILE, "w") as fh:
+    with open(report_file, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     return measured
@@ -173,8 +177,8 @@ class TestStructure:
                 f"{MIN_TRAFFIC_RATIO}x"
             )
 
-    def test_report_file_written(self, results):
-        with open(REPORT_FILE) as fh:
+    def test_report_file_written(self, results, report_file):
+        with open(report_file) as fh:
             report = json.load(fh)
         assert set(report["deployments"]) == set(DEPLOYMENTS)
         assert report["headline"]["traffic_ratio"] >= MIN_TRAFFIC_RATIO

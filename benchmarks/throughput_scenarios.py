@@ -31,7 +31,6 @@ from repro.workload.generators import (
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 BASELINE_FILE = os.path.join(HERE, "baseline_throughput.json")
-REPORT_FILE = os.path.join(os.path.dirname(HERE), "BENCH_throughput.json")
 
 
 @dataclass

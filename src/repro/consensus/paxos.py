@@ -30,17 +30,32 @@ This is the substrate the paper assumes solvable in each group
   has an undecided proposal, so a finished group goes quiet — this is
   what lets Algorithm A2 be quiescent (paper Proposition A.9, which
   assumes halting consensus).
+* **One retry alarm per endpoint.**  Almost every instance decides long
+  before its retry deadline, so arming a timeout only *reserves* its
+  kernel tie-break slot and appends ``(deadline, slot, instance)`` to a
+  FIFO (deadlines are monotone: constant timeout, monotone clock).  At
+  most one kernel event — the alarm of the earliest entry — is queued;
+  when it fires for an instance decided meanwhile it moves on to the
+  next entry's own reserved ``(deadline, slot)``, so a retry that does
+  fire does so exactly where a per-instance timer would have.  While
+  nothing is armed the alarm is cancelled (a finished group is
+  quiescent at once) and the next proposal revives it in place.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Set
+from typing import Any, Deque, Dict, Hashable, List, Optional, Set
 
 from repro.consensus.interfaces import ConsensusProtocol, DecisionHandler
 from repro.failure.detectors import FailureDetector
 from repro.net.message import Message
+from repro.sim.events import Event
 from repro.sim.process import Process
+
+_KINDS = ("forward", "prepare", "promise", "accept", "accepted", "nack",
+          "decide")
 
 
 @dataclass
@@ -95,22 +110,27 @@ class GroupConsensus(ConsensusProtocol):
 
         self._acceptors: Dict[int, _AcceptorState] = {}
         self._proposers: Dict[int, _ProposerState] = {}
-        # (instance, ballot) -> set of acceptors whose ``accepted`` we saw.
-        self._accepted_tally: Dict[tuple, Set[int]] = {}
+        # instance -> ballot -> acceptors whose ``accepted`` we saw.
+        self._accepted_tally: Dict[int, Dict[int, Set[int]]] = {}
         self._candidates: Dict[int, Any] = {}  # my own / forwarded values
         self._proposed: Set[int] = set()  # instances I called propose() on
         self._decisions: Dict[int, Any] = {}
         self._max_ballot_seen: Dict[int, int] = {}
+        # Retry timeouts: instances with a live deadline, the FIFO of
+        # (deadline, reserved slot, instance) entries — armed or stale —
+        # and the one queued kernel event, always for the FIFO head
+        # (cancelled while nothing is armed).
         self._timer_armed: Set[int] = set()
-        self._timer_events: Dict[int, object] = {}
+        self._timers: Deque[tuple] = deque()
+        self._alarm: Optional[Event] = None
         self._handler: Optional[DecisionHandler] = None
 
-        for suffix in (
-            "forward", "prepare", "promise", "accept", "accepted", "nack",
-            "decide",
-        ):
-            process.register_handler(f"{self.ns}.{suffix}",
-                                     getattr(self, f"_on_{suffix}"))
+        kinds = [f"{namespace}.{suffix}" for suffix in _KINDS]
+        (self._k_forward, self._k_prepare, self._k_promise, self._k_accept,
+         self._k_accepted, self._k_nack, self._k_decide) = kinds
+        self._retry_label = f"{namespace}.retry"
+        for suffix, kind in zip(_KINDS, kinds):
+            process.register_handler(kind, getattr(self, f"_on_{suffix}"))
 
     # ------------------------------------------------------------------
     # Public API
@@ -156,7 +176,7 @@ class GroupConsensus(ConsensusProtocol):
         if leader != self.process.pid:
             if value is not None:
                 self.process.send(
-                    leader, f"{self.ns}.forward",
+                    leader, self._k_forward,
                     {"k": instance, "value": value},
                 )
             return
@@ -184,7 +204,7 @@ class GroupConsensus(ConsensusProtocol):
             state.accepted_from = set()
             state.phase = "accept"
             state.value = value
-            self._broadcast(f"{self.ns}.accept",
+            self._broadcast(self._k_accept,
                             {"k": instance, "b": ballot, "value": value})
         else:
             state.ballot = ballot
@@ -192,25 +212,42 @@ class GroupConsensus(ConsensusProtocol):
             state.accepted_from = set()
             state.value = None
             state.phase = "prepare"
-            self._broadcast(f"{self.ns}.prepare", {"k": instance, "b": ballot})
+            self._broadcast(self._k_prepare, {"k": instance, "b": ballot})
 
     def _arm_timer(self, instance: int) -> None:
         if instance in self._timer_armed or instance in self._decisions:
             return
         self._timer_armed.add(instance)
-        self._timer_events[instance] = self.process.sim.schedule(
-            self.retry_timeout,
-            lambda: self._on_timer(instance),
-            label=f"{self.ns}.retry",
-        )
+        sim = self.process.sim
+        self._timers.append(
+            (sim.now + self.retry_timeout, sim.reserve_slot(), instance))
+        alarm = self._alarm
+        if alarm is None or (alarm.cancelled and not alarm.revive()):
+            self._set_alarm()
 
-    def _on_timer(self, instance: int) -> None:
-        self._timer_armed.discard(instance)
-        self._timer_events.pop(instance, None)
-        if instance in self._decisions or self.process.crashed:
-            return
-        self._attempt(instance)
-        self._arm_timer(instance)
+    def _set_alarm(self) -> None:
+        """Queue the alarm of the earliest still-armed entry, if any."""
+        timers = self._timers
+        armed = self._timer_armed
+        while timers:
+            deadline, slot, instance = timers[0]
+            if instance in armed:
+                self._alarm = self.process.sim.call_at_reserved(
+                    deadline, slot, self._on_alarm, self._retry_label)
+                return
+            timers.popleft()
+        self._alarm = None
+
+    def _on_alarm(self) -> None:
+        self._alarm = None
+        instance = self._timers.popleft()[2]
+        if instance in self._timer_armed:
+            self._timer_armed.discard(instance)
+            if not self.process.crashed:
+                self._attempt(instance)
+                self._arm_timer(instance)
+        if self._alarm is None:
+            self._set_alarm()
 
     def _broadcast(self, kind: str, payload: dict) -> None:
         self.process.send_many(self.members, kind, payload)
@@ -223,7 +260,7 @@ class GroupConsensus(ConsensusProtocol):
         if instance in self._decisions:
             # Help a lagging peer instead of re-running the instance.
             self.process.send(
-                msg.src, f"{self.ns}.decide",
+                msg.src, self._k_decide,
                 {"k": instance, "value": self._decisions[instance]},
             )
             return
@@ -243,7 +280,7 @@ class GroupConsensus(ConsensusProtocol):
         if ballot > acc.promised:
             acc.promised = ballot
             self.process.send(
-                msg.src, f"{self.ns}.promise",
+                msg.src, self._k_promise,
                 {
                     "k": instance,
                     "b": ballot,
@@ -253,7 +290,7 @@ class GroupConsensus(ConsensusProtocol):
             )
         else:
             self.process.send(
-                msg.src, f"{self.ns}.nack",
+                msg.src, self._k_nack,
                 {"k": instance, "b": ballot, "promised": acc.promised},
             )
 
@@ -282,7 +319,7 @@ class GroupConsensus(ConsensusProtocol):
         state.phase = "accept"
         state.value = value
         self._broadcast(
-            f"{self.ns}.accept",
+            self._k_accept,
             {"k": instance, "b": state.ballot, "value": value},
         )
 
@@ -299,12 +336,12 @@ class GroupConsensus(ConsensusProtocol):
             # tallies accepted votes and decides two delays after the
             # proposal, at O(d²) messages per instance.
             self._broadcast(
-                f"{self.ns}.accepted",
+                self._k_accepted,
                 {"k": instance, "b": ballot, "value": value},
             )
         else:
             self.process.send(
-                msg.src, f"{self.ns}.nack",
+                msg.src, self._k_nack,
                 {"k": instance, "b": ballot, "promised": acc.promised},
             )
 
@@ -312,7 +349,8 @@ class GroupConsensus(ConsensusProtocol):
         instance, ballot = msg.payload["k"], msg.payload["b"]
         if instance in self._decisions:
             return
-        voters = self._accepted_tally.setdefault((instance, ballot), set())
+        voters = self._accepted_tally.setdefault(
+            instance, {}).setdefault(ballot, set())
         voters.add(msg.src)
         if len(voters) >= self._majority:
             self._decide(instance, msg.payload["value"])
@@ -343,16 +381,19 @@ class GroupConsensus(ConsensusProtocol):
             return
         self._decisions[instance] = value
         self._proposers.pop(instance, None)
-        self._accepted_tally = {
-            key: voters for key, voters in self._accepted_tally.items()
-            if key[0] != instance
-        }
-        # The retry timer would fire, see the decision, and do nothing;
-        # cancelling it keeps the queue free of dead-air events and lets
-        # a finished group quiesce retry_timeout earlier.
+        self._accepted_tally.pop(instance, None)
         self._timer_armed.discard(instance)
-        timer = self._timer_events.pop(instance, None)
-        if timer is not None:
-            timer.cancel()
         if self._handler is not None:
             self._handler(instance, value)
+        # The handler often proposes the next instance, which keeps the
+        # queued alarm useful.  With nothing left armed it is dead air:
+        # suspending it lets a finished group quiesce at once instead
+        # of retry_timeout later.  Its FIFO entry stays, so the next
+        # _arm_timer can revive it in place rather than queue another.
+        alarm = self._alarm
+        if alarm is not None and not alarm.cancelled \
+                and not self._timer_armed:
+            alarm.cancel()
+            head = self._timers[0]
+            self._timers.clear()
+            self._timers.append(head)

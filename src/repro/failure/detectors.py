@@ -15,12 +15,22 @@ This oracle design mirrors the paper's measurement methodology: in
 Figure 1 the paper charges the algorithms for *protocol* messages only,
 assuming an oracle-based consensus/reliable-broadcast substrate ([6],
 [11]); detector traffic is out of band.
+
+Protocols that only act *if* a peer turns out to be faulty (reliable
+multicast's lazy relay) ask through
+:meth:`FailureDetector.call_if_suspected` instead of polling on a timer
+of their own: a detector that cannot know the future answers by polling
+at the asked instant, while :class:`PerfectDetector` — whose answer is a
+function of the crash instants alone — queues nothing unless the target
+does crash, so a failure-free run carries no detector events at all.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Set
+from collections import deque
+from functools import partial
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -45,6 +55,30 @@ class FailureDetector:
                 return pid
         return None
 
+    def call_if_suspected(
+        self,
+        sim: Simulator,
+        querying_pid: int,
+        target_pid: int,
+        when: float,
+        fn: Callable[[Any], None],
+        arg: Any,
+        label: str = "",
+    ) -> None:
+        """Run ``fn(arg)`` at ``when`` iff ``querying_pid`` suspects
+        ``target_pid`` at that moment.
+
+        The moment is ``when`` at the kernel tie-break slot reserved by
+        this call, i.e. exactly where an event scheduled now would fire.
+        This default queues that event and polls :meth:`suspects` when
+        it fires; ``fn`` itself checks that the querier is still alive.
+        """
+        def poll() -> None:
+            if self.suspects(querying_pid, target_pid):
+                fn(arg)
+
+        sim.call_at_reserved(when, sim.reserve_slot(), poll, label)
+
 
 class PerfectDetector(FailureDetector):
     """Suspects exactly the crashed processes after ``delay``."""
@@ -54,12 +88,41 @@ class PerfectDetector(FailureDetector):
         self.network = network
         self.delay = delay
         self._crash_times: dict = {}
+        # target pid -> (when, slot, fn, arg, label) checks parked by
+        # call_if_suspected until the target crashes, oldest first.
+        self._parked: Dict[int, Deque[tuple]] = {}
         for process in network.processes():
             process.add_crash_hook(
-                lambda pid=process.pid: self._crash_times.setdefault(
-                    pid, self.sim.now
-                )
-            )
+                lambda pid=process.pid: self._on_crash(pid))
+
+    def _on_crash(self, pid: int) -> None:
+        now = self.sim.now
+        self._crash_times[pid] = now
+        # Parked checks that fall at or after the first suspected
+        # instant now fire, each at its own reserved slot; the earlier
+        # ones would have found the target unsuspected.
+        for when, slot, fn, arg, label in self._parked.pop(pid, ()):
+            if when >= now + self.delay:
+                self.sim.call_at_reserved(when, slot, partial(fn, arg), label)
+
+    def call_if_suspected(self, sim, querying_pid, target_pid, when, fn,
+                          arg, label="") -> None:
+        """Event-free unless the target crashes: the answer at ``when``
+        is a function of the target's crash instant alone, so the check
+        is parked and queued only by the crash that makes it fire."""
+        slot = sim.reserve_slot()
+        crashed_at = self._crash_times.get(target_pid)
+        if crashed_at is not None:
+            if when >= crashed_at + self.delay:
+                sim.call_at_reserved(when, slot, partial(fn, arg), label)
+            return
+        parked = self._parked.get(target_pid)
+        if parked is None:
+            parked = self._parked[target_pid] = deque()
+        now = sim.now
+        while parked and parked[0][0] < now:
+            parked.popleft()  # its instant passed without a crash
+        parked.append((when, slot, fn, arg, label))
 
     def suspects(self, querying_pid: int, target_pid: int) -> bool:
         crashed_at = self._crash_times.get(target_pid)
@@ -97,5 +160,10 @@ class EventuallyPerfectDetector(FailureDetector):
         if self._perfect.suspects(querying_pid, target_pid):
             return True
         if self.sim.now < self.stabilise_at:
+            # A crashed querier takes no steps, so it tosses no coin:
+            # the shared stream must not depend on polls that outlive
+            # the process that asked (see call_if_suspected).
+            if self._perfect.network.process(querying_pid).crashed:
+                return False
             return self.rng.random() < self.false_suspicion_probability
         return False

@@ -14,10 +14,13 @@ Implementation: the sender sends one copy per addressee (this is the
 after [6]).  Agreement despite a faulty sender is ensured by a **lazy
 relay**: each receiver arms a one-shot check; if the sender is suspected
 by then, the receiver relays the message to every addressee.  In the
-common case (sender correct) the check fires, finds nothing to do, and
-the primitive stays at its optimal message cost — and, because the check
-is a finite local event, the primitive is *halting*, which Algorithm
-A2's quiescence proof requires (paper footnote 12).
+common case (sender correct) the check finds nothing to do, and the
+primitive stays at its optimal message cost — and, because the check is
+a finite local step, the primitive is *halting*, which Algorithm A2's
+quiescence proof requires (paper footnote 12).  The check is asked of
+the detector (:meth:`FailureDetector.call_if_suspected`), which decides
+whether it needs a kernel event at all: an oracle that knows the crash
+instants queues none in a failure-free run.
 
 Delivery is immediate on first receipt, giving the latency degree of 1
 the paper uses in its analyses (Theorem 4.1).
@@ -58,7 +61,9 @@ class ReliableMulticast:
         self._delivered: Set[str] = set()
         self._relayed: Set[str] = set()
         self._handler: Optional[RDeliveryHandler] = None
-        process.register_handler(f"{self.ns}.data", self._on_data)
+        self._k_data = f"{namespace}.data"
+        self._check_label = f"{namespace}.relaycheck"
+        process.register_handler(self._k_data, self._on_data)
 
     # ------------------------------------------------------------------
     def set_delivery_handler(self, handler: RDeliveryHandler) -> None:
@@ -81,7 +86,7 @@ class ReliableMulticast:
             "dests": sorted(set(dest_pids)),
             "data": payload,
         }
-        self.process.send_many(body["dests"], f"{self.ns}.data", body)
+        self.process.send_many(body["dests"], self._k_data, body)
         return mid
 
     # ------------------------------------------------------------------
@@ -96,20 +101,20 @@ class ReliableMulticast:
             self._deliver(body)
         else:
             self._deliver(body)
-            if self.detector.suspects(self.process.pid, body["sender"]):
+            pid = self.process.pid
+            sender = body["sender"]
+            if self.detector.suspects(pid, sender):
                 self._relay(body)
             else:
-                self.process.sim.schedule(
-                    self.relay_after,
-                    lambda b=body: self._relay_check(b),
-                    label=f"{self.ns}.relaycheck",
-                )
+                # One-shot lazy relay: act only if the sender looks
+                # faulty relay_after from now.
+                sim = self.process.sim
+                self.detector.call_if_suspected(
+                    sim, pid, sender, sim.now + self.relay_after,
+                    self._relay_if_alive, body, self._check_label)
 
-    def _relay_check(self, body: dict) -> None:
-        """One-shot lazy relay: act only if the sender looks faulty."""
-        if self.process.crashed:
-            return
-        if self.detector.suspects(self.process.pid, body["sender"]):
+    def _relay_if_alive(self, body: dict) -> None:
+        if not self.process.crashed:
             self._relay(body)
 
     def _relay(self, body: dict) -> None:
@@ -119,7 +124,7 @@ class ReliableMulticast:
         self._relayed.add(mid)
         others = [p for p in body["dests"] if p != self.process.pid]
         if others:
-            self.process.send_many(others, f"{self.ns}.data", body)
+            self.process.send_many(others, self._k_data, body)
 
     def _deliver(self, body: dict) -> None:
         if self._handler is None:

@@ -249,7 +249,7 @@ class _GroupReplica:
     def inject(self, copies: List[OutboundCopy]) -> None:
         """Queue cross-group arrivals under their sender's seq keys."""
         deliver = self.system.network._deliver
-        push = self.queue.push_remote
+        push = self.queue.push_reserved
         for copy in copies:
             push(copy.arrival_time, copy.seq,
                  lambda m=copy.msg: deliver(m))

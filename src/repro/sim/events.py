@@ -15,6 +15,18 @@ ordered and consistent with scheduling order — the serial queue uses an
 ``(sched_time, parent_seq, call_index)`` that embeds the same order
 across sub-kernels.
 
+**Reserved slots.**  A caller that only *might* need an event — a
+timeout that is usually cancelled, a check that usually has nothing to
+do — can :meth:`EventQueue.reserve` the next ``seq`` now and queue the
+event later with :meth:`EventQueue.push_reserved`, or never.  The
+contract covers them: reserving consumes exactly the seq a ``push`` at
+that point would have, so every other event keeps its seq, and an event
+materialised at ``(time, slot)`` fires exactly where an event pushed at
+reservation time would have.  The queue refuses a slot whose moment is
+not after the entry it popped last — that event would already have run
+— and a reservation that is never materialised costs no heap entry at
+all.
+
 Events sit on the hot path of every simulated message, so the queue's
 heap holds ``(time, seq, event)`` triples — the ``(time, seq)`` prefix
 is unique, which keeps every heap comparison inside the C tuple
@@ -22,7 +34,10 @@ comparator instead of calling back into Python (the dataclass-generated
 ``Event.__lt__`` used to dominate heap maintenance in profiles).  The
 queue also keeps an exact count of *live* (non-cancelled) events:
 :meth:`Event.cancel` reports back to its owning queue, so ``len(queue)``
-never counts tombstones still sitting in the heap.
+never counts tombstones still sitting in the heap.  Until its tombstone
+is popped a cancelled event keeps its heap slot, so :meth:`Event.revive`
+can undo the cancellation in place — an owner that keeps suspending and
+resuming one timer pays for one heap entry, not one per resumption.
 """
 
 from __future__ import annotations
@@ -78,6 +93,20 @@ class Event:
         if self._queue is not None:
             self._queue._on_cancel()
 
+    def revive(self) -> bool:
+        """Undo :meth:`cancel` while the event still holds its heap slot.
+
+        Returns False — and changes nothing — once the queue has popped
+        the event (fired, or discarded as a tombstone): its moment is
+        gone.  A revived event fires at its original ``(time, seq)``.
+        """
+        queue = self._queue
+        if not self.cancelled or queue is None:
+            return False
+        self.cancelled = False
+        queue._live += 1
+        return True
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
         return f"Event(t={self.time:.3f} seq={self.seq} {self.label}{state})"
@@ -97,6 +126,9 @@ class EventQueue:
         self._heap: list = []
         self._counter = itertools.count()
         self._live = 0
+        #: The ``(time, seq, item)`` entry popped last: the event now
+        #: executing, or the last one executed between events.
+        self._current: Optional[tuple] = None
 
     def __len__(self) -> int:
         return self._live
@@ -121,6 +153,31 @@ class EventQueue:
         """
         heapq.heappush(self._heap, (time, next(self._counter), action))
         self._live += 1
+
+    def reserve(self) -> Any:
+        """Mint the next tie-break ``seq`` without queueing anything.
+
+        The slot a :meth:`push` right now would get; pass it to
+        :meth:`push_reserved` later, or drop it.
+        """
+        return next(self._counter)
+
+    def push_reserved(self, time: float, seq: Any,
+                      action: Callable[[], None],
+                      label: str = "") -> Optional[Event]:
+        """Queue ``action`` at the reserved slot ``(time, seq)``.
+
+        Returns None, queueing nothing, when that moment is not after
+        the entry popped last: an event pushed at reservation time would
+        already have fired, so it must not fire (again) now.
+        """
+        current = self._current
+        if current is not None and (time, seq) <= (current[0], current[1]):
+            return None
+        event = Event(time, seq, action, label, queue=self)
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or None.
@@ -148,10 +205,13 @@ class EventQueue:
             entry = heapq.heappop(heap)
             item = entry[2]
             if type(item) is Event:
+                # Popped events leave the queue for good: a cancel()
+                # after firing must not count, a revive() must fail.
+                item._queue = None
                 if item.cancelled:
                     continue
-                item._queue = None  # a cancel() after firing must not count
             self._live -= 1
+            self._current = entry
             return entry
         return None
 
@@ -161,6 +221,7 @@ class EventQueue:
         while heap:
             head = heap[0][2]
             if type(head) is Event and head.cancelled:
+                head._queue = None
                 heapq.heappop(heap)
                 continue
             return heap[0][0]

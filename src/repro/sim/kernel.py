@@ -93,6 +93,26 @@ class Simulator:
             )
         return self._queue.push(time, action, label)
 
+    def reserve_slot(self):
+        """Reserve the tie-break slot a ``schedule`` right now would get.
+
+        For timers that usually never fire: keep the slot, and queue
+        the event with :meth:`call_at_reserved` only once it is known
+        to be needed.  See "Reserved slots" in :mod:`repro.sim.events`.
+        """
+        return self._queue.reserve()
+
+    def call_at_reserved(
+        self, time: float, slot, action: Callable[[], None], label: str = ""
+    ) -> Optional[Event]:
+        """Queue ``action`` at ``time`` under a reserved ``slot``.
+
+        It fires exactly where an event scheduled when the slot was
+        reserved would have.  Returns None (nothing queued) when that
+        moment has already passed.
+        """
+        return self._queue.push_reserved(time, slot, action, label)
+
     def add_idle_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback invoked when the queue drains.
 

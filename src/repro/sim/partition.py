@@ -45,7 +45,7 @@ message into a window that already ran.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.sim.events import Event, EventQueue
 
@@ -80,8 +80,8 @@ class GroupSequencedQueue(EventQueue):
     The queue must be bound to its simulator (:meth:`bind`) so pushes
     can stamp the current virtual time; until :meth:`begin_run` is
     called, pushes are stamped as setup roots (see the band sentinels).
-    :meth:`pop_entry` tracks the executing event's key so that pushes
-    made during its execution inherit its pedigree.
+    Pushes made while an event executes inherit its pedigree: their
+    parent key is the seq of the entry popped last.
     """
 
     def __init__(self, gid: int) -> None:
@@ -90,7 +90,6 @@ class GroupSequencedQueue(EventQueue):
         self._sim = None
         self._setup = True
         self._setup_band = SETUP_BAND_BUILD
-        self._parent_key: Optional[tuple] = None
         self._child_index = 0
 
     def bind(self, sim) -> None:
@@ -105,7 +104,15 @@ class GroupSequencedQueue(EventQueue):
         """End the setup phase: stamp subsequent pushes with pedigrees."""
         self._setup = False
 
-    def _next_seq(self) -> tuple:
+    def reserve(self) -> tuple:
+        """Mint the next pedigree key (see :meth:`EventQueue.reserve`).
+
+        Besides deferred local events, this is the key a cross-group
+        copy is captured under: the receiving sub-kernel queues the
+        arrival with :meth:`push_reserved` at the *sender's* key — the
+        one the delivery would have carried had it been scheduled
+        locally, which is exactly what the serial kernel did.
+        """
         if self._setup:
             # Root key.  The group id is wrapped in a 1-tuple so element
             # 1 is tuple-shaped in every key — comparable against a
@@ -114,7 +121,8 @@ class GroupSequencedQueue(EventQueue):
             return (self._setup_band, (self.gid,), next(self._counter))
         index = self._child_index
         self._child_index = index + 1
-        return (self._sim._now, self._parent_key, index)
+        parent = self._current[1] if self._current is not None else None
+        return (self._sim._now, parent, index)
 
     def pop_entry(self):
         entry = super().pop_entry()
@@ -122,32 +130,19 @@ class GroupSequencedQueue(EventQueue):
             # Children scheduled while this event runs extend its
             # pedigree — including cross-group copies captured by the
             # outbox, which share the same call-index stream.
-            self._parent_key = entry[1]
             self._child_index = 0
         return entry
 
     def push(self, time: float, action: Callable[[], None],
              label: str = "") -> Event:
-        seq = self._next_seq()
+        seq = self.reserve()
         event = Event(time, seq, action, label, queue=self)
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
     def push_action(self, time: float, action: Callable[[], None]) -> None:
-        heapq.heappush(self._heap, (time, self._next_seq(), action))
-        self._live += 1
-
-    def push_remote(self, time: float, seq: tuple,
-                    action: Callable[[], None]) -> None:
-        """Inject a cross-group arrival with the *sender's* sequence key.
-
-        ``seq`` is the pedigree key the sender's sub-kernel minted when
-        the copy was captured — the key the delivery would have carried
-        had it been scheduled locally, which is exactly what the serial
-        kernel did.
-        """
-        heapq.heappush(self._heap, (time, seq, action))
+        heapq.heappush(self._heap, (time, self.reserve(), action))
         self._live += 1
 
 
@@ -194,7 +189,7 @@ class Outbox:
 
     def add(self, msg, delay: float, dst_gid: int) -> None:
         """Capture one copy; the queue's clock is the scheduling time."""
-        seq = self._queue._next_seq()
+        seq = self._queue.reserve()
         self._pending.append(
             OutboundCopy(msg.send_time + delay, seq, dst_gid, msg))
 

@@ -1,0 +1,65 @@
+"""Same seed, bit-identical run: fingerprints pinned across commits.
+
+Each benchmark workload is run once at 1/20 of its plan
+(``python bench/measure.py <workload> --seed 42 --scale 20``, in a fresh
+interpreter because message ids come from a process-global counter) and
+compared with values recorded at commit 73c21e3, *before* the
+dormant-timer change.  ``fingerprint`` is a sha256 over every process's
+delivery sequence and the commit set; the three numbers beside it say
+which layer moved when it does.
+
+A simulator-only change (kernel, timers, bookkeeping) must leave all of
+them untouched.  A change that *means* to alter protocol behaviour
+re-records the pins in the same commit and says why.  Nothing under
+``bench/`` is edited by this test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+#: workload -> (fingerprint, lat_p50_sim, net.msgs, consensus.msgs)
+PINS = {
+    "a1_global": (
+        "1af7ba62ff2c4e15ded37076ebe6f3ae4b4be70d75904c473f4d5c9fa78da9a8",
+        2.966543196492409, 20716, 13132),
+    "a1_local": (
+        "93e0b3df188fd583d2368ed42ec7a01c2b2f86af4f5f8658c57bdfa7b94c6516",
+        0.0029999999999996696, 10518, 8652),
+    "a2_bcast": (
+        "5f80070d23956803247321fae10e9ad528eb9feb7c24da61059939bedda6a319",
+        1.5016906349176349, 6237, 714),
+    "store_mix": (
+        "bd868a7b2246b18ca68445f1f6dea8523e9540fabc2983c69a53e904422a3928",
+        189.780185892365, 6302, 4212),
+    "store_rebalance": (
+        "aa05f933e2958a7f716eafde60ae8abbb949e0c95b164aa2836838defe12638d",
+        4.504000000000019, 2444, 1386),
+    "a1_lossy": (
+        "a127c5827aa1332ea8bf54419f4631d9d776d0a3cc768f75d3978299e637a0b8",
+        4.070169820020093, 7912, 1842),
+    "hb_crash": (
+        "4b7660de9058a8eff347a8688802b7ba1e357f3f46d2c4875a3bd0339a080836",
+        39.028257317038495, 67761, 14341),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PINS))
+def test_run_is_bit_identical_to_the_pinned_commit(workload):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "measure.py"), workload,
+         "--seed", "42", "--scale", "20"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    exact = result["exact"]
+    assert all(v == "ok" for v in result["verdicts"].values()), \
+        result["verdicts"]
+    assert (result["fingerprint"], exact["lat_p50_sim"], exact["net.msgs"],
+            exact["consensus.msgs"]) == PINS[workload]

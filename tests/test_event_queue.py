@@ -1,10 +1,15 @@
-"""Cancellation semantics and determinism of the event queue.
+"""Cancellation semantics, determinism and reserved slots of the event queue.
 
 The engine refactor made ``len(queue)`` (and therefore
 ``Simulator.pending_events``) track *live* events exactly: cancelled
 events still occupy heap slots until lazily pruned, but must never be
 counted, and the idle-hook refill check in ``Simulator.run`` must stay
 exact in the presence of cancelled stragglers.
+
+Reserved slots (``reserve`` / ``push_reserved``) extend the pinned
+``(time, seq)`` contract: an event materialised later fires exactly
+where a ``schedule`` at reservation time would have, on both the serial
+queue and the parallel kernel's pedigree-keyed one.
 """
 
 import pytest
@@ -52,6 +57,41 @@ class TestLiveCount:
         a.cancel()
         q.push(1.0, lambda: None)
         assert len(q) == 1
+
+    def test_revive_restores_a_cancelled_event_in_place(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"))
+        b = sim.schedule(1.0, lambda: fired.append("b"))
+        sim.schedule(1.0, lambda: fired.append("c"))
+        b.cancel()
+        assert sim.pending_events == 2
+        assert b.revive() is True
+        assert b.revive() is False  # not cancelled any more
+        assert sim.pending_events == 3
+        sim.run()
+        assert fired == ["a", "b", "c"]  # original (time, seq) position
+
+    def test_revive_fails_once_the_tombstone_was_popped(self):
+        sim = Simulator()
+        early = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        early.cancel()
+        sim.run()  # discards the tombstone on the way to t=2
+        assert early.revive() is False
+        assert early.cancelled and sim.pending_events == 0
+
+    def test_revive_fails_on_fired_and_on_cleared_events(self):
+        q = EventQueue()
+        fired = q.push(1.0, lambda: None)
+        assert q.pop() is fired
+        fired.cancel()
+        assert fired.revive() is False
+        dropped = q.push(1.0, lambda: None)
+        dropped.cancel()
+        q.clear()
+        assert dropped.revive() is False
+        assert len(q) == 0
 
     def test_push_action_counts_and_pops(self):
         q = EventQueue()
@@ -146,10 +186,10 @@ class TestGroupSequencedQueue:
     def test_setup_roots_order_by_band_then_group_then_counter(self):
         q0, _ = self._bound_queue(0)
         q1, _ = self._bound_queue(1)
-        build0 = q0._next_seq()
+        build0 = q0.reserve()
         q0.set_setup_band(SETUP_BAND_WORKLOAD)
-        workload0 = q0._next_seq()
-        build1 = q1._next_seq()
+        workload0 = q0.reserve()
+        build1 = q1.reserve()
         # Build band sorts before workload band regardless of group;
         # within a band, group-major.
         assert build0 < build1 < workload0
@@ -195,16 +235,129 @@ class TestGroupSequencedQueue:
         dest_q.begin_run()
         sender_q.begin_run()
         # Sender mints a copy's key while executing an event at t=1.0.
-        sender_q._parent_key = (SETUP_BAND_BUILD, (0,), 0)
+        sender_q._current = (1.0, (SETUP_BAND_BUILD, (0,), 0), None)
         sender_sim._now = 1.0
-        remote_seq = sender_q._next_seq()
-        dest_q.push_remote(2.0, remote_seq, lambda: fired.append("remote"))
+        remote_seq = sender_q.reserve()
+        dest_q.push_reserved(2.0, remote_seq, lambda: fired.append("remote"))
         # A destination event scheduled at runtime t=1.5 — later moment.
-        dest_q._parent_key = (SETUP_BAND_BUILD, (1,), 0)
+        dest_q._current = (1.5, (SETUP_BAND_BUILD, (1,), 0), None)
         dest_sim._now = 1.5
         dest_sim.schedule(0.5, lambda: fired.append("local-late"))
         dest_sim.run()
         assert fired == ["local-early", "remote", "local-late"]
+
+
+def _group_sim():
+    """A sub-kernel simulator already past its setup phase."""
+    queue = GroupSequencedQueue(0)
+    sim = Simulator(queue=queue)
+    queue.bind(sim)
+    queue.begin_run()
+    return sim
+
+
+@pytest.mark.parametrize("make_sim", [Simulator, _group_sim],
+                         ids=["EventQueue", "GroupSequencedQueue"])
+class TestReservedSlots:
+    """Reserve a ``(time, seq)`` slot now, materialise it later or never."""
+
+    @staticmethod
+    def _run(make_sim, deferred):
+        """Fire order of a fixed schedule with colliding timestamps.
+
+        ``x`` and ``y`` are scheduled between ordinary pushes, one from
+        setup and one from inside an event; with ``deferred`` they only
+        reserve their slot and are materialised by a later event.
+        """
+        sim = make_sim()
+        fired = []
+        slots = {}
+
+        def place(name, when):
+            if deferred:
+                slots[name] = (when, sim.reserve_slot())
+            else:
+                sim.call_at(when, lambda: fired.append(name))
+
+        def materialise():
+            fired.append("m")
+            for name, (when, slot) in slots.items():
+                event = sim.call_at_reserved(
+                    when, slot, lambda n=name: fired.append(n))
+                assert event is not None
+
+        def first():
+            fired.append("a")
+            sim.schedule(4.0, lambda: fired.append("a-child"))
+            place("y", 5.0)
+            sim.schedule(4.0, lambda: fired.append("a-child2"))
+
+        sim.schedule(1.0, first)
+        place("x", 5.0)
+        sim.schedule(5.0, lambda: fired.append("b"))
+        sim.schedule(3.0, materialise)
+        sim.run()
+        return fired
+
+    def test_fires_where_a_schedule_at_reservation_time_would(self, make_sim):
+        reference = self._run(make_sim, deferred=False)
+        assert reference == ["a", "m", "x", "b", "a-child", "y", "a-child2"]
+        assert self._run(make_sim, deferred=True) == reference
+
+    def test_reserving_costs_no_heap_entry_and_no_event(self, make_sim):
+        sim = make_sim()
+        sim.schedule(1.0, lambda: sim.reserve_slot())
+        sim.reserve_slot()
+        assert sim.pending_events == 1
+        sim.run_until_quiescent()
+        assert sim.pending_events == 0
+        assert sim.events_executed == 1
+        assert sim.now == 1.0  # never advanced towards a reserved moment
+
+    def test_slot_whose_moment_has_passed_is_refused(self, make_sim):
+        sim = make_sim()
+        fired = []
+        slots = []
+        sim.schedule(1.0, lambda: slots.append(sim.reserve_slot()))
+        sim.schedule(2.0, lambda: fired.append("two"))
+        sim.run()
+        assert sim.call_at_reserved(1.5, slots[0], lambda: None) is None
+        assert sim.pending_events == 0
+        assert fired == ["two"]
+
+    def test_same_instant_slot_after_the_executing_event_is_accepted(
+            self, make_sim):
+        """At the executing event's own instant the seq decides: a slot
+        reserved before the running event was scheduled already had its
+        turn, one reserved after it has not."""
+        sim = make_sim()
+        fired = []
+        slots = {}
+
+        def reserve_early():
+            slots["early"] = sim.reserve_slot()
+            sim.schedule(1.0, at_two)
+            slots["late"] = sim.reserve_slot()
+
+        def at_two():
+            fired.append("two")
+            assert sim.call_at_reserved(
+                2.0, slots["early"], lambda: fired.append("early")) is None
+            assert sim.call_at_reserved(
+                2.0, slots["late"], lambda: fired.append("late")) is not None
+
+        sim.schedule(1.0, reserve_early)
+        sim.run()
+        assert fired == ["two", "late"]
+
+    def test_materialised_event_is_cancellable(self, make_sim):
+        sim = make_sim()
+        event = sim.call_at_reserved(1.0, sim.reserve_slot(), lambda: None)
+        assert sim.pending_events == 1
+        event.cancel()
+        assert sim.pending_events == 0
+        sim.run_until_quiescent()
+        assert sim.events_executed == 0
 
 
 class TestEpochArithmetic:
