@@ -345,18 +345,27 @@ class _LossyChannelInjector(FaultInjector):
             return None
         if self.scope == "intra" and msg.inter_group:
             return None
-        fault, u = self.channel.roll(msg.src, msg.dst)
-        if not fault:
-            return None
+        p = self.probability
+        if self.channel.burst_enter == 0.0:
+            # ChannelModel.roll's memoryless case, inlined: this runs
+            # once per injector per wire copy.  Same two draws.
+            draw = self.rng.random
+            draw()
+            u = draw()
+            if u >= p:
+                return None
+        else:
+            fault, u = self.channel.roll(msg.src, msg.dst)
+            if not fault:
+                return None
+            if self.channel.in_burst(msg.src, msg.dst):
+                p = self.channel.burst_probability
         now = self._sim.now
         if self.until is not None and now >= self.until:
             return None
         if not self._gate():
             return None
         self.last_fault_time = now
-        p = (self.channel.burst_probability
-             if self.channel.in_burst(msg.src, msg.dst)
-             else self.probability)
         return u / p
 
 

@@ -5,12 +5,14 @@ virtual time the channel behaves again.  A run *self-stabilizes* when,
 once the faults stop, every layer returns to a legal quiescent state on
 its own — no operator, no reset:
 
-* the **kernel** drains: no event (retransmission timer, pending ack,
-  buffered flush) keeps the simulation alive forever;
+* the **kernel** drains: no event (retransmission timer, pending ack)
+  keeps the simulation alive forever;
 * the **transport** drains: between correct endpoints nothing is left
-  unacknowledged at any sender and no sequence gap is still parked in
-  any receiver's reorder buffer (links with a crashed endpoint are
-  exempt — quasi-reliability promises nothing across them);
+  unacknowledged at any sender, and no receiver still holds a sequence
+  seen above its watermark — the transport releases on arrival, so a
+  leftover there is a frame below it that never arrived (links with a
+  crashed endpoint are exempt — quasi-reliability promises nothing
+  across them);
 * the **adversary honoured its horizon**: no fault fired at or after
   ``until`` (guards the injectors' contract, without which the other
   two clauses would be vacuously checking a fault-free run);
@@ -118,8 +120,8 @@ def check_stabilization(system) -> StabilizationReport:
             raise StabilizationViolation(
                 f"transport state between correct endpoints did not "
                 f"drain: {stuck} (unacked = sender link -> frames never "
-                f"acknowledged, buffered = receiver link -> sequence "
-                f"gaps never filled)"
+                f"acknowledged, out_of_order = receiver link -> frames "
+                f"released above a sequence gap never filled)"
             )
 
     last_fault: Optional[float] = None

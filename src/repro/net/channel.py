@@ -83,6 +83,13 @@ class ChannelModel:
         convention.  Always exactly two draws (see module docstring).
         """
         rng = self.rng
+        if self.burst_enter == 0.0:
+            # Memoryless: the chain can never leave the good state, so
+            # there is no per-link state to read or write — but the
+            # transition draw is still spent (see module docstring).
+            rng.random()
+            u = rng.random()
+            return u < self.probability, u
         link = (src, dst)
         bad = self._bad.get(link, False)
         t = rng.random()

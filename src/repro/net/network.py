@@ -182,8 +182,8 @@ class Network:
 
         Every subsequent :meth:`send`/:meth:`send_many` of a covered
         kind is wrapped into a sequenced, checksummed frame, and frame
-        deliveries are admitted through the transport's dedup/reorder
-        logic instead of dispatching directly (see
+        deliveries are admitted through the transport's checksum and
+        dedup logic before they dispatch (see
         :mod:`repro.transport.reliable`).  Must happen before traffic
         flows — mounting mid-run would strand unsequenced copies.
         """
@@ -425,12 +425,9 @@ class Network:
                     f"{msg.kind!r}"
                 )
             wire = msg.wire
-            if wire is not None:
-                # A sequenced transport frame: checksum, dedup and
-                # in-order release happen there; the handler runs
-                # zero or more times (buffered successors flush).
-                self.transport.on_frame(receiver, msg, wire, handler,
-                                        profiler)
+            if wire is not None and not self.transport.on_frame(msg, wire):
+                # A sequenced transport frame that failed its checksum
+                # or was already released: the handler must not see it.
                 return
             if profiler is None:
                 handler(msg)

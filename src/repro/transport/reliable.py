@@ -2,17 +2,21 @@
 
 The lossy adversary kinds (``drop``/``duplicate``/``corrupt``) break the
 quasi-reliable link axiom the paper's protocols assume.  This module
-restores it *beneath* them, in the classic sliding-window shape (Aspnes'
-ABP/sliding-window framing; Dolev et al.'s stabilizing communication
-over unreliable non-FIFO channels): per-link sequence numbers, a
-checksum per copy, cumulative-plus-selective acknowledgements driving
-retransmission with exponential backoff and jitter, and a dedup/reorder
-window on the receiver — so each covered copy is released to the
-protocol handler **exactly once, in per-link send order**, no matter
-what the channel did to it.  Once the channel faults stop (the
-injectors' ``until`` horizon), every outstanding frame drains and the
-event queue quiesces with all properties green — the stabilization
-property :mod:`repro.checkers.stabilization` asserts.
+restores it *beneath* them — and restores no more than it: quasi-
+reliable links promise that every copy between correct processes
+arrives, never that copies arrive in send order (§2.1), so the shape is
+selective repeat with release on arrival (Aspnes' sliding-window
+framing; Dolev et al.'s stabilizing communication over unreliable
+non-FIFO channels).  Per-link sequence numbers, a checksum per copy,
+cumulative-plus-selective acknowledgements driving per-frame
+retransmission with exponential backoff and jitter, and a dedup window
+on the receiver — so each covered copy is released to the protocol
+handler **exactly once, in any order**, the instant its first intact
+copy arrives, no matter what the channel did to it.  A lost frame
+delays only itself: nothing queues behind the gap.  Once the channel
+faults stop (the injectors' ``until`` horizon), every outstanding frame
+drains and the event queue quiesces with all properties green — the
+stabilization property :mod:`repro.checkers.stabilization` asserts.
 
 Wire format
 -----------
@@ -37,10 +41,11 @@ path), which is exactly how real link CRCs behave.
 Acknowledgements travel as their own ``tsp.ack`` kind (never wrapped,
 so no ack-of-ack regress), delayed and coalesced per link: one pending
 ack timer per link batches a burst of arrivals into a single cumulative
-ack carrying the sorted out-of-order buffer as a SACK list — the NACK
-signal.  Gaps below the highest SACKed sequence trigger immediate
-(fast) retransmission; a lazy per-link timer with exponential backoff
-and seeded jitter covers everything else, including lost acks.
+ack carrying the sorted set of sequences seen above the watermark as a
+SACK list — the NACK signal.  Gaps below the highest SACKed sequence
+trigger immediate (fast) retransmission; a lazy per-link timer covers
+everything else, including lost acks: it resends only the frames whose
+own timeout has passed and re-arms for the earliest remaining one.
 
 Failure semantics: retransmission to a destination stops only when that
 destination has *actually* crashed (simulation ground truth, the same
@@ -55,7 +60,7 @@ never be told from death.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 #: Kind of acknowledgement messages (bypasses sequencing; see `covers`).
 ACK_KIND = "tsp.ack"
@@ -74,7 +79,8 @@ class TransportStats:
 
     __slots__ = ("wrapped_sends", "data_copies", "retransmits",
                  "fast_retransmits", "acks_sent", "dup_suppressed",
-                 "corrupt_detected", "buffered", "released", "abandoned")
+                 "corrupt_detected", "out_of_order", "released",
+                 "abandoned")
 
     def __init__(self) -> None:
         self.wrapped_sends = 0      # logical sends wrapped
@@ -84,7 +90,7 @@ class TransportStats:
         self.acks_sent = 0
         self.dup_suppressed = 0     # copies discarded by the dedup window
         self.corrupt_detected = 0   # copies discarded on checksum failure
-        self.buffered = 0           # out-of-order copies parked
+        self.out_of_order = 0       # frames released ahead of a gap
         self.released = 0           # frames dispatched upward (exactly once)
         self.abandoned = 0          # frames given up on (destination crashed)
 
@@ -119,12 +125,14 @@ class _SendLink:
 class _RecvLink:
     """Receiver-side state of one directed (src, dst) link."""
 
-    __slots__ = ("next_seq", "buffer", "ack_armed", "salt")
+    __slots__ = ("next_seq", "seen", "ack_armed", "salt")
 
     def __init__(self, salt: int) -> None:
+        # Cumulative watermark: every seq below it has been released.
         self.next_seq = 0
-        # seq -> (msg, handler): out-of-order copies awaiting the gap.
-        self.buffer: Dict[int, tuple] = {}
+        # Seqs released above the watermark (dedup + the SACK list);
+        # drains into next_seq as the gaps below them fill.
+        self.seen: Set[int] = set()
         self.ack_armed = False
         self.salt = salt
 
@@ -174,11 +182,12 @@ class ReliableTransport:
         """The run's counters, with the watermark-derived ones synced.
 
         Every first transmission claims exactly one send-side sequence
-        number, and a receiver advances ``next_seq`` by exactly one per
-        frame it dispatches upward — so ``data_copies`` and
-        ``released`` are the sums of the links' watermarks, derived
-        here instead of burdening the per-copy hot paths with counter
-        increments.
+        number, and every frame a receiver releases upward either
+        advances ``next_seq`` by one or joins ``seen`` (and moves from
+        there into ``next_seq`` when the gap below it fills) — so
+        ``data_copies`` and ``released`` are sums over the links,
+        derived here instead of burdening the per-copy hot paths with
+        counter increments.
         """
         stats = self._stats
         stats.data_copies = sum(
@@ -187,7 +196,7 @@ class ReliableTransport:
             for link in row.values()
         )
         stats.released = sum(
-            link.next_seq
+            link.next_seq + len(link.seen)
             for row in self._recv_links.values()
             for link in row.values()
         )
@@ -307,24 +316,25 @@ class ReliableTransport:
             link.unacked.clear()
             return
         now = self.sim.now
-        factor = min(self.BACKOFF_FACTOR ** link.backoff,
-                     self.BACKOFF_FACTOR ** self.MAX_BACKOFF_EXP)
-        effective = link.rto * factor
-        oldest_sent = next(iter(link.unacked.values()))[2]
-        due = oldest_sent + effective
-        if now + 1e-12 < due:
-            link.timer_armed = True
-            self.sim.schedule_action(due - now, lambda k=lk: self._on_timer(k))
-            return
-        for seq, (kind, body, _) in list(link.unacked.items()):
-            link.unacked[seq] = (kind, body, now)
-            self._resend(src, dst, seq, kind, body)
-            self._stats.retransmits += 1
-        link.backoff = min(link.backoff + 1, self.MAX_BACKOFF_EXP)
-        factor = self.BACKOFF_FACTOR ** link.backoff
-        jittered = link.rto * factor * (1.0 + self.JITTER * self.rng.random())
+        unacked = link.unacked
+        # Selective repeat: only frames whose own timeout has passed.
+        cutoff = now + 1e-12 - link.rto * self.BACKOFF_FACTOR ** link.backoff
+        due = [seq for seq, rec in unacked.items() if rec[2] <= cutoff]
+        if due:
+            for seq in due:
+                kind, body, _ = unacked[seq]
+                unacked[seq] = (kind, body, now)
+                self._resend(src, dst, seq, kind, body)
+            self._stats.retransmits += len(due)
+            link.backoff = min(link.backoff + 1, self.MAX_BACKOFF_EXP)
+        # Re-arm for the earliest remaining deadline; when that is a
+        # frame just resent, jitter desynchronises the repeat.
+        oldest = min(rec[2] for rec in unacked.values())
+        delay = oldest + link.rto * self.BACKOFF_FACTOR ** link.backoff - now
+        if oldest == now:
+            delay *= 1.0 + self.JITTER * self.rng.random()
         link.timer_armed = True
-        self.sim.schedule_action(jittered, lambda k=lk: self._on_timer(k))
+        self.sim.schedule_action(delay, lambda k=lk: self._on_timer(k))
 
     def _on_ack(self, msg) -> None:
         """Clear acked frames; SACK gaps trigger fast retransmission."""
@@ -365,15 +375,13 @@ class ReliableTransport:
     # ------------------------------------------------------------------
     # Receive side
     # ------------------------------------------------------------------
-    def on_frame(self, receiver, msg, wire: int, handler,
-                 profiler) -> None:
-        """Admit one arriving copy: checksum, dedup, in-order release.
+    def on_frame(self, msg, wire: int) -> bool:
+        """Admit one arriving copy: checksum, dedup, release on arrival.
 
         Called by ``Network._deliver`` (with ``wire = msg.wire``) after
-        the crash/filter/clock/trace steps, in place of the direct
-        handler dispatch.  Releases zero or more frames upward (the
-        copy itself if it fills the window's head, plus any buffered
-        successors it unblocks).
+        the crash/filter/clock/trace steps; True tells it to run the
+        handler now — the first intact copy of a frame is released the
+        instant it arrives, whatever is still missing below it.
         """
         dst = msg.dst
         src = msg.src
@@ -385,52 +393,33 @@ class ReliableTransport:
         seq = wire >> 8
         if (wire & 0xFF) != ((seq * 2654435761) ^ link.salt) & 0xFF:
             self._stats.corrupt_detected += 1
+            release = False
             # Ack anyway: the cumulative/SACK state tells the sender
             # what survived, and the damaged seq stays unacked.
         elif seq == link.next_seq:
             # In-order fast path: every copy of a fault-free run lands
             # here, so it touches no counters at all — the released
-            # count is derived from next_seq (see the stats property).
-            link.next_seq = seq + 1
-            if profiler is None:
-                handler(msg)
-            else:
-                self._dispatch_profiled(msg, handler, profiler)
-            buffer = link.buffer
-            while buffer and not receiver.crashed:
-                entry = buffer.pop(link.next_seq, None)
-                if entry is None:
-                    break
-                link.next_seq += 1
-                self._dispatch(entry[0], entry[1], profiler)
-        elif seq < link.next_seq or seq in link.buffer:
+            # count is derived from the link state (see ``stats``).
+            seq += 1
+            seen = link.seen
+            while seq in seen:
+                seen.remove(seq)
+                seq += 1
+            link.next_seq = seq
+            release = True
+        elif seq < link.next_seq or seq in link.seen:
             self._stats.dup_suppressed += 1
+            release = False
             # Ack anyway: the first ack for this seq may have been lost.
         else:
-            link.buffer[seq] = (msg, handler)
-            self._stats.buffered += 1
+            link.seen.add(seq)
+            self._stats.out_of_order += 1
+            release = True
         if not link.ack_armed:
             link.ack_armed = True
             self.sim.schedule_action(self.ack_delay,
                                      lambda k=(src, dst): self._send_ack(k))
-
-    def _dispatch(self, msg, handler, profiler) -> None:
-        """Release one frame to its protocol handler, profiled like a
-        direct delivery (the handler's phase, not "network")."""
-        if profiler is None:
-            handler(msg)
-            return
-        self._dispatch_profiled(msg, handler, profiler)
-
-    @staticmethod
-    def _dispatch_profiled(msg, handler, profiler) -> None:
-        from repro.net.network import _phase_of_kind
-
-        profiler.push(_phase_of_kind(msg.kind))
-        try:
-            handler(msg)
-        finally:
-            profiler.pop()
+        return release
 
     def _send_ack(self, lk: Tuple[int, int]) -> None:
         src, dst = lk
@@ -438,7 +427,7 @@ class ReliableTransport:
         link.ack_armed = False
         if self.network._processes[dst].crashed:
             return  # the dead don't ack
-        sack = tuple(sorted(link.buffer)) if link.buffer else ()
+        sack = tuple(sorted(link.seen)) if link.seen else ()
         self._stats.acks_sent += 1
         self.network._send_copy(dst, src, ACK_KIND,
                                 {_ACK_BODY: (link.next_seq, sack)})
@@ -462,11 +451,11 @@ class ReliableTransport:
             if link.unacked and not processes[src].crashed
             and not processes[dst].crashed
         }
-        buffered = {
-            (src, dst): len(link.buffer)
+        out_of_order = {
+            (src, dst): len(link.seen)
             for dst, row in self._recv_links.items()
             for src, link in row.items()
-            if link.buffer and not processes[src].crashed
+            if link.seen and not processes[src].crashed
             and not processes[dst].crashed
         }
-        return {"unacked": unacked, "buffered": buffered}
+        return {"unacked": unacked, "out_of_order": out_of_order}

@@ -162,7 +162,7 @@ def _run_reliable(adversary_name: str, seed: int):
 
     Every protocol handler is wrapped so that each frame the transport
     releases upward records its link sequence number — the raw
-    observable behind the exactly-once in-order contract.
+    observable behind the exactly-once, any-order contract.
     """
     system = build_system("a1", group_sizes=[3, 3], seed=seed,
                           transport="reliable")
@@ -195,23 +195,31 @@ def _run_reliable(adversary_name: str, seed: int):
 
 @pytest.mark.parametrize("adversary_name", LOSSY_NAMES)
 @pytest.mark.parametrize("seed", [1, 7])
-def test_reliable_transport_exactly_once_in_order(adversary_name, seed):
-    """Under every loss adversary, each link releases 0, 1, 2, ...
+def test_reliable_transport_exactly_once_no_gap(adversary_name, seed):
+    """Under every loss adversary, each link releases a permutation of
+    0 .. n-1.
 
     No duplicate (a repeated seq), no gap (a skipped seq), no
-    reordering (a seq out of place), no corruption passed upward (a
-    corrupted frame fails its checksum, is dropped, and must be
-    retransmitted — so it still shows up exactly once).
+    corruption passed upward (a corrupted frame fails its checksum, is
+    dropped, and must be retransmitted — so it still shows up exactly
+    once).  Order is *not* promised: quasi-reliable links are not FIFO
+    (§2.1), and a retransmitted frame lands behind its successors.
     """
     system, applied, released = _run_reliable(adversary_name, seed)
     assert applied.total_faults > 0, \
         f"{adversary_name} injected nothing — the test is vacuous"
 
     for link, seqs in released.items():
-        assert seqs == list(range(len(seqs))), (
-            f"link {link} released {seqs[:20]}... not the unbroken "
-            f"sequence (adversary {adversary_name}, seed {seed})"
+        assert len(set(seqs)) == len(seqs), (
+            f"link {link} released a seq twice: {seqs[:20]}... "
+            f"(adversary {adversary_name}, seed {seed})"
         )
+        assert sorted(seqs) == list(range(len(seqs))), (
+            f"link {link} skipped a seq: {sorted(seqs)[:20]}... "
+            f"(adversary {adversary_name}, seed {seed})"
+        )
+    assert any(seqs != sorted(seqs) for seqs in released.values()), \
+        "no link ever released ahead of a gap — the test is vacuous"
 
     stats = system.transport.stats
     total = sum(len(seqs) for seqs in released.values())
@@ -220,7 +228,7 @@ def test_reliable_transport_exactly_once_in_order(adversary_name, seed):
     # crash injector here, so no link is exempt.
     assert stats.released == stats.data_copies
     drained = system.transport.outstanding()
-    assert drained == {"unacked": {}, "buffered": {}}
+    assert drained == {"unacked": {}, "out_of_order": {}}
 
 
 @pytest.mark.parametrize("adversary_name", LOSSY_NAMES)

@@ -1,0 +1,54 @@
+"""Sim-time budget: what 10 % loss may cost above the transport.
+
+The ``a1_lossy`` benchmark workload (drop 0.10 / duplicate 0.05 /
+corrupt 0.02 under ``transport="reliable"``) is run at ``--seed 42
+--scale 4`` beside the very same ``ScenarioSpec`` with no adversary —
+both through ``bench/measure.py``'s ``measure`` (so through
+``build_scenario_system``), each in a fresh interpreter because message
+ids come from a process-global counter.  Commit latency is sim time,
+exact per seed, so the ratio can gate: a transport that parks frames
+behind a lost one reads 3.5x here (10.46 / 2.99), release on arrival
+with selective repeat 1.3x.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+#: lat_p50_sim under loss may be at most this multiple of the loss-free
+#: run of the same plan.
+BUDGET = 1.6
+
+_ONE_RUN = """
+import json, sys
+sys.path.insert(0, "bench")
+from measure import measure
+from workloads import WORKLOADS
+spec, _ = WORKLOADS["a1_lossy"].build(4.0)
+result = measure("a1_lossy", 42, 4.0,
+                 spec=spec if sys.argv[1] == "loss-free" else None)
+print(json.dumps([result["exact"]["lat_p50_sim"], result["verdicts"]]))
+"""
+
+
+def _lat_p50_sim(which: str) -> float:
+    proc = subprocess.run([sys.executable, "-c", _ONE_RUN, which],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    latency, verdicts = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(v == "ok" for v in verdicts.values()), (which, verdicts)
+    return latency
+
+
+def test_loss_costs_at_most_the_budget_in_commit_latency():
+    floor = _lat_p50_sim("loss-free")
+    lossy = _lat_p50_sim("lossy")
+    assert floor > 0
+    assert lossy <= BUDGET * floor, (
+        f"a1_lossy lat_p50_sim {lossy:.3f} is {lossy / floor:.2f}x the "
+        f"loss-free {floor:.3f} (budget {BUDGET}x)")

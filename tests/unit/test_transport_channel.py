@@ -107,6 +107,30 @@ class TestChannelModel:
         assert not model.in_burst(0, 1)
 
 
+class TestMemorylessDecide:
+    def test_inlined_decision_matches_roll_draw_for_draw(self):
+        """With ``burst_enter == 0`` the lossy injectors inline the
+        channel's two draws; ``ChannelModel.roll`` on the same stream
+        is the reference — same verdicts, same magnitudes, same stream
+        position afterwards."""
+        from repro.sim.rng import RngRegistry
+
+        system = build_system("a1", group_sizes=[2, 2], seed=1)
+        applied = apply_adversary(system,
+                                  _adversary("drop", probability=0.3))
+        injector = applied.injectors[0]
+        rng = RngRegistry(1).stream("adversary:drop:0")
+        reference = ChannelModel(rng, 0.3)
+        msg = Message(0, 2, "amcast.ts", {}, True, 0, 0.0, None)
+        faults = 0
+        for _ in range(300):
+            fault, u = reference.roll(0, 2)
+            assert injector._decide(msg) == (u / 0.3 if fault else None)
+            faults += fault
+        assert 0 < faults < 300
+        assert injector.rng.random() == rng.random()
+
+
 class TestCorruptInjectorSemantics:
     def _system_with_corrupt(self):
         system = build_system("a1", group_sizes=[2, 2], seed=1)
@@ -135,8 +159,9 @@ class TestCorruptInjectorSemantics:
 
 class TestZeroLossTransport:
     def test_clean_run_costs_acks_only(self):
-        """Without faults the transport never retransmits, never
-        buffers, never suppresses — it sequences, acks, and drains."""
+        """Without faults the transport never retransmits, never sees
+        a frame ahead of a gap, never suppresses — it sequences, acks,
+        and drains."""
         system = build_system("a1", group_sizes=[3, 3], seed=3,
                               transport="reliable")
         plans = poisson_workload(
@@ -152,11 +177,11 @@ class TestZeroLossTransport:
         assert stats.retransmits == 0
         assert stats.dup_suppressed == 0
         assert stats.corrupt_detected == 0
-        assert stats.buffered == 0
+        assert stats.out_of_order == 0
         assert stats.acks_sent > 0
         assert stats.released == stats.data_copies
         assert system.transport.outstanding() == {"unacked": {},
-                                                  "buffered": {}}
+                                                  "out_of_order": {}}
         check_all(system.log, system.topology)
 
 
@@ -171,7 +196,8 @@ class TestStabilizationCheckerViolations:
     def test_undrained_transport_is_a_violation(self):
         sim = Simulator()
         transport = SimpleNamespace(
-            outstanding=lambda: {"unacked": {(0, 1): 3}, "buffered": {}})
+            outstanding=lambda: {"unacked": {(0, 1): 3},
+                                 "out_of_order": {}})
         system = SimpleNamespace(sim=sim, transport=transport)
         with pytest.raises(StabilizationViolation, match="did not[\\s]+drain"):
             check_stabilization(system)
