@@ -10,7 +10,8 @@ multicast message walks the stage machine s0..s3:
 * **s2** — a group whose proposal was below the maximum runs another
   consensus to push its clock past the final timestamp;
 * **s3** — the message is A-Delivered once its (timestamp, id) pair is
-  minimal among all pending messages.
+  minimal among all pending messages — here: once no pending message
+  can still *finish* below it (third engine note).
 
 The two optimisations over Fritzke et al. [5] (paper Section 4.1):
 
@@ -28,18 +29,43 @@ Engine notes (protocol semantics unchanged):
 * consensus values and (TS, m) payloads carry interned mids resolved
   against the per-simulation :class:`MessageCatalog`, not encoded
   message bodies;
-* the A-Delivery test pops a lazy-deletion heap keyed on ``(ts, mid)``
-  instead of scanning PENDING — O(log n) per delivery.  An entry's
-  timestamp only ever grows (s0 seeds it with the group clock, later
-  stages raise it to consensus instances or proposal maxima), so a
-  stale heap snapshot is always an underestimate and validating it
-  against the live entry is sound.
+* the A-Delivery test never scans PENDING: entries whose final
+  timestamp is known (s2, s3) sit in one lazy-deletion heap keyed on
+  ``(ts, mid)``, s1 entries in two small heaps per remote group
+  (:class:`_AwaitedGroup`) — O(log n) per delivery.  Snapshots are
+  validated against the live entry, so leaving a stage needs no heap
+  surgery;
+* the delivery guard compares the minimal s3 pair ``(T, mid)`` with a
+  *lower bound* on what each pending message can still finish at, not
+  with the timestamp it carries today.  Waiting behind every smaller
+  own-group proposal (lines 3-7 read literally) costs a third
+  inter-group hop as soon as casts overlap; the bounds cost nothing and
+  release the same sequence at 2δ plus the skew between group clocks:
+
+  - an **s0** entry will be proposed in an instance >= K, and K > T for
+    every s3 entry (line 31) — it never blocks;
+  - an **s1** entry finishes at the maximum of all proposals: at least
+    our own, and for every destination group whose proposal is still
+    missing at least that group's clock *watermark*.  Each (TS, m) copy
+    carries its rank among the copies its sender addressed to our
+    group; per sender we keep the highest gap-free rank and the
+    instance it carried, and a group's watermark is the maximum over
+    its members.  A proposal not yet received from that sender ranks
+    above the gap-free prefix, and a sender stamps in instance order,
+    so it is an instance >= the watermark;
+  - an **s2** entry blocks by its final ``(ts, mid)``, and a message
+    not yet in PENDING will enter at s0 — the paper's own argument.
+
+  Arrival order is never used: the links promise none (§2.1), and
+  "highest instance seen from group g" is wrong the moment one copy
+  overtakes another.  Timestamps, K, consensus values and every message
+  are what the literal guard produces; only the delivery instants move.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.consensus.paxos import GroupConsensus
 from repro.consensus.sequence import ConsensusSequence
@@ -63,41 +89,131 @@ from repro.sim.process import Process
 class _Pending:
     """One entry of the PENDING set (paper's message fields)."""
 
-    __slots__ = ("msg", "ts", "stage")
+    __slots__ = ("msg", "ts", "stage", "awaits")
 
     def __init__(self, msg: AppMessage, ts: int, stage: int) -> None:
         self.msg = msg
         self.ts = ts
         self.stage = stage
+        # While at s1: the missing group whose clock bounds this entry
+        # in the delivery guard (see _AwaitedGroup).
+        self.awaits: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"_Pending({self.msg.mid} ts={self.ts} s{self.stage})"
 
 
-class _PendingIndex(dict):
-    """PENDING as mid -> :class:`_Pending`, indexed for the delivery test.
+class _Stream:
+    """What one remote sender's (TS, m) copies prove about its clock.
 
-    Alongside the dict, a lazy-deletion heap of ``(ts, mid)`` snapshots
-    tracks the minimal pending pair.  Inserting through ``__setitem__``
-    indexes automatically; code that raises an entry's ``ts`` in place
-    must call :meth:`touch` to push a fresh snapshot.  Snapshots are
-    invalidated by comparing against the live entry, so deletions need
-    no heap surgery.
+    The sender numbers the copies it addresses to our group 1, 2, 3, ...
+    and stamps them in non-decreasing instance order.  Links promise no
+    order, so only the *contiguous* prefix received counts: every copy
+    of that sender still missing has a larger sequence number, hence an
+    instance >= :attr:`instance`.  Copies past a gap wait in
+    :attr:`ahead` (sequence number -> instance) until the gap closes.
     """
 
-    __slots__ = ("heap",)
+    __slots__ = ("seq", "instance", "ahead")
 
     def __init__(self) -> None:
-        super().__init__()
-        self.heap: List[Tuple[int, str]] = []
+        self.seq = 0
+        self.instance = 0
+        self.ahead: Dict[int, int] = {}
 
-    def __setitem__(self, mid: str, entry: _Pending) -> None:
-        super().__setitem__(mid, entry)
-        heapq.heappush(self.heap, (entry.ts, mid))
 
-    def touch(self, entry: _Pending) -> None:
-        """Re-index ``entry`` after its timestamp changed."""
-        heapq.heappush(self.heap, (entry.ts, entry.msg.mid))
+class _AwaitedGroup:
+    """One remote group: its clock watermark and the s1 entries under it.
+
+    :attr:`watermark` is the largest instance any member's gap-free
+    :class:`_Stream` has reached: a proposal of this group that no
+    member's copy has brought yet is an instance >= it.  An s1 entry
+    missing this group's proposal therefore finishes at or above both
+    its own group's proposal and the watermark.  Entries whose proposal
+    is above the watermark sit in :attr:`ahead`, keyed ``(proposal,
+    mid)``; the watermark overtakes each entry once and moves it to
+    :attr:`behind`, keyed by ``mid`` alone because all of them are
+    bounded by ``(watermark, mid)``.  Both are lazy-deletion heaps: a
+    snapshot is dead once the entry left s1 or was re-homed under
+    another missing group (``entry.awaits``).
+    """
+
+    __slots__ = ("gid", "watermark", "streams", "ahead", "behind")
+
+    def __init__(self, gid: int) -> None:
+        self.gid = gid
+        self.watermark = 0
+        self.streams: Dict[int, _Stream] = {}
+        self.ahead: List[Tuple[int, str]] = []
+        self.behind: List[str] = []
+
+    def observe(self, sender: int, seq: int, instance: int) -> bool:
+        """Count one (TS, m) copy of ``sender``; True iff the watermark
+        rose."""
+        stream = self.streams.get(sender)
+        if stream is None:
+            stream = self.streams[sender] = _Stream()
+        if seq != stream.seq + 1:
+            if seq > stream.seq:
+                stream.ahead[seq] = instance
+            return False  # past a gap, or a duplicate
+        held = stream.ahead
+        while held and seq + 1 in held:  # the gap closed: catch up
+            seq += 1
+            instance = held.pop(seq)
+        stream.seq = seq
+        stream.instance = instance
+        if instance <= self.watermark:
+            return False
+        self.watermark = instance
+        ahead = self.ahead
+        while ahead and ahead[0][0] <= instance:
+            heapq.heappush(self.behind, heapq.heappop(ahead)[1])
+        return True
+
+    def add(self, proposal: int, mid: str) -> None:
+        if proposal > self.watermark:
+            heapq.heappush(self.ahead, (proposal, mid))
+        else:
+            heapq.heappush(self.behind, mid)
+
+    def floor(self, pending: Dict[str, _Pending],
+              ) -> Optional[Tuple[int, str]]:
+        """Smallest ``(bound, mid)`` any live entry here can finish at."""
+        gid = self.gid
+        behind = self.behind
+        while behind:
+            entry = pending.get(behind[0])
+            if (entry is not None and entry.stage == STAGE_S1
+                    and entry.awaits == gid):
+                return self.watermark, behind[0]
+            heapq.heappop(behind)
+        ahead = self.ahead
+        while ahead:
+            entry = pending.get(ahead[0][1])
+            if (entry is not None and entry.stage == STAGE_S1
+                    and entry.awaits == gid):
+                return ahead[0]
+            heapq.heappop(ahead)
+        return None
+
+
+class Blocker(NamedTuple):
+    """What the minimal s3 message of one endpoint is waiting on."""
+
+    #: The minimal s3 message and its final timestamp — the stamp the
+    #: blocker's bound must pass.
+    waiting: str
+    stamp: int
+    #: The pending message that may still finish below it, its stage and
+    #: the lower bound on its final timestamp.
+    mid: str
+    stage: int
+    bound: int
+    #: For an s1 blocker: the group whose proposal is missing and that
+    #: group's clock watermark here.  ``None`` for an s2 blocker.
+    group: Optional[int] = None
+    watermark: Optional[int] = None
 
 
 class AtomicMulticastA1(AtomicMulticast):
@@ -126,7 +242,15 @@ class AtomicMulticastA1(AtomicMulticast):
 
         # Paper line 2: K=1, propK=1, PENDING and ADELIVERED empty.
         self.prop_k = 1
-        self.pending: Dict[str, _Pending] = _PendingIndex()
+        self.pending: Dict[str, _Pending] = {}
+        # The delivery guard's indexes (third engine note): entries whose
+        # final timestamp is known (s2, s3) as a lazy-deletion heap of
+        # (ts, mid) snapshots; per remote group, its clock watermark and
+        # the s1 entries missing its proposal.
+        self._finals: List[Tuple[int, str]] = []
+        self._awaited: Dict[int, _AwaitedGroup] = {
+            gid: _AwaitedGroup(gid) for gid in topology.group_ids
+            if gid != self.my_gid}
         # Entries at stage s0/s2 — the ones the next consensus proposal
         # must carry (paper line 15's guard).  Kept in sync with stage
         # transitions so proposals never rescan all of PENDING.
@@ -135,9 +259,12 @@ class AtomicMulticastA1(AtomicMulticast):
         # Timestamp proposals received via (TS, m) messages, buffered by
         # message id and proposing group (may arrive before stage s1).
         self.ts_proposals: Dict[str, Dict[int, int]] = {}
-        # dest_groups -> pids of the *other* destination groups (the
-        # (TS, m) fan-out target); destination sets repeat heavily.
-        self._ts_dests: Dict[Tuple[int, ...], List[int]] = {}
+        # dest_groups -> (the *other* destination groups, their pids) —
+        # the (TS, m) fan-out target; destination sets repeat heavily.
+        self._ts_dests: Dict[Tuple[int, ...],
+                             Tuple[List[int], List[int]]] = {}
+        # (TS, m) copies sent so far per destination group.
+        self._ts_sent: Dict[int, int] = {}
         self._handler: Optional[DeliveryHandler] = None
 
         self.rmcast = self.RMCAST_CLS(
@@ -211,6 +338,8 @@ class AtomicMulticastA1(AtomicMulticast):
         decided_ts: List[int] = []
         to_check_ts: List[str] = []
         eligible = self._eligible
+        finals = self._finals
+        settled = len(finals)
         for mid, stage, ts in msg_set:
             if mid in self.adelivered:
                 continue
@@ -227,14 +356,14 @@ class AtomicMulticastA1(AtomicMulticast):
                     # Lines 22-24: this instance is our group's proposal.
                     entry.ts = instance
                     entry.stage = STAGE_S1
-                    self.pending.touch(entry)
+                    self._await_proposals(entry)
                     self._send_ts(msg, instance)
                     to_check_ts.append(mid)
                 else:
                     # Lines 25-26: clock pushed past the final timestamp.
                     entry.ts = ts
                     entry.stage = STAGE_S3
-                    self.pending.touch(entry)
+                    heapq.heappush(finals, (ts, mid))
             else:
                 if self.enable_stage_skipping:
                     # Lines 28-29: single-group message — second
@@ -250,7 +379,7 @@ class AtomicMulticastA1(AtomicMulticast):
                     else:
                         entry.ts = ts
                         entry.stage = STAGE_S3
-                self.pending.touch(entry)
+                heapq.heappush(finals, (entry.ts, mid))
             # Keep the eligible index exact: only s2 survivors go back
             # into the next proposal.
             if entry.stage == STAGE_S2:
@@ -261,35 +390,88 @@ class AtomicMulticastA1(AtomicMulticast):
         # Line 31: K <- max(max ts, K) + 1.
         new_k = max(max(decided_ts, default=0), self.k) + 1
         self.sequence.advance_to(new_k)
-        # Line 32 + re-evaluate guards that depend on K.
-        self._adelivery_test()
         for mid in to_check_ts:
             self._check_ts_complete(mid)
+        # Line 32.  Raising K alone releases nothing (s0 entries never
+        # block); an entry whose final timestamp just became known may.
+        if len(finals) > settled:
+            self._adelivery_test()
         self._maybe_propose()
 
     # ------------------------------------------------------------------
     # Stage s1: proposal exchange (paper lines 24, 33-40)
     # ------------------------------------------------------------------
     def _send_ts(self, msg: AppMessage, proposal: int) -> None:
-        """Line 24: send our group's proposal to the other dest groups."""
-        dest_pids = self._ts_dests.get(msg.dest_groups)
-        if dest_pids is None:
+        """Line 24: send our group's proposal to the other dest groups.
+
+        Each copy carries its rank among the copies this process has
+        addressed to the receiving group, so the receiver can tell how
+        far our stamps are known to it without gaps.
+        """
+        route = self._ts_dests.get(msg.dest_groups)
+        if route is None:
             other_groups = [g for g in msg.dest_groups if g != self.my_gid]
-            dest_pids = self.topology.processes_of_groups(other_groups)
-            self._ts_dests[msg.dest_groups] = dest_pids
+            route = (other_groups,
+                     self.topology.processes_of_groups(other_groups))
+            self._ts_dests[msg.dest_groups] = route
+        other_groups, dest_pids = route
         if dest_pids:
+            sent = self._ts_sent
+            seq = {}
+            for gid in other_groups:
+                seq[gid] = sent[gid] = sent.get(gid, 0) + 1
             self.process.send_many(
                 dest_pids, f"{self.ns}.ts",
-                {"mid": msg.mid, "ts": proposal, "gid": self.my_gid},
+                {"mid": msg.mid, "ts": proposal, "gid": self.my_gid,
+                 "seq": seq},
             )
 
+    def _best_missing(self, entry: _Pending) -> Optional[_AwaitedGroup]:
+        """Of the groups whose proposal for ``entry`` is still missing,
+        the one whose clock watermark bounds it highest."""
+        received = self.ts_proposals.get(entry.msg.mid, ())
+        best = None
+        for gid in entry.msg.dest_groups:
+            if gid != self.my_gid and gid not in received:
+                awaited = self._awaited[gid]
+                if best is None or awaited.watermark > best.watermark:
+                    best = awaited
+        return best
+
+    def _await_proposals(self, entry: _Pending) -> None:
+        """Index an s1 entry for the guard, under its best missing group
+        (none is missing when every proposal arrived before ours)."""
+        home = self._best_missing(entry)
+        if home is not None:
+            entry.awaits = home.gid
+            home.add(entry.ts, entry.msg.mid)
+
     def _on_ts(self, netmsg: Message) -> None:
-        mid = netmsg.payload["mid"]
-        proposals = self.ts_proposals.setdefault(mid, {})
-        proposals[netmsg.payload["gid"]] = netmsg.payload["ts"]
-        # Line 10: a TS message also introduces m (footnote 4 liveness).
-        self._ensure_pending(self.catalog.get(mid))
-        self._check_ts_complete(mid)
+        payload = netmsg.payload
+        mid = payload["mid"]
+        gid = payload["gid"]
+        # Every copy tells how far its sender's clock got, including a
+        # copy for a message long delivered: skipping it would leave a
+        # permanent hole in that sender's sequence.
+        news = self._awaited[gid].observe(
+            netmsg.src, payload["seq"][self.my_gid], payload["ts"])
+        # A copy from a second member of the group, possibly after m was
+        # A-Delivered, carries no proposal we do not already have.
+        if mid not in self.adelivered:
+            proposals = self.ts_proposals.setdefault(mid, {})
+            if gid not in proposals:
+                proposals[gid] = payload["ts"]
+                # Line 10: a TS message also introduces m (footnote 4
+                # liveness).
+                self._ensure_pending(self.catalog.get(mid))
+                self._check_ts_complete(mid)
+                entry = self.pending.get(mid)
+                if (entry is not None and entry.stage == STAGE_S1
+                        and entry.awaits == gid):
+                    self._await_proposals(entry)  # others still missing
+                news = True
+        if news:
+            self._adelivery_test()
 
     def _check_ts_complete(self, mid: str) -> None:
         """Lines 33-40: all proposals in — fix the final timestamp."""
@@ -308,12 +490,12 @@ class AtomicMulticastA1(AtomicMulticast):
             # Lines 35-36: our proposal is the maximum — the group clock
             # already passed it (line 31), skip the second consensus.
             entry.stage = STAGE_S3
-            self._adelivery_test()
+            heapq.heappush(self._finals, (entry.ts, mid))
         else:
             # Lines 39-40: adopt the final timestamp, catch the clock up.
             entry.ts = max(entry.ts, max_remote)
             entry.stage = STAGE_S2
-            self.pending.touch(entry)
+            heapq.heappush(self._finals, (entry.ts, mid))
             self._eligible[mid] = entry
             self._maybe_propose()
 
@@ -321,29 +503,70 @@ class AtomicMulticastA1(AtomicMulticast):
     # Stage s3: delivery (paper lines 3-7)
     # ------------------------------------------------------------------
     def _adelivery_test(self) -> None:
-        """Deliver while some s3 message is minimal among all pending."""
+        """Deliver while no pending message can finish below the
+        minimal s3 one (third engine note)."""
         pending = self.pending
-        heap = pending.heap
-        while True:
-            # Find the minimal live (ts, mid) snapshot, pruning stale
-            # ones — this loop runs per delivery opportunity and call
-            # overhead shows in profiles, hence no helper.
-            candidate = None
-            while heap:
-                ts, head_mid = heap[0]
-                candidate = pending.get(head_mid)
-                if candidate is None or candidate.ts != ts:
-                    heapq.heappop(heap)  # deleted or superseded snapshot
-                    candidate = None
-                    continue
-                break
-            if candidate is None or candidate.stage != STAGE_S3:
-                return
-            mid = candidate.msg.mid
-            del self.pending[mid]
-            self._eligible.pop(mid, None)  # defensive: s3 is never eligible
+        finals = self._finals
+        groups = self._awaited.values()
+        handler = self._handler
+        while finals:
+            key = finals[0]
+            head = pending.get(key[1])
+            if (head is None or head.ts != key[0]
+                    or head.stage < STAGE_S2):
+                heapq.heappop(finals)  # delivered or superseded snapshot
+                continue
+            if head.stage != STAGE_S3:
+                return  # an s2 entry finishes below every s3 one
+            for awaited in groups:
+                while awaited.behind or awaited.ahead:
+                    floor = awaited.floor(pending)
+                    if floor is None or floor > key:
+                        break
+                    # An s1 entry may still finish below — unless it
+                    # waits for several groups and another one's clock
+                    # is further on than its home's: file it there.
+                    entry = pending[floor[1]]
+                    if len(entry.msg.dest_groups) == 2:
+                        return
+                    best = self._best_missing(entry)
+                    if (best.watermark, floor[1]) < key:
+                        return
+                    entry.awaits = best.gid
+                    best.add(entry.ts, floor[1])
+            if handler is None:
+                raise RuntimeError("no A-Deliver handler installed")
+            mid = key[1]
+            del pending[mid]
             self.adelivered.add(mid)
             self.ts_proposals.pop(mid, None)
-            if self._handler is None:
-                raise RuntimeError("no A-Deliver handler installed")
-            self._handler(candidate.msg)
+            handler(head.msg)
+
+    def blocked_on(self) -> Optional[Blocker]:
+        """What the minimal s3 message waits on; None if none waits.
+
+        Diagnostics only: a plain scan of PENDING that recomputes every
+        bound from its definition rather than reading the guard's heaps.
+        """
+        waiting = None  # minimal s3 (ts, mid)
+        blocker = None  # minimal (bound, mid, stage, awaited group)
+        for mid, entry in self.pending.items():
+            if entry.stage == STAGE_S3:
+                if waiting is None or (entry.ts, mid) < waiting:
+                    waiting = (entry.ts, mid)
+                continue
+            if entry.stage == STAGE_S0:
+                continue
+            bound, group = entry.ts, None
+            if entry.stage == STAGE_S1:
+                group = self._best_missing(entry)
+                bound = max(bound, group.watermark)
+            if blocker is None or (bound, mid) < blocker[:2]:
+                blocker = (bound, mid, entry.stage, group)
+        if waiting is None or blocker is None or blocker[:2] > waiting:
+            return None
+        bound, mid, stage, group = blocker
+        if group is None:
+            return Blocker(waiting[1], waiting[0], mid, stage, bound)
+        return Blocker(waiting[1], waiting[0], mid, stage, bound,
+                       group.gid, group.watermark)

@@ -14,11 +14,13 @@ per-process lane diagram:
 and :func:`render_hop_diagram` compresses a single message's causal
 story — who forwarded what to whom, at which Lamport timestamps — which
 is exactly the view used to debug latency-degree measurements.
+:func:`render_waits` answers the other question a stalled run raises —
+what is each process's next A-Delivery waiting on *right now*.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.net.trace import MessageTrace, TraceEvent
 
@@ -113,3 +115,29 @@ def lane_summary(trace: MessageTrace) -> str:
         lines.append(f"p{pid:<4d} {sends.get(pid, 0):5d} "
                      f"{recvs.get(pid, 0):5d} {inter.get(pid, 0):6d}")
     return "\n".join(lines)
+
+
+def render_waits(endpoints: Dict[int, object]) -> str:
+    """Per process: what the minimal s3 message is blocked on.
+
+    ``endpoints`` is ``system.endpoints``; protocols without a
+    ``blocked_on()`` (everything but A1 and its variants) are skipped.
+    Needs no trace — it reads the endpoints' live state, so call it
+    mid-run (``system.run(until=t)``) or on a run that did not drain.
+    """
+    lines: List[str] = []
+    for pid in sorted(endpoints):
+        blocked_on = getattr(endpoints[pid], "blocked_on", None)
+        if blocked_on is None:
+            continue
+        wait = blocked_on()
+        if wait is None:
+            lines.append(f"p{pid:<4d} nothing waits in s3")
+            continue
+        line = (f"p{pid:<4d} {wait.waiting} (ts={wait.stamp}) waits on "
+                f"{wait.mid} in s{wait.stage}, final >= {wait.bound}")
+        if wait.group is not None:
+            line += (f": group {wait.group}'s proposal is missing and its "
+                     f"clock is known up to {wait.watermark}")
+        lines.append(line)
+    return "\n".join(lines) if lines else "(no endpoint reports waits)"

@@ -19,7 +19,20 @@ Frames no longer wait behind a lost one, so every delivery instant under
 loss moved — commit latency 4.07 → 3.28 here — and an un-stalled A1
 batches fewer casts per consensus instance (1842 → 3818 consensus
 messages).  It is the only workload that mounts the transport; the
-other six rows are the 73c21e3 values, byte for byte.
+other six rows were the 73c21e3 values, byte for byte.
+
+Re-recorded again when A1's delivery guard started releasing the minimal
+s3 message against lower bounds on pending finals instead of their
+proposals (``core/amcast.py``, third engine note).  Final timestamps,
+consensus values and every message are what they were, so on
+``a1_global``, ``a1_lossy`` and ``hb_crash`` **only** ``lat_p50_sim``
+moves (2.967 → 2.083, 3.278 → 3.051, 39.03 → 38.81): the unchanged
+hash / ``net.msgs`` / ``consensus.msgs`` triple beside it *is* the proof
+that every process delivers the same sequence, just earlier.
+``store_mix`` and ``store_rebalance`` get new hashes because execution
+instants feed back into the plan (replies, retries, balancer heat);
+their copy counts did not move.  ``a1_local`` and ``a2_bcast`` never
+reach the guard's s1 branch and are untouched.
 """
 
 import json
@@ -36,7 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 PINS = {
     "a1_global": (
         "1af7ba62ff2c4e15ded37076ebe6f3ae4b4be70d75904c473f4d5c9fa78da9a8",
-        2.966543196492409, 20716, 13132),
+        2.083026611292256, 20716, 13132),
     "a1_local": (
         "93e0b3df188fd583d2368ed42ec7a01c2b2f86af4f5f8658c57bdfa7b94c6516",
         0.0029999999999996696, 10518, 8652),
@@ -44,17 +57,17 @@ PINS = {
         "5f80070d23956803247321fae10e9ad528eb9feb7c24da61059939bedda6a319",
         1.5016906349176349, 6237, 714),
     "store_mix": (
-        "bd868a7b2246b18ca68445f1f6dea8523e9540fabc2983c69a53e904422a3928",
-        189.780185892365, 6302, 4212),
+        "ac2cd07f16622aef4f0b8fe78bfa17b4d5113c1a97a79f34f8b4a949548c30c6",
+        188.6030606555919, 6302, 4212),
     "store_rebalance": (
-        "aa05f933e2958a7f716eafde60ae8abbb949e0c95b164aa2836838defe12638d",
+        "df2a17f2eb968dfa718793caa992085c93ae3067acb1b7d7bdf496a54b497542",
         4.504000000000019, 2444, 1386),
     "a1_lossy": (
         "084a40a76eedfa312b9b2102620bd42891e8b0ab3af32ee1bf1736db50f576d9",
-        3.2776126130617516, 9954, 3818),
+        3.0506416635336056, 9954, 3818),
     "hb_crash": (
         "4b7660de9058a8eff347a8688802b7ba1e357f3f46d2c4875a3bd0339a080836",
-        39.028257317038495, 67761, 14341),
+        38.80966461163165, 67761, 14341),
 }
 
 

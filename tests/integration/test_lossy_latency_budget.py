@@ -8,7 +8,19 @@ both through ``bench/measure.py``'s ``measure`` (so through
 ids come from a process-global counter.  Commit latency is sim time,
 exact per seed, so the ratio can gate: a transport that parks frames
 behind a lost one reads 3.5x here (10.46 / 2.99), release on arrival
-with selective repeat 1.3x.
+with selective repeat 1.3x (3.86 / 2.99).
+
+The budget was re-derived when A1's delivery guard started releasing s3
+against lower bounds on pending finals (``core/amcast.py``, third engine
+note): the loss-free floor dropped 2.99 → 2.28 while the lossy run
+dropped only 3.86 → 3.72, so the same transport now reads **1.63x**.
+The gap is the guard's, not the transport's: a lost (TS, m) copy stalls
+its sender's gap-free count until the retransmission lands, and the
+group bound holds only while some member's stream is gap-free — under
+10 % drop the waiting message often falls back to the proposal itself,
+as before.  Hence two gates: the multiple (1.75x, head-of-line blocking
+would still read > 3x) and an absolute ceiling — loss may never cost
+more commit latency than it did before the guard changed (3.9).
 """
 
 import json
@@ -20,8 +32,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 
 #: lat_p50_sim under loss may be at most this multiple of the loss-free
-#: run of the same plan.
-BUDGET = 1.6
+#: run of the same plan (measured 3.72 / 2.28 = 1.63) ...
+BUDGET = 1.75
+#: ... and no higher than it was against the 3δ loss-free floor.
+CEILING = 3.9
 
 _ONE_RUN = """
 import json, sys
@@ -52,3 +66,6 @@ def test_loss_costs_at_most_the_budget_in_commit_latency():
     assert lossy <= BUDGET * floor, (
         f"a1_lossy lat_p50_sim {lossy:.3f} is {lossy / floor:.2f}x the "
         f"loss-free {floor:.3f} (budget {BUDGET}x)")
+    assert lossy <= CEILING, (
+        f"a1_lossy lat_p50_sim {lossy:.3f} is above the {CEILING} it "
+        f"cost before the s3 guard used clock watermarks")

@@ -7,9 +7,18 @@ of them) but cover the interesting axes: seeds, topology shapes, cast
 timings, destination sets and crash schedules.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.spec import AdversarySpec, InjectorSpec
+from repro.campaigns.runner import build_scenario_system, run_checkers
+from repro.campaigns.spec import (
+    DestinationSpec,
+    LatencySpec,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.checkers.properties import check_all
 from repro.failure.schedule import CrashSchedule
 from repro.runtime.builder import build_system
@@ -101,6 +110,67 @@ class TestA1Properties:
             system.cast_at(t, sender, (0, 1))
         system.run_quiescent(max_events=2_000_000)
         check_all(system.log, system.topology, schedule)
+
+
+class TestA1DeliveryGuardOverNonFifoLinks:
+    """A1's s3 guard bounds pending finals by remote clocks it derives
+    from (TS, m) copies.  Jitter and ``delay-reorder`` make later copies
+    of one sender overtake earlier ones, loss under the transport makes
+    them arrive a retransmission late: a bound read off arrival order
+    ("highest instance seen") delivers out of timestamp order here."""
+
+    _REORDER = InjectorSpec(
+        kind="delay-reorder",
+        params=(("probability", 0.3), ("extra_min", 1.0),
+                ("extra_max", 60.0)))
+    _LOSS = tuple(
+        InjectorSpec(kind=kind,
+                     params=(("probability", p), ("until", 600.0)))
+        for kind, p in (("drop", 0.10), ("duplicate", 0.05)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("transport", ["none", "reliable"])
+    def test_deliveries_follow_final_timestamps(self, transport, k, seed):
+        lossy = transport == "reliable"
+        adversary = AdversarySpec(
+            name="reorder-lossy" if lossy else "reorder",
+            injectors=(self._REORDER,) + (self._LOSS if lossy else ()))
+        spec = ScenarioSpec(
+            name="guard-nonfifo", protocol="a1", group_sizes=(3, 3, 3, 3),
+            latency=LatencySpec.wan(),
+            workload=WorkloadSpec(
+                kind="poisson", rate=0.25, duration=600.0,
+                destinations=DestinationSpec(kind="uniform-k", k=k)),
+            transport=transport,
+            checkers=("properties",) + (("stabilization",) if lossy
+                                        else ()))
+        system, _, applied = build_scenario_system(spec, seed, adversary)
+        # Test-side taps: every group's proposal crosses the wire to the
+        # other destination groups, so the final timestamp of m is the
+        # largest stamp any (TS, m) copy carried.
+        finals = {}
+        sequences = {pid: [] for pid in system.endpoints}
+
+        def note_proposal(netmsg):
+            if netmsg.kind == "amc.ts":
+                mid = netmsg.payload["mid"]
+                finals[mid] = max(finals.get(mid, 0), netmsg.payload["ts"])
+            return True
+
+        system.network.add_delivery_filter(note_proposal)
+        system.add_delivery_hook(
+            lambda pid, msg: sequences[pid].append(msg.mid))
+        system.run_quiescent(max_events=5_000_000)
+
+        assert all(n > 0 for n in applied.fault_counts().values())
+        verdicts = run_checkers(system, spec)
+        assert all(v == "ok" for v in verdicts.values()), verdicts
+        for pid, sequence in sequences.items():
+            stamps = [(finals[mid], mid) for mid in sequence]
+            assert stamps == sorted(stamps), (pid, [
+                (a, b) for a, b in zip(stamps, stamps[1:]) if a > b][:3])
+            assert len(set(sequence)) == len(sequence)
 
 
 class TestA2Properties:

@@ -5,6 +5,8 @@ timestamp proposals) to pin the pseudocode line by line — complementary
 to the black-box integration suite.
 """
 
+import heapq
+
 import pytest
 
 from repro.core.interfaces import (
@@ -14,6 +16,16 @@ from repro.core.interfaces import (
     STAGE_S3,
     AppMessage,
 )
+from repro.adversary.spec import AdversarySpec, InjectorSpec
+from repro.campaigns.runner import build_scenario_system
+from repro.campaigns.spec import (
+    DestinationSpec,
+    LatencySpec,
+    ScenarioSpec,
+    WorkloadSpec,
+)
+from repro.core.amcast import Blocker, _Pending
+from repro.net.message import Message
 from repro.net.topology import Fixed, LatencyModel
 from repro.runtime.builder import build_system
 
@@ -143,6 +155,188 @@ class TestTimestampExchange:
             assert system.log.sequence(pid) == [msg.mid]
 
 
+def _plant(system, pid, mid, dest_groups, ts, stage):
+    """Put a hand-made entry into ``pid``'s PENDING, indexed the way
+    the stage machine would have indexed it."""
+    endpoint = system.endpoints[pid]
+    msg = AppMessage(mid=mid, sender=0, dest_groups=dest_groups)
+    system.log.record_cast(msg)
+    entry = endpoint.pending[mid] = _Pending(msg=msg, ts=ts, stage=stage)
+    if stage == STAGE_S1:
+        endpoint._await_proposals(entry)
+    elif stage >= STAGE_S2:
+        heapq.heappush(endpoint._finals, (ts, mid))
+    return entry
+
+
+def _ts_copy(endpoint, src, gid, mid, ts, seq):
+    """Hand ``endpoint`` one (TS, m) copy as group ``gid``'s ``src``
+    would have sent it."""
+    endpoint._on_ts(Message(
+        src, endpoint.process.pid, "amc.ts",
+        {"mid": mid, "ts": ts, "gid": gid,
+         "seq": {endpoint.my_gid: seq}}, inter_group=True))
+
+
+class TestDeliveryGuard:
+    """s3 is released against lower bounds on pending finals, and the
+    bound a remote clock gives is derived by counting, never by arrival
+    order — links promise none (§2.1)."""
+
+    def _blocked_endpoint(self):
+        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        endpoint = system.endpoints[0]
+        # "held" is final at 5; "open" still lacks group 1's proposal
+        # and our own was 2, so it may yet finish below (5, "held").
+        _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        # Three messages long delivered here: copies for them carry
+        # nothing but their sender's clock.
+        endpoint.adelivered.update({"old-1", "old-2", "old-3"})
+        endpoint._adelivery_test()
+        return system, endpoint
+
+    def test_s1_entry_blocks_by_its_own_proposal_without_a_watermark(self):
+        system, endpoint = self._blocked_endpoint()
+        assert system.log.sequence(0) == []
+        assert endpoint.blocked_on() == Blocker(
+            waiting="held", stamp=5, mid="open", stage=STAGE_S1, bound=2,
+            group=1, watermark=0)
+
+    def test_watermark_does_not_cross_a_gap(self):
+        """The non-FIFO trap: "highest instance seen from group 1"
+        would read 10 after the first copy below and release "held"
+        while copy 1 — possibly "open" stamped 3 — is still in flight."""
+        system, endpoint = self._blocked_endpoint()
+        _ts_copy(endpoint, 1, 1, "old-3", ts=10, seq=3)
+        _ts_copy(endpoint, 1, 1, "old-2", ts=9, seq=2)
+        assert endpoint._awaited[1].watermark == 0
+        assert system.log.sequence(0) == []
+        assert endpoint.blocked_on().watermark == 0
+        # The gap closes: sequence 1..3 is contiguous, every copy of
+        # that sender still missing was stamped at instance >= 10.
+        _ts_copy(endpoint, 1, 1, "old-1", ts=8, seq=1)
+        assert endpoint._awaited[1].watermark == 10
+        assert system.log.sequence(0) == ["held"]
+        assert endpoint.pending["open"].stage == STAGE_S1
+        assert endpoint.blocked_on() is None
+
+    def test_duplicate_copies_do_not_advance_the_count(self):
+        system, endpoint = self._blocked_endpoint()
+        for _ in range(3):
+            _ts_copy(endpoint, 1, 1, "old-1", ts=4, seq=1)
+        assert endpoint._awaited[1].streams[1].seq == 1
+        assert endpoint._awaited[1].watermark == 4
+        assert system.log.sequence(0) == []  # 4 < 5: still blocked
+
+    def test_equal_watermark_falls_back_to_message_ids(self):
+        """Bound (5, "open") against (5, "held"): "open" > "held", so
+        whatever "open" finishes at sorts after "held"."""
+        system, endpoint = self._blocked_endpoint()
+        _ts_copy(endpoint, 1, 1, "old-1", ts=5, seq=1)
+        assert system.log.sequence(0) == ["held"]
+
+    def test_equal_watermark_blocks_a_smaller_message_id(self):
+        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        endpoint = system.endpoints[0]
+        _plant(system, 0, "a-open", (0, 1), ts=2, stage=STAGE_S1)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        endpoint.adelivered.add("old-1")
+        _ts_copy(endpoint, 1, 1, "old-1", ts=5, seq=1)
+        assert system.log.sequence(0) == []  # "a-open" may finish at 5
+        assert endpoint.blocked_on().bound == 5
+
+    def test_s0_entry_never_blocks(self):
+        """Its proposal will be an instance >= K, and K > ts of every
+        s3 entry (line 31)."""
+        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        endpoint = system.endpoints[0]
+        _plant(system, 0, "a-fresh", (0, 1), ts=1, stage=STAGE_S0)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        endpoint._adelivery_test()
+        assert system.log.sequence(0) == ["held"]
+
+    def test_s2_entry_blocks_by_its_final_timestamp(self):
+        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        endpoint = system.endpoints[0]
+        _plant(system, 0, "catching-up", (0, 1), ts=4, stage=STAGE_S2)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        endpoint._adelivery_test()
+        assert system.log.sequence(0) == []
+        assert endpoint.blocked_on() == Blocker(
+            waiting="held", stamp=5, mid="catching-up", stage=STAGE_S2,
+            bound=4)
+
+    def test_best_missing_group_bounds_a_three_group_entry(self):
+        """max over the missing groups' watermarks: one far-ahead clock
+        is enough, whichever group the entry was filed under."""
+        system = build_system(protocol="a1", group_sizes=[1, 1, 1], seed=5)
+        endpoint = system.endpoints[0]
+        endpoint.adelivered.update({"old-1", "old-2"})
+        _ts_copy(endpoint, 1, 1, "old-1", ts=3, seq=1)  # group 1 at 3
+        _plant(system, 0, "open", (0, 1, 2), ts=2, stage=STAGE_S1)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        endpoint._adelivery_test()
+        assert endpoint.blocked_on().group == 1
+        _ts_copy(endpoint, 2, 2, "old-2", ts=7, seq=1)  # group 2 at 7
+        assert system.log.sequence(0) == ["held"]
+        assert endpoint.pending["open"].awaits == 2
+
+    def test_no_handler_is_reported_before_state_is_touched(self):
+        system = build_system(protocol="a1", group_sizes=[1], seed=5)
+        endpoint = system.endpoints[0]
+        _plant(system, 0, "held", (0,), ts=5, stage=STAGE_S3)
+        endpoint._handler = None
+        with pytest.raises(RuntimeError, match="no A-Deliver handler"):
+            endpoint._adelivery_test()
+        assert "held" in endpoint.pending
+        assert "held" not in endpoint.adelivered
+
+
+class TestNoProposalOutlivesItsMessage:
+    """A (TS, m) copy from a second member of a group that lands after
+    m was A-Delivered must not re-create ``ts_proposals[m]``."""
+
+    @staticmethod
+    def _quiescent_endpoints(spec, adversary=None):
+        system, _, _ = build_scenario_system(spec, 3, adversary)
+        system.run_quiescent()
+        assert system.log.delivery_count() > 0
+        return system.endpoints.values()
+
+    _CASTS = WorkloadSpec(
+        kind="poisson", rate=0.05, duration=400.0,
+        destinations=DestinationSpec(kind="uniform-k", k=2))
+
+    def test_jittered_run_leaves_no_zombies(self):
+        spec = ScenarioSpec(
+            name="zombies-wan", protocol="a1", group_sizes=(3, 3, 3),
+            latency=LatencySpec.wan(), workload=self._CASTS,
+            checkers=("properties",))
+        for endpoint in self._quiescent_endpoints(spec):
+            assert endpoint.ts_proposals == {}
+            assert endpoint.pending == {}
+
+    def test_lossy_run_leaves_no_zombies_and_no_holes(self):
+        lossy = AdversarySpec(name="zombies-lossy", injectors=tuple(
+            InjectorSpec(kind=kind,
+                         params=(("probability", p), ("until", 40.0)))
+            for kind, p in (("drop", 0.10), ("duplicate", 0.05))))
+        spec = ScenarioSpec(
+            name="zombies-lossy", protocol="a1", group_sizes=(3, 3, 3),
+            workload=WorkloadSpec(
+                kind="poisson", rate=5.0, duration=40.0,
+                destinations=DestinationSpec(kind="uniform-k", k=2)),
+            transport="reliable", checkers=("properties",))
+        for endpoint in self._quiescent_endpoints(spec, lossy):
+            assert endpoint.ts_proposals == {}
+            # Late copies fed the count too: no stream is left waiting
+            # behind a hole a skipped copy would have punched.
+            for group in endpoint._awaited.values():
+                for stream in group.streams.values():
+                    assert stream.ahead == {}
+
+
 class TestDeliveryRule:
     def test_smaller_timestamp_blocks_larger(self):
         """Line 4: a pending message with a smaller (ts, id) gates
@@ -167,18 +361,10 @@ class TestDeliveryRule:
         proposer, so this drives the delivery test directly: two s3
         entries with the same timestamp must come out in id order.
         """
-        from repro.core.amcast import _Pending
-
         system = build_system(protocol="a1", group_sizes=[1], seed=5)
         endpoint = system.endpoints[0]
-        za = AppMessage(mid="zz-later", sender=0, dest_groups=(0,))
-        aa = AppMessage(mid="aa-early", sender=0, dest_groups=(0,))
-        system.log.record_cast(za)
-        system.log.record_cast(aa)
-        endpoint.pending["zz-later"] = _Pending(msg=za, ts=7,
-                                                stage=STAGE_S3)
-        endpoint.pending["aa-early"] = _Pending(msg=aa, ts=7,
-                                                stage=STAGE_S3)
+        _plant(system, 0, "zz-later", (0,), ts=7, stage=STAGE_S3)
+        _plant(system, 0, "aa-early", (0,), ts=7, stage=STAGE_S3)
         endpoint._adelivery_test()
         seq = system.log.sequence(0)
         assert seq == ["aa-early", "zz-later"]

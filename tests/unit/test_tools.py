@@ -8,6 +8,12 @@ from repro.tools.timeline import (
     lane_summary,
     render_hop_diagram,
     render_timeline,
+    render_waits,
+)
+from repro.workload.generators import (
+    poisson_workload,
+    schedule_workload,
+    uniform_k_groups,
 )
 
 
@@ -88,3 +94,24 @@ class TestLaneSummary:
     def test_requires_enabled_trace(self):
         with pytest.raises(ValueError):
             lane_summary(MessageTrace(enabled=False))
+
+
+class TestRenderWaits:
+    def test_names_blocker_group_and_watermark_mid_run(self):
+        system = build_system(protocol="a1", group_sizes=[3, 3, 3], seed=42)
+        schedule_workload(system, poisson_workload(
+            system.topology, system.rng.stream("wl"), rate=150.0,
+            duration=3.0, destinations=uniform_k_groups(2)))
+        system.run(until=2.5)
+        text = render_waits(system.endpoints)
+        assert len(text.splitlines()) == 9
+        assert "waits on" in text and "proposal is missing" in text
+        assert "clock is known up to" in text
+        system.run_quiescent()
+        drained = render_waits(system.endpoints)
+        assert drained.count("nothing waits in s3") == 9
+
+    def test_protocols_without_the_hook_are_skipped(self):
+        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        assert render_waits(system.endpoints) == \
+            "(no endpoint reports waits)"
