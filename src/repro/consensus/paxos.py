@@ -201,7 +201,6 @@ class GroupConsensus(ConsensusProtocol):
                 return  # nothing to propose yet; wait for a forward
             state.ballot = ballot
             state.promises = {}
-            state.accepted_from = set()
             state.phase = "accept"
             state.value = value
             self._broadcast(self._k_accept,
@@ -209,7 +208,6 @@ class GroupConsensus(ConsensusProtocol):
         else:
             state.ballot = ballot
             state.promises = {}
-            state.accepted_from = set()
             state.value = None
             state.phase = "prepare"
             self._broadcast(self._k_prepare, {"k": instance, "b": ballot})

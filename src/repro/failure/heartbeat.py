@@ -42,7 +42,7 @@ cancels the outstanding group timers so draining is immediate).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.failure.detectors import FailureDetector
 from repro.net.message import Message
@@ -107,11 +107,15 @@ class HeartbeatFailureDetector(FailureDetector):
         self._crash_at: Dict[int, float] = {}
         # Fixed intra-group delay per group (elided mode).
         self._intra_delay: Dict[int, float] = {}
-        self._peers: Dict[int, List[int]] = {
-            pid: [p for p in topology.members(topology.group_of(pid))
-                  if p != pid]
+        self._peers: Dict[int, Tuple[int, ...]] = {
+            pid: tuple(p for p in topology.members(topology.group_of(pid))
+                       if p != pid)
             for pid in topology.processes
         }
+        # What every beat of a process sends, built once: the payload
+        # dict is shared by the copies of one send anyway.
+        self._k_hb = f"{namespace}.hb"
+        self._beat = {pid: {"from": pid} for pid in topology.processes}
         if mode == "messages":
             self._init_messages()
         else:
@@ -125,7 +129,7 @@ class HeartbeatFailureDetector(FailureDetector):
             self._last_seen[process.pid] = {
                 peer: self.sim.now for peer in self._peers[process.pid]
             }
-            process.register_handler(f"{self.ns}.hb",
+            process.register_handler(self._k_hb,
                                      self._make_on_hb(process.pid))
         for gid in self.topology.group_ids:
             self._schedule_group_beat(gid, initial=True)
@@ -152,7 +156,6 @@ class HeartbeatFailureDetector(FailureDetector):
         if profiler is not None:
             profiler.push("failure_detection")
         alive = False
-        kind = f"{self.ns}.hb"
         for pid in self.topology.members(gid):
             process = self.network.process(pid)
             if process.crashed:
@@ -160,7 +163,7 @@ class HeartbeatFailureDetector(FailureDetector):
             alive = True
             peers = self._peers[pid]
             if peers:
-                process.send_many(peers, kind, {"from": pid})
+                process.send_many(peers, self._k_hb, self._beat[pid])
         if profiler is not None:
             profiler.pop()
         if alive:

@@ -8,6 +8,17 @@ A :class:`Message` is what the network hands to a destination process.
 (paper Section 2.3), stamped by the network at send time.  The receiver's
 clock is advanced to ``max(LC, send_lamport)`` before the handler runs.
 
+**Envelope contract.**  The ``msg`` a handler receives is valid for the
+duration of that call.  A one-to-many send is one logical step (Section
+2.3), and where nothing mounted needs to tell its copies apart the
+network carries it as one envelope per *leg* (the receivers at one link
+delay, see :meth:`Network.send_many`): the same object is handed to each
+receiver in turn with ``dst`` stamped just before the call, so a handler
+that keeps ``msg`` past its return may later read another receiver's
+``dst``.  Keep the fields, not the envelope.  The per-copy seams —
+reliable transport, delay hooks, delivery filters, the message trace —
+always see a :class:`Message` of their own per copy and may keep it.
+
 :class:`MessageCatalog` is the message plane's interning table: each
 application message is registered once, at cast time, and every protocol
 payload from then on carries only its compact ``mid``.  In a real
@@ -30,7 +41,8 @@ class Message:
 
     Attributes:
         src: Sender process id.
-        dst: Destination process id.
+        dst: Destination process id; on a shared envelope, that of
+            the handler call in progress (-1 before the first).
         kind: Protocol routing key, e.g. ``"paxos.accept"``.
         payload: Protocol-defined contents.
         inter_group: True when sender and receiver are in distinct groups.

@@ -30,7 +30,7 @@ above notice nothing.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.message import Message
 from repro.net.topology import LatencyModel, Topology
@@ -47,6 +47,10 @@ DeliveryFilter = Callable[[Message], bool]
 # still delivered exactly once with its payload untouched, so every
 # perturbation stays within quasi-reliable link semantics.
 DelayHook = Callable[[Message, float], float]
+
+# "No route planned yet" — None is a verdict (per-copy path), so the
+# route tables need their own miss marker.
+_UNPLANNED = object()
 
 _classify_kind = None
 
@@ -65,6 +69,29 @@ def _phase_of_kind(kind: str) -> str:
 
         _classify_kind = classify_kind
     return _classify_kind(kind)
+
+
+class Route:
+    """What one ``send_many`` from a source to a destination tuple does.
+
+    Planned once per ``(src, destinations)`` on fixed-delay links and
+    remembered: the *legs* are exactly the latency buckets the per-copy
+    path builds on every send — first-seen delay order, receivers in
+    destination order — so scheduling one kernel event per leg yields
+    the same ``(time, seq)`` events either way.
+
+    Attributes:
+        legs: ``(delay, inter_group, receiving processes)`` per leg.
+        total: Copies per send.
+        inter: Inter-group copies per send.
+    """
+
+    __slots__ = ("legs", "total", "inter")
+
+    def __init__(self, legs, total: int, inter: int) -> None:
+        self.legs = legs
+        self.total = total
+        self.inter = inter
 
 
 class Network:
@@ -101,6 +128,11 @@ class Network:
         # filled; rows are fetched once per send_many call so the
         # per-copy lookup is a single int-keyed dict access.
         self._fixed_delay: Dict[int, Dict[int, Optional[float]]] = {}
+        # src -> {destination pids -> Route, or None when some copy of
+        # that send needs its own Message whatever is mounted}.  Planned
+        # on first use (see _plan_route); the latency model and the
+        # registered processes are fixed once traffic flows.
+        self._routes: Dict[int, Dict[Tuple[int, ...], Optional[Route]]] = {}
         # Partitioned (parallel-kernel) mode: copies addressed outside
         # the owned group are buffered here instead of scheduled, and
         # flushed to the owning sub-kernel at the next epoch barrier.
@@ -236,13 +268,28 @@ class Network:
         one-to-many send counts as a single logical step (at most one
         inter-group hop on any causal path), per Section 2.3.
 
-        Copies whose sampled link delay coincides are batched into a
-        single kernel event that fans out on fire.  Delays are sampled
-        and copies stamped in destination order, and same-delay copies
-        were already contiguous in the old per-copy scheduling (their
-        sequence numbers were consecutive), so batching changes neither
-        the RNG stream nor any delivery interleaving — it only removes
-        heap traffic.
+        Copies whose link delay coincides form one *leg*: a single
+        kernel event that fans out on fire, receivers in destination
+        order.  Same-delay copies were already contiguous under
+        per-copy scheduling (their sequence numbers were consecutive),
+        so legs change neither the RNG stream nor any delivery
+        interleaving — they only remove heap traffic.
+
+        Where every link on the way has a fixed delay, the legs of a
+        ``(src, dsts)`` pair never change: they are planned once and
+        remembered as a :class:`Route` (keyed by the tuple of pids, so
+        the caller may reuse or mutate its sequence), and each leg
+        carries **one** shared envelope whose ``dst`` is stamped per
+        handler call (the envelope contract in
+        :mod:`repro.net.message`).  Whatever needs a ``Message`` per
+        copy gets one, decided from what is mounted at that moment: at
+        send, a transport-covered kind (the frame word is per copy), a
+        delay hook, an enabled trace, partitioned mode or a sampled
+        link delay take the per-copy path for the whole send; at
+        delivery, a filter, an enabled trace or a profiler makes the
+        leg hand every receiver its own copy through the per-copy
+        delivery path.  Both paths produce the same events, stats,
+        clocks and handler calls.
         """
         if self.profiler is not None:
             self.profiler.push("network")
@@ -263,15 +310,38 @@ class Network:
         transport = self.transport
         next_wire = (transport.sequencer(src, kind, payload, now)
                      if transport is not None else None)
-        group_of = self.topology.group_index
-        src_gid = group_of[src]
         lamport = sender.lamport.value  # timestamp_send leaves it unchanged
         trace = self.trace if self.trace.enabled else None
+        outbox = self._outbox
+        if (next_wire is None and trace is None and outbox is None
+                and not self._delay_hooks):
+            # Nothing mounted looks at a copy on its way out: fan out
+            # by leg, one shared envelope and one kernel event each.
+            if type(dsts) is not tuple:
+                dsts = tuple(dsts)
+            routes = self._routes.get(src)
+            if routes is None:
+                routes = self._routes[src] = {}
+            route = routes.get(dsts, _UNPLANNED)
+            if route is _UNPLANNED:
+                route = routes[dsts] = self._plan_route(src, dsts)
+            if route is not None:
+                self.stats.on_send_many(kind, route.total, route.inter)
+                schedule = self.sim.schedule_action
+                for delay, inter, receivers in route.legs:
+                    envelope = Message(
+                        src, -1, kind, payload, inter,
+                        lamport + 1 if inter else lamport, now,
+                    )
+                    schedule(delay, lambda e=envelope, r=receivers:
+                             self._deliver_leg(e, r))
+                return
+        group_of = self.topology.group_index
+        src_gid = group_of[src]
         fixed_row = self._fixed_delay.get(src_gid)
         if fixed_row is None:
             fixed_row = self._fixed_delay[src_gid] = {}
         rng = self.rng
-        outbox = self._outbox
         owned_gid = self._owned_gid
         total = 0
         n_inter = 0
@@ -319,6 +389,37 @@ class Network:
                 schedule(delay, lambda m=copies[0]: self._deliver(m))
             else:
                 schedule(delay, lambda ms=copies: self._deliver_batch(ms))
+
+    def _plan_route(self, src: int,
+                    dsts: Tuple[int, ...]) -> Optional[Route]:
+        """The legs a ``send_many`` from ``src`` to ``dsts`` fans out by.
+
+        None when the per-copy path has to run however little is
+        mounted: a link on the way samples its delay (every copy draws
+        from the RNG, in destination order), or an intra- and an
+        inter-group link share a delay, so one bucket would hold copies
+        with different ``inter_group`` / ``send_lamport``.
+        """
+        group_of = self.topology.group_index
+        src_gid = group_of[src]
+        fixed_delay = self.latency.fixed_delay
+        processes = self._processes
+        scope: Dict[float, bool] = {}
+        buckets: Dict[float, list] = {}
+        n_inter = 0
+        for dst in dsts:
+            dst_gid = group_of[dst]
+            delay = fixed_delay(src_gid, dst_gid)
+            if delay is None:
+                return None
+            inter = src_gid != dst_gid
+            if scope.setdefault(delay, inter) != inter:
+                return None
+            buckets.setdefault(delay, []).append(processes[dst])
+            n_inter += inter
+        legs = tuple((delay, scope[delay], tuple(receivers))
+                     for delay, receivers in buckets.items())
+        return Route(legs, len(dsts), n_inter)
 
     def _send_copy(self, src: int, dst: int, kind: str, payload: dict,
                    wire: "int | None" = None) -> None:
@@ -378,8 +479,43 @@ class Network:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
+    def _deliver_leg(self, envelope: Message, receivers) -> None:
+        """Walk one leg of a ``send_many``: the shared envelope to each
+        receiver, in destination order.
+
+        Per receiver these are :meth:`_deliver`'s own steps — crashed
+        check (so a receiver crashed by an earlier handler of this leg
+        is still dropped), Lamport receive rule, handler lookup — with
+        ``dst`` stamped on the envelope before each call.  A delivery
+        filter, the message trace or a profiler present *now* (any of
+        them can be installed after the send) is a per-copy seam: that
+        receiver gets its own :class:`Message` through :meth:`_deliver`.
+        """
+        filters = self._filters
+        kind = envelope.kind
+        stamp = envelope.send_lamport
+        for receiver in receivers:
+            if filters or self.trace.enabled or self.profiler is not None:
+                self._deliver(Message(
+                    envelope.src, receiver.pid, kind, envelope.payload,
+                    envelope.inter_group, stamp, envelope.send_time))
+                continue
+            envelope.dst = receiver.pid
+            if receiver.crashed:
+                self.stats.on_drop(envelope)
+                continue
+            clock = receiver.lamport
+            if stamp > clock.value:
+                clock.value = stamp
+            handler = receiver._handlers.get(kind)
+            if handler is None:
+                raise KeyError(
+                    f"process {receiver.pid} has no handler for kind "
+                    f"{kind!r}")
+            handler(envelope)
+
     def _deliver_batch(self, msgs: List[Message]) -> None:
-        """Fan one latency bucket of a ``send_many`` out to its receivers.
+        """Event body of a per-copy bucket with more than one copy.
 
         Per-copy crash and filter checks still run individually; a
         receiver's handler may crash a later receiver in the same batch

@@ -88,7 +88,7 @@ class Process:
         if self.crashed:
             return
         assert self.network is not None, "process not attached to a network"
-        self.network.send_many(self.pid, list(dsts), kind, payload)
+        self.network.send_many(self.pid, dsts, kind, payload)
 
     def handle(self, msg: "Message") -> None:
         """Dispatch an incoming message to its protocol handler."""

@@ -1,4 +1,5 @@
-"""Property-based tests for the substrate (kernel, clocks, topology)."""
+"""Property-based tests for the substrate (kernel, clocks, topology,
+network fan-out)."""
 
 import random
 
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clocks.lamport import LamportClock
+from repro.net.network import Network
 from repro.net.topology import Fixed, Jittered, LatencyModel, Topology, Uniform
+from repro.net.trace import MessageTrace
 from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
 
@@ -161,3 +165,105 @@ class TestRngProperties:
             return
         reg = RngRegistry(seed)
         assert reg.stream(n1) is not reg.stream(n2)
+
+
+# ----------------------------------------------------------------------
+# send_many: fan-out by leg == fan-out by copy
+# ----------------------------------------------------------------------
+_DELAYS = (0.5, 1.0, 2.0)  # few values, so intra == inter does happen
+
+
+@st.composite
+def _fanout_scripts(draw):
+    """A topology, a fixed latency matrix and a script of sends."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    pids = st.integers(0, sum(sizes) - 1)
+    delay = st.sampled_from(_DELAYS)
+    pairwise = {}
+    if len(sizes) > 1:
+        gids = st.integers(0, len(sizes) - 1)
+        pairwise = draw(st.dictionaries(
+            st.tuples(gids, gids).filter(lambda pair: pair[0] != pair[1]),
+            delay, max_size=3))
+    lists = draw(st.lists(st.lists(pids, max_size=12),
+                          min_size=1, max_size=4))
+    which = st.integers(0, len(lists) - 1)
+    return {
+        "sizes": sizes,
+        "intra": draw(delay), "inter": draw(delay), "pairwise": pairwise,
+        "lists": lists,
+        # (send instant, sender, destination list, kind, list the
+        # receivers of kind "a" reply to)
+        "sends": draw(st.lists(
+            st.tuples(st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5)), pids,
+                      which, st.sampled_from(("a", "b")), which),
+            min_size=1, max_size=12)),
+        # (killer, victim): the killer's first handler call crashes the
+        # victim — mid-leg whenever one leg carries both.
+        "crash": draw(st.none() | st.tuples(pids, pids)),
+        # A per-copy seam mounted while copies are in flight.
+        "seam": draw(st.none() | st.tuples(
+            st.sampled_from(("filter", "trace")),
+            st.sampled_from((0.1, 0.6, 1.1)), pids)),
+    }
+
+
+def _drive(script, per_copy):
+    """Run ``script``; what every handler saw, the trace, the stats."""
+    sim = Simulator()
+    topo = Topology(script["sizes"])
+    latency = LatencyModel(
+        Fixed(script["intra"]), Fixed(script["inter"]),
+        pairwise_inter={pair: Fixed(d)
+                        for pair, d in script["pairwise"].items()})
+    net = Network(sim, topo, latency, random.Random(0),
+                  trace=MessageTrace(enabled=False))
+    if per_copy:
+        net.add_delay_hook(lambda msg, delay: delay)
+    lists = script["lists"]
+    seen = []
+    for pid in topo.processes:
+        process = Process(pid, topo.group_of(pid), sim)
+        net.register(process)
+
+        def handle(msg, process=process):
+            seen.append((sim.now, msg.dst, msg.kind, msg.src,
+                         msg.inter_group, msg.send_lamport,
+                         process.lamport.value))
+            if script["crash"] and script["crash"][0] == process.pid:
+                net.process(script["crash"][1]).crash()
+            if msg.kind == "a":
+                process.send_many(lists[msg.payload["reply"]], "b", {})
+
+        process.register_handler("a", handle)
+        process.register_handler("b", handle)
+    for at, src, dsts, kind, reply in script["sends"]:
+        sim.call_at(at, lambda src=src, dsts=dsts, kind=kind, reply=reply:
+                    net.process(src).send_many(lists[dsts], kind,
+                                               {"reply": reply}))
+    if script["seam"]:
+        seam, at, pid = script["seam"]
+        if seam == "filter":
+            sim.call_at(at, lambda: net.add_delivery_filter(
+                lambda msg: msg.dst != pid))
+        else:
+            sim.call_at(at, lambda: setattr(net.trace, "enabled", True))
+    sim.run()
+    traced = [(e.event, e.time, e.msg.src, e.msg.dst, e.msg.kind,
+               e.msg.inter_group, e.msg.send_lamport, e.msg.send_time)
+              for e in net.trace.events]
+    stats = net.stats
+    return (seen, traced, sim.events_executed, dict(stats.by_kind),
+            dict(stats.by_kind_inter), stats.intra_group_messages,
+            stats.inter_group_messages, stats.dropped)
+
+
+class TestFanOutEquivalence:
+    """The leg path (one envelope, one remembered route per send_many)
+    is observably the per-copy path, which a no-op delay hook forces."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fanout_scripts())
+    def test_leg_path_equals_per_copy_path(self, script):
+        assert _drive(script, per_copy=False) == _drive(script,
+                                                        per_copy=True)

@@ -422,3 +422,187 @@ class TestProcess:
         proc.crash()
         proc.crash()
         assert fired == [1]
+
+
+class TestFanOutByLeg:
+    """Deterministic work counters for ``send_many``: one envelope and
+    one kernel event per leg where nothing mounted needs a ``Message``
+    per copy, the per-copy path wherever something does."""
+
+    DSTS = list(range(1, 17))  # 8 in the sender's group, 8 in the other
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Every ``Message`` constructed, in order (test-side count)."""
+        made = []
+        init = Message.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(Message, "__init__", counting_init)
+        return made
+
+    def _network(self, latency=None, trace=False):
+        sim, topo, net = _network(
+            (9, 8), latency or LatencyModel.logical(), trace=trace)
+        seen = []
+        for pid in topo.processes:
+            net.process(pid).register_handler(
+                "test", lambda m, pid=pid: seen.append(
+                    (pid, m, m.dst, m.inter_group, m.send_lamport, m.wire)))
+        net.process(0).lamport.value = 7
+        return sim, net, seen
+
+    def _assert_each_receiver_saw_its_copy(self, seen):
+        assert [pid for pid, *_ in seen] == self.DSTS
+        for pid, _, dst, inter, stamp, _ in seen:
+            assert dst == pid
+            assert inter == (pid >= 9)
+            assert stamp == (8 if pid >= 9 else 7)
+
+    def test_one_envelope_and_one_event_per_leg(self, made):
+        sim, net, seen = self._network()
+        net.send_many(0, self.DSTS, "test", {})
+        assert len(made) == 2
+        assert sim.pending_events == 2
+        sim.run()
+        assert len(made) == 2 and sim.events_executed == 2
+        self._assert_each_receiver_saw_its_copy(seen)
+        assert {id(m) for _, m, *_ in seen} == {id(m) for m in made}
+        assert net.stats.intra_group_messages == 8
+        assert net.stats.inter_group_messages == 8
+        assert net.stats.by_kind_inter["test"] == 8
+
+    def test_route_is_planned_once_per_destination_tuple(self, monkeypatch):
+        sim, net, seen = self._network()
+        plans = []
+        plan = Network._plan_route
+        monkeypatch.setattr(
+            Network, "_plan_route",
+            lambda self, src, dsts: plans.append((src, dsts))
+            or plan(self, src, dsts))
+        dsts = list(self.DSTS)
+        net.send_many(0, dsts, "test", {})
+        dsts.reverse()  # the key was the tuple of pids at send time
+        dsts.reverse()
+        net.send_many(0, dsts, "test", {})
+        net.send_many(0, tuple(dsts), "test", {})
+        assert plans == [(0, tuple(self.DSTS))]
+        net.send_many(0, dsts[:3], "test", {})
+        net.send_many(1, dsts, "test", {})
+        assert len(plans) == 3
+
+    def test_delay_hook_gets_a_message_per_copy(self, made):
+        sim, net, seen = self._network()
+        hooked = []
+        net.add_delay_hook(lambda m, delay: hooked.append(m) or delay)
+        net.send_many(0, self.DSTS, "test", {})
+        assert len(made) == 16 and hooked == made
+        assert sim.pending_events == 2
+        sim.run()
+        self._assert_each_receiver_saw_its_copy(seen)
+        assert [m for _, m, *_ in seen] == made
+
+    def test_filter_installed_after_the_send_sees_its_own_copies(self, made):
+        sim, net, seen = self._network()
+        net.send_many(0, self.DSTS, "test", {})
+        assert len(made) == 2
+        filtered = []
+        net.add_delivery_filter(lambda m: filtered.append(m) or m.dst != 5)
+        sim.run()
+        assert len(made) == 2 + 16 and sim.events_executed == 2
+        assert filtered == made[2:]
+        assert [m.dst for m in filtered] == self.DSTS
+        assert net.stats.dropped == 1
+        assert [pid for pid, *_ in seen] == [p for p in self.DSTS if p != 5]
+        assert len({id(m) for _, m, *_ in seen}) == 15
+
+    def test_trace_gets_a_message_per_copy(self, made):
+        sim, net, seen = self._network(trace=True)
+        net.send_many(0, self.DSTS, "test", {})
+        assert len(made) == 16
+        sim.run()
+        self._assert_each_receiver_saw_its_copy(seen)
+        sends = [e.msg for e in net.trace.events if e.event == "send"]
+        delivers = [e.msg for e in net.trace.events if e.event == "deliver"]
+        assert sends == made and delivers == made
+
+    def test_trace_enabled_in_flight_gets_a_message_per_copy(self, made):
+        sim, net, seen = self._network()
+        net.send_many(0, self.DSTS, "test", {})
+        net.trace.enabled = True
+        sim.run()
+        assert len(made) == 2 + 16
+        self._assert_each_receiver_saw_its_copy(seen)
+        assert [e.msg.dst for e in net.trace.events] == self.DSTS
+
+    def test_transport_gets_a_frame_word_per_copy(self, made):
+        from repro.transport import ReliableTransport
+
+        sim, net, seen = self._network()
+        for pid in range(17):
+            net.process(pid).register_handler("fd.test", lambda m: None)
+        ReliableTransport(sim, net, random.Random(1)).mount()
+        net.send_many(0, self.DSTS, "test", {})
+        assert len(made) == 16
+        assert all(m.wire is not None for m in made)
+        net.send_many(0, self.DSTS, "test", {})
+        # Sequence numbers are per link: the second frame on each.
+        assert [m.wire >> 8 for m in made] == [0] * 16 + [1] * 16
+        # A kind the transport does not cover feels the raw link and
+        # needs no per-copy frame word.
+        net.send_many(0, self.DSTS, "fd.test", {})
+        assert len(made) == 32 + 2
+        sim.run(until=1.5)
+        assert [pid for pid, *_ in seen] == (
+            self.DSTS[:8] * 2 + self.DSTS[8:] * 2)
+        for pid, m, dst, _, _, wire in seen:
+            assert dst == pid and wire is not None
+
+    def test_sampled_delays_get_a_message_per_copy(self, made):
+        sim, net, seen = self._network(latency=LatencyModel.wan())
+        plans = []
+        plan = Network._plan_route
+        net._plan_route = lambda src, dsts: plans.append(dsts) or plan(
+            net, src, dsts)
+        net.send_many(0, self.DSTS, "test", {})
+        net.send_many(0, self.DSTS, "test", {})
+        assert len(made) == 32
+        assert len(plans) == 1  # the verdict is remembered too
+        sim.run()
+        assert sorted(pid for pid, *_ in seen) == sorted(self.DSTS * 2)
+        for pid, m, dst, inter, stamp, _ in seen:
+            assert dst == pid and inter == (pid >= 9)
+            assert stamp == (8 if pid >= 9 else 7)
+
+    def test_equal_intra_and_inter_delay_stays_one_event(self, made):
+        """One bucket mixing scopes: a single event in destination
+        order, each receiver with its own scope and stamp."""
+        sim, net, seen = self._network(
+            latency=LatencyModel(Fixed(1.0), Fixed(1.0)))
+        net.send_many(0, [1, 9, 2, 10], "test", {})
+        assert sim.pending_events == 1
+        sim.run()
+        assert [(pid, inter, stamp) for pid, _, _, inter, stamp, _ in seen] \
+            == [(1, False, 7), (9, True, 8), (2, False, 7), (10, True, 8)]
+
+    def test_receiver_crashed_by_an_earlier_handler_of_the_leg(self, made):
+        sim, net, seen = self._network()
+        net.process(2).register_handler(
+            "kill", lambda m: net.process(4).crash())
+        for pid in (1, 3, 4, 5):
+            net.process(pid).register_handler(
+                "kill", lambda m, pid=pid: seen.append(pid))
+        net.send_many(0, [1, 2, 3, 4, 5], "kill", {})
+        sim.run()
+        assert len(made) == 1
+        assert seen == [1, 3, 5]
+        assert net.stats.dropped == 1
+
+    def test_unknown_kind_on_a_leg_raises(self):
+        sim, net, seen = self._network()
+        net.send_many(0, [1, 2], "nohandler", {})
+        with pytest.raises(KeyError, match="no handler for kind"):
+            sim.run()
