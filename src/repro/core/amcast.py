@@ -48,11 +48,14 @@ Engine notes (protocol semantics unchanged):
     our own, and for every destination group whose proposal is still
     missing at least that group's clock *watermark*.  Each (TS, m) copy
     carries its rank among the copies its sender addressed to our
-    group; per sender we keep the highest gap-free rank and the
-    instance it carried, and a group's watermark is the maximum over
-    its members.  A proposal not yet received from that sender ranks
-    above the gap-free prefix, and a sender stamps in instance order,
-    so it is an instance >= the watermark;
+    group.  Agreement makes every member of a group process the same
+    decisions in the same order, so all members number identically —
+    their copies of rank n carry the same (m, instance) — and we keep
+    one stream per *group*: the highest rank reached without a gap,
+    whichever member's copy filled each rank, and the instance it
+    carried (the watermark).  A proposal of that group not yet
+    received ranks above the gap-free prefix, and the group stamps in
+    instance order, so it is an instance >= the watermark;
   - an **s2** entry blocks by its final ``(ts, mid)``, and a message
     not yet in PENDING will enter at s0 — the paper's own argument.
 
@@ -104,14 +107,17 @@ class _Pending:
 
 
 class _Stream:
-    """What one remote sender's (TS, m) copies prove about its clock.
+    """What one remote group's (TS, m) copies prove about its clock.
 
-    The sender numbers the copies it addresses to our group 1, 2, 3, ...
-    and stamps them in non-decreasing instance order.  Links promise no
-    order, so only the *contiguous* prefix received counts: every copy
-    of that sender still missing has a larger sequence number, hence an
-    instance >= :attr:`instance`.  Copies past a gap wait in
-    :attr:`ahead` (sequence number -> instance) until the gap closes.
+    Every member of the group numbers the copies it addresses to our
+    group 1, 2, 3, ... in decision order, so rank n is the same
+    (m, instance) whichever member sent it, and instances do not
+    decrease with rank.  Links promise no order, so only the
+    *contiguous* prefix of ranks received counts: every proposal of the
+    group still missing here has a larger rank, hence an instance >=
+    :attr:`instance`.  Ranks past a gap wait in :attr:`ahead` (rank ->
+    instance) until any member's copy closes the gap — under loss a
+    rank is missing only while all the members' copies of it are.
     """
 
     __slots__ = ("seq", "instance", "ahead")
@@ -125,7 +131,7 @@ class _Stream:
 class _AwaitedGroup:
     """One remote group: its clock watermark and the s1 entries under it.
 
-    :attr:`watermark` is the largest instance any member's gap-free
+    :attr:`watermark` is the instance the group's gap-free
     :class:`_Stream` has reached: a proposal of this group that no
     member's copy has brought yet is an instance >= it.  An s1 entry
     missing this group's proposal therefore finishes at or above both
@@ -138,25 +144,23 @@ class _AwaitedGroup:
     another missing group (``entry.awaits``).
     """
 
-    __slots__ = ("gid", "watermark", "streams", "ahead", "behind")
+    __slots__ = ("gid", "watermark", "stream", "ahead", "behind")
 
     def __init__(self, gid: int) -> None:
         self.gid = gid
         self.watermark = 0
-        self.streams: Dict[int, _Stream] = {}
+        self.stream = _Stream()
         self.ahead: List[Tuple[int, str]] = []
         self.behind: List[str] = []
 
-    def observe(self, sender: int, seq: int, instance: int) -> bool:
-        """Count one (TS, m) copy of ``sender``; True iff the watermark
-        rose."""
-        stream = self.streams.get(sender)
-        if stream is None:
-            stream = self.streams[sender] = _Stream()
+    def observe(self, seq: int, instance: int) -> bool:
+        """Count one (TS, m) copy of rank ``seq``, from any member; True
+        iff the watermark rose."""
+        stream = self.stream
         if seq != stream.seq + 1:
             if seq > stream.seq:
                 stream.ahead[seq] = instance
-            return False  # past a gap, or a duplicate
+            return False  # past a gap, or a rank another copy brought
         held = stream.ahead
         while held and seq + 1 in held:  # the gap closed: catch up
             seq += 1
@@ -450,11 +454,11 @@ class AtomicMulticastA1(AtomicMulticast):
         payload = netmsg.payload
         mid = payload["mid"]
         gid = payload["gid"]
-        # Every copy tells how far its sender's clock got, including a
-        # copy for a message long delivered: skipping it would leave a
-        # permanent hole in that sender's sequence.
+        # Every copy tells how far its group's clock got, including a
+        # copy for a message long delivered: skipping it could leave a
+        # hole in that group's sequence.
         news = self._awaited[gid].observe(
-            netmsg.src, payload["seq"][self.my_gid], payload["ts"])
+            payload["seq"][self.my_gid], payload["ts"])
         # A copy from a second member of the group, possibly after m was
         # A-Delivered, carries no proposal we do not already have.
         if mid not in self.adelivered:

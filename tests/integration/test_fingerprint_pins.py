@@ -33,6 +33,15 @@ that every process delivers the same sequence, just earlier.
 instants feed back into the plan (replies, retries, balancer heat);
 their copy counts did not move.  ``a1_local`` and ``a2_bcast`` never
 reach the guard's s1 branch and are untouched.
+
+Re-recorded a third time, ``a1_lossy`` ``lat_p50_sim`` only (3.051 →
+2.879), when the guard's clock watermark started counting one (TS, m)
+stream per remote *group* instead of one per remote sender: all members
+of a group number their copies identically (agreement), so under loss a
+rank is missing only while every member's copy of it is, and the
+watermark stops stalling on one sender's retransmit.  Same hash,
+``net.msgs`` and ``consensus.msgs`` — the same sequence, earlier; the
+six loss-free rows did not move (without loss the streams coincide).
 """
 
 import json
@@ -64,7 +73,7 @@ PINS = {
         4.504000000000019, 2444, 1386),
     "a1_lossy": (
         "084a40a76eedfa312b9b2102620bd42891e8b0ab3af32ee1bf1736db50f576d9",
-        3.0506416635336056, 9954, 3818),
+        2.8786969094447743, 9954, 3818),
     "hb_crash": (
         "4b7660de9058a8eff347a8688802b7ba1e357f3f46d2c4875a3bd0339a080836",
         38.80966461163165, 67761, 14341),

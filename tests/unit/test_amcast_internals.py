@@ -225,9 +225,94 @@ class TestDeliveryGuard:
         system, endpoint = self._blocked_endpoint()
         for _ in range(3):
             _ts_copy(endpoint, 1, 1, "old-1", ts=4, seq=1)
-        assert endpoint._awaited[1].streams[1].seq == 1
+        assert endpoint._awaited[1].stream.seq == 1
         assert endpoint._awaited[1].watermark == 4
         assert system.log.sequence(0) == []  # 4 < 5: still blocked
+
+    def test_gap_in_one_members_copies_is_closed_by_another_members(self):
+        """All members of a group number their copies identically
+        (agreement), so rank 2 from member B fills the hole between
+        member A's ranks 1 and 3."""
+        system = build_system(protocol="a1", group_sizes=[1, 2], seed=5)
+        endpoint = system.endpoints[0]
+        _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        endpoint.adelivered.update({"old-1", "old-2", "old-3"})
+        _ts_copy(endpoint, 1, 1, "old-1", ts=3, seq=1)
+        _ts_copy(endpoint, 1, 1, "old-3", ts=10, seq=3)  # A's rank 2 lost
+        assert endpoint._awaited[1].watermark == 3
+        assert system.log.sequence(0) == []
+        _ts_copy(endpoint, 2, 1, "old-2", ts=9, seq=2)   # B's copy of it
+        assert endpoint._awaited[1].watermark == 10
+        assert endpoint._awaited[1].stream.ahead == {}
+        assert system.log.sequence(0) == ["held"]
+
+    def test_repeated_rank_does_not_advance_the_stream(self):
+        """The second member's copy of a rank already counted is a
+        duplicate, not the next rank."""
+        system = build_system(protocol="a1", group_sizes=[1, 2], seed=5)
+        endpoint = system.endpoints[0]
+        _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
+        _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
+        endpoint.adelivered.add("old-1")
+        _ts_copy(endpoint, 1, 1, "old-1", ts=4, seq=1)
+        _ts_copy(endpoint, 2, 1, "old-1", ts=4, seq=1)
+        assert endpoint._awaited[1].stream.seq == 1
+        assert endpoint._awaited[1].watermark == 4
+        assert system.log.sequence(0) == []  # 4 < 5: still blocked
+
+    def test_merged_stream_dominates_per_member_streams_under_loss(self):
+        """On a recorded lossy run: every member's copy of a rank
+        carries the same (m, instance), and after every copy the
+        group's watermark is at least what the best single member's
+        gap-free prefix would have given — and sometimes more, when one
+        member's lost copy was covered by another's."""
+        lossy = AdversarySpec(name="streams-lossy", injectors=tuple(
+            InjectorSpec(kind=kind,
+                         params=(("probability", p), ("until", 40.0)))
+            for kind, p in (("drop", 0.10), ("duplicate", 0.05))))
+        spec = ScenarioSpec(
+            name="streams-lossy", protocol="a1", group_sizes=(3, 3, 3),
+            workload=WorkloadSpec(
+                kind="poisson", rate=5.0, duration=40.0,
+                destinations=DestinationSpec(kind="uniform-k", k=2)),
+            transport="reliable", checkers=("properties",))
+        system, _, _ = build_scenario_system(spec, 3, lossy)
+        ranks = {}      # (receiver, group, rank) -> {(mid, instance)}
+        gained = []
+
+        def tap(endpoint):
+            handle = endpoint.process._handlers["amc.ts"]
+            members = {}  # (group, sender) -> [rank, instance, held]
+
+            def on_ts(netmsg):
+                payload = netmsg.payload
+                gid, instance = payload["gid"], payload["ts"]
+                rank = payload["seq"][endpoint.my_gid]
+                ranks.setdefault(
+                    (endpoint.process.pid, gid, rank), set()).add(
+                        (payload["mid"], instance))
+                # One gap-free prefix per sender, as before the merge.
+                state = members.setdefault((gid, netmsg.src), [0, 0, {}])
+                state[2][rank] = instance
+                while state[0] + 1 in state[2]:
+                    state[0] += 1
+                    state[1] = state[2].pop(state[0])
+                handle(netmsg)
+                best_member = max(instance for (group, _), (_, instance, _)
+                                  in members.items() if group == gid)
+                merged = endpoint._awaited[gid].watermark
+                assert merged >= best_member
+                gained.append(merged > best_member)
+
+            endpoint.process._handlers["amc.ts"] = on_ts
+
+        for endpoint in system.endpoints.values():
+            tap(endpoint)
+        system.run_quiescent()
+        assert len(gained) > 1000
+        assert any(gained)
+        assert all(len(copies) == 1 for copies in ranks.values())
 
     def test_equal_watermark_falls_back_to_message_ids(self):
         """Bound (5, "open") against (5, "held"): "open" > "held", so
@@ -333,8 +418,7 @@ class TestNoProposalOutlivesItsMessage:
             # Late copies fed the count too: no stream is left waiting
             # behind a hole a skipped copy would have punched.
             for group in endpoint._awaited.values():
-                for stream in group.streams.values():
-                    assert stream.ahead == {}
+                assert group.stream.ahead == {}
 
 
 class TestDeliveryRule:
