@@ -115,16 +115,16 @@ class _Stream:
     decrease with rank.  Links promise no order, so only the
     *contiguous* prefix of ranks received counts: every proposal of the
     group still missing here has a larger rank, hence an instance >=
-    :attr:`instance`.  Ranks past a gap wait in :attr:`ahead` (rank ->
-    instance) until any member's copy closes the gap — under loss a
-    rank is missing only while all the members' copies of it are.
+    the one rank :attr:`seq` carried (the group's watermark).  Ranks
+    past a gap wait in :attr:`ahead` (rank -> instance) until any
+    member's copy closes the gap — under loss a rank is missing only
+    while all the members' copies of it are.
     """
 
-    __slots__ = ("seq", "instance", "ahead")
+    __slots__ = ("seq", "ahead")
 
     def __init__(self) -> None:
         self.seq = 0
-        self.instance = 0
         self.ahead: Dict[int, int] = {}
 
 
@@ -166,7 +166,6 @@ class _AwaitedGroup:
             seq += 1
             instance = held.pop(seq)
         stream.seq = seq
-        stream.instance = instance
         if instance <= self.watermark:
             return False
         self.watermark = instance

@@ -30,7 +30,15 @@ above notice nothing.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.net.message import Message
 from repro.net.topology import LatencyModel, Topology
@@ -71,7 +79,7 @@ def _phase_of_kind(kind: str) -> str:
     return _classify_kind(kind)
 
 
-class Route:
+class Route(NamedTuple):
     """What one ``send_many`` from a source to a destination tuple does.
 
     Planned once per ``(src, destinations)`` on fixed-delay links and
@@ -80,18 +88,13 @@ class Route:
     destination order — so scheduling one kernel event per leg yields
     the same ``(time, seq)`` events either way.
 
-    Attributes:
-        legs: ``(delay, inter_group, receiving processes)`` per leg.
-        total: Copies per send.
-        inter: Inter-group copies per send.
     """
 
-    __slots__ = ("legs", "total", "inter")
-
-    def __init__(self, legs, total: int, inter: int) -> None:
-        self.legs = legs
-        self.total = total
-        self.inter = inter
+    #: ``(delay, inter_group, receiving processes)`` per leg.
+    legs: Tuple[Tuple[float, bool, Tuple[Process, ...]], ...]
+    #: Copies per send, and how many of them cross groups.
+    total: int
+    inter: int
 
 
 class Network:

@@ -58,10 +58,10 @@ def _is_exact(unit: str) -> bool:
 
 
 def _quartiles(values: Sequence[float]):
+    """(Q1, median, Q3); a single run is its own spread."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, median, q3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def compare(parent_dir: str, change_dir: str, workload: str,
@@ -84,15 +84,13 @@ def compare(parent_dir: str, change_dir: str, workload: str,
                 "identical": len(set(old + new)) == 1}
             continue
         higher = entry["better"] == "higher"
-        better = sum((n > o) if higher else (n < o)
-                     for o, n in zip(old, new))
+        old_q, new_q = _quartiles(old), _quartiles(new)
         metrics[name] = {
             "exact": False, "parent": old, "change": new,
-            "parent_quartiles": _quartiles(old),
-            "change_quartiles": _quartiles(new),
-            "ratio": (statistics.median(new) / statistics.median(old)
-                      if statistics.median(old) else float("nan")),
-            "change_better": better}
+            "parent_quartiles": old_q, "change_quartiles": new_q,
+            "ratio": new_q[1] / old_q[1] if old_q[1] else float("nan"),
+            "change_better": sum((n > o) if higher else (n < o)
+                                 for o, n in zip(old, new))}
     return {
         "workload": workload, "seed": seed, "pairs": pairs,
         "metrics": metrics,
