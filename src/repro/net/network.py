@@ -136,6 +136,10 @@ class Network:
         # on first use (see _plan_route); the latency model and the
         # registered processes are fixed once traffic flows.
         self._routes: Dict[int, Dict[Tuple[int, ...], Optional[Route]]] = {}
+        # A model without a single fixed-delay link (WAN jitter on every
+        # pair) can never plan a leg: its sends skip the route lookup,
+        # which measured 2-3 % of a store_mix run.
+        self._fixed_links = latency.has_fixed_links()
         # Partitioned (parallel-kernel) mode: copies addressed outside
         # the owned group are buffered here instead of scheduled, and
         # flushed to the owning sub-kernel at the next epoch barrier.
@@ -316,8 +320,8 @@ class Network:
         lamport = sender.lamport.value  # timestamp_send leaves it unchanged
         trace = self.trace if self.trace.enabled else None
         outbox = self._outbox
-        if (next_wire is None and trace is None and outbox is None
-                and not self._delay_hooks):
+        if (self._fixed_links and next_wire is None and trace is None
+                and outbox is None and not self._delay_hooks):
             # Nothing mounted looks at a copy on its way out: fan out
             # by leg, one shared envelope and one kernel event each.
             if type(dsts) is not tuple:

@@ -128,6 +128,11 @@ class LatencyModel:
             return dist.value
         return None
 
+    def has_fixed_links(self) -> bool:
+        """Whether any link of the model has a constant delay."""
+        return any(type(dist) is Fixed for dist in (
+            self.intra, self.inter, *self.pairwise_inter.values()))
+
     def min_inter_group(self) -> float:
         """Smallest delay any inter-group link can ever produce.
 

@@ -561,8 +561,15 @@ class TestFanOutByLeg:
         for pid, m, dst, _, _, wire in seen:
             assert dst == pid and wire is not None
 
-    def test_sampled_delays_get_a_message_per_copy(self, made):
-        sim, net, seen = self._network(latency=LatencyModel.wan())
+    @pytest.mark.parametrize("latency, planned", [
+        # No fixed link anywhere: such a network never looks a route up.
+        (LatencyModel.wan(), 0),
+        # One sampled link on the way: planned once, verdict remembered.
+        (LatencyModel(Fixed(0.001), Jittered(1.0, 0.1)), 1),
+    ])
+    def test_sampled_delays_get_a_message_per_copy(self, made, latency,
+                                                   planned):
+        sim, net, seen = self._network(latency=latency)
         plans = []
         plan = Network._plan_route
         net._plan_route = lambda src, dsts: plans.append(dsts) or plan(
@@ -570,7 +577,7 @@ class TestFanOutByLeg:
         net.send_many(0, self.DSTS, "test", {})
         net.send_many(0, self.DSTS, "test", {})
         assert len(made) == 32
-        assert len(plans) == 1  # the verdict is remembered too
+        assert len(plans) == planned
         sim.run()
         assert sorted(pid for pid, *_ in seen) == sorted(self.DSTS * 2)
         for pid, m, dst, inter, stamp, _ in seen:
