@@ -64,9 +64,10 @@ class LatencyMeter:
         self._records: Dict[str, MessageRecord] = {}
 
     def _record(self, msg_id: str) -> MessageRecord:
-        if msg_id not in self._records:
-            self._records[msg_id] = MessageRecord(msg_id=msg_id)
-        return self._records[msg_id]
+        rec = self._records.get(msg_id)
+        if rec is None:
+            rec = self._records[msg_id] = MessageRecord(msg_id=msg_id)
+        return rec
 
     # ------------------------------------------------------------------
     # Event hooks
@@ -84,8 +85,9 @@ class LatencyMeter:
     def record_delivery(self, msg_id: str, process: "Process", now: float = 0.0) -> None:
         """Record an A-Deliver event of ``msg_id`` on ``process``."""
         rec = self._record(msg_id)
-        rec.delivery_lamport[process.pid] = process.lamport.local_event()
-        rec.delivery_time[process.pid] = now
+        pid = process.pid
+        rec.delivery_lamport[pid] = process.lamport.local_event()
+        rec.delivery_time[pid] = now
 
     # ------------------------------------------------------------------
     # Queries

@@ -1,15 +1,19 @@
 """Ordered delivery of a group's sequence of consensus decisions.
 
-Both of the paper's algorithms drive one consensus instance at a time per
-group: the instance number is the group clock ``K`` (Algorithm A1) or the
-round number (Algorithm A2).  Group members advance ``K`` in lock step
-(paper Lemma A.1), but over the network a process can *learn* decisions
-out of order — e.g. receive the ``decide`` of instance 7 while still
-waiting for instance 3.
+Algorithm A1 and the ring baseline drive one consensus instance at a
+time per group: the instance number is the group clock ``K``.  Group
+members advance ``K`` in lock step (paper Lemma A.1), but over the
+network a process can *learn* decisions out of order — e.g. receive the
+``decide`` of instance 7 while still waiting for instance 3.
 
 :class:`ConsensusSequence` buffers raw decisions and releases them to the
 client exactly when the client's current instance number matches,
 re-creating the pseudocode's ``When Decided(K, msgSet')`` guard.
+
+Algorithm A2 does not use it: it keeps two rounds in flight, publishes
+each round's bundle the moment its instance decides and orders rounds
+itself at delivery, so it takes :class:`GroupConsensus`'s raw decisions
+(see :mod:`repro.core.abcast`).
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ class ConsensusSequence:
         """Release buffered decisions while they match the cursor.
 
         The client's callback advances the cursor synchronously (to
-        ``max(ts)+1`` in A1, ``K+1`` in A2), so the loop naturally walks
-        the group's — possibly non-contiguous — instance sequence.
+        ``max(ts)+1`` in A1), so the loop naturally walks the group's —
+        possibly non-contiguous — instance sequence.
         """
         self._flushing = True
         try:

@@ -218,6 +218,15 @@ class Blocker(NamedTuple):
     group: Optional[int] = None
     watermark: Optional[int] = None
 
+    def describe(self) -> str:
+        """One line for :func:`repro.tools.render_waits`."""
+        line = (f"{self.waiting} (ts={self.stamp}) waits on "
+                f"{self.mid} in s{self.stage}, final >= {self.bound}")
+        if self.group is not None:
+            line += (f": group {self.group}'s proposal is missing and its "
+                     f"clock is known up to {self.watermark}")
+        return line
+
 
 class AtomicMulticastA1(AtomicMulticast):
     """One process's endpoint of Algorithm A1."""
@@ -225,6 +234,9 @@ class AtomicMulticastA1(AtomicMulticast):
     #: Reliable multicast flavour; Fritzke et al. [5] swaps in the
     #: uniform variant (paper Section 4.1, first difference from [5]).
     RMCAST_CLS = ReliableMulticast
+    #: What :func:`repro.tools.render_waits` prints when
+    #: :meth:`blocked_on` is None.
+    NOTHING_WAITS = "nothing waits in s3"
 
     def __init__(
         self,

@@ -114,6 +114,9 @@ def run_fig1b_single(protocol: str, groups: int, d: int, seed: int = 1,
         "a2": ("1", "O(n^2)"),
         "detmerge": ("1", "O(n)"),
     }
+    # The window places the one measured cast inside round 1's bundle
+    # (Theorem 5.1's favourable run); it adds its length to the latency
+    # of every round, so it is a device of this experiment only.
     kwargs = {"propose_delay": 0.05} if protocol == "a2" else {}
     system = build_system(protocol=protocol, group_sizes=[d] * groups,
                           seed=seed, **kwargs)

@@ -71,6 +71,9 @@ def search_nongenuine_witness(seeds=range(5)) -> BoundSearch:
     """Show the bound does not apply without genuineness: find Δ = 1."""
     result = BoundSearch(protocol="nongenuine")
     for seed in seeds:
+        # propose_delay holds round 1 open for the cast at t=0.01: it
+        # selects the favourable run by adding 0.05 to the round, i.e.
+        # trades sim-time latency for degree.
         system = build_system(protocol="nongenuine", group_sizes=[2, 2],
                               seed=seed, propose_delay=0.05)
         system.start_rounds()

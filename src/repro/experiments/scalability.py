@@ -53,6 +53,9 @@ def scale_scenario(protocol: str, groups: int, d: int,
                    count: int = 10,
                    seeds: Sequence[int] = (1,)) -> ScenarioSpec:
     """Declare a steady workload at one system size."""
+    # propose_delay trades sim-time latency for degree (each proposal
+    # waits that long so a hand-placed cast catches it); under load the
+    # second round in flight is what reaches degree 1 (core/abcast.py).
     kwargs: Tuple[Tuple[str, object], ...] = (
         (("propose_delay", 0.05),) if protocol in ("a2", "nongenuine")
         else ()

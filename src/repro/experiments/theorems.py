@@ -51,7 +51,9 @@ def theorem_5_1(seed: int = 1) -> TheoremRun:
     The paper's run: "let r be a round where some message was
     A-Delivered; hence all processes start round r+1" — we warm the
     pipeline with ``start_rounds`` and broadcast while round 1's
-    bundling window is open.
+    bundling window is open.  (``propose_delay`` buys that degree by
+    adding its length to the round's sim-time latency; under load the
+    same degree comes from the second round in flight instead.)
     """
     system = build_system(protocol="a2", group_sizes=[3, 3], seed=seed,
                           propose_delay=0.05)

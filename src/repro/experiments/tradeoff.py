@@ -57,6 +57,9 @@ def run_tradeoff(
     duration: float = 25.0,
 ) -> TradeoffPoint:
     """One protocol on the k-of-G partial replication workload."""
+    # propose_delay buys latency *degree* by adding 0.3 of sim-time
+    # latency to every round (casts landing in the window share its
+    # bundle); the latency column pays for it (core/abcast.py).
     kwargs = {"propose_delay": 0.3} if protocol == "nongenuine" else {}
     system = build_system(protocol=protocol, group_sizes=[d] * groups,
                           seed=seed, **kwargs)

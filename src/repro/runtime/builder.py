@@ -88,13 +88,20 @@ class System:
         """Attach a protocol endpoint and wire its delivery callback."""
         self.endpoints[pid] = endpoint
         process = self.network.process(pid)
+        # Bound once per endpoint: this runs for every A-Deliver of the
+        # run.  Hooks and taps subscribed later land in the same lists.
+        log_delivery = self.log.record_delivery
+        meter_delivery = self.meter.record_delivery
+        sim = self.sim
+        hooks = self._delivery_hooks
+        taps = self._delivery_taps.setdefault(pid, [])
 
-        def on_deliver(msg: AppMessage, pid=pid, process=process) -> None:
-            self.log.record_delivery(pid, msg)
-            self.meter.record_delivery(msg.mid, process, now=self.sim.now)
-            for hook in self._delivery_hooks:
+        def on_deliver(msg: AppMessage) -> None:
+            log_delivery(pid, msg)
+            meter_delivery(msg.mid, process, sim.now)
+            for hook in hooks:
                 hook(pid, msg)
-            for tap in self._delivery_taps.get(pid, ()):
+            for tap in taps:
                 tap(msg)
 
         endpoint.set_delivery_handler(on_deliver)

@@ -36,8 +36,14 @@ class DeliveryLog:
 
     def record_delivery(self, pid: int, msg: AppMessage) -> None:
         """Append ``msg`` to ``pid``'s delivery sequence."""
-        self._sequences.setdefault(pid, []).append(msg)
-        self._delivered_by.setdefault(msg.mid, {})[pid] = None
+        sequence = self._sequences.get(pid)
+        if sequence is None:
+            sequence = self._sequences[pid] = []
+        sequence.append(msg)
+        deliverers = self._delivered_by.get(msg.mid)
+        if deliverers is None:
+            deliverers = self._delivered_by[msg.mid] = {}
+        deliverers[pid] = None
 
     # ------------------------------------------------------------------
     def sequence(self, pid: int) -> List[str]:

@@ -118,26 +118,21 @@ def lane_summary(trace: MessageTrace) -> str:
 
 
 def render_waits(endpoints: Dict[int, object]) -> str:
-    """Per process: what the minimal s3 message is blocked on.
+    """Per process: what its next A-Delivery is blocked on.
 
-    ``endpoints`` is ``system.endpoints``; protocols without a
-    ``blocked_on()`` (everything but A1 and its variants) are skipped.
+    ``endpoints`` is ``system.endpoints``.  A1 and its variants name the
+    minimal s3 message and its blocker, A2 the head round and the
+    bundles it misses; protocols without a ``blocked_on()`` are skipped.
     Needs no trace — it reads the endpoints' live state, so call it
     mid-run (``system.run(until=t)``) or on a run that did not drain.
     """
     lines: List[str] = []
     for pid in sorted(endpoints):
-        blocked_on = getattr(endpoints[pid], "blocked_on", None)
+        endpoint = endpoints[pid]
+        blocked_on = getattr(endpoint, "blocked_on", None)
         if blocked_on is None:
             continue
         wait = blocked_on()
-        if wait is None:
-            lines.append(f"p{pid:<4d} nothing waits in s3")
-            continue
-        line = (f"p{pid:<4d} {wait.waiting} (ts={wait.stamp}) waits on "
-                f"{wait.mid} in s{wait.stage}, final >= {wait.bound}")
-        if wait.group is not None:
-            line += (f": group {wait.group}'s proposal is missing and its "
-                     f"clock is known up to {wait.watermark}")
-        lines.append(line)
+        lines.append(f"p{pid:<4d} " + (
+            endpoint.NOTHING_WAITS if wait is None else wait.describe()))
     return "\n".join(lines) if lines else "(no endpoint reports waits)"

@@ -2,11 +2,16 @@
 
 import pytest
 
+from repro.adversary.spec import get_adversary
+from repro.campaigns.runner import build_scenario_system
+from repro.campaigns.spec import ScenarioSpec, WorkloadSpec
 from repro.checkers.properties import check_all
 from repro.checkers.quiescence import check_quiescence
+from repro.core import abcast
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import LatencyModel
 from repro.runtime.builder import build_system
+from repro.tools import render_waits
 from repro.workload.generators import poisson_workload, schedule_workload
 
 
@@ -107,6 +112,147 @@ class TestQuiescence:
         endpoint = s.endpoints[0]
         useful_fraction = endpoint.useful_rounds / endpoint.rounds_executed
         assert useful_fraction > 0.8
+
+
+class TestLatencyUnderLoad:
+    """The paper's latency degree 1 with casts in flight, not just for
+    one hand-placed cast: (3,3,3), Poisson 100 x 30 to all groups (the
+    ``a2_bcast`` plan / 10), unit inter-group links."""
+
+    @staticmethod
+    def _run(seed, mid_run=None):
+        s = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=seed)
+        s.start_rounds()
+        schedule_workload(s, poisson_workload(
+            s.topology, s.rng.stream("wl"), rate=100.0, duration=30.0))
+        waits = None
+        if mid_run is not None:
+            s.run(until=mid_run)
+            waits = render_waits(s.endpoints)
+        s.run_quiescent()
+        check_all(s.log, s.topology)
+        records = s.meter.records()
+        worst = sorted(r.worst_delivery_latency for r in records)
+        at_degree_one = sum(r.latency_degree <= 1 for r in records)
+        return (s, worst[len(worst) // 2], at_degree_one / len(records),
+                s.network.stats.by_kind["abc.bundle"], waits)
+
+    @pytest.mark.parametrize("seed", [42, 1007])
+    def test_half_of_all_casts_deliver_after_one_hop(self, seed, monkeypatch):
+        """One round at a time every cast waits ½ round for the next
+        proposal: p50 1.5δ and *no* cast at degree 1.  With the second
+        round half a round behind the first the wait halves — for at
+        most twice the bundle copies."""
+        s, p50, at_degree_one, bundle_msgs, waits = self._run(seed, 15.25)
+        # Mid-run, every endpoint names the round its next delivery
+        # waits on and the bundles that round still misses.
+        assert waits.count("waits on the bundle of group(s)") == 9, waits
+        assert all(ep.blocked_on() is None for ep in s.endpoints.values())
+        assert p50 <= 1.30, (
+            f"p50 worst-destination latency {p50:.3f} > 1.30; at "
+            f"t=15.25:\n{waits}")
+        assert at_degree_one >= 0.45, (
+            f"only {at_degree_one:.1%} of casts at latency degree <= 1; "
+            f"at t=15.25:\n{waits}")
+        assert s.meter.max_degree() <= 3
+
+        monkeypatch.setattr(abcast, "ROUNDS_IN_FLIGHT", 1)
+        _, one_p50, one_at_degree_one, one_bundle_msgs, _ = self._run(seed)
+        assert one_p50 > 1.45 and one_at_degree_one < 0.01
+        assert bundle_msgs <= 2.05 * one_bundle_msgs
+
+
+class TestOverlapUnderAdversity:
+    """Two rounds in flight against reordering, crashes and the
+    bundling window: the invariants at every kernel-event boundary."""
+
+    @staticmethod
+    def _step_with_invariants(system):
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            for endpoint in system.endpoints.values():
+                if not endpoint.process.crashed:
+                    endpoint.inv()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_delay_reorder_adversary(self, seed):
+        spec = ScenarioSpec(
+            name="a2-overlap-reorder", protocol="a2", group_sizes=(3, 3, 3),
+            workload=WorkloadSpec(kind="poisson", rate=60.0, duration=6.0),
+            start_rounds=True, checkers=("properties",))
+        system, _, applied = build_scenario_system(
+            spec, seed, adversary=get_adversary("delay-reorder"))
+        self._step_with_invariants(system)
+        assert applied.total_faults > 0
+        check_all(system.log, system.topology)
+        sequences = {tuple(system.log.sequence(p)) for p in range(9)}
+        assert len(sequences) == 1 and len(sequences.pop()) > 250
+
+    @pytest.mark.parametrize("propose_delay", [0.05, 0.3])
+    def test_bundling_window_composes(self, propose_delay):
+        system = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=4,
+                              propose_delay=propose_delay, trace=True)
+        system.start_rounds()
+        schedule_workload(system, poisson_workload(
+            system.topology, system.rng.stream("wl"), rate=60.0,
+            duration=6.0))
+        self._step_with_invariants(system)
+        assert check_quiescence(system.sim, system.network.trace).quiescent
+        check_all(system.log, system.topology)
+        # The window delays proposals; it does not stop the overlap.
+        endpoint = system.endpoints[0]
+        assert endpoint.rounds_executed > 1.5 * 6.0 / (1 + propose_delay)
+
+    @staticmethod
+    def _loaded_with_detector(detector, crashes=None):
+        knobs = (dict(heartbeat_period=0.5, heartbeat_timeout=2.0,
+                      heartbeat_horizon=40.0)
+                 if detector == "heartbeat" else dict(detector_delay=1.0))
+        system = build_system(
+            protocol="a2", group_sizes=[3, 3, 3], seed=5, detector=detector,
+            crashes=crashes, retry_timeout=3.0, **knobs)
+        system.start_rounds()
+        # p0 — group 0's ballot-0 leader, the one that will crash —
+        # casts nothing, so every cast must be delivered (validity).
+        plans = poisson_workload(
+            system.topology, system.rng.stream("wl"), rate=60.0,
+            duration=8.0, senders=list(range(1, 9)))
+        return system, [
+            system.cast_at(plan.time, plan.sender, mid=f"m{i:05d}")
+            for i, plan in enumerate(plans)]
+
+    @pytest.mark.parametrize("detector", ["perfect", "heartbeat"])
+    def test_leader_crash_with_two_rounds_in_flight(self, detector):
+        """The leader dies holding the only copy of both survivors'
+        proposals for round X while round X-1 — decided, bundles still
+        under way — is in flight too.  (A process never has two
+        *undecided* instances: it proposes X knowing X-1's decision.)
+        A new leader must decide X and both rounds must complete."""
+        def stuck(endpoint):
+            return (endpoint.prop_k == endpoint.k + 2 and not
+                    endpoint.consensus.decided(endpoint.prop_k - 1))
+
+        dry, _ = self._loaded_with_detector(detector)
+        while not (dry.sim.now > 3.0 and stuck(dry.endpoints[1])
+                   and stuck(dry.endpoints[2])):
+            dry.run(max_events=1)
+        crash_at = dry.sim.now + 0.0005  # before the forwards land
+        round_x = dry.endpoints[1].prop_k - 1
+
+        crashes = CrashSchedule({0: crash_at})
+        system, casts = self._loaded_with_detector(detector, crashes)
+        system.run(until=crash_at + 0.0001)
+        for pid in (1, 2):
+            endpoint = system.endpoints[pid]
+            assert endpoint.k == round_x - 1 and stuck(endpoint)
+            assert endpoint.blocked_on() == abcast.RoundWait(
+                round_x - 1, True, (1, 2))
+        self._step_with_invariants(system)
+        check_all(system.log, system.topology, crashes)
+        assert system.network.stats.by_kind["abc.cons.prepare"] > 0
+        for pid in range(1, 9):
+            assert system.endpoints[pid].k > round_x
+            assert len(system.log.sequence(pid)) == len(casts)
 
 
 class TestFaultTolerance:

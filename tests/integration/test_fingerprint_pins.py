@@ -42,6 +42,17 @@ rank is missing only while every member's copy of it is, and the
 watermark stops stalling on one sender's retransmit.  Same hash,
 ``net.msgs`` and ``consensus.msgs`` — the same sequence, earlier; the
 six loss-free rows did not move (without loss the streams coincide).
+
+Re-recorded a fourth time, ``a2_bcast`` only, when A2 started keeping
+two staggered rounds in flight while every group has load
+(``core/abcast.py``, "Two rounds in flight"): a cast waits ¼ round for
+the next proposal instead of ½, so ``lat_p50_sim`` 1.5017 → 1.2609, and
+twice the rounds mean twice the bundle and consensus copies
+(``net.msgs`` 6237 → 7485, ``consensus.msgs`` 714 → 1260).  The hash
+happened not to move — A2 delivers a round in mid order and this plan's
+mids ascend with cast time, so regrouping casts into more rounds leaves
+every sequence as it was.  A2 runs in no other workload; the other six
+rows are untouched.
 """
 
 import json
@@ -64,7 +75,7 @@ PINS = {
         0.0029999999999996696, 10518, 8652),
     "a2_bcast": (
         "5f80070d23956803247321fae10e9ad528eb9feb7c24da61059939bedda6a319",
-        1.5016906349176349, 6237, 714),
+        1.2608682550084556, 7485, 1260),
     "store_mix": (
         "ac2cd07f16622aef4f0b8fe78bfa17b4d5113c1a97a79f34f8b4a949548c30c6",
         188.6030606555919, 6302, 4212),

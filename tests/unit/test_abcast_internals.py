@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.checkers.properties import check_all
+from repro.checkers.quiescence import check_quiescence
+from repro.core import abcast
 from repro.net.topology import Fixed, LatencyModel
 from repro.runtime.builder import build_system
+from repro.workload.generators import poisson_workload, schedule_workload
 
 
 def _slow_wan():
@@ -57,7 +61,7 @@ class TestRoundProgression:
         # Group 1 delivered group 0's message yet never R-Delivered
         # anything itself: its bundles were empty sets.
         endpoint = system.endpoints[2]
-        assert endpoint.rdelivered == {}
+        assert endpoint.fresh == set()
         assert len(endpoint.adelivered) == 1
 
 
@@ -97,7 +101,7 @@ class TestBundleHygiene:
         system.run_quiescent()
         endpoint = system.endpoints[0]
         assert endpoint.msgs == {}       # no bundle leaks
-        assert endpoint.rdelivered == {} # everything moved to delivered
+        assert endpoint.fresh == set()   # everything moved to delivered
 
     def test_duplicate_bundles_ignored(self):
         """Several senders per group send the same bundle; the first
@@ -144,3 +148,184 @@ class TestProposeDelayWindow:
                               propose_delay=5.0)
         system.cast(sender=0)
         system.run_quiescent(max_events=500_000)  # must drain
+
+
+def _loaded(seed=42, rate=100.0, duration=4.0, sizes=(3, 3, 3), **kw):
+    """A warm (3,3,3) system with a Poisson plan scheduled on it."""
+    system = build_system(protocol="a2", group_sizes=list(sizes), seed=seed,
+                          **kw)
+    system.start_rounds()
+    schedule_workload(system, poisson_workload(
+        system.topology, system.rng.stream("wl"), rate=rate,
+        duration=duration))
+    return system
+
+
+class TestTwoRoundsInFlight:
+    def test_second_round_is_used_and_never_a_third(self):
+        system = _loaded()
+        ahead = set()
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            ahead.update(ep.prop_k - ep.k for ep in system.endpoints.values())
+        assert ahead == {0, 1, 2}
+        assert abcast.ROUNDS_IN_FLIGHT == 2
+
+    def test_invariants_hold_at_every_event_boundary(self):
+        """A ÷20 ``a2_bcast`` plan, one kernel event at a time."""
+        system = _loaded(duration=15.0)
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            for endpoint in system.endpoints.values():
+                endpoint.inv()
+        assert len(system.log.sequence(0)) > 1400
+        check_all(system.log, system.topology)
+
+    def test_inv_catches_a_reproposed_mid(self):
+        system = _loaded(duration=4.0)
+        system.run(until=3.0)
+        endpoint = system.endpoints[0]
+        endpoint.inv()
+        endpoint.fresh.add(next(iter(endpoint.adelivered)))
+        with pytest.raises(AssertionError):
+            endpoint.inv()
+
+    def test_late_rdeliver_of_a_decided_mid_is_not_reproposed(self):
+        """p2 R-Delivers every cast 0.3 late — after p0 and p1 decided
+        the round carrying it — and must not offer it to the next."""
+        system = _loaded(duration=6.0)
+
+        def slow_copy_to_p2(msg, delay):
+            if msg.kind == "abc.rmc.data" and msg.dst == 2:
+                return delay + 0.3
+            return delay
+
+        system.network.add_delay_hook(slow_copy_to_p2)
+        proposals = []
+        consensus = system.endpoints[2].consensus
+        propose = consensus.propose
+        consensus.propose = lambda k, value: (
+            proposals.append((k, value)), propose(k, value))
+        late = 0
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            endpoint = system.endpoints[2]
+            endpoint.inv()
+            late += bool(endpoint._in_flight - endpoint.rmcast._delivered)
+        assert late > 100  # the hook did create the situation
+        decided = {}
+        for k in range(1, system.endpoints[2].k):
+            decided[k] = set(consensus.decision(k))
+        for k, value in proposals:
+            earlier = set().union(*(decided[x] for x in decided if x < k))
+            assert earlier.isdisjoint(value), (k, earlier & set(value))
+        bundles = [decided[k] for k in sorted(decided)]
+        assert sum(map(len, bundles)) == len(set().union(*bundles))
+        check_all(system.log, system.topology)
+
+    def test_decision_learned_first_replaces_the_proposal(self):
+        """Bundles reach p2 0.2 late, so it completes every round after
+        p0 and p1 have proposed and decided the one it may propose next:
+        it must skip that round, not propose into a decided instance."""
+        system = _loaded(duration=6.0)
+        system.network.add_delay_hook(
+            lambda msg, delay: delay + 0.2
+            if msg.kind == "abc.bundle" and msg.dst == 2 else delay)
+        endpoint = system.endpoints[2]
+        consensus = endpoint.consensus
+        propose = consensus.propose
+        into_decided = []
+
+        def watched(k, value):
+            if consensus.decided(k):
+                into_decided.append(k)
+            propose(k, value)
+
+        consensus.propose = watched
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            endpoint.inv()
+        assert into_decided == []
+        assert endpoint.rounds_executed - len(consensus._proposed) > 5
+        check_all(system.log, system.topology)
+
+    def test_one_sided_load_runs_exactly_the_one_round_schedule(self,
+                                                                monkeypatch):
+        """Only group 0 casts: the other groups' bundles are empty, the
+        extra round is never started, and the run is event for event
+        the run of one round in flight."""
+        def run():
+            system = build_system(protocol="a2", group_sizes=[3, 3, 3],
+                                  seed=42)
+            system.start_rounds()
+            plans = poisson_workload(
+                system.topology, system.rng.stream("wl"), rate=100.0,
+                duration=4.0, senders=[0, 1, 2])
+            for i, plan in enumerate(plans):
+                system.cast_at(plan.time, plan.sender, mid=f"m{i:05d}")
+            system.run_quiescent()
+            return (system.sim.events_executed,
+                    [(r.msg_id, r.delivery_time) for r in
+                     system.meter.records()])
+
+        two = run()
+        monkeypatch.setattr(abcast, "ROUNDS_IN_FLIGHT", 1)
+        assert run() == two
+
+    def test_burst_then_idle_drains_with_one_trailing_empty_round(self):
+        system = _loaded(duration=3.0, trace=True)
+        report = check_quiescence(system.sim, system.network.trace)
+        assert report.quiescent
+        for endpoint in system.endpoints.values():
+            endpoint.inv()
+            assert endpoint.blocked_on() is None
+            assert endpoint.msgs == {} and endpoint._own_bundle == {}
+            assert endpoint.fresh == set() and endpoint._in_flight == set()
+            # Rounds after the last useful one: exactly the paper's one.
+            assert endpoint.k - 1 - endpoint._last_useful == 1
+            assert not endpoint._timer_armed
+        # Round 1 (warm-up, before any cast) and the trailing one.
+        endpoint = system.endpoints[0]
+        assert endpoint.rounds_executed - endpoint.useful_rounds == 2
+
+    def test_rounds_delivered_in_order_each_exactly_once(self):
+        """Under jittered WAN links decisions and bundles of rounds K
+        and K+1 arrive in either order; delivery stays by round."""
+        system = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=9,
+                              latency=LatencyModel.wan())
+        system.start_rounds()
+        schedule_workload(system, poisson_workload(
+            system.topology, system.rng.stream("wl"), rate=0.5,
+            duration=1500.0))
+        completed = {pid: [] for pid in system.endpoints}
+        overlapped = 0
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            for pid, endpoint in system.endpoints.items():
+                endpoint.inv()
+                overlapped += endpoint.prop_k == endpoint.k + 2
+                if not completed[pid] or completed[pid][-1] != endpoint.k:
+                    completed[pid].append(endpoint.k)
+        for pid, ks in completed.items():
+            assert ks == list(range(1, system.endpoints[pid].k + 1))
+        assert overlapped > 1000  # the second round was in flight
+        assert len(system.log.sequence(0)) > 600
+        check_all(system.log, system.topology)
+
+
+class TestBlockedOn:
+    def test_names_head_round_and_missing_groups(self):
+        system = build_system(protocol="a2", group_sizes=[2, 2, 2], seed=1)
+        assert system.endpoints[0].blocked_on() is None
+        system.cast(sender=0)
+        system.run(until=0.5)
+        # Group 0 decided round 1; nobody else has heard of it yet.
+        assert system.endpoints[0].blocked_on() == abcast.RoundWait(
+            1, True, (1, 2))
+        assert system.endpoints[2].blocked_on() is None
+        system.run(until=1.5)
+        assert system.endpoints[2].blocked_on() == abcast.RoundWait(
+            1, True, (2,))
+        system.run_quiescent()
+        assert all(ep.blocked_on() is None
+                   for ep in system.endpoints.values())

@@ -113,8 +113,22 @@ class TestRenderWaits:
         drained = render_waits(system.endpoints)
         assert drained.count("nothing waits in s3") == 9
 
-    def test_protocols_without_the_hook_are_skipped(self):
+    def test_a2_names_head_round_and_missing_bundles(self):
         system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        assert render_waits(system.endpoints).count(
+            "no round in flight") == 4
+        system.cast(sender=0)
+        system.run(until=0.5)
+        lines = render_waits(system.endpoints).splitlines()
+        assert lines[0] == ("p0    round 1 waits on the bundle of "
+                            "group(s) 1; own bundle known")
+        assert lines[2] == "p2    no round in flight"
+        system.run_quiescent()
+        assert render_waits(system.endpoints).count(
+            "no round in flight") == 4
+
+    def test_protocols_without_the_hook_are_skipped(self):
+        system = build_system(protocol="skeen", group_sizes=[2, 2], seed=1)
         assert render_waits(system.endpoints) == \
             "(no endpoint reports waits)"
 
