@@ -432,7 +432,7 @@ def rebalance(seeds: Optional[Sequence[int]] = None) -> Campaign:
         seeds=seeds,
         checkers=("properties", "serializability", "convergence",
                   "reconfig"),
-        metrics=("core", "latency", "store", "reconfig"),
+        metrics=("core", "latency", "traffic", "store", "reconfig"),
     )
     # The arrival rate scales with the group count so per-partition
     # pressure stays comparable: a rate that saturates 16 groups spreads

@@ -63,16 +63,17 @@ class LoadBalancer:
         self._seq = 0
         self._heat_index = 0
         self._outstanding: Optional[ReconfigOp] = None
-        #: key -> full former-owner chain, oldest first (epoch 0 at the
-        #: head), grown by one entry per completed migration of the key.
-        self.key_chain: Dict[str, List[int]] = {}
-        #: completed migrations announced to the client sessions.
-        self.pushes = 0
+        #: ids of completed migrations announced to the client sessions.
+        self.pushed: List[str] = []
         #: (tick time, reconfig id, src, dst, keys) per initiated move.
         self.migrations: List[Tuple[float, str, int, int, tuple]] = []
         #: ticks skipped because a migration was still in flight.
         self.ticks_blocked = 0
         self.ticks = 0
+
+    @property
+    def pushes(self) -> int:
+        return len(self.pushed)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -109,12 +110,12 @@ class LoadBalancer:
         its transactions trips over the fence, so every (client, moved
         key) pair pays a rejected leg plus a residue round-trip.  A
         placement driver can do better: once every correct participant
-        has the outcome, push the new owner to all sessions.  The push
-        carries the key's full former-owner chain, so the fence legs it
-        seeds are exactly those a chain of bounces would have
-        accumulated — the pairwise-ordering argument is unchanged, only
-        the discovery is proactive.  Transactions already in flight
-        across the window still bounce; that path stays load-bearing.
+        has the outcome, push the new owner to all sessions.  Every
+        correct replica of the new owner has then executed R and H, so
+        whatever a session casts after the push is delivered there
+        after R and needs no fence leg; the push retires the one a
+        bounce may have armed.  Transactions already in flight across
+        the window still bounce; that path stays load-bearing.
         """
         completed = any(
             op.reconfig_id in self.cluster.stores[pid].completed_reconfigs
@@ -122,14 +123,12 @@ class LoadBalancer:
             for pid in self._correct_members(gid))
         if not completed:
             return  # aborted: ownership did not change, nothing to teach
-        for key in op.keys:
-            self.key_chain.setdefault(key, []).append(op.src)
         for client in self.cluster.clients.values():
             if client.store.process.crashed:
                 continue
             for key in op.keys:
-                client.learn(key, op.dst, self.key_chain[key])
-        self.pushes += 1
+                client.learn(key, op.dst, op.reconfig_id)
+        self.pushed.append(op.reconfig_id)
 
     def _heat_window(self) -> Dict[str, int]:
         """Per-key demand counts since the previous tick.

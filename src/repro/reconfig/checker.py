@@ -19,7 +19,11 @@ serializable across the moves) with the reconfig-specific invariants:
 4. **unique ownership** — at the end of the run every surviving key is
    held by the replicas of exactly one partition, at one value (no key
    is duplicated across groups by a half-applied move, and none is
-   left dangling at a shed source).
+   left dangling at a shed source);
+5. **no route outran its reconfig** — no replica ever received a
+   transaction routed to it for a key whose move there it had not yet
+   delivered (the ``outran`` journals are empty): the sessions' fence
+   rule promises every such transaction arrives after R.
 
 Unfinished reconfigs (an R whose H never landed because the designated
 caster crashed) are *reported*, not flagged: safety holds — the moving
@@ -182,6 +186,16 @@ def check_reconfig(cluster) -> Dict[str, object]:
                 f"more than one partition",
                 kind="duplicate_ownership", key=key,
                 groups=sorted(by_group),
+            )
+
+    # -------------------------------------------------------------- 5
+    for pid in sorted(cluster.stores):
+        for txn_id, key in cluster.stores[pid].outran.items():
+            raise ReconfigViolation(
+                f"route outran the reconfig: {txn_id} reached replica "
+                f"{pid} routed there for {key!r} before the move that "
+                f"brings the key in — it is ordered before R, not after",
+                kind="route_outran", pid=pid, txn=txn_id, key=key,
             )
 
     keys_moved = sorted({k for rid in completed for k in ops[rid].keys})

@@ -3,9 +3,10 @@
 Registered in :data:`repro.campaigns.metrics.EXTRACTORS` under
 ``"reconfig"``: migration counts and key volume, epoch-fencing traffic
 (``WrongEpoch`` bounces, residue retries, abandoned transactions),
-pipeline stall time, and balancer tick accounting.  All zeros on a
-static store scenario, so a rebalance-on/off grid axis yields
-comparable rows.
+pipeline stall time, routes that outran their reconfig (always 0
+unless the fence rule is broken), and balancer tick accounting.  All
+zeros on a static store scenario, so a rebalance-on/off grid axis
+yields comparable rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ def reconfig_metrics(system) -> Dict[str, float]:
     bounces = set()
     stall_time = 0.0
     stalled_at_end = set()
+    outran = 0
     for store in cluster.stores.values():
+        outran += len(store.outran)
         ops.update(store.initiated_reconfigs)
         completed.update(store.completed_reconfigs)
         aborted.update(store.aborted_reconfigs)
@@ -54,6 +57,7 @@ def reconfig_metrics(system) -> Dict[str, float]:
         "txns_abandoned": float(len(abandoned)),
         "txns_stalled_at_end": float(len(stalled_at_end)),
         "migration_stall_time": float(stall_time),
+        "routes_outran": float(outran),
     }
     balancer = cluster.balancer
     out["balancer_ticks"] = float(balancer.ticks if balancer else 0)

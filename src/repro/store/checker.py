@@ -86,20 +86,25 @@ class _GroupWalk:
         self.proceed: Dict[str, bool] = {}
         #: reconfig id -> its op (for the moving key set).
         self.ops: Dict[str, ReconfigOp] = {}
-        #: reconfig id -> data txns before R in the source's journal
-        #: (the one-copy replay captures the handoff's expected
-        #: snapshot once these have replayed).
-        self.r_preds: Dict[str, Set[str]] = {}
         #: reconfig id -> {moving key -> the earlier reconfig whose
-        #: handoff imported that key into this move's source}.  A key's
-        #: value provenance crosses groups with it, so the snapshot
-        #: capture must also wait for the pre-move data of every former
-        #: owner on the key's import chain.
+        #: handoff imported that key into this move's source}, for
+        #: every move that proceeded: a key's epoch chain, backwards.
         self.key_imports: Dict[str, Dict[str, str]] = {}
+        #: (key, importing reconfig id or None for epoch 0) -> [first,
+        #: last] txn that executed the key under that tenure.
+        self.spans: Dict[Tuple[str, Optional[str]], List[str]] = {}
         #: gid -> the group's final map view.
         self.views: Dict[int, object] = {}
         #: gid -> keys still awaiting their handoff at the end.
         self.pending_end: Dict[int, Set[str]] = {}
+
+    def last_before(self, rid: str, key: str) -> Optional[str]:
+        """The last txn to execute ``key`` before move ``rid`` shed it,
+        chased back through tenures in which nobody touched the key."""
+        tenure = self.key_imports.get(rid, {}).get(key)
+        while (key, tenure) not in self.spans and tenure is not None:
+            tenure = self.key_imports.get(tenure, {}).get(key)
+        return self.spans.get((key, tenure), (None, None))[1]
 
 
 class StreamingSerializabilityChecker:
@@ -182,8 +187,8 @@ class StreamingSerializabilityChecker:
         """Run atomicity + embedding + one-copy replay; returns the
         global serial order (data transactions) on success."""
         self._check_atomicity(cluster)
-        order = self._global_order()
         walk = self._walk_groups(cluster)
+        order = self._global_order(walk)
         self._replay_and_compare(cluster, order, walk)
         return order
 
@@ -234,27 +239,37 @@ class StreamingSerializabilityChecker:
                     executed_in=sorted(gids),
                 )
 
-    def _global_order(self) -> Tuple[str, ...]:
-        """Kahn's topological sort over the per-group data chains.
+    def _global_order(self, walk: _GroupWalk) -> Tuple[str, ...]:
+        """Kahn's topological sort over the per-group data chains and
+        the conflict edges across each completed move.
 
         Only data transactions join the graph: each group's journal
         restricted to data is its serialization commitment (data never
         reorders against data), while a control's position relative to
         *unrelated* data is an artifact of the stall-overtake rule and
-        must not constrain the global order.  Ties (transactions with
-        no constraint between them) break by txn id, so the returned
-        order is deterministic.
+        must not constrain the global order.  A key's old and new
+        owner need share no transaction, so each move adds the edge it
+        implies: the last txn to execute the key before R precedes the
+        first to execute it after H.  Ties (transactions with no
+        constraint between them) break by txn id, so the returned order
+        is deterministic.
         """
         data_ids = {t for t, item in self._txns.items()
                     if isinstance(item, Transaction)}
         successors: Dict[str, Set[str]] = {t: set() for t in data_ids}
         indegree: Dict[str, int] = {t: 0 for t in data_ids}
-        for order in self._group_order.values():
-            chain = [t for t in order if t in data_ids]
-            for earlier, later in zip(chain, chain[1:]):
-                if later not in successors[earlier]:
-                    successors[earlier].add(later)
-                    indegree[later] += 1
+        def edges():
+            for order in self._group_order.values():
+                chain = [t for t in order if t in data_ids]
+                yield from zip(chain, chain[1:])
+            for (key, rid), span in walk.spans.items():
+                if rid is not None:
+                    yield walk.last_before(rid, key), span[0]
+
+        for earlier, later in edges():
+            if earlier is not None and later not in successors[earlier]:
+                successors[earlier].add(later)
+                indegree[later] += 1
         ready = [t for t, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
         serial: List[str] = []
@@ -292,7 +307,6 @@ class StreamingSerializabilityChecker:
             shed: Dict[str, str] = {}
             pend_meta: Dict[str, dict] = {}
             settled: Set[str] = set()
-            seen_data: List[str] = []
             imported: Dict[str, str] = {}
             for item_id in order:
                 item = self._txns[item_id]
@@ -307,7 +321,6 @@ class StreamingSerializabilityChecker:
                         )
                         walk.proceed[rid] = ok
                         if ok:
-                            walk.r_preds[rid] = set(seen_data)
                             walk.key_imports[rid] = {
                                 k: imported[k] for k in item.keys
                                 if k in imported
@@ -347,17 +360,20 @@ class StreamingSerializabilityChecker:
                     settled.add(rid)
                 else:
                     txn = item
-                    seen_data.append(txn.txn_id)
                     for op in txn.ops:
                         key = op[1]
                         if txn.routes is None:
                             if view.group_of(key) == gid:
                                 walk.facts[(txn.txn_id, key)] = True
                         elif txn.route_of(key) == gid:
-                            walk.facts[(txn.txn_id, key)] = (
-                                view.group_of(key) == gid
-                                and key not in pending
-                            )
+                            ran = (view.group_of(key) == gid
+                                   and key not in pending)
+                            walk.facts[(txn.txn_id, key)] = ran
+                            if ran:
+                                walk.spans.setdefault(
+                                    (key, imported.get(key)),
+                                    [txn.txn_id, txn.txn_id],
+                                )[1] = txn.txn_id
             walk.views[gid] = view
             walk.pending_end[gid] = set(pending)
         return walk
@@ -371,43 +387,27 @@ class StreamingSerializabilityChecker:
                 self.reconfig_replay[rid] = {
                     "proceeded": False, "snapshot": (),
                 }
-        def closure(rid: str, key: str) -> Set[str]:
-            # Everything the one-copy replay must have executed before
-            # `key`'s value at `rid`'s R is settled: the data preceding
-            # R in the source's journal, plus — recursively, through
-            # the handoff that imported the key into the source — the
-            # pre-move data of every former owner on the key's import
-            # chain.  Every executed write to the key before the move
-            # is in one of those prefixes, and every post-move writer
-            # carries fence legs at each former owner (its first route
-            # for the key is the epoch-0 owner, and each bounce walks
-            # one hop down the chain), so it orders after all of them.
-            memo_key = (rid, key)
-            if memo_key in closure_memo:
-                return closure_memo[memo_key]
-            preds = set(walk.r_preds.get(rid, ()))
-            importer = walk.key_imports.get(rid, {}).get(key)
-            if importer is not None:
-                preds |= closure(importer, key)
-            closure_memo[memo_key] = preds
-            return preds
-
-        closure_memo: Dict[Tuple[str, str], Set[str]] = {}
-        remaining: Dict[Tuple[str, str], Set[str]] = {}
+        # The handoff of `rid` must carry, per key, the one-copy value
+        # left by the last txn that executed the key before R (chased
+        # through tenures nobody used): every earlier executor precedes
+        # it in some owner's journal, and every later one executes at a
+        # new owner after H — it was delivered there after R, pushed or
+        # fenced at the bouncer — so the move's edge in the global
+        # order puts it after the capture.
+        capture_after: Dict[Optional[str], List[Tuple[str, str]]] = {}
         captured: Dict[str, Dict[str, object]] = {}
-        for rid in walk.r_preds:
+        for rid in walk.key_imports:
             captured[rid] = {}
             for k in walk.ops[rid].keys:
-                remaining[(rid, k)] = set(closure(rid, k))
+                capture_after.setdefault(
+                    walk.last_before(rid, k), []).append((rid, k))
 
-        def capture_ready() -> None:
-            for rid, k in [ck for ck, preds in remaining.items()
-                           if not preds]:
+        def capture(after: Optional[str]) -> None:
+            for rid, k in capture_after.get(after, ()):
                 if k in single_copy:
                     captured[rid][k] = single_copy[k]
-                del remaining[(rid, k)]
 
-        capture_ready()
+        capture(None)
         for txn_id in order:
             txn = self._txns[txn_id]
             expected = execute(
@@ -415,9 +415,7 @@ class StreamingSerializabilityChecker:
                 owned=lambda key, t=txn: walk.facts.get(
                     (t.txn_id, key), False),
             )
-            for preds in remaining.values():
-                preds.discard(txn_id)
-            capture_ready()
+            capture(txn_id)
             for index, op in enumerate(txn.ops):
                 key = op[1]
                 gid = (txn.route_of(key) if txn.routes is not None

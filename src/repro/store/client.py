@@ -180,17 +180,19 @@ class StoreClient:
         self.max_retries = max_retries
         #: Transactions this session issued, in issue order.
         self.issued: List[str] = []
-        #: Ownership updates learned from WrongEpoch bounces.
+        #: Learned ownership: key -> owner, from bounces and pushes.
         self.overrides: Dict[str, int] = {}
-        #: Epoch fence legs: key -> groups that bounced it.  A txn
-        #: routed per learned ownership is *also* multicast to these
-        #: former owners; the extra leg restores the pairwise-ordering
-        #: link with old-epoch transactions whose ops for the key went
-        #: to the former owner (two txns touching the key on opposite
-        #: sides of a migration would otherwise share no destination
-        #: group, and an indirect conflict through a third key could
-        #: order them inconsistently).  The former owner executes no
-        #: ops — the routes name the new owner — it only orders.
+        #: key -> id of the newest move of it this session has learned
+        #: (balancer ids ``rc%05d`` grow with time).
+        self.learned: Dict[str, str] = {}
+        #: Epoch fence leg: key -> {the group that bounced it}, kept
+        #: from the bounce until the same move is pushed.  A txn that
+        #: executes the key at new owner h is serialised after every
+        #: old-epoch txn iff h delivers it after R, the move's
+        #: ReconfigOp.  A bounce at g proves only that *g* delivered R;
+        #: a residue also addressed to g shares both of R's
+        #: destinations, g delivered R first, so by uniform prefix
+        #: order h does too.  g executes no ops — the routes name h.
         self.fences: Dict[str, Set[int]] = {}
         self._ops: Dict[str, tuple] = {}
         self._handled_bounces: Set[Tuple[str, int]] = set()
@@ -239,24 +241,37 @@ class StoreClient:
         self._ops[txn.txn_id] = ops
         return self.store.submit(txn, dest=dest)
 
-    def learn(self, key: str, owner: int, formers) -> None:
-        """Accept a pushed ownership update (placement-driver style).
+    def learn(self, key: str, owner: int, reconfig_id: str) -> None:
+        """Accept a pushed move (placement-driver style).
 
-        ``formers`` must carry the key's *full* former-owner chain back
-        to epoch 0: the fence legs derived from it are what order this
-        session's future transactions on the key after every old-epoch
-        transaction, exactly as a chain of bounces would have.
+        The balancer pushes only once every correct replica of both
+        groups has executed the handoff, so whatever this session casts
+        from now on is delivered at ``owner`` after R: no leg is needed.
         """
-        self.overrides[key] = owner
-        self.fences.setdefault(key, set()).update(formers)
+        if reconfig_id >= self.learned.get(key, ""):
+            self.learned[key] = reconfig_id
+            self.overrides[key] = owner
+            self.fences.pop(key, None)
+
+    def inv(self) -> None:
+        """Fence state, checkable at any event boundary: at most one
+        leg per key, armed by a bounce, never at the key's own route."""
+        for key, legs in self.fences.items():
+            assert len(legs) == 1 and key in self.learned, (key, legs)
+            assert self.overrides[key] not in legs, (key, legs)
 
     def on_wrong_epoch(self, txn_id: str, gid: int, bounced: tuple,
-                       updates: Dict[str, int]) -> None:
-        """A replica fenced our transaction: learn the new owners and
-        retry the bounced ops as a residue transaction."""
-        self.overrides.update(updates)
-        for key in bounced:
-            self.fences.setdefault(key, set()).add(gid)
+                       updates: Dict[str, Tuple[int, str]]) -> None:
+        """A replica fenced our transaction: retry the bounced ops as a
+        residue transaction.  ``updates`` names, per key, the new owner
+        and the move that shed it; only a move newer than what the
+        session knows reroutes the key and arms the leg at ``gid`` — a
+        stale notice leaves the (newer) route and adds none."""
+        for key, (owner, reconfig_id) in updates.items():
+            if reconfig_id > self.learned.get(key, ""):
+                self.learned[key] = reconfig_id
+                self.overrides[key] = owner
+                self.fences[key] = {gid}
         if (txn_id, gid) in self._handled_bounces:
             return  # every replica of the group sends the same notice
         self._handled_bounces.add((txn_id, gid))

@@ -36,6 +36,7 @@ from repro.store.workload import (
     TxnPlan,
     build_partition_map,
     data_group_ids,
+    key_name,
     txn_workload,
 )
 
@@ -191,7 +192,7 @@ class StoreCluster:
         return cluster
 
     def _on_bounce(self, client_pid: int, txn_id: str, gid: int,
-                   keys: tuple, updates: Dict[str, int]) -> None:
+                   keys: tuple, updates: Dict[str, tuple]) -> None:
         """Deliver a WrongEpoch notice to the issuing client session."""
         client = self.clients.get(client_pid)
         if client is None:
@@ -223,6 +224,38 @@ class StoreCluster:
         """
         assert_group_convergence(
             self.system, lambda pid: self.stores[pid].owned_snapshot())
+
+    def inv(self) -> None:
+        """Elastic-routing invariants, checkable at any event boundary
+        (the tests step them after every kernel event).
+
+        Every session's own :meth:`StoreClient.inv`; a fence leg stands
+        only at the source of the move it was learned from, and only
+        until the balancer pushes that move; and — each group judged by
+        its most advanced replica, whose view is its group's latest
+        position in the order — at most one group holds a key
+        executably, none only while the key's handoff is in flight.
+        """
+        pushed = self.balancer.pushed if self.balancer else ()
+        heads = {gid: max((self.stores[pid] for pid in
+                           self.system.topology.members(gid)),
+                          key=lambda store: len(store.applied))
+                 for gid in self.data_gids}
+        for client in self.clients.values():
+            client.inv()
+            for key, (gid,) in client.fences.items():
+                rid = client.learned[key]
+                op = heads[gid].initiated_reconfigs.get(rid)
+                assert op and op.src == gid and key in op.keys, (key, rid)
+                assert rid not in pushed, (key, rid)
+        for key in map(key_name, range(self.spec.n_keys)):
+            owners = [gid for gid, store in heads.items()
+                      if store._owns(key) and key not in store.pending_keys]
+            moving = any(
+                key in store.shed and not heads[store.shed[key][0]]
+                .reconfig_finished(store.shed[key][1])
+                for store in heads.values())
+            assert len(owners) == (0 if moving else 1), (key, owners)
 
     def involvement(self) -> InvolvementReport:
         """Per-group sent/received copies and destination counts.

@@ -106,6 +106,8 @@ class TransactionalStore:
         self.handoffs: Dict[str, Handoff] = {}
         #: fenced transactions: dicts of position/txn_id/keys/gid.
         self.rejections: List[dict] = []
+        #: txn id -> key it was routed here for before the move arrived.
+        self.outran: Dict[str, str] = {}
         # --- execution pipeline --------------------------------------
         self._inbox: List[Tuple[AppMessage, object]] = []
         self._executing = False
@@ -282,10 +284,13 @@ class TransactionalStore:
         """Must this transaction wait for a migration to land?
 
         True when an op addressed *to this group* touches a key whose
-        state is still in flight (between R and H) or whose move here
-        hasn't been delivered yet (the client's bounce-updated route
-        outran the reconfig message).  Untagged transactions (static
-        deployments) never stall.
+        state is still in flight (between R and H).  A key routed here
+        that this group neither owns nor shed means the route outran
+        the reconfig message — the clients' fence rule makes that
+        impossible, so it is journalled (``outran``) for
+        ``check_reconfig`` to fail on; the transaction still waits, so
+        no state is lost.  Untagged transactions (static deployments)
+        never stall.
         """
         if txn.routes is None:
             return False
@@ -296,6 +301,7 @@ class TransactionalStore:
                 return True
             if (self.partition_map.group_of(key) != self.my_gid
                     and key not in self.shed):
+                self.outran[txn.txn_id] = key
                 return True
         return False
 
@@ -344,12 +350,13 @@ class TransactionalStore:
 
         Modeled as a point-to-point notification outside the multicast
         (``notice_delay`` stands in for the reply latency); it carries
-        the new owner per key so the client can reroute the leftover
-        ops.
+        per key the new owner and the id of the move that shed it, so
+        the client can reroute the leftover ops and tell a stale notice
+        from a new one.
         """
         if self.bounce_notify is None:
             return
-        updates = {k: self.partition_map.group_of(k) for k in bounced}
+        updates = {k: self.shed[k] for k in bounced}
         sim = self.process.sim
         sim.call_at(
             sim.now + self.notice_delay,

@@ -53,6 +53,17 @@ happened not to move — A2 delivers a round in mid order and this plan's
 mids ascend with cast time, so regrouping casts into more rounds leaves
 every sequence as it was.  A2 runs in no other workload; the other six
 rows are untouched.
+
+Re-recorded a fifth time, ``store_rebalance`` only, when fence legs
+started to retire (``store/client.py``: a pushed move needs no leg, a
+bounced one only the bouncer, until the push).  Transactions on a moved
+key are no longer also multicast to the key's whole former-owner chain,
+so the destination sets — part of what is hashed — shrink, and with
+them the copies: ``net.msgs`` 2444 → 1795, ``consensus.msgs`` 1386 →
+1155 on this ÷20 plan (277 365 → 46 952 on the full one);
+``lat_p50_sim`` is the plan's unloaded 4.504 on both sides here.
+``learn()`` is never called while the balancer is idle, so
+``store_mix`` and the five non-store rows are untouched.
 """
 
 import json
@@ -80,8 +91,8 @@ PINS = {
         "ac2cd07f16622aef4f0b8fe78bfa17b4d5113c1a97a79f34f8b4a949548c30c6",
         188.6030606555919, 6302, 4212),
     "store_rebalance": (
-        "df2a17f2eb968dfa718793caa992085c93ae3067acb1b7d7bdf496a54b497542",
-        4.504000000000019, 2444, 1386),
+        "bf24540a749b4a830fcf22061f160a44adb6ca419fb3e484fdd23bab720d6e44",
+        4.504000000000019, 1795, 1155),
     "a1_lossy": (
         "084a40a76eedfa312b9b2102620bd42891e8b0ab3af32ee1bf1736db50f576d9",
         2.8786969094447743, 9954, 3818),

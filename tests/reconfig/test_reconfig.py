@@ -3,7 +3,9 @@
 Every test drives the real stack — atomic multicast, service layer,
 epoch fencing, commit tracker — through :class:`StoreCluster`; the
 balancer is parked (interval beyond the horizon) so each test controls
-exactly which :class:`ReconfigOp` enters the total order.
+exactly which :class:`ReconfigOp` enters the total order.  Runs are
+stepped one kernel event at a time with ``StoreCluster.inv()`` asserted
+at every boundary.
 """
 
 import dataclasses
@@ -24,6 +26,14 @@ def build_elastic(n_groups=3, seed=2, **kwargs):
                               protocol="a1", seed=seed)
 
 
+def settle(cluster):
+    """Run to quiescence, the routing invariants checked per event."""
+    system = cluster.system
+    while system.sim.pending_events:
+        system.run(max_events=1)
+        cluster.inv()
+
+
 def first_client(cluster, gid):
     pid = cluster.system.topology.members(gid)[0]
     return cluster.client(pid)
@@ -35,7 +45,7 @@ def migrate(cluster, rid, key, dst):
     op = ReconfigOp(reconfig_id=rid, src=src, dst=dst, keys=(key,))
     submitter = cluster.system.topology.members(src)[0]
     cluster.stores[submitter].submit_reconfig(op)
-    cluster.system.run_quiescent()
+    settle(cluster)
     return src
 
 
@@ -46,7 +56,7 @@ class TestMigration:
         src = cluster.partition_map.group_of(key)
         dst = (src + 1) % 3
         first_client(cluster, src).submit("t1", (("put", key, 42),))
-        cluster.system.run_quiescent()
+        settle(cluster)
 
         migrate(cluster, "rc-move", key, dst)
 
@@ -70,7 +80,7 @@ class TestMigration:
                         keys=(key,))
         submitter = cluster.system.topology.members(src)[0]
         cluster.stores[submitter].submit_reconfig(op)
-        cluster.system.run_quiescent()
+        settle(cluster)
 
         summary = check_reconfig(cluster)
         assert summary["aborted"] == ["rc-bad"]
@@ -90,14 +100,15 @@ class TestMigration:
         # its old owner: the owner fences, the residue retries at dst.
         stale = first_client(cluster, other)
         stale.submit("t2", (("put", key, 7),))
-        cluster.system.run_quiescent()
+        settle(cluster)
 
         tracker = cluster.tracker
         assert "t2" in tracker.committed
         assert any(parent == "t2" for parent in tracker.parents.values())
         assert ("t2", src) in tracker.bounces
         assert stale.overrides[key] == dst
-        assert src in stale.fences[key]
+        assert stale.fences[key] == {src}
+        assert stale.learned[key] == "rc-move"
         for pid in cluster.system.topology.members(dst):
             assert cluster.stores[pid].state[key] == 7
         check_serializability(cluster)
@@ -112,22 +123,33 @@ class TestMigration:
         migrate(cluster, "rc-move", key, dst)
         stale = first_client(cluster, other)
         stale.submit("t2", (("put", key, 7),))
-        cluster.system.run_quiescent()
+        settle(cluster)
 
-        # The next transaction routing the key is multicast to the new
-        # owner AND the fenced former owner — the extra leg restores
-        # the pairwise-ordering link across the epoch change.
+        # Until the move is pushed, the session that only *bounced*
+        # knows no more than that the bouncer delivered R: its next
+        # transactions on the key also go to the bouncer, which orders
+        # them after R at the new owner too.
         msg = stale.submit("t3", (("incr", key, 1),))
-        assert set(msg.dest_groups) >= {src, dst}
-        cluster.system.run_quiescent()
+        assert set(msg.dest_groups) == {src, dst}
+        settle(cluster)
+
+        # The push ends that: every replica of the new owner has
+        # executed R and H, so nothing cast from here on can precede R.
+        stale.learn(key, dst, "rc-move")
+        msg = stale.submit("t4", (("incr", key, 1),))
+        assert set(msg.dest_groups) == {dst}
+        settle(cluster)
+        for pid in cluster.system.topology.members(dst):
+            assert cluster.stores[pid].state[key] == 9
         check_serializability(cluster)
+        check_reconfig(cluster)
 
     def test_tampered_snapshot_is_detected(self):
         cluster = build_elastic()
         key = "k00000"
         src = cluster.partition_map.group_of(key)
         first_client(cluster, src).submit("t1", (("put", key, 42),))
-        cluster.system.run_quiescent()
+        settle(cluster)
         migrate(cluster, "rc-move", key, (src + 1) % 3)
 
         for store in cluster.stores.values():
@@ -212,11 +234,17 @@ class TestBalancerSplit:
         bal._outstanding = ReconfigOp(reconfig_id="rc-move", src=src,
                                       dst=dst, keys=(key,))
         bal._tick()
-        assert bal.pushes == 1
-        assert bal.key_chain[key] == [src]
+        assert bal.pushes == 1 and bal.pushed == ["rc-move"]
+        # A pushed session casts to the new owner alone: no leg.
         for client in cluster.clients.values():
             assert client.overrides[key] == dst
-            assert src in client.fences[key]
+            assert client.learned[key] == "rc-move"
+            assert key not in client.fences
+            msg = client.submit(f"t-{client.pid}", (("incr", key, 1),))
+            assert msg.dest_groups == (dst,)
+        settle(cluster)
+        check_serializability(cluster)
+        check_reconfig(cluster)
 
     def test_validation(self):
         cluster = build_elastic()

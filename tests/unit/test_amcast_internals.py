@@ -25,6 +25,7 @@ from repro.campaigns.spec import (
     WorkloadSpec,
 )
 from repro.core.amcast import Blocker, _Pending
+from repro.failure.schedule import CrashSchedule
 from repro.net.message import Message
 from repro.net.topology import Fixed, LatencyModel
 from repro.runtime.builder import build_system
@@ -464,3 +465,65 @@ class TestDeliveryRule:
         endpoint._ensure_pending(
             AppMessage(mid=msg.mid, sender=0, dest_groups=(0, 1)))
         assert msg.mid not in endpoint.pending
+
+
+class TestCastAfterDelivery:
+    """The ordering fact the store's epoch fencing leans on: a message
+    cast to g after every correct member of g A-Delivered m is delivered
+    after m at *every* common destination — g's clock has passed m's
+    final timestamp, so whatever g proposes for the newcomer exceeds it,
+    however far behind the other destinations still are."""
+
+    G, H, K = 0, 1, 2
+
+    def _system(self, seed, crashes=None):
+        # g's copies crawl to h and k, and g's clock runs ahead: g
+        # delivers m long before the others can.
+        latency = LatencyModel(
+            intra=Fixed(0.001), inter=Fixed(1.0),
+            pairwise_inter={(self.G, self.H): Fixed(10.0),
+                            (self.G, self.K): Fixed(10.0)})
+        system = build_system(protocol="a1", group_sizes=[3, 3, 3, 3],
+                              seed=seed, latency=latency, crashes=crashes)
+        for i in range(15):
+            system.cast_at(0.1 * i, sender=0, dest_groups=(self.G,))
+        rng = system.rng.stream("background")
+        for i in range(20):
+            system.cast_at(2.0 + rng.random() * 8.0,
+                           sender=rng.randrange(12),
+                           dest_groups=rng.sample(range(4), 2))
+        return system
+
+    def _delivered_by_all_correct(self, system, mid, gid):
+        return all(mid in system.endpoints[pid].adelivered
+                   for pid in system.topology.members(gid)
+                   if not system.network.process(pid).crashed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("later_dest", [(0, 1), (0, 1, 2), (0, 2)])
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_ordered_after_at_every_common_destination(
+            self, seed, later_dest, crash):
+        crashes = CrashSchedule({1: 5.5}) if crash else None
+        system = self._system(seed, crashes)
+        # m is cast from a third group, so g and h hear of it together
+        # and only g's slow timestamp holds h back.
+        m = system.cast_at(5.0, sender=9, dest_groups=(self.G, self.H))
+        while not self._delivered_by_all_correct(system, m.mid, self.G):
+            assert system.sim.pending_events
+            system.run(max_events=1)
+        laggards = [pid for pid in system.topology.members(self.H)
+                    if m.mid not in system.endpoints[pid].adelivered]
+        assert laggards, "the scenario must leave h behind g"
+        later = system.cast(sender=9, dest_groups=later_dest)
+        system.run_quiescent()
+
+        common = set(later_dest) & {self.G, self.H}
+        checked = 0
+        for gid in common:
+            for pid in system.topology.members(gid):
+                seq = system.log.sequence(pid)
+                if later.mid in seq:
+                    assert seq.index(m.mid) < seq.index(later.mid), pid
+                    checked += 1
+        assert checked >= len(common) * 2
