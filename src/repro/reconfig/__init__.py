@@ -9,7 +9,7 @@ argument inside the atomic multicast's total order:
 * :mod:`repro.reconfig.txn` — the reconfig/handoff *control payloads*
   that ride the same atomic multicast as data transactions;
 * :mod:`repro.reconfig.balancer` — the :class:`LoadBalancer` that
-  watches per-key commit heat and triggers key-range migrations;
+  watches decayed per-key demand heat and triggers key-range migrations;
 * :mod:`repro.reconfig.checker` — the post-hoc ``reconfig`` checker
   (unique ownership per epoch, no stale execution, migrated state
   equals the source snapshot);

@@ -1,17 +1,21 @@
-"""The load balancer: commit-rate-driven key-range migration.
+"""The load balancer: demand-driven key-range migration.
 
 :class:`LoadBalancer` is the controller of the elastic repartitioning
-loop.  It ticks on a fixed virtual-time period, reads per-key demand
-heat from the shared :class:`~repro.store.client.CommitTracker`'s
-issue journal (the balancer reacts to *observed* client traffic,
-never to the workload spec),
-and when the hottest data group's load exceeds the coldest's by more
-than ``threshold``×, it multicasts a :class:`~repro.reconfig.txn.
-ReconfigOp` moving the hottest keys — through the same atomic
-multicast as every data transaction, via the lowest-pid correct
-replica of the *source* group, so the decision's effect has a
-totally-ordered position and the submitter is guaranteed to observe
-both R and H.
+loop.  It ticks on a fixed virtual-time period, folds the shared
+:class:`~repro.store.client.CommitTracker`'s issue journal into an
+exponentially decayed per-key heat (the balancer reacts to *observed*
+client traffic, never to the workload spec), and when the hottest data
+group's load exceeds the coldest's by more than ``threshold``×, it
+multicasts a :class:`~repro.reconfig.txn.ReconfigOp` moving the hottest
+keys — through the same atomic multicast as every data transaction,
+via the lowest-pid correct replica of the *source* group, so the
+decision's effect has a totally-ordered position and the submitter is
+guaranteed to observe both R and H.
+
+**Hysteresis.**  One tick's window holds a dozen or so issues: decided
+on alone, a different group looks coldest at every tick and a hot key
+follows it around.  Decayed heat averages that noise away; the hot/cold
+ratio does not depend on scale, so a first tick decides as one window.
 
 One migration is in flight at a time: a tick while the previous
 reconfig is unfinished at any correct participant is a no-op.  The
@@ -23,8 +27,8 @@ Two modes:
 
 * ``split`` — shed up to ``max_keys`` of the hottest group's keys to
   the coldest group, hottest first, but only while each move strictly
-  improves the pairwise balance (the skew chaser; the strict-improve
-  rule is what keeps one indivisibly-hot key from ping-ponging);
+  improves the pairwise balance (the skew chaser; within one decision
+  this keeps the whole hot set from landing on one group);
 * ``merge`` — fold the coldest group's entire (observed) key set into
   the second-coldest group (the consolidator for near-idle groups).
 """
@@ -38,9 +42,16 @@ from repro.reconfig.txn import ReconfigOp
 #: Balancing strategies.
 MODES = ("split", "merge")
 
+#: Per-tick decay of the per-key heat (half-life ≈ 3 ticks); the measured
+#: curve is in README "Elastic repartitioning".
+HEAT_DECAY = 0.8
+#: Heat below this is forgotten (one issue, after 93 quiet ticks).  A
+#: higher floor zeroes groups of lukewarm keys, and hot keys chase them.
+_FORGET = 1e-9
+
 
 class LoadBalancer:
-    """Watches commit heat and triggers migrations through the order."""
+    """Watches demand heat and triggers migrations through the order."""
 
     def __init__(self, cluster, interval: float,
                  threshold: float = 2.0, max_keys: int = 8,
@@ -62,6 +73,9 @@ class LoadBalancer:
         self.mode = mode
         self._seq = 0
         self._heat_index = 0
+        #: key -> decayed demand heat (see :meth:`_fold_heat`).
+        self.heat: Dict[str, float] = {}
+        self._owner_of: Dict[str, int] = {}  # attribution at the last tick
         self._outstanding: Optional[ReconfigOp] = None
         #: ids of completed migrations announced to the client sessions.
         self.pushed: List[str] = []
@@ -130,8 +144,9 @@ class LoadBalancer:
                 client.learn(key, op.dst, op.reconfig_id)
         self.pushed.append(op.reconfig_id)
 
-    def _heat_window(self) -> Dict[str, int]:
-        """Per-key demand counts since the previous tick.
+    def _fold_heat(self) -> None:
+        """Decay every key's heat by :data:`HEAT_DECAY` and add the
+        issues since the previous tick.
 
         Reads the tracker's *issue* journal, not its commit journal: a
         saturated partition commits at most 1/service_time transactions
@@ -140,13 +155,13 @@ class LoadBalancer:
         commit-driven balancer starves itself of its trigger signal.
         Issue heat measures offered load wherever the queue stands.
         """
+        self.heat = heat = {k: v * HEAT_DECAY for k, v in self.heat.items()
+                            if v * HEAT_DECAY >= _FORGET}
         journal = self.cluster.tracker.key_issues
-        heat: Dict[str, int] = {}
         for _, keys in journal[self._heat_index:]:
             for key in keys:
-                heat[key] = heat.get(key, 0) + 1
+                heat[key] = heat.get(key, 0.0) + 1.0
         self._heat_index = len(journal)
-        return heat
 
     def _views(self) -> Dict[int, object]:
         """Per-group map views for load attribution.
@@ -166,27 +181,32 @@ class LoadBalancer:
 
     def _tick(self) -> None:
         self.ticks += 1
+        self._fold_heat()
         if self._outstanding is not None:
             if not self._finished(self._outstanding):
                 self.ticks_blocked += 1
                 return
             done, self._outstanding = self._outstanding, None
             self._push_completed(done)
-        heat = self._heat_window()
+        heat = self.heat
         if not heat:
             return
         views = self._views()
         gids = sorted(views)
         if len(gids) < 2:
             return
-        load = {g: 0 for g in gids}
+        # O(keys): ask last tick's claimant, scan only if it disowns.
+        load = {g: 0.0 for g in gids}
         owner_of: Dict[str, int] = {}
-        for key, count in heat.items():
-            gid = next((g for g in gids
-                        if views[g].group_of(key) == g), None)
+        for key, value in heat.items():
+            gid = self._owner_of.get(key)
+            if gid not in views or views[gid].group_of(key) != gid:
+                gid = next((g for g in gids
+                            if views[g].group_of(key) == g), None)
             if gid is not None:
-                load[gid] += count
+                load[gid] += value
                 owner_of[key] = gid
+        self._owner_of = owner_of
         hot = max(gids, key=lambda g: (load[g], -g))
         cold = min(gids, key=lambda g: (load[g], g))
         if load[hot] == 0 or hot == cold:
@@ -197,9 +217,9 @@ class LoadBalancer:
             # Greedy split: shed hottest-first, but only while the move
             # strictly improves the pairwise balance — otherwise the
             # whole hot set lands on the coldest group, which becomes
-            # the new hottest, and the same keys ping-pong forever.
+            # the new hottest.  Across ticks, decayed heat keeps keys put.
             src, dst = hot, cold
-            src_load, dst_load = float(load[src]), float(load[dst])
+            src_load, dst_load = load[src], load[dst]
             candidates: List[str] = []
             for key in sorted((k for k, g in owner_of.items() if g == src),
                               key=lambda k: (-heat[k], k)):

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from repro.reconfig.txn import move_seq
 from repro.store.checker import StreamingSerializabilityChecker
 
 
@@ -76,7 +77,7 @@ def check_reconfig(cluster) -> Dict[str, object]:
     aborted: List[str] = []
     unfinished: List[str] = []
     in_flight: Set[str] = set()
-    for rid in sorted(ops):
+    for rid in sorted(ops, key=move_seq):
         op = ops[rid]
         outcomes: Dict[int, str] = {}
         for gid in (op.src, op.dst):

@@ -1,16 +1,17 @@
 """Campaign metrics for the elastic-repartitioning machinery.
 
 Registered in :data:`repro.campaigns.metrics.EXTRACTORS` under
-``"reconfig"``: migration counts and key volume, epoch-fencing traffic
-(``WrongEpoch`` bounces, residue retries, abandoned transactions),
-pipeline stall time, routes that outran their reconfig (always 0
-unless the fence rule is broken), and balancer tick accounting.  All
-zeros on a static store scenario, so a rebalance-on/off grid axis
-yields comparable rows.
+``"reconfig"``: migration counts, key volume, most moves of one key (the
+ping-pong gauge), epoch-fencing traffic (``WrongEpoch`` bounces,
+residue retries, abandoned transactions), pipeline stall time, routes
+that outran their reconfig (always 0 unless the fence rule is broken),
+and balancer tick accounting.  All zeros on a static store scenario, so
+a rebalance-on/off grid axis yields comparable rows.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict
 
 
@@ -43,7 +44,8 @@ def reconfig_metrics(system) -> Dict[str, float]:
             bounces.add((rejection["txn_id"], rejection["gid"]))
         stall_time += store.stall_time
         stalled_at_end.update(store.stalled_txn_ids())
-    keys_moved = sum(len(ops[rid].keys) for rid in completed if rid in ops)
+    moves = Counter(key for rid in completed if rid in ops
+                    for key in ops[rid].keys)
     residues = [t for t in cluster.tracker.parents]
     abandoned = sorted({txn for client in cluster.clients.values()
                         for txn in client.abandoned})
@@ -51,7 +53,8 @@ def reconfig_metrics(system) -> Dict[str, float]:
         "reconfigs_initiated": float(len(ops)),
         "reconfigs_completed": float(len(completed & set(ops))),
         "reconfigs_aborted": float(len(aborted & set(ops))),
-        "reconfig_keys_moved": float(keys_moved),
+        "reconfig_keys_moved": float(sum(moves.values())),
+        "reconfig_max_moves_per_key": float(max(moves.values(), default=0)),
         "wrong_epoch_bounces": float(len(bounces)),
         "residue_txns": float(len(residues)),
         "txns_abandoned": float(len(abandoned)),

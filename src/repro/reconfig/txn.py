@@ -32,6 +32,12 @@ RECONFIG_TAG = "__reconfig__"
 HANDOFF_TAG = "__handoff__"
 
 
+def move_seq(reconfig_id: str) -> int:
+    """The balancer's sequence number of a move id ``rc%05d``.  Moves are
+    ordered by it, never by the text: ``"rc100000" < "rc99999"``."""
+    return int(reconfig_id[2:])
+
+
 def is_control(payload) -> bool:
     """Is this multicast payload a reconfig/handoff control message?"""
     return (isinstance(payload, tuple) and len(payload) > 0

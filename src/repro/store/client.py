@@ -17,9 +17,9 @@ there — and a transaction fenced with ``WrongEpoch`` only commits once
 the residue transaction carrying its bounced ops commits too, so the
 recorded latency spans the whole retry.
 
-The tracker also journals per-key commit heat (``key_commits``), which
+The tracker also journals per-key issue heat (``key_issues``), which
 is the :class:`~repro.reconfig.balancer.LoadBalancer`'s only input —
-the balancer reacts to observed commit rates, not to the workload spec.
+the balancer reacts to observed demand, not to the workload spec.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.interfaces import AppMessage
+from repro.reconfig.txn import move_seq
 from repro.store.service import TransactionalStore
 from repro.store.transaction import Transaction
 
@@ -183,7 +184,7 @@ class StoreClient:
         #: Learned ownership: key -> owner, from bounces and pushes.
         self.overrides: Dict[str, int] = {}
         #: key -> id of the newest move of it this session has learned
-        #: (balancer ids ``rc%05d`` grow with time).
+        #: (newest by :func:`~repro.reconfig.txn.move_seq`).
         self.learned: Dict[str, str] = {}
         #: Epoch fence leg: key -> {the group that bounced it}, kept
         #: from the bounce until the same move is pushed.  A txn that
@@ -241,6 +242,9 @@ class StoreClient:
         self._ops[txn.txn_id] = ops
         return self.store.submit(txn, dest=dest)
 
+    def _learned_seq(self, key: str) -> int:
+        return move_seq(self.learned[key]) if key in self.learned else -1
+
     def learn(self, key: str, owner: int, reconfig_id: str) -> None:
         """Accept a pushed move (placement-driver style).
 
@@ -248,7 +252,7 @@ class StoreClient:
         groups has executed the handoff, so whatever this session casts
         from now on is delivered at ``owner`` after R: no leg is needed.
         """
-        if reconfig_id >= self.learned.get(key, ""):
+        if move_seq(reconfig_id) >= self._learned_seq(key):
             self.learned[key] = reconfig_id
             self.overrides[key] = owner
             self.fences.pop(key, None)
@@ -268,7 +272,7 @@ class StoreClient:
         session knows reroutes the key and arms the leg at ``gid`` — a
         stale notice leaves the (newer) route and adds none."""
         for key, (owner, reconfig_id) in updates.items():
-            if reconfig_id > self.learned.get(key, ""):
+            if move_seq(reconfig_id) > self._learned_seq(key):
                 self.learned[key] = reconfig_id
                 self.overrides[key] = owner
                 self.fences[key] = {gid}

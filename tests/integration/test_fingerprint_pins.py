@@ -64,6 +64,17 @@ them the copies: ``net.msgs`` 2444 → 1795, ``consensus.msgs`` 1386 →
 ``lat_p50_sim`` is the plan's unloaded 4.504 on both sides here.
 ``learn()`` is never called while the balancer is idle, so
 ``store_mix`` and the five non-store rows are untouched.
+
+Re-recorded a sixth time, ``store_rebalance`` only, when the balancer
+started deciding on exponentially decayed per-key heat instead of one
+tick's window (``reconfig/balancer.py``, ``HEAT_DECAY``).  Its
+trajectory changes: this ÷20 plan is ten ticks, mostly warm-up while
+the table holds only a few windows, and makes 4 moves either way — the
+same first one, then ``k00000`` to other targets — so 10 transactions
+bounce instead of 4 and ``net.msgs`` 1795 → 1986, ``consensus.msgs``
+1155 → 1274 (on the full plan 115 → 21 moves and 46 952 → 35 262
+copies).  ``lat_p50_sim`` is 4.504 on both sides.
+Nothing else runs a balancer, so the other six rows are untouched.
 """
 
 import json
@@ -91,8 +102,8 @@ PINS = {
         "ac2cd07f16622aef4f0b8fe78bfa17b4d5113c1a97a79f34f8b4a949548c30c6",
         188.6030606555919, 6302, 4212),
     "store_rebalance": (
-        "bf24540a749b4a830fcf22061f160a44adb6ca419fb3e484fdd23bab720d6e44",
-        4.504000000000019, 1795, 1155),
+        "50e5e81ba4ae92548d443dbe22b02555b9371b7c0ec0a3b558bf813ca8280b22",
+        4.504000000000019, 1986, 1274),
     "a1_lossy": (
         "084a40a76eedfa312b9b2102620bd42891e8b0ab3af32ee1bf1736db50f576d9",
         2.8786969094447743, 9954, 3818),

@@ -104,6 +104,34 @@ class TestSessionState:
         assert session.overrides[self.KEY] == dst
         session.inv()
 
+    # ``"rc100000" < "rc99999"`` as strings: from the 100 000th move on,
+    # a text comparison took every newer move for a stale one.
+    def test_push_of_the_100000th_move_is_newer(self):
+        cluster = build_elastic()
+        src, dst, other = other_groups(cluster, self.KEY)
+        session = first_client(cluster, other)
+        session.learn(self.KEY, dst, "rc99999")
+        session.learn(self.KEY, other, "rc100000")
+        assert session.overrides[self.KEY] == other
+        session.learn(self.KEY, dst, "rc99999")          # late, stale
+        assert session.overrides[self.KEY] == other
+        assert session.learned[self.KEY] == "rc100000"
+
+    def test_bounce_of_the_100000th_move_is_newer(self):
+        cluster = build_elastic()
+        src, dst, other = other_groups(cluster, self.KEY)
+        session = first_client(cluster, other)
+        session.learn(self.KEY, dst, "rc99999")
+        session.on_wrong_epoch("t0", dst, (self.KEY,),
+                               {self.KEY: (other, "rc100000")})
+        assert session.overrides[self.KEY] == other
+        assert session.fences == {self.KEY: {dst}}
+        session.on_wrong_epoch("t1", src, (self.KEY,),
+                               {self.KEY: (dst, "rc99999")})   # stale
+        assert session.overrides[self.KEY] == other
+        assert session.fences == {self.KEY: {dst}}
+        session.inv()
+
     def test_hot_potato_with_a_stale_transaction_in_flight(self):
         """g -> h -> g: the stale transaction bounces at g while the key
         is away, its residue bounces at h once the key has left again,

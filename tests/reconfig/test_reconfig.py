@@ -58,7 +58,7 @@ class TestMigration:
         first_client(cluster, src).submit("t1", (("put", key, 42),))
         settle(cluster)
 
-        migrate(cluster, "rc-move", key, dst)
+        migrate(cluster, "rc00001", key, dst)
 
         topology = cluster.system.topology
         for pid in topology.members(dst):
@@ -66,7 +66,7 @@ class TestMigration:
         for pid in topology.members(src):
             assert key not in cluster.stores[pid].state
         summary = check_reconfig(cluster)
-        assert summary["completed"] == ["rc-move"]
+        assert summary["completed"] == ["rc00001"]
         assert summary["keys_moved"] == [key]
         check_serializability(cluster)
 
@@ -76,14 +76,14 @@ class TestMigration:
         owner = cluster.partition_map.group_of(key)
         src = (owner + 1) % 3  # does not own the key
         dst = (owner + 2) % 3
-        op = ReconfigOp(reconfig_id="rc-bad", src=src, dst=dst,
+        op = ReconfigOp(reconfig_id="rc00001", src=src, dst=dst,
                         keys=(key,))
         submitter = cluster.system.topology.members(src)[0]
         cluster.stores[submitter].submit_reconfig(op)
         settle(cluster)
 
         summary = check_reconfig(cluster)
-        assert summary["aborted"] == ["rc-bad"]
+        assert summary["aborted"] == ["rc00001"]
         # The true owner still serves the key; the target rolled back.
         for pid in cluster.system.topology.members(dst):
             assert key not in cluster.stores[pid].state
@@ -94,7 +94,7 @@ class TestMigration:
         src = cluster.partition_map.group_of(key)
         dst = (src + 1) % 3
         other = (src + 2) % 3
-        migrate(cluster, "rc-move", key, dst)
+        migrate(cluster, "rc00001", key, dst)
 
         # A session homed in a bystander group still routes the key to
         # its old owner: the owner fences, the residue retries at dst.
@@ -108,7 +108,7 @@ class TestMigration:
         assert ("t2", src) in tracker.bounces
         assert stale.overrides[key] == dst
         assert stale.fences[key] == {src}
-        assert stale.learned[key] == "rc-move"
+        assert stale.learned[key] == "rc00001"
         for pid in cluster.system.topology.members(dst):
             assert cluster.stores[pid].state[key] == 7
         check_serializability(cluster)
@@ -120,7 +120,7 @@ class TestMigration:
         src = cluster.partition_map.group_of(key)
         dst = (src + 1) % 3
         other = (src + 2) % 3
-        migrate(cluster, "rc-move", key, dst)
+        migrate(cluster, "rc00001", key, dst)
         stale = first_client(cluster, other)
         stale.submit("t2", (("put", key, 7),))
         settle(cluster)
@@ -135,7 +135,7 @@ class TestMigration:
 
         # The push ends that: every replica of the new owner has
         # executed R and H, so nothing cast from here on can precede R.
-        stale.learn(key, dst, "rc-move")
+        stale.learn(key, dst, "rc00001")
         msg = stale.submit("t4", (("incr", key, 1),))
         assert set(msg.dest_groups) == {dst}
         settle(cluster)
@@ -150,12 +150,12 @@ class TestMigration:
         src = cluster.partition_map.group_of(key)
         first_client(cluster, src).submit("t1", (("put", key, 42),))
         settle(cluster)
-        migrate(cluster, "rc-move", key, (src + 1) % 3)
+        migrate(cluster, "rc00001", key, (src + 1) % 3)
 
         for store in cluster.stores.values():
-            h = store.handoffs.get("rc-move")
+            h = store.handoffs.get("rc00001")
             if h is not None:
-                store.handoffs["rc-move"] = dataclasses.replace(
+                store.handoffs["rc00001"] = dataclasses.replace(
                     h, snapshot=((key, 999),))
         with pytest.raises(ReconfigViolation, match="lost or invented"):
             check_reconfig(cluster)
@@ -228,17 +228,17 @@ class TestBalancerSplit:
         key = "k00000"
         src = cluster.partition_map.group_of(key)
         dst = (src + 1) % 3
-        migrate(cluster, "rc-move", key, dst)
+        migrate(cluster, "rc00001", key, dst)
 
         bal = cluster.balancer
-        bal._outstanding = ReconfigOp(reconfig_id="rc-move", src=src,
+        bal._outstanding = ReconfigOp(reconfig_id="rc00001", src=src,
                                       dst=dst, keys=(key,))
         bal._tick()
-        assert bal.pushes == 1 and bal.pushed == ["rc-move"]
+        assert bal.pushes == 1 and bal.pushed == ["rc00001"]
         # A pushed session casts to the new owner alone: no leg.
         for client in cluster.clients.values():
             assert client.overrides[key] == dst
-            assert client.learned[key] == "rc-move"
+            assert client.learned[key] == "rc00001"
             assert key not in client.fences
             msg = client.submit(f"t-{client.pid}", (("incr", key, 1),))
             assert msg.dest_groups == (dst,)
