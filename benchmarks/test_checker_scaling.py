@@ -1,21 +1,18 @@
-"""Benchmark: streaming checkers vs the quadratic oracles at scale.
+"""Checkers at campaign scale: every implementation, one verdict.
 
-The acceptance bar for the streaming rewrite is a ≥5x checker pass on a
-campaign-scale log; measured headroom is two orders of magnitude (the
-old prefix check is O(p²·m), the old agreement check re-scanned every
-sequence per message).  The log below mirrors the biggest campaign
-shape — 8 groups, thousands of multicasts, full consistent delivery —
-and both implementations must of course return the same verdict: ok.
+The log below mirrors the biggest campaign shape — 8 groups, hundreds
+of multicasts, full consistent delivery — and the one-pass
+``check_all``, the per-property checks and the quadratic oracles they
+replaced must all return the same verdict: ok.  Host-time claims about
+the checkers are measured by the bench (``check_s``), not here.
 """
 
 import os
 import random
 import sys
-import time
-
-import pytest
 
 from repro.checkers.properties import (
+    check_all,
     check_uniform_agreement,
     check_uniform_prefix_order,
 )
@@ -26,14 +23,10 @@ from repro.runtime.results import DeliveryLog
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "tests", "unit"))
-from test_checkers_streaming import oracle_agreement, oracle_prefix_order
-
-#: Required speedup of the streaming pass over the quadratic oracle.
-MIN_CHECKER_SPEEDUP = 5.0
-
-WALL_CLOCK_COMPARABLE = (
-    os.environ.get("REPRO_BENCH_STRICT") == "1"
-    or not os.environ.get("CI")
+from test_checkers_streaming import (  # noqa: E402
+    oracle_agreement,
+    oracle_check_all,
+    oracle_prefix_order,
 )
 
 
@@ -63,32 +56,9 @@ class TestCheckerScaling:
     def test_same_verdict_at_scale(self):
         topology, log = _campaign_scale_log(n_messages=400)
         crashes = CrashSchedule.none()
+        check_all(log, topology, crashes)
+        oracle_check_all(log, topology, crashes)
         check_uniform_prefix_order(log, topology)
         check_uniform_agreement(log, topology, crashes)
         oracle_prefix_order(log, topology)
         oracle_agreement(log, topology, crashes)
-
-    @pytest.mark.skipif(
-        not WALL_CLOCK_COMPARABLE,
-        reason="wall-clock ratios are noisy on shared CI runners "
-               "(set REPRO_BENCH_STRICT=1 to force)",
-    )
-    def test_streaming_at_least_5x_faster(self):
-        topology, log = _campaign_scale_log()
-        crashes = CrashSchedule.none()
-
-        t0 = time.perf_counter()
-        check_uniform_prefix_order(log, topology)
-        check_uniform_agreement(log, topology, crashes)
-        streaming = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        oracle_prefix_order(log, topology)
-        oracle_agreement(log, topology, crashes)
-        quadratic = time.perf_counter() - t0
-
-        speedup = quadratic / max(streaming, 1e-9)
-        assert speedup >= MIN_CHECKER_SPEEDUP, (
-            f"checker speedup {speedup:.1f}x under {MIN_CHECKER_SPEEDUP}x "
-            f"(streaming {streaming:.3f}s, quadratic {quadratic:.3f}s)"
-        )

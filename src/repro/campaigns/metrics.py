@@ -58,7 +58,7 @@ def traffic_metrics(system) -> Dict[str, float]:
         "inter_group_messages": float(stats.inter_group_messages),
         "intra_group_messages": float(stats.intra_group_messages),
     }
-    casts = len(system.log.cast_messages())
+    casts = len(system.log.cast_map)
     if casts:
         out["inter_per_cast"] = stats.inter_group_messages / casts
         out["intra_per_cast"] = stats.intra_group_messages / casts

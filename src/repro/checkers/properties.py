@@ -18,11 +18,35 @@ Because delivery sequences only ever grow, checking the final sequences
 is equivalent to checking the "at any time t" formulation: a divergence
 at time t persists to the end of the run.
 
-Streaming implementations
--------------------------
-The prefix-order check used to be an O(p²·m) pairwise scan — hopeless on
-campaign-scale logs.  It is now a single near-linear pass built on two
-reductions:
+One pass over what the run indexed
+----------------------------------
+:func:`check_all` — the assertion every bench pass, campaign cell and
+most tests end with — rebuilds nothing.  The :class:`DeliveryLog`
+already holds, per message, the set of its deliverers
+(``delivered_by``) and, per process, its delivery list (``sequences``);
+the check compares those in place:
+
+* **integrity, validity, agreement** — one pass over the cast map.  No
+  process delivered twice iff the delivery count equals the number of
+  (process, message) pairs in the index; nothing uncast was delivered
+  iff the delivered ids are cast ids; and per message the deliverers
+  must lie between its correct addressees and all its addressees, both
+  sets memoised once per destination tuple;
+* **prefix order** — once integrity holds, a process's projection on
+  its own group is its whole list, so every member's list must be a
+  slice of its group's longest one, and two groups' longest lists,
+  projected on the messages the pair shares, must be prefix-related.
+
+A passing run therefore costs set and list comparisons, not a Python
+step per delivery.  Only when one fails do the per-property functions
+below run, in the specification's order — integrity, validity,
+agreement, prefix order — to word the first violation exactly as they
+always have.
+
+Streaming prefix order
+----------------------
+The per-property prefix-order check is a single near-linear pass built
+on two reductions:
 
 * **within a group** every member's projected sequence must be a prefix
   of a per-group *canonical* order (the union order in which members
@@ -34,21 +58,18 @@ reductions:
   position first.
 
 Both reductions are order-insensitive folds over individual deliveries,
-so the same core (:class:`StreamingPropertyChecker`) runs post-hoc over
-a finished log *and* incrementally via delivery hooks
-(``System.install_streaming_checker()``), flagging an order violation at
-the exact delivery that introduces it.  Agreement and validity use the
-delivery index the log maintains per message, replacing the old
-per-message scan over every process's sequence.
+so the same core (:class:`StreamingPropertyChecker`) runs incrementally
+via delivery hooks (``System.install_streaming_checker()``), flagging
+an order violation at the exact delivery that introduces it.
 
-The pre-streaming quadratic implementations live on in
-``tests/unit/test_checkers_streaming.py`` as oracles; adversarial logs
-assert both give identical verdicts.
+The quadratic pre-streaming implementations and the four-pass
+``check_all`` live on in ``tests/unit/test_checkers_streaming.py`` as
+oracles; adversarial and fuzzed logs assert identical violations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
@@ -74,65 +95,65 @@ class PropertyViolation(AssertionError):
 def check_uniform_integrity(log: DeliveryLog, topology: Topology) -> None:
     """At most once; only addressees; only cast messages."""
     cast = log.cast_map
-    for pid in log.processes():
+    sequences = log.sequences
+    for pid in sorted(sequences):
         gid = topology.group_of(pid)
         seen = set()
-        for msg in log.delivered_messages(pid):
-            if msg.mid in seen:
-                raise PropertyViolation(
-                    f"process {pid} delivered {msg.mid} more than once",
-                    property="uniform_integrity", kind="duplicate",
-                    pid=pid, mid=msg.mid,
-                )
+        for msg in sequences[pid]:
+            _check_delivery(pid, gid, msg, msg.mid in seen, cast)
             seen.add(msg.mid)
-            if msg.mid not in cast:
-                raise PropertyViolation(
-                    f"process {pid} delivered {msg.mid}, "
-                    f"which was never cast",
-                    property="uniform_integrity", kind="uncast",
-                    pid=pid, mid=msg.mid,
-                )
-            if gid not in cast[msg.mid].dest_groups:
-                raise PropertyViolation(
-                    f"process {pid} (group {gid}) "
-                    f"delivered {msg.mid} addressed to "
-                    f"{cast[msg.mid].dest_groups}",
-                    property="uniform_integrity", kind="not_addressed",
-                    pid=pid, mid=msg.mid,
-                )
+
+
+def _check_delivery(pid: int, gid: int, msg: AppMessage, repeated: bool,
+                    cast: Dict[str, AppMessage]) -> None:
+    """Uniform integrity of one delivery of ``msg`` by ``pid``."""
+    if repeated:
+        raise PropertyViolation(
+            f"process {pid} delivered {msg.mid} more than once",
+            property="uniform_integrity", kind="duplicate",
+            pid=pid, mid=msg.mid,
+        )
+    cast_msg = cast.get(msg.mid)
+    if cast_msg is None:
+        raise PropertyViolation(
+            f"process {pid} delivered {msg.mid}, which was never cast",
+            property="uniform_integrity", kind="uncast",
+            pid=pid, mid=msg.mid,
+        )
+    if gid not in cast_msg.dest_groups:
+        raise PropertyViolation(
+            f"process {pid} (group {gid}) delivered {msg.mid} "
+            f"addressed to {cast_msg.dest_groups}",
+            property="uniform_integrity", kind="not_addressed",
+            pid=pid, mid=msg.mid,
+        )
 
 
 def check_validity(
     log: DeliveryLog, topology: Topology, crashes: CrashSchedule
 ) -> None:
     """Correct caster => all correct addressees deliver."""
+    delivered_by = log.delivered_by
     for mid, msg in log.cast_map.items():
-        if crashes.is_faulty(msg.sender):
-            continue
-        _require_all_correct_addressees(log, topology, crashes, msg)
+        if not crashes.is_faulty(msg.sender):
+            _require_addressees_in(delivered_by.get(mid, {}), topology,
+                                   crashes, msg)
 
 
 def check_uniform_agreement(
     log: DeliveryLog, topology: Topology, crashes: CrashSchedule
 ) -> None:
     """Any delivery => all correct addressees deliver."""
+    delivered_by = log.delivered_by
     for mid, msg in log.cast_map.items():
-        if not log.deliveries_of(mid):
-            continue
-        _require_all_correct_addressees(log, topology, crashes, msg)
-
-
-def _require_all_correct_addressees(
-    log: DeliveryLog, topology: Topology, crashes: CrashSchedule,
-    msg: AppMessage,
-) -> None:
-    delivered_by = set(log.deliveries_of(msg.mid))
-    _require_addressees_in(delivered_by, topology, crashes, msg)
+        deliverers = delivered_by.get(mid)
+        if deliverers:
+            _require_addressees_in(deliverers, topology, crashes, msg)
 
 
 def _require_addressees_in(
-    delivered_by: Set[int], topology: Topology, crashes: CrashSchedule,
-    msg: AppMessage,
+    delivered_by: Collection[int], topology: Topology,
+    crashes: CrashSchedule, msg: AppMessage,
 ) -> None:
     for gid in msg.dest_groups:
         for pid in topology.members(gid):
@@ -146,6 +167,71 @@ def _require_addressees_in(
                     pid=pid, mid=msg.mid,
                     delivered_by=sorted(delivered_by),
                 )
+
+
+def _index_holds(log: DeliveryLog, topology: Topology,
+                 crashes: CrashSchedule) -> bool:
+    """Integrity, validity and agreement together, on the log's index.
+
+    Exact: False iff one of the three per-property checks would raise.
+    """
+    cast = log.cast_map
+    delivered_by = log.delivered_by
+    if log.delivery_count() != sum(map(len, delivered_by.values())) \
+            or not delivered_by.keys() <= cast.keys():
+        return False
+    faulty = crashes.crashes
+    # dest tuple -> (all addressees, correct addressees)
+    addressees: Dict[Tuple[int, ...], Tuple[frozenset, frozenset]] = {}
+    for mid, msg in cast.items():
+        dests = msg.dest_groups
+        sets = addressees.get(dests)
+        if sets is None:
+            everyone = frozenset(topology.processes_of_groups(dests))
+            sets = addressees[dests] = (everyone, everyone.difference(faulty))
+        everyone, correct = sets
+        deliverers = delivered_by.get(mid)
+        if not deliverers:
+            if correct and msg.sender not in faulty:
+                return False
+        elif not correct <= deliverers.keys() <= everyone:
+            return False
+    return True
+
+
+def _prefix_holds(log: DeliveryLog, topology: Topology) -> bool:
+    """Uniform prefix order on whole lists; needs uniform integrity.
+
+    True only if :func:`check_uniform_prefix_order` passes.  Lists are
+    compared by message value, so unequal copies of one id read False
+    and are left to that check.
+    """
+    group_index = topology.group_index
+    sequences = log.sequences
+    longest: Dict[int, List[AppMessage]] = {}
+    for pid, seq in sequences.items():
+        gid = group_index[pid]
+        best = longest.get(gid)
+        if best is None or len(seq) > len(best):
+            longest[gid] = seq
+    for pid, seq in sequences.items():
+        if longest[group_index[pid]][:len(seq)] != seq:
+            return False
+    # (g, h) -> g's longest list projected on the messages h shares.
+    projected: Dict[Tuple[int, int], List[AppMessage]] = {}
+    for gid, canon in longest.items():
+        dests = {msg.dest_groups for msg in canon}
+        for other in set().union(*dests) - {gid}:
+            projected[gid, other] = (
+                canon if all(other in d for d in dests)
+                else [msg for msg in canon if other in msg.dest_groups])
+    for (gid, other), mine in projected.items():
+        theirs = projected.get((other, gid))
+        if gid < other and theirs is not None:
+            n = min(len(mine), len(theirs))
+            if mine[:n] != theirs[:n]:
+                return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -238,8 +324,9 @@ def check_uniform_prefix_order(log: DeliveryLog, topology: Topology) -> None:
     destination-set size) instead of the old O(p²·m) pairwise scan.
     """
     tracker = _PrefixOrderTracker(topology)
-    for pid in log.processes():
-        for msg in log.delivered_messages(pid):
+    sequences = log.sequences
+    for pid in sorted(sequences):
+        for msg in sequences[pid]:
             tracker.observe(pid, msg)
 
 
@@ -262,60 +349,35 @@ class StreamingPropertyChecker:
                  crashes: Optional[CrashSchedule] = None) -> None:
         self.topology = topology
         self.crashes = crashes or CrashSchedule.none()
-        self._cast: Dict[str, AppMessage] = {}
-        self._seen: Dict[int, Set[str]] = {}
-        self._delivered_by: Dict[str, Set[int]] = {}
+        self.log = DeliveryLog()
         self._prefix = _PrefixOrderTracker(topology)
         self.deliveries_checked = 0
 
     # ------------------------------------------------------------------
     def on_cast(self, msg: AppMessage) -> None:
-        self._cast[msg.mid] = msg
+        self.log.record_cast(msg)
 
     def on_delivery(self, pid: int, msg: AppMessage) -> None:
         """Integrity + prefix order for one delivery, immediately."""
         self.deliveries_checked += 1
-        seen = self._seen.setdefault(pid, set())
-        if msg.mid in seen:
-            raise PropertyViolation(
-                f"process {pid} delivered {msg.mid} more than once",
-                property="uniform_integrity", kind="duplicate",
-                pid=pid, mid=msg.mid,
-            )
-        seen.add(msg.mid)
-        if msg.mid not in self._cast:
-            raise PropertyViolation(
-                f"process {pid} delivered {msg.mid}, which was never cast",
-                property="uniform_integrity", kind="uncast",
-                pid=pid, mid=msg.mid,
-            )
-        gid = self.topology.group_of(pid)
-        if gid not in self._cast[msg.mid].dest_groups:
-            raise PropertyViolation(
-                f"process {pid} (group {gid}) delivered {msg.mid} "
-                f"addressed to {self._cast[msg.mid].dest_groups}",
-                property="uniform_integrity", kind="not_addressed",
-                pid=pid, mid=msg.mid,
-            )
-        self._delivered_by.setdefault(msg.mid, set()).add(pid)
+        log = self.log
+        _check_delivery(pid, self.topology.group_of(pid), msg,
+                        pid in log.delivered_by.get(msg.mid, ()),
+                        log.cast_map)
+        log.record_delivery(pid, msg)
         self._prefix.observe(pid, msg)
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Validity + uniform agreement over the accumulated state.
+        """Validity + uniform agreement over the accumulated log.
 
-        Both properties impose the same obligation — every correct
-        addressee delivers — and differ only in when it binds: validity
-        when the caster is correct, agreement when anyone delivered.
-        A message binds neither only when its caster is faulty and
-        nobody delivered it.
+        Integrity already held at every delivery, so the index test
+        fails only on a completion property; which one is worded as in
+        :func:`check_all`.
         """
-        for mid, msg in self._cast.items():
-            delivered_by = self._delivered_by.get(mid, set())
-            if not delivered_by and self.crashes.is_faulty(msg.sender):
-                continue
-            _require_addressees_in(delivered_by, self.topology,
-                                   self.crashes, msg)
+        if not _index_holds(self.log, self.topology, self.crashes):
+            check_validity(self.log, self.topology, self.crashes)
+            check_uniform_agreement(self.log, self.topology, self.crashes)
 
 
 def check_all(
@@ -323,9 +385,15 @@ def check_all(
     topology: Topology,
     crashes: Optional[CrashSchedule] = None,
 ) -> None:
-    """Run every property check (the standard post-run assertion)."""
+    """Run every property check (the standard post-run assertion).
+
+    One pass over the log's indexes decides; the per-property checks
+    run only to word a violation (see the module docstring).
+    """
     crashes = crashes or CrashSchedule.none()
-    check_uniform_integrity(log, topology)
-    check_validity(log, topology, crashes)
-    check_uniform_agreement(log, topology, crashes)
-    check_uniform_prefix_order(log, topology)
+    if not _index_holds(log, topology, crashes):
+        check_uniform_integrity(log, topology)
+        check_validity(log, topology, crashes)
+        check_uniform_agreement(log, topology, crashes)
+    if not _prefix_holds(log, topology):
+        check_uniform_prefix_order(log, topology)

@@ -24,7 +24,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class MessageRecord:
-    """Everything the meter knows about one application message."""
+    """Everything the meter knows about one application message.
+
+    Deliveries are written only through :meth:`add_delivery`, which
+    keeps ``max_delivery_lamport``, the running maximum of the delivery
+    stamps; :attr:`latency_degree` reads it, so it is O(1) however often
+    reports and extractors ask.  A process's stamps only grow, so the
+    running maximum equals the maximum over ``delivery_lamport`` even
+    when a process delivers twice.
+    """
 
     msg_id: str
     cast_pid: Optional[int] = None
@@ -33,13 +41,22 @@ class MessageRecord:
     dest_groups: tuple = ()
     delivery_lamport: Dict[int, int] = field(default_factory=dict)
     delivery_time: Dict[int, float] = field(default_factory=dict)
+    max_delivery_lamport: Optional[int] = None
+
+    def add_delivery(self, pid: int, lamport: int, time: float) -> None:
+        """Record ``pid``'s A-Deliver at Lamport stamp ``lamport``."""
+        self.delivery_lamport[pid] = lamport
+        self.delivery_time[pid] = time
+        top = self.max_delivery_lamport
+        if top is None or lamport > top:
+            self.max_delivery_lamport = lamport
 
     @property
     def latency_degree(self) -> Optional[int]:
         """``Δ(m, R)`` over the deliveries recorded so far."""
-        if self.cast_lamport is None or not self.delivery_lamport:
+        if self.cast_lamport is None or self.max_delivery_lamport is None:
             return None
-        return max(ts - self.cast_lamport for ts in self.delivery_lamport.values())
+        return self.max_delivery_lamport - self.cast_lamport
 
     @property
     def worst_delivery_latency(self) -> Optional[float]:
@@ -84,10 +101,10 @@ class LatencyMeter:
 
     def record_delivery(self, msg_id: str, process: "Process", now: float = 0.0) -> None:
         """Record an A-Deliver event of ``msg_id`` on ``process``."""
-        rec = self._record(msg_id)
-        pid = process.pid
-        rec.delivery_lamport[pid] = process.lamport.local_event()
-        rec.delivery_time[pid] = now
+        rec = self._records.get(msg_id)  # _record, inlined: per delivery
+        if rec is None:
+            rec = self._records[msg_id] = MessageRecord(msg_id=msg_id)
+        rec.add_delivery(process.pid, process.lamport.local_event(), now)
 
     # ------------------------------------------------------------------
     # Queries

@@ -769,8 +769,8 @@ class ParallelSystem:
                     merged.cast_lamport = rec.cast_lamport
                     merged.cast_time = rec.cast_time
                     merged.dest_groups = rec.dest_groups
-                merged.delivery_lamport.update(rec.delivery_lamport)
-                merged.delivery_time.update(rec.delivery_time)
+                for pid, lamport in rec.delivery_lamport.items():
+                    merged.add_delivery(pid, lamport, rec.delivery_time[pid])
         # First-delivery index, ordered (delivery time, gid, local pos).
         ordered_deliverers: Dict[str, list] = {}
         for bundle in bundles:

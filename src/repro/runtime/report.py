@@ -144,14 +144,11 @@ class RunReport:
         sim = self.system.sim
         stats = self.system.network.stats
         log = self.system.log
-        deliveries = sum(
-            len(log.sequence(pid)) for pid in log.processes()
-        )
         out: Dict[str, float] = {
             "kernel_events": sim.events_executed,
             "network_messages": stats.total_messages,
-            "casts": len(log.cast_messages()),
-            "deliveries": deliveries,
+            "casts": len(log.cast_map),
+            "deliveries": log.delivery_count(),
             "virtual_end": sim.now,
         }
         if wall_seconds:
@@ -189,7 +186,7 @@ class RunReport:
 
     def messages_per_cast(self) -> Optional[float]:
         """Total network copies amortised per application message."""
-        casts = len(self.system.log.cast_messages())
+        casts = len(self.system.log.cast_map)
         if casts == 0:
             return None
         return self.system.network.stats.total_messages / casts

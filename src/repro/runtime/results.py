@@ -1,8 +1,8 @@
 """Run artefacts: delivery logs and result-table formatting.
 
 The :class:`DeliveryLog` is the ground truth the correctness checkers
-work from: per-process delivery sequences plus the destination sets of
-every cast message.
+work from: per-process delivery sequences, each message's deliverers
+and every cast message's destination set.
 
 :func:`format_table` renders experiment results the way the paper's
 Figure 1 does — one row per algorithm, aligned columns — so benchmark
@@ -23,10 +23,6 @@ class DeliveryLog:
     def __init__(self) -> None:
         self._sequences: Dict[int, List[AppMessage]] = {}
         self._cast: Dict[str, AppMessage] = {}
-        # mid -> {pid: None}: an insertion-ordered set of deliverers,
-        # maintained per delivery so deliveries_of is O(deliverers)
-        # instead of a scan over every process's sequence — the index
-        # the streaming agreement/validity checkers run on.
         self._delivered_by: Dict[str, Dict[int, None]] = {}
 
     # ------------------------------------------------------------------
@@ -62,14 +58,21 @@ class DeliveryLog:
         """All cast messages, by id (a copy; mutate freely)."""
         return dict(self._cast)
 
+    # Live indexes, read in place by the checkers: do not mutate.
     @property
     def cast_map(self) -> Dict[str, AppMessage]:
-        """All cast messages, by id — the live dict, do not mutate.
-
-        The checkers read this on every message; handing out the
-        internal dict keeps them allocation-free on large logs.
-        """
+        """All cast messages, by id."""
         return self._cast
+
+    @property
+    def sequences(self) -> Dict[int, List[AppMessage]]:
+        """Delivered messages by pid, in delivery order."""
+        return self._sequences
+
+    @property
+    def delivered_by(self) -> Dict[str, Dict[int, None]]:
+        """Deliverers by message id, as insertion-ordered key sets."""
+        return self._delivered_by
 
     def deliveries_of(self, mid: str) -> List[int]:
         """Pids that delivered ``mid``, in first-delivery order."""

@@ -1,11 +1,14 @@
-"""Streaming checkers vs the pre-PR quadratic oracles.
+"""Streaming and one-pass checkers vs the implementations they replaced.
 
 The prefix-order and agreement checks were rewritten from pairwise
-O(p²·m) scans into near-linear streaming passes.  This suite keeps the
-*old* implementations alive (below, verbatim modulo naming) as oracles
-and asserts the new code returns identical verdicts on adversarial logs:
-conflicting prefixes, partial delivery, duplicate delivery, gaps,
-cross-group inversions, and a seeded fuzz of mutated random logs.
+O(p²·m) scans into near-linear streaming passes, and ``check_all`` from
+four per-property passes into one pass over the log's indexes.  This
+suite keeps the *old* implementations alive (below, verbatim modulo
+naming) as oracles and asserts the new code returns identical verdicts
+on adversarial logs — conflicting prefixes, partial delivery, duplicate
+delivery, gaps, cross-group inversions, crashed senders and a seeded
+fuzz of mutated random logs — and, for ``check_all``, the identical
+violation: same message, same ``context``.
 """
 
 import random
@@ -15,6 +18,7 @@ import pytest
 from repro.checkers.properties import (
     PropertyViolation,
     StreamingPropertyChecker,
+    _PrefixOrderTracker,
     check_all,
     check_uniform_agreement,
     check_uniform_integrity,
@@ -77,6 +81,82 @@ def oracle_agreement(log, topology, crashes):
                     )
 
 
+def _oracle_integrity(log, topology):
+    cast = log.cast_map
+    for pid in log.processes():
+        gid = topology.group_of(pid)
+        seen = set()
+        for msg in log.delivered_messages(pid):
+            if msg.mid in seen:
+                raise PropertyViolation(
+                    f"process {pid} delivered {msg.mid} more than once",
+                    property="uniform_integrity", kind="duplicate",
+                    pid=pid, mid=msg.mid,
+                )
+            seen.add(msg.mid)
+            if msg.mid not in cast:
+                raise PropertyViolation(
+                    f"process {pid} delivered {msg.mid}, "
+                    f"which was never cast",
+                    property="uniform_integrity", kind="uncast",
+                    pid=pid, mid=msg.mid,
+                )
+            if gid not in cast[msg.mid].dest_groups:
+                raise PropertyViolation(
+                    f"process {pid} (group {gid}) "
+                    f"delivered {msg.mid} addressed to "
+                    f"{cast[msg.mid].dest_groups}",
+                    property="uniform_integrity", kind="not_addressed",
+                    pid=pid, mid=msg.mid,
+                )
+
+
+def _oracle_validity(log, topology, crashes):
+    for mid, msg in log.cast_map.items():
+        if crashes.is_faulty(msg.sender):
+            continue
+        _oracle_require_all_correct_addressees(log, topology, crashes, msg)
+
+
+def _oracle_agreement_indexed(log, topology, crashes):
+    for mid, msg in log.cast_map.items():
+        if not log.deliveries_of(mid):
+            continue
+        _oracle_require_all_correct_addressees(log, topology, crashes, msg)
+
+
+def _oracle_require_all_correct_addressees(log, topology, crashes, msg):
+    delivered_by = set(log.deliveries_of(msg.mid))
+    for gid in msg.dest_groups:
+        for pid in topology.members(gid):
+            if crashes.is_faulty(pid):
+                continue
+            if pid not in delivered_by:
+                raise PropertyViolation(
+                    f"correct addressee {pid} never delivered {msg.mid} "
+                    f"(delivered by {sorted(delivered_by)})",
+                    property="agreement_or_validity", kind="missing",
+                    pid=pid, mid=msg.mid,
+                    delivered_by=sorted(delivered_by),
+                )
+
+
+def _oracle_prefix_streaming(log, topology):
+    tracker = _PrefixOrderTracker(topology)
+    for pid in log.processes():
+        for msg in log.delivered_messages(pid):
+            tracker.observe(pid, msg)
+
+
+def oracle_check_all(log, topology, crashes=None):
+    """The four-pass ``check_all`` that preceded the one-pass version."""
+    crashes = crashes or CrashSchedule.none()
+    _oracle_integrity(log, topology)
+    _oracle_validity(log, topology, crashes)
+    _oracle_agreement_indexed(log, topology, crashes)
+    _oracle_prefix_streaming(log, topology)
+
+
 def _verdict(check, *args):
     """None when the check passes, else the violation type."""
     try:
@@ -84,6 +164,15 @@ def _verdict(check, *args):
         return None
     except PropertyViolation:
         return PropertyViolation
+
+
+def _violation(check, *args):
+    """None when the check passes, else (message, context)."""
+    try:
+        check(*args)
+        return None
+    except PropertyViolation as exc:
+        return str(exc), exc.context
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +262,7 @@ class TestAdversarialLogsMatchOracle:
 class TestFuzzedLogsMatchOracle:
     """Seeded random logs, mutated four ways, must agree with oracles."""
 
-    def _random_log(self, rng, topology, n_messages):
+    def _random_log(self, rng, topology, n_messages, complete=False):
         pids = topology.processes
         casts = {}
         for i in range(n_messages):
@@ -189,7 +278,8 @@ class TestFuzzedLogsMatchOracle:
             gid = topology.group_of(pid)
             addressed = [mid for mid in order
                          if gid in casts[mid].dest_groups]
-            cut = rng.randint(0, len(addressed))
+            cut = len(addressed) if complete else rng.randint(
+                0, len(addressed))
             deliveries[pid] = addressed[:cut]
         return casts, deliveries
 
@@ -225,6 +315,144 @@ class TestFuzzedLogsMatchOracle:
             _verdict(oracle_prefix_order, log, topology)
         assert _verdict(check_uniform_agreement, log, topology, crashes) \
             == _verdict(oracle_agreement, log, topology, crashes)
+
+
+class TestCheckAllMatchesFourPassOracle:
+    """One-pass ``check_all`` raises the four-pass oracle's violation.
+
+    Several cases break two properties at once, so the order the oracle
+    reports them in — integrity, validity, agreement, prefix order — is
+    what is under test, not just the verdict.
+    """
+
+    GHOST = _msg("ghost")
+    ONLY_G0 = _msg("g0-only", dest=(0,))
+
+    CASES = {
+        "uncast": (
+            {"a": _msg("a")}, {0: ["a", "ghost"]}, {}),
+        "stray": (
+            {"a": _msg("a"), "g0-only": ONLY_G0},
+            {0: ["a", "g0-only"], 2: ["a", "g0-only"]}, {}),
+        "prefix_then_duplicate": (
+            # p0/p1 invert, but p3's duplicate is integrity: reported first.
+            {"a": _msg("a"), "b": _msg("b")},
+            {0: ["a", "b"], 1: ["b", "a"], 2: ["a", "b"],
+             3: ["a", "b", "b"]}, {}),
+        "prefix_then_missing": (
+            # Cross-group inversion, and p3 never delivers: completion first.
+            {"a": _msg("a"), "b": _msg("b")},
+            {0: ["a", "b"], 1: ["a", "b"], 2: ["b", "a"]}, {}),
+        "agreement_before_validity_in_cast_order": (
+            # a (crashed sender) misses p1 first in cast order; b (correct
+            # sender) misses p3: validity's b is reported, not a.
+            {"a": _msg("a", sender=0), "b": _msg("b", sender=1)},
+            {0: ["a", "b"], 2: ["a", "b"]}, {0: 5.0}),
+        "cross_group_inversion": (
+            # Complete and consistent inside each group: only the
+            # group-pair merge can see it.
+            {"a": _msg("a"), "b": _msg("b")},
+            {0: ["a", "b"], 1: ["a", "b"], 2: ["b", "a"], 3: ["b", "a"]},
+            {}),
+        "cross_group_inversion_projected": (
+            # g1's own message c sits between the inverted pair.
+            {"a": _msg("a"), "b": _msg("b"), "c": _msg("c", dest=(1,))},
+            {0: ["a", "b"], 1: ["a", "b"], 2: ["b", "c", "a"],
+             3: ["b", "c", "a"]}, {}),
+        "faulty_sender_undelivered": (
+            {"a": _msg("a", sender=0), "b": _msg("b", sender=1)},
+            {1: ["b"], 2: ["b"], 3: ["b"]}, {0: 5.0}),
+        "faulty_addressee_missing": (
+            {"a": _msg("a", sender=1)},
+            {0: ["a"], 1: ["a"], 2: ["a"]}, {3: 5.0}),
+        "clean": (
+            {"a": _msg("a"), "b": _msg("b", dest=(1,))},
+            {0: ["a"], 1: ["a"], 2: ["a", "b"], 3: ["a", "b"]}, {}),
+        "clean_projected": (
+            {"a": _msg("a"), "b": _msg("b"), "c": _msg("c", dest=(1,))},
+            {0: ["a", "b"], 1: ["a", "b"], 2: ["a", "c", "b"],
+             3: ["a", "c", "b"]}, {}),
+    }
+
+    @staticmethod
+    def _log(casts, deliveries):
+        known = dict(casts, ghost=TestCheckAllMatchesFourPassOracle.GHOST)
+        log = DeliveryLog()
+        for msg in casts.values():
+            log.record_cast(msg)
+        for pid, mids in deliveries.items():
+            for mid in mids:
+                log.record_delivery(pid, known[mid])
+        return log
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_identical_violation(self, name):
+        casts, deliveries, crashed = self.CASES[name]
+        log = self._log(casts, deliveries)
+        crashes = CrashSchedule(crashed)
+        expected = _violation(oracle_check_all, log, TOPO, crashes)
+        assert _violation(check_all, log, TOPO, crashes) == expected
+        assert (expected is None) == name.startswith(("clean", "faulty"))
+
+    @pytest.mark.parametrize(
+        "name", sorted(TestAdversarialLogsMatchOracle.CASES))
+    def test_adversarial_cases(self, name):
+        casts, deliveries = TestAdversarialLogsMatchOracle.CASES[name]
+        topology = TOPO3 if name == "three_group_inversion" else TOPO
+        log = _log_with(casts, deliveries)
+        assert _violation(check_all, log, topology) == \
+            _violation(oracle_check_all, log, topology), name
+
+    MUTATIONS = ["swap", "drop", "duplicate", "ghost", "stray",
+                 "swap_group"]
+
+    def _mutate(self, rng, casts, deliveries, how):
+        pid = rng.choice(sorted(deliveries))
+        seq = list(deliveries[pid])
+        if how == "swap_group":        # the whole group inverts a pair
+            members = TOPO3.members(TOPO3.group_of(pid))
+            out = dict(deliveries)
+            if len(seq) >= 2:
+                i = rng.randrange(len(seq) - 1)
+                for member in members:
+                    swapped = list(out[member])
+                    if len(swapped) > i + 1:
+                        swapped[i], swapped[i + 1] = \
+                            swapped[i + 1], swapped[i]
+                    out[member] = swapped
+            return out
+        if how == "ghost":
+            seq.insert(rng.randint(0, len(seq)), "ghost")
+        elif how == "stray":
+            gid = TOPO3.group_of(pid)
+            strays = [mid for mid, m in casts.items()
+                      if gid not in m.dest_groups]
+            if strays:
+                seq.insert(rng.randint(0, len(seq)), rng.choice(strays))
+        else:
+            return TestFuzzedLogsMatchOracle()._mutate(rng, deliveries, how)
+        out = dict(deliveries)
+        out[pid] = seq
+        return out
+
+    @pytest.mark.parametrize("seed", range(24))
+    @pytest.mark.parametrize("mutations", [0, 1, 2])
+    def test_fuzzed_with_crashes(self, seed, mutations):
+        rng = random.Random(seed * 7919 + mutations)
+        # Odd seeds deliver everything, so only the mutations break it;
+        # every mutation kind leads at two odd seeds.
+        casts, deliveries = TestFuzzedLogsMatchOracle()._random_log(
+            rng, TOPO3, n_messages=14, complete=bool(seed % 2))
+        for i in range(mutations):
+            how = self.MUTATIONS[(seed // 2 + i) % len(self.MUTATIONS)]
+            deliveries = self._mutate(rng, casts, deliveries, how)
+        # At most one crash per group; casts from those pids are faulty.
+        crashes = CrashSchedule({
+            rng.choice(TOPO3.members(gid)): rng.uniform(0.0, 10.0)
+            for gid in TOPO3.group_ids if rng.random() < 0.7})
+        log = self._log(casts, deliveries)
+        assert _violation(check_all, log, TOPO3, crashes) == \
+            _violation(oracle_check_all, log, TOPO3, crashes)
 
 
 class TestStreamingIncremental:
