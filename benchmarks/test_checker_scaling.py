@@ -3,8 +3,10 @@
 The log below mirrors the biggest campaign shape — 8 groups, hundreds
 of multicasts, full consistent delivery — and the one-pass
 ``check_all``, the per-property checks and the quadratic oracles they
-replaced must all return the same verdict: ok.  Host-time claims about
-the checkers are measured by the bench (``check_s``), not here.
+replaced must all return the same verdict: ok.  The log is standalone,
+so it owns its own record table; the checkers read each message's
+deliverers off its record.  Host-time claims about the checkers are
+measured by the bench (``check_s``), not here.
 """
 
 import os
@@ -55,6 +57,8 @@ def _campaign_scale_log(n_messages=2_000, groups=8, group_size=3, seed=0):
 class TestCheckerScaling:
     def test_same_verdict_at_scale(self):
         topology, log = _campaign_scale_log(n_messages=400)
+        assert sum(len(rec.delivery_time) for rec in
+                   log.record_map.values()) == log.delivery_count()
         crashes = CrashSchedule.none()
         check_all(log, topology, crashes)
         oracle_check_all(log, topology, crashes)

@@ -216,22 +216,6 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
     benign).
     """
     validate_spec(spec)
-    if spec.kernel != "serial":
-        from repro.runtime.parallel import ParallelKernelError
-
-        try:
-            if adversary is not None or spec.adversary != "none":
-                raise ParallelKernelError(
-                    "adversaries act through global network hooks whose "
-                    "firing order is a cross-group side channel; the "
-                    "parallel kernel cannot replay them per group"
-                )
-            return _build_parallel_scenario(spec, seed)
-        except ParallelKernelError:
-            if spec.kernel == "parallel":
-                raise
-            # kernel="auto": the scenario is outside the parallel
-            # envelope — assemble it on the serial kernel below.
     crash_rng = RngRegistry(seed).stream("campaign-crashes")
     # The topology is rebuilt by build_system; constructing it here too
     # keeps CrashSpec resolution independent of builder internals.
@@ -290,61 +274,6 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
     plans = spec.workload.plans(system.topology, system.rng.stream("wl"))
     schedule_workload(system, plans)
     return system, plans, applied
-
-
-def _build_parallel_scenario(spec: ScenarioSpec, seed: int):
-    """The parallel-kernel arm of :func:`build_scenario_system`.
-
-    Raises :class:`~repro.runtime.parallel.ParallelKernelError` when the
-    scenario falls outside the parallel envelope (non-fixed latency,
-    stochastic detector, single group, non-group-major plans) — the
-    caller decides whether that is fatal (``kernel="parallel"``) or a
-    fallback (``kernel="auto"``).
-    """
-    from repro.runtime.parallel import ParallelKernelError
-
-    if spec.store is not None and spec.store.elastic:
-        raise ParallelKernelError(
-            "elastic store scenarios are outside the parallel envelope: "
-            "the load balancer is a global controller and WrongEpoch "
-            "bounce callbacks cross groups outside the network"
-        )
-    crash_rng = RngRegistry(seed).stream("campaign-crashes")
-    from repro.net.topology import Topology
-
-    crashes = spec.crashes.build(Topology(list(spec.group_sizes)), crash_rng)
-    system = build_system(
-        protocol=spec.protocol,
-        group_sizes=list(spec.group_sizes),
-        latency=spec.latency.build(),
-        seed=seed,
-        crashes=crashes,
-        detector=spec.detector,
-        detector_delay=spec.detector_delay,
-        stabilise_at=spec.stabilise_at,
-        heartbeat_period=spec.heartbeat_period,
-        heartbeat_timeout=spec.heartbeat_timeout,
-        heartbeat_horizon=spec.heartbeat_horizon,
-        # Passed through so check_envelope rejects transport scenarios
-        # with its precise reason (retransmit timers undercut the
-        # lookahead bound); kernel="auto" then degrades to serial.
-        transport=spec.transport,
-        trace=bool(TRACE_CHECKERS.intersection(spec.checkers)
-                   or TRACE_METRICS.intersection(spec.metrics)),
-        profile=spec.profile or "phases" in spec.metrics,
-        kernel="parallel",
-        jobs=spec.kernel_jobs,
-        executor=spec.kernel_executor,
-        **spec.kwargs_dict(),
-    )
-    if spec.start_rounds:
-        system.start_rounds()
-    if spec.store is not None:
-        cluster = system.attach_store(spec.store)
-        return system, cluster.plans, None
-    plans = spec.workload.plans(system.topology, system.rng.stream("wl"))
-    system.schedule_plans(plans)
-    return system, plans, None
 
 
 def run_scenario_seed(spec: ScenarioSpec, seed: int) -> RunResult:

@@ -69,15 +69,6 @@ class LatencySpec:
             )
         raise ValueError(f"unknown latency kind {self.kind!r}")
 
-    def min_inter_group(self) -> float:
-        """The parallel kernel's lookahead for this latency spec.
-
-        Delegates to :meth:`LatencyModel.min_inter_group`; raises
-        :class:`ValueError` when the inter-group latency has no strictly
-        positive lower bound (no conservative window exists then).
-        """
-        return self.build().min_inter_group()
-
     @classmethod
     def logical(cls) -> "LatencySpec":
         return cls(kind="logical")
@@ -186,8 +177,8 @@ class CrashSpec:
 
     ``none`` is failure-free; ``explicit`` uses the literal
     ``crashes`` pairs; ``random-minority`` draws a validate-safe
-    strict-minority-per-group schedule from the run's seed (so serial
-    and parallel executions crash exactly the same processes).
+    strict-minority-per-group schedule from the run's seed (so every
+    worker of a campaign crashes exactly the same processes).
     """
 
     kind: str = "none"
@@ -246,7 +237,7 @@ class ScenarioSpec:
     # "none" (raw quasi-reliable links) or "reliable" (mount the
     # retransmitting transport of :mod:`repro.transport.reliable`
     # beneath the protocol — what makes the lossy adversary kinds
-    # survivable).  Serial kernel only; gridable like any other axis.
+    # survivable).  Gridable like any other axis.
     transport: str = "none"
     detector: str = "perfect"
     detector_delay: float = 5.0
@@ -260,12 +251,6 @@ class ScenarioSpec:
     profile: bool = False
     start_rounds: bool = False
     max_events: int = 10_000_000
-    # Simulation kernel: "serial" (one global event loop), "parallel"
-    # (per-group sub-kernels, bit-identical within the envelope of
-    # :mod:`repro.runtime.parallel`) or "auto" (parallel when eligible).
-    kernel: str = "serial"
-    kernel_jobs: int = 0          # 0 = one worker per group
-    kernel_executor: str = "inline"
     protocol_kwargs: Tuple[Tuple[str, object], ...] = ()
 
     def kwargs_dict(self) -> Dict[str, object]:

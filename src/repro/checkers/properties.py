@@ -22,16 +22,16 @@ One pass over what the run indexed
 ----------------------------------
 :func:`check_all` — the assertion every bench pass, campaign cell and
 most tests end with — rebuilds nothing.  The :class:`DeliveryLog`
-already holds, per message, the set of its deliverers
-(``delivered_by``) and, per process, its delivery list (``sequences``);
-the check compares those in place:
+already holds, per process, its delivery list (``sequences``) and, per
+message, the run's one record (``record_map``), whose ``delivery_time``
+keys are the message's deliverers; the check compares those in place:
 
 * **integrity, validity, agreement** — one pass over the cast map.  No
   process delivered twice iff the delivery count equals the number of
-  (process, message) pairs in the index; nothing uncast was delivered
-  iff the delivered ids are cast ids; and per message the deliverers
-  must lie between its correct addressees and all its addressees, both
-  sets memoised once per destination tuple;
+  (process, message) pairs in the records; nothing uncast was delivered
+  iff every record with a deliverer is of a cast id; and per message
+  the deliverers must lie between its correct addressees and all its
+  addressees, both sets memoised once per destination tuple;
 * **prefix order** — once integrity holds, a process's projection on
   its own group is its whole list, so every member's list must be a
   slice of its group's longest one, and two groups' longest lists,
@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from typing import Collection, Dict, List, Optional, Tuple
 
+from repro.clocks.latency import MessageRecord
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
@@ -133,10 +134,10 @@ def check_validity(
     log: DeliveryLog, topology: Topology, crashes: CrashSchedule
 ) -> None:
     """Correct caster => all correct addressees deliver."""
-    delivered_by = log.delivered_by
+    records = log.record_map
     for mid, msg in log.cast_map.items():
         if not crashes.is_faulty(msg.sender):
-            _require_addressees_in(delivered_by.get(mid, {}), topology,
+            _require_addressees_in(_deliverers(records.get(mid)), topology,
                                    crashes, msg)
 
 
@@ -144,28 +145,33 @@ def check_uniform_agreement(
     log: DeliveryLog, topology: Topology, crashes: CrashSchedule
 ) -> None:
     """Any delivery => all correct addressees deliver."""
-    delivered_by = log.delivered_by
+    records = log.record_map
     for mid, msg in log.cast_map.items():
-        deliverers = delivered_by.get(mid)
+        deliverers = _deliverers(records.get(mid))
         if deliverers:
             _require_addressees_in(deliverers, topology, crashes, msg)
 
 
+def _deliverers(rec: Optional[MessageRecord]) -> Dict[int, float]:
+    """A record's deliverers, as its insertion-ordered key set."""
+    return rec.delivery_time if rec is not None else {}
+
+
 def _require_addressees_in(
-    delivered_by: Collection[int], topology: Topology,
+    deliverers: Collection[int], topology: Topology,
     crashes: CrashSchedule, msg: AppMessage,
 ) -> None:
     for gid in msg.dest_groups:
         for pid in topology.members(gid):
             if crashes.is_faulty(pid):
                 continue
-            if pid not in delivered_by:
+            if pid not in deliverers:
                 raise PropertyViolation(
                     f"correct addressee {pid} never delivered {msg.mid} "
-                    f"(delivered by {sorted(delivered_by)})",
+                    f"(delivered by {sorted(deliverers)})",
                     property="agreement_or_validity", kind="missing",
                     pid=pid, mid=msg.mid,
-                    delivered_by=sorted(delivered_by),
+                    delivered_by=sorted(deliverers),
                 )
 
 
@@ -176,9 +182,13 @@ def _index_holds(log: DeliveryLog, topology: Topology,
     Exact: False iff one of the three per-property checks would raise.
     """
     cast = log.cast_map
-    delivered_by = log.delivered_by
-    if log.delivery_count() != sum(map(len, delivered_by.values())) \
-            or not delivered_by.keys() <= cast.keys():
+    records = log.record_map
+    if log.delivery_count() != sum(
+            len(rec.delivery_time) for rec in records.values()):
+        return False
+    if not records.keys() <= cast.keys() and any(
+            rec.delivery_time for mid, rec in records.items()
+            if mid not in cast):
         return False
     faulty = crashes.crashes
     # dest tuple -> (all addressees, correct addressees)
@@ -190,11 +200,11 @@ def _index_holds(log: DeliveryLog, topology: Topology,
             everyone = frozenset(topology.processes_of_groups(dests))
             sets = addressees[dests] = (everyone, everyone.difference(faulty))
         everyone, correct = sets
-        deliverers = delivered_by.get(mid)
-        if not deliverers:
+        rec = records.get(mid)
+        if rec is None or not rec.delivery_time:
             if correct and msg.sender not in faulty:
                 return False
-        elif not correct <= deliverers.keys() <= everyone:
+        elif not correct <= rec.delivery_time.keys() <= everyone:
             return False
     return True
 
@@ -362,7 +372,7 @@ class StreamingPropertyChecker:
         self.deliveries_checked += 1
         log = self.log
         _check_delivery(pid, self.topology.group_of(pid), msg,
-                        pid in log.delivered_by.get(msg.mid, ()),
+                        pid in _deliverers(log.record_map.get(msg.mid)),
                         log.cast_map)
         log.record_delivery(pid, msg)
         self._prefix.observe(pid, msg)

@@ -23,9 +23,6 @@ Usage::
     python -m repro.cli rebalance --seeds 1,2,3 --out results/
     python -m repro.cli rebalance --explore --max-scenarios 2
 
-    python -m repro.cli parallel --scenario both --jobs 2
-    python -m repro.cli campaign cross-protocol --kernel auto
-
 Each experiment prints the same rows/series the paper reports (or that
 our extension sections define); the benchmark suite asserts the shapes,
 this CLI is for eyeballing and for regenerating EXPERIMENTS.md.
@@ -58,14 +55,6 @@ groups, every cell gated by the serializability and reconfig checkers.
 It prints the static-vs-rebalance committed-throughput table and, with
 ``--explore``, aims the schedule explorer at the migration window and
 shrinks any violation to a replayable counterexample.
-
-The ``parallel`` verb runs a small and a large (64-process heartbeat)
-scenario under both the serial and the conservative parallel kernel
-and asserts bit-identical delivery orders, checker verdicts and
-metrics — the CI smoke for the parallel kernel's equivalence claim.
-``campaign --kernel auto`` runs a whole campaign over the parallel
-kernel wherever a scenario is eligible (>= 2 groups, fixed latencies,
-deterministic detector), degrading to serial elsewhere.
 
 The ``torture`` verb drives a campaign's scenario × adversary grid
 through the adversarial schedule explorer: each case runs under its
@@ -238,11 +227,6 @@ def campaign_main(argv: List[str]) -> int:
     parser.add_argument("--compare-serial", action="store_true",
                         help="re-run with --jobs 1, assert per-seed "
                              "metrics identical, record the speedup")
-    parser.add_argument("--kernel", default=None,
-                        choices=["serial", "auto", "parallel"],
-                        help="override every scenario's simulation "
-                             "kernel ('auto' uses the parallel kernel "
-                             "where eligible, serial elsewhere)")
     parser.add_argument("--list", action="store_true",
                         help="list built-in campaigns and exit")
     args = parser.parse_args(argv)
@@ -270,13 +254,6 @@ def campaign_main(argv: List[str]) -> int:
         campaign = get_campaign(name, seeds=seeds)
         if args.max_scenarios is not None:
             campaign.scenarios = campaign.scenarios[:args.max_scenarios]
-        if args.kernel is not None:
-            import dataclasses
-
-            campaign.scenarios = [
-                dataclasses.replace(spec, kernel=args.kernel)
-                for spec in campaign.scenarios
-            ]
         runner = CampaignRunner(campaign, jobs=args.jobs)
         result = runner.run()
         extra = None
@@ -1034,68 +1011,6 @@ def rebalance_main(argv: List[str]) -> int:
     return status
 
 
-def parallel_main(argv: List[str]) -> int:
-    """The ``parallel`` verb: prove serial/parallel bit-identity."""
-    import time
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli parallel",
-        description="Run scenarios under both the serial and the "
-                    "conservative parallel kernel and assert identical "
-                    "delivery orders, checker verdicts and metrics.",
-    )
-    parser.add_argument("--scenario", default="both",
-                        choices=["small", "hb-large", "both"],
-                        help="which comparison to run (default: both)")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="workers for the parallel run (default: 0, "
-                             "one per group)")
-    parser.add_argument("--executor", default="inline",
-                        choices=["inline", "threads", "processes"],
-                        help="how sub-kernels execute between barriers")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
-    if args.jobs < 0:
-        parser.error(f"--jobs must be >= 0, got {args.jobs}")
-
-    from repro.campaigns.spec import ScenarioSpec, WorkloadSpec
-    from repro.runtime.parallel import compare_kernels
-
-    small = ScenarioSpec(
-        name="parallel-smoke-small", protocol="a1", group_sizes=(3, 3, 3),
-        workload=WorkloadSpec(kind="periodic", period=1.0, count=8),
-        checkers=("properties", "genuineness"), max_events=10_000_000,
-    )
-    hb_large = ScenarioSpec(
-        name="parallel-smoke-hb-large", protocol="a1",
-        group_sizes=(8,) * 8,
-        workload=WorkloadSpec(kind="poisson", rate=1.5, duration=60.0),
-        detector="heartbeat-elided", heartbeat_period=2.5,
-        heartbeat_timeout=12.5, heartbeat_horizon=3_000.0,
-        checkers=("properties",), max_events=50_000_000,
-    )
-    chosen = {"small": [small], "hb-large": [hb_large],
-              "both": [small, hb_large]}[args.scenario]
-
-    for spec in chosen:
-        t0 = time.perf_counter()
-        traces = compare_kernels(spec, seed=args.seed, jobs=args.jobs,
-                                 executor=args.executor)
-        wall = time.perf_counter() - t0
-        serial, parallel = traces["serial"], traces["parallel"]
-        n_procs = sum(spec.group_sizes)
-        print(f"{spec.name}: identical "
-              f"({len(serial.delivery_orders)} processes over "
-              f"{n_procs}-proc topology, "
-              f"{sum(len(o) for o in serial.delivery_orders.values())} "
-              f"deliveries, verdicts {serial.checker_verdicts})")
-        print(f"  serial {serial.wall_seconds:.3f}s vs parallel "
-              f"{parallel.wall_seconds:.3f}s "
-              f"(executor={args.executor}, jobs={args.jobs or 'per-group'}; "
-              f"compare took {wall:.2f}s)")
-    return 0
-
-
 def replay_main(argv: List[str]) -> int:
     """The ``replay`` verb: re-run counterexample artifacts."""
     from repro.adversary.artifact import replay_file
@@ -1137,8 +1052,6 @@ def main(argv: List[str] = None) -> int:
         return replay_main(argv[1:])
     if argv and argv[0] == "store":
         return store_main(argv[1:])
-    if argv and argv[0] == "parallel":
-        return parallel_main(argv[1:])
     if argv and argv[0] == "lossy":
         return lossy_main(argv[1:])
     if argv and argv[0] == "rebalance":

@@ -8,44 +8,53 @@ delivery.  From those it computes:
   over delivering processes, of ``ts(A-Deliver(m)) - ts(A-XCast(m))``;
 * the wall (virtual-time) delivery latency, both worst-case and mean.
 
-Protocol implementations call :meth:`record_cast` at the A-XCast event
-and :meth:`record_delivery` at each A-Deliver event, passing the casting
-or delivering process so the meter can read its Lamport clock.
+A built system writes its records from each endpoint's delivery
+callback (``System.install_endpoint``) and shares the table with its
+:class:`~repro.runtime.results.DeliveryLog`; :meth:`record_cast` and
+:meth:`record_delivery` serve standalone meters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
 
 
-@dataclass
 class MessageRecord:
-    """Everything the meter knows about one application message.
+    """The one per-message delivery record of a run.
 
-    Deliveries are written only through :meth:`add_delivery`, which
-    keeps ``max_delivery_lamport``, the running maximum of the delivery
-    stamps; :attr:`latency_degree` reads it, so it is O(1) however often
-    reports and extractors ask.  A process's stamps only grow, so the
-    running maximum equals the maximum over ``delivery_lamport`` even
-    when a process delivers twice.
+    It owns everything per message that the latency measures and the
+    property checkers need, and nothing per process beyond that:
+
+    * ``cast_pid`` / ``cast_lamport`` / ``cast_time`` and
+      ``dest_groups`` (the cast message's own sorted tuple);
+    * ``delivery_time`` — pid → virtual time of its A-Deliver.  Its keys,
+      in first-delivery order, *are* the message's deliverer set: the
+      checkers and :meth:`DeliveryLog.deliveries_of
+      <repro.runtime.results.DeliveryLog.deliveries_of>` read them in
+      place.  A pid that delivers twice keeps one key (its per-pid
+      sequence in the log shows the repeat);
+    * ``max_delivery_lamport`` — the running maximum of the delivery
+      stamps, so :attr:`latency_degree` is O(1).  A process's stamps
+      only grow, so it is the maximum over every delivery recorded.
     """
 
-    msg_id: str
-    cast_pid: Optional[int] = None
-    cast_lamport: Optional[int] = None
-    cast_time: Optional[float] = None
-    dest_groups: tuple = ()
-    delivery_lamport: Dict[int, int] = field(default_factory=dict)
-    delivery_time: Dict[int, float] = field(default_factory=dict)
-    max_delivery_lamport: Optional[int] = None
+    __slots__ = ("msg_id", "cast_pid", "cast_lamport", "cast_time",
+                 "dest_groups", "delivery_time", "max_delivery_lamport")
+
+    def __init__(self, msg_id: str) -> None:
+        self.msg_id = msg_id
+        self.cast_pid: Optional[int] = None
+        self.cast_lamport: Optional[int] = None
+        self.cast_time: Optional[float] = None
+        self.dest_groups: tuple = ()
+        self.delivery_time: Dict[int, float] = {}
+        self.max_delivery_lamport: Optional[int] = None
 
     def add_delivery(self, pid: int, lamport: int, time: float) -> None:
         """Record ``pid``'s A-Deliver at Lamport stamp ``lamport``."""
-        self.delivery_lamport[pid] = lamport
         self.delivery_time[pid] = time
         top = self.max_delivery_lamport
         if top is None or lamport > top:
@@ -73,17 +82,24 @@ class MessageRecord:
         delays = [t - self.cast_time for t in self.delivery_time.values()]
         return sum(delays) / len(delays)
 
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"MessageRecord({self.msg_id!r}, cast_time={self.cast_time}, "
+                f"deliverers={list(self.delivery_time)})")
+
 
 class LatencyMeter:
     """Collects cast/delivery events and derives latency statistics."""
 
-    def __init__(self) -> None:
-        self._records: Dict[str, MessageRecord] = {}
+    def __init__(self,
+                 records: Optional[Dict[str, MessageRecord]] = None) -> None:
+        #: msg id -> record; a built system shares it with its log.
+        self._records: Dict[str, MessageRecord] = (
+            {} if records is None else records)
 
     def _record(self, msg_id: str) -> MessageRecord:
         rec = self._records.get(msg_id)
         if rec is None:
-            rec = self._records[msg_id] = MessageRecord(msg_id=msg_id)
+            rec = self._records[msg_id] = MessageRecord(msg_id)
         return rec
 
     # ------------------------------------------------------------------
@@ -97,14 +113,14 @@ class LatencyMeter:
         rec.cast_pid = process.pid
         rec.cast_lamport = process.lamport.local_event()
         rec.cast_time = now
-        rec.dest_groups = tuple(sorted(dest_groups))
+        groups = tuple(sorted(dest_groups))
+        # An AppMessage's tuple is sorted already: keep it, not a copy.
+        rec.dest_groups = dest_groups if groups == dest_groups else groups
 
     def record_delivery(self, msg_id: str, process: "Process", now: float = 0.0) -> None:
         """Record an A-Deliver event of ``msg_id`` on ``process``."""
-        rec = self._records.get(msg_id)  # _record, inlined: per delivery
-        if rec is None:
-            rec = self._records[msg_id] = MessageRecord(msg_id=msg_id)
-        rec.add_delivery(process.pid, process.lamport.local_event(), now)
+        self._record(msg_id).add_delivery(
+            process.pid, process.lamport.local_event(), now)
 
     # ------------------------------------------------------------------
     # Queries

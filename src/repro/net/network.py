@@ -140,23 +140,6 @@ class Network:
         # pair) can never plan a leg: its sends skip the route lookup,
         # which measured 2-3 % of a store_mix run.
         self._fixed_links = latency.has_fixed_links()
-        # Partitioned (parallel-kernel) mode: copies addressed outside
-        # the owned group are buffered here instead of scheduled, and
-        # flushed to the owning sub-kernel at the next epoch barrier.
-        # None in serial mode — the hot paths pay one is-None test.
-        self._outbox = None
-        self._owned_gid = -1
-
-    def divert_cross_group(self, owned_gid: int, outbox) -> None:
-        """Enter partitioned mode: buffer copies leaving ``owned_gid``.
-
-        Installed by the parallel kernel on each sub-kernel replica;
-        ``outbox`` is an :class:`~repro.sim.partition.Outbox` whose
-        append order extends this sub-kernel's scheduling order across
-        the group boundary.
-        """
-        self._owned_gid = owned_gid
-        self._outbox = outbox
 
     # ------------------------------------------------------------------
     # Membership
@@ -291,12 +274,11 @@ class Network:
         :mod:`repro.net.message`).  Whatever needs a ``Message`` per
         copy gets one, decided from what is mounted at that moment: at
         send, a transport-covered kind (the frame word is per copy), a
-        delay hook, an enabled trace, partitioned mode or a sampled
-        link delay take the per-copy path for the whole send; at
-        delivery, a filter, an enabled trace or a profiler makes the
-        leg hand every receiver its own copy through the per-copy
-        delivery path.  Both paths produce the same events, stats,
-        clocks and handler calls.
+        delay hook, an enabled trace or a sampled link delay take the
+        per-copy path for the whole send; at delivery, a filter, an
+        enabled trace or a profiler makes the leg hand every receiver
+        its own copy through the per-copy delivery path.  Both paths
+        produce the same events, stats, clocks and handler calls.
         """
         if self.profiler is not None:
             self.profiler.push("network")
@@ -319,9 +301,8 @@ class Network:
                      if transport is not None else None)
         lamport = sender.lamport.value  # timestamp_send leaves it unchanged
         trace = self.trace if self.trace.enabled else None
-        outbox = self._outbox
         if (self._fixed_links and next_wire is None and trace is None
-                and outbox is None and not self._delay_hooks):
+                and not self._delay_hooks):
             # Nothing mounted looks at a copy on its way out: fan out
             # by leg, one shared envelope and one kernel event each.
             if type(dsts) is not tuple:
@@ -349,7 +330,6 @@ class Network:
         if fixed_row is None:
             fixed_row = self._fixed_delay[src_gid] = {}
         rng = self.rng
-        owned_gid = self._owned_gid
         total = 0
         n_inter = 0
         buckets: Dict[float, List[Message]] = {}
@@ -381,9 +361,6 @@ class Network:
             if self._delay_hooks:
                 for hook in self._delay_hooks:
                     delay = hook(msg, delay)
-            if outbox is not None and dst_gid != owned_gid:
-                outbox.add(msg, delay, dst_gid)
-                continue
             bucket = buckets.get(delay)
             if bucket is None:
                 buckets[delay] = [msg]
@@ -459,9 +436,6 @@ class Network:
         delay = self._link_delay(src_gid, dst_gid)
         for hook in self._delay_hooks:
             delay = hook(msg, delay)
-        if self._outbox is not None and dst_gid != self._owned_gid:
-            self._outbox.add(msg, delay, dst_gid)
-            return
         self.sim.schedule_action(delay, lambda m=msg: self._deliver(m))
 
     def _link_delay(self, src_gid: int, dst_gid: int) -> float:

@@ -24,12 +24,7 @@ class Distribution:
         raise NotImplementedError
 
     def lower_bound(self) -> float:
-        """Infimum of the support.
-
-        The conservative parallel kernel derives its lookahead from the
-        smallest delay an inter-group link can ever produce; every
-        distribution must therefore know its own floor.
-        """
+        """Infimum of the support (read by ``min_inter_group``)."""
         raise NotImplementedError
 
 
@@ -136,15 +131,11 @@ class LatencyModel:
     def min_inter_group(self) -> float:
         """Smallest delay any inter-group link can ever produce.
 
-        This is the conservative parallel kernel's lookahead: a message
-        crossing groups at time ``t`` cannot arrive before
-        ``t + min_inter_group()``, so an epoch of that width can be
-        executed by every group independently.
+        The reliable transport scales its ack window and retransmission
+        timeout from it.
 
         Raises:
-            ValueError: When the bound is not strictly positive (a
-                conservative synchronizer with zero lookahead can never
-                advance — fail fast instead of deadlocking) or when no
+            ValueError: When the bound is not strictly positive or no
                 inter-group distribution is configured.
         """
         if self.inter is None:
@@ -155,21 +146,10 @@ class LatencyModel:
         lookahead = min(bounds)
         if lookahead <= 0:
             raise ValueError(
-                f"inter-group latency lower bound is {lookahead!r}; the "
-                f"parallel kernel needs a strictly positive lookahead"
+                f"inter-group latency lower bound is {lookahead!r}, "
+                f"not strictly positive"
             )
         return lookahead
-
-    def all_fixed(self) -> bool:
-        """True when every link delay is a constant (no RNG draws).
-
-        The parallel kernel requires this: per-copy latency sampling
-        consumes a shared random stream whose draw order depends on the
-        global event interleaving, which per-group sub-kernels do not
-        reproduce.
-        """
-        dists = [self.intra, self.inter, *self.pairwise_inter.values()]
-        return all(type(d) is Fixed for d in dists)
 
     @classmethod
     def wan(

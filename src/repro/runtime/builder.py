@@ -3,8 +3,9 @@
 :func:`build_system` assembles kernel, topology, network, failure
 detector, crash schedule and one protocol endpoint per process, fully
 wired to a :class:`~repro.clocks.latency.LatencyMeter` and a
-:class:`~repro.runtime.results.DeliveryLog`.  Every experiment, test and
-example in the repository goes through it.
+:class:`~repro.runtime.results.DeliveryLog` that share one
+:class:`~repro.clocks.latency.MessageRecord` per message.  Every
+experiment, test and example in the repository goes through it.
 
 Protocol registry
 -----------------
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.clocks.latency import LatencyMeter
+from repro.clocks.latency import LatencyMeter, MessageRecord
 from repro.core.interfaces import AppMessage, MessageCatalog
 from repro.failure.detectors import (
     EventuallyPerfectDetector,
@@ -66,8 +67,11 @@ class System:
         self.detector = detector
         self.rng = rng
         self.crashes = crashes
-        self.meter = LatencyMeter()
-        self.log = DeliveryLog()
+        # One record per message, shared: the meter reads its stamps,
+        # the log and the checkers its deliverers.
+        records: Dict[str, MessageRecord] = {}
+        self.meter = LatencyMeter(records)
+        self.log = DeliveryLog(records)
         self.catalog = MessageCatalog.of(sim)
         self.endpoints: Dict[int, object] = {}
         self._delivery_taps: Dict[int, List[Callable]] = {}
@@ -87,18 +91,30 @@ class System:
     def install_endpoint(self, pid: int, endpoint: object) -> None:
         """Attach a protocol endpoint and wire its delivery callback."""
         self.endpoints[pid] = endpoint
-        process = self.network.process(pid)
         # Bound once per endpoint: this runs for every A-Deliver of the
         # run.  Hooks and taps subscribed later land in the same lists.
-        log_delivery = self.log.record_delivery
-        meter_delivery = self.meter.record_delivery
+        clock = self.network.process(pid).lamport
+        sequences = self.log.sequences
+        records = self.log.record_map
         sim = self.sim
         hooks = self._delivery_hooks
         taps = self._delivery_taps.setdefault(pid, [])
 
         def on_deliver(msg: AppMessage) -> None:
-            log_delivery(pid, msg)
-            meter_delivery(msg.mid, process, sim.now)
+            sequence = sequences.get(pid)
+            if sequence is None:
+                sequence = sequences[pid] = []
+            sequence.append(msg)
+            # MessageRecord.add_delivery, inlined.
+            mid = msg.mid
+            rec = records.get(mid)
+            if rec is None:
+                rec = records[mid] = MessageRecord(mid)
+            rec.delivery_time[pid] = sim.now
+            stamp = clock.value  # a delivery does not tick the clock
+            top = rec.max_delivery_lamport
+            if top is None or stamp > top:
+                rec.max_delivery_lamport = stamp
             for hook in hooks:
                 hook(pid, msg)
             for tap in taps:
@@ -376,10 +392,6 @@ def build_system(
     transport: str = "none",
     trace: bool = False,
     profile: bool = False,
-    kernel: str = "serial",
-    jobs: int = 0,
-    executor: str = "inline",
-    _sim: Optional[Simulator] = None,
     **protocol_kwargs,
 ) -> System:
     """Assemble a ready-to-run :class:`System`.
@@ -411,31 +423,16 @@ def build_system(
             retransmitting transport of
             :mod:`repro.transport.reliable` beneath every protocol
             kind — required for the lossy adversary kinds to be
-            masked rather than fatal).  Serial kernel only.
+            masked rather than fatal).
         trace: Enable the full message trace (genuineness checks).
         profile: Attach a :class:`~repro.runtime.profiler.PhaseProfiler`
             (shared by kernel, network and detector) — read the result
             from ``RunReport.phase_timings()``.
-        kernel: ``"serial"`` (the default single event loop),
-            ``"parallel"`` (per-group sub-kernels with latency-derived
-            lookahead — see :mod:`repro.runtime.parallel`; raises
-            :class:`~repro.runtime.parallel.ParallelKernelError` outside
-            its envelope) or ``"auto"`` (parallel when eligible, serial
-            otherwise).
-        jobs: Parallel kernel worker count (0 = one per group).
-        executor: Parallel worker dispatch — ``"inline"``,
-            ``"threads"`` or ``"processes"``.
-        _sim: Internal — the parallel kernel passes each sub-kernel's
-            group-sequenced simulator here.
         **protocol_kwargs: Forwarded to the protocol constructor.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(
             f"unknown protocol {protocol!r}; pick one of {sorted(PROTOCOLS)}"
-        )
-    if kernel not in ("serial", "parallel", "auto"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}; pick 'serial', 'parallel' or 'auto'"
         )
     from repro.transport import TRANSPORTS
 
@@ -443,30 +440,7 @@ def build_system(
         raise ValueError(
             f"unknown transport {transport!r}; pick one of {TRANSPORTS}"
         )
-    if kernel != "serial" and _sim is None:
-        from repro.runtime.parallel import (
-            ParallelKernelError,
-            build_parallel_system,
-        )
-
-        build_kwargs = dict(
-            protocol=protocol, group_sizes=list(group_sizes),
-            latency=latency, seed=seed, crashes=crashes,
-            detector=detector, detector_delay=detector_delay,
-            stabilise_at=stabilise_at, heartbeat_period=heartbeat_period,
-            heartbeat_timeout=heartbeat_timeout,
-            heartbeat_horizon=heartbeat_horizon, transport=transport,
-            trace=trace, profile=profile, **protocol_kwargs,
-        )
-        if kernel == "parallel":
-            return build_parallel_system(build_kwargs, jobs=jobs,
-                                         executor=executor)
-        try:
-            return build_parallel_system(build_kwargs, jobs=jobs,
-                                         executor=executor)
-        except ParallelKernelError:
-            pass  # auto: fall back to the serial kernel
-    sim = _sim if _sim is not None else Simulator()
+    sim = Simulator()
     rng = RngRegistry(seed)
     topology = Topology(list(group_sizes))
     latency = latency or LatencyModel.logical()

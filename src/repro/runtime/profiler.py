@@ -22,12 +22,9 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 #: Canonical phase order for rendering (unknown phases sort after).
-#: "sync" is the parallel kernel's residual serial fraction: epoch
-#: barriers, mailbox flushes and artifact merging charged by the
-#: coordinator (measured, not guessed — Amdahl's law needs a number).
 PHASE_ORDER = (
     "kernel", "network", "transport", "protocol", "consensus",
-    "failure_detection", "workload", "checkers", "sync",
+    "failure_detection", "workload", "checkers",
 )
 
 
@@ -96,19 +93,6 @@ class PhaseProfiler:
     def phase(self, name: str) -> "PhaseProfiler._Phase":
         """Context manager: ``with profiler.phase("checkers"): ...``."""
         return PhaseProfiler._Phase(self, name)
-
-    def absorb(self, timings: Dict[str, float]) -> None:
-        """Fold finished per-phase timings into this profiler.
-
-        Used when merging per-sub-kernel profilers after a partitioned
-        run: the coordinator's own profiler (which charged "sync" around
-        barriers) absorbs each worker's timings, so the merged table
-        still sums to the total profiled work.  Must not be called while
-        a phase is open on ``self`` for the additivity invariant to
-        survive the merge.
-        """
-        for name, seconds in timings.items():
-            self._timings[name] = self._timings.get(name, 0.0) + seconds
 
     # ------------------------------------------------------------------
     def timings(self) -> Dict[str, float]:

@@ -1,8 +1,10 @@
 """Run artefacts: delivery logs and result-table formatting.
 
 The :class:`DeliveryLog` is the ground truth the correctness checkers
-work from: per-process delivery sequences, each message's deliverers
-and every cast message's destination set.
+work from: per-process delivery sequences, every cast message's
+destination set and, through the run's
+:class:`~repro.clocks.latency.MessageRecord` table, each message's
+deliverers.
 
 :func:`format_table` renders experiment results the way the paper's
 Figure 1 does — one row per algorithm, aligned columns — so benchmark
@@ -11,19 +13,30 @@ output can be eyeballed against the paper directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.clocks.latency import MessageRecord
 from repro.core.interfaces import AppMessage
 
 
 class DeliveryLog:
-    """Per-process A-Deliver sequences for a run."""
+    """Per-process A-Deliver sequences for a run.
 
-    def __init__(self) -> None:
+    The log owns what is per *process* — each pid's delivered messages,
+    in order — and the cast map.  What is per *message* lives in the
+    :class:`~repro.clocks.latency.MessageRecord` table: a built system
+    hands its :class:`~repro.clocks.latency.LatencyMeter`'s table to
+    its log, and a standalone ``DeliveryLog()`` owns a table of its own.
+    A message's deliverers are its record's ``delivery_time`` keys.
+    """
+
+    def __init__(self,
+                 records: Optional[Dict[str, MessageRecord]] = None) -> None:
         self._sequences: Dict[int, List[AppMessage]] = {}
         self._cast: Dict[str, AppMessage] = {}
-        self._delivered_by: Dict[str, Dict[int, None]] = {}
+        self._records: Dict[str, MessageRecord] = (
+            {} if records is None else records)
 
     # ------------------------------------------------------------------
     def record_cast(self, msg: AppMessage) -> None:
@@ -31,15 +44,20 @@ class DeliveryLog:
         self._cast[msg.mid] = msg
 
     def record_delivery(self, pid: int, msg: AppMessage) -> None:
-        """Append ``msg`` to ``pid``'s delivery sequence."""
+        """Append ``msg`` to ``pid``'s delivery sequence.
+
+        For logs fed by hand (tests, replayed foreign logs), which have
+        no clock: their records' delivery times read 0.0.  A built
+        system writes its log from the endpoints' delivery callbacks.
+        """
         sequence = self._sequences.get(pid)
         if sequence is None:
             sequence = self._sequences[pid] = []
         sequence.append(msg)
-        deliverers = self._delivered_by.get(msg.mid)
-        if deliverers is None:
-            deliverers = self._delivered_by[msg.mid] = {}
-        deliverers[pid] = None
+        rec = self._records.get(msg.mid)
+        if rec is None:
+            rec = self._records[msg.mid] = MessageRecord(msg.mid)
+        rec.delivery_time[pid] = 0.0
 
     # ------------------------------------------------------------------
     def sequence(self, pid: int) -> List[str]:
@@ -70,13 +88,14 @@ class DeliveryLog:
         return self._sequences
 
     @property
-    def delivered_by(self) -> Dict[str, Dict[int, None]]:
-        """Deliverers by message id, as insertion-ordered key sets."""
-        return self._delivered_by
+    def record_map(self) -> Dict[str, MessageRecord]:
+        """The per-message records, by id (deliverers and stamps)."""
+        return self._records
 
     def deliveries_of(self, mid: str) -> List[int]:
         """Pids that delivered ``mid``, in first-delivery order."""
-        return list(self._delivered_by.get(mid, ()))
+        rec = self._records.get(mid)
+        return list(rec.delivery_time) if rec is not None else []
 
     def delivery_count(self) -> int:
         """Total number of delivery events in the run."""

@@ -6,14 +6,10 @@ that runs are fully deterministic: two events scheduled for the same
 virtual time always execute in the order they were scheduled.
 
 **The ``(time, seq)`` tie-break is a pinned contract**, not an
-implementation detail: the parallel kernel's bit-identical claim rests
-on reproducing exactly this total order from per-group sub-kernels (see
-:mod:`repro.sim.partition`), and ``tests/test_event_queue.py`` regression-
-tests it with colliding timestamps.  ``seq`` only needs to be totally
-ordered and consistent with scheduling order — the serial queue uses an
-``int`` counter, the partitioned queue a nested pedigree tuple
-``(sched_time, parent_seq, call_index)`` that embeds the same order
-across sub-kernels.
+implementation detail: every seeded run's event order, and with it its
+fingerprint, rests on it, and ``tests/test_event_queue.py`` regression-
+tests it with colliding timestamps.  ``seq`` is an ``int`` counter, so
+it is totally ordered and consistent with scheduling order.
 
 **Reserved slots.**  A caller that only *might* need an event — a
 timeout that is usually cancelled, a check that usually has nothing to

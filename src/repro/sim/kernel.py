@@ -28,11 +28,8 @@ class Simulator:
         now: Current virtual time (read-only for clients).
     """
 
-    def __init__(self, queue: Optional[EventQueue] = None) -> None:
-        # The parallel kernel passes a GroupSequencedQueue whose seq
-        # keys embed (scheduling time, group id); the serial default is
-        # the plain int-counter queue.
-        self._queue = queue if queue is not None else EventQueue()
+    def __init__(self) -> None:
+        self._queue = EventQueue()
         self._now = 0.0
         self._running = False
         self._events_executed = 0
@@ -200,44 +197,6 @@ class Simulator:
                 else:
                     item()
                 executed += 1
-        finally:
-            self._running = False
-            if profiler is not None:
-                profiler.pop()
-        return self._now
-
-    def run_window(self, bound: float, inclusive: bool = False) -> float:
-        """Execute every pending event with ``time < bound``.
-
-        The conservative parallel kernel's per-epoch entry point: with
-        ``inclusive=True`` events at exactly ``bound`` run too (used for
-        the final window of a bounded run, mirroring ``run(until=...)``'s
-        inclusive semantics).  Unlike :meth:`run`, the clock is left at
-        the last executed event — never advanced to the bound — and idle
-        hooks are not consulted: the epoch coordinator owns termination.
-        """
-        if self._running:
-            raise SimulationError("run_window() is not reentrant")
-        self._running = True
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("kernel")
-        queue = self._queue
-        try:
-            while True:
-                next_time = queue.peek_time()
-                if next_time is None:
-                    break
-                if next_time > bound or (next_time == bound
-                                         and not inclusive):
-                    break
-                time, _, item = queue.pop_entry()
-                self._now = time
-                self._events_executed += 1
-                if type(item) is Event:
-                    item.action()
-                else:
-                    item()
         finally:
             self._running = False
             if profiler is not None:

@@ -110,17 +110,9 @@ class StoreCluster:
         return cls.attach(system, store or StoreSpec())
 
     @classmethod
-    def attach(cls, system: System, spec: StoreSpec,
-               owned_pids: Optional[frozenset] = None) -> "StoreCluster":
+    def attach(cls, system: System, spec: StoreSpec) -> "StoreCluster":
         """Mount the serving layer on a built system and schedule its
-        workload; the cluster becomes ``system.store_cluster``.
-
-        ``owned_pids`` restricts *plan scheduling* to transactions whose
-        client lives in the set (the structure — stores, clients,
-        tracker, full plan list — is always built).  The parallel kernel
-        uses this: each per-group sub-kernel schedules only its own
-        group's clients, and the never-run host passes an empty set.
-        """
+        workload; the cluster becomes ``system.store_cluster``."""
         endpoint = system.endpoints[min(system.endpoints)]
         if spec.routing == "genuine" and not hasattr(endpoint, "a_mcast"):
             raise ValueError(
@@ -171,17 +163,14 @@ class StoreCluster:
         if migrating:
             for store in stores.values():
                 store.bounce_notify = cluster._on_bounce
-            if owned_pids is None:
-                cluster.balancer = LoadBalancer(
-                    cluster, interval=spec.rebalance_interval,
-                    threshold=spec.rebalance_threshold,
-                    max_keys=spec.rebalance_keys,
-                    mode=spec.rebalance_mode,
-                )
-                cluster.balancer.schedule(spec.start, spec.horizon)
-        scheduled = (plans if owned_pids is None
-                     else [p for p in plans if p.client in owned_pids])
-        for plan in scheduled:
+            cluster.balancer = LoadBalancer(
+                cluster, interval=spec.rebalance_interval,
+                threshold=spec.rebalance_threshold,
+                max_keys=spec.rebalance_keys,
+                mode=spec.rebalance_mode,
+            )
+            cluster.balancer.schedule(spec.start, spec.horizon)
+        for plan in plans:
             system.sim.call_at(
                 plan.time,
                 lambda plan=plan: clients[plan.client].submit(

@@ -80,7 +80,7 @@ def _observe(spec, seed):
                       for pid in system.topology.processes},
         "delivery_times": {
             rename[rec.msg_id]: (rec.cast_time, rec.delivery_time,
-                                 rec.delivery_lamport)
+                                 rec.max_delivery_lamport)
             for rec in system.meter.records()},
         "stats": stats.snapshot(),
         "by_kind": dict(stats.by_kind),

@@ -9,7 +9,6 @@ from repro.campaigns.library import CAMPAIGNS, rebalance
 from repro.campaigns.runner import run_scenario_seed, validate_spec
 from repro.campaigns.spec import ScenarioSpec, StoreSpec
 from repro.net.topology import Topology
-from repro.runtime.parallel import ParallelKernelError
 from repro.store.workload import partition_keys, txn_workload
 
 
@@ -39,15 +38,6 @@ class TestSpecPlumbing:
             name="ok-store", protocol="a1", group_sizes=(2, 2),
             store=StoreSpec(data_groups=(0, 1)), seeds=(1,),
         ))
-
-    def test_parallel_kernel_refuses_elastic_store(self):
-        spec = ScenarioSpec(
-            name="elastic-parallel", protocol="a1", group_sizes=(2, 2),
-            store=StoreSpec(rebalance_interval=5.0), seeds=(1,),
-            kernel="parallel",
-        )
-        with pytest.raises(ParallelKernelError, match="elastic"):
-            run_scenario_seed(spec, 1)
 
 
 class TestGlobalPopularity:

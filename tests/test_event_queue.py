@@ -8,21 +8,11 @@ exact in the presence of cancelled stragglers.
 
 Reserved slots (``reserve`` / ``push_reserved``) extend the pinned
 ``(time, seq)`` contract: an event materialised later fires exactly
-where a ``schedule`` at reservation time would have, on both the serial
-queue and the parallel kernel's pedigree-keyed one.
+where a ``schedule`` at reservation time would have.
 """
-
-import pytest
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.partition import (
-    SETUP_BAND_BUILD,
-    SETUP_BAND_WORKLOAD,
-    GroupSequencedQueue,
-    epoch_of,
-    window_end,
-)
 
 
 class TestLiveCount:
@@ -144,10 +134,8 @@ class TestDeterminism:
 class TestTieBreakContract:
     """The ``(time, seq)`` tie-break is a pinned contract.
 
-    The parallel kernel reproduces the serial total order from per-group
-    sub-kernels, so equal-timestamp scheduling order is load-bearing —
-    changing it silently breaks the bit-identical claim even though no
-    single-queue test would notice.
+    Every seeded run's event order rests on equal-timestamp scheduling
+    order, so changing it silently changes every fingerprint.
     """
 
     def test_colliding_timestamps_pop_in_scheduling_order(self):
@@ -174,102 +162,18 @@ class TestTieBreakContract:
         assert fired == ["a", "b", "a-child"]
 
 
-class TestGroupSequencedQueue:
-    """Pedigree keys must embed the serial counter order."""
-
-    def _bound_queue(self, gid=0):
-        q = GroupSequencedQueue(gid)
-        sim = Simulator(queue=q)
-        q.bind(sim)
-        return q, sim
-
-    def test_setup_roots_order_by_band_then_group_then_counter(self):
-        q0, _ = self._bound_queue(0)
-        q1, _ = self._bound_queue(1)
-        build0 = q0.reserve()
-        q0.set_setup_band(SETUP_BAND_WORKLOAD)
-        workload0 = q0.reserve()
-        build1 = q1.reserve()
-        # Build band sorts before workload band regardless of group;
-        # within a band, group-major.
-        assert build0 < build1 < workload0
-
-    def test_runtime_children_follow_scheduling_moment_order(self):
-        q, sim = self._bound_queue()
-        fired = []
-        # a, b, c are setup roots in scheduling order.
-        sim.schedule(1.0, lambda: (fired.append("a"),
-                                   sim.schedule(1.0, lambda: fired.append("a-child"))))
-        sim.schedule(1.0, lambda: (fired.append("b"),
-                                   sim.schedule(1.0, lambda: fired.append("b-child"))))
-        sim.schedule(2.0, lambda: fired.append("c"))
-        q.begin_run()
-        sim.run()
-        # a-child, b-child and c collide at t=2; serial order is
-        # scheduling-moment order: c was scheduled during setup (before
-        # the run), then a's child (a ran first at t=1), then b's.
-        assert fired == ["a", "b", "c", "a-child", "b-child"]
-
-    def test_keys_nest_parent_pedigrees(self):
-        q, sim = self._bound_queue()
-        parent = sim.schedule(1.0, lambda: None)
-        q.begin_run()
-        q.pop_entry()  # the kernel pops `parent` before executing it
-        sim._now = 1.0
-        child = sim.schedule(1.0, lambda: None)
-        # seq = (scheduling time, parent's key, call index): structurally
-        # shared, one 3-tuple per event.
-        assert child.seq == (1.0, parent.seq, 0)
-        assert child.seq[1] is parent.seq
-
-    def test_remote_key_interleaves_where_sender_scheduled_it(self):
-        """A cross-group arrival carries the sender's pedigree key and
-        must sort against local events exactly as it would have in the
-        one serial heap."""
-        sender_q, sender_sim = self._bound_queue(0)
-        dest_q, dest_sim = self._bound_queue(1)
-        fired = []
-        # Destination schedules a local event for t=2 during setup —
-        # earliest possible scheduling moment.
-        dest_sim.schedule(2.0, lambda: fired.append("local-early"))
-        dest_q.begin_run()
-        sender_q.begin_run()
-        # Sender mints a copy's key while executing an event at t=1.0.
-        sender_q._current = (1.0, (SETUP_BAND_BUILD, (0,), 0), None)
-        sender_sim._now = 1.0
-        remote_seq = sender_q.reserve()
-        dest_q.push_reserved(2.0, remote_seq, lambda: fired.append("remote"))
-        # A destination event scheduled at runtime t=1.5 — later moment.
-        dest_q._current = (1.5, (SETUP_BAND_BUILD, (1,), 0), None)
-        dest_sim._now = 1.5
-        dest_sim.schedule(0.5, lambda: fired.append("local-late"))
-        dest_sim.run()
-        assert fired == ["local-early", "remote", "local-late"]
-
-
-def _group_sim():
-    """A sub-kernel simulator already past its setup phase."""
-    queue = GroupSequencedQueue(0)
-    sim = Simulator(queue=queue)
-    queue.bind(sim)
-    queue.begin_run()
-    return sim
-
-
-@pytest.mark.parametrize("make_sim", [Simulator, _group_sim],
-                         ids=["EventQueue", "GroupSequencedQueue"])
 class TestReservedSlots:
     """Reserve a ``(time, seq)`` slot now, materialise it later or never."""
 
     @staticmethod
-    def _run(make_sim, deferred):
+    def _run(deferred):
         """Fire order of a fixed schedule with colliding timestamps.
 
         ``x`` and ``y`` are scheduled between ordinary pushes, one from
         setup and one from inside an event; with ``deferred`` they only
         reserve their slot and are materialised by a later event.
         """
-        sim = make_sim()
+        sim = Simulator()
         fired = []
         slots = {}
 
@@ -299,13 +203,13 @@ class TestReservedSlots:
         sim.run()
         return fired
 
-    def test_fires_where_a_schedule_at_reservation_time_would(self, make_sim):
-        reference = self._run(make_sim, deferred=False)
+    def test_fires_where_a_schedule_at_reservation_time_would(self):
+        reference = self._run(deferred=False)
         assert reference == ["a", "m", "x", "b", "a-child", "y", "a-child2"]
-        assert self._run(make_sim, deferred=True) == reference
+        assert self._run(deferred=True) == reference
 
-    def test_reserving_costs_no_heap_entry_and_no_event(self, make_sim):
-        sim = make_sim()
+    def test_reserving_costs_no_heap_entry_and_no_event(self):
+        sim = Simulator()
         sim.schedule(1.0, lambda: sim.reserve_slot())
         sim.reserve_slot()
         assert sim.pending_events == 1
@@ -314,8 +218,8 @@ class TestReservedSlots:
         assert sim.events_executed == 1
         assert sim.now == 1.0  # never advanced towards a reserved moment
 
-    def test_slot_whose_moment_has_passed_is_refused(self, make_sim):
-        sim = make_sim()
+    def test_slot_whose_moment_has_passed_is_refused(self):
+        sim = Simulator()
         fired = []
         slots = []
         sim.schedule(1.0, lambda: slots.append(sim.reserve_slot()))
@@ -325,12 +229,11 @@ class TestReservedSlots:
         assert sim.pending_events == 0
         assert fired == ["two"]
 
-    def test_same_instant_slot_after_the_executing_event_is_accepted(
-            self, make_sim):
+    def test_same_instant_slot_after_the_executing_event_is_accepted(self):
         """At the executing event's own instant the seq decides: a slot
         reserved before the running event was scheduled already had its
         turn, one reserved after it has not."""
-        sim = make_sim()
+        sim = Simulator()
         fired = []
         slots = {}
 
@@ -350,34 +253,14 @@ class TestReservedSlots:
         sim.run()
         assert fired == ["two", "late"]
 
-    def test_materialised_event_is_cancellable(self, make_sim):
-        sim = make_sim()
+    def test_materialised_event_is_cancellable(self):
+        sim = Simulator()
         event = sim.call_at_reserved(1.0, sim.reserve_slot(), lambda: None)
         assert sim.pending_events == 1
         event.cancel()
         assert sim.pending_events == 0
         sim.run_until_quiescent()
         assert sim.events_executed == 0
-
-
-class TestEpochArithmetic:
-    def test_window_containment(self):
-        assert epoch_of(0.0, 1.0) == 0
-        assert epoch_of(0.999, 1.0) == 0
-        assert epoch_of(1.0, 1.0) == 1  # windows are half-open
-        assert epoch_of(7.25, 1.0) == 7
-
-    def test_boundary_float_rounding(self):
-        lookahead = 0.1  # not exactly representable
-        for e in range(50):
-            t = e * lookahead
-            assert epoch_of(t, lookahead) == epoch_of(t, lookahead)
-            ep = epoch_of(t, lookahead)
-            assert ep * lookahead <= t < window_end(ep, lookahead)
-
-    def test_window_end_is_exclusive_bound(self):
-        assert window_end(3, 0.5) == 2.0
-        assert epoch_of(window_end(3, 0.5), 0.5) == 4
 
 
 class TestIdleHookRefill:

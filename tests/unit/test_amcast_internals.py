@@ -134,7 +134,7 @@ class TestTimestampExchange:
         assert rec.latency_degree == 2
         # All processes delivered it (same final timestamp everywhere —
         # otherwise prefix order would have tripped in other tests).
-        assert len(rec.delivery_lamport) == 4
+        assert len(rec.delivery_time) == 4
 
     def test_ts_message_introduces_unknown_message(self):
         """Footnote 4: a (TS, m) from another group must create the
@@ -494,7 +494,7 @@ class TestCastAfterDelivery:
                            dest_groups=rng.sample(range(4), 2))
         return system
 
-    def _delivered_by_all_correct(self, system, mid, gid):
+    def _all_correct_delivered(self, system, mid, gid):
         return all(mid in system.endpoints[pid].adelivered
                    for pid in system.topology.members(gid)
                    if not system.network.process(pid).crashed)
@@ -509,7 +509,7 @@ class TestCastAfterDelivery:
         # m is cast from a third group, so g and h hear of it together
         # and only g's slow timestamp holds h back.
         m = system.cast_at(5.0, sender=9, dest_groups=(self.G, self.H))
-        while not self._delivered_by_all_correct(system, m.mid, self.G):
+        while not self._all_correct_delivered(system, m.mid, self.G):
             assert system.sim.pending_events
             system.run(max_events=1)
         laggards = [pid for pid in system.topology.members(self.H)

@@ -95,6 +95,40 @@ class TestLatencyModel:
         assert model.sample(0, 1, rng) >= 100.0
 
 
+class TestMinInterGroup:
+    """The smallest inter-group delay, the reliable transport's timescale
+    (ack window and retransmission timeout)."""
+
+    def test_intra_latency_does_not_count(self):
+        model = LatencyModel(intra=Fixed(1e-6), inter=Fixed(5.0))
+        assert model.min_inter_group() == 5.0
+
+    def test_pairwise_overrides_take_the_min(self):
+        model = LatencyModel(
+            intra=Fixed(0.001), inter=Fixed(10.0),
+            pairwise_inter={(0, 1): Fixed(3.0), (1, 0): Fixed(7.0)})
+        assert model.min_inter_group() == 3.0
+
+    def test_sampled_bounds_are_the_floors(self):
+        assert LatencyModel.wan(inter_ms=100.0).min_inter_group() == 100.0
+        model = LatencyModel(intra=Fixed(0.001), inter=Uniform(2.0, 9.0))
+        assert model.min_inter_group() == 2.0
+
+    @pytest.mark.parametrize("model", [
+        LatencyModel(intra=Fixed(0.001), inter=Fixed(0.0)),
+        LatencyModel(intra=Fixed(0.001), inter=Fixed(1.0),
+                     pairwise_inter={(2, 0): Jittered(0.0, 5.0)}),
+    ], ids=["inter", "pairwise"])
+    def test_zero_bound_raises(self, model):
+        with pytest.raises(ValueError, match="not strictly positive"):
+            model.min_inter_group()
+
+    def test_missing_inter_distribution_raises(self):
+        model = LatencyModel(intra=Fixed(0.001), inter=None)
+        with pytest.raises(ValueError, match="no inter-group"):
+            model.min_inter_group()
+
+
 def _network(group_sizes=(2, 2), latency=None, trace=True):
     sim = Simulator()
     topo = Topology(list(group_sizes))

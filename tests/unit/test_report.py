@@ -119,3 +119,15 @@ class TestRunReport:
         system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
         text = RunReport(system).render()
         assert "Run report" in text
+
+    def test_throughput_summary_in_run_report(self):
+        system = build_system(protocol="a1", group_sizes=[2, 2], seed=3)
+        system.cast(sender=0, dest_groups=(0, 1))
+        system.run_quiescent()
+        report = RunReport(system)
+        summary = report.throughput_summary(wall_seconds=0.5)
+        assert summary["casts"] == 1
+        assert summary["deliveries"] == 4
+        assert summary["network_messages"] > 0
+        assert summary["events_per_sec"] == summary["network_messages"] / 0.5
+        assert "Engine:" in report.render()

@@ -235,46 +235,6 @@ class TestStabilizationCheckerViolations:
         assert report.settle_after_horizon >= 0.0
 
 
-class TestKernelSelectionWithTransport:
-    def _spec(self, kernel: str):
-        from repro.campaigns.spec import (
-            DestinationSpec,
-            ScenarioSpec,
-            WorkloadSpec,
-        )
-
-        return ScenarioSpec(
-            name=f"kernel-{kernel}",
-            protocol="a1",
-            group_sizes=(2, 2),
-            workload=WorkloadSpec(
-                kind="periodic", period=2.0, count=6,
-                destinations=DestinationSpec(kind="uniform-k", k=2),
-            ),
-            checkers=("properties",),
-            transport="reliable",
-            kernel=kernel,
-        )
-
-    def test_parallel_kernel_rejects_transport(self):
-        from repro.campaigns.runner import build_scenario_system
-        from repro.runtime.parallel import ParallelKernelError
-
-        with pytest.raises(ParallelKernelError, match="transport"):
-            build_scenario_system(self._spec("parallel"), seed=1)
-
-    def test_auto_kernel_degrades_to_serial(self):
-        from repro.campaigns.runner import build_scenario_system
-        from repro.runtime.parallel import ParallelSystem
-
-        system, plans, applied = build_scenario_system(
-            self._spec("auto"), seed=1)
-        assert not isinstance(system, ParallelSystem)
-        assert system.transport is not None
-        system.run_quiescent()
-        check_all(system.log, system.topology)
-
-
 class TestLossyNetCampaign:
     def test_lossy_net_scenarios_mount_the_transport(self):
         from repro.campaigns.library import get_campaign
