@@ -52,7 +52,6 @@ from repro.adversary.spec import AdversarySpec, InjectorSpec
 from repro.failure.schedule import CrashSchedule
 from repro.net.channel import ChannelModel
 from repro.net.message import Message
-from repro.runtime.profiler import classify_kind
 
 
 class FaultInjector:
@@ -220,15 +219,37 @@ class PartitionSpikeInjector(FaultInjector):
         return delay + self.spike
 
 
+#: The phases :func:`classify_kind` maps message kinds to.
+PHASES = ("protocol", "consensus", "failure_detection", "transport")
+
+
+def classify_kind(kind: str) -> str:
+    """Map a message kind to its protocol phase (one of :data:`PHASES`).
+
+    Consensus substrates nest their namespace under the protocol's
+    (``amc.cons.propose``), so classification matches anywhere in the
+    dotted path; the failure detector owns the ``fd`` root and the
+    reliable transport's control traffic the ``tsp`` root (its *data*
+    frames keep their protocol kinds and classify as usual).
+    """
+    if kind.startswith("fd."):
+        return "failure_detection"
+    if kind.startswith("tsp."):
+        return "transport"
+    if ".cons." in kind or kind.startswith("cons."):
+        return "consensus"
+    return "protocol"
+
+
 class PhaseCrashInjector(FaultInjector):
     """Crash a target process at a protocol-phase boundary.
 
     Params: ``target`` (pid, default 0), ``at_count`` (crash when the
     target handles its Nth matching message, default 3), and one of
-    ``phase`` (a :func:`~repro.runtime.profiler.classify_kind` phase:
-    ``"protocol"``/``"consensus"``/``"failure_detection"``, default
-    ``"consensus"``) or ``kind_contains`` (literal substring of the
-    message kind, e.g. ``".cons.accept"``).
+    ``phase`` (a :func:`classify_kind` phase: ``"protocol"`` /
+    ``"consensus"`` / ``"failure_detection"`` / ``"transport"``,
+    default ``"consensus"``) or ``kind_contains`` (literal substring of
+    the message kind, e.g. ``".cons.accept"``).
 
     Implemented as a delivery filter: matching deliveries are counted;
     from the ``at_count``-th onwards each is a fault opportunity, and
@@ -253,6 +274,9 @@ class PhaseCrashInjector(FaultInjector):
         if self.kind_contains is not None and self.phase is not None:
             raise ValueError("phase-crash takes phase OR kind_contains, "
                              "not both")
+        if self.phase is not None and self.phase not in PHASES:
+            raise ValueError(f"phase-crash phase must be one of {PHASES}, "
+                             f"got {self.phase!r}")
         self.matched = 0
         self.crashed_at: Optional[float] = None
 

@@ -84,21 +84,6 @@ def round_metrics(system) -> Dict[str, float]:
     }
 
 
-def phase_metrics(system) -> Dict[str, float]:
-    """Profiler phase timings as ``phase_<name>_seconds`` metrics.
-
-    Naming ``phases`` in ``ScenarioSpec.metrics`` makes the campaign
-    runner build the system with ``profile=True`` automatically (the
-    same auto-enable rule genuineness uses for the trace).  Phase wall
-    times are machine-dependent, so campaigns that also
-    ``--compare-serial`` should leave this extractor out — it is the
-    one metric family that legitimately differs between executions.
-    """
-    timings = RunReport(system).phase_timings()
-    return {f"phase_{name}_seconds": seconds
-            for name, seconds in timings.items()}
-
-
 def transport_metrics(system) -> Dict[str, float]:
     """Reliable-transport counters plus channel-fault accounting.
 
@@ -166,7 +151,6 @@ EXTRACTORS: Dict[str, MetricExtractor] = {
     "degrees": degree_metrics,
     "traffic": traffic_metrics,
     "rounds": round_metrics,
-    "phases": phase_metrics,
     "transport": transport_metrics,
     "store": _store_metrics,
     "involvement": _involvement_metrics,

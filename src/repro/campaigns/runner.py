@@ -237,9 +237,6 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
         transport=spec.transport,
         trace=bool(TRACE_CHECKERS.intersection(spec.checkers)
                    or TRACE_METRICS.intersection(spec.metrics)),
-        # The "phases" metric family needs the profiler, the same way
-        # genuineness needs the trace — requesting it enables it.
-        profile=spec.profile or "phases" in spec.metrics,
         **spec.kwargs_dict(),
     )
     applied = None
@@ -369,19 +366,13 @@ class CampaignResult:
     def per_seed_metrics(self) -> Dict[str, Dict[int, Dict[str, float]]]:
         """scenario -> seed -> metrics; the determinism-comparison key.
 
-        Wall clocks and profiler phase timings are deliberately
-        excluded: they are the only parts of a result that legitimately
-        differ between serial and parallel executions of the same
-        campaign.
+        Metrics are simulated quantities only, so they are identical
+        between serial and parallel executions of the same campaign;
+        wall clocks live on :attr:`RunResult.wall_seconds`, outside it.
         """
         return {
             spec.name: {
-                seed: {
-                    name: value
-                    for name, value in
-                    self._by_key[(spec.name, seed)].metrics.items()
-                    if not name.startswith("phase_")
-                }
+                seed: self._by_key[(spec.name, seed)].metrics
                 for seed in spec.seeds
             }
             for spec in self.campaign.scenarios

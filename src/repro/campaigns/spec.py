@@ -248,7 +248,6 @@ class ScenarioSpec:
     heartbeat_period: float = 10.0
     heartbeat_timeout: float = 35.0
     heartbeat_horizon: Optional[float] = None
-    profile: bool = False
     start_rounds: bool = False
     max_events: int = 10_000_000
     protocol_kwargs: Tuple[Tuple[str, object], ...] = ()

@@ -10,9 +10,6 @@ Usage::
     python -m repro.cli campaign wan-storm --seeds 1,2,3 --out results/
     python -m repro.cli campaign crash-storm --jobs 8 --compare-serial
 
-    python -m repro.cli profile --protocol a1 --groups 3,3,3 --rate 5
-    python -m repro.cli profile --detector heartbeat --json prof.json
-
     python -m repro.cli torture --campaign torture --seeds 3
     python -m repro.cli torture --selftest --out torture-out
     python -m repro.cli replay COUNTEREXAMPLE_torture_s3.json
@@ -34,12 +31,6 @@ and exits non-zero if any property/genuineness checker failed.
 ``--compare-serial`` re-runs the campaign with one job, asserts the
 per-seed metrics are identical, and records the measured speedup in the
 JSON artefact.
-
-The ``profile`` verb runs one scenario under the phase profiler and
-prints where the wall time went — kernel dispatch, network, protocol,
-consensus, failure detection, checkers.  The phases are *exclusive*
-times, so they sum to the profiled wall clock (``--json`` emits the
-machine-readable record the CI smoke job asserts on).
 
 The ``store`` verb runs the transactional partitioned store
 (:mod:`repro.store`) under one scenario — one-shot multi-partition
@@ -65,6 +56,9 @@ artifact.  ``--selftest`` proves the pipeline catches real bugs by
 hunting the intentionally broken FIFO-sequencer fixture.  The
 ``replay`` verb re-runs an artifact and asserts bit-identical checker
 verdicts and delivery orders.
+
+Host wall time, attributed layer by layer, is measured by ``python
+bench/measure.py <workload> --trace DIR`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -289,107 +283,6 @@ def campaign_main(argv: List[str]) -> int:
             status = 1
         print()
     return status
-
-
-def profile_main(argv: List[str]) -> int:
-    """The ``profile`` verb: one scenario under the phase profiler."""
-    import json
-    import time
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli profile",
-        description="Run one scenario with per-subsystem wall-time "
-                    "attribution and print the phase breakdown.",
-    )
-    parser.add_argument("--protocol", default="a1",
-                        help="protocol registry key (default: a1)")
-    parser.add_argument("--groups", default="3,3,3", metavar="CSV",
-                        help="group sizes, e.g. 3,3,3 (default)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rate", type=float, default=5.0,
-                        help="Poisson cast rate (default: 5.0)")
-    parser.add_argument("--duration", type=float, default=20.0,
-                        help="workload duration in virtual time")
-    parser.add_argument("--detector", default="perfect",
-                        help="perfect | eventually-perfect | heartbeat "
-                             "| heartbeat-elided")
-    parser.add_argument("--heartbeat-period", type=float, default=5.0)
-    parser.add_argument("--heartbeat-timeout", type=float, default=20.0)
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="also write the profile record as JSON")
-    args = parser.parse_args(argv)
-
-    from repro.runtime.builder import DETECTORS, PROTOCOLS, build_system
-    from repro.runtime.report import RunReport
-    from repro.workload.generators import (
-        all_groups,
-        poisson_workload,
-        schedule_workload,
-        uniform_k_groups,
-    )
-
-    if args.protocol not in PROTOCOLS:
-        print(f"unknown protocol {args.protocol!r}; "
-              f"available: {', '.join(sorted(PROTOCOLS))}", file=sys.stderr)
-        return 2
-    if args.detector not in DETECTORS:
-        print(f"unknown detector {args.detector!r}; "
-              f"available: {', '.join(DETECTORS)}", file=sys.stderr)
-        return 2
-    group_sizes = _parse_int_csv(parser, "--groups", args.groups)
-
-    heartbeat = args.detector.startswith("heartbeat")
-    horizon = (args.duration + 10 * args.heartbeat_timeout
-               if heartbeat else None)
-    system = build_system(
-        protocol=args.protocol, group_sizes=group_sizes, seed=args.seed,
-        detector=args.detector, heartbeat_period=args.heartbeat_period,
-        heartbeat_timeout=args.heartbeat_timeout,
-        heartbeat_horizon=horizon, profile=True,
-    )
-    broadcast = not hasattr(system.endpoints[0], "a_mcast")
-    destinations = (all_groups if broadcast
-                    else uniform_k_groups(min(2, len(group_sizes))))
-    plans = poisson_workload(
-        system.topology, system.rng.stream("wl"),
-        rate=args.rate, duration=args.duration, destinations=destinations,
-    )
-    schedule_workload(system, plans)
-    if hasattr(system.endpoints[0], "start_rounds"):
-        system.start_rounds()
-
-    wall_start = time.perf_counter()
-    system.run_quiescent()
-    with system.profiler.phase("checkers"):
-        from repro.checkers.properties import check_all
-
-        check_all(system.log, system.topology, system.crashes)
-    wall_seconds = time.perf_counter() - wall_start
-
-    report = RunReport(system)
-    print(report.render())
-    print()
-    timings = report.phase_timings()
-    attributed = sum(timings.values())
-    print(f"phase sum {attributed:.4f}s of {wall_seconds:.4f}s measured "
-          f"wall ({attributed / wall_seconds:.1%} attributed)")
-    if args.json:
-        record = {
-            "protocol": args.protocol,
-            "group_sizes": group_sizes,
-            "detector": args.detector,
-            "seed": args.seed,
-            "phase_timings": {k: round(v, 6) for k, v in timings.items()},
-            "phase_sum_seconds": round(attributed, 6),
-            "wall_seconds": round(wall_seconds, 6),
-            "kernel_events": system.sim.events_executed,
-            "casts": len(system.log.cast_messages()),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
 
 
 def store_main(argv: List[str]) -> int:
@@ -1044,8 +937,6 @@ def main(argv: List[str] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] == "campaign":
         return campaign_main(argv[1:])
-    if argv and argv[0] == "profile":
-        return profile_main(argv[1:])
     if argv and argv[0] == "torture":
         return torture_main(argv[1:])
     if argv and argv[0] == "replay":

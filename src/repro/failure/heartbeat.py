@@ -152,9 +152,6 @@ class HeartbeatFailureDetector(FailureDetector):
         """
         if not self._running:
             return
-        profiler = getattr(self.sim, "profiler", None)
-        if profiler is not None:
-            profiler.push("failure_detection")
         alive = False
         for pid in self.topology.members(gid):
             process = self.network.process(pid)
@@ -164,8 +161,6 @@ class HeartbeatFailureDetector(FailureDetector):
             peers = self._peers[pid]
             if peers:
                 process.send_many(peers, self._k_hb, self._beat[pid])
-        if profiler is not None:
-            profiler.pop()
         if alive:
             self._schedule_group_beat(gid)
         else:

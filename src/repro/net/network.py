@@ -60,25 +60,6 @@ DelayHook = Callable[[Message, float], float]
 # route tables need their own miss marker.
 _UNPLANNED = object()
 
-_classify_kind = None
-
-
-def _phase_of_kind(kind: str) -> str:
-    """Profiling phase of a message kind, via a lazily cached import.
-
-    ``repro.runtime`` imports this module through the builder, so a
-    top-level import of :func:`repro.runtime.profiler.classify_kind`
-    would be circular; binding it on first profiled delivery keeps the
-    per-message cost at one global load.
-    """
-    global _classify_kind
-    if _classify_kind is None:
-        from repro.runtime.profiler import classify_kind
-
-        _classify_kind = classify_kind
-    return _classify_kind(kind)
-
-
 class Route(NamedTuple):
     """What one ``send_many`` from a source to a destination tuple does.
 
@@ -117,11 +98,6 @@ class Network:
         self._processes: Dict[int, Process] = {}
         self._filters: List[DeliveryFilter] = []
         self._delay_hooks: List[DelayHook] = []
-        #: Optional :class:`~repro.runtime.profiler.PhaseProfiler`; the
-        #: builder shares the simulator's instance here.  When set, the
-        #: delivery path charges pre-handler overhead to "network" and
-        #: each handler call to its kind's phase.
-        self.profiler = None
         #: Optional :class:`~repro.transport.reliable.ReliableTransport`
         #: mounted by ``build_system(transport="reliable")``.  None on
         #: the hot paths costs one attribute read + is-None test.
@@ -275,23 +251,11 @@ class Network:
         copy gets one, decided from what is mounted at that moment: at
         send, a transport-covered kind (the frame word is per copy), a
         delay hook, an enabled trace or a sampled link delay take the
-        per-copy path for the whole send; at delivery, a filter, an
-        enabled trace or a profiler makes the leg hand every receiver
-        its own copy through the per-copy delivery path.  Both paths
-        produce the same events, stats, clocks and handler calls.
+        per-copy path for the whole send; at delivery, a filter or an
+        enabled trace makes the leg hand every receiver its own copy
+        through the per-copy delivery path.  Both paths produce the same
+        events, stats, clocks and handler calls.
         """
-        if self.profiler is not None:
-            self.profiler.push("network")
-            try:
-                self._send_many(src, dsts, kind, payload)
-            finally:
-                self.profiler.pop()
-            return
-        self._send_many(src, dsts, kind, payload)
-
-    def _send_many(
-        self, src: int, dsts: Iterable[int], kind: str, payload: dict
-    ) -> None:
         sender = self._processes[src]
         if sender.crashed:
             return
@@ -407,17 +371,6 @@ class Network:
 
     def _send_copy(self, src: int, dst: int, kind: str, payload: dict,
                    wire: "int | None" = None) -> None:
-        if self.profiler is not None:
-            self.profiler.push("network")
-            try:
-                self._send_copy_impl(src, dst, kind, payload, wire)
-            finally:
-                self.profiler.pop()
-            return
-        self._send_copy_impl(src, dst, kind, payload, wire)
-
-    def _send_copy_impl(self, src: int, dst: int, kind: str,
-                        payload: dict, wire: "int | None" = None) -> None:
         sender = self._processes[src]
         if sender.crashed:
             return
@@ -468,15 +421,15 @@ class Network:
         check (so a receiver crashed by an earlier handler of this leg
         is still dropped), Lamport receive rule, handler lookup — with
         ``dst`` stamped on the envelope before each call.  A delivery
-        filter, the message trace or a profiler present *now* (any of
-        them can be installed after the send) is a per-copy seam: that
-        receiver gets its own :class:`Message` through :meth:`_deliver`.
+        filter or the message trace present *now* (either can be
+        installed after the send) is a per-copy seam: that receiver gets
+        its own :class:`Message` through :meth:`_deliver`.
         """
         filters = self._filters
         kind = envelope.kind
         stamp = envelope.send_lamport
         for receiver in receivers:
-            if filters or self.trace.enabled or self.profiler is not None:
+            if filters or self.trace.enabled:
                 self._deliver(Message(
                     envelope.src, receiver.pid, kind, envelope.payload,
                     envelope.inter_group, stamp, envelope.send_time))
@@ -506,54 +459,31 @@ class Network:
             self._deliver(msg)
 
     def _deliver(self, msg: Message) -> None:
-        """One shared delivery path, profiled or not.
-
-        Under profiling, network bookkeeping (crash/filter checks,
-        clock, trace) is charged to "network" and the handler call to
-        the phase of its message kind (consensus / failure_detection /
-        protocol); a handler's own nested sends re-enter "network" via
-        :meth:`send_many`/:meth:`_send_copy`, so attribution stays
-        exclusive all the way down.  When the profiler is off the only
-        cost is the two ``is not None`` branches.
-        """
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("network")
-        try:
-            receiver = self._processes[msg.dst]
-            if receiver.crashed:
+        """One copy: crash and filter checks, clock, trace, handler."""
+        receiver = self._processes[msg.dst]
+        if receiver.crashed:
+            self.stats.on_drop(msg)
+            return
+        for flt in self._filters:
+            if not flt(msg):
                 self.stats.on_drop(msg)
                 return
-            for flt in self._filters:
-                if not flt(msg):
-                    self.stats.on_drop(msg)
-                    return
-            # Inlined LamportClock.observe_receive and Process.handle —
-            # per-copy hot path (the crashed check already ran above).
-            clock = receiver.lamport
-            if msg.send_lamport > clock.value:
-                clock.value = msg.send_lamport
-            if self.trace.enabled:
-                self.trace.on_deliver(self.sim.now, msg)
-            handler = receiver._handlers.get(msg.kind)
-            if handler is None:
-                raise KeyError(
-                    f"process {receiver.pid} has no handler for kind "
-                    f"{msg.kind!r}"
-                )
-            wire = msg.wire
-            if wire is not None and not self.transport.on_frame(msg, wire):
-                # A sequenced transport frame that failed its checksum
-                # or was already released: the handler must not see it.
-                return
-            if profiler is None:
-                handler(msg)
-            else:
-                profiler.push(_phase_of_kind(msg.kind))
-                try:
-                    handler(msg)
-                finally:
-                    profiler.pop()
-        finally:
-            if profiler is not None:
-                profiler.pop()
+        # Inlined LamportClock.observe_receive and Process.handle —
+        # per-copy hot path (the crashed check already ran above).
+        clock = receiver.lamport
+        if msg.send_lamport > clock.value:
+            clock.value = msg.send_lamport
+        if self.trace.enabled:
+            self.trace.on_deliver(self.sim.now, msg)
+        handler = receiver._handlers.get(msg.kind)
+        if handler is None:
+            raise KeyError(
+                f"process {receiver.pid} has no handler for kind "
+                f"{msg.kind!r}"
+            )
+        wire = msg.wire
+        if wire is not None and not self.transport.on_frame(msg, wire):
+            # A sequenced transport frame that failed its checksum
+            # or was already released: the handler must not see it.
+            return
+        handler(msg)

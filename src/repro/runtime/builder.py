@@ -75,9 +75,6 @@ class System:
         self.catalog = MessageCatalog.of(sim)
         self.endpoints: Dict[int, object] = {}
         self._delivery_taps: Dict[int, List[Callable]] = {}
-        #: Shared :class:`~repro.runtime.profiler.PhaseProfiler`, set by
-        #: ``build_system(..., profile=True)`` (None otherwise).
-        self.profiler = None
         #: The mounted :class:`~repro.transport.reliable.ReliableTransport`
         #: when built with ``transport="reliable"`` (None otherwise).
         self.transport = None
@@ -171,16 +168,6 @@ class System:
 
     def _do_cast(self, msg: AppMessage) -> None:
         """Record and hand ``msg`` to its sender's endpoint, now."""
-        if self.profiler is not None:
-            self.profiler.push("workload")
-            try:
-                self._do_cast_impl(msg)
-            finally:
-                self.profiler.pop()
-            return
-        self._do_cast_impl(msg)
-
-    def _do_cast_impl(self, msg: AppMessage) -> None:
         endpoint = self.endpoints[msg.sender]
         process = self.network.process(msg.sender)
         self.catalog.intern(msg)
@@ -391,7 +378,6 @@ def build_system(
     heartbeat_horizon: Optional[float] = None,
     transport: str = "none",
     trace: bool = False,
-    profile: bool = False,
     **protocol_kwargs,
 ) -> System:
     """Assemble a ready-to-run :class:`System`.
@@ -425,9 +411,6 @@ def build_system(
             kind — required for the lossy adversary kinds to be
             masked rather than fatal).
         trace: Enable the full message trace (genuineness checks).
-        profile: Attach a :class:`~repro.runtime.profiler.PhaseProfiler`
-            (shared by kernel, network and detector) — read the result
-            from ``RunReport.phase_timings()``.
         **protocol_kwargs: Forwarded to the protocol constructor.
     """
     if protocol not in PROTOCOLS:
@@ -446,12 +429,6 @@ def build_system(
     latency = latency or LatencyModel.logical()
     network = Network(sim, topology, latency, rng.stream("net"),
                       trace=MessageTrace(enabled=trace))
-    if profile:
-        from repro.runtime.profiler import PhaseProfiler
-
-        profiler = PhaseProfiler()
-        sim.profiler = profiler
-        network.profiler = profiler
     for pid in topology.processes:
         network.register(Process(pid, topology.group_of(pid), sim))
 
@@ -482,8 +459,6 @@ def build_system(
         )
 
     system = System(protocol, sim, topology, network, fd, rng, crashes)
-    if profile:
-        system.profiler = sim.profiler
     if transport == "reliable":
         from repro.transport import ReliableTransport
 

@@ -158,23 +158,6 @@ class RunReport:
         return out
 
     # ------------------------------------------------------------------
-    # Phase profiling
-    # ------------------------------------------------------------------
-    def phase_timings(self) -> Dict[str, float]:
-        """Exclusive wall seconds per subsystem phase.
-
-        Populated when the system was built with ``profile=True``
-        (kernel dispatch, network, protocol, consensus, failure
-        detection, workload, checkers); empty otherwise.  The values
-        sum to the wall time spanned by the profiled regions — the
-        invariant the CI profiler smoke asserts.
-        """
-        profiler = getattr(self.system, "profiler", None)
-        if profiler is None:
-            return {}
-        return profiler.timings()
-
-    # ------------------------------------------------------------------
     # Traffic statistics
     # ------------------------------------------------------------------
     def traffic_by_kind(self, top: int = 10) -> List[Tuple[str, int, int]]:
@@ -240,15 +223,4 @@ class RunReport:
             "{network_messages:.0f} network messages, "
             "{deliveries:.0f} deliveries".format(**engine)
         )
-
-        phases = self.phase_timings()
-        if phases:
-            total = sum(phases.values()) or 1.0
-            sections.append(format_table(
-                "Phase timings (exclusive wall time)",
-                ["phase", "seconds", "share"],
-                [Row(name, [f"{seconds:.4f}",
-                            f"{seconds / total:.1%}"])
-                 for name, seconds in phases.items()],
-            ))
         return "\n\n".join(sections)

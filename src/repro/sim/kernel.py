@@ -35,10 +35,6 @@ class Simulator:
         self._events_executed = 0
         self._stop_requested = False
         self._idle_hooks: List[Callable[[], None]] = []
-        #: Optional :class:`~repro.runtime.profiler.PhaseProfiler`.
-        #: When set, :meth:`run` charges the loop to the "kernel" phase
-        #: and instrumented subsystems push their own phases on top.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -163,9 +159,6 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         executed = 0
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("kernel")
         try:
             while True:
                 if self._stop_requested:
@@ -199,8 +192,6 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-            if profiler is not None:
-                profiler.pop()
         return self._now
 
     def run_until_quiescent(

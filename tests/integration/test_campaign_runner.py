@@ -228,37 +228,3 @@ class TestLibrary:
         assert hb.metrics["network_messages"] > \
             elided.metrics["network_messages"]
         assert hb.metrics["kernel_events"] > elided.metrics["kernel_events"]
-
-
-class TestPhaseMetrics:
-    def test_phases_metric_auto_enables_profiler(self):
-        spec = ScenarioSpec(
-            name="profiled",
-            group_sizes=(2, 2),
-            workload=WorkloadSpec(
-                kind="poisson", rate=1.0, duration=10.0,
-                destinations=DestinationSpec(kind="uniform-k", k=2),
-            ),
-            metrics=("core", "phases"),
-        )
-        result = run_scenario_seed(spec, 1)
-        phase_keys = [k for k in result.metrics
-                      if k.startswith("phase_")]
-        assert "phase_kernel_seconds" in phase_keys
-        assert "phase_network_seconds" in phase_keys
-        assert sum(result.metrics[k] for k in phase_keys) > 0.0
-
-    def test_phase_metrics_excluded_from_determinism_key(self):
-        """Wall-clock phases may differ run to run; the serial-vs-
-        parallel identity check must not compare them."""
-        base = ScenarioSpec(
-            name="profiled",
-            group_sizes=(2, 2),
-            workload=WorkloadSpec(kind="periodic", period=2.0, count=5,
-                                  destinations=DestinationSpec(
-                                      kind="uniform-k", k=2)),
-            metrics=("core", "phases"),
-            seeds=(1,),
-        )
-        campaign = Campaign(name="profiled", scenarios=[base])
-        verify_determinism(run_campaign(campaign), run_campaign(campaign))

@@ -210,54 +210,6 @@ class TestReplayVerb:
         assert "bad.json" in capsys.readouterr().err
 
 
-class TestProfileVerb:
-    def test_profile_prints_phase_breakdown(self, capsys):
-        status = main(["profile", "--protocol", "a1", "--groups", "2,2",
-                       "--rate", "2", "--duration", "8"])
-        assert status == 0
-        out = capsys.readouterr().out
-        assert "Phase timings" in out
-        assert "phase sum" in out
-
-    def test_profile_json_record_sums_to_wall(self, tmp_path, capsys):
-        path = tmp_path / "prof.json"
-        status = main(["profile", "--protocol", "a1", "--groups", "2,2",
-                       "--rate", "2", "--duration", "8",
-                       "--json", str(path)])
-        assert status == 0
-        record = json.loads(path.read_text())
-        timings = record["phase_timings"]
-        assert {"kernel", "network", "checkers"} <= set(timings)
-        total = sum(timings.values())
-        # Phases are exclusive and cover the run+checker window, so
-        # they must account for (nearly) all of the measured wall time.
-        assert total == pytest.approx(record["wall_seconds"], rel=0.25)
-        assert record["phase_sum_seconds"] == pytest.approx(total,
-                                                            abs=1e-4)
-
-    def test_profile_heartbeat_detector_attributed(self, tmp_path):
-        path = tmp_path / "prof.json"
-        status = main(["profile", "--protocol", "a1", "--groups", "2,2",
-                       "--rate", "1", "--duration", "10",
-                       "--detector", "heartbeat", "--json", str(path)])
-        assert status == 0
-        record = json.loads(path.read_text())
-        assert record["phase_timings"].get("failure_detection", 0) > 0
-
-    def test_profile_unknown_protocol_exits_2(self, capsys):
-        assert main(["profile", "--protocol", "nope"]) == 2
-        assert "unknown protocol" in capsys.readouterr().err
-
-    def test_profile_unknown_detector_exits_2(self, capsys):
-        assert main(["profile", "--detector", "psychic"]) == 2
-        assert "unknown detector" in capsys.readouterr().err
-
-    def test_profile_bad_groups_usage_error(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--groups", "2,x"])
-        assert excinfo.value.code == 2
-
-
 class TestStoreVerb:
     ARGS = ["store", "--groups", "2,2,2", "--keys", "12", "--rate", "0.8",
             "--duration", "15", "--multi-partition", "0.4", "--seed", "1"]
