@@ -1,6 +1,7 @@
 """Artifact serialisation, schema validation, and replay diffing."""
 
 import json
+import os
 
 import pytest
 
@@ -49,6 +50,39 @@ def test_round_trip_preserves_specs(tmp_path):
             == get_adversary("partition-spike"))
     assert data["seed"] == 4
     assert data["violation"] is None
+
+
+_REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+COMMITTED = [
+    os.path.join(_REPO, "COUNTEREXAMPLE_lossy_channel.json"),
+    os.path.join(_REPO, "tests", "adversary", "golden",
+                 "a1_partition_green.json"),
+    os.path.join(_REPO, "tests", "adversary", "golden",
+                 "broken_fifo_counterexample.json"),
+]
+
+
+@pytest.mark.parametrize("path", COMMITTED,
+                         ids=[os.path.basename(p) for p in COMMITTED])
+def test_committed_artifact_specs_round_trip(path):
+    """A committed artifact carries only current spec fields:
+    ``from_dict`` takes it with no compatibility shim and ``to_dict``
+    gives back every key it holds unchanged.  Fields added after an
+    artifact was written (``store``, ``transport``) take defaults."""
+    data = load_artifact(path)
+    spec = ScenarioSpec.from_dict(data["scenario"])
+    again = json.loads(json.dumps(spec.to_dict()))
+    assert {key: again[key] for key in data["scenario"]} == data["scenario"]
+
+
+def test_unknown_spec_key_rejected():
+    """``from_dict`` has no shim: a field the spec no longer has is an
+    error, not silently dropped."""
+    data = GREEN.to_dict()
+    data["profile"] = False
+    with pytest.raises(TypeError, match="profile"):
+        ScenarioSpec.from_dict(data)
 
 
 def test_green_artifact_replays(tmp_path):

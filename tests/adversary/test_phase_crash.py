@@ -10,6 +10,7 @@ import pytest
 
 from repro.adversary.injectors import PHASES, apply_adversary, classify_kind
 from repro.adversary.spec import AdversarySpec, InjectorSpec, get_adversary
+from repro.checkers.properties import check_all
 from repro.runtime.builder import build_system
 from repro.transport import ACK_KIND
 from repro.workload.generators import (
@@ -41,8 +42,8 @@ class TestClassifyKind:
         assert {classify_kind(kind) for kind in kinds} == set(PHASES)
 
 
-def _system():
-    return build_system("a1", group_sizes=[3, 3], seed=1)
+def _system(**kwargs):
+    return build_system("a1", group_sizes=[3, 3], seed=1, **kwargs)
 
 
 def _phase_crash(phase):
@@ -77,9 +78,45 @@ class TestPhaseNames:
     def test_builtin_adversary_injects_one_crash(self):
         system = _system()
         applied = apply_adversary(system, get_adversary("phase-crash"))
-        plans = poisson_workload(system.topology, system.rng.stream("wl"),
-                                 rate=2.0, duration=20.0,
-                                 destinations=uniform_k_groups(2))
-        schedule_workload(system, plans)
-        system.run_quiescent()
+        _run(system)
         assert applied.total_faults == 1
+
+
+def _run(system):
+    plans = poisson_workload(system.topology, system.rng.stream("wl"),
+                             rate=2.0, duration=20.0,
+                             destinations=uniform_k_groups(2))
+    schedule_workload(system, plans)
+    system.run_quiescent()
+
+
+# What a system must mount for the target to handle a phase's kinds:
+# heartbeats for failure detection, the reliable transport for acks.
+NEEDS = {
+    "protocol": {},
+    "consensus": {},
+    "failure_detection": dict(detector="heartbeat", heartbeat_period=2.0,
+                              heartbeat_timeout=10.0,
+                              heartbeat_horizon=40.0),
+    "transport": dict(transport="reliable"),
+}
+
+
+class TestEveryPhaseInjects:
+    """Each accepted phase name is reachable: the injector counts the
+    target's deliveries of that phase and crashes it at ``at_count``."""
+
+    def test_needs_cover_the_vocabulary(self):
+        assert set(NEEDS) == set(PHASES)
+
+    @pytest.mark.parametrize("phase", PHASES)
+    def test_phase_crashes_the_target_once(self, phase):
+        system = _system(**NEEDS[phase])
+        applied = apply_adversary(system, _phase_crash(phase))
+        _run(system)
+        injector, = applied.injectors
+        assert applied.total_faults == 1
+        assert injector.matched == 3
+        assert system.crashes.crashes == {0: injector.crashed_at}
+        assert system.network.process(0).crashed
+        check_all(system.log, system.topology, system.crashes)

@@ -228,3 +228,37 @@ class TestLibrary:
         assert hb.metrics["network_messages"] > \
             elided.metrics["network_messages"]
         assert hb.metrics["kernel_events"] > elided.metrics["kernel_events"]
+
+
+class TestWallClocks:
+    """Metrics are simulated quantities only; host time is kept on
+    :attr:`RunResult.wall_seconds` and never compared."""
+
+    SPEC = ScenarioSpec(
+        name="timed",
+        group_sizes=(2, 2),
+        workload=WorkloadSpec(kind="periodic", period=2.0, count=5,
+                              destinations=DestinationSpec(
+                                  kind="uniform-k", k=2)),
+        metrics=("core", "latency", "degrees", "traffic", "rounds"),
+        seeds=(1,),
+    )
+
+    def test_wall_clock_is_outside_the_determinism_key(self):
+        campaign = Campaign(name="timed", scenarios=[self.SPEC])
+        a = run_campaign(campaign)
+        b = run_campaign(campaign)
+        for result in (a, b):
+            run = result.result("timed", 1)
+            assert run.wall_seconds > 0.0
+            assert not [key for key in run.metrics
+                        if "wall" in key or key.startswith("phase_")]
+        verify_determinism(a, b)
+        assert a.per_seed_metrics() == b.per_seed_metrics()
+
+    def test_phases_is_not_a_metric_extractor(self):
+        """Refused before the run, like any other unknown name."""
+        spec = dataclasses.replace(self.SPEC, metrics=("core", "phases"))
+        with pytest.raises(ValueError, match=r"unknown metric "
+                                             r"extractor\(s\) \['phases'\]"):
+            run_scenario_seed(spec, 1)

@@ -40,6 +40,13 @@ class TestUnknownNames:
         assert "unknown experiment(s): no-such-experiment" in err
         assert "available:" in err
 
+    def test_removed_profile_verb_is_an_unknown_experiment(self, capsys):
+        """Host time is the bench tracer's (``bench/measure.py
+        --trace``); a script still calling the old ``profile`` verb
+        fails loudly instead of running something else."""
+        assert main(["profile"]) == 2
+        assert "unknown experiment(s): profile" in capsys.readouterr().err
+
     def test_unknown_experiment_mixed_with_known_exits_2(self, capsys):
         assert main(["fig1", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err

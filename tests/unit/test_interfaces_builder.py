@@ -51,6 +51,12 @@ class TestProtocolRegistry:
             build_system(protocol="a1", group_sizes=[2, 2],
                          detector="psychic")
 
+    def test_unknown_option_rejected(self):
+        """Unknown keywords reach the protocol constructor and fail
+        there; ``profile`` is not a build option."""
+        with pytest.raises(TypeError, match="profile"):
+            build_system(protocol="a1", group_sizes=[2, 2], profile=True)
+
     def test_eventually_perfect_detector_option(self):
         system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
                               detector="eventually-perfect",
