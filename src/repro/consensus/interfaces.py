@@ -31,7 +31,8 @@ class ConsensusProtocol:
 
         At most one proposal per instance per process; the value must be
         hashable plain data (tuples of primitives) so it can travel in
-        message payloads and be compared for idempotence.
+        message payloads and be compared for idempotence, and not
+        ``None``.
         """
         raise NotImplementedError
 

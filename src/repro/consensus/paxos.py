@@ -40,6 +40,20 @@ This is the substrate the paper assumes solvable in each group
   fire does so exactly where a per-instance timer would have.  While
   nothing is armed the alarm is cancelled (a finished group is
   quiescent at once) and the next proposal revives it in place.
+* **One record per instance.**  Everything an endpoint knows about an
+  instance lives in one slotted :class:`_Instance`, built on first
+  touch.  A decided record keeps only what a late message can still ask
+  for: the acceptor state (``promised`` and the last accepted ballot and
+  value), so a late ``prepare`` or ``accept`` is answered exactly as
+  before — an acceptor that forgot its promise could accept a stale
+  lower ballot and let an undecided member count a majority for a
+  second value; the decision, for the ``decide`` reply to a late
+  ``forward``; and the ``proposed`` flag, so proposing twice still
+  raises.  The proposer state, the ``accepted`` tally and the candidate
+  value go at the decision: in A1 every member proposes its own message
+  set, and a non-leader's copy is never needed again.  Values are never
+  ``None`` (:meth:`GroupConsensus.propose` rejects it), so ``None``
+  means "not yet" in ``candidate`` and ``decision``.
 """
 
 from __future__ import annotations
@@ -59,15 +73,6 @@ _KINDS = ("forward", "prepare", "promise", "accept", "accepted", "nack",
 
 
 @dataclass
-class _AcceptorState:
-    """Per-instance acceptor bookkeeping."""
-
-    promised: int = -1
-    accepted_ballot: int = -1
-    accepted_value: Any = None
-
-
-@dataclass
 class _ProposerState:
     """Per-instance proposer bookkeeping (only while leading a ballot)."""
 
@@ -75,6 +80,28 @@ class _ProposerState:
     promises: Dict[int, tuple] = field(default_factory=dict)
     value: Any = None
     phase: str = "idle"  # idle | prepare | accept
+
+
+class _Instance:
+    """One endpoint's view of one instance (see "One record per instance")."""
+
+    __slots__ = ("promised", "accepted_ballot", "accepted_value",
+                 "ballot_seen", "proposed", "decision", "candidate",
+                 "proposer", "tally")
+
+    def __init__(self) -> None:
+        # Kept for the instance's whole life.
+        self.promised = -1
+        self.accepted_ballot = -1
+        self.accepted_value: Any = None
+        self.ballot_seen = -1  # highest ballot heard of (for _lead)
+        self.proposed = False  # propose() was called here
+        self.decision: Any = None
+        # Dropped at the decision.
+        self.candidate: Any = None  # own or forwarded value
+        self.proposer: Optional[_ProposerState] = None
+        # ballot -> acceptors whose ``accepted`` we saw.
+        self.tally: Optional[Dict[int, Set[int]]] = None
 
 
 class GroupConsensus(ConsensusProtocol):
@@ -108,14 +135,7 @@ class GroupConsensus(ConsensusProtocol):
         self._rank = {pid: i for i, pid in enumerate(self.members)}
         self._majority = len(self.members) // 2 + 1
 
-        self._acceptors: Dict[int, _AcceptorState] = {}
-        self._proposers: Dict[int, _ProposerState] = {}
-        # instance -> ballot -> acceptors whose ``accepted`` we saw.
-        self._accepted_tally: Dict[int, Dict[int, Set[int]]] = {}
-        self._candidates: Dict[int, Any] = {}  # my own / forwarded values
-        self._proposed: Set[int] = set()  # instances I called propose() on
-        self._decisions: Dict[int, Any] = {}
-        self._max_ballot_seen: Dict[int, int] = {}
+        self._instances: Dict[Hashable, _Instance] = {}
         # Retry timeouts: instances with a live deadline, the FIFO of
         # (deadline, reserved slot, instance) entries — armed or stale —
         # and the one queued kernel event, always for the FIFO head
@@ -141,62 +161,98 @@ class GroupConsensus(ConsensusProtocol):
         self._handler = handler
 
     def decided(self, instance: int) -> bool:
-        return instance in self._decisions
+        record = self._instances.get(instance)
+        return record is not None and record.decision is not None
 
     def decision(self, instance: int) -> Any:
         """The locally known decision of ``instance`` (must be decided)."""
-        return self._decisions[instance]
+        record = self._instances.get(instance)
+        if record is None or record.decision is None:
+            raise KeyError(instance)
+        return record.decision
 
     def propose(self, instance: int, value: Hashable) -> None:
-        if instance in self._proposed:
+        if value is None:
+            # None reads as "no candidate": it would never be sent, and
+            # the retry alarm would re-arm forever.
+            raise ValueError(
+                f"process {self.process.pid} proposed None in instance "
+                f"{instance}"
+            )
+        record = self._record(instance)
+        if record.proposed:
             raise ValueError(
                 f"process {self.process.pid} proposed twice in instance {instance}"
             )
-        self._proposed.add(instance)
-        if instance in self._decisions:
+        record.proposed = True
+        if record.decision is not None:
             return
-        self._candidates.setdefault(instance, value)
-        self._attempt(instance)
-        self._arm_timer(instance)
+        if record.candidate is None:
+            record.candidate = value
+        self._attempt(instance, record)
+        self._arm_timer(instance, record)
+
+    def inv(self) -> None:
+        """Assert the per-instance invariants; holds at every event boundary."""
+        for instance, record in self._instances.items():
+            assert record.accepted_ballot <= record.promised, \
+                (instance, record.accepted_ballot, record.promised)
+            assert (record.accepted_value is not None) \
+                == (record.accepted_ballot >= 0), \
+                (instance, record.accepted_ballot, record.accepted_value)
+            if record.decision is not None:
+                assert record.proposer is None and record.tally is None \
+                    and record.candidate is None, \
+                    f"decided instance {instance} kept undecided state"
+        for instance in self._timer_armed:
+            assert not self.decided(instance), \
+                f"retry armed for decided instance {instance}"
 
     # ------------------------------------------------------------------
     # Leader / liveness machinery
     # ------------------------------------------------------------------
+    def _record(self, instance: Hashable) -> _Instance:
+        record = self._instances.get(instance)
+        if record is None:
+            record = self._instances[instance] = _Instance()
+        return record
+
     def _current_leader(self) -> Optional[int]:
         return self.detector.leader(self.process.pid, self.members)
 
-    def _attempt(self, instance: int) -> None:
+    def _attempt(self, instance: int, record: _Instance) -> None:
         """Push ``instance`` forward: lead it or forward our value."""
-        if instance in self._decisions or self.process.crashed:
+        if record.decision is not None or self.process.crashed:
             return
         leader = self._current_leader()
         if leader is None:
             return  # no candidate leader; retry later
-        value = self._candidates.get(instance)
         if leader != self.process.pid:
-            if value is not None:
+            if record.candidate is not None:
                 self.process.send(
                     leader, self._k_forward,
-                    {"k": instance, "value": value},
+                    {"k": instance, "value": record.candidate},
                 )
             return
-        self._lead(instance)
+        self._lead(instance, record)
 
-    def _lead(self, instance: int) -> None:
+    def _lead(self, instance: int, record: _Instance) -> None:
         """Start (or escalate) a ballot we own for ``instance``."""
-        state = self._proposers.setdefault(instance, _ProposerState())
+        state = record.proposer
+        if state is None:
+            state = record.proposer = _ProposerState()
         if state.phase != "idle":
             return  # a ballot of ours is already in flight
         rank = self._rank[self.process.pid]
         d = len(self.members)
-        floor = max(self._max_ballot_seen.get(instance, -1), state.ballot)
+        floor = max(record.ballot_seen, state.ballot)
         ballot = rank
         while ballot <= floor:
             ballot += d
         if ballot == 0:
             # Ballot 0 is safe without a prepare phase: no acceptor can
             # have accepted anything in a smaller ballot.
-            value = self._candidates.get(instance)
+            value = record.candidate
             if value is None:
                 return  # nothing to propose yet; wait for a forward
             state.ballot = ballot
@@ -212,8 +268,8 @@ class GroupConsensus(ConsensusProtocol):
             state.phase = "prepare"
             self._broadcast(self._k_prepare, {"k": instance, "b": ballot})
 
-    def _arm_timer(self, instance: int) -> None:
-        if instance in self._timer_armed or instance in self._decisions:
+    def _arm_timer(self, instance: int, record: _Instance) -> None:
+        if instance in self._timer_armed or record.decision is not None:
             return
         self._timer_armed.add(instance)
         sim = self.process.sim
@@ -242,8 +298,9 @@ class GroupConsensus(ConsensusProtocol):
         if instance in self._timer_armed:
             self._timer_armed.discard(instance)
             if not self.process.crashed:
-                self._attempt(instance)
-                self._arm_timer(instance)
+                record = self._instances[instance]
+                self._attempt(instance, record)
+                self._arm_timer(instance, record)
         if self._alarm is None:
             self._set_alarm()
 
@@ -255,52 +312,58 @@ class GroupConsensus(ConsensusProtocol):
     # ------------------------------------------------------------------
     def _on_forward(self, msg: Message) -> None:
         instance, value = msg.payload["k"], msg.payload["value"]
-        if instance in self._decisions:
+        record = self._record(instance)
+        if record.decision is not None:
             # Help a lagging peer instead of re-running the instance.
             self.process.send(
                 msg.src, self._k_decide,
-                {"k": instance, "value": self._decisions[instance]},
+                {"k": instance, "value": record.decision},
             )
             return
-        self._candidates.setdefault(instance, value)
-        state = self._proposers.get(instance)
+        if record.candidate is None:
+            record.candidate = value
+        state = record.proposer
         if state is None or state.phase == "idle":
-            self._attempt(instance)
+            self._attempt(instance, record)
         elif state.phase == "prepare" and state.value is None:
-            # A value arrived while we were collecting promises; nothing
-            # to do — _maybe_start_accept will pick it up.
-            self._maybe_start_accept(instance, state)
+            # A value arrived while we were collecting promises: if a
+            # majority promised with nothing accepted, the accept phase
+            # was waiting for exactly this candidate.
+            self._maybe_start_accept(instance, record)
 
     def _on_prepare(self, msg: Message) -> None:
         instance, ballot = msg.payload["k"], msg.payload["b"]
-        self._note_ballot(instance, ballot)
-        acc = self._acceptors.setdefault(instance, _AcceptorState())
-        if ballot > acc.promised:
-            acc.promised = ballot
+        record = self._record(instance)
+        if ballot > record.ballot_seen:
+            record.ballot_seen = ballot
+        if ballot > record.promised:
+            record.promised = ballot
             self.process.send(
                 msg.src, self._k_promise,
                 {
                     "k": instance,
                     "b": ballot,
-                    "ab": acc.accepted_ballot,
-                    "av": acc.accepted_value,
+                    "ab": record.accepted_ballot,
+                    "av": record.accepted_value,
                 },
             )
         else:
             self.process.send(
                 msg.src, self._k_nack,
-                {"k": instance, "b": ballot, "promised": acc.promised},
+                {"k": instance, "b": ballot, "promised": record.promised},
             )
 
     def _on_promise(self, msg: Message) -> None:
         instance, ballot = msg.payload["k"], msg.payload["b"]
-        state = self._proposers.get(instance)
+        record = self._instances[instance]  # we sent the prepare
+        state = record.proposer
         if state is None or state.phase != "prepare" or state.ballot != ballot:
             return
         state.promises[msg.src] = (msg.payload["ab"], msg.payload["av"])
-        self._maybe_start_accept(instance, state)
+        self._maybe_start_accept(instance, record)
 
-    def _maybe_start_accept(self, instance: int, state: _ProposerState) -> None:
+    def _maybe_start_accept(self, instance: int, record: _Instance) -> None:
+        state = record.proposer
         if len(state.promises) < self._majority:
             return
         # Choose the value of the highest accepted ballot, else our own.
@@ -311,7 +374,7 @@ class GroupConsensus(ConsensusProtocol):
         if best_ballot >= 0:
             value = best_value
         else:
-            value = self._candidates.get(instance)
+            value = record.candidate
             if value is None:
                 return  # must wait for a candidate (own propose or forward)
         state.phase = "accept"
@@ -324,12 +387,13 @@ class GroupConsensus(ConsensusProtocol):
     def _on_accept(self, msg: Message) -> None:
         instance, ballot = msg.payload["k"], msg.payload["b"]
         value = msg.payload["value"]
-        self._note_ballot(instance, ballot)
-        acc = self._acceptors.setdefault(instance, _AcceptorState())
-        if ballot >= acc.promised:
-            acc.promised = ballot
-            acc.accepted_ballot = ballot
-            acc.accepted_value = value
+        record = self._record(instance)
+        if ballot > record.ballot_seen:
+            record.ballot_seen = ballot
+        if ballot >= record.promised:
+            record.promised = ballot
+            record.accepted_ballot = ballot
+            record.accepted_value = value
             # All-to-all learning (Schiper [11] style): every member
             # tallies accepted votes and decides two delays after the
             # proposal, at O(d²) messages per instance.
@@ -340,46 +404,48 @@ class GroupConsensus(ConsensusProtocol):
         else:
             self.process.send(
                 msg.src, self._k_nack,
-                {"k": instance, "b": ballot, "promised": acc.promised},
+                {"k": instance, "b": ballot, "promised": record.promised},
             )
 
     def _on_accepted(self, msg: Message) -> None:
         instance, ballot = msg.payload["k"], msg.payload["b"]
-        if instance in self._decisions:
+        record = self._record(instance)
+        if record.decision is not None:
             return
-        voters = self._accepted_tally.setdefault(
-            instance, {}).setdefault(ballot, set())
+        tally = record.tally
+        if tally is None:
+            tally = record.tally = {}
+        voters = tally.get(ballot)
+        if voters is None:
+            voters = tally[ballot] = set()
         voters.add(msg.src)
         if len(voters) >= self._majority:
-            self._decide(instance, msg.payload["value"])
+            self._decide(instance, record, msg.payload["value"])
 
     def _on_nack(self, msg: Message) -> None:
-        instance = msg.payload["k"]
-        self._note_ballot(instance, msg.payload["promised"])
-        state = self._proposers.get(instance)
+        instance, promised = msg.payload["k"], msg.payload["promised"]
+        record = self._instances[instance]  # we sent the prepare / accept
+        if promised > record.ballot_seen:
+            record.ballot_seen = promised
+        state = record.proposer
         if state is None or state.phase == "idle":
             return
         if msg.payload["b"] != state.ballot:
             return
         # Our ballot lost; retreat and let the retry timer escalate.
         state.phase = "idle"
-        self._arm_timer(instance)
+        self._arm_timer(instance, record)
 
     def _on_decide(self, msg: Message) -> None:
-        self._decide(msg.payload["k"], msg.payload["value"])
+        instance = msg.payload["k"]
+        self._decide(instance, self._record(instance), msg.payload["value"])
 
     # ------------------------------------------------------------------
-    def _note_ballot(self, instance: int, ballot: int) -> None:
-        seen = self._max_ballot_seen.get(instance, -1)
-        if ballot > seen:
-            self._max_ballot_seen[instance] = ballot
-
-    def _decide(self, instance: int, value: Any) -> None:
-        if instance in self._decisions:
+    def _decide(self, instance: int, record: _Instance, value: Any) -> None:
+        if record.decision is not None:
             return
-        self._decisions[instance] = value
-        self._proposers.pop(instance, None)
-        self._accepted_tally.pop(instance, None)
+        record.decision = value
+        record.candidate = record.proposer = record.tally = None
         self._timer_armed.discard(instance)
         if self._handler is not None:
             self._handler(instance, value)

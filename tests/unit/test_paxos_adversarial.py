@@ -1,6 +1,7 @@
 """Adversarial Paxos tests: contention, noise, nacks, string instances."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -83,16 +84,33 @@ class TestContention:
 
 class TestNoisyDetector:
     def test_false_suspicions_cannot_break_agreement(self):
-        """◊P mistakes cause competing ballots, never split decisions."""
+        """◊P mistakes cause competing ballots, never split decisions.
+
+        Stepped one event at a time through the leader changes: every
+        endpoint's records keep the Paxos invariants (``inv()``) and no
+        two endpoints ever hold different decisions.
+        """
+        sent = Counter()
         for seed in range(8):
             sim, net, stacks, decisions = _group(size=3, detector="noisy",
                                                  seed=seed, jitter=True)
             for pid, stack in stacks.items():
                 stack.propose(1, (f"p{pid}",))
-            sim.run(max_events=500_000)
+            for _ in range(500_000):
+                if not sim.step():
+                    break
+                for stack in stacks.values():
+                    stack.inv()
+                held = {stack.decision(1) for stack in stacks.values()
+                        if stack.decided(1)}
+                assert len(held) <= 1, f"seed {seed} split: {held}"
+            sent.update(net.stats.by_kind)
             values = {decisions[pid].get(1) for pid in decisions}
             values.discard(None)
             assert len(values) <= 1, f"seed {seed} split: {values}"
+        # The competing ballots ran the prepare, promise and nack paths.
+        assert all(sent[f"cons.{kind}"] for kind in
+                   ("prepare", "promise", "nack")), sent
 
     def test_eventual_decision_despite_noise(self):
         sim, net, stacks, decisions = _group(size=3, detector="noisy",
