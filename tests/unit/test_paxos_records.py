@@ -16,7 +16,6 @@ import pytest
 
 from repro.consensus.paxos import GroupConsensus
 from repro.failure.detectors import PerfectDetector
-from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.topology import Fixed, LatencyModel, Topology
 from repro.net.trace import MessageTrace
@@ -70,9 +69,9 @@ class TestDecidedRecord:
         acceptor = stacks[2]
         assert acceptor.decision(1) == ("v",)
         acceptor.inv()
-        acceptor._on_prepare(Message(1, 2, "cons.prepare", {"k": 1, "b": 1}))
-        acceptor._on_accept(Message(0, 2, "cons.accept",
-                                    {"k": 1, "b": 0, "value": ("w",)}))
+        net.process(1).send(2, "cons.prepare", {"k": 1, "b": 1})
+        net.process(0).send(2, "cons.accept",
+                            {"k": 1, "b": 0, "value": ("w",)})
         sim.run_until_quiescent()
         promise, = net.trace.sends_of_kind("cons.promise")
         assert promise.msg.payload == {"k": 1, "b": 1, "ab": 0, "av": ("v",)}
