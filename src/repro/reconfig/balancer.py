@@ -23,14 +23,10 @@ controller draws no randomness — ties break on group id and key name —
 so a (spec, seed) pair replays bit-identically with or without a
 campaign harness around it.
 
-Two modes:
-
-* ``split`` — shed up to ``max_keys`` of the hottest group's keys to
-  the coldest group, hottest first, but only while each move strictly
-  improves the pairwise balance (the skew chaser; within one decision
-  this keeps the whole hot set from landing on one group);
-* ``merge`` — fold the coldest group's entire (observed) key set into
-  the second-coldest group (the consolidator for near-idle groups).
+A decision sheds up to ``max_keys`` of the hottest group's keys to the
+coldest group, hottest first, but only while each move strictly
+improves the pairwise balance — within one decision this keeps the
+whole hot set from landing on one group.
 """
 
 from __future__ import annotations
@@ -38,9 +34,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.reconfig.txn import ReconfigOp
-
-#: Balancing strategies.
-MODES = ("split", "merge")
 
 #: Per-tick decay of the per-key heat (half-life ≈ 3 ticks); the measured
 #: curve is in README "Elastic repartitioning".
@@ -54,10 +47,7 @@ class LoadBalancer:
     """Watches demand heat and triggers migrations through the order."""
 
     def __init__(self, cluster, interval: float,
-                 threshold: float = 2.0, max_keys: int = 8,
-                 mode: str = "split") -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; have {list(MODES)}")
+                 threshold: float = 2.0, max_keys: int = 8) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
         if threshold < 1.0:
@@ -70,7 +60,6 @@ class LoadBalancer:
         self.interval = interval
         self.threshold = threshold
         self.max_keys = max_keys
-        self.mode = mode
         self._seq = 0
         self._heat_index = 0
         #: key -> decayed demand heat (see :meth:`_fold_heat`).
@@ -213,27 +202,21 @@ class LoadBalancer:
             return
         if load[cold] > 0 and load[hot] / load[cold] < self.threshold:
             return
-        if self.mode == "split":
-            # Greedy split: shed hottest-first, but only while the move
-            # strictly improves the pairwise balance — otherwise the
-            # whole hot set lands on the coldest group, which becomes
-            # the new hottest.  Across ticks, decayed heat keeps keys put.
-            src, dst = hot, cold
-            src_load, dst_load = load[src], load[dst]
-            candidates: List[str] = []
-            for key in sorted((k for k, g in owner_of.items() if g == src),
-                              key=lambda k: (-heat[k], k)):
-                if len(candidates) >= self.max_keys:
-                    break
-                if dst_load + heat[key] < src_load:
-                    candidates.append(key)
-                    src_load -= heat[key]
-                    dst_load += heat[key]
-        else:
-            second = min((g for g in gids if g != cold),
-                         key=lambda g: (load[g], g))
-            src, dst = cold, second
-            candidates = sorted(k for k, g in owner_of.items() if g == src)
+        # Greedy split: shed hottest-first, but only while the move
+        # strictly improves the pairwise balance — otherwise the whole
+        # hot set lands on the coldest group, which becomes the new
+        # hottest.  Across ticks, decayed heat keeps keys put.
+        src, dst = hot, cold
+        src_load, dst_load = load[src], load[dst]
+        candidates: List[str] = []
+        for key in sorted((k for k, g in owner_of.items() if g == src),
+                          key=lambda k: (-heat[k], k)):
+            if len(candidates) >= self.max_keys:
+                break
+            if dst_load + heat[key] < src_load:
+                candidates.append(key)
+                src_load -= heat[key]
+                dst_load += heat[key]
         if not candidates:
             return
         submitter_pids = self._correct_members(src)

@@ -14,6 +14,8 @@ Layout:
 
 * :mod:`~repro.store.transaction` — the one-shot transaction model and
   its deterministic execution semantics;
+* :mod:`~repro.store.partition` — :class:`PartitionMap`, the
+  versioned key → owner-group assignment;
 * :mod:`~repro.store.service` — :class:`TransactionalStore`, one
   process's replica of its group's partition;
 * :mod:`~repro.store.client` — :class:`StoreClient` sessions and the

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.core.interfaces import AppMessage
 from repro.reconfig.balancer import LoadBalancer
-from repro.replication.cluster import (
-    TappedEndpoint,
-    assert_group_convergence,
-)
-from repro.replication.partition import PartitionMap
 from repro.runtime.builder import System, build_system
 from repro.store.client import CommitTracker, StoreClient
+from repro.store.partition import PartitionMap
 from repro.store.service import TransactionalStore
 from repro.store.spec import StoreSpec
 from repro.store.workload import (
@@ -39,6 +36,63 @@ from repro.store.workload import (
     key_name,
     txn_workload,
 )
+
+
+class TappedEndpoint:
+    """Adapter presenting a System-wired endpoint to a store replica.
+
+    The system's builder already installed the real delivery handler
+    (log + meter); a replica subscribes through a delivery tap instead,
+    so this adapter satisfies the replica's ``set_delivery_handler``
+    call by registering a tap.  Casts are recorded in the system's log
+    and meter first, so the latency meter and the property checkers
+    see store traffic like any other cast.
+    """
+
+    def __init__(self, system: System, pid: int) -> None:
+        self._system = system
+        self._pid = pid
+        self._endpoint = system.endpoints[pid]
+
+    def set_delivery_handler(self, handler) -> None:
+        self._system.add_delivery_tap(self._pid, handler)
+
+    def a_mcast(self, msg: AppMessage) -> None:
+        """Cast ``msg``; a broadcast protocol's endpoint A-BCasts it."""
+        process = self._system.network.process(self._pid)
+        self._system.log.record_cast(msg)
+        self._system.meter.record_cast(
+            msg.mid, process, dest_groups=msg.dest_groups,
+            now=self._system.sim.now,
+        )
+        if hasattr(self._endpoint, "a_mcast"):
+            self._endpoint.a_mcast(msg)
+        else:
+            self._endpoint.a_bcast(msg)
+
+
+def describe_divergence(states: Dict[int, Dict[str, object]]) -> str:
+    """Pinpoint how per-replica key/value snapshots disagree.
+
+    Returns a report naming every diverging key with the value each
+    replica holds for it — so a failed convergence assertion says
+    *which* pid and *which* key broke, not just that something did.
+    """
+    all_keys = sorted({key for state in states.values() for key in state})
+    _missing = object()
+    lines = []
+    for key in all_keys:
+        values = {pid: state.get(key, _missing)
+                  for pid, state in states.items()}
+        if len({repr(v) for v in values.values()}) > 1:
+            detail = ", ".join(
+                f"pid {pid}: " + ("<missing>" if v is _missing else repr(v))
+                for pid, v in sorted(values.items())
+            )
+            lines.append(f"key {key!r} -> {detail}")
+    if not lines:  # identical key/value maps compared unequal upstream
+        return "snapshots compare unequal but no key differs"
+    return "; ".join(lines)
 
 
 class InvolvementReport:
@@ -167,7 +221,6 @@ class StoreCluster:
                 cluster, interval=spec.rebalance_interval,
                 threshold=spec.rebalance_threshold,
                 max_keys=spec.rebalance_keys,
-                mode=spec.rebalance_mode,
             )
             cluster.balancer.schedule(spec.start, spec.horizon)
         for plan in plans:
@@ -208,11 +261,21 @@ class StoreCluster:
         """Every partition's correct replicas hold identical state.
 
         Failures pinpoint the diverging group, key and per-pid values
-        (shared :func:`~repro.replication.cluster.
-        assert_group_convergence`).
+        (see :func:`describe_divergence`); crashed replicas are not
+        compared.
         """
-        assert_group_convergence(
-            self.system, lambda pid: self.stores[pid].owned_snapshot())
+        topology = self.system.topology
+        for gid in topology.group_ids:
+            states = {
+                pid: self.stores[pid].owned_snapshot()
+                for pid in topology.members(gid)
+                if not self.system.network.process(pid).crashed
+            }
+            if len({repr(sorted(s.items())) for s in states.values()}) > 1:
+                raise AssertionError(
+                    f"group {gid} replicas diverged: "
+                    f"{describe_divergence(states)}"
+                )
 
     def inv(self) -> None:
         """Elastic-routing invariants, checkable at any event boundary

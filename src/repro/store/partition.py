@@ -1,4 +1,4 @@
-"""Key partitioning for the partial-replication layer.
+"""Key partitioning for the transactional store.
 
 The paper motivates genuine atomic multicast with partial replication:
 each group replicates a subset of the application's data, and an
@@ -9,21 +9,17 @@ touches.  :class:`PartitionMap` is that key → group assignment.
 elastic repartitioning (:mod:`repro.reconfig`) moves key ranges
 between groups at totally-ordered points, mutating a replica's map
 view through :meth:`apply_assignments`.  Every mutation bumps
-:attr:`version` and invalidates the fallback-hash memo, so a cached
-answer can never outlive the epoch it was computed in.  Consumers that
-cache ``group_of`` results themselves must key their caches by
+:attr:`version` and invalidates the fallback memo, so a cached answer
+can never outlive the epoch it was computed in.  Consumers that cache
+``group_of`` results themselves must key their caches by
 ``(map.version, key)`` or subscribe to the same delivery stream the
 map is mutated from.
 
-Two fallback ownership functions exist for keys without an explicit
-assignment: the legacy ``sha256 % n_groups`` modulo (``placement=
-"hash"``, the default, preserved bit-for-bit for existing scenarios)
-and the consistent-hash ring of :class:`repro.reconfig.ring.HashRing`
-(``placement="ring"``), which elastic deployments use because adding
-or removing a group remaps only ≈1/n of the keyspace.  Explicit
-assignments always take precedence over either fallback — migrations
-are recorded as explicit overrides on top of the fallback, so the
-ring itself never needs to change mid-run.
+A key with no explicit assignment belongs to its owner on the
+consistent-hash ring (:class:`repro.reconfig.ring.HashRing`) when the
+map has one, else to ``sha256 % n_groups``.  Explicit assignments
+always take precedence — migrations are recorded as explicit overrides
+on top of the fallback, so the ring itself never changes mid-run.
 """
 
 from __future__ import annotations
@@ -32,9 +28,7 @@ import hashlib
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.net.topology import Topology
-
-#: Fallback ownership functions for keys without an explicit entry.
-PLACEMENTS = ("hash", "ring")
+from repro.reconfig.ring import HashRing
 
 
 class PartitionMap:
@@ -42,45 +36,21 @@ class PartitionMap:
 
     def __init__(self, topology: Topology,
                  explicit: Optional[Dict[str, int]] = None,
-                 placement: str = "hash",
-                 ring_groups: Optional[Iterable[int]] = None,
-                 vnodes: int = 64) -> None:
+                 ring: Optional[HashRing] = None) -> None:
         """Create a map over ``topology``'s groups.
 
         Args:
-            explicit: Fixed key → group assignments (e.g. one partition
-                per table).  Keys not listed fall back to ``placement``.
-            placement: Fallback ownership function — ``"hash"`` (the
-                legacy ``sha256 % n_groups`` modulo) or ``"ring"``
-                (consistent hashing with virtual nodes).
-            ring_groups: The groups participating in the ring (default:
-                every group of the topology).  Elastic stores restrict
-                this to the data groups so spectator groups never own
-                keys.
-            vnodes: Virtual nodes per group on the ring.
+            explicit: Fixed key → group assignments.  Keys not listed
+                fall back to ``ring``.
+            ring: The ownership ring for unlisted keys; ``None`` falls
+                back to ``sha256 % n_groups``.
         """
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; have {list(PLACEMENTS)}"
-            )
         self.topology = topology
-        self.placement = placement
         self.explicit = dict(explicit or {})
         for key, gid in self.explicit.items():
             if gid not in topology.group_ids:
                 raise ValueError(f"key {key!r} mapped to unknown group {gid}")
-        if placement == "ring":
-            from repro.reconfig.ring import HashRing
-            groups = tuple(ring_groups if ring_groups is not None
-                           else topology.group_ids)
-            for gid in groups:
-                if gid not in topology.group_ids:
-                    raise ValueError(
-                        f"ring group {gid} not in topology"
-                    )
-            self.ring = HashRing(groups, vnodes=vnodes)
-        else:
-            self.ring = None
+        self.ring = ring
         self._version = 0
         # Routing runs group_of per key per operation; hashing the same
         # hot keys over and over would dominate the serving layer's
@@ -149,15 +119,15 @@ class PartitionMap:
         at A-Deliver of a reconfiguration control message — that is the
         versioned-ownership contract that keeps every replica of a
         group on the same epoch at the same point of the total order.
+        A rejected call (an unknown group) changes nothing.
         """
+        for key, gid in assignments.items():
+            if gid is not None and gid not in self.topology.group_ids:
+                raise ValueError(f"key {key!r} mapped to unknown group {gid}")
         for key, gid in assignments.items():
             if gid is None:
                 self.explicit.pop(key, None)
             else:
-                if gid not in self.topology.group_ids:
-                    raise ValueError(
-                        f"key {key!r} mapped to unknown group {gid}"
-                    )
                 self.explicit[key] = gid
         self._version += 1
         self._hash_memo.clear()
@@ -172,10 +142,10 @@ class PartitionMap:
 
         Each replica mutates its own clone at its own delivery points;
         the pristine construction-time map stays with the cluster as
-        the epoch-0 authority the checkers replay from.
+        the epoch-0 authority the checkers replay from.  Rings are
+        immutable values, so the clone shares this map's.
         """
-        out = PartitionMap(self.topology, explicit=self.explicit)
-        out.placement = self.placement
-        out.ring = self.ring  # rings are immutable values; share them.
+        out = PartitionMap(self.topology, explicit=self.explicit,
+                           ring=self.ring)
         out._version = self._version
         return out

@@ -38,8 +38,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.interfaces import AppMessage
 from repro.reconfig.txn import Handoff, ReconfigOp, is_control, parse_control
-from repro.replication.partition import PartitionMap
 from repro.sim.process import Process
+from repro.store.partition import PartitionMap
 from repro.store.transaction import Transaction, TxnEffects, execute
 
 #: Routing disciplines: genuine multicast to the owner groups, or the

@@ -25,9 +25,6 @@ ARRIVALS = ("poisson", "periodic")
 #: let the consistent-hash ring over the data groups own the keys.
 PLACEMENTS = ("explicit", "ring")
 
-#: Load-balancing strategies (mirrors repro.reconfig.balancer.MODES).
-REBALANCE_MODES = ("split", "merge")
-
 #: Key-popularity scopes.  "partition" applies the zipf law within each
 #: partition and picks partitions uniformly — per-group load stays flat
 #: by construction (the legacy YCSB-style mix).  "global" applies one
@@ -89,7 +86,6 @@ class StoreSpec:
     rebalance_interval: float = 0.0
     rebalance_threshold: float = 2.0
     rebalance_keys: int = 8
-    rebalance_mode: str = "split"
     #: Modeled latency of a WrongEpoch bounce notice back to a client.
     notice_delay: float = 1.0
     #: Retry budget per fenced transaction before the client gives up.
@@ -189,11 +185,6 @@ class StoreSpec:
             raise ValueError(
                 f"StoreSpec needs a positive rebalance_keys, "
                 f"got {self.rebalance_keys!r}"
-            )
-        if self.rebalance_mode not in REBALANCE_MODES:
-            raise ValueError(
-                f"unknown rebalance_mode {self.rebalance_mode!r}; "
-                f"have {list(REBALANCE_MODES)}"
             )
         if self.notice_delay < 0:
             raise ValueError(

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.topology import Topology
-from repro.replication.partition import PartitionMap
+from repro.reconfig.ring import HashRing
+from repro.store.partition import PartitionMap
 from repro.store.spec import StoreSpec
 
 
@@ -76,9 +77,8 @@ def build_partition_map(spec: StoreSpec,
     explicit overrides on top of the ring.
     """
     if spec.placement == "ring":
-        return PartitionMap(topology, explicit={}, placement="ring",
-                            ring_groups=data_group_ids(spec, topology),
-                            vnodes=spec.ring_vnodes)
+        return PartitionMap(topology, ring=HashRing(
+            data_group_ids(spec, topology), vnodes=spec.ring_vnodes))
     return PartitionMap(topology, explicit=partition_keys(spec, topology))
 
 

@@ -126,25 +126,3 @@ class TestBroadcastFamily:
                      for p in system.topology.processes}
         assert len(sequences) == 1
 
-
-class TestReplicationOverEveryProtocol:
-    @pytest.mark.parametrize("protocol", ("a1", "skeen", "ring", "global",
-                                          "fritzke"))
-    def test_kv_store_converges_on_all_multicasts(self, protocol):
-        from repro.replication import KVCluster
-
-        cluster = KVCluster.build(
-            [2, 2], partitions={"x": 0, "y": 1},
-            protocol=protocol, seed=31,
-        )
-        cluster.store(0).put_many({"x": 1, "y": 1})
-        cluster.store(2).put_many({"x": 2, "y": 2})
-        cluster.store(1).put("x", 3)
-        cluster.system.run_quiescent()
-        cluster.assert_convergence()
-        # Cross-partition writes applied atomically: x and y agree on
-        # which multi-key op came last.
-        x = cluster.store(0).get("x")
-        y = cluster.store(2).get("y")
-        if x in (1, 2):
-            assert y == x or cluster.store(0).applied[-1].startswith("op")

@@ -248,8 +248,6 @@ class TestBalancerSplit:
 
     def test_validation(self):
         cluster = build_elastic()
-        with pytest.raises(ValueError, match="unknown mode"):
-            LoadBalancer(cluster, interval=1.0, mode="shuffle")
         with pytest.raises(ValueError, match="interval"):
             LoadBalancer(cluster, interval=0.0)
         with pytest.raises(ValueError, match="threshold"):

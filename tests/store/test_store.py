@@ -56,6 +56,25 @@ class TestServing:
         with pytest.raises(KeyError):
             cluster.store(outsider).get(key)
 
+    def test_cross_partition_txn_metered_at_degree_two(self):
+        """Store casts go through the system's meter and log: a
+        transaction spanning two partitions is an A1 multicast to two
+        groups, delivered at the paper's latency degree 2."""
+        cluster = StoreCluster.build(
+            [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0),
+            protocol="a1", seed=1,
+        )
+        keymap = cluster.partition_map
+        ops = tuple(("put", next(k for k in ("k00000", "k00001")
+                                 if keymap.group_of(k) == gid), gid)
+                    for gid in (0, 1))
+        msg = cluster.client(0).submit("cross-1", ops)
+        cluster.system.run_quiescent()
+        assert msg.dest_groups == (0, 1)
+        assert cluster.system.meter.latency_degree(msg.mid) == 2
+        check_all(cluster.system.log, cluster.system.topology)
+        check_serializability(cluster)
+
     def test_commit_latency_recorded_per_txn(self):
         cluster = run_cluster()
         latencies = cluster.tracker.latencies()
@@ -73,14 +92,19 @@ class TestServing:
             owners = sorted({keymap.group_of(op[1]) for op in plan.ops})
             assert list(msg.dest_groups) == owners
 
-    def test_broadcast_routing_targets_every_group(self):
+    @pytest.mark.parametrize(
+        "protocol", ("a2", "sequencer", "optimistic", "detmerge"))
+    def test_broadcast_routing_targets_every_group(self, protocol):
+        """Full replication runs on any atomic broadcast.  Their orders
+        (and so the final data) may differ; each must be serializable."""
         cluster = run_cluster(
-            protocol="a2",
+            protocol=protocol,
             spec=StoreSpec(n_keys=18, rate=0.6, duration=25.0,
                            routing="broadcast"),
         )
         for msg in cluster.system.log.cast_map.values():
             assert tuple(msg.dest_groups) == (0, 1, 2)
+        assert not cluster.tracker.uncommitted()
         cluster.assert_convergence()
         check_serializability(cluster)
 
@@ -103,8 +127,11 @@ class TestCrossProtocol:
         """One plan, many protocols: the serving layer is protocol-
         agnostic, so the committed data must be identical."""
         snapshots = {}
-        for protocol in ("a1", "a1-noskip", "skeen", "fritzke"):
+        for protocol in ("a1", "a1-noskip", "skeen", "fritzke", "ring",
+                         "global"):
             cluster = run_cluster(protocol=protocol, seed=9)
+            assert not cluster.tracker.uncommitted()
+            cluster.assert_convergence()
             check_serializability(cluster)
             snapshots[protocol] = tuple(
                 tuple(sorted(cluster.store(pid).owned_snapshot().items()))
@@ -132,6 +159,30 @@ class TestCrossProtocol:
         # …but the broadcast deployment moves strictly more copies.
         assert (broadcast.system.network.stats.total_messages
                 > genuine.system.network.stats.total_messages)
+
+
+class TestConvergenceReporting:
+    def _tampered(self):
+        cluster = run_cluster(group_sizes=(2, 2))
+        first, second = cluster.system.topology.members(0)
+        key, value = sorted(cluster.store(first).owned_snapshot().items())[0]
+        cluster.store(second).state[key] = "mallory"
+        return cluster, first, second, key, value
+
+    def test_divergence_names_group_key_and_both_values(self):
+        cluster, first, second, key, value = self._tampered()
+        with pytest.raises(AssertionError) as exc:
+            cluster.assert_convergence()
+        message = str(exc.value)
+        assert "group 0 replicas diverged" in message
+        assert f"key {key!r}" in message
+        assert f"pid {first}: {value!r}" in message
+        assert f"pid {second}: 'mallory'" in message
+
+    def test_crashed_replica_not_compared(self):
+        cluster, _, second, _, _ = self._tampered()
+        cluster.system.network.process(second).crashed = True
+        cluster.assert_convergence()
 
 
 class TestUnderCrashes:
