@@ -12,6 +12,7 @@ import pytest
 
 from repro.checkers.properties import check_all
 from repro.runtime.builder import build_system
+from repro.store import StoreCluster, StoreSpec, check_serializability
 from repro.workload.generators import (
     poisson_workload,
     schedule_workload,
@@ -126,3 +127,53 @@ class TestBroadcastFamily:
                      for p in system.topology.processes}
         assert len(sequences) == 1
 
+
+
+def _store_run(protocol, routing, seed=31):
+    """Two conflicting cross-partition writes and one local write.
+
+    Explicit placement on ``[2, 2]``: ``x`` (k00000) lives in group 0,
+    ``y`` (k00001) in group 1; clients sit at pids 0 and 2.
+    """
+    cluster = StoreCluster.build(
+        [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0,
+                                routing=routing),
+        protocol=protocol, seed=seed,
+    )
+    x, y = "k00000", "k00001"
+    cluster.client(0).submit("A", (("put", x, "A"), ("put", y, "A")))
+    cluster.client(2).submit("B", (("put", x, "B"), ("put", y, "B")))
+    cluster.client(0).submit("C", (("put", x, "C"),))
+    cluster.system.run_quiescent()
+    assert not cluster.tracker.uncommitted()
+    cluster.assert_convergence()
+    check_serializability(cluster)
+    return cluster
+
+
+class TestReplicationOverEveryProtocol:
+    @pytest.mark.parametrize("protocol", MULTICASTS)
+    def test_store_converges_on_all_multicasts(self, protocol):
+        """Partial replication: both partitions order the two
+        cross-partition writes alike, so they agree on the last one."""
+        cluster = _store_run(protocol, "genuine")
+        order_x = [t for t in cluster.store(0).applied if t in ("A", "B")]
+        order_y = [t for t in cluster.store(2).applied if t in ("A", "B")]
+        assert order_x == order_y and sorted(order_x) == ["A", "B"]
+        assert cluster.store(2).get("k00001") == order_y[-1]
+        assert cluster.store(1).get("k00000") \
+            == cluster.store(0).applied[-1]
+
+    @pytest.mark.parametrize("protocol", BROADCASTS)
+    def test_store_converges_on_all_broadcasts(self, protocol):
+        """Full replication: every replica executes every transaction,
+        in the one total order of the broadcast."""
+        cluster = _store_run(protocol, "broadcast")
+        journals = {tuple(cluster.store(pid).applied)
+                    for pid in cluster.system.topology.processes}
+        assert len(journals) == 1
+        (journal,) = journals
+        assert sorted(journal) == ["A", "B", "C"]
+        assert cluster.store(3).get("k00001") \
+            == [t for t in journal if t in ("A", "B")][-1]
+        assert cluster.store(1).get("k00000") == journal[-1]

@@ -6,6 +6,8 @@ from repro.net.topology import Topology
 from repro.reconfig.ring import HashRing
 from repro.store.cluster import describe_divergence
 from repro.store.partition import PartitionMap
+from repro.store.spec import StoreSpec
+from repro.store.workload import build_partition_map, key_name
 
 
 class TestLookup:
@@ -64,6 +66,12 @@ class TestMemo:
         pmap._hash_memo["hot-key"] = (first + 1) % 3
         assert pmap.group_of("hot-key") == (first + 1) % 3
 
+    def test_ring_assignment_memoised(self):
+        ring = HashRing((0, 1), vnodes=8)
+        pmap = PartitionMap(Topology([2, 2]), ring=ring)
+        assert pmap.group_of("hot-key") == ring.owner("hot-key")
+        assert pmap._hash_memo == {"hot-key": ring.owner("hot-key")}
+
     def test_explicit_keys_bypass_memo(self):
         pmap = PartitionMap(Topology([2, 2]), explicit={"users": 1})
         assert pmap.group_of("users") == 1
@@ -86,6 +94,20 @@ class TestMutation:
         assert pmap.version == 0
         assert pmap.group_of("a") == 0
 
+    def test_deleting_an_override_restores_the_ring_owner(self):
+        ring = HashRing((0, 1), vnodes=8)
+        pmap = PartitionMap(Topology([2, 2]), ring=ring)
+        home = pmap.group_of("a")
+        pmap.apply_move(["a"], 1 - home)
+        assert pmap.group_of("a") == 1 - home
+        assert pmap.apply_assignments({"a": None}) == 2
+        assert pmap.group_of("a") == home and "a" not in pmap.explicit
+
+    def test_assignments_of_reports_explicit_entries_only(self):
+        pmap = PartitionMap(Topology([2, 2]), explicit={"a": 1},
+                            ring=HashRing((0, 1), vnodes=8))
+        assert pmap.assignments_of(["a", "b"]) == {"a": 1, "b": None}
+
     def test_clone_is_independent(self):
         ring = HashRing((0, 1), vnodes=8)
         pmap = PartitionMap(Topology([2, 2]), explicit={"a": 0}, ring=ring)
@@ -94,6 +116,28 @@ class TestMutation:
         assert view.version == 1 and view.ring is ring
         view.apply_move(["a"], 0)
         assert pmap.group_of("a") == 1 and pmap.version == 1
+
+
+class TestBuildPartitionMap:
+    def test_explicit_placement_round_robin_over_data_groups(self):
+        spec = StoreSpec(n_keys=6, data_groups=(1, 2))
+        pmap = build_partition_map(spec, Topology([2, 2, 2]))
+        assert pmap.ring is None
+        assert pmap.explicit == {key_name(i): (1, 2)[i % 2]
+                                 for i in range(6)}
+
+    def test_ring_placement_owns_keys_in_data_groups_only(self):
+        spec = StoreSpec(n_keys=64, data_groups=(0, 2), placement="ring",
+                         ring_vnodes=16)
+        pmap = build_partition_map(spec, Topology([2, 2, 2]))
+        assert pmap.explicit == {} and pmap.ring.groups == (0, 2)
+        owners = {pmap.group_of(key_name(i)) for i in range(64)}
+        assert owners == {0, 2}
+
+    def test_ring_placement_rejects_unknown_data_group(self):
+        spec = StoreSpec(placement="ring", data_groups=(0, 7))
+        with pytest.raises(ValueError, match=r"data_groups \[7\]"):
+            build_partition_map(spec, Topology([2, 2]))
 
 
 class TestDescribeDivergence:
@@ -110,3 +154,7 @@ class TestDescribeDivergence:
         detail = describe_divergence(
             {0: {"x": 1, "y": 1}, 1: {"x": 2, "y": 2}})
         assert "key 'x'" in detail and "key 'y'" in detail
+
+    def test_equal_snapshots_say_no_key_differs(self):
+        detail = describe_divergence({0: {"x": 1}, 1: {"x": 1}})
+        assert detail == "snapshots compare unequal but no key differs"

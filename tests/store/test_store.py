@@ -200,6 +200,27 @@ class TestUnderCrashes:
                   cluster.system.crashes)
 
 
+    def test_minority_crashes_under_full_replication(self):
+        """Full replication over A2 keeps every correct replica of
+        every group on the same execution order through crashes."""
+        cluster = StoreCluster.build(
+            [3, 3], store=StoreSpec(n_keys=12, rate=0.8, duration=30.0,
+                                    routing="broadcast"),
+            protocol="a2", seed=9,
+            crashes=CrashSchedule({2: 0.5, 5: 1.5}),
+        )
+        cluster.system.run_quiescent()
+        correct = [pid for pid in cluster.system.topology.processes
+                   if not cluster.system.network.process(pid).crashed]
+        assert {tuple(cluster.store(pid).applied) for pid in correct} \
+            == {tuple(cluster.store(correct[0]).applied)}
+        assert cluster.tracker.committed
+        cluster.assert_convergence()
+        check_serializability(cluster)
+        check_all(cluster.system.log, cluster.system.topology,
+                  cluster.system.crashes)
+
+
 class TestInvolvement:
     def test_spectator_groups_idle_under_genuine_routing(self):
         cluster = StoreCluster.build(
