@@ -8,11 +8,7 @@ run.  See :mod:`repro.campaigns.library` for the built-in campaigns and
 ``python -m repro.cli campaign --help`` for the command-line front end.
 """
 
-from repro.campaigns.library import (
-    CAMPAIGN_DESCRIPTIONS,
-    CAMPAIGNS,
-    get_campaign,
-)
+from repro.campaigns.library import CAMPAIGNS, get_campaign
 from repro.campaigns.metrics import EXTRACTORS, extract, register_extractor
 from repro.campaigns.runner import (
     Campaign,
@@ -34,7 +30,7 @@ from repro.campaigns.spec import (
 )
 
 __all__ = [
-    "CAMPAIGNS", "CAMPAIGN_DESCRIPTIONS", "get_campaign",
+    "CAMPAIGNS", "get_campaign",
     "EXTRACTORS", "extract", "register_extractor",
     "Campaign", "CampaignResult", "CampaignRunner", "RunResult",
     "run_campaign", "run_scenario_seed", "verify_determinism",

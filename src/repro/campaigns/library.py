@@ -50,9 +50,9 @@ narrow the per-scenario seed list (the CLI's ``--seeds`` does).
 from __future__ import annotations
 
 from dataclasses import replace as dataclasses_replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.campaigns.runner import Campaign
+from repro.campaigns.runner import Campaign, CampaignResult
 from repro.campaigns.spec import (
     CrashSpec,
     DestinationSpec,
@@ -411,8 +411,8 @@ def rebalance(seeds: Optional[Sequence[int]] = None) -> Campaign:
 
     Two adversary cells aim bounded delay/reordering and
     phase-boundary crashes at the migration window (balancer on, same
-    grid parameters); ``repro.cli rebalance`` additionally drives the
-    explorer over these and shrinks any failure to a minimal
+    grid parameters); ``repro.cli torture --campaign rebalance`` drives
+    the explorer over the grid and shrinks any failure to a minimal
     replayable counterexample.
     """
     seeds = tuple(seeds or DEFAULT_SEEDS)
@@ -459,7 +459,50 @@ def rebalance(seeds: Optional[Sequence[int]] = None) -> Campaign:
                     "skew at 16/24 groups; serializability and reconfig "
                     "checked on every cell, adversaries aimed at the "
                     "migration window",
+        compare=rebalance_comparison,
     )
+
+
+def rebalance_comparison(
+        result: CampaignResult) -> Tuple[str, List[dict]]:
+    """Static-vs-online committed throughput, one row per group count.
+
+    Pairs each benign balancer-off cell with its balancer-on twin; a
+    pair truncated by ``--max-scenarios`` is left out.
+    """
+    arms: Dict[int, Dict[str, ScenarioSpec]] = {}
+    for spec in result.campaign.scenarios:
+        if spec.adversary not in (None, "none") or spec.store is None:
+            continue
+        arm = "rebalance" if spec.store.rebalance_interval > 0 else "static"
+        arms.setdefault(len(spec.group_sizes), {})[arm] = spec
+    lines = [
+        "committed throughput: static epoch-0 map vs online rebalance",
+        f"  {'groups':>6s} {'static':>8s} {'rebal':>8s} {'gain':>7s} "
+        f"{'migs':>5s} {'moved':>6s} {'bounces':>8s}",
+    ]
+    rows = []
+    for n_groups in sorted(arms):
+        pair = arms[n_groups]
+        if len(pair) != 2:
+            continue
+        aggs = {arm: result.aggregates(spec.name)
+                for arm, spec in pair.items()}
+        static = aggs["static"]["txns_per_vtime"].mean
+        rebal = aggs["rebalance"]["txns_per_vtime"].mean
+        gain = 100.0 * (rebal - static) / static if static else 0.0
+        migs = aggs["rebalance"]["reconfigs_completed"].mean
+        moved = aggs["rebalance"]["reconfig_keys_moved"].mean
+        bounces = aggs["rebalance"]["wrong_epoch_bounces"].mean
+        lines.append(f"  {n_groups:>6d} {static:>8.3f} {rebal:>8.3f} "
+                     f"{gain:>+6.1f}% {migs:>5.1f} {moved:>6.1f} "
+                     f"{bounces:>8.1f}")
+        rows.append({
+            "n_groups": n_groups, "static_tps": round(static, 4),
+            "rebalance_tps": round(rebal, 4), "gain_pct": round(gain, 2),
+            "migrations": migs, "keys_moved": moved, "bounces": bounces,
+        })
+    return "\n".join(lines), rows
 
 
 CampaignBuilder = Callable[..., Campaign]
@@ -475,28 +518,6 @@ CAMPAIGNS: Dict[str, CampaignBuilder] = {
     "store-scaling": store_scaling,
     "txn-mix": txn_mix,
     "rebalance": rebalance,
-}
-
-CAMPAIGN_DESCRIPTIONS: Dict[str, str] = {
-    "wan-storm": "A1 over a WAN latency x arrival-rate grid (6 scenarios)",
-    "crash-storm": "protocol x crash-window matrix under random minority "
-                   "crashes (6 scenarios)",
-    "zipf-fanout": "Zipf destination skew x group count (6 scenarios)",
-    "cross-protocol": "A1 vs nine baselines on one workload (10 scenarios)",
-    "fd-overhead": "oracle vs heartbeat vs elided-heartbeat detector "
-                   "cost, A1 and A2 (6 scenarios)",
-    "torture": "4 protocols x 4 adversaries; minimal counterexample on "
-               "any failure (16 scenarios)",
-    "lossy-net": "drop/duplicate/corrupt channels x 3 protocols under "
-                 "the reliable transport; stabilization checked "
-                 "(12 scenarios)",
-    "store-scaling": "transactional store at 4/6/8 groups, genuine vs "
-                     "nongenuine vs broadcast (9 scenarios)",
-    "txn-mix": "store read/write x multi-partition mix grid on A1 "
-               "(6 scenarios)",
-    "rebalance": "elastic repartitioning vs static map under zipf skew "
-                 "at 16/24 groups, adversaries on the migration window "
-                 "(6 scenarios)",
 }
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaigns.metrics import extract
@@ -312,6 +312,10 @@ class Campaign:
     name: str
     scenarios: List[ScenarioSpec]
     description: str = ""
+    #: Optional cross-scenario view of a finished run: returns a
+    #: printable table and its rows (persisted under ``"comparison"``).
+    compare: Optional[
+        Callable[["CampaignResult"], Tuple[str, List[dict]]]] = None
 
     def __post_init__(self) -> None:
         if not self.scenarios:
@@ -323,9 +327,7 @@ class Campaign:
 
     def with_seeds(self, seeds: Sequence[int]) -> "Campaign":
         """The same matrix under an overridden seed list."""
-        return Campaign(name=self.name,
-                        scenarios=with_seeds(self.scenarios, seeds),
-                        description=self.description)
+        return replace(self, scenarios=with_seeds(self.scenarios, seeds))
 
     @property
     def task_count(self) -> int:

@@ -4,58 +4,26 @@ Usage::
 
     python -m repro.cli                 # run every experiment, print all
     python -m repro.cli fig1 theorems   # run a subset
-    python -m repro.cli --list          # show experiments AND campaigns
+    python -m repro.cli --list          # list everything runnable
 
     python -m repro.cli campaign cross-protocol --jobs 4
     python -m repro.cli campaign wan-storm --seeds 1,2,3 --out results/
     python -m repro.cli campaign crash-storm --jobs 8 --compare-serial
+    python -m repro.cli campaign rebalance --seeds 1,2,3 --out results/
 
     python -m repro.cli torture --campaign torture --seeds 3
+    python -m repro.cli torture --campaign rebalance --max-scenarios 2
     python -m repro.cli torture --selftest --out torture-out
     python -m repro.cli replay COUNTEREXAMPLE_torture_s3.json
 
     python -m repro.cli store --protocol a1 --groups 2,2,2,2 --rate 1
     python -m repro.cli store --protocol a2 --routing broadcast
 
-    python -m repro.cli rebalance --seeds 1,2,3 --out results/
-    python -m repro.cli rebalance --explore --max-scenarios 2
-
 Each experiment prints the same rows/series the paper reports (or that
 our extension sections define); the benchmark suite asserts the shapes,
-this CLI is for eyeballing and for regenerating EXPERIMENTS.md.
-
-The ``campaign`` verb executes a built-in scenario matrix
-(:mod:`repro.campaigns.library`) over ``--jobs`` worker processes,
-writes ``CAMPAIGN_<name>.json`` plus a markdown summary into ``--out``,
-and exits non-zero if any property/genuineness checker failed.
-``--compare-serial`` re-runs the campaign with one job, asserts the
-per-seed metrics are identical, and records the measured speedup in the
-JSON artefact.
-
-The ``store`` verb runs the transactional partitioned store
-(:mod:`repro.store`) under one scenario — one-shot multi-partition
-transactions routed by key ownership over genuine atomic multicast (or
-broadcast-everything for the comparison) — checks one-copy
-serializability and convergence, and prints commit latency plus the
-per-group involvement table that quantifies genuineness.
-
-The ``rebalance`` verb runs the elastic-repartitioning campaign
-(:mod:`repro.reconfig`): the same zipf-skewed workload with the load
-balancer off (the frozen epoch-0 map) and on, at 16 and 24 data
-groups, every cell gated by the serializability and reconfig checkers.
-It prints the static-vs-rebalance committed-throughput table and, with
-``--explore``, aims the schedule explorer at the migration window and
-shrinks any violation to a replayable counterexample.
-
-The ``torture`` verb drives a campaign's scenario × adversary grid
-through the adversarial schedule explorer: each case runs under its
-named adversary, and any checker violation is automatically shrunk
-(fewer faults, smaller topology, shorter horizon) to a minimal
-counterexample written as a replayable ``COUNTEREXAMPLE_*.json``
-artifact.  ``--selftest`` proves the pipeline catches real bugs by
-hunting the intentionally broken FIFO-sequencer fixture.  The
-``replay`` verb re-runs an artifact and asserts bit-identical checker
-verdicts and delivery orders.
+this CLI is for eyeballing and for regenerating EXPERIMENTS.md.  Every
+verb is one :data:`VERBS` entry; ``<verb> --help`` describes it.  Exit
+status: 0 green, 1 a checker failed, 2 a usage error.
 
 Host wall time, attributed layer by layer, is measured by ``python
 bench/measure.py <workload> --trace DIR`` (see ``bench/README.md``).
@@ -64,160 +32,174 @@ bench/measure.py <workload> --trace DIR`` (see ``bench/README.md``).
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-
-def _fig1() -> str:
-    from repro.experiments.figure1 import fig1a_table, fig1b_table
-
-    return fig1a_table() + "\n\n" + fig1b_table()
-
-
-def _theorems() -> str:
-    from repro.experiments.theorems import theorem_table
-
-    return theorem_table()
-
-
-def _lower_bounds() -> str:
-    from repro.experiments.lower_bounds import lower_bound_table
-
-    return lower_bound_table()
-
-
-def _rate_sweep() -> str:
-    from repro.experiments.rate_sweep import rate_table
-
-    return rate_table()
-
-
-def _tradeoff() -> str:
-    from repro.experiments.tradeoff import tradeoff_table
-
-    return tradeoff_table()
-
-
-def _ablation() -> str:
-    from repro.experiments.ablation import ablation_table
-
-    return ablation_table()
-
-
-def _prediction() -> str:
-    from repro.experiments.prediction import prediction_table
-
-    return prediction_table()
-
-
-def _scalability() -> str:
-    from repro.experiments.scalability import scalability_table
-
-    return scalability_table()
-
-
-def _wan() -> str:
-    from repro.experiments.wan_heterogeneity import heterogeneity_table
-
-    return heterogeneity_table()
-
-
-EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    "fig1": _fig1,
-    "theorems": _theorems,
-    "lower-bounds": _lower_bounds,
-    "rate-sweep": _rate_sweep,
-    "tradeoff": _tradeoff,
-    "ablation": _ablation,
-    "prediction": _prediction,
-    "wan": _wan,
-    "scalability": _scalability,
+#: name -> ("<experiments module>.<table function>", description).
+EXPERIMENTS: Dict[str, Tuple[str, str]] = {
+    "fig1": ("figure1.fig1_table",
+             "Figure 1(a)+(b): protocol comparison tables"),
+    "theorems": ("theorems.theorem_table",
+                 "Theorems 4.1 / 5.1 / 5.2 constructive runs"),
+    "lower-bounds": ("lower_bounds.lower_bound_table",
+                     "Propositions 3.1-3.3 counterexample search"),
+    "rate-sweep": ("rate_sweep.rate_table",
+                   "Section 5.3 broadcast-rate sweep (100 ms WAN)"),
+    "tradeoff": ("tradeoff.tradeoff_table",
+                 "Introduction's genuine-vs-broadcast tradeoff"),
+    "ablation": ("ablation.ablation_table",
+                 "Stage-skipping ablation vs Fritzke et al. [5]"),
+    "prediction": ("prediction.prediction_table",
+                   "Quiescence prediction strategies (§5.3 extension)"),
+    "wan": ("wan_heterogeneity.heterogeneity_table",
+            "Heterogeneous three-continent WAN, A1 vs ring [4]"),
+    "scalability": ("scalability.scalability_table",
+                    "Group-count/group-size sweeps of Figure 1 asymptotics"),
 }
 
-DESCRIPTIONS = {
-    "fig1": "Figure 1(a)+(b): protocol comparison tables",
-    "theorems": "Theorems 4.1 / 5.1 / 5.2 constructive runs",
-    "lower-bounds": "Propositions 3.1-3.3 counterexample search",
-    "rate-sweep": "Section 5.3 broadcast-rate sweep (100 ms WAN)",
-    "tradeoff": "Introduction's genuine-vs-broadcast tradeoff",
-    "ablation": "Stage-skipping ablation vs Fritzke et al. [5]",
-    "prediction": "Quiescence prediction strategies (§5.3 extension)",
-    "wan": "Heterogeneous three-continent WAN, A1 vs ring [4]",
-    "scalability": "Group-count/group-size sweeps of Figure 1 asymptotics",
-}
+
+def _experiment_table(name: str) -> str:
+    from importlib import import_module
+
+    module, function = EXPERIMENTS[name][0].split(".")
+    return getattr(import_module(f"repro.experiments.{module}"),
+                   function)()
+
+
+# ----------------------------------------------------------------------
+# Shared helpers: argument types, listings, exit codes
+# ----------------------------------------------------------------------
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an int >= 1; anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an int >= 1, got {text!r}")
+    return value
+
+
+def _int_csv(text: str) -> List[int]:
+    """argparse ``type=``: comma-separated ints, at least one."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated ints: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("must name at least one value")
+    return values
+
+
+def _seeds(text: str) -> List[int]:
+    """argparse ``type=`` for ``--seeds``, repeats dropped."""
+    # Results are keyed by (scenario, seed): a repeated seed would pay
+    # for a run whose result collapses onto the first one.
+    return list(dict.fromkeys(_int_csv(text)))
+
+
+def _unknown(kind: str, names: Iterable[str],
+             available: Iterable[str]) -> bool:
+    """Report the names not in ``available``; the caller exits 2."""
+    available = list(available)
+    unknown = [name for name in names if name not in available]
+    if unknown:
+        print(f"unknown {kind}(s): {', '.join(unknown)}", file=sys.stderr)
+        print(f"available: {', '.join(available)}", file=sys.stderr)
+    return bool(unknown)
+
+
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+
+
+def _parser(verb: str, detail: str) -> argparse.ArgumentParser:
+    """A verb's parser; its help opens with the verb's listing line."""
+    return argparse.ArgumentParser(
+        prog=f"python -m repro.cli {verb}",
+        description=f"{VERBS[verb][1]}.  {detail}",
+    )
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser, out_help: str) -> None:
+    """``--seeds`` / ``--out`` / ``--max-scenarios``, for campaign grids."""
+    parser.add_argument("--seeds", type=_seeds, default=None, metavar="CSV",
+                        help="comma-separated seed override, e.g. 1,2,3")
+    parser.add_argument("--out", type=str, default=".", metavar="DIR",
+                        help=out_help)
+    parser.add_argument("--max-scenarios", type=_positive_int, default=None,
+                        metavar="K",
+                        help="truncate each grid to its first K scenarios "
+                             "(smoke runs)")
+
+
+def _load_campaign(name: str, args: argparse.Namespace):
+    """Build campaign ``name`` under the grid flags."""
+    from repro.campaigns.library import get_campaign
+
+    campaign = get_campaign(name, seeds=args.seeds)
+    if args.max_scenarios is not None:
+        campaign.scenarios = campaign.scenarios[:args.max_scenarios]
+    return campaign
 
 
 def _print_listing() -> None:
     from repro.adversary.spec import ADVERSARIES
-    from repro.campaigns.library import CAMPAIGN_DESCRIPTIONS
+    from repro.campaigns.library import CAMPAIGNS, get_campaign
 
     print("experiments:")
-    for name in EXPERIMENTS:
-        print(f"  {name:14s} {DESCRIPTIONS[name]}")
+    for name, (_, description) in EXPERIMENTS.items():
+        print(f"  {name:14s} {description}")
+    print()
+    print("verbs (python -m repro.cli <verb> --help):")
+    for name, (_, summary) in VERBS.items():
+        print(f"  {name:14s} {summary}")
     print()
     print("campaigns (python -m repro.cli campaign <name>):")
-    for name, description in CAMPAIGN_DESCRIPTIONS.items():
-        print(f"  {name:14s} {description}")
+    for name in CAMPAIGNS:
+        campaign = get_campaign(name)
+        print(f"  {name:14s} {campaign.description} "
+              f"({len(campaign.scenarios)} scenarios)")
     print()
     print("adversaries (ScenarioSpec adversary=<name>, "
           "python -m repro.cli torture):")
     for name, spec in ADVERSARIES.items():
         print(f"  {name:16s} {spec.describe()}")
-    print()
-    print("loss sweeps: python -m repro.cli lossy "
-          "[--rates CSV] [--include-none]")
 
 
-def _parse_seeds(parser: argparse.ArgumentParser,
-                 text: Optional[str]) -> Optional[List[int]]:
-    """Parse ``--seeds``; malformed values are usage errors (exit 2)."""
-    if text is None:
-        return None
-    try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        parser.error(f"--seeds must be comma-separated ints: {text!r}")
-    if not seeds:
-        parser.error("--seeds must name at least one seed")
-    # Results are keyed by (scenario, seed): a repeated seed would pay
-    # for a run whose result collapses onto the first one.
-    return list(dict.fromkeys(seeds))
+def _artifact_name(scenario: str, seed: int) -> str:
+    safe = scenario.replace("/", "_").replace("=", "-").replace(" ", "_")
+    return f"COUNTEREXAMPLE_{safe}_s{seed}.json"
 
 
-def _parse_int_csv(parser: argparse.ArgumentParser, flag: str,
-                   text: str, required: bool = True) -> List[int]:
-    """Parse a comma-separated int flag; malformed values exit 2."""
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        parser.error(f"{flag} must be comma-separated ints: {text!r}")
-    if required and not values:
-        parser.error(f"{flag} must name at least one value")
-    return values
-
-
+# ----------------------------------------------------------------------
+# Verbs
+# ----------------------------------------------------------------------
 def campaign_main(argv: List[str]) -> int:
     """The ``campaign`` verb: run built-in scenario matrices."""
-    from repro.campaigns.library import CAMPAIGNS, get_campaign
+    from repro.campaigns.library import CAMPAIGNS
     from repro.campaigns.runner import CampaignRunner, verify_determinism
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli campaign",
-        description="Run a declarative scenario matrix over worker "
-                    "processes and persist CAMPAIGN_<name>.json.",
+    parser = _parser(
+        "campaign",
+        "Runs over --jobs worker processes, writes CAMPAIGN_<name>.json "
+        "plus a markdown summary into --out, and exits 1 if any checker "
+        "failed.  A campaign with a comparison (rebalance: static vs "
+        "online throughput) prints it and stores its rows under "
+        "\"comparison\".",
     )
     parser.add_argument("names", nargs="*",
                         help="campaign names (default: all built-ins)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int, default=1,
+                        metavar="N",
                         help="worker processes (default: 1, serial)")
-    parser.add_argument("--seeds", type=str, default=None, metavar="CSV",
-                        help="comma-separated seed override, e.g. 1,2,3")
-    parser.add_argument("--out", type=str, default=".", metavar="DIR",
-                        help="directory for CAMPAIGN_*.json artefacts")
-    parser.add_argument("--max-scenarios", type=int, default=None,
-                        metavar="K",
-                        help="truncate each matrix to its first K "
-                             "scenarios (smoke runs)")
+    _add_grid_flags(parser, "directory for CAMPAIGN_*.json artefacts")
     parser.add_argument("--compare-serial", action="store_true",
                         help="re-run with --jobs 1, assert per-seed "
                              "metrics identical, record the speedup")
@@ -228,33 +210,20 @@ def campaign_main(argv: List[str]) -> int:
     if args.list:
         _print_listing()
         return 0
-
     chosen = args.names or list(CAMPAIGNS)
-    unknown = [name for name in chosen if name not in CAMPAIGNS]
-    if unknown:
-        print(f"unknown campaign(s): {', '.join(unknown)}", file=sys.stderr)
-        print(f"available: {', '.join(CAMPAIGNS)}", file=sys.stderr)
+    if _unknown("campaign", chosen, CAMPAIGNS):
         return 2
 
-    seeds = _parse_seeds(parser, args.seeds)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_scenarios is not None and args.max_scenarios < 1:
-        parser.error(
-            f"--max-scenarios must be >= 1, got {args.max_scenarios}"
-        )
     status = 0
     for name in chosen:
-        campaign = get_campaign(name, seeds=seeds)
-        if args.max_scenarios is not None:
-            campaign.scenarios = campaign.scenarios[:args.max_scenarios]
-        runner = CampaignRunner(campaign, jobs=args.jobs)
-        result = runner.run()
-        extra = None
+        campaign = _load_campaign(name, args)
+        result = CampaignRunner(campaign, jobs=args.jobs).run()
+        extra = {}
+        comparison = None
+        if campaign.compare is not None:
+            comparison, extra["comparison"] = campaign.compare(result)
         if args.compare_serial:
-            import os
-
-            serial = CampaignRunner(runner.campaign, jobs=1).run()
+            serial = CampaignRunner(campaign, jobs=1).run()
             verify_determinism(result, serial)
             baseline = {
                 "wall_seconds": round(serial.wall_seconds, 4),
@@ -267,13 +236,15 @@ def campaign_main(argv: List[str]) -> int:
                     "single-CPU host: workers time-share one core, so "
                     "no wall-clock speedup is physically available here"
                 )
-            extra = {"serial_baseline": baseline}
+            extra["serial_baseline"] = baseline
         path = result.write(args.out, extra=extra)
         print(result.markdown_summary())
-        if extra:
-            print(f"\nserial wall {extra['serial_baseline']['wall_seconds']}s"
+        if comparison is not None:
+            print(f"\n{comparison}")
+        if args.compare_serial:
+            print(f"\nserial wall {baseline['wall_seconds']}s"
                   f" vs jobs={args.jobs} wall {result.wall_seconds:.2f}s "
-                  f"-> speedup {extra['serial_baseline']['speedup']}x "
+                  f"-> speedup {baseline['speedup']}x "
                   f"(per-seed metrics identical)")
         print(f"\nwrote {path}")
         if not result.all_checkers_ok:
@@ -287,25 +258,22 @@ def campaign_main(argv: List[str]) -> int:
 
 def store_main(argv: List[str]) -> int:
     """The ``store`` verb: one transactional-store scenario, checked."""
-    import json
-
     from repro.campaigns.runner import run_scenario_seed
     from repro.campaigns.spec import ScenarioSpec, StoreSpec
-    from repro.runtime.builder import PROTOCOLS
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli store",
-        description="Run the transactional partitioned store under one "
-                    "scenario: route one-shot transactions via genuine "
-                    "multicast (or broadcast-everything), check "
-                    "one-copy serializability, and report commit "
-                    "latency plus per-group involvement.",
+    parser = _parser(
+        "store",
+        "Routes one-shot transactions via genuine multicast (or "
+        "broadcast-everything), checks one-copy serializability, and "
+        "reports commit latency plus per-group involvement.",
     )
     parser.add_argument("--protocol", default="a1",
                         help="protocol registry key (default: a1)")
-    parser.add_argument("--groups", default="2,2,2,2", metavar="CSV",
+    parser.add_argument("--groups", type=_int_csv, default="2,2,2,2",
+                        metavar="CSV",
                         help="group sizes, e.g. 2,2,2,2 (default)")
-    parser.add_argument("--data-groups", default=None, metavar="CSV",
+    parser.add_argument("--data-groups", type=_int_csv, default=None,
+                        metavar="CSV",
                         help="groups owning partitions (default: all)")
     parser.add_argument("--routing", default="genuine",
                         choices=("genuine", "broadcast"),
@@ -330,16 +298,9 @@ def store_main(argv: List[str]) -> int:
                         help="also write the run record as JSON")
     args = parser.parse_args(argv)
 
-    if args.protocol not in PROTOCOLS:
-        print(f"unknown protocol {args.protocol!r}; "
-              f"available: {', '.join(sorted(PROTOCOLS))}", file=sys.stderr)
-        return 2
-    group_sizes = tuple(_parse_int_csv(parser, "--groups", args.groups))
-    data_groups = None
-    if args.data_groups is not None:
-        data_groups = tuple(_parse_int_csv(parser, "--data-groups",
-                                           args.data_groups))
-
+    group_sizes = tuple(args.groups)
+    data_groups = (tuple(args.data_groups)
+                   if args.data_groups is not None else None)
     checkers = ["properties", "serializability", "convergence"]
     if args.routing == "genuine" and args.protocol != "nongenuine":
         checkers.append("genuineness")
@@ -392,218 +353,38 @@ def store_main(argv: List[str]) -> int:
         print(f"  checker {name}: {verdict}")
 
     if args.json:
-        record = {
+        _write_json(args.json, {
             "spec": spec.to_dict(),
             "seed": args.seed,
             "metrics": metrics,
             "checkers": result.checkers,
             "wall_seconds": round(result.wall_seconds, 4),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+        })
         print(f"wrote {args.json}")
     return 0 if result.ok else 1
 
 
-def lossy_main(argv: List[str]) -> int:
-    """The ``lossy`` verb: loss rate × transport grid for one protocol."""
-    import json
-
-    from repro.adversary.spec import AdversarySpec, InjectorSpec
-    from repro.campaigns.metrics import extract
-    from repro.campaigns.runner import build_scenario_system, run_checkers
-    from repro.campaigns.spec import (
-        DestinationSpec, ScenarioSpec, WorkloadSpec,
-    )
-    from repro.runtime.builder import PROTOCOLS
-    from repro.sim.kernel import SimulationError
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli lossy",
-        description="Sweep channel loss against the reliable transport: "
-                    "for each loss rate, drop/duplicate/corrupt a "
-                    "protocol's traffic and check that every property "
-                    "plus self-stabilization survives.  --include-none "
-                    "adds raw-link rows that show what the transport is "
-                    "saving you from (expected to fail; they never "
-                    "affect the exit status).",
-    )
-    parser.add_argument("--protocol", default="a1",
-                        help="protocol registry key (default: a1)")
-    parser.add_argument("--groups", default="2,2", metavar="CSV",
-                        help="group sizes, e.g. 2,2 (default)")
-    parser.add_argument("--rates", default="0.05,0.15,0.3", metavar="CSV",
-                        help="drop probabilities to sweep "
-                             "(default: 0.05,0.15,0.3)")
-    parser.add_argument("--dup", type=float, default=0.1,
-                        help="duplicate probability per rate (default 0.1)")
-    parser.add_argument("--corrupt", type=float, default=0.05,
-                        help="corrupt probability per rate (default 0.05)")
-    parser.add_argument("--until", type=float, default=25.0,
-                        help="virtual-time fault horizon (default 25)")
-    parser.add_argument("--rate", type=float, default=1.0,
-                        help="Poisson cast arrival rate (default 1.0)")
-    parser.add_argument("--duration", type=float, default=20.0,
-                        help="workload duration in virtual time")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--max-events", type=int, default=2_000_000,
-                        help="kernel event budget per cell (raw-link "
-                             "rows livelock under loss; this bounds them)")
-    parser.add_argument("--include-none", action="store_true",
-                        help="also run each rate over transport='none'")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="also write the grid as JSON")
-    args = parser.parse_args(argv)
-
-    if args.protocol not in PROTOCOLS:
-        print(f"unknown protocol {args.protocol!r}; "
-              f"available: {', '.join(sorted(PROTOCOLS))}", file=sys.stderr)
-        return 2
-    group_sizes = tuple(_parse_int_csv(parser, "--groups", args.groups))
-    try:
-        rates = [float(part) for part in args.rates.split(",")
-                 if part.strip()]
-    except ValueError:
-        parser.error(f"--rates must be comma-separated floats: "
-                     f"{args.rates!r}")
-    if not rates:
-        parser.error("--rates must name at least one rate")
-
-    transports = ("reliable", "none") if args.include_none else ("reliable",)
-    rows = []
-    status = 0
-    for drop_p in rates:
-        injectors = [InjectorSpec(kind="drop",
-                                  params=(("probability", drop_p),
-                                          ("until", args.until)))]
-        if args.dup > 0:
-            injectors.append(InjectorSpec(
-                kind="duplicate",
-                params=(("probability", args.dup), ("until", args.until))))
-        if args.corrupt > 0:
-            injectors.append(InjectorSpec(
-                kind="corrupt",
-                params=(("probability", args.corrupt),
-                        ("until", args.until))))
-        adversary = AdversarySpec(name=f"lossy-cli-{drop_p:g}",
-                                  injectors=tuple(injectors))
-        for transport in transports:
-            spec = ScenarioSpec(
-                name=f"lossy-cli-{drop_p:g}-{transport}",
-                protocol=args.protocol,
-                group_sizes=group_sizes,
-                workload=WorkloadSpec(
-                    kind="poisson", rate=args.rate, duration=args.duration,
-                    destinations=DestinationSpec(kind="uniform-k",
-                                                 k=min(2, len(group_sizes))),
-                ),
-                seeds=(args.seed,),
-                transport=transport,
-                start_rounds=(args.protocol == "a2"),
-                checkers=("properties", "stabilization"),
-                metrics=("core", "traffic", "transport"),
-                max_events=args.max_events,
-            )
-            try:
-                system, plans, applied = build_scenario_system(
-                    spec, args.seed, adversary=adversary)
-                system.run_quiescent(max_events=spec.max_events)
-            except SimulationError as exc:
-                rows.append({"drop": drop_p, "transport": transport,
-                             "verdict": f"FAIL: {exc}", "metrics": {}})
-                if transport == "reliable":
-                    status = 1
-                continue
-            metrics = extract(system, list(spec.metrics))
-            if applied is not None:
-                metrics["faults_injected"] = float(applied.total_faults)
-            verdicts = run_checkers(system, spec)
-            bad = {k: v for k, v in verdicts.items() if v != "ok"}
-            verdict = "ok" if not bad else "; ".join(
-                f"{k}: {v}" for k, v in bad.items())
-            rows.append({"drop": drop_p, "transport": transport,
-                         "verdict": verdict, "metrics": metrics})
-            if bad and transport == "reliable":
-                status = 1
-
-    print(f"lossy: {args.protocol}, groups {list(group_sizes)}, "
-          f"seed {args.seed}, dup {args.dup:g}, corrupt {args.corrupt:g}, "
-          f"faults stop at t={args.until:g}")
-    header = (f"  {'drop':>6s} {'transport':>9s} {'faults':>6s} "
-              f"{'rtx':>5s} {'fast':>5s} {'dupsup':>6s} {'corrupt':>7s} "
-              f"{'ovh':>5s}  verdict")
-    print(header)
-    for row in rows:
-        m = row["metrics"]
-        if m:
-            cells = (f"  {row['drop']:>6g} {row['transport']:>9s} "
-                     f"{m.get('faults_injected', 0):>6.0f} "
-                     f"{m['tsp_retransmits']:>5.0f} "
-                     f"{m['tsp_fast_retransmits']:>5.0f} "
-                     f"{m['tsp_dup_suppressed']:>6.0f} "
-                     f"{m['tsp_corrupt_detected']:>7.0f} "
-                     f"{m['tsp_overhead_copies']:>5.2f}  {row['verdict']}")
-        else:
-            cells = (f"  {row['drop']:>6g} {row['transport']:>9s} "
-                     f"{'—':>6s} {'—':>5s} {'—':>5s} {'—':>6s} {'—':>7s} "
-                     f"{'—':>5s}  {row['verdict'][:60]}")
-        print(cells)
-    if args.include_none:
-        print("  (transport=none rows are expected to fail: they "
-              "demonstrate the raw links; exit status ignores them)")
-
-    if args.json:
-        record = {
-            "protocol": args.protocol,
-            "group_sizes": list(group_sizes),
-            "seed": args.seed,
-            "dup": args.dup,
-            "corrupt": args.corrupt,
-            "until": args.until,
-            "rows": rows,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return status
-
-
-def _artifact_name(scenario: str, seed: int) -> str:
-    safe = scenario.replace("/", "_").replace("=", "-").replace(" ", "_")
-    return f"COUNTEREXAMPLE_{safe}_s{seed}.json"
-
-
 def torture_main(argv: List[str]) -> int:
     """The ``torture`` verb: adversarial exploration with shrinking."""
-    import json
-    import os
     import time
 
     from repro.adversary.artifact import write_artifact
     from repro.adversary.explorer import run_case
     from repro.adversary.shrink import shrink
     from repro.adversary.spec import get_adversary
-    from repro.campaigns.library import CAMPAIGNS, get_campaign
+    from repro.campaigns.library import CAMPAIGNS
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli torture",
-        description="Drive a campaign's scenario x adversary grid "
-                    "through the schedule explorer; shrink any checker "
-                    "violation to a minimal replayable counterexample.",
+    parser = _parser(
+        "torture",
+        "Shrinking drops faults, topology and horizon until a minimal "
+        "replayable COUNTEREXAMPLE_*.json remains; --selftest hunts the "
+        "intentionally broken FIFO-sequencer fixture.",
     )
     parser.add_argument("--campaign", default="torture", metavar="NAME",
                         help="campaign to torture (default: torture)")
-    parser.add_argument("--seeds", type=str, default=None, metavar="CSV",
-                        help="comma-separated seed override, e.g. 1,2,3")
-    parser.add_argument("--out", type=str, default=".", metavar="DIR",
-                        help="directory for TORTURE_/COUNTEREXAMPLE_ "
-                             "artifacts")
-    parser.add_argument("--max-scenarios", type=int, default=None,
-                        metavar="K",
-                        help="truncate the grid to its first K scenarios")
-    parser.add_argument("--shrink-budget", type=int, default=120,
+    _add_grid_flags(parser, "directory for TORTURE_/COUNTEREXAMPLE_ "
+                            "artifacts")
+    parser.add_argument("--shrink-budget", type=_positive_int, default=120,
                         metavar="N",
                         help="max candidate runs per shrink (default 120)")
     parser.add_argument("--no-shrink", action="store_true",
@@ -614,14 +395,6 @@ def torture_main(argv: List[str]) -> int:
                              "the explorer catches it, the shrinker "
                              "minimises it, and the artifact replays")
     args = parser.parse_args(argv)
-
-    if args.shrink_budget < 1:
-        parser.error(f"--shrink-budget must be >= 1, "
-                     f"got {args.shrink_budget}")
-    if args.max_scenarios is not None and args.max_scenarios < 1:
-        parser.error(f"--max-scenarios must be >= 1, "
-                     f"got {args.max_scenarios}")
-    seeds = _parse_seeds(parser, args.seeds)
     os.makedirs(args.out, exist_ok=True)
 
     if args.selftest:
@@ -635,16 +408,11 @@ def torture_main(argv: List[str]) -> int:
             if not off:
                 parser.error(f"{flag} cannot be combined with "
                              f"--selftest")
-        return _torture_selftest(args, seeds)
+        return _torture_selftest(args)
 
-    if args.campaign not in CAMPAIGNS:
-        print(f"unknown campaign: {args.campaign}", file=sys.stderr)
-        print(f"available: {', '.join(CAMPAIGNS)}", file=sys.stderr)
+    if _unknown("campaign", [args.campaign], CAMPAIGNS):
         return 2
-    campaign = get_campaign(args.campaign, seeds=seeds)
-    scenarios = campaign.scenarios
-    if args.max_scenarios is not None:
-        scenarios = scenarios[:args.max_scenarios]
+    scenarios = _load_campaign(args.campaign, args).scenarios
 
     t0 = time.perf_counter()
     records = {}
@@ -702,19 +470,15 @@ def torture_main(argv: List[str]) -> int:
     }
     safe = args.campaign.replace("/", "_")
     summary_path = os.path.join(args.out, f"TORTURE_{safe}.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     print(f"\n{summary['case_count']} cases, "
           f"{len(counterexamples)} counterexample(s); "
           f"wrote {summary_path}")
     return 1 if counterexamples else 0
 
 
-def _torture_selftest(args, seeds: Optional[List[int]]) -> int:
+def _torture_selftest(args: argparse.Namespace) -> int:
     """Prove the pipeline catches the broken fixture end to end."""
-    import os
-
     from repro.adversary.artifact import replay_file, write_artifact
     from repro.adversary.explorer import run_case
     from repro.adversary.shrink import shrink
@@ -726,7 +490,7 @@ def _torture_selftest(args, seeds: Optional[List[int]]) -> int:
     from repro.campaigns.spec import ScenarioSpec, WorkloadSpec
 
     register_selftest_protocol()
-    seed = (seeds or [1])[0]
+    seed = (args.seeds or [1])[0]
     scenario = ScenarioSpec(
         name="selftest",
         protocol=PROTOCOL_NAME,
@@ -768,150 +532,14 @@ def _torture_selftest(args, seeds: Optional[List[int]]) -> int:
     return 0
 
 
-def rebalance_main(argv: List[str]) -> int:
-    """The ``rebalance`` verb: elastic repartitioning vs the static map."""
-    import json
-    import os
-
-    from repro.campaigns.library import get_campaign
-    from repro.campaigns.runner import CampaignRunner
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli rebalance",
-        description="Run the rebalance campaign (elastic repartitioning "
-                    "vs the frozen epoch-0 partition map under "
-                    "zipf-skewed load), persist CAMPAIGN_rebalance.json, "
-                    "and print the static-vs-rebalance committed-"
-                    "throughput comparison.  --explore additionally "
-                    "drives the adversary cells through the schedule "
-                    "explorer, shrinking any checker violation to a "
-                    "replayable COUNTEREXAMPLE_*.json.",
-    )
-    parser.add_argument("--seeds", type=str, default=None, metavar="CSV",
-                        help="comma-separated seed override, e.g. 1,2,3")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default: 1, serial)")
-    parser.add_argument("--out", type=str, default=".", metavar="DIR",
-                        help="directory for campaign artefacts")
-    parser.add_argument("--max-scenarios", type=int, default=None,
-                        metavar="K",
-                        help="truncate the grid to its first K scenarios "
-                             "(smoke runs)")
-    parser.add_argument("--explore", action="store_true",
-                        help="drive the adversary cells through the "
-                             "schedule explorer and shrink any violation")
-    parser.add_argument("--shrink-budget", type=int, default=120,
-                        metavar="N",
-                        help="max candidate runs per shrink (default 120)")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="also write the comparison table as JSON")
-    args = parser.parse_args(argv)
-
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.max_scenarios is not None and args.max_scenarios < 1:
-        parser.error(f"--max-scenarios must be >= 1, "
-                     f"got {args.max_scenarios}")
-    if args.shrink_budget < 1:
-        parser.error(f"--shrink-budget must be >= 1, "
-                     f"got {args.shrink_budget}")
-    seeds = _parse_seeds(parser, args.seeds)
-
-    campaign = get_campaign("rebalance", seeds=seeds)
-    if args.max_scenarios is not None:
-        campaign.scenarios = campaign.scenarios[:args.max_scenarios]
-    runner = CampaignRunner(campaign, jobs=args.jobs)
-    result = runner.run()
-    path = result.write(args.out)
-    print(result.markdown_summary())
-    print(f"\nwrote {path}\n")
-
-    # Static-vs-rebalance comparison, one row per benign topology pair.
-    arms: Dict[int, Dict[str, object]] = {}
-    for spec in campaign.scenarios:
-        if spec.adversary not in (None, "none") or spec.store is None:
-            continue
-        arm = "rebalance" if spec.store.rebalance_interval > 0 else "static"
-        arms.setdefault(len(spec.group_sizes), {})[arm] = spec
-    rows = []
-    print("committed throughput: static epoch-0 map vs online rebalance")
-    print(f"  {'groups':>6s} {'static':>8s} {'rebal':>8s} {'gain':>7s} "
-          f"{'migs':>5s} {'moved':>6s} {'bounces':>8s}")
-    for n_groups in sorted(arms):
-        pair = arms[n_groups]
-        if len(pair) != 2:
-            continue  # truncated smoke run
-        aggs = {arm: result.aggregates(spec.name)
-                for arm, spec in pair.items()}
-        static = aggs["static"]["txns_per_vtime"].mean
-        rebal = aggs["rebalance"]["txns_per_vtime"].mean
-        gain = 100.0 * (rebal - static) / static if static else 0.0
-        migs = aggs["rebalance"]["reconfigs_completed"].mean
-        moved = aggs["rebalance"]["reconfig_keys_moved"].mean
-        bounces = aggs["rebalance"]["wrong_epoch_bounces"].mean
-        print(f"  {n_groups:>6d} {static:>8.3f} {rebal:>8.3f} "
-              f"{gain:>+6.1f}% {migs:>5.1f} {moved:>6.1f} {bounces:>8.1f}")
-        rows.append({
-            "n_groups": n_groups, "static_tps": round(static, 4),
-            "rebalance_tps": round(rebal, 4), "gain_pct": round(gain, 2),
-            "migrations": migs, "keys_moved": moved, "bounces": bounces,
-        })
-    status = 0 if result.all_checkers_ok else 1
-    for scenario, seed, checker, verdict in result.failures():
-        print(f"CHECKER FAILED: {scenario} seed={seed} "
-              f"{checker}: {verdict}", file=sys.stderr)
-
-    counterexamples = []
-    if args.explore:
-        from repro.adversary.artifact import write_artifact
-        from repro.adversary.explorer import run_case
-        from repro.adversary.shrink import shrink
-        from repro.adversary.spec import get_adversary
-
-        os.makedirs(args.out, exist_ok=True)
-        for spec in campaign.scenarios:
-            if spec.adversary in (None, "none"):
-                continue
-            adversary = get_adversary(spec.adversary)
-            for seed in spec.seeds:
-                case = run_case(spec, adversary, seed)
-                print(case.describe())
-                if case.ok:
-                    continue
-                outcome = shrink(case, budget=args.shrink_budget)
-                minimal = outcome.minimal
-                print(f"  shrunk: {minimal.describe()} "
-                      f"({outcome.runs_used} candidate runs)")
-                artifact = os.path.join(
-                    args.out, _artifact_name(spec.name, seed))
-                write_artifact(minimal, artifact,
-                               shrink_summary=outcome.summary())
-                counterexamples.append(artifact)
-                print(f"  wrote {artifact}", file=sys.stderr)
-                status = 1
-
-    if args.json:
-        record = {
-            "campaign": path,
-            "comparison": rows,
-            "all_checkers_ok": result.all_checkers_ok,
-            "counterexamples": counterexamples,
-        }
-        with open(args.json, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return status
-
-
 def replay_main(argv: List[str]) -> int:
     """The ``replay`` verb: re-run counterexample artifacts."""
     from repro.adversary.artifact import replay_file
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli replay",
-        description="Re-run adversary artifacts and assert the checker "
-                    "verdicts and delivery orders reproduce exactly.",
+    parser = _parser(
+        "replay",
+        "The checker verdicts and delivery orders must reproduce "
+        "exactly.",
     )
     parser.add_argument("artifacts", nargs="+", metavar="FILE",
                         help="COUNTEREXAMPLE_*.json artifact path(s)")
@@ -933,48 +561,51 @@ def replay_main(argv: List[str]) -> int:
     return status
 
 
-def main(argv: List[str] = None) -> int:
+#: name -> (handler, the one-line description ``--list`` prints and
+#: each verb's ``--help`` opens with).
+VERBS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
+    "campaign": (campaign_main,
+                 "Run built-in scenario matrices over worker processes "
+                 "and persist CAMPAIGN_<name>.json"),
+    "torture": (torture_main,
+                "Drive a campaign's scenario x adversary grid through the "
+                "schedule explorer, shrinking any violation"),
+    "replay": (replay_main,
+               "Re-run COUNTEREXAMPLE_*.json artifacts bit for bit"),
+    "store": (store_main,
+              "Run the transactional partitioned store under one checked "
+              "scenario"),
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "campaign":
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "torture":
-        return torture_main(argv[1:])
-    if argv and argv[0] == "replay":
-        return replay_main(argv[1:])
-    if argv and argv[0] == "store":
-        return store_main(argv[1:])
-    if argv and argv[0] == "lossy":
-        return lossy_main(argv[1:])
-    if argv and argv[0] == "rebalance":
-        return rebalance_main(argv[1:])
+    if argv and argv[0] in VERBS:
+        return VERBS[argv[0]][0](argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
         description="Regenerate the paper's tables, figures and runs. "
-                    "Use the 'campaign' verb to run scenario matrices.",
+                    "Use --list for the verbs that run scenario "
+                    "matrices, adversaries and the store.",
     )
     parser.add_argument("experiments", nargs="*",
                         help="experiment names (default: all)")
     parser.add_argument("--list", action="store_true",
-                        help="list available experiments and campaigns")
+                        help="list experiments, verbs, campaigns and "
+                             "adversaries")
     args = parser.parse_args(argv)
 
     if args.list:
         _print_listing()
         return 0
-
     chosen = args.experiments or list(EXPERIMENTS)
-    unknown = [name for name in chosen if name not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}",
-              file=sys.stderr)
-        print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
+    if _unknown("experiment", chosen, EXPERIMENTS):
         return 2
-
     for i, name in enumerate(chosen):
         if i:
             print("\n" + "=" * 72 + "\n")
-        print(EXPERIMENTS[name]())
+        print(_experiment_table(name))
     return 0
 
 

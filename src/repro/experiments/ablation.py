@@ -91,11 +91,3 @@ def ablation_table(seed: int = 1) -> str:
               "instances — visible as the intra-group column growing as "
               "optimisations are removed."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(ablation_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -175,6 +175,11 @@ def fig1b_table(groups: int = 2, d: int = 3, seed: int = 1) -> str:
     )
 
 
+def fig1_table() -> str:
+    """Render Figure 1(a) and 1(b) at their default points."""
+    return fig1a_table() + "\n\n" + fig1b_table()
+
+
 _LABELS = {
     "ring": "[4] Delporte&Fauconnier",
     "global": "[10] Rodrigues et al.",
@@ -186,13 +191,3 @@ _LABELS = {
     "a2": "Algorithm A2 (paper)",
     "detmerge": "[1] Aguilera&Strom",
 }
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(fig1a_table())
-    print()
-    print(fig1b_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -135,11 +135,3 @@ def lower_bound_table() -> str:
               "genuineness is dropped; post-quiescence broadcasts never "
               "beat 2 (Prop 3.3 / Thm 5.2)."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(lower_bound_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

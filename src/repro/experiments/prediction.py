@@ -129,11 +129,3 @@ def prediction_table(seed: int = 1) -> str:
               "wakeup count at a fraction of its idle rounds once it "
               "has learned the burst gap."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(prediction_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

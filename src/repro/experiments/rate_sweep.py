@@ -165,11 +165,3 @@ def rate_table(points: List[RatePoint] = None) -> str:
               "the second round A2 then keeps in flight — which is also "
               "where mean latency starts to fall below 1.5 RTT."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(rate_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -162,11 +162,3 @@ def scalability_table(seed: int = 1) -> str:
               "its per-message cost grows with G — the tradeoff table "
               "in motion."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(scalability_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

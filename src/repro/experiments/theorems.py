@@ -98,11 +98,3 @@ def theorem_table(seed: int = 1) -> str:
         ["theorem", "claimed deg", "measured deg", "status"],
         rows,
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(theorem_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -116,11 +116,3 @@ def tradeoff_table(groups: int = 6, d: int = 2, k: int = 2,
               "operation (non-zero bystander column and higher "
               "inter-group traffic per op as the group count grows)."),
     )
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(tradeoff_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -110,11 +110,3 @@ def collect_points(seed: int = 1) -> Dict[str, Dict[Tuple[int, ...],
                    for dest in DEST_SETS}
         for protocol in ("a1", "ring")
     }
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(heterogeneity_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -130,11 +130,16 @@ class StoreSpec:
                 f"StoreSpec needs a non-negative zipf_skew, "
                 f"got {self.zipf_skew!r}"
             )
-        if self.kind == "poisson" and self.rate <= 0:
-            raise ValueError(
-                f"StoreSpec poisson arrivals need a positive rate, "
-                f"got {self.rate!r}"
-            )
+        if self.kind == "poisson":
+            # A zero-length window plans no transaction, and an empty
+            # run passes every checker vacuously.
+            for name in ("rate", "duration"):
+                value = getattr(self, name)
+                if value <= 0:
+                    raise ValueError(
+                        f"StoreSpec poisson arrivals need a positive "
+                        f"{name}, got {value!r}"
+                    )
         if self.kind == "periodic":
             if self.period <= 0:
                 raise ValueError(

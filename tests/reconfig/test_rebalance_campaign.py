@@ -1,4 +1,4 @@
-"""The rebalance campaign, its spec plumbing and the CLI verb."""
+"""The rebalance campaign, its spec plumbing and its comparison."""
 
 import json
 import random
@@ -6,7 +6,11 @@ import random
 import pytest
 
 from repro.campaigns.library import CAMPAIGNS, rebalance
-from repro.campaigns.runner import run_scenario_seed, validate_spec
+from repro.campaigns.runner import (
+    CampaignRunner,
+    run_scenario_seed,
+    validate_spec,
+)
 from repro.campaigns.spec import ScenarioSpec, StoreSpec
 from repro.net.topology import Topology
 from repro.store.workload import partition_keys, txn_workload
@@ -111,20 +115,40 @@ class TestRebalanceCampaign:
 
 
 class TestCli:
-    def test_rebalance_verb_smoke(self, tmp_path, capsys):
+    def test_campaign_verb_prints_and_persists_comparison(self, tmp_path,
+                                                          capsys):
         from repro.cli import main
 
-        status = main(["rebalance", "--seeds", "1",
+        status = main(["campaign", "rebalance", "--seeds", "1",
                        "--max-scenarios", "2",
-                       "--out", str(tmp_path),
-                       "--json", str(tmp_path / "cmp.json")])
+                       "--out", str(tmp_path)])
         out = capsys.readouterr().out
         assert status == 0
         assert "static epoch-0 map vs online rebalance" in out
-        assert (tmp_path / "CAMPAIGN_rebalance.json").exists()
-        record = json.loads((tmp_path / "cmp.json").read_text())
+        record = json.loads(
+            (tmp_path / "CAMPAIGN_rebalance.json").read_text())
         assert record["all_checkers_ok"] is True
         assert record["comparison"][0]["n_groups"] == 16
+
+    def test_comparison_merges_with_serial_baseline(self, tmp_path):
+        from repro.cli import main
+
+        status = main(["campaign", "rebalance", "--seeds", "1",
+                       "--max-scenarios", "2", "--compare-serial",
+                       "--out", str(tmp_path)])
+        assert status == 0
+        record = json.loads(
+            (tmp_path / "CAMPAIGN_rebalance.json").read_text())
+        assert record["comparison"][0]["n_groups"] == 16
+        assert record["serial_baseline"]["per_seed_metrics_identical"]
+
+    def test_comparison_skips_a_truncated_pair(self):
+        """Only the static arm ran: no row, but the header still prints."""
+        camp = rebalance(seeds=(1,))
+        camp.scenarios = camp.scenarios[:1]
+        table, rows = camp.compare(CampaignRunner(camp).run())
+        assert rows == []
+        assert "static epoch-0 map vs online rebalance" in table
 
     def test_store_verb_prints_p99(self, capsys):
         from repro.cli import main

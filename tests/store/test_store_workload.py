@@ -35,6 +35,8 @@ class TestStoreSpec:
         (dict(kind="poisson", rate=0.0), "positive rate"),
         (dict(kind="periodic", period=0.0), "positive period"),
         (dict(kind="periodic", count=-1), "non-negative count"),
+        (dict(kind="poisson", duration=0.0), "positive duration"),
+        (dict(kind="poisson", duration=-5.0), "positive duration"),
     ])
     def test_invalid_knobs_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

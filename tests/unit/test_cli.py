@@ -1,11 +1,12 @@
-"""CLI behaviour: listings, unknown-name exits, the campaign verb."""
+"""CLI behaviour: listings, unknown-name exits, the verb table."""
 
 import json
 import os
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.campaigns.library import CAMPAIGNS, get_campaign
+from repro.cli import EXPERIMENTS, VERBS, main
 
 
 class TestListing:
@@ -24,6 +25,19 @@ class TestListing:
         out = capsys.readouterr().out
         assert "cross-protocol" in out and "wan-storm" in out
 
+    def test_list_counts_each_campaigns_built_scenarios(self, capsys):
+        """The listing reads every campaign off its builder, so a
+        description or scenario count can never drift from the grid."""
+        assert main(["--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name in CAMPAIGNS:
+            campaign = get_campaign(name)
+            line = next(line for line in lines
+                        if line.split()[:1] == [name]
+                        and "scenarios)" in line)
+            assert campaign.description in line
+            assert line.endswith(f"({len(campaign.scenarios)} scenarios)")
+
     def test_list_enumerates_adversaries(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
@@ -31,6 +45,23 @@ class TestListing:
         for name in ("link-skew", "delay-reorder", "partition-spike",
                      "phase-crash", "chaos", "torture"):
             assert name in out
+
+
+class TestVerbTable:
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_help_exits_0(self, verb, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert f"python -m repro.cli {verb}" in out
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_listed(self, verb, capsys):
+        assert main(["--list"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.split()[:1] == [verb])
+        assert VERBS[verb][1] in line
 
 
 class TestUnknownNames:
@@ -46,6 +77,15 @@ class TestUnknownNames:
         fails loudly instead of running something else."""
         assert main(["profile"]) == 2
         assert "unknown experiment(s): profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["lossy", "rebalance"])
+    def test_folded_verbs_are_unknown_experiments(self, verb, capsys):
+        """``campaign lossy-net`` runs the loss sweep, and ``campaign
+        rebalance`` / ``torture --campaign rebalance`` the elastic
+        grid; the old verbs fail loudly instead of running something
+        else."""
+        assert main([verb]) == 2
+        assert f"unknown experiment(s): {verb}" in capsys.readouterr().err
 
     def test_unknown_experiment_mixed_with_known_exits_2(self, capsys):
         assert main(["fig1", "bogus"]) == 2
@@ -84,10 +124,11 @@ class TestUnknownNames:
     def test_nonpositive_max_scenarios_is_usage_error(self):
         """A zero-scenario 'campaign' would write a vacuously green
         artifact; reject it up front."""
-        for bad in ("0", "-1"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["campaign", "wan-storm", "--max-scenarios", bad])
-            assert excinfo.value.code == 2
+        for verb in (["campaign", "wan-storm"], ["torture"]):
+            for bad in ("0", "-1"):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(verb + ["--max-scenarios", bad])
+                assert excinfo.value.code == 2
 
 
 class TestCampaignVerb:
@@ -180,7 +221,9 @@ class TestTortureVerb:
 
     def test_unknown_campaign_exits_2(self, capsys):
         assert main(["torture", "--campaign", "bogus"]) == 2
-        assert "unknown campaign" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown campaign(s): bogus" in err
+        assert "available:" in err
 
     def test_bad_budget_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -262,6 +305,15 @@ class TestStoreVerb:
     def test_store_bad_fraction_exits_2(self, capsys):
         assert main(self.ARGS + ["--read-fraction", "1.5"]) == 2
         assert "invalid store scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration", ["0", "-5"])
+    def test_store_nonpositive_duration_exits_2(self, duration, capsys):
+        """An empty window plans no transaction; it must not pass as a
+        green run."""
+        assert main(self.ARGS + ["--duration", duration]) == 2
+        err = capsys.readouterr().err
+        assert "invalid store scenario" in err
+        assert "positive duration" in err
 
     def test_store_bad_groups_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
