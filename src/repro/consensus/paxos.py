@@ -53,13 +53,36 @@ This is the substrate the paper assumes solvable in each group
   value go at the decision: in A1 every member proposes its own message
   set, and a non-leader's copy is never needed again.  Values are never
   ``None`` (:meth:`GroupConsensus.propose` rejects it), so ``None``
-  means "not yet" in ``candidate`` and ``decision``.
+  means "not yet" in ``candidate`` and ``decision``.  A decided record
+  lives until the group floor passes it (next note).
+* **Records below the group floor go.**  A client that walks one
+  instance sequence (:class:`~repro.consensus.sequence.ConsensusSequence`:
+  A1 and the ring baseline) promises a *floor* through
+  :meth:`GroupConsensus.set_floor`: every instance below it is decided
+  here and will never be proposed here.  Floors ride on messages that
+  already flow: a ``forward`` carries its sender's floor; an ``accept``
+  carries the leader's floor and its *group floor*, the least floor it
+  knows of, which followers adopt.  Every :data:`PRUNE_EVERY` decisions
+  an endpoint drops the decided records below its group floor that
+  stayed on the ballot-0 fast path (promised and accepted ballot 0, no
+  higher ballot seen) — with them the decided values.  A record that
+  saw any other ballot stays.  Why it is safe: a floor only rises and
+  the group floor never exceeds any member's floor, so below it every
+  member has decided.  A late ``accepted``, ``decide``, ``promise`` or
+  ``nack`` for a dropped instance is ignored, as a decided record
+  ignores it.  A late ``forward``, ``prepare`` or ``accept`` re-creates
+  the record as it was dropped — promised 0, accepted (0, value),
+  decided — with :data:`FORGOTTEN` for the value, and is answered by
+  the same code as before: the same kinds go to the same destinations.
+  The forgotten value can only reach a ``promise`` or ``decide``
+  payload, and its receiver has decided and ignores both.  A2 (two
+  rounds in flight, raw decisions), the mid-keyed global consensus and
+  a bare endpoint set no floor and keep every record.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, List, Optional, Set
 
 from repro.consensus.interfaces import ConsensusProtocol, DecisionHandler
@@ -71,19 +94,41 @@ from repro.sim.process import Process
 _KINDS = ("forward", "prepare", "promise", "accept", "accepted", "nack",
           "decide")
 
+#: Decisions between two prunes of the records below the group floor.
+#: Live records per endpoint stay ≈ this plus the floor's lag.
+PRUNE_EVERY = 64
 
-@dataclass
+
+class _Forgotten:
+    """The value of a dropped decided record, if a late message asks."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "FORGOTTEN"
+
+
+FORGOTTEN = _Forgotten()
+
+
 class _ProposerState:
     """Per-instance proposer bookkeeping (only while leading a ballot)."""
 
-    ballot: int = -1
-    promises: Dict[int, tuple] = field(default_factory=dict)
-    value: Any = None
-    phase: str = "idle"  # idle | prepare | accept
+    __slots__ = ("ballot", "promises", "value", "phase")
+
+    def __init__(self) -> None:
+        self.ballot = -1
+        self.promises: Dict[int, tuple] = {}
+        self.value: Any = None
+        self.phase = "idle"  # idle | prepare | accept
 
 
 class _Instance:
-    """One endpoint's view of one instance (see "One record per instance")."""
+    """One endpoint's view of one instance (see "One record per instance").
+
+    Always truthy, so ``instances.get(k) or self._new_record(k)`` finds
+    or builds a record with one dict probe.
+    """
 
     __slots__ = ("promised", "accepted_ballot", "accepted_value",
                  "ballot_seen", "proposed", "decision", "candidate",
@@ -102,6 +147,20 @@ class _Instance:
         self.proposer: Optional[_ProposerState] = None
         # ballot -> acceptors whose ``accepted`` we saw.
         self.tally: Optional[Dict[int, Set[int]]] = None
+
+
+def _forgotten_record() -> _Instance:
+    """A dropped record as a late message finds it (ballot-0 fast path)."""
+    record = _Instance()
+    record.promised = record.accepted_ballot = record.ballot_seen = 0
+    record.accepted_value = record.decision = FORGOTTEN
+    return record
+
+
+def _on_fast_path(record: _Instance) -> bool:
+    """Promised and accepted ballot 0, and no higher ballot heard of."""
+    return record.promised == record.accepted_ballot \
+        == record.ballot_seen == 0
 
 
 class GroupConsensus(ConsensusProtocol):
@@ -136,6 +195,20 @@ class GroupConsensus(ConsensusProtocol):
         self._majority = len(self.members) // 2 + 1
 
         self._instances: Dict[Hashable, _Instance] = {}
+        # Floors (see "Records below the group floor go"): our own
+        # promise; the highest floor heard per member rank (ours copied
+        # in when sampled); the highest group floor adopted from a
+        # leader's accept, a floor every member has reached; the group
+        # floor, the larger of the two bounds as last sampled; and the
+        # group floor of the last prune.
+        self.floor = 0
+        self._my_rank = self._rank[process.pid]
+        self._floors = [0] * len(self.members)
+        self._adopted = 0
+        self._group_floor = 0
+        self._pruned = 0
+        self._until_prune = PRUNE_EVERY
+        self._inv_floors: Optional[tuple] = None
         # Retry timeouts: instances with a live deadline, the FIFO of
         # (deadline, reserved slot, instance) entries — armed or stale —
         # and the one queued kernel event, always for the FIFO head
@@ -161,15 +234,34 @@ class GroupConsensus(ConsensusProtocol):
         self._handler = handler
 
     def decided(self, instance: int) -> bool:
+        """True once decided here.  Below the last prune point an
+        instance is decided everywhere or was skipped by the whole group,
+        so every instance there reads as decided."""
         record = self._instances.get(instance)
-        return record is not None and record.decision is not None
+        if record is None:
+            return self._was_pruned(instance)
+        return record.decision is not None
 
     def decision(self, instance: int) -> Any:
         """The locally known decision of ``instance`` (must be decided)."""
         record = self._instances.get(instance)
+        if record is None or record.decision is FORGOTTEN:
+            if self._was_pruned(instance):
+                raise KeyError(
+                    f"instance {instance} was pruned: it is below the "
+                    f"group floor {self._pruned}")
         if record is None or record.decision is None:
             raise KeyError(instance)
         return record.decision
+
+    def set_floor(self, instance: int) -> None:
+        """Promise that every instance below ``instance`` is decided here
+        and will never be proposed here; the floor only rises."""
+        if instance < self.floor:
+            raise ValueError(
+                f"process {self.process.pid} lowered its floor "
+                f"{self.floor} -> {instance}")
+        self.floor = instance
 
     def propose(self, instance: int, value: Hashable) -> None:
         if value is None:
@@ -179,7 +271,11 @@ class GroupConsensus(ConsensusProtocol):
                 f"process {self.process.pid} proposed None in instance "
                 f"{instance}"
             )
-        record = self._record(instance)
+        if self.floor and instance < self.floor:
+            raise ValueError(
+                f"process {self.process.pid} proposed in instance "
+                f"{instance}, below its floor {self.floor}")
+        record = self._instances.get(instance) or self._new_record(instance)
         if record.proposed:
             raise ValueError(
                 f"process {self.process.pid} proposed twice in instance {instance}"
@@ -193,7 +289,28 @@ class GroupConsensus(ConsensusProtocol):
         self._arm_timer(instance, record)
 
     def inv(self) -> None:
-        """Assert the per-instance invariants; holds at every event boundary."""
+        """Assert the per-instance and floor invariants; holds at every
+        event boundary.  The floors only rise between two calls."""
+        floors = (self.floor, self._adopted, self._group_floor,
+                  self._pruned, *self._floors)
+        if self._inv_floors is not None:
+            assert all(now >= before for now, before
+                       in zip(floors, self._inv_floors)), \
+                f"a floor fell: {self._inv_floors} -> {floors}"
+        self._inv_floors = floors
+        assert self._floors[self._my_rank] <= self.floor, \
+            (self._floors, self.floor)
+        assert self._group_floor <= self.floor, \
+            f"group floor {self._group_floor} above ours {self.floor}"
+        # A member's learned floor is what it said or, if higher, a
+        # group floor adopted since.
+        assert all(self._group_floor <= max(floor, self._adopted)
+                   for floor in self._floors), \
+            f"group floor {self._group_floor} above a learned floor " \
+            f"{self._floors} (adopted {self._adopted})"
+        assert self._pruned <= self._group_floor, \
+            (self._pruned, self._group_floor)
+        floor, pruned = self.floor, self._pruned
         for instance, record in self._instances.items():
             assert record.accepted_ballot <= record.promised, \
                 (instance, record.accepted_ballot, record.promised)
@@ -204,6 +321,13 @@ class GroupConsensus(ConsensusProtocol):
                 assert record.proposer is None and record.tally is None \
                     and record.candidate is None, \
                     f"decided instance {instance} kept undecided state"
+            if floor and instance < floor:
+                assert record.decision is not None, \
+                    f"undecided instance {instance} below the floor {floor}"
+            if pruned and instance < pruned \
+                    and record.decision is not FORGOTTEN:
+                assert not _on_fast_path(record), \
+                    f"fast-path instance {instance} kept below {pruned}"
         for instance in self._timer_armed:
             assert not self.decided(instance), \
                 f"retry armed for decided instance {instance}"
@@ -211,27 +335,60 @@ class GroupConsensus(ConsensusProtocol):
     # ------------------------------------------------------------------
     # Leader / liveness machinery
     # ------------------------------------------------------------------
-    def _record(self, instance: Hashable) -> _Instance:
-        record = self._instances.get(instance)
-        if record is None:
-            record = self._instances[instance] = _Instance()
+    def _new_record(self, instance: Hashable) -> _Instance:
+        """First touch of ``instance``; a dropped one comes back forgotten."""
+        pruned = self._pruned
+        record = self._instances[instance] = (
+            _forgotten_record() if pruned and instance < pruned
+            else _Instance())
         return record
 
-    def _current_leader(self) -> Optional[int]:
-        return self.detector.leader(self.process.pid, self.members)
+    def _was_pruned(self, instance: Hashable) -> bool:
+        pruned = self._pruned
+        return bool(pruned) and instance < pruned
+
+    # ------------------------------------------------------------------
+    # Floors
+    # ------------------------------------------------------------------
+    def _sample_group_floor(self) -> int:
+        """Raise the group floor to the least learned floor; return it."""
+        floors = self._floors
+        floors[self._my_rank] = self.floor
+        group_floor = min(floors)
+        if group_floor < self._adopted:
+            group_floor = self._adopted
+        if group_floor > self._group_floor:
+            self._group_floor = group_floor
+        return self._group_floor
+
+    def _prune(self) -> None:
+        """Drop the fast-path decided records below the group floor."""
+        floor = self._sample_group_floor()
+        if floor <= self._pruned:
+            return
+        instances = self._instances
+        # _on_fast_path, inlined: this visits every live record.
+        for instance in [instance for instance, record in instances.items()
+                         if instance < floor
+                         and record.decision is not None
+                         and record.promised == record.accepted_ballot
+                         == record.ballot_seen == 0]:
+            del instances[instance]
+        self._pruned = floor
 
     def _attempt(self, instance: int, record: _Instance) -> None:
         """Push ``instance`` forward: lead it or forward our value."""
         if record.decision is not None or self.process.crashed:
             return
-        leader = self._current_leader()
+        leader = self.detector.leader(self.process.pid, self.members)
         if leader is None:
             return  # no candidate leader; retry later
         if leader != self.process.pid:
             if record.candidate is not None:
                 self.process.send(
                     leader, self._k_forward,
-                    {"k": instance, "value": record.candidate},
+                    {"k": instance, "value": record.candidate,
+                     "f": self.floor},
                 )
             return
         self._lead(instance, record)
@@ -243,11 +400,11 @@ class GroupConsensus(ConsensusProtocol):
             state = record.proposer = _ProposerState()
         if state.phase != "idle":
             return  # a ballot of ours is already in flight
-        rank = self._rank[self.process.pid]
+        rank = self._my_rank
         d = len(self.members)
-        floor = max(record.ballot_seen, state.ballot)
+        highest = max(record.ballot_seen, state.ballot)
         ballot = rank
-        while ballot <= floor:
+        while ballot <= highest:
             ballot += d
         if ballot == 0:
             # Ballot 0 is safe without a prepare phase: no acceptor can
@@ -259,14 +416,17 @@ class GroupConsensus(ConsensusProtocol):
             state.promises = {}
             state.phase = "accept"
             state.value = value
-            self._broadcast(self._k_accept,
-                            {"k": instance, "b": ballot, "value": value})
+            self.process.send_many(
+                self.members, self._k_accept,
+                {"k": instance, "b": ballot, "value": value,
+                 "f": self.floor, "g": self._sample_group_floor()})
         else:
             state.ballot = ballot
             state.promises = {}
             state.value = None
             state.phase = "prepare"
-            self._broadcast(self._k_prepare, {"k": instance, "b": ballot})
+            self.process.send_many(self.members, self._k_prepare,
+                                   {"k": instance, "b": ballot})
 
     def _arm_timer(self, instance: int, record: _Instance) -> None:
         if instance in self._timer_armed or record.decision is not None:
@@ -304,15 +464,16 @@ class GroupConsensus(ConsensusProtocol):
         if self._alarm is None:
             self._set_alarm()
 
-    def _broadcast(self, kind: str, payload: dict) -> None:
-        self.process.send_many(self.members, kind, payload)
-
     # ------------------------------------------------------------------
     # Message handlers
     # ------------------------------------------------------------------
     def _on_forward(self, msg: Message) -> None:
-        instance, value = msg.payload["k"], msg.payload["value"]
-        record = self._record(instance)
+        payload = msg.payload
+        instance, value = payload["k"], payload["value"]
+        floor, rank = payload.get("f", 0), self._rank[msg.src]
+        if floor > self._floors[rank]:
+            self._floors[rank] = floor
+        record = self._instances.get(instance) or self._new_record(instance)
         if record.decision is not None:
             # Help a lagging peer instead of re-running the instance.
             self.process.send(
@@ -333,7 +494,7 @@ class GroupConsensus(ConsensusProtocol):
 
     def _on_prepare(self, msg: Message) -> None:
         instance, ballot = msg.payload["k"], msg.payload["b"]
-        record = self._record(instance)
+        record = self._instances.get(instance) or self._new_record(instance)
         if ballot > record.ballot_seen:
             record.ballot_seen = ballot
         if ballot > record.promised:
@@ -355,7 +516,9 @@ class GroupConsensus(ConsensusProtocol):
 
     def _on_promise(self, msg: Message) -> None:
         instance, ballot = msg.payload["k"], msg.payload["b"]
-        record = self._instances[instance]  # we sent the prepare
+        record = self._instances.get(instance)  # we sent the prepare
+        if record is None:
+            return  # dropped below the group floor: decided
         state = record.proposer
         if state is None or state.phase != "prepare" or state.ballot != ballot:
             return
@@ -379,15 +542,26 @@ class GroupConsensus(ConsensusProtocol):
                 return  # must wait for a candidate (own propose or forward)
         state.phase = "accept"
         state.value = value
-        self._broadcast(
-            self._k_accept,
-            {"k": instance, "b": state.ballot, "value": value},
+        self.process.send_many(
+            self.members, self._k_accept,
+            {"k": instance, "b": state.ballot, "value": value,
+             "f": self.floor, "g": self._sample_group_floor()},
         )
 
     def _on_accept(self, msg: Message) -> None:
-        instance, ballot = msg.payload["k"], msg.payload["b"]
-        value = msg.payload["value"]
-        record = self._record(instance)
+        payload = msg.payload
+        instance, ballot = payload["k"], payload["b"]
+        value = payload["value"]
+        try:
+            floor, group_floor = payload["f"], payload["g"]
+        except KeyError:  # an accept made by hand, without floors
+            floor = group_floor = 0
+        rank = self._rank[msg.src]
+        if floor > self._floors[rank]:
+            self._floors[rank] = floor
+        if group_floor > self._adopted:
+            self._adopted = group_floor
+        record = self._instances.get(instance) or self._new_record(instance)
         if ballot > record.ballot_seen:
             record.ballot_seen = ballot
         if ballot >= record.promised:
@@ -397,8 +571,8 @@ class GroupConsensus(ConsensusProtocol):
             # All-to-all learning (Schiper [11] style): every member
             # tallies accepted votes and decides two delays after the
             # proposal, at O(d²) messages per instance.
-            self._broadcast(
-                self._k_accepted,
+            self.process.send_many(
+                self.members, self._k_accepted,
                 {"k": instance, "b": ballot, "value": value},
             )
         else:
@@ -408,9 +582,15 @@ class GroupConsensus(ConsensusProtocol):
             )
 
     def _on_accepted(self, msg: Message) -> None:
-        instance, ballot = msg.payload["k"], msg.payload["b"]
-        record = self._record(instance)
-        if record.decision is not None:
+        payload = msg.payload
+        instance, ballot = payload["k"], payload["b"]
+        record = self._instances.get(instance)
+        if record is None:
+            pruned = self._pruned
+            if pruned and instance < pruned:
+                return  # dropped below the group floor: decided
+            record = self._instances[instance] = _Instance()
+        elif record.decision is not None:
             return
         tally = record.tally
         if tally is None:
@@ -420,11 +600,13 @@ class GroupConsensus(ConsensusProtocol):
             voters = tally[ballot] = set()
         voters.add(msg.src)
         if len(voters) >= self._majority:
-            self._decide(instance, record, msg.payload["value"])
+            self._decide(instance, record, payload["value"])
 
     def _on_nack(self, msg: Message) -> None:
         instance, promised = msg.payload["k"], msg.payload["promised"]
-        record = self._instances[instance]  # we sent the prepare / accept
+        record = self._instances.get(instance)  # we sent prepare / accept
+        if record is None:
+            return  # dropped below the group floor: decided
         if promised > record.ballot_seen:
             record.ballot_seen = promised
         state = record.proposer
@@ -438,7 +620,12 @@ class GroupConsensus(ConsensusProtocol):
 
     def _on_decide(self, msg: Message) -> None:
         instance = msg.payload["k"]
-        self._decide(instance, self._record(instance), msg.payload["value"])
+        record = self._instances.get(instance)
+        if record is None:
+            if self._was_pruned(instance):
+                return  # dropped below the group floor: decided
+            record = self._new_record(instance)
+        self._decide(instance, record, msg.payload["value"])
 
     # ------------------------------------------------------------------
     def _decide(self, instance: int, record: _Instance, value: Any) -> None:
@@ -461,3 +648,7 @@ class GroupConsensus(ConsensusProtocol):
             head = self._timers[0]
             self._timers.clear()
             self._timers.append(head)
+        self._until_prune -= 1
+        if not self._until_prune:
+            self._until_prune = PRUNE_EVERY
+            self._prune()

@@ -10,10 +10,17 @@ network a process can *learn* decisions out of order — e.g. receive the
 client exactly when the client's current instance number matches,
 re-creating the pseudocode's ``When Decided(K, msgSet')`` guard.
 
+After each flush it promises the consensus a *floor* — its cursor
+(:meth:`GroupConsensus.set_floor`): every instance below it has been
+released, or skipped by the whole group, so it is decided here and will
+never be proposed here.  That lets the consensus drop decided records
+every member has passed (:mod:`repro.consensus.paxos`, "Records below
+the group floor go").
+
 Algorithm A2 does not use it: it keeps two rounds in flight, publishes
 each round's bundle the moment its instance decides and orders rounds
 itself at delivery, so it takes :class:`GroupConsensus`'s raw decisions
-(see :mod:`repro.core.abcast`).
+(see :mod:`repro.core.abcast`) and sets no floor.
 """
 
 from __future__ import annotations
@@ -42,7 +49,11 @@ class ConsensusSequence:
         self.current = first_instance
         self._buffer: Dict[int, Any] = {}
         self._flushing = False
+        # A consensus that keeps no history (a test double) takes none.
+        self._set_floor = getattr(consensus, "set_floor", None)
         consensus.set_decision_handler(self._on_raw_decision)
+        if self._set_floor is not None:
+            self._set_floor(first_instance)
 
     # ------------------------------------------------------------------
     def propose(self, instance: int, value: Hashable) -> None:
@@ -59,6 +70,14 @@ class ConsensusSequence:
         self.current = instance
         if not self._flushing:
             self._flush()
+
+    def inv(self) -> None:
+        """Assert the cursor invariants; holds at every event boundary."""
+        assert all(instance >= self.current for instance in self._buffer), \
+            f"buffered {sorted(self._buffer)} below cursor {self.current}"
+        if self._set_floor is not None:
+            assert self.consensus.floor == self.current, \
+                f"floor {self.consensus.floor} != cursor {self.current}"
 
     # ------------------------------------------------------------------
     def _on_raw_decision(self, instance: int, value: Any) -> None:
@@ -86,3 +105,5 @@ class ConsensusSequence:
                     break
         finally:
             self._flushing = False
+        if self._set_floor is not None:
+            self._set_floor(self.current)

@@ -75,6 +75,14 @@ bounce instead of 4 and ``net.msgs`` 1795 → 1986, ``consensus.msgs``
 1155 → 1274 (on the full plan 115 → 21 moves and 46 952 → 35 262
 copies).  ``lat_p50_sim`` is 4.504 on both sides.
 Nothing else runs a balancer, so the other six rows are untouched.
+
+``sim.events`` (kernel events executed) is pinned beside ``net.msgs`` and
+``consensus.msgs`` in :data:`SIM_EVENTS`, with the values of commit
+a6972de, recorded when Paxos started dropping its decided records below
+the group floor: the floor rides on payloads that already flow, so the
+count did not move.  A change to timers or to how copies share an event
+moves it while the four pins beside it stay — the kernel did different
+work for the same deliveries.
 """
 
 import json
@@ -112,6 +120,17 @@ PINS = {
         38.80966461163165, 67761, 14341),
 }
 
+#: workload -> sim.events
+SIM_EVENTS = {
+    "a1_global": 8472,
+    "a1_local": 4952,
+    "a2_bcast": 3907,
+    "store_mix": 6682,
+    "store_rebalance": 1344,
+    "a1_lossy": 5433,
+    "hb_crash": 12624,
+}
+
 
 @pytest.mark.parametrize("workload", sorted(PINS))
 def test_run_is_bit_identical_to_the_pinned_commit(workload):
@@ -126,3 +145,4 @@ def test_run_is_bit_identical_to_the_pinned_commit(workload):
         result["verdicts"]
     assert (result["fingerprint"], exact["lat_p50_sim"], exact["net.msgs"],
             exact["consensus.msgs"]) == PINS[workload]
+    assert exact["sim.events"] == SIM_EVENTS[workload]
