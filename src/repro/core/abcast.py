@@ -64,6 +64,20 @@ round K+1 while round K is still collecting bundles, as long as it still
 * Theorems 5.1 / 5.2: a cold cast still finds ``K > Barrier`` in every
   other group and pays 2; a cast into a warm system still rides the next
   proposal and pays 1 — under load there are twice as many of those.
+
+Delivery history
+----------------
+The paper's ADELIVERED set answers one question: is this R-Delivered
+message already delivered?  Only a message of this process's *own*
+group can be asked about — A2 R-MCasts inside the caster's group — and
+reliable multicast R-Delivers each cast once.  So instead of every mid
+ever delivered the endpoint keeps ``_heard`` (R-Delivered here, not yet
+A-Delivered) and ``_unheard`` (A-Delivered here before its own
+R-Deliver arrived; that R-Deliver drops the entry): both are bounded by
+the messages in flight.  Round completion needs no filter either: a
+message rides exactly one decided bundle of its caster's group, since a
+member proposes only messages in no bundle decided so far (above), and
+``check_all``'s integrity pass still catches a duplicate delivery.
 """
 
 from __future__ import annotations
@@ -173,7 +187,11 @@ class AtomicBroadcastA2(AtomicBroadcast):
         # of a round not completed yet.
         self.fresh: Set[str] = set()
         self._in_flight: Set[str] = set()
-        self.adelivered: Set[str] = set()
+        # ADELIVERED, only while it can still be asked ("Delivery
+        # history"): R-Delivered here and not yet A-Delivered, and
+        # A-Delivered here before its own R-Deliver arrived.
+        self._heard: Set[str] = set()
+        self._unheard: Set[str] = set()
         self.barrier = 0
         # Other groups' bundles per round: msgs[x][gid] = mid tuple; this
         # group's decided bundles per round.  Rounds >= K only.
@@ -267,8 +285,12 @@ class AtomicBroadcastA2(AtomicBroadcast):
     # ------------------------------------------------------------------
     def _on_rdeliver(self, payload: dict, mid: str, sender: int) -> None:
         """Paper lines 6-7 (``mid`` is the message's own: see a_bcast)."""
-        if mid not in self.adelivered and mid not in self._in_flight:
-            self.fresh.add(mid)
+        if mid in self._unheard:
+            self._unheard.remove(mid)  # A-Delivered already
+        else:
+            self._heard.add(mid)
+            if mid not in self._in_flight:
+                self.fresh.add(mid)
         self.predictor.observe_cast(self.process.sim.now)
         self._maybe_propose()
 
@@ -374,11 +396,12 @@ class AtomicBroadcastA2(AtomicBroadcast):
         if self._other_groups and (bundles is None
                                    or len(bundles) < self._other_groups):
             return False  # line 16: still waiting on some group's bundle
-        # Line 18: union of all bundles, minus what is delivered.
+        # Line 18: union of all bundles.  Nothing in it is delivered
+        # already: a message rides exactly one decided bundle, of its
+        # caster's group ("Delivery history").
         mids = set(own)
         if bundles is not None:
             mids.update(*bundles.values())
-        mids.difference_update(self.adelivered)
         handler = self._handler
         if mids and handler is None:
             raise RuntimeError("no A-Deliver handler installed")
@@ -389,6 +412,9 @@ class AtomicBroadcastA2(AtomicBroadcast):
         self.msgs.pop(round_k, None)
         del self._own_bundle[round_k]
         self._in_flight.difference_update(own)
+        heard = self._heard
+        self._unheard.update(set(own).difference(heard))
+        heard.difference_update(own)
         now = self.process.sim.now
         self._round_time = now - self._proposed_at.pop(round_k)
         self._rounds_executed += 1
@@ -398,7 +424,6 @@ class AtomicBroadcastA2(AtomicBroadcast):
         if mids:
             self._useful_rounds += 1
             self._last_useful = round_k
-            self.adelivered.update(mids)
         if self.predictor.should_continue(delivered=bool(mids), now=now) \
                 and self.k > self.barrier:
             self.barrier = self.k
@@ -445,8 +470,10 @@ class AtomicBroadcastA2(AtomicBroadcast):
             in_flight.update(bundle)
         assert in_flight == self._in_flight
         assert self.fresh.isdisjoint(in_flight)
-        assert self.fresh.isdisjoint(self.adelivered)
-        assert in_flight.isdisjoint(self.adelivered)
+        assert self.fresh <= self._heard
+        assert self._heard.isdisjoint(self._unheard)
+        assert self.fresh.isdisjoint(self._unheard)
+        assert in_flight.isdisjoint(self._unheard)
         assert all(x >= k for x in self._own_bundle), (k, self._own_bundle)
         assert all(x >= k for x in self.msgs), (k, sorted(self.msgs))
         assert self.barrier >= self._last_useful, \

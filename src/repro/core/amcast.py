@@ -63,6 +63,17 @@ Engine notes (protocol semantics unchanged):
   "highest instance seen from group g" is wrong the moment one copy
   overtakes another.  Timestamps, K, consensus values and every message
   are what the literal guard produces; only the delivery instants move.
+* the paper's ADELIVERED set is not kept: what it answers is held only
+  while an answer can still be asked.  ``_heard`` holds the messages
+  R-Delivered here and not yet A-Delivered, ``_unheard`` those
+  A-Delivered before their own R-Deliver arrived (reliable multicast
+  delivers each cast once, so that R-Deliver drops the entry).  A late
+  (TS, m) copy is recognised by its rank — the group's stream knows
+  whether that rank was seen — and ``_late_ts[m]`` names the groups
+  whose proposal had not arrived here when m's final timestamp did,
+  with another member's s2 decision (the only way m reaches s3, hence
+  delivery, without every proposal); the first copy of that rank clears
+  the group.  No decision needs filtering: see :meth:`_on_decided`.
 """
 
 from __future__ import annotations
@@ -255,7 +266,8 @@ class AtomicMulticastA1(AtomicMulticast):
         self.my_gid = topology.group_of(process.pid)
         self.catalog = MessageCatalog.of(process.sim)
 
-        # Paper line 2: K=1, propK=1, PENDING and ADELIVERED empty.
+        # Paper line 2: K=1, propK=1, PENDING and ADELIVERED empty (of
+        # ADELIVERED only what the fourth engine note says is kept).
         self.prop_k = 1
         self.pending: Dict[str, _Pending] = {}
         # The delivery guard's indexes (third engine note): entries whose
@@ -270,7 +282,11 @@ class AtomicMulticastA1(AtomicMulticast):
         # must carry (paper line 15's guard).  Kept in sync with stage
         # transitions so proposals never rescan all of PENDING.
         self._eligible: Dict[str, _Pending] = {}
-        self.adelivered: Set[str] = set()
+        # Fourth engine note: R-Delivered, not yet A-Delivered; A-Delivered
+        # before its R-Deliver; final before these groups' proposals.
+        self._heard: Set[str] = set()
+        self._unheard: Set[str] = set()
+        self._late_ts: Dict[str, Set[int]] = {}
         # Timestamp proposals received via (TS, m) messages, buffered by
         # message id and proposing group (may arrive before stage s1).
         self.ts_proposals: Dict[str, Dict[int, int]] = {}
@@ -321,11 +337,20 @@ class AtomicMulticastA1(AtomicMulticast):
     # Stage s0 entry (paper lines 10-13)
     # ------------------------------------------------------------------
     def _on_rdeliver(self, payload: dict, mid: str, sender: int) -> None:
-        self._ensure_pending(self.catalog.get(payload["mid"]))
+        """Lines 10-13 (``mid`` is the message's own: see a_mcast)."""
+        if mid in self._unheard:
+            self._unheard.remove(mid)  # A-Delivered already
+            return
+        self._heard.add(mid)
+        self._ensure_pending(self.catalog.get(mid))
 
     def _ensure_pending(self, msg: AppMessage) -> None:
-        """Add m to PENDING at stage s0 unless already known."""
-        if msg.mid in self.pending or msg.mid in self.adelivered:
+        """Add m to PENDING at stage s0 unless already pending.
+
+        Never called for a delivered m: its R-Deliver finds it in
+        ``_unheard``, its (TS, m) copies are recognised by rank.
+        """
+        if msg.mid in self.pending:
             return
         entry = _Pending(msg=msg, ts=self.k, stage=STAGE_S0)
         self.pending[msg.mid] = entry
@@ -349,15 +374,19 @@ class AtomicMulticastA1(AtomicMulticast):
         self.prop_k = self.k + 1
 
     def _on_decided(self, instance: int, msg_set: tuple) -> None:
-        """Paper lines 18-32: process the decision of instance K."""
+        """Paper lines 18-32: process the decision of instance K.
+
+        No delivered message is in ``msg_set``: a member proposes
+        instance K only after deciding K-1, so after the decision that
+        moves m to s3 no member holds m at s0 or s2, and no later
+        decision carries it.
+        """
         decided_ts: List[int] = []
         to_check_ts: List[str] = []
         eligible = self._eligible
         finals = self._finals
         settled = len(finals)
         for mid, stage, ts in msg_set:
-            if mid in self.adelivered:
-                continue
             entry = self.pending.get(mid)
             if entry is None:
                 # Line 30: the decision introduces a message we had not
@@ -379,6 +408,13 @@ class AtomicMulticastA1(AtomicMulticast):
                     entry.ts = ts
                     entry.stage = STAGE_S3
                     heapq.heappush(finals, (ts, mid))
+                    proposals = self.ts_proposals.get(mid, ())
+                    if len(proposals) < len(msg.dest_groups) - 1:
+                        # Another member had every proposal: the missing
+                        # ones are still on their way here (fourth note).
+                        self._late_ts[mid] = {
+                            gid for gid in msg.dest_groups
+                            if gid != self.my_gid and gid not in proposals}
             else:
                 if self.enable_stage_skipping:
                     # Lines 28-29: single-group message — second
@@ -465,16 +501,26 @@ class AtomicMulticastA1(AtomicMulticast):
         payload = netmsg.payload
         mid = payload["mid"]
         gid = payload["gid"]
+        awaited = self._awaited[gid]
+        seq = payload["seq"][self.my_gid]
+        # Rank seq is the group's proposal for m: a rank seen before came
+        # from another member of the group (or is a duplicate) and
+        # carries no proposal we did not already have.
+        stream = awaited.stream
+        first = seq > stream.seq and seq not in stream.ahead
         # Every copy tells how far its group's clock got, including a
         # copy for a message long delivered: skipping it could leave a
         # hole in that group's sequence.
-        news = self._awaited[gid].observe(
-            payload["seq"][self.my_gid], payload["ts"])
-        # A copy from a second member of the group, possibly after m was
-        # A-Delivered, carries no proposal we do not already have.
-        if mid not in self.adelivered:
-            proposals = self.ts_proposals.setdefault(mid, {})
-            if gid not in proposals:
+        news = awaited.observe(seq, payload["ts"])
+        if first:
+            late = self._late_ts.get(mid)
+            if late is not None and gid in late:
+                # m's final timestamp came without this proposal.
+                late.remove(gid)
+                if not late:
+                    del self._late_ts[mid]
+            else:
+                proposals = self.ts_proposals.setdefault(mid, {})
                 proposals[gid] = payload["ts"]
                 # Line 10: a TS message also introduces m (footnote 4
                 # liveness).
@@ -524,6 +570,7 @@ class AtomicMulticastA1(AtomicMulticast):
         finals = self._finals
         groups = self._awaited.values()
         handler = self._handler
+        heard = self._heard
         while finals:
             key = finals[0]
             head = pending.get(key[1])
@@ -553,9 +600,26 @@ class AtomicMulticastA1(AtomicMulticast):
                 raise RuntimeError("no A-Deliver handler installed")
             mid = key[1]
             del pending[mid]
-            self.adelivered.add(mid)
             self.ts_proposals.pop(mid, None)
+            try:
+                heard.remove(mid)
+            except KeyError:  # delivered before its R-Deliver
+                self._unheard.add(mid)
             handler(head.msg)
+
+    def inv(self) -> None:
+        """Assert the delivery-history invariants at an event boundary."""
+        pending = self.pending
+        assert self._heard.isdisjoint(self._unheard)
+        assert self._unheard.isdisjoint(pending)
+        assert all(mid in pending for mid in self._heard)
+        for mid, groups in self._late_ts.items():
+            others = set(self.catalog.get(mid).dest_groups) - {self.my_gid}
+            assert groups and groups <= others, (mid, groups)
+            entry = pending.get(mid)
+            assert entry is None or entry.stage == STAGE_S3, entry
+        assert all(mid in pending for mid in self.ts_proposals), \
+            sorted(set(self.ts_proposals) - set(pending))
 
     def blocked_on(self) -> Optional[Blocker]:
         """What the minimal s3 message waits on; None if none waits.

@@ -91,10 +91,11 @@ class MessageCatalog:
     """Per-simulation interning table of application messages by mid.
 
     The catalog is the authoritative decode table for the compact mids
-    that protocol payloads and consensus values carry.  Mids must be
-    globally unique (they are also the protocols' total-order
-    tiebreaker), so re-interning a mid with a *different* message is an
-    application bug and raises.
+    that protocol payloads and consensus values carry.  Every cast
+    interns its message, and a mid is cast at most once: it is the
+    protocols' total-order tiebreaker, and reliable multicast delivers
+    per cast, so a second cast under one mid would be delivered twice.
+    Interning a second message object under a known mid raises.
     """
 
     __slots__ = ("_by_mid",)
@@ -118,14 +119,16 @@ class MessageCatalog:
         return catalog
 
     def intern(self, msg) -> str:
-        """Register ``msg`` (idempotent); returns its mid."""
-        existing = self._by_mid.get(msg.mid)
-        if existing is None:
-            self._by_mid[msg.mid] = msg
-        elif existing != msg:
+        """Register the cast of ``msg``; returns its mid.
+
+        Idempotent for the same message object (the system and the
+        endpoint below it both intern one cast); a second cast of the
+        mid raises before anything of it is recorded or sent.
+        """
+        if self._by_mid.setdefault(msg.mid, msg) is not msg:
             raise ValueError(
-                f"mid {msg.mid!r} already interned with a different message"
-            )
+                f"mid {msg.mid!r} is already cast: a mid is cast at most "
+                f"once")
         return msg.mid
 
     def get(self, mid: str):

@@ -2,8 +2,8 @@
 
 Properties:
 
-* uniform integrity — R-Deliver at most once, only if addressed and
-  previously R-MCast;
+* uniform integrity — R-Deliver each multicast at most once, only if
+  addressed and previously R-MCast;
 * validity — a *correct* sender's message is R-Delivered by all correct
   addressees;
 * agreement — if a *correct* process R-Delivers m, all correct
@@ -24,12 +24,23 @@ instants queues none in a failure-free run.
 
 Delivery is immediate on first receipt, giving the latency degree of 1
 the paper uses in its analyses (Theorem 4.1).
+
+Duplicates are recognised by **rank**, not by message id: a sender
+numbers the copies it addresses to each process 1, 2, 3, ... and the
+body carries that number for every addressee; a relay forwards the body
+untouched, so a relayed copy carries the original sender's rank.  A
+receiver keeps, per original sender, the highest rank up to which every
+copy arrived and the ranks received past a gap — state bounded by the
+copies still in flight, not by the length of the run.  Integrity is
+therefore per *multicast*: R-MCast the same id twice and it is
+R-Delivered twice (the layers above cast each id once).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.failure.detectors import FailureDetector
 from repro.net.message import Message
@@ -55,11 +66,18 @@ class ReliableMulticast:
         namespace: str = "rmc",
     ) -> None:
         self.process = process
+        self._pid = process.pid
         self.detector = detector
         self.relay_after = relay_after
         self.ns = namespace
-        self._delivered: Set[str] = set()
-        self._relayed: Set[str] = set()
+        # Copies numbered so far per addressee; per original sender, the
+        # rank up to which every copy addressed here arrived and the
+        # ranks received past a gap (empty sets are dropped).
+        self._sent: Counter = Counter()
+        self._prefix: Dict[int, int] = {}
+        self._ahead: Dict[int, Set[int]] = {}
+        #: Relays sent (diagnostics).
+        self.relays = 0
         self._handler: Optional[RDeliveryHandler] = None
         self._k_data = f"{namespace}.data"
         self._check_label = f"{namespace}.relaycheck"
@@ -80,29 +98,38 @@ class ReliableMulticast:
             raise ValueError("reliable multicast needs at least one addressee")
         if mid is None:
             mid = f"rm{next(_MCAST_IDS)}"
+        dests = sorted(set(dest_pids))
+        sent = self._sent
+        sent.update(dests)
         body = {
             "mid": mid,
-            "sender": self.process.pid,
-            "dests": sorted(set(dest_pids)),
+            "sender": self._pid,
+            "dests": dests,
+            "ranks": tuple(map(sent.__getitem__, dests)),
             "data": payload,
         }
-        self.process.send_many(body["dests"], self._k_data, body)
+        self.process.send_many(dests, self._k_data, body)
         return mid
 
     # ------------------------------------------------------------------
     def _on_data(self, msg: Message) -> None:
         body = msg.payload
-        mid = body["mid"]
-        if mid in self._delivered:
-            return
-        self._delivered.add(mid)
+        sender = body["sender"]
+        rank = body["ranks"][body["dests"].index(self._pid)]
+        if (rank == self._prefix.get(sender, 0) + 1
+                and sender not in self._ahead):
+            self._prefix[sender] = rank  # the next in order, no gap
+        elif not self._admit_out_of_order(sender, rank):
+            return  # a duplicate or a relay of a multicast heard before
+        handler = self._handler
+        if handler is None:
+            raise RuntimeError("no R-Deliver handler installed")
         if self.EAGER_RELAY:
             self._relay(body)
-            self._deliver(body)
+            handler(body["data"], body["mid"], sender)
         else:
-            self._deliver(body)
-            pid = self.process.pid
-            sender = body["sender"]
+            handler(body["data"], body["mid"], sender)
+            pid = self._pid
             if self.detector.suspects(pid, sender):
                 self._relay(body)
             else:
@@ -113,23 +140,44 @@ class ReliableMulticast:
                     sim, pid, sender, sim.now + self.relay_after,
                     self._relay_if_alive, body, self._check_label)
 
+    def _admit_out_of_order(self, sender: int, rank: int) -> bool:
+        """Count a copy that is not simply the next rank; False iff its
+        rank was received before."""
+        prefix = self._prefix.get(sender, 0)
+        ahead = self._ahead.get(sender)
+        if rank <= prefix or (ahead is not None and rank in ahead):
+            return False
+        if rank == prefix + 1:  # the gap closed: catch up
+            while rank + 1 in ahead:
+                rank += 1
+                ahead.remove(rank)
+            if not ahead:
+                del self._ahead[sender]
+            self._prefix[sender] = rank
+        else:
+            self._ahead.setdefault(sender, set()).add(rank)  # past a gap
+        return True
+
     def _relay_if_alive(self, body: dict) -> None:
         if not self.process.crashed:
             self._relay(body)
 
     def _relay(self, body: dict) -> None:
-        mid = body["mid"]
-        if mid in self._relayed:
-            return
-        self._relayed.add(mid)
-        others = [p for p in body["dests"] if p != self.process.pid]
+        # Armed once, on first receipt: each process relays a multicast
+        # at most once.
+        self.relays += 1
+        others = [p for p in body["dests"] if p != self._pid]
         if others:
             self.process.send_many(others, self._k_data, body)
 
-    def _deliver(self, body: dict) -> None:
-        if self._handler is None:
-            raise RuntimeError("no R-Deliver handler installed")
-        self._handler(body["data"], body["mid"], body["sender"])
+    # ------------------------------------------------------------------
+    def inv(self) -> None:
+        """Assert the dedup state's invariant at an event boundary: a
+        rank held past a gap is above the gap, which is its sender's
+        gap-free rank + 1."""
+        for sender, ahead in self._ahead.items():
+            prefix = self._prefix.get(sender, 0)
+            assert ahead and min(ahead) > prefix + 1, (sender, prefix, ahead)
 
 
 class UniformReliableMulticast(ReliableMulticast):

@@ -59,6 +59,7 @@ class TappedEndpoint:
 
     def a_mcast(self, msg: AppMessage) -> None:
         """Cast ``msg``; a broadcast protocol's endpoint A-BCasts it."""
+        self._system.catalog.intern(msg)  # a second cast raises here
         process = self._system.network.process(self._pid)
         self._system.log.record_cast(msg)
         self._system.meter.record_cast(

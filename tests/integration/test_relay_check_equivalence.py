@@ -73,7 +73,7 @@ def _observe(spec, seed):
     # messages by cast order so two runs compare by content.
     rename = {mid: f"c{index}" for index, mid in enumerate(log.cast_map)}
     stats = system.network.stats
-    relays = sum(len(endpoint.rmcast._relayed)
+    relays = sum(endpoint.rmcast.relays
                  for endpoint in system.endpoints.values())
     return {
         "sequences": {pid: [rename[mid] for mid in log.sequence(pid)]

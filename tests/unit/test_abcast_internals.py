@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.checkers.properties import check_all
+from repro.checkers.properties import PropertyViolation, check_all
 from repro.checkers.quiescence import check_quiescence
 from repro.core import abcast
 from repro.net.topology import Fixed, LatencyModel
@@ -61,8 +61,8 @@ class TestRoundProgression:
         # Group 1 delivered group 0's message yet never R-Delivered
         # anything itself: its bundles were empty sets.
         endpoint = system.endpoints[2]
-        assert endpoint.fresh == set()
-        assert len(endpoint.adelivered) == 1
+        assert endpoint.fresh == endpoint._heard == set()
+        assert len(system.log.sequence(2)) == 1
 
 
 class TestBarrierLogic:
@@ -90,7 +90,7 @@ class TestBarrierLogic:
         system.run_quiescent()
         remote = system.endpoints[2]
         assert remote.barrier >= 3
-        assert len(remote.adelivered) == 2
+        assert len(system.log.sequence(2)) == 2
 
 
 class TestBundleHygiene:
@@ -182,13 +182,35 @@ class TestTwoRoundsInFlight:
         check_all(system.log, system.topology)
 
     def test_inv_catches_a_reproposed_mid(self):
+        """A delivered mid still waiting for its R-Deliver (p2 gets
+        every cast 3 late, after it delivered it) must not be offered
+        again."""
+        system = _loaded(duration=4.0)
+        system.network.add_delay_hook(
+            lambda msg, delay: delay + 3.0
+            if msg.kind == "abc.rmc.data" and msg.dst == 2 else delay)
+        endpoint = system.endpoints[2]
+        while not endpoint._unheard:
+            assert system.sim.pending_events
+            system.run(max_events=1)
+        endpoint.inv()
+        endpoint.fresh.add(next(iter(endpoint._unheard)))
+        with pytest.raises(AssertionError):
+            endpoint.inv()
+
+    def test_check_all_catches_a_reproposed_heard_mid(self):
+        """Once heard and delivered, a mid is nowhere in the endpoint's
+        state: re-proposing it delivers it twice, which the integrity
+        pass reports."""
         system = _loaded(duration=4.0)
         system.run(until=3.0)
         endpoint = system.endpoints[0]
-        endpoint.inv()
-        endpoint.fresh.add(next(iter(endpoint.adelivered)))
-        with pytest.raises(AssertionError):
-            endpoint.inv()
+        delivered = system.log.sequence(0)[0]
+        endpoint.fresh.add(delivered)
+        endpoint._heard.add(delivered)
+        system.run_quiescent()
+        with pytest.raises(PropertyViolation, match="more than once"):
+            check_all(system.log, system.topology)
 
     def test_late_rdeliver_of_a_decided_mid_is_not_reproposed(self):
         """p2 R-Delivers every cast 0.3 late — after p0 and p1 decided
@@ -211,7 +233,7 @@ class TestTwoRoundsInFlight:
             system.run(max_events=1)
             endpoint = system.endpoints[2]
             endpoint.inv()
-            late += bool(endpoint._in_flight - endpoint.rmcast._delivered)
+            late += bool(endpoint._in_flight - endpoint._heard)
         assert late > 100  # the hook did create the situation
         decided = {}
         for k in range(1, system.endpoints[2].k):

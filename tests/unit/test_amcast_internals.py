@@ -62,7 +62,8 @@ class TestStageTransitions:
         system.run(until=1.0)
         endpoint = system.endpoints[0]
         # Already delivered — which means it passed through s3.
-        assert msg.mid in endpoint.adelivered
+        assert system.log.sequence(0) == [msg.mid]
+        assert endpoint._heard == endpoint._unheard == set()
 
     def test_noskip_single_group_message_visits_s2(self):
         system = build_system(protocol="a1-noskip", group_sizes=[2, 2],
@@ -75,13 +76,13 @@ class TestStageTransitions:
             entry = endpoint.pending.get(msg.mid)
             if entry is not None:
                 seen_stages.add(entry.stage)
-            if msg.mid not in endpoint.adelivered:
+            if 0 not in system.log.deliveries_of(msg.mid):
                 system.sim.schedule(0.005, watch)
 
         system.sim.schedule(0.005, watch)
         system.run_quiescent()
         assert STAGE_S2 in seen_stages
-        assert msg.mid in endpoint.adelivered
+        assert system.log.sequence(0) == [msg.mid]
 
     def test_group_clock_jumps_past_decided_timestamps(self):
         """Line 31: K <- max(max ts, K) + 1."""
@@ -170,6 +171,14 @@ def _plant(system, pid, mid, dest_groups, ts, stage):
     return entry
 
 
+def _delivered_before_proposal(endpoint, gid, *mids):
+    """Mark ``mids`` as A-Delivered here before group ``gid``'s
+    proposal for them arrived: the state in which a (TS, m) copy of an
+    unseen rank carries nothing but its sender's clock."""
+    for mid in mids:
+        endpoint._late_ts[mid] = {gid}
+
+
 def _ts_copy(endpoint, src, gid, mid, ts, seq):
     """Hand ``endpoint`` one (TS, m) copy as group ``gid``'s ``src``
     would have sent it."""
@@ -193,7 +202,7 @@ class TestDeliveryGuard:
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
         # Three messages long delivered here: copies for them carry
         # nothing but their sender's clock.
-        endpoint.adelivered.update({"old-1", "old-2", "old-3"})
+        _delivered_before_proposal(endpoint, 1, "old-1", "old-2", "old-3")
         endpoint._adelivery_test()
         return system, endpoint
 
@@ -221,6 +230,7 @@ class TestDeliveryGuard:
         assert system.log.sequence(0) == ["held"]
         assert endpoint.pending["open"].stage == STAGE_S1
         assert endpoint.blocked_on() is None
+        assert endpoint._late_ts == {}  # each rank's first copy cleared it
 
     def test_duplicate_copies_do_not_advance_the_count(self):
         system, endpoint = self._blocked_endpoint()
@@ -238,7 +248,7 @@ class TestDeliveryGuard:
         endpoint = system.endpoints[0]
         _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
-        endpoint.adelivered.update({"old-1", "old-2", "old-3"})
+        _delivered_before_proposal(endpoint, 1, "old-1", "old-2", "old-3")
         _ts_copy(endpoint, 1, 1, "old-1", ts=3, seq=1)
         _ts_copy(endpoint, 1, 1, "old-3", ts=10, seq=3)  # A's rank 2 lost
         assert endpoint._awaited[1].watermark == 3
@@ -255,7 +265,7 @@ class TestDeliveryGuard:
         endpoint = system.endpoints[0]
         _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
-        endpoint.adelivered.add("old-1")
+        _delivered_before_proposal(endpoint, 1, "old-1")
         _ts_copy(endpoint, 1, 1, "old-1", ts=4, seq=1)
         _ts_copy(endpoint, 2, 1, "old-1", ts=4, seq=1)
         assert endpoint._awaited[1].stream.seq == 1
@@ -327,7 +337,7 @@ class TestDeliveryGuard:
         endpoint = system.endpoints[0]
         _plant(system, 0, "a-open", (0, 1), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
-        endpoint.adelivered.add("old-1")
+        _delivered_before_proposal(endpoint, 1, "old-1")
         _ts_copy(endpoint, 1, 1, "old-1", ts=5, seq=1)
         assert system.log.sequence(0) == []  # "a-open" may finish at 5
         assert endpoint.blocked_on().bound == 5
@@ -358,7 +368,8 @@ class TestDeliveryGuard:
         is enough, whichever group the entry was filed under."""
         system = build_system(protocol="a1", group_sizes=[1, 1, 1], seed=5)
         endpoint = system.endpoints[0]
-        endpoint.adelivered.update({"old-1", "old-2"})
+        _delivered_before_proposal(endpoint, 1, "old-1")
+        _delivered_before_proposal(endpoint, 2, "old-2")
         _ts_copy(endpoint, 1, 1, "old-1", ts=3, seq=1)  # group 1 at 3
         _plant(system, 0, "open", (0, 1, 2), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
@@ -376,7 +387,8 @@ class TestDeliveryGuard:
         with pytest.raises(RuntimeError, match="no A-Deliver handler"):
             endpoint._adelivery_test()
         assert "held" in endpoint.pending
-        assert "held" not in endpoint.adelivered
+        assert system.log.sequence(0) == []
+        assert endpoint._unheard == set()
 
 
 class TestNoProposalOutlivesItsMessage:
@@ -454,17 +466,40 @@ class TestDeliveryRule:
         seq = system.log.sequence(0)
         assert seq == ["aa-early", "zz-later"]
 
-    def test_adelivered_set_prevents_reprocessing(self):
+    def test_duplicate_rmcast_copy_is_not_reprocessed(self):
         system = build_system(protocol="a1", group_sizes=[2, 2], seed=6)
+        copies = []
+        system.network.add_delivery_filter(
+            lambda msg: (msg.kind == "amc.rmc.data" and msg.dst == 1
+                         and copies.append(msg)) or True)
         msg = system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
-        endpoint = system.endpoints[0]
-        assert msg.mid in endpoint.adelivered
-        assert msg.mid not in endpoint.pending
-        # Replaying the R-Deliver does nothing.
-        endpoint._ensure_pending(
-            AppMessage(mid=msg.mid, sender=0, dest_groups=(0, 1)))
-        assert msg.mid not in endpoint.pending
+        endpoint = system.endpoints[1]
+        assert system.log.sequence(1) == [msg.mid]
+        system.network.process(1).handle(copies[0])  # the same copy again
+        assert not system.sim.pending_events
+        assert endpoint.pending == {}
+        assert endpoint._heard == endpoint._unheard == set()
+        assert system.log.sequence(1) == [msg.mid]
+
+    def test_rdeliver_after_adeliver_is_not_reprocessed(self):
+        """p1 learns m from its group's decision (line 30) and delivers
+        it; the R-Deliver that arrives afterwards is only struck off."""
+        system = build_system(protocol="a1", group_sizes=[2, 2], seed=6)
+        system.network.add_delay_hook(
+            lambda copy, delay: delay + 5.0
+            if copy.kind == "amc.rmc.data" and copy.dst == 1 else delay)
+        msg = system.cast(sender=0, dest_groups=(0, 1))
+        endpoint = system.endpoints[1]
+        unheard = []
+        while system.sim.pending_events:
+            system.run(max_events=1)
+            endpoint.inv()
+            unheard.append(msg.mid in endpoint._unheard)
+        assert any(unheard)
+        assert endpoint._unheard == set()
+        assert endpoint.pending == {}
+        assert system.log.sequence(1) == [msg.mid]
 
 
 class TestCastAfterDelivery:
@@ -495,7 +530,8 @@ class TestCastAfterDelivery:
         return system
 
     def _all_correct_delivered(self, system, mid, gid):
-        return all(mid in system.endpoints[pid].adelivered
+        deliverers = system.log.deliveries_of(mid)
+        return all(pid in deliverers
                    for pid in system.topology.members(gid)
                    if not system.network.process(pid).crashed)
 
@@ -513,7 +549,7 @@ class TestCastAfterDelivery:
             assert system.sim.pending_events
             system.run(max_events=1)
         laggards = [pid for pid in system.topology.members(self.H)
-                    if m.mid not in system.endpoints[pid].adelivered]
+                    if pid not in system.log.deliveries_of(m.mid)]
         assert laggards, "the scenario must leave h behind g"
         later = system.cast(sender=9, dest_groups=later_dest)
         system.run_quiescent()
