@@ -20,6 +20,7 @@ the simulation (traces, persisted results).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -33,8 +34,12 @@ __all__ = [
 
 _APP_IDS = itertools.count()
 
+#: ``dataclass`` options giving instances ``__slots__`` where the running
+#: Python supports it (3.10+): one message is kept per cast of a run.
+SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(frozen=True, order=True)
+
+@dataclass(frozen=True, order=True, **SLOTTED)
 class AppMessage:
     """One application-level message.
 
@@ -52,8 +57,16 @@ class AppMessage:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dest_groups",
-                           tuple(sorted(set(self.dest_groups))))
+        dest = self.dest_groups
+        if type(dest) is tuple:
+            prev = None
+            for gid in dest:
+                if prev is not None and gid <= prev:
+                    break
+                prev = gid
+            else:
+                return  # sorted and free of duplicates: keep (and share) it
+        object.__setattr__(self, "dest_groups", tuple(sorted(set(dest))))
 
     def to_wire(self) -> tuple:
         """Encode as plain data for message payloads/consensus values."""

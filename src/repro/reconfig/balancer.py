@@ -43,6 +43,17 @@ HEAT_DECAY = 0.8
 _FORGET = 1e-9
 
 
+def tick_times(start: float, horizon: float,
+               interval: float) -> List[float]:
+    """Tick instants every ``interval`` over (start, horizon]."""
+    ticks = []
+    t = start + interval
+    while t <= horizon:
+        ticks.append(t)
+        t += interval
+    return ticks
+
+
 class LoadBalancer:
     """Watches demand heat and triggers migrations through the order."""
 
@@ -83,11 +94,9 @@ class LoadBalancer:
     # ------------------------------------------------------------------
     def schedule(self, start: float, horizon: float) -> None:
         """Schedule ticks every ``interval`` over (start, horizon]."""
-        sim = self.cluster.system.sim
-        t = start + self.interval
-        while t <= horizon:
-            sim.call_at(t, self._tick, label=f"rebalance@{t:g}")
-            t += self.interval
+        ticks = tick_times(start, horizon, self.interval)
+        self.cluster.system.sim.call_at_each(
+            ticks, lambda _t: self._tick(), ticks)
 
     # ------------------------------------------------------------------
     # One tick

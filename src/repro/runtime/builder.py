@@ -28,7 +28,7 @@ detmerge    Aguilera & Strom [1] (deterministic merge)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.clocks.latency import LatencyMeter, MessageRecord
 from repro.core.interfaces import AppMessage, MessageCatalog
@@ -45,6 +45,7 @@ from repro.runtime.results import DeliveryLog
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
+from repro.workload.generators import CastPlan
 
 
 class System:
@@ -74,6 +75,8 @@ class System:
         self.log = DeliveryLog(records)
         self.catalog = MessageCatalog.of(sim)
         self.endpoints: Dict[int, object] = {}
+        #: pid -> its endpoint's bound ``a_mcast`` (or ``a_bcast``).
+        self._casts: Dict[int, Callable[[AppMessage], None]] = {}
         self._delivery_taps: Dict[int, List[Callable]] = {}
         #: The mounted :class:`~repro.transport.reliable.ReliableTransport`
         #: when built with ``transport="reliable"`` (None otherwise).
@@ -88,6 +91,9 @@ class System:
     def install_endpoint(self, pid: int, endpoint: object) -> None:
         """Attach a protocol endpoint and wire its delivery callback."""
         self.endpoints[pid] = endpoint
+        cast = getattr(endpoint, "a_mcast", None)
+        self._casts[pid] = (cast if cast is not None
+                            else getattr(endpoint, "a_bcast", None))
         # Bound once per endpoint: this runs for every A-Deliver of the
         # run.  Hooks and taps subscribed later land in the same lists.
         clock = self.network.process(pid).lamport
@@ -155,31 +161,33 @@ class System:
     # ------------------------------------------------------------------
     # Casting
     # ------------------------------------------------------------------
-    def _check_broadcast_destinations(self, msg: AppMessage) -> None:
-        """Broadcast protocols require the full destination set."""
-        endpoint = self.endpoints[msg.sender]
-        if hasattr(endpoint, "a_mcast"):
-            return
-        if set(msg.dest_groups) != set(self.topology.group_ids):
-            raise ValueError(
-                f"{self.protocol_name} is a broadcast protocol; "
-                f"messages must address all groups"
-            )
+    def _check_broadcast_destinations(self, casts) -> None:
+        """Broadcast protocols require the full destination set.
+
+        ``casts`` is a set of ``(sender, dest_groups)`` pairs, so a plan
+        is checked once per distinct pair, not once per cast.
+        """
+        everyone = set(self.topology.group_ids)
+        for sender, dest_groups in casts:
+            if hasattr(self.endpoints[sender], "a_mcast"):
+                continue
+            if set(dest_groups) != everyone:
+                raise ValueError(
+                    f"{self.protocol_name} is a broadcast protocol; "
+                    f"messages must address all groups"
+                )
 
     def _do_cast(self, msg: AppMessage) -> None:
         """Record and hand ``msg`` to its sender's endpoint, now."""
-        endpoint = self.endpoints[msg.sender]
-        process = self.network.process(msg.sender)
+        sender = msg.sender
+        process = self.network.process(sender)
         self.catalog.intern(msg)
         self.log.record_cast(msg)
         self.meter.record_cast(msg.mid, process, dest_groups=msg.dest_groups,
                                now=self.sim.now)
         for hook in self._cast_hooks:
             hook(msg)
-        if hasattr(endpoint, "a_mcast"):
-            endpoint.a_mcast(msg)
-        else:
-            endpoint.a_bcast(msg)
+        self._casts[sender](msg)
 
     def cast(
         self,
@@ -195,31 +203,54 @@ class System:
         """
         if dest_groups is None:
             dest_groups = tuple(self.topology.group_ids)
+        self._check_broadcast_destinations({(sender, tuple(dest_groups))})
         msg = AppMessage.fresh(sender=sender, dest_groups=dest_groups,
                                payload=payload, mid=mid)
-        self._check_broadcast_destinations(msg)
         self._do_cast(msg)
         return msg
+
+    def cast_plan(self, plans: Sequence[CastPlan],
+                  mids: Optional[Sequence[Optional[str]]] = None
+                  ) -> List[AppMessage]:
+        """Schedule one cast per planned item; returns the messages.
+
+        The plan is one kernel plan (:meth:`Simulator.call_at_each`):
+        each cast fires where a ``call_at`` per item, in plan order,
+        would have, while the plan holds one queued event.  The latency
+        meter records a cast when it fires, so the caster's Lamport
+        clock is read at the true cast instant.  Every time and every
+        broadcast destination set is checked before a message id is
+        minted or anything queued, so a plan that fails changes nothing.
+        ``mids`` (aligned with ``plans``) names messages; None mints
+        fresh ids in plan order.
+        """
+        times = [plan.time for plan in plans]
+        self.sim.check_times(times)
+        self._check_broadcast_destinations(
+            {(plan.sender, tuple(plan.dest_groups)) for plan in plans})
+        fresh = AppMessage.fresh
+        if mids is None:
+            msgs = [fresh(plan.sender, plan.dest_groups, plan.payload)
+                    for plan in plans]
+        else:
+            msgs = [fresh(plan.sender, plan.dest_groups, plan.payload, mid)
+                    for plan, mid in zip(plans, mids)]
+        self.sim.call_at_each(times, self._do_cast, msgs)
+        return msgs
 
     def cast_at(self, time: float, sender: int, dest_groups=None,
                 payload=None, mid: Optional[str] = None) -> AppMessage:
         """Schedule a cast at virtual ``time``; returns the message.
 
-        The latency meter records the cast when the event fires, so the
-        caster's Lamport clock is read at the true cast instant.
-        Destination validation runs here, at scheduling time, so a
-        partial-destination cast against a broadcast protocol fails
-        loudly instead of silently reaching ``a_bcast`` mid-run.
+        A one-item :meth:`cast_plan`.  Destination validation runs here,
+        at scheduling time, so a partial-destination cast against a
+        broadcast protocol fails loudly instead of silently reaching
+        ``a_bcast`` mid-run.
         """
-        msg = AppMessage.fresh(sender=sender,
-                               dest_groups=tuple(dest_groups)
-                               if dest_groups is not None
-                               else tuple(self.topology.group_ids),
-                               payload=payload, mid=mid)
-        self._check_broadcast_destinations(msg)
-        self.sim.call_at(time, lambda: self._do_cast(msg),
-                         label=f"cast:{msg.mid}")
-        return msg
+        if dest_groups is None:
+            dest_groups = self.topology.group_ids
+        plan = CastPlan(time, sender, tuple(dest_groups), payload)
+        return self.cast_plan((plan,), mids=(mid,))[0]
 
     # ------------------------------------------------------------------
     # Execution

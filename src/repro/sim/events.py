@@ -23,6 +23,17 @@ not after the entry it popped last — that event would already have run
 — and a reservation that is never materialised costs no heap entry at
 all.
 
+A *block* of slots works the same way.  :meth:`EventQueue.reserve_block`
+mints the ``n`` consecutive seqs that ``n`` pushes made at that moment
+would have got, with one counter jump, and :meth:`EventQueue.push_each`
+builds a *plan* on it: ``n`` callbacks where item ``i`` fires at
+``(times[i], base + i)``, held by one heap entry at a time.  When an
+item fires it queues the next one in ``(time, index)`` order, which
+never lies before the entry being executed.  So every item fires exactly
+where the ``i``-th of ``n`` pushes made at reservation time would have,
+ties with events queued before or during the plan included, while the
+plan costs one heap entry and no :class:`Event` until its last item.
+
 Events sit on the hot path of every simulated message, so the queue's
 heap holds ``(time, seq, event)`` triples — the ``(time, seq)`` prefix
 is unique, which keeps every heap comparison inside the C tuple
@@ -40,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 
 class Event:
@@ -157,6 +168,50 @@ class EventQueue:
         :meth:`push_reserved` later, or drop it.
         """
         return next(self._counter)
+
+    def reserve_block(self, n: int) -> int:
+        """Mint ``n`` consecutive seqs with one counter jump.
+
+        Returns the first; the block is the seqs ``n`` pushes right now
+        would get.  ``n == 0`` mints nothing.
+        """
+        first = next(self._counter)
+        self._counter = itertools.count(first + n)
+        return first
+
+    def push_each(self, times: Sequence[float],
+                  action: Callable[[Any], None], items: Sequence[Any],
+                  order: Optional[Sequence[int]] = None) -> None:
+        """Queue ``action(items[i])`` at ``times[i]`` for every ``i``,
+        holding one bare heap entry at a time (a *plan*; see "Reserved
+        slots" in the module docstring).
+
+        ``order`` lists the indexes in ``(times[i], i)`` order; None
+        means ``times`` is already nondecreasing.  The caller checks
+        that no time is in the past.
+        """
+        n = len(items)
+        if not n:
+            return
+        base = self.reserve_block(n)
+        order = range(n) if order is None else order
+        heap = self._heap
+        heappush = heapq.heappush
+        position = 0
+
+        def fire() -> None:
+            nonlocal position
+            i = order[position]
+            position += 1
+            if position < n:
+                j = order[position]
+                heappush(heap, (times[j], base + j, fire))
+                self._live += 1
+            action(items[i])
+
+        first = order[0]
+        heappush(heap, (times[first], base + first, fire))
+        self._live += 1
 
     def push_reserved(self, time: float, seq: Any,
                       action: Callable[[], None],

@@ -3,8 +3,9 @@
 :class:`Simulator` owns the virtual clock and the event queue.  All other
 subsystems (network, protocols, workloads, failure schedules) interact
 with the kernel exclusively through :meth:`Simulator.schedule` /
-:meth:`Simulator.call_at`, which keeps the whole run deterministic for a
-given seed.
+:meth:`Simulator.call_at` (or :meth:`Simulator.call_at_each` for a
+whole plan), which keeps the whole run deterministic for a given
+seed.
 
 The kernel deliberately knows nothing about processes, messages, or
 protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.
@@ -12,7 +13,9 @@ protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from itertools import islice
+from operator import le
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.sim.events import Event, EventQueue
 
@@ -85,6 +88,37 @@ class Simulator:
                 f"cannot schedule at {time!r}, already at {self._now!r}"
             )
         return self._queue.push(time, action, label)
+
+    def check_times(self, times: Sequence[float]) -> None:
+        """Raise :class:`SimulationError` if any of ``times`` is in the
+        past (what :meth:`call_at` refuses), naming the first one."""
+        if times and min(times) < self._now:
+            past = next(t for t in times if t < self._now)
+            raise SimulationError(
+                f"cannot schedule at {past!r}, already at {self._now!r}"
+            )
+
+    def call_at_each(self, times: Sequence[float],
+                     action: Callable[[Any], None],
+                     items: Sequence[Any]) -> None:
+        """Schedule ``action(items[i])`` at absolute time ``times[i]``.
+
+        Every item fires exactly where one of ``len(items)``
+        :meth:`call_at` calls made now, in index order, would have, but
+        the whole plan holds one heap entry at a time (see "Reserved
+        slots" in :mod:`repro.sim.events`).  Every time is checked
+        before anything is queued.  ``pending_events`` counts a queued
+        plan as one event.
+        """
+        if len(times) != len(items):
+            raise ValueError(
+                f"{len(times)} times for {len(items)} items"
+            )
+        self.check_times(times)
+        order = None
+        if not all(map(le, times, islice(times, 1, None))):
+            order = sorted(range(len(times)), key=times.__getitem__)
+        self._queue.push_each(times, action, items, order)
 
     def reserve_slot(self):
         """Reserve the tie-break slot a ``schedule`` right now would get.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.interfaces import AppMessage
-from repro.reconfig.balancer import LoadBalancer
+from repro.reconfig.balancer import LoadBalancer, tick_times
 from repro.runtime.builder import System, build_system
 from repro.store.client import CommitTracker, StoreClient
 from repro.store.partition import PartitionMap
@@ -175,8 +175,26 @@ class StoreCluster:
                 f"scenarios over it need StoreSpec(routing='broadcast')"
             )
         topology = system.topology
-        pmap = build_partition_map(spec, topology)
+        # Clients live in data groups only: a session in a spectator
+        # group would make that group a caster, which genuineness
+        # legitimately permits — and the idle-bystander measurement
+        # is exactly about keeping spectators off the wire entirely.
+        client_pids = [
+            pid
+            for gid in data_group_ids(spec, topology)
+            for pid in topology.members(gid)[:spec.clients_per_group]
+        ]
+        plans = txn_workload(spec, topology, client_pids,
+                             system.rng.stream("store-wl"))
+        # Checked before anything is mounted or queued: a plan with a
+        # time in the past changes nothing.
+        times = [plan.time for plan in plans]
+        system.sim.check_times(times)
         migrating = spec.rebalance_interval > 0
+        if migrating:
+            system.sim.check_times(tick_times(
+                spec.start, spec.horizon, spec.rebalance_interval))
+        pmap = build_partition_map(spec, topology)
         stores = {
             pid: TransactionalStore(
                 system.network.process(pid),
@@ -199,21 +217,10 @@ class StoreCluster:
                 store.on_reject_hooks.append(tracker.on_rejected)
                 store.peer_crashed = (
                     lambda q, _n=system.network: _n.process(q).crashed)
-        # Clients live in data groups only: a session in a spectator
-        # group would make that group a caster, which genuineness
-        # legitimately permits — and the idle-bystander measurement
-        # is exactly about keeping spectators off the wire entirely.
-        client_pids = [
-            pid
-            for gid in data_group_ids(spec, topology)
-            for pid in topology.members(gid)[:spec.clients_per_group]
-        ]
         clients = {pid: StoreClient(stores[pid], tracker,
                                     tag_routes=migrating,
                                     max_retries=spec.max_retries)
                    for pid in client_pids}
-        plans = txn_workload(spec, topology, client_pids,
-                             system.rng.stream("store-wl"))
         cluster = cls(system, spec, pmap, stores, clients, tracker, plans)
         if migrating:
             for store in stores.values():
@@ -224,15 +231,13 @@ class StoreCluster:
                 max_keys=spec.rebalance_keys,
             )
             cluster.balancer.schedule(spec.start, spec.horizon)
-        for plan in plans:
-            system.sim.call_at(
-                plan.time,
-                lambda plan=plan: clients[plan.client].submit(
-                    plan.txn_id, plan.ops),
-                label=f"txn:{plan.txn_id}",
-            )
+        system.sim.call_at_each(times, cluster._submit, plans)
         system.store_cluster = cluster
         return cluster
+
+    def _submit(self, plan: TxnPlan) -> None:
+        """Issue one planned transaction from its client session, now."""
+        self.clients[plan.client].submit(plan.txn_id, plan.ops)
 
     def _on_bounce(self, client_pid: int, txn_id: str, gid: int,
                    keys: tuple, updates: Dict[str, tuple]) -> None:

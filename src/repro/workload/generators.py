@@ -13,10 +13,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.interfaces import SLOTTED
 from repro.net.topology import Topology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class CastPlan:
     """One planned A-XCast."""
 
@@ -36,7 +37,19 @@ DestinationChooser = Callable[[random.Random, Topology, int], Tuple[int, ...]]
 def all_groups(rng: random.Random, topology: Topology,
                sender: int) -> Tuple[int, ...]:
     """Broadcast: every group (the only choice for A2 et al.)."""
-    return tuple(topology.group_ids)
+    return tuple(range(topology.n_groups))
+
+
+def _shared(destinations: DestinationChooser) -> DestinationChooser:
+    """``destinations``, returning one tuple per distinct group set:
+    every cast of a plan to the same groups shares it."""
+    seen: dict = {}
+
+    def choose(rng, topology, sender):
+        dest = destinations(rng, topology, sender)
+        return seen.setdefault(dest, dest)
+
+    return choose
 
 
 def fixed_groups(groups: Sequence[int]) -> DestinationChooser:
@@ -58,15 +71,23 @@ def uniform_k_groups(k: int, include_sender_group: bool = True
     partition plus k-1 remote ones).
     """
 
+    # Per topology: the group ids, and per sender group the others —
+    # built once, not on every draw (the draws themselves are unchanged).
+    pools: dict = {}
+
     def choose(rng: random.Random, topology: Topology,
                sender: int) -> Tuple[int, ...]:
-        gids = list(topology.group_ids)
-        if k > len(gids):
-            raise ValueError(f"k={k} exceeds group count {len(gids)}")
+        pool = pools.get(topology)
+        if pool is None:
+            gids = list(topology.group_ids)
+            if k > len(gids):
+                raise ValueError(f"k={k} exceeds group count {len(gids)}")
+            pool = pools[topology] = (gids, {
+                own: [g for g in gids if g != own] for own in gids})
+        gids, others = pool
         if include_sender_group:
             own = topology.group_of(sender)
-            others = [g for g in gids if g != own]
-            picked = rng.sample(others, k - 1) + [own]
+            picked = rng.sample(others[own], k - 1) + [own]
         else:
             picked = rng.sample(gids, k)
         return tuple(sorted(picked))
@@ -91,11 +112,14 @@ def zipf_group_count(max_k: int, skew: float = 1.5,
         acc += w / total
         cumulative.append(acc)
 
+    by_count = [uniform_k_groups(k, include_sender_group)
+                for k in range(1, max_k + 1)]
+
     def choose(rng: random.Random, topology: Topology,
                sender: int) -> Tuple[int, ...]:
         u = rng.random()
         k = next(i + 1 for i, c in enumerate(cumulative) if u <= c)
-        return uniform_k_groups(k, include_sender_group)(rng, topology, sender)
+        return by_count[k - 1](rng, topology, sender)
 
     return choose
 
@@ -124,7 +148,7 @@ def poisson_workload(
         raise ValueError(
             f"poisson_workload needs a positive rate, got {rate!r}"
         )
-    destinations = destinations or all_groups
+    destinations = _shared(destinations or all_groups)
     senders = list(senders) if senders is not None else topology.processes
     plans: List[CastPlan] = []
     t = start
@@ -167,7 +191,7 @@ def periodic_workload(
         raise ValueError(
             f"periodic_workload needs a non-negative count, got {count!r}"
         )
-    destinations = destinations or all_groups
+    destinations = _shared(destinations or all_groups)
     senders = list(senders) if senders is not None else topology.processes
     rng = rng or random.Random(0)
     plans: List[CastPlan] = []
@@ -217,7 +241,7 @@ def burst_workload(
         raise ValueError(
             f"burst_workload needs a non-negative spread, got {spread!r}"
         )
-    destinations = destinations or all_groups
+    destinations = _shared(destinations or all_groups)
     senders = list(senders) if senders is not None else topology.processes
     plans: List[CastPlan] = []
     for b in range(bursts):
@@ -233,9 +257,10 @@ def burst_workload(
 
 
 def schedule_workload(system, plans: List[CastPlan]) -> List:
-    """Schedule every planned cast on a built system; returns messages."""
-    return [
-        system.cast_at(plan.time, plan.sender, plan.dest_groups,
-                       payload=plan.payload)
-        for plan in plans
-    ]
+    """Schedule every planned cast on a built system; returns messages.
+
+    The whole plan is one kernel plan (:meth:`System.cast_plan`): it
+    holds one queued event however long it is, and a plan with any time
+    in the past raises before a message is made or a cast queued.
+    """
+    return system.cast_plan(plans)

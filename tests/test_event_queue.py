@@ -8,11 +8,15 @@ exact in the presence of cancelled stragglers.
 
 Reserved slots (``reserve`` / ``push_reserved``) extend the pinned
 ``(time, seq)`` contract: an event materialised later fires exactly
-where a ``schedule`` at reservation time would have.
+where a ``schedule`` at reservation time would have.  A plan
+(``call_at_each`` on a ``reserve_block``) fires each item where one
+``call_at`` per item would have, holding one heap entry.
 """
 
+import pytest
+
 from repro.sim.events import Event, EventQueue
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 
 class TestLiveCount:
@@ -261,6 +265,123 @@ class TestReservedSlots:
         assert sim.pending_events == 0
         sim.run_until_quiescent()
         assert sim.events_executed == 0
+
+
+class TestCallAtEach:
+    """A whole plan queued at once, one heap entry at a time."""
+
+    @staticmethod
+    def _run(times, as_plan):
+        """Fire order of a schedule whose plan items tie with events
+        queued before the plan, after it, by an event while it runs and
+        by the items themselves.  ``as_plan=False`` is the oracle: one
+        ``call_at`` per item, in index order."""
+        sim = Simulator()
+        fired = []
+
+        def item(name):
+            fired.append(name)
+            sim.schedule(0.0, lambda: fired.append(name + "-now"))
+
+        def spawner():
+            fired.append("s")
+            sim.call_at(2.0, lambda: fired.append("s2"))
+            sim.call_at(3.0, lambda: fired.append("s3"))
+
+        sim.schedule(2.0, lambda: fired.append("b2"))
+        names = [f"p{i}" for i in range(len(times))]
+        if as_plan:
+            sim.call_at_each(times, item, names)
+        else:
+            for when, name in zip(times, names):
+                sim.call_at(when, lambda n=name: item(n))
+        sim.schedule(1.0, spawner)
+        sim.schedule(3.0, lambda: fired.append("a3"))
+        sim.run()
+        return fired, sim.events_executed
+
+    def test_items_tie_exactly_where_one_call_at_each_would(self):
+        times = [1.0, 2.0, 2.0, 3.0, 3.0]
+        reference = self._run(times, as_plan=False)
+        assert reference[0] == [
+            "p0", "s", "p0-now",
+            "b2", "p1", "p2", "s2", "p1-now", "p2-now",
+            "p3", "p4", "a3", "s3", "p3-now", "p4-now"]
+        assert self._run(times, as_plan=True) == reference
+
+    def test_unsorted_times_fire_in_time_then_index_order(self):
+        times = [3.0, 1.0, 2.0, 3.0, 2.0]
+        reference = self._run(times, as_plan=False)
+        fired, executed = self._run(times, as_plan=True)
+        assert (fired, executed) == reference
+        assert [n for n in fired if n[0] == "p" and "-" not in n] == [
+            "p1", "p2", "p4", "p0", "p3"]
+
+    def test_plan_queued_by_a_running_event_ties_as_call_ats_would(self):
+        def run(as_plan):
+            sim = Simulator()
+            fired = []
+
+            def queue_plan():
+                fired.append("q")
+                times, names = [1.0, 1.0, 2.0], ["x", "y", "z"]
+                if as_plan:
+                    sim.call_at_each(times, fired.append, names)
+                else:
+                    for when, name in zip(times, names):
+                        sim.call_at(when, lambda n=name: fired.append(n))
+                sim.call_at(1.0, lambda: fired.append("after"))
+
+            sim.schedule(1.0, queue_plan)
+            sim.schedule(1.0, lambda: fired.append("before"))
+            sim.run()
+            return fired
+
+        assert run(as_plan=False) == ["q", "before", "x", "y", "after", "z"]
+        assert run(as_plan=True) == run(as_plan=False)
+
+    def test_a_queued_plan_counts_as_one_pending_event(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at_each([1.0, 2.0, 3.0], fired.append, ["a", "b", "c"])
+        assert sim.pending_events == 1
+        assert len(sim._queue._heap) == 1
+        sim.schedule(1.5, lambda: None)
+        assert sim.pending_events == 2
+        assert sim.step() and fired == ["a"]
+        assert sim.pending_events == 2  # the plan's next item, and 1.5
+        sim.run_until_quiescent()
+        assert fired == ["a", "b", "c"]
+        assert sim.pending_events == 0
+        assert sim.events_executed == 4
+
+    def test_an_empty_plan_queues_and_mints_nothing(self):
+        sim = Simulator()
+        sim.call_at_each([], lambda item: None, [])
+        assert sim.pending_events == 0
+        assert sim.schedule(1.0, lambda: None).seq == 0
+
+    def test_a_block_is_the_seqs_n_pushes_would_get(self):
+        queue = EventQueue()
+        assert queue.push(1.0, lambda: None).seq == 0
+        assert queue.reserve_block(3) == 1
+        assert queue.push(1.0, lambda: None).seq == 4
+
+    def test_a_past_time_raises_before_anything_is_queued(self):
+        sim = Simulator()
+        sim.schedule(5.0, lambda: None)
+        sim.run()
+        fired = []
+        with pytest.raises(SimulationError, match="cannot schedule at 1"):
+            sim.call_at_each([6.0, 7.0, 1.0, 8.0], fired.append, "abcd")
+        assert sim.pending_events == 0
+        assert sim.schedule(1.0, lambda: None).seq == 1  # no seq minted
+        sim.run()
+        assert fired == []
+
+    def test_times_and_items_must_align(self):
+        with pytest.raises(ValueError):
+            Simulator().call_at_each([1.0, 2.0], print, ["only one"])
 
 
 class TestIdleHookRefill:
