@@ -112,7 +112,7 @@ def run_case(scenario: ScenarioSpec, adversary: AdversarySpec,
     counterexample too.
     """
     t0 = time.perf_counter()
-    system, plans, applied = build_scenario_system(
+    system, _casts, applied = build_scenario_system(
         scenario, seed, adversary=adversary)
     violation: Optional[Violation] = None
     try:

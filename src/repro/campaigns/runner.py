@@ -211,9 +211,13 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
     explorer/shrinker/replay run of the same (spec, adversary, seed)
     triple are bit-identical by construction.
 
-    Returns ``(system, plans, applied)`` where ``applied`` is the
+    Returns ``(system, casts, applied)``: ``casts`` is the list of
+    scheduled :class:`~repro.core.interfaces.AppMessage` (for a store
+    scenario, the cluster's transaction plans), one per planned cast;
+    ``applied`` is the
     :class:`~repro.adversary.injectors.AppliedAdversary` (None when
-    benign).
+    benign).  The cast plan itself is not kept: its rows are garbage
+    once queued, and the messages are the run's anyway.
     """
     validate_spec(spec)
     crash_rng = RngRegistry(seed).stream("campaign-crashes")
@@ -268,9 +272,9 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
 
         cluster = StoreCluster.attach(system, spec.store)
         return system, cluster.plans, applied
-    plans = spec.workload.plans(system.topology, system.rng.stream("wl"))
-    schedule_workload(system, plans)
-    return system, plans, applied
+    casts = schedule_workload(
+        system, spec.workload.plans(system.topology, system.rng.stream("wl")))
+    return system, casts, applied
 
 
 def run_scenario_seed(spec: ScenarioSpec, seed: int) -> RunResult:
@@ -282,11 +286,11 @@ def run_scenario_seed(spec: ScenarioSpec, seed: int) -> RunResult:
     invocations (in any process) agree exactly.
     """
     t0 = time.perf_counter()
-    system, plans, applied = build_scenario_system(spec, seed)
+    system, casts, applied = build_scenario_system(spec, seed)
     system.run_quiescent(max_events=spec.max_events)
 
     metrics = extract(system, list(spec.metrics))
-    metrics["planned_casts"] = float(len(plans))
+    metrics["planned_casts"] = float(len(casts))
     if applied is not None:
         metrics["faults_injected"] = float(applied.total_faults)
     verdicts = run_checkers(system, spec)

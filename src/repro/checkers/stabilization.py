@@ -21,6 +21,13 @@ its own — no operator, no reset:
   reports how long after it the system kept working — the
   stabilization time, the quantity the lossy-net campaign tables.
 
+"Self-stabilizes" is meant in that weaker sense: every run starts from
+the protocols' and the transport's initial state, and the check is that
+the run *drains* once the faults stop at ``until``.  It is not
+Dolev et al.'s sense, convergence from an *arbitrary* state (transient
+corruption of protocol or transport memory); no adversary here starts
+a run, or puts one, in such a state.
+
 The safety properties themselves (validity, agreement, prefix order,
 integrity) stay with :mod:`repro.checkers.properties`; campaigns pair
 ``"stabilization"`` with ``"properties"`` so a verdict of all-ok reads

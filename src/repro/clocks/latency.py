@@ -12,6 +12,14 @@ A built system writes its records from each endpoint's delivery
 callback (``System.install_endpoint``) and shares the table with its
 :class:`~repro.runtime.results.DeliveryLog`; :meth:`record_cast` and
 :meth:`record_delivery` serve standalone meters.
+
+A record's ``delivery_time`` map is copy-on-write and shared: a
+delivery never changes a map in place, it replaces the record's map
+with a successor made by :class:`DeliveryMaps`.  Every record starts
+from the one empty :data:`NO_DELIVERIES`, and the successor is
+memoised per delivering process, so the messages a process delivers
+together at one instant — a whole A2 round — keep one map between
+them, not one each.
 """
 
 from __future__ import annotations
@@ -20,6 +28,47 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
+
+
+#: The map every record starts from.  Shared by every record, so never
+#: written: see :class:`DeliveryMaps`.
+NO_DELIVERIES: Dict[int, float] = {}
+
+
+class DeliveryMaps:
+    """The one rule by which a record's ``delivery_time`` changes.
+
+    No map is changed in place.  ``pid``'s delivery at ``now`` replaces
+    a record's map ``before`` with ``{**before, pid: now}``, and the
+    successor is memoised per pid on (the ``before`` object, ``now``).
+    When a process delivers a batch at one instant, every message of
+    the batch whose map was shared before gets the same successor: an
+    A2 round's messages hold one map per round, and a map read from a
+    record stays as it was whatever is delivered later.  A pid that
+    delivers twice keeps its one key, in first-delivery order, with
+    the later time.
+
+    ``System.install_endpoint`` inlines this rule in its delivery
+    callback; :meth:`LatencyMeter.record_delivery` and
+    :meth:`DeliveryLog.record_delivery
+    <repro.runtime.results.DeliveryLog.record_delivery>` call it.
+    """
+
+    __slots__ = ("_last",)
+
+    def __init__(self) -> None:
+        #: pid -> (predecessor map, instant, successor map).
+        self._last: Dict[int, tuple] = {}
+
+    def after(self, before: Dict[int, float], pid: int,
+              now: float) -> Dict[int, float]:
+        """The map that replaces ``before`` on ``pid``'s delivery."""
+        last = self._last.get(pid)
+        if last is not None and last[0] is before and last[1] == now:
+            return last[2]
+        successor = {**before, pid: now}
+        self._last[pid] = (before, now, successor)
+        return successor
 
 
 class MessageRecord:
@@ -35,7 +84,10 @@ class MessageRecord:
       checkers and :meth:`DeliveryLog.deliveries_of
       <repro.runtime.results.DeliveryLog.deliveries_of>` read them in
       place.  A pid that delivers twice keeps one key (its per-pid
-      sequence in the log shows the repeat);
+      sequence in the log shows the repeat).  The map is shared with
+      the other messages delivered in the same batches and is never
+      changed in place: each delivery replaces it (:class:`DeliveryMaps`),
+      so read it freely, and never write it;
     * ``max_delivery_lamport`` — the running maximum of the delivery
       stamps, so :attr:`latency_degree` is O(1).  A process's stamps
       only grow, so it is the maximum over every delivery recorded.
@@ -50,12 +102,14 @@ class MessageRecord:
         self.cast_lamport: Optional[int] = None
         self.cast_time: Optional[float] = None
         self.dest_groups: tuple = ()
-        self.delivery_time: Dict[int, float] = {}
+        self.delivery_time: Dict[int, float] = NO_DELIVERIES
         self.max_delivery_lamport: Optional[int] = None
 
-    def add_delivery(self, pid: int, lamport: int, time: float) -> None:
-        """Record ``pid``'s A-Deliver at Lamport stamp ``lamport``."""
-        self.delivery_time[pid] = time
+    def add_delivery(self, pid: int, lamport: int, time: float,
+                     maps: DeliveryMaps) -> None:
+        """Record ``pid``'s A-Deliver at Lamport stamp ``lamport``;
+        ``maps`` makes the record's new ``delivery_time`` map."""
+        self.delivery_time = maps.after(self.delivery_time, pid, time)
         top = self.max_delivery_lamport
         if top is None or lamport > top:
             self.max_delivery_lamport = lamport
@@ -95,6 +149,7 @@ class LatencyMeter:
         #: msg id -> record; a built system shares it with its log.
         self._records: Dict[str, MessageRecord] = (
             {} if records is None else records)
+        self._maps = DeliveryMaps()
 
     def _record(self, msg_id: str) -> MessageRecord:
         rec = self._records.get(msg_id)
@@ -120,7 +175,7 @@ class LatencyMeter:
     def record_delivery(self, msg_id: str, process: "Process", now: float = 0.0) -> None:
         """Record an A-Deliver event of ``msg_id`` on ``process``."""
         self._record(msg_id).add_delivery(
-            process.pid, process.lamport.local_event(), now)
+            process.pid, process.lamport.local_event(), now, self._maps)
 
     # ------------------------------------------------------------------
     # Queries

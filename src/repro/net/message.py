@@ -96,6 +96,10 @@ class MessageCatalog:
     protocols' total-order tiebreaker, and reliable multicast delivers
     per cast, so a second cast under one mid would be delivered twice.
     Interning a second message object under a known mid raises.
+
+    The table is also a built system's cast map: its
+    :class:`~repro.runtime.results.DeliveryLog` reads :attr:`by_mid`
+    as ``cast_map``, so each cast message is kept once, in cast order.
     """
 
     __slots__ = ("_by_mid",)
@@ -130,6 +134,14 @@ class MessageCatalog:
                 f"mid {msg.mid!r} is already cast: a mid is cast at most "
                 f"once")
         return msg.mid
+
+    @property
+    def by_mid(self) -> Dict[str, Any]:
+        """The live table, mid → message, in cast order.
+
+        Read it in place; only :meth:`intern` writes it.
+        """
+        return self._by_mid
 
     def get(self, mid: str):
         """The message interned under ``mid`` (KeyError if unknown)."""

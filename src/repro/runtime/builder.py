@@ -69,11 +69,12 @@ class System:
         self.rng = rng
         self.crashes = crashes
         # One record per message, shared: the meter reads its stamps,
-        # the log and the checkers its deliverers.
+        # the log and the checkers its deliverers.  The log's cast map
+        # is the catalog's table.
         records: Dict[str, MessageRecord] = {}
         self.meter = LatencyMeter(records)
-        self.log = DeliveryLog(records)
         self.catalog = MessageCatalog.of(sim)
+        self.log = DeliveryLog(records, cast=self.catalog.by_mid)
         self.endpoints: Dict[int, object] = {}
         #: pid -> its endpoint's bound ``a_mcast`` (or ``a_bcast``).
         self._casts: Dict[int, Callable[[AppMessage], None]] = {}
@@ -102,18 +103,29 @@ class System:
         sim = self.sim
         hooks = self._delivery_hooks
         taps = self._delivery_taps.setdefault(pid, [])
+        # DeliveryMaps.after's memo for this pid: (predecessor, instant)
+        # and the successor it got.
+        before_last = now_last = after_last = None
 
         def on_deliver(msg: AppMessage) -> None:
+            nonlocal before_last, now_last, after_last
             sequence = sequences.get(pid)
             if sequence is None:
                 sequence = sequences[pid] = []
             sequence.append(msg)
-            # MessageRecord.add_delivery, inlined.
+            # MessageRecord.add_delivery with DeliveryMaps.after, inlined:
+            # a batch delivered at one instant shares one successor map.
             mid = msg.mid
             rec = records.get(mid)
             if rec is None:
                 rec = records[mid] = MessageRecord(mid)
-            rec.delivery_time[pid] = sim.now
+            before = rec.delivery_time
+            now = sim.now
+            if before is before_last and now == now_last:
+                rec.delivery_time = after_last
+            else:
+                before_last, now_last = before, now
+                rec.delivery_time = after_last = {**before, pid: now}
             stamp = clock.value  # a delivery does not tick the clock
             top = rec.max_delivery_lamport
             if top is None or stamp > top:
@@ -177,17 +189,26 @@ class System:
                     f"messages must address all groups"
                 )
 
-    def _do_cast(self, msg: AppMessage) -> None:
-        """Record and hand ``msg`` to its sender's endpoint, now."""
-        sender = msg.sender
-        process = self.network.process(sender)
+    def record_cast(self, msg: AppMessage) -> None:
+        """Record the cast of ``msg``, now, and run the cast hooks.
+
+        Every cast path calls this before it hands ``msg`` to an
+        endpoint: :meth:`cast` / :meth:`cast_plan` and a store
+        replica's :class:`~repro.store.cluster.TappedEndpoint`.
+        Interning fills the log's cast map (a second cast of a mid
+        raises here, before anything is recorded); the meter stamps
+        the cast on the sender's clock.
+        """
         self.catalog.intern(msg)
-        self.log.record_cast(msg)
-        self.meter.record_cast(msg.mid, process, dest_groups=msg.dest_groups,
-                               now=self.sim.now)
+        self.meter.record_cast(msg.mid, self.network.process(msg.sender),
+                               dest_groups=msg.dest_groups, now=self.sim.now)
         for hook in self._cast_hooks:
             hook(msg)
-        self._casts[sender](msg)
+
+    def _do_cast(self, msg: AppMessage) -> None:
+        """Record and hand ``msg`` to its sender's endpoint, now."""
+        self.record_cast(msg)
+        self._casts[msg.sender](msg)
 
     def cast(
         self,

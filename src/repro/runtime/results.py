@@ -16,31 +16,50 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.clocks.latency import MessageRecord
+from repro.clocks.latency import DeliveryMaps, MessageRecord
 from repro.core.interfaces import AppMessage
 
 
 class DeliveryLog:
     """Per-process A-Deliver sequences for a run.
 
-    The log owns what is per *process* — each pid's delivered messages,
-    in order — and the cast map.  What is per *message* lives in the
-    :class:`~repro.clocks.latency.MessageRecord` table: a built system
-    hands its :class:`~repro.clocks.latency.LatencyMeter`'s table to
-    its log, and a standalone ``DeliveryLog()`` owns a table of its own.
-    A message's deliverers are its record's ``delivery_time`` keys.
+    The log owns what is per *process*: each pid's delivered messages,
+    in order.  What is per *message* it reads from tables it shares:
+
+    * the cast map, mid → cast message.  A built system's cast map *is*
+      its :class:`~repro.net.message.MessageCatalog` table
+      (:attr:`MessageCatalog.by_mid
+      <repro.net.message.MessageCatalog.by_mid>`), filled by the
+      catalog's ``intern`` at each cast, so the run keeps one mid-keyed
+      map of messages, not two;
+    * the :class:`~repro.clocks.latency.MessageRecord` table: a built
+      system hands its :class:`~repro.clocks.latency.LatencyMeter`'s
+      table to its log.  A message's deliverers are its record's
+      ``delivery_time`` keys, and that map is shared between records
+      and never changed in place (see
+      :class:`~repro.clocks.latency.DeliveryMaps`).
+
+    A standalone ``DeliveryLog()`` owns a cast map and a record table
+    of its own, filled by :meth:`record_cast` and
+    :meth:`record_delivery`.
     """
 
     def __init__(self,
-                 records: Optional[Dict[str, MessageRecord]] = None) -> None:
+                 records: Optional[Dict[str, MessageRecord]] = None,
+                 cast: Optional[Dict[str, AppMessage]] = None) -> None:
         self._sequences: Dict[int, List[AppMessage]] = {}
-        self._cast: Dict[str, AppMessage] = {}
+        self._cast: Dict[str, AppMessage] = {} if cast is None else cast
         self._records: Dict[str, MessageRecord] = (
             {} if records is None else records)
+        self._maps = DeliveryMaps()
 
     # ------------------------------------------------------------------
     def record_cast(self, msg: AppMessage) -> None:
-        """Remember a cast message (destination sets feed the checkers)."""
+        """Remember a cast message (destination sets feed the checkers).
+
+        For standalone logs: a built system's catalog fills its log's
+        cast map at each cast.
+        """
         self._cast[msg.mid] = msg
 
     def record_delivery(self, pid: int, msg: AppMessage) -> None:
@@ -57,7 +76,7 @@ class DeliveryLog:
         rec = self._records.get(msg.mid)
         if rec is None:
             rec = self._records[msg.mid] = MessageRecord(msg.mid)
-        rec.delivery_time[pid] = 0.0
+        rec.delivery_time = self._maps.after(rec.delivery_time, pid, 0.0)
 
     # ------------------------------------------------------------------
     def sequence(self, pid: int) -> List[str]:

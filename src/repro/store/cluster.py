@@ -44,9 +44,10 @@ class TappedEndpoint:
     The system's builder already installed the real delivery handler
     (log + meter); a replica subscribes through a delivery tap instead,
     so this adapter satisfies the replica's ``set_delivery_handler``
-    call by registering a tap.  Casts are recorded in the system's log
-    and meter first, so the latency meter and the property checkers
-    see store traffic like any other cast.
+    call by registering a tap.  Casts are recorded by
+    :meth:`System.record_cast <repro.runtime.builder.System.record_cast>`
+    first, so the latency meter, the property checkers and the cast
+    hooks (a streaming checker) see store traffic like any other cast.
     """
 
     def __init__(self, system: System, pid: int) -> None:
@@ -59,13 +60,7 @@ class TappedEndpoint:
 
     def a_mcast(self, msg: AppMessage) -> None:
         """Cast ``msg``; a broadcast protocol's endpoint A-BCasts it."""
-        self._system.catalog.intern(msg)  # a second cast raises here
-        process = self._system.network.process(self._pid)
-        self._system.log.record_cast(msg)
-        self._system.meter.record_cast(
-            msg.mid, process, dest_groups=msg.dest_groups,
-            now=self._system.sim.now,
-        )
+        self._system.record_cast(msg)  # a second cast raises here
         if hasattr(self._endpoint, "a_mcast"):
             self._endpoint.a_mcast(msg)
         else:

@@ -18,6 +18,13 @@ faults stop (the injectors' ``until`` horizon), every outstanding frame
 drains and the event queue quiesces with all properties green — the
 stabilization property :mod:`repro.checkers.stabilization` asserts.
 
+"Self-stabilizing" here has that weaker meaning: the transport starts
+from its initial state (every window empty, every sequence at zero),
+and the claim is that it *drains* once the channel faults stop at
+``until``.  Dolev et al. mean more: convergence from an *arbitrary*
+state — corrupted sequence numbers, windows and timers included.  That
+stronger property is neither claimed nor tested here.
+
 Wire format
 -----------
 The transport does not change message kinds or payloads — protocol

@@ -534,3 +534,22 @@ class TestStreamingIncremental:
         checker.finalize()
         assert checker.deliveries_checked == system.log.delivery_count()
         check_all(system.log, system.topology, system.crashes)
+
+    def test_store_system_hookup(self):
+        """Store casts run the system's cast hooks: a streaming checker
+        on a store system sees every transaction cast before its
+        deliveries, instead of failing on the first delivery with a
+        false "never cast" integrity violation."""
+        from repro.runtime.builder import build_system
+        from repro.store.cluster import StoreCluster
+        from repro.store.spec import StoreSpec
+
+        system = build_system(protocol="a1", group_sizes=[2, 2, 2], seed=42)
+        checker = system.install_streaming_checker()
+        cluster = StoreCluster.attach(system, StoreSpec(duration=20.0))
+        system.run_quiescent()
+        checker.finalize()
+        assert len(checker.log.cast_map) == len(system.log.cast_map) \
+            >= len(cluster.plans) > 0
+        assert checker.deliveries_checked == system.log.delivery_count()
+        check_all(system.log, system.topology, system.crashes)

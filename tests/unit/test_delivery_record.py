@@ -4,15 +4,18 @@ A built system keeps exactly one :class:`MessageRecord` per message,
 shared by its :class:`LatencyMeter` and its :class:`DeliveryLog`: the
 record's ``delivery_time`` keys, in first-delivery order, are the
 message's deliverers, and ``max_delivery_lamport`` is all the latency
-degree needs.  These tests pin that contract, and that ``check_all``
-reads it to the same verdict — same message, same ``context`` — as the
-four-pass oracle, for hand-fed logs and for a run of every protocol.
+degree needs.  The ``delivery_time`` map is shared and never changed
+in place: a delivery replaces it with a successor, and a batch that
+one process delivers at one instant shares one successor.  These tests
+pin that contract, and that ``check_all`` reads it to the same verdict
+— same message, same ``context`` — as the four-pass oracle, for
+hand-fed logs and for a run of every protocol.
 """
 
 import pytest
 
 from repro.checkers.properties import PropertyViolation, check_all
-from repro.clocks.latency import MessageRecord
+from repro.clocks.latency import LatencyMeter, MessageRecord
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
@@ -67,6 +70,112 @@ class TestRecord:
         first, second = _log([msg], [(0, "a")]), DeliveryLog()
         assert second.record_map == {}
         assert first.deliveries_of("a") == [0]
+
+
+class _StubEndpoint:
+    """Takes a built system's delivery callback, to feed it by hand."""
+
+    def set_delivery_handler(self, handler):
+        self.deliver = handler
+
+
+class TestSharedMaps:
+    """Copy-on-write ``delivery_time`` maps, shared by batch."""
+
+    A = AppMessage(mid="a", sender=0, dest_groups=(0, 1))
+    B = AppMessage(mid="b", sender=0, dest_groups=(0, 1))
+
+    def _stub_system(self):
+        """A built (2, 2) system whose pids 0 and 1 are fed by hand."""
+        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        stubs = {pid: _StubEndpoint() for pid in (0, 1)}
+        for pid, stub in stubs.items():
+            system.install_endpoint(pid, stub)
+        return system, stubs
+
+    def _deliver_at(self, system, time, deliveries):
+        """Feed ``(stub, msg)`` deliveries in one event at ``time``."""
+        def deliver():
+            for stub, msg in deliveries:
+                stub.deliver(msg)
+
+        system.sim.call_at(time, deliver)
+        system.run()
+
+    def test_hand_fed_map_is_unchanged_by_later_deliveries(self):
+        log = _log([self.A], [(0, "a")])
+        taken = log.record_map["a"].delivery_time
+        log.record_delivery(1, self.A)
+        log.record_delivery(0, self.A)
+        assert taken == {0: 0.0}
+        assert log.record_map["a"].delivery_time == {0: 0.0, 1: 0.0}
+
+    def test_hand_fed_batch_shares_one_map(self):
+        log = _log([self.A, self.B], [(0, "a"), (0, "b"), (1, "a"),
+                                      (1, "b")])
+        maps = [log.record_map[mid].delivery_time for mid in "ab"]
+        assert maps[0] is maps[1]
+        assert list(maps[0]) == [0, 1]
+
+    def test_meter_map_is_unchanged_by_later_deliveries(self):
+        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        meter, (p0, p1) = LatencyMeter(), (system.network.process(0),
+                                          system.network.process(1))
+        meter.record_cast("a", p0)
+        meter.record_delivery("a", p1, now=1.0)
+        taken = meter.record_for("a").delivery_time
+        meter.record_delivery("a", p0, now=2.0)
+        meter.record_delivery("a", p1, now=3.0)
+        assert taken == {1: 1.0}
+        assert meter.record_for("a").delivery_time == {1: 3.0, 0: 2.0}
+
+    def test_built_system_repeat_keeps_one_key_in_first_order(self):
+        system, stubs = self._stub_system()
+        for msg in (self.A, self.B):
+            system.record_cast(msg)
+        self._deliver_at(system, 1.0, [(stubs[1], self.A),
+                                       (stubs[1], self.B)])
+        first = system.log.record_map["a"].delivery_time
+        self._deliver_at(system, 2.0, [(stubs[0], self.A),
+                                       (stubs[0], self.B)])
+        self._deliver_at(system, 3.0, [(stubs[1], self.A)])
+        rec_a, rec_b = (system.log.record_map[mid] for mid in "ab")
+        assert first == {1: 1.0}
+        assert list(rec_a.delivery_time.items()) == [(1, 3.0), (0, 2.0)]
+        assert list(rec_b.delivery_time.items()) == [(1, 1.0), (0, 2.0)]
+        assert system.log.deliveries_of("a") == [1, 0]
+        assert [m.mid for m in system.log.sequences[1]] == ["a", "b", "a"]
+
+    def test_built_system_batch_at_one_instant_shares_one_map(self):
+        system, stubs = self._stub_system()
+        for msg in (self.A, self.B):
+            system.record_cast(msg)
+        for time, pid in ((1.0, 0), (1.5, 1)):
+            self._deliver_at(system, time, [(stubs[pid], self.A),
+                                            (stubs[pid], self.B)])
+        rec_a, rec_b = (system.log.record_map[mid] for mid in "ab")
+        assert rec_a.delivery_time is rec_b.delivery_time
+        assert rec_a.delivery_time == {0: 1.0, 1: 1.5}
+
+    def test_a2_run_maps_taken_mid_run_stay_as_they_were(self):
+        system = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=42)
+        system.start_rounds()
+        schedule_workload(system, poisson_workload(
+            system.topology, system.rng.stream("wl"), rate=100.0,
+            duration=20.0))
+        system.run(until=10.0)
+        taken = [(rec.delivery_time, dict(rec.delivery_time))
+                 for rec in system.log.record_map.values()]
+        assert any(len(copy) < 9 for _, copy in taken)
+        system.run_quiescent()
+        for shared, copy in taken:
+            assert shared == copy
+        records = system.log.record_map.values()
+        assert all(len(rec.delivery_time) == 9 for rec in records)
+        maps = {id(rec.delivery_time) for rec in records}
+        assert len(records) >= 2_000
+        assert len(maps) * 20 <= len(records), \
+            f"{len(records)} records on {len(maps)} maps"
 
 
 class TestCheckAllOnRecords:
