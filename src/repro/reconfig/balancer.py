@@ -146,12 +146,13 @@ class LoadBalancer:
         """Decay every key's heat by :data:`HEAT_DECAY` and add the
         issues since the previous tick.
 
-        Reads the tracker's *issue* journal, not its commit journal: a
-        saturated partition commits at most 1/service_time transactions
-        per unit time no matter how many are queued, so commit heat
-        understates exactly the partitions that need relief, and a
-        commit-driven balancer starves itself of its trigger signal.
-        Issue heat measures offered load wherever the queue stands.
+        Heat counts issues (the tracker's ``key_issues``), not commits:
+        a saturated partition commits at most 1/service_time
+        transactions per unit time no matter how many are queued, so
+        commit heat would understate exactly the partitions that need
+        relief, and a commit-driven balancer would starve itself of its
+        trigger signal.  Issue heat measures offered load wherever the
+        queue stands.
         """
         self.heat = heat = {k: v * HEAT_DECAY for k, v in self.heat.items()
                             if v * HEAT_DECAY >= _FORGET}

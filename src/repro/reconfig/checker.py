@@ -33,10 +33,13 @@ uncommitted transactions and ``keys_in_flight``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Set
 
 from repro.reconfig.txn import move_seq
-from repro.store.checker import StreamingSerializabilityChecker
+from repro.store.checker import (
+    StreamingSerializabilityChecker,
+    correct_members,
+)
 
 
 class ReconfigViolation(AssertionError):
@@ -51,12 +54,6 @@ class ReconfigViolation(AssertionError):
         self.context: Dict[str, object] = context
 
 
-def _correct_members(cluster, gid: int) -> List[int]:
-    network = cluster.system.network
-    return [pid for pid in cluster.system.topology.members(gid)
-            if not network.process(pid).crashed]
-
-
 def check_reconfig(cluster) -> Dict[str, object]:
     """Verify every migration of a finished run; returns a summary.
 
@@ -68,6 +65,7 @@ def check_reconfig(cluster) -> Dict[str, object]:
     checker.ingest_journals(cluster)
     checker.finalize(cluster)
     replay = checker.reconfig_replay
+    correct = correct_members(cluster)
 
     # ------------------------------------------------------------ 1 + 2
     ops = {}
@@ -81,7 +79,7 @@ def check_reconfig(cluster) -> Dict[str, object]:
         op = ops[rid]
         outcomes: Dict[int, str] = {}
         for gid in (op.src, op.dst):
-            for pid in _correct_members(cluster, gid):
+            for pid in correct[gid]:
                 store = cluster.stores[pid]
                 if rid not in store.initiated_reconfigs:
                     continue  # R never reached this replica (it may
@@ -174,7 +172,7 @@ def check_reconfig(cluster) -> Dict[str, object]:
     # -------------------------------------------------------------- 4
     holders: Dict[str, Dict[int, Set]] = {}
     for gid in cluster.system.topology.group_ids:
-        for pid in _correct_members(cluster, gid):
+        for pid in correct[gid]:
             for key, value in cluster.stores[pid].state.items():
                 holders.setdefault(key, {}).setdefault(
                     gid, set()).add(repr(value))

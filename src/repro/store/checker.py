@@ -47,7 +47,7 @@ epoch-0 map and every rule degenerates to the static behaviour above.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.interfaces import AppMessage
 from repro.net.topology import Topology
@@ -68,6 +68,16 @@ class SerializabilityViolation(AssertionError):
         self.context: Dict[str, object] = context
 
 
+def correct_members(cluster) -> Dict[int, List[int]]:
+    """gid -> the group's members that had not crashed when the run
+    ended; crash state is frozen then, so a check reads it once."""
+    network = cluster.system.network
+    topology = cluster.system.topology
+    return {gid: [pid for pid in topology.members(gid)
+                  if not network.process(pid).crashed]
+            for gid in topology.group_ids}
+
+
 class _GroupWalk:
     """The deterministic per-group epoch walk, and what it derives.
 
@@ -79,8 +89,15 @@ class _GroupWalk:
     ended (``pending_end``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, epoch0, executed_in: Dict[str, Tuple[int, ...]],
+                 controls: bool) -> None:
+        self._epoch0 = epoch0
+        self._executed_in = executed_in
+        #: does any journal hold a reconfig or handoff?
+        self.controls = controls
         #: (txn id, key) -> did the responsible group execute the ops?
+        #: With no control in any journal, an untagged txn has no entry:
+        #: its responsible group is the key's epoch-0 owner (``owned``).
         self.facts: Dict[Tuple[str, str], bool] = {}
         #: reconfig id -> the source CAS decision.
         self.proceed: Dict[str, bool] = {}
@@ -97,6 +114,15 @@ class _GroupWalk:
         self.views: Dict[int, object] = {}
         #: gid -> keys still awaiting their handoff at the end.
         self.pending_end: Dict[int, Set[str]] = {}
+
+    def owned(self, txn: Transaction) -> Callable[[str], bool]:
+        """The keys of ``txn`` whose ops the responsible group ran."""
+        if txn.routes is None and not self.controls:
+            gids = self._executed_in[txn.txn_id]
+            group_of = self._epoch0.group_of
+            return lambda key: group_of(key) in gids
+        facts, txn_id = self.facts, txn.txn_id
+        return lambda key: facts.get((txn_id, key), False)
 
     def last_before(self, rid: str, key: str) -> Optional[str]:
         """The last txn to execute ``key`` before move ``rid`` shed it,
@@ -186,30 +212,32 @@ class StreamingSerializabilityChecker:
     def finalize(self, cluster) -> Tuple[str, ...]:
         """Run atomicity + embedding + one-copy replay; returns the
         global serial order (data transactions) on success."""
-        self._check_atomicity(cluster)
-        walk = self._walk_groups(cluster)
+        correct = correct_members(cluster)
+        executed_in = self._check_atomicity(cluster, correct)
+        walk = self._walk_groups(cluster, executed_in)
         order = self._global_order(walk)
-        self._replay_and_compare(cluster, order, walk)
+        self._replay_and_compare(cluster, order, walk, correct)
         return order
 
-    def _correct_members(self, cluster, gid: int) -> List[int]:
-        network = cluster.system.network
-        return [pid for pid in self._topology.members(gid)
-                if not network.process(pid).crashed]
-
-    def _stalled_in(self, cluster, gid: int) -> Set[str]:
-        """Data txns still queued behind a migration at group ``gid``."""
+    @staticmethod
+    def _stalled_in(cluster, members: List[int]) -> Set[str]:
+        """Data txns still queued behind a migration at ``members``."""
         stalled: Set[str] = set()
-        for pid in self._correct_members(cluster, gid):
+        for pid in members:
             stalled.update(cluster.stores[pid].stalled_txn_ids())
         return stalled
 
-    def _check_atomicity(self, cluster) -> None:
+    def _check_atomicity(self, cluster, correct: Dict[int, List[int]]
+                         ) -> Dict[str, Tuple[int, ...]]:
+        """Raise on a partial commit; returns item id -> the groups
+        that executed it."""
         cast_map = cluster.system.log.cast_map
-        executed_in: Dict[str, Set[int]] = {}
+        executed_in: Dict[str, Tuple[int, ...]] = {}
         for gid, order in self._group_order.items():
             for item_id in order:
-                executed_in.setdefault(item_id, set()).add(gid)
+                gids = executed_in.get(item_id, ())
+                if gid not in gids:
+                    executed_in[item_id] = gids + (gid,)
         for item_id, gids in sorted(executed_in.items()):
             mid = item_id[1:] if item_id.startswith("@") else item_id
             cast = cast_map.get(mid)
@@ -222,10 +250,11 @@ class StreamingSerializabilityChecker:
             for gid in cast.dest_groups:
                 if gid in gids:
                     continue
-                if not self._correct_members(cluster, gid):
+                if not correct[gid]:
                     continue  # the whole partition crashed; excusable
                 if (not item_id.startswith("@")
-                        and item_id in self._stalled_in(cluster, gid)):
+                        and item_id in self._stalled_in(cluster,
+                                                        correct[gid])):
                     # Queued behind a migration whose handoff never
                     # landed (e.g. the designated caster crashed): the
                     # txn is uncommitted, not partially committed.
@@ -238,6 +267,7 @@ class StreamingSerializabilityChecker:
                     kind="partial_commit", txn=item_id, gid=gid,
                     executed_in=sorted(gids),
                 )
+        return executed_in
 
     def _global_order(self, walk: _GroupWalk) -> Tuple[str, ...]:
         """Kahn's topological sort over the per-group data chains and
@@ -256,7 +286,10 @@ class StreamingSerializabilityChecker:
         """
         data_ids = {t for t, item in self._txns.items()
                     if isinstance(item, Transaction)}
-        successors: Dict[str, Set[str]] = {t: set() for t in data_ids}
+        # An edge may repeat (two txns adjacent in several groups); it
+        # counts once per occurrence on both sides, so a txn becomes
+        # ready exactly when its last predecessor is serialised.
+        successors: Dict[str, List[str]] = {}
         indegree: Dict[str, int] = {t: 0 for t in data_ids}
         def edges():
             for order in self._group_order.values():
@@ -267,8 +300,8 @@ class StreamingSerializabilityChecker:
                     yield walk.last_before(rid, key), span[0]
 
         for earlier, later in edges():
-            if earlier is not None and later not in successors[earlier]:
-                successors[earlier].add(later)
+            if earlier is not None:
+                successors.setdefault(earlier, []).append(later)
                 indegree[later] += 1
         ready = [t for t, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
@@ -276,7 +309,7 @@ class StreamingSerializabilityChecker:
         while ready:
             txn_id = heapq.heappop(ready)
             serial.append(txn_id)
-            for nxt in successors[txn_id]:
+            for nxt in successors.get(txn_id, ()):
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     heapq.heappush(ready, nxt)
@@ -290,7 +323,8 @@ class StreamingSerializabilityChecker:
             )
         return tuple(serial)
 
-    def _walk_groups(self, cluster) -> _GroupWalk:
+    def _walk_groups(self, cluster, executed_in: Dict[str, Tuple[int, ...]]
+                     ) -> _GroupWalk:
         """Re-derive every group's epoch timeline from its journal.
 
         The walk mirrors the replica's control logic exactly — source
@@ -299,7 +333,9 @@ class StreamingSerializabilityChecker:
         its outputs are a function of the journals alone, independent
         of any replica's in-memory state.
         """
-        walk = _GroupWalk()
+        controls = any(not isinstance(item, Transaction)
+                       for item in self._txns.values())
+        walk = _GroupWalk(cluster.partition_map, executed_in, controls)
         for gid in sorted(self._group_order):
             order = self._group_order[gid]
             view = cluster.partition_map.clone()
@@ -363,7 +399,7 @@ class StreamingSerializabilityChecker:
                     for op in txn.ops:
                         key = op[1]
                         if txn.routes is None:
-                            if view.group_of(key) == gid:
+                            if controls and view.group_of(key) == gid:
                                 walk.facts[(txn.txn_id, key)] = True
                         elif txn.route_of(key) == gid:
                             ran = (view.group_of(key) == gid
@@ -379,7 +415,8 @@ class StreamingSerializabilityChecker:
         return walk
 
     def _replay_and_compare(self, cluster, order: Tuple[str, ...],
-                            walk: _GroupWalk) -> None:
+                            walk: _GroupWalk,
+                            correct: Dict[int, List[int]]) -> None:
         static_map = cluster.partition_map
         single_copy: Dict[str, object] = {}
         for rid, ok in walk.proceed.items():
@@ -410,17 +447,13 @@ class StreamingSerializabilityChecker:
         capture(None)
         for txn_id in order:
             txn = self._txns[txn_id]
-            expected = execute(
-                txn, single_copy,
-                owned=lambda key, t=txn: walk.facts.get(
-                    (t.txn_id, key), False),
-            )
+            expected = execute(txn, single_copy, owned=walk.owned(txn))
             capture(txn_id)
             for index, op in enumerate(txn.ops):
                 key = op[1]
                 gid = (txn.route_of(key) if txn.routes is not None
                        else static_map.group_of(key))
-                for pid in self._correct_members(cluster, gid):
+                for pid in correct[gid]:
                     observed = cluster.stores[pid].effects_of(txn.txn_id)
                     if observed is None:
                         continue  # atomicity already vouched coverage
@@ -471,7 +504,7 @@ class StreamingSerializabilityChecker:
                 key: value for key, value in single_copy.items()
                 if view.group_of(key) == gid and key not in skip
             }
-            for pid in self._correct_members(cluster, gid):
+            for pid in correct[gid]:
                 got_state = {k: v
                              for k, v in cluster.stores[pid].state.items()
                              if k not in skip}

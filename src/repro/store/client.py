@@ -69,8 +69,6 @@ class CommitTracker:
         self.committed: Dict[str, Tuple[float, float]] = {}
         #: txn id -> parent txn id, for residue transactions.
         self.parents: Dict[str, str] = {}
-        #: (commit time, keys) per committed txn, commit order.
-        self.key_commits: List[Tuple[float, tuple]] = []
         #: (issue time, keys) per registered txn, issue order — the
         #: demand signal.  Under saturation a queued partition's commit
         #: rate is capped at 1/service_time, so commit heat understates
@@ -130,9 +128,7 @@ class CommitTracker:
         if entry.remaining or entry.awaiting or entry.open_residues:
             return
         del self._pending[txn_id]
-        now = self._system.sim.now
-        self.committed[txn_id] = (entry.issue, now)
-        self.key_commits.append((now, entry.keys))
+        self.committed[txn_id] = (entry.issue, self._system.sim.now)
         if entry.parent is not None:
             up = self._pending.get(entry.parent)
             if up is not None:
@@ -195,7 +191,6 @@ class StoreClient:
         #: destinations, g delivered R first, so by uniform prefix
         #: order h does too.  g executes no ops — the routes name h.
         self.fences: Dict[str, Set[int]] = {}
-        self._ops: Dict[str, tuple] = {}
         self._handled_bounces: Set[Tuple[str, int]] = set()
         self._retries: Dict[str, int] = {}
         self._residue_seq = 0
@@ -214,7 +209,9 @@ class StoreClient:
     def submit(self, txn_id: str, ops,
                parent: Optional[str] = None) -> AppMessage:
         """Issue a one-shot transaction now; returns the cast message."""
-        ops = tuple(tuple(op) for op in ops)
+        # A plan's ops (a tuple of tuples) are kept as they are.
+        if not (type(ops) is tuple and all(type(op) is tuple for op in ops)):
+            ops = tuple(tuple(op) for op in ops)
         routes = None
         if self.tag_routes:
             seen: Dict[str, int] = {}
@@ -239,7 +236,6 @@ class StoreClient:
                 keys=txn.keys(), parent=parent,
             )
         self.issued.append(txn.txn_id)
-        self._ops[txn.txn_id] = ops
         return self.store.submit(txn, dest=dest)
 
     def _learned_seq(self, key: str) -> int:
@@ -285,8 +281,9 @@ class StoreClient:
         if attempt > self.max_retries:
             self.abandoned.append(txn_id)
             return
-        ops = self._ops.get(txn_id, ())
-        residue_ops = tuple(op for op in ops if op[1] in bounced)
+        txn = self.store.txns.get(txn_id)
+        residue_ops = tuple(op for op in (txn.ops if txn else ())
+                            if op[1] in bounced)
         if not residue_ops:
             return
         self._residue_seq += 1

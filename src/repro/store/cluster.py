@@ -29,6 +29,7 @@ from repro.store.client import CommitTracker, StoreClient
 from repro.store.partition import PartitionMap
 from repro.store.service import TransactionalStore
 from repro.store.spec import StoreSpec
+from repro.store.transaction import Transaction
 from repro.store.workload import (
     TxnPlan,
     build_partition_map,
@@ -128,7 +129,8 @@ class StoreCluster:
                  stores: Dict[int, TransactionalStore],
                  clients: Dict[int, StoreClient],
                  tracker: CommitTracker,
-                 plans: List[TxnPlan]) -> None:
+                 plans: List[TxnPlan],
+                 txns: Dict[str, Transaction]) -> None:
         self.system = system
         self.spec = spec
         #: The pristine epoch-0 map (never mutated); each elastic
@@ -139,6 +141,9 @@ class StoreCluster:
         self.clients = clients
         self.tracker = tracker
         self.plans = plans
+        #: txn id -> the one :class:`Transaction` submitted under it,
+        #: shared by every replica, client session and journal.
+        self.txns = txns
         self.data_gids = data_group_ids(spec, system.topology)
         self.balancer = None
 
@@ -190,6 +195,7 @@ class StoreCluster:
             system.sim.check_times(tick_times(
                 spec.start, spec.horizon, spec.rebalance_interval))
         pmap = build_partition_map(spec, topology)
+        txns: Dict[str, Transaction] = {}
         stores = {
             pid: TransactionalStore(
                 system.network.process(pid),
@@ -200,6 +206,11 @@ class StoreCluster:
             )
             for pid in topology.processes
         }
+        for gid in topology.group_ids:
+            group = [stores[pid] for pid in topology.members(gid)]
+            for store in group:
+                store.txns = txns
+                store.peers = [peer for peer in group if peer is not store]
         # Elastic deployments observe commits at execution (execution
         # can lag delivery behind service queues and migration stalls);
         # static ones keep the legacy delivery hook — the two coincide
@@ -216,7 +227,8 @@ class StoreCluster:
                                     tag_routes=migrating,
                                     max_retries=spec.max_retries)
                    for pid in client_pids}
-        cluster = cls(system, spec, pmap, stores, clients, tracker, plans)
+        cluster = cls(system, spec, pmap, stores, clients, tracker, plans,
+                      txns)
         if migrating:
             for store in stores.values():
                 store.bounce_notify = cluster._on_bounce

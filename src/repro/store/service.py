@@ -25,11 +25,15 @@ stalled transactions queue strictly FIFO (controls may overtake a
 stalled queue head, data never does), which is what keeps the
 serializability checker's cross-group precedence graph acyclic.
 
-The replica journals everything the checkers need: the per-replica
+The replica journals what the checkers need: the per-replica
 execution log (``applied``, including ``@mid`` markers for control
 messages), the observed read values and cas outcomes per transaction
 (``effects_of``), the rejection log, the reconfig outcome maps and the
-live partition state (``owned_snapshot``).
+live partition state (``owned_snapshot``).  The journals share what is
+the same across replicas: a replica executes the very
+:class:`Transaction` object its client submitted (one per txn id, in
+the cluster's ``txns`` table), and stores a group peer's effects
+object in place of its own when both observed the same thing.
 """
 
 from __future__ import annotations
@@ -50,6 +54,22 @@ ROUTINGS = ("genuine", "broadcast")
 # Completion callback: fired with the txn id when the local replica
 # executes the transaction (its global position is then fixed).
 CompletionHandler = Callable[[str], None]
+
+
+def _same_entries(a: Dict[int, object], b: Dict[int, object]) -> bool:
+    """Same keys, and per key one value object or equal ones of one type
+    and repr: a violation quoting either map reads the same."""
+    if a is b:
+        return True
+    if a.keys() != b.keys():
+        return False
+    for index, value in a.items():
+        other = b[index]
+        if value is not other and not (
+                type(value) is type(other) and value == other
+                and repr(value) == repr(other)):
+            return False
+    return True
 
 
 class TransactionalStore:
@@ -83,6 +103,11 @@ class TransactionalStore:
         self.routing = routing
         self.service_time = service_time
         self.notice_delay = notice_delay
+        #: txn id -> the submitted :class:`Transaction`; the cluster
+        #: wires one table shared by every replica.
+        self.txns: Dict[str, Transaction] = {}
+        #: the other replicas of this group, wired by the cluster.
+        self.peers: List["TransactionalStore"] = []
         self.my_gid = partition_map.topology.group_of(process.pid)
         self.state: Dict[str, object] = {}
         self.applied: List[str] = []          # txn/control ids, exec order
@@ -165,6 +190,7 @@ class TransactionalStore:
                     "must execute the transaction)"
                 )
             self._waiters.setdefault(txn.txn_id, []).append(on_applied)
+        self.txns.setdefault(txn.txn_id, txn)
         msg = AppMessage.fresh(sender=self.process.pid, dest_groups=dest,
                                payload=txn.to_payload(), mid=txn.txn_id)
         self.multicast.a_mcast(msg)
@@ -216,7 +242,9 @@ class TransactionalStore:
         if is_control(msg.payload):
             item: object = parse_control(msg.payload)
         else:
-            item = Transaction.from_payload(msg.payload)
+            item = self.txns.get(msg.mid)
+            if item is None or item.to_payload() != msg.payload:
+                item = Transaction.from_payload(msg.payload)
         self._inbox.append((msg, item))
         self._pump()
 
@@ -325,7 +353,8 @@ class TransactionalStore:
         else:
             owned = (lambda key: txn.route_of(key) == self.my_gid
                      and self._owns(key))
-        self._effects[txn.txn_id] = execute(txn, self.state, owned=owned)
+        self._effects[txn.txn_id] = self._shared(
+            execute(txn, self.state, owned=owned))
         bounced = tuple(sorted(
             key for key, gid in (txn.routes or ())
             if gid == self.my_gid and key in self.shed
@@ -344,6 +373,19 @@ class TransactionalStore:
             hook(self.process.pid, txn.txn_id)
         for waiter in self._waiters.pop(txn.txn_id, []):
             waiter(txn.txn_id)
+
+    def _shared(self, effects: TxnEffects) -> TxnEffects:
+        """A peer's record of the same transaction if it observed the
+        same thing (same keys, equal values of one type and repr), so a
+        group keeps one effects object; else ``effects`` itself."""
+        for peer in self.peers:
+            seen = peer._effects.get(effects.txn_id)
+            if (seen is not None
+                    and _same_entries(seen.reads, effects.reads)
+                    and _same_entries(seen.cas_applied,
+                                      effects.cas_applied)):
+                return seen
+        return effects
 
     def _send_bounce(self, txn: Transaction, bounced: tuple) -> None:
         """Schedule the WrongEpoch notice back to the issuing client.

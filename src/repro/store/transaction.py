@@ -30,11 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.core.interfaces import SLOTTED
+
 #: Operation kinds understood by :func:`execute`.
 OP_KINDS = ("get", "put", "incr", "cas")
 
+#: The one empty map every :class:`TxnEffects` starts from.  It is
+#: never written: :func:`execute` replaces it with a fresh dict at the
+#: first read or cas outcome it records.
+NO_ENTRIES: Dict[int, object] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, **SLOTTED)
 class Transaction:
     """One one-shot transaction: id, issuing client, declared ops.
 
@@ -148,7 +155,7 @@ class Transaction:
                    ops=tuple(tuple(op) for op in ops), routes=routes)
 
 
-@dataclass
+@dataclass(**SLOTTED)
 class TxnEffects:
     """What executing one transaction observed and decided.
 
@@ -157,6 +164,12 @@ class TxnEffects:
     Only ops whose key passed the ``owned`` filter appear, so a
     replica's effects are exactly the global effects projected onto its
     partition — the identity the serializability checker verifies.
+    A map with no entry is the shared :data:`NO_ENTRIES`.
+
+    Effects are never changed in place once :func:`execute` returns:
+    replicas of one group that observed the same thing hold one
+    effects object (:meth:`TransactionalStore._shared
+    <repro.store.service.TransactionalStore._shared>`).
     """
 
     txn_id: str
@@ -177,13 +190,15 @@ def execute(
     influence the executed ones, which is what makes the partitioned
     execution equal the global execution projected per partition.
     """
-    effects = TxnEffects(txn_id=txn.txn_id, reads={}, cas_applied={})
+    reads = cas_applied = NO_ENTRIES
     for index, op in enumerate(txn.ops):
         kind, key = op[0], op[1]
         if owned is not None and not owned(key):
             continue
         if kind == "get":
-            effects.reads[index] = state.get(key)
+            if reads is NO_ENTRIES:
+                reads = {}
+            reads[index] = state.get(key)
         elif kind == "put":
             state[key] = op[2]
         elif kind == "incr":
@@ -197,5 +212,7 @@ def execute(
             applied = state.get(key) == op[2]
             if applied:
                 state[key] = op[3]
-            effects.cas_applied[index] = applied
-    return effects
+            if cas_applied is NO_ENTRIES:
+                cas_applied = {}
+            cas_applied[index] = applied
+    return TxnEffects(txn.txn_id, reads, cas_applied)

@@ -24,15 +24,16 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.interfaces import SLOTTED
 from repro.net.topology import Topology
 from repro.reconfig.ring import HashRing
 from repro.store.partition import PartitionMap
 from repro.store.spec import StoreSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **SLOTTED)
 class TxnPlan:
-    """One planned one-shot transaction."""
+    """One planned one-shot transaction (kept for the whole run)."""
 
     time: float
     client: int
