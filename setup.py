@@ -24,7 +24,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=[],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     keywords=[
         "atomic broadcast", "atomic multicast", "total order",
         "distributed systems", "consensus", "wide area networks",

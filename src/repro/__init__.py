@@ -21,9 +21,11 @@ The package provides:
 * ``repro.checkers`` — executable versions of the paper's correctness
   properties (integrity, validity, agreement, prefix order,
   genuineness, quiescence);
-* ``repro.runtime`` / ``repro.experiments`` — one-call experiment
-  construction and the harnesses that regenerate every table, figure
-  and theorem run of the paper.
+* ``repro.runtime`` — one-call system construction, delivery logs and
+  run reports;
+* ``repro.paper`` — the paper's claims (theorems, propositions,
+  Figure 1 and the rest), each one measured number next to its bound
+  (``python -m repro.cli paper``).
 
 Quickstart::
 

@@ -1,6 +1,6 @@
 """Built-in campaign matrices.
 
-Five ready-made campaigns cover the axes the paper's claims range over:
+The ready-made campaigns cover the axes the paper's claims range over:
 
 * ``wan-storm`` — A1 under WAN latency sweeps (link delay × arrival
   rate), the Pod-style wide-area evaluation grid;
@@ -40,10 +40,15 @@ Five ready-made campaigns cover the axes the paper's claims range over:
   vs the frozen epoch-0 map under zipf-skewed load at 16/24 groups,
   with adversary cells aimed at the migration window: committed
   throughput quantifies what online key-range migration buys, with
-  serializability and the reconfig checker green as the precondition.
+  serializability and the reconfig checker green as the precondition;
+* ``rate-sweep`` — Section 5.3: A2 over 100 ms links as the Poisson
+  broadcast rate grows from 0.5 to 50 msg/s;
+* ``scalability`` — Figure 1's asymptotic columns as the group count
+  and the group size grow.
 
-Each builder returns a :class:`Campaign`; pass ``seeds`` to widen or
-narrow the per-scenario seed list (the CLI's ``--seeds`` does).
+:mod:`repro.paper` measures the paper's claims on these two campaigns'
+scenarios.  Each builder returns a :class:`Campaign`; pass ``seeds`` to
+widen or narrow the per-scenario seed list (the CLI's ``--seeds`` does).
 ``repro.cli campaign <name>`` is the front door.
 """
 
@@ -61,6 +66,7 @@ from repro.campaigns.spec import (
     StoreSpec,
     WorkloadSpec,
     matrix,
+    with_seeds,
 )
 
 DEFAULT_SEEDS: Tuple[int, ...] = (1, 2)
@@ -505,6 +511,87 @@ def rebalance_comparison(
     return "\n".join(lines), rows
 
 
+def rate_scenario(rate_per_s: float,
+                  duration_ms: float = 20_000.0) -> ScenarioSpec:
+    """A2 broadcasting at ``rate_per_s`` over 100 ms links (1 unit = 1 ms)."""
+    return ScenarioSpec(
+        name=f"rate={rate_per_s:g}",
+        protocol="a2",
+        group_sizes=(3, 3),
+        latency=LatencySpec.wan(intra_ms=1.0, inter_ms=100.0,
+                                inter_jitter_ms=2.0),
+        workload=WorkloadSpec(kind="poisson", rate=rate_per_s / 1000.0,
+                              duration=duration_ms),
+        seeds=(1,),
+        checkers=("properties",),
+        metrics=("degrees", "latency", "rounds"),
+        # 5 ms bundling window: every round starts 5 ms later so that
+        # casts landing inside it ride at degree 1 — sim-time latency
+        # traded for degree (÷10 a2_bcast, one round in flight: 0 / 0.05
+        # / 0.2 / 0.5 of a hop -> p50 1.509 / 1.539 / 1.605 / 1.738).
+        protocol_kwargs=(("propose_delay", 5.0),),
+    )
+
+
+def rate_sweep(seeds: Optional[Sequence[int]] = None) -> Campaign:
+    """Section 5.3: A2's useful rounds and latency as the rate grows."""
+    scenarios = with_seeds(
+        [rate_scenario(rate)
+         for rate in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0)],
+        seeds or (1,))
+    return Campaign(
+        name="rate-sweep", scenarios=scenarios,
+        description="Section 5.3 A2 broadcast-rate sweep (100 ms WAN)",
+    )
+
+
+#: Broadcast protocols must address every group.
+BROADCAST_PROTOCOLS = ("a2", "nongenuine", "sequencer", "optimistic",
+                       "detmerge")
+
+
+def scale_scenario(protocol: str, groups: int, d: int) -> ScenarioSpec:
+    """Ten periodic casts at one system size: multicasts to k=2 of the
+    groups, broadcasts to all of them."""
+    # propose_delay trades sim-time latency for degree (each proposal
+    # waits that long so a hand-placed cast catches it); under load the
+    # second round in flight is what reaches degree 1 (core/abcast.py).
+    kwargs: Tuple[Tuple[str, object], ...] = (
+        (("propose_delay", 0.05),) if protocol in ("a2", "nongenuine")
+        else ()
+    )
+    destinations = (DestinationSpec(kind="all")
+                    if protocol in BROADCAST_PROTOCOLS
+                    else DestinationSpec(kind="uniform-k", k=2))
+    return ScenarioSpec(
+        name=f"{protocol}@{groups}x{d}",
+        protocol=protocol,
+        group_sizes=(d,) * groups,
+        workload=WorkloadSpec(kind="periodic", period=0.9, count=10,
+                              destinations=destinations),
+        seeds=(1,),
+        checkers=("properties",),
+        metrics=("latency", "traffic"),
+        start_rounds=True,
+        protocol_kwargs=kwargs,
+    )
+
+
+def scalability(seeds: Optional[Sequence[int]] = None) -> Campaign:
+    """Figure 1's asymptotics: the group count grows at d=2, then the
+    group size at 2 groups."""
+    points = [(p, g, 2) for p in ("a1", "ring", "a2") for g in (2, 4, 6)]
+    points += [(p, 2, d) for p in ("a1", "sequencer", "optimistic")
+               for d in (2, 4)]
+    scenarios = with_seeds([scale_scenario(*point)
+                            for point in dict.fromkeys(points)],
+                           seeds or (1,))
+    return Campaign(
+        name="scalability", scenarios=scenarios,
+        description="group-count / group-size sweeps of Figure 1",
+    )
+
+
 CampaignBuilder = Callable[..., Campaign]
 
 CAMPAIGNS: Dict[str, CampaignBuilder] = {
@@ -518,6 +605,8 @@ CAMPAIGNS: Dict[str, CampaignBuilder] = {
     "store-scaling": store_scaling,
     "txn-mix": txn_mix,
     "rebalance": rebalance,
+    "rate-sweep": rate_sweep,
+    "scalability": scalability,
 }
 
 

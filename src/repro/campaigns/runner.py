@@ -582,9 +582,9 @@ def verify_determinism(parallel: CampaignResult,
                        serial: CampaignResult) -> None:
     """Assert per-seed metrics are identical between two executions.
 
-    Used by the benchmark suite and by ``repro.cli campaign
-    --compare-serial`` to turn the "bit-identical serial vs parallel"
-    guarantee into a checked invariant.
+    Used by the tests and by ``repro.cli campaign --compare-serial``
+    to turn the "bit-identical serial vs parallel" guarantee into a
+    checked invariant.
     """
     a, b = parallel.per_seed_metrics(), serial.per_seed_metrics()
     if a != b:

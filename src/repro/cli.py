@@ -1,15 +1,16 @@
-"""Command-line entry point: regenerate the paper's artefacts.
+"""Command-line entry point: the paper's claims, campaigns and tools.
 
 Usage::
 
-    python -m repro.cli                 # run every experiment, print all
-    python -m repro.cli fig1 theorems   # run a subset
+    python -m repro.cli                 # every paper claim vs its bound
+    python -m repro.cli paper thm fig1  # the rows whose ids start so
     python -m repro.cli --list          # list everything runnable
 
     python -m repro.cli campaign cross-protocol --jobs 4
     python -m repro.cli campaign wan-storm --seeds 1,2,3 --out results/
     python -m repro.cli campaign crash-storm --jobs 8 --compare-serial
     python -m repro.cli campaign rebalance --seeds 1,2,3 --out results/
+    python -m repro.cli campaign rate-sweep scalability --jobs 2
 
     python -m repro.cli torture --campaign torture --seeds 3
     python -m repro.cli torture --campaign rebalance --max-scenarios 2
@@ -19,11 +20,10 @@ Usage::
     python -m repro.cli store --protocol a1 --groups 2,2,2,2 --rate 1
     python -m repro.cli store --protocol a2 --routing broadcast
 
-Each experiment prints the same rows/series the paper reports (or that
-our extension sections define); the benchmark suite asserts the shapes,
-this CLI is for eyeballing and for regenerating EXPERIMENTS.md.  Every
-verb is one :data:`VERBS` entry; ``<verb> --help`` describes it.  Exit
-status: 0 green, 1 a checker failed, 2 a usage error.
+``paper`` prints :data:`repro.paper.CLAIMS`, one row per claim of the
+paper: its measured value next to its bound.  Every verb is one
+:data:`VERBS` entry; ``<verb> --help`` describes it.  Exit status: 0
+green, 1 a checker failed or a claim missed its bound, 2 a usage error.
 
 Host wall time, attributed layer by layer, is measured by ``python
 bench/measure.py <workload> --trace DIR`` (see ``bench/README.md``).
@@ -36,36 +36,6 @@ import json
 import os
 import sys
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-#: name -> ("<experiments module>.<table function>", description).
-EXPERIMENTS: Dict[str, Tuple[str, str]] = {
-    "fig1": ("figure1.fig1_table",
-             "Figure 1(a)+(b): protocol comparison tables"),
-    "theorems": ("theorems.theorem_table",
-                 "Theorems 4.1 / 5.1 / 5.2 constructive runs"),
-    "lower-bounds": ("lower_bounds.lower_bound_table",
-                     "Propositions 3.1-3.3 counterexample search"),
-    "rate-sweep": ("rate_sweep.rate_table",
-                   "Section 5.3 broadcast-rate sweep (100 ms WAN)"),
-    "tradeoff": ("tradeoff.tradeoff_table",
-                 "Introduction's genuine-vs-broadcast tradeoff"),
-    "ablation": ("ablation.ablation_table",
-                 "Stage-skipping ablation vs Fritzke et al. [5]"),
-    "prediction": ("prediction.prediction_table",
-                   "Quiescence prediction strategies (§5.3 extension)"),
-    "wan": ("wan_heterogeneity.heterogeneity_table",
-            "Heterogeneous three-continent WAN, A1 vs ring [4]"),
-    "scalability": ("scalability.scalability_table",
-                    "Group-count/group-size sweeps of Figure 1 asymptotics"),
-}
-
-
-def _experiment_table(name: str) -> str:
-    from importlib import import_module
-
-    module, function = EXPERIMENTS[name][0].split(".")
-    return getattr(import_module(f"repro.experiments.{module}"),
-                   function)()
 
 
 # ----------------------------------------------------------------------
@@ -152,10 +122,11 @@ def _load_campaign(name: str, args: argparse.Namespace):
 def _print_listing() -> None:
     from repro.adversary.spec import ADVERSARIES
     from repro.campaigns.library import CAMPAIGNS, get_campaign
+    from repro.paper import CLAIMS
 
-    print("experiments:")
-    for name, (_, description) in EXPERIMENTS.items():
-        print(f"  {name:14s} {description}")
+    print("claims (python -m repro.cli paper [ID_PREFIX ...]):")
+    for claim in CLAIMS:
+        print(f"  {claim.id:30s} {claim.source}")
     print()
     print("verbs (python -m repro.cli <verb> --help):")
     for name, (_, summary) in VERBS.items():
@@ -181,6 +152,49 @@ def _artifact_name(scenario: str, seed: int) -> str:
 # ----------------------------------------------------------------------
 # Verbs
 # ----------------------------------------------------------------------
+def paper_main(argv: List[str]) -> int:
+    """The ``paper`` verb: every claim's measured value vs its bound."""
+    from repro import paper
+    from repro.runtime.results import Row, format_table
+
+    parser = _parser(
+        "paper",
+        "Each row is one claim of the paper, measured on fixed runs; "
+        "exits 1 if any row misses its bound.",
+    )
+    parser.add_argument("prefixes", nargs="*", metavar="ID_PREFIX",
+                        help="run only the rows whose id starts with one "
+                             "of these (default: every row)")
+    args = parser.parse_args(argv)
+
+    claims = paper.CLAIMS
+    unmatched = [prefix for prefix in args.prefixes
+                 if not any(c.id.startswith(prefix) for c in claims)]
+    families = dict.fromkeys(c.id.split("-")[0] for c in claims)
+    if _unknown("claim id prefix", unmatched, families):
+        return 2
+    chosen = [c for c in claims
+              if not args.prefixes
+              or any(c.id.startswith(prefix) for prefix in args.prefixes)]
+    rows, misses = [], []
+    for claim in chosen:
+        value = claim.measure()
+        ok = claim.holds(value)
+        if not ok:
+            misses.append(claim)
+        op, limit = claim.bound
+        rows.append(Row(label=claim.id, values=[
+            claim.source, f"{value:.4g}", f"{op} {limit:g}",
+            "ok" if ok else "MISS"]))
+    print(format_table(
+        "The paper's claims, each measured against its bound",
+        ["id", "source", "measured", "bound", "ok"], rows))
+    for claim in misses:
+        print(f"CLAIM MISSED: {claim.id}: {claim.statement}",
+              file=sys.stderr)
+    return 1 if misses else 0
+
+
 def campaign_main(argv: List[str]) -> int:
     """The ``campaign`` verb: run built-in scenario matrices."""
     from repro.campaigns.library import CAMPAIGNS
@@ -564,6 +578,9 @@ def replay_main(argv: List[str]) -> int:
 #: name -> (handler, the one-line description ``--list`` prints and
 #: each verb's ``--help`` opens with).
 VERBS: Dict[str, Tuple[Callable[[List[str]], int], str]] = {
+    "paper": (paper_main,
+              "Measure every claim of the paper and print it next to its "
+              "bound"),
     "campaign": (campaign_main,
                  "Run built-in scenario matrices over worker processes "
                  "and persist CAMPAIGN_<name>.json"),
@@ -585,28 +602,22 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.cli",
-        description="Regenerate the paper's tables, figures and runs. "
-                    "Use --list for the verbs that run scenario "
-                    "matrices, adversaries and the store.",
+        description="The paper's claims, scenario matrices, adversaries "
+                    "and the store.  Without a verb, runs `paper`; use "
+                    "--list for everything runnable.",
     )
-    parser.add_argument("experiments", nargs="*",
-                        help="experiment names (default: all)")
+    parser.add_argument("verb", nargs="*", help=argparse.SUPPRESS)
     parser.add_argument("--list", action="store_true",
-                        help="list experiments, verbs, campaigns and "
+                        help="list claims, verbs, campaigns and "
                              "adversaries")
     args = parser.parse_args(argv)
 
     if args.list:
         _print_listing()
         return 0
-    chosen = args.experiments or list(EXPERIMENTS)
-    if _unknown("experiment", chosen, EXPERIMENTS):
+    if _unknown("verb", args.verb[:1], VERBS):
         return 2
-    for i, name in enumerate(chosen):
-        if i:
-            print("\n" + "=" * 72 + "\n")
-        print(_experiment_table(name))
-    return 0
+    return paper_main([])
 
 
 if __name__ == "__main__":

@@ -17,9 +17,7 @@ probe ever ties with a heartbeat arrival — transition instants are
 compared at probe resolution, which is exactly what protocols observe
 (they query the detector, they do not watch its internals).
 
-The benchmark suite runs this harness on the large-n scenarios before
-trusting the elided mode's throughput numbers, and the unit tests run
-it across a grid of crash scenarios.
+The unit tests run this harness across a grid of crash scenarios.
 """
 
 from __future__ import annotations

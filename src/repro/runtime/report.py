@@ -137,7 +137,7 @@ class RunReport:
         """Engine-level counters for this run, optionally rated by wall time.
 
         ``events_per_sec`` counts simulated message events per wall
-        second — the benchmark suite's headline metric;
+        second;
         ``kernel_events_per_sec`` counts raw kernel events, which the
         batched network deliberately keeps below the message count.
         """

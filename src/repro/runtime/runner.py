@@ -1,21 +1,17 @@
-"""Multi-seed experiment execution with simple aggregation.
+"""Cross-seed aggregation of one metric.
 
 Single runs of a discrete-event simulation are deterministic but
-arbitrary: a conclusion should hold across seeds.  :class:`Repeated`
-runs the same experiment body under derived seeds and aggregates any
-numeric metrics the body returns — mean, min, max and a crude spread —
-which is all the repository's shape assertions need (no scipy required
-at runtime, though it is available for heavier analyses).
+arbitrary: a conclusion should hold across seeds.  A campaign runs each
+scenario under several seeds and summarises every metric as an
+:class:`Aggregate` — mean, min, max and a crude spread — which is all
+the repository's shape assertions need.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
-
-# An experiment body: seed -> {metric name: value}.
-ExperimentBody = Callable[[int], Dict[str, float]]
+from typing import List
 
 
 @dataclass
@@ -59,62 +55,3 @@ class Aggregate:
         return (f"{self.name}: {self.mean:.3f} "
                 f"[{self.minimum:.3f}, {self.maximum:.3f}] "
                 f"(n={self.n}, +/-{self.stderr:.3f})")
-
-
-class Repeated:
-    """Run an experiment body across seeds and aggregate its metrics."""
-
-    def __init__(self, body: ExperimentBody, seeds: Sequence[int]) -> None:
-        if not seeds:
-            raise ValueError("at least one seed is required")
-        self.body = body
-        self.seeds = list(seeds)
-        self._results: Dict[str, List[float]] = {}
-        self._ran = False
-
-    def run(self) -> "Repeated":
-        """Execute every repetition (idempotent)."""
-        if self._ran:
-            return self
-        for seed in self.seeds:
-            metrics = self.body(seed)
-            for name, value in metrics.items():
-                self._results.setdefault(name, []).append(float(value))
-        # Every repetition must report the same metric set.
-        if any(len(v) != len(self.seeds) for v in self._results.values()):
-            raise ValueError(
-                "experiment body returned inconsistent metric sets "
-                f"across seeds: {sorted(self._results)}"
-            )
-        self._ran = True
-        return self
-
-    def aggregate(self, name: str) -> Aggregate:
-        """The aggregate of one metric (runs the experiment if needed)."""
-        self.run()
-        if name not in self._results:
-            raise KeyError(
-                f"unknown metric {name!r}; have {sorted(self._results)}"
-            )
-        return Aggregate(name=name, values=list(self._results[name]))
-
-    def aggregates(self) -> Dict[str, Aggregate]:
-        """All metrics, aggregated."""
-        self.run()
-        return {name: Aggregate(name=name, values=list(values))
-                for name, values in sorted(self._results.items())}
-
-    def assert_always(self, name: str, predicate: Callable[[float], bool],
-                      description: str = "") -> None:
-        """Assert ``predicate`` holds for the metric in *every* seed.
-
-        The bread-and-butter of lower-bound style claims: "in no run
-        did X fall below Y."
-        """
-        agg = self.aggregate(name)
-        failures = [v for v in agg.values if not predicate(v)]
-        if failures:
-            raise AssertionError(
-                f"metric {name!r} violated '{description}' in "
-                f"{len(failures)}/{agg.n} seeds: examples {failures[:5]}"
-            )

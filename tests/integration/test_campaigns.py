@@ -1,4 +1,4 @@
-"""Benchmark: the campaign engine's acceptance properties.
+"""The campaign engine's acceptance properties.
 
 * a full built-in campaign (10 scenarios) runs green under a process
   pool,

@@ -9,9 +9,7 @@ deliverers off its record.  Host-time claims about the checkers are
 measured by the bench (``check_s``), not here.
 """
 
-import os
 import random
-import sys
 
 from repro.checkers.properties import (
     check_all,
@@ -22,10 +20,7 @@ from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
 from repro.runtime.results import DeliveryLog
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "tests", "unit"))
-from test_checkers_streaming import (  # noqa: E402
+from test_checkers_streaming import (
     oracle_agreement,
     oracle_check_all,
     oracle_prefix_order,

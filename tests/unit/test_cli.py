@@ -1,20 +1,21 @@
 """CLI behaviour: listings, unknown-name exits, the verb table."""
 
+import dataclasses
 import json
-import os
 
 import pytest
 
+from repro import paper
 from repro.campaigns.library import CAMPAIGNS, get_campaign
-from repro.cli import EXPERIMENTS, VERBS, main
+from repro.cli import VERBS, main
 
 
 class TestListing:
-    def test_list_enumerates_experiments_and_campaigns(self, capsys):
+    def test_list_enumerates_claims_and_campaigns(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
+        for claim in paper.CLAIMS:
+            assert claim.id in out
         assert "campaigns" in out
         for name in ("wan-storm", "crash-storm", "zipf-fanout",
                      "cross-protocol", "fd-overhead"):
@@ -65,31 +66,39 @@ class TestVerbTable:
 
 
 class TestUnknownNames:
-    def test_unknown_experiment_exits_2(self, capsys):
-        assert main(["no-such-experiment"]) == 2
+    def test_unknown_verb_exits_2(self, capsys):
+        assert main(["no-such-verb"]) == 2
         err = capsys.readouterr().err
-        assert "unknown experiment(s): no-such-experiment" in err
+        assert "unknown verb(s): no-such-verb" in err
         assert "available:" in err
 
-    def test_removed_profile_verb_is_an_unknown_experiment(self, capsys):
+    def test_removed_profile_verb_is_an_unknown_verb(self, capsys):
         """Host time is the bench tracer's (``bench/measure.py
         --trace``); a script still calling the old ``profile`` verb
         fails loudly instead of running something else."""
         assert main(["profile"]) == 2
-        assert "unknown experiment(s): profile" in capsys.readouterr().err
+        assert "unknown verb(s): profile" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["lossy", "rebalance"])
-    def test_folded_verbs_are_unknown_experiments(self, verb, capsys):
+    def test_folded_verbs_are_unknown_verbs(self, verb, capsys):
         """``campaign lossy-net`` runs the loss sweep, and ``campaign
         rebalance`` / ``torture --campaign rebalance`` the elastic
         grid; the old verbs fail loudly instead of running something
         else."""
         assert main([verb]) == 2
-        assert f"unknown experiment(s): {verb}" in capsys.readouterr().err
+        assert f"unknown verb(s): {verb}" in capsys.readouterr().err
 
-    def test_unknown_experiment_mixed_with_known_exits_2(self, capsys):
-        assert main(["fig1", "bogus"]) == 2
-        assert "bogus" in capsys.readouterr().err
+    def test_unknown_claim_prefix_exits_2(self, capsys):
+        assert main(["paper", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown claim id prefix(s): nope" in err
+        assert "available:" in err and "thm" in err
+
+    def test_unknown_claim_prefix_mixed_with_known_exits_2(self, capsys):
+        assert main(["paper", "thm-4.1", "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        assert captured.out == ""  # nothing ran
 
     def test_unknown_campaign_exits_2(self, capsys):
         assert main(["campaign", "no-such-campaign"]) == 2
@@ -129,6 +138,34 @@ class TestUnknownNames:
                 with pytest.raises(SystemExit) as excinfo:
                     main(verb + ["--max-scenarios", bad])
                 assert excinfo.value.code == 2
+
+
+class TestPaperVerb:
+    def test_prefix_selects_rows(self, capsys):
+        assert main(["paper", "thm-5", "prop-3.3"]) == 0
+        rows = [line.split()[0] for line in
+                capsys.readouterr().out.splitlines()[4:]]
+        assert rows == ["thm-5.1", "thm-5.2", "thm-5.1-vs-4.1",
+                        "thm-5.2-vs-4.1", "prop-3.3", "prop-3.3-tight"]
+
+    def test_missed_bound_exits_1_and_names_the_row(self, monkeypatch,
+                                                    capsys):
+        claims = [claim for claim in paper.CLAIMS
+                  if claim.id.startswith("thm-")]
+        claims[0] = dataclasses.replace(claims[0], bound=("==", 3))
+        monkeypatch.setattr(paper, "CLAIMS", tuple(claims))
+        assert main(["paper"]) == 1
+        captured = capsys.readouterr()
+        line = next(line for line in captured.out.splitlines()
+                    if line.startswith(claims[0].id + " "))
+        assert line.split()[-1] == "MISS"
+        assert f"CLAIM MISSED: {claims[0].id}" in captured.err
+
+    def test_bare_cli_runs_paper(self, monkeypatch, capsys):
+        monkeypatch.setattr(paper, "CLAIMS", paper.CLAIMS[:2])
+        assert main([]) == 0
+        out = capsys.readouterr().out
+        assert "thm-4.1" in out and "thm-5.1 " in out
 
 
 class TestCampaignVerb:

@@ -1,9 +1,9 @@
-"""Unit tests for the multi-seed runner, plus one real use."""
+"""Unit tests for the cross-seed aggregate, plus one real multi-seed use."""
 
 import pytest
 
 from repro.runtime.builder import build_system
-from repro.runtime.runner import Aggregate, Repeated
+from repro.runtime.runner import Aggregate
 
 
 class TestAggregate:
@@ -22,62 +22,16 @@ class TestAggregate:
         assert agg.stderr == 0.0
 
 
-class TestRepeated:
-    def test_runs_every_seed_once(self):
-        calls = []
-
-        def body(seed):
-            calls.append(seed)
-            return {"x": seed * 2.0}
-
-        rep = Repeated(body, seeds=[1, 2, 3]).run().run()  # idempotent
-        assert calls == [1, 2, 3]
-        assert rep.aggregate("x").values == [2.0, 4.0, 6.0]
-
-    def test_aggregates_all_metrics(self):
-        rep = Repeated(lambda s: {"a": s, "b": -s}, seeds=[1, 2])
-        aggs = rep.aggregates()
-        assert set(aggs) == {"a", "b"}
-        assert aggs["b"].mean == -1.5
-
-    def test_unknown_metric_rejected(self):
-        rep = Repeated(lambda s: {"a": 1.0}, seeds=[1])
-        with pytest.raises(KeyError):
-            rep.aggregate("zzz")
-
-    def test_inconsistent_metrics_rejected(self):
-        def body(seed):
-            return {"a": 1.0} if seed == 1 else {"b": 1.0}
-
-        with pytest.raises(ValueError, match="inconsistent"):
-            Repeated(body, seeds=[1, 2]).run()
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            Repeated(lambda s: {}, seeds=[])
-
-    def test_assert_always_passes_and_fails(self):
-        rep = Repeated(lambda s: {"deg": 2.0 + s % 2}, seeds=[0, 1, 2])
-        rep.assert_always("deg", lambda v: v >= 2.0, "lower bound")
-        with pytest.raises(AssertionError, match="violated"):
-            rep.assert_always("deg", lambda v: v <= 2.0, "upper bound")
-
-
 class TestRealUse:
     def test_a1_degree_floor_across_seeds(self):
-        """The canonical multi-seed claim, via the runner."""
-
-        def body(seed):
+        """The canonical multi-seed claim, aggregated across seeds."""
+        degrees, inter = [], []
+        for seed in range(6):
             system = build_system(protocol="a1", group_sizes=[2, 2],
                                   seed=seed)
             msg = system.cast(sender=0, dest_groups=(0, 1))
             system.run_quiescent()
-            return {
-                "degree": system.meter.latency_degree(msg.mid),
-                "inter": system.inter_group_messages,
-            }
-
-        rep = Repeated(body, seeds=range(6))
-        rep.assert_always("degree", lambda v: v == 2.0,
-                          "genuine multicast optimum")
-        assert rep.aggregate("inter").minimum > 0
+            degrees.append(float(system.meter.latency_degree(msg.mid)))
+            inter.append(float(system.inter_group_messages))
+        assert Aggregate("degree", degrees).values == [2.0] * 6
+        assert Aggregate("inter", inter).minimum > 0
