@@ -392,12 +392,12 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("thm-5.1-vs-4.1", "Thm 4.1, 5.1",
       "Broadcast is cheaper than multicast: A2's degree (Theorem 5.1) "
       "minus A1's (Theorem 4.1), seed 1.",
-      lambda: _warm_broadcast("a2", (3, 3), 1) - _one_cast("a1", 2, 3)[0],
+      lambda: _warm_broadcast("a2", (3, 3), 1) - _one_cast("a1", 2, 3, 1)[0],
       ("<", 0)),
     Claim("thm-5.2-vs-4.1", "Thm 4.1, 5.2",
       "Once quiescent, A2 is no better than the multicast bound: "
       "Theorem 5.2's degree minus Theorem 4.1's, seed 1.",
-      lambda: _late_broadcast(1, 200.0) - _one_cast("a1", 2, 3)[0],
+      lambda: _late_broadcast(1, 200.0) - _one_cast("a1", 2, 3, 1)[0],
       ("==", 0)),
     # -- Propositions 3.1-3.3: the counterexample search ------------------
     Claim("prop-3.1-3.2", "Prop 3.1-3.2",
@@ -776,7 +776,7 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("crash-degree", "Thm 4.1, crashes",
       "Failures hurt liveness timing, never the logical structure: the "
       "degree of every cast, with and without a leader crash.",
-      lambda: _uniform(_crash_run(s, crash)[f"deg_{name}"]
+      lambda: _uniform(_crash_run(s, crash, 30.0)[f"deg_{name}"]
                        for s in range(4) for crash in (False, True)
                        for name in ("before", "racing", "after")),
       ("==", 2)),
