@@ -17,7 +17,7 @@ Run:  python examples/failover.py
 from repro.checkers.properties import check_all
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import LatencyModel
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.workload.generators import (
     poisson_workload,
     schedule_workload,
@@ -32,10 +32,10 @@ def main() -> None:
         0: 250.0,   # scenario 2: group 0's consensus leader dies later
     })
     system = build_system(
-        protocol="a1", group_sizes=[3, 3, 3], seed=5,
-        latency=LatencyModel.wan(intra_ms=1.0, inter_ms=100.0),
-        crashes=crashes, detector_delay=20.0,
-    )
+        SystemSpec(protocol="a1", group_sizes=[3, 3, 3],
+                   latency=LatencyModel.wan(intra_ms=1.0, inter_ms=100.0),
+                   detector_delay=20.0),
+        seed=5, crashes=crashes)
 
     # Scenario 1: pid 4 multicasts at t=25 and crashes at t=30 — before
     # the remote group even received the message copies.

@@ -13,7 +13,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.checkers.properties import check_all
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 
 
 def multicast_demo() -> None:
@@ -23,7 +23,8 @@ def multicast_demo() -> None:
     print("=" * 64)
 
     # Three groups of three processes: pids 0-2, 3-5, 6-8.
-    system = build_system(protocol="a1", group_sizes=[3, 3, 3], seed=42)
+    system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3, 3]),
+                          seed=42)
 
     local = system.cast(sender=0, dest_groups=(0,), payload="local-op")
     pair = system.cast(sender=0, dest_groups=(0, 1), payload="pair-op")
@@ -53,8 +54,10 @@ def broadcast_demo() -> None:
     print("Algorithm A2 — atomic broadcast (proactive rounds)")
     print("=" * 64)
 
-    system = build_system(protocol="a2", group_sizes=[3, 3], seed=42,
-                          propose_delay=0.05)
+    system = build_system(
+        SystemSpec(protocol="a2", group_sizes=[3, 3],
+                   protocol_kwargs=(("propose_delay", 0.05),)),
+        seed=42)
     system.start_rounds()
 
     warm = system.cast_at(0.01, 0, payload="warm")    # rides round 1

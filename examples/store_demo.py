@@ -19,6 +19,7 @@ deterministically at every replica on A-Deliver:
 Run:  python examples/store_demo.py
 """
 
+from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
 
 
@@ -31,8 +32,8 @@ def main() -> None:
         multi_partition_fraction=0.4,
     )
     cluster = StoreCluster.build(
-        group_sizes=[2, 2, 2, 2, 2, 2],
-        store=spec, protocol="a1", seed=11, trace=True,
+        SystemSpec(protocol="a1", group_sizes=(2, 2, 2, 2, 2, 2)),
+        store=spec, seed=11, trace=True,
     )
     pmap = cluster.partition_map
 

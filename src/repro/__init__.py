@@ -29,9 +29,10 @@ The package provides:
 
 Quickstart::
 
-    from repro.runtime.builder import build_system
+    from repro.runtime.builder import SystemSpec, build_system
 
-    system = build_system(protocol="a1", group_sizes=[3, 3, 3], seed=1)
+    system = build_system(SystemSpec(protocol="a1", group_sizes=(3, 3, 3)),
+                          seed=1)
     msg = system.cast(sender=0, dest_groups=(0, 1))
     system.run_quiescent()
     print(system.meter.latency_degree(msg.mid))   # -> 2 (optimal)

@@ -518,12 +518,6 @@ class AppliedAdversary:
             for i, inj in enumerate(self.injectors)
         }
 
-    def opportunity_counts(self) -> Dict[str, int]:
-        return {
-            f"{i}:{inj.spec.kind}": inj.opportunities
-            for i, inj in enumerate(self.injectors)
-        }
-
     def uninstall(self) -> None:
         for injector in self.injectors:
             injector.uninstall()

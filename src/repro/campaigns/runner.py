@@ -138,6 +138,10 @@ def validate_spec(spec: ScenarioSpec) -> None:
     """Fail fast on misconfigured scenarios, before any run starts."""
     from repro.campaigns.metrics import EXTRACTORS
 
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ValueError(f"scenario {spec.name!r}: {exc}") from None
     unknown = [c for c in spec.checkers if c not in CHECKERS]
     if unknown:
         raise ValueError(
@@ -159,13 +163,6 @@ def validate_spec(spec: ScenarioSpec) -> None:
                 f"scenario {spec.name!r}: unknown adversary "
                 f"{spec.adversary!r}; have {sorted(ADVERSARIES)}"
             )
-    from repro.transport import TRANSPORTS
-
-    if spec.transport not in TRANSPORTS:
-        raise ValueError(
-            f"scenario {spec.name!r}: unknown transport "
-            f"{spec.transport!r}; have {list(TRANSPORTS)}"
-        )
     if spec.store is None:
         store_only = (STORE_CHECKERS.intersection(spec.checkers)
                       | STORE_METRICS.intersection(spec.metrics))
@@ -227,21 +224,9 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
 
     crashes = spec.crashes.build(Topology(list(spec.group_sizes)), crash_rng)
     system = build_system(
-        protocol=spec.protocol,
-        group_sizes=list(spec.group_sizes),
-        latency=spec.latency.build(),
-        seed=seed,
-        crashes=crashes,
-        detector=spec.detector,
-        detector_delay=spec.detector_delay,
-        stabilise_at=spec.stabilise_at,
-        heartbeat_period=spec.heartbeat_period,
-        heartbeat_timeout=spec.heartbeat_timeout,
-        heartbeat_horizon=spec.heartbeat_horizon,
-        transport=spec.transport,
+        spec, seed=seed, crashes=crashes,
         trace=bool(TRACE_CHECKERS.intersection(spec.checkers)
                    or TRACE_METRICS.intersection(spec.metrics)),
-        **spec.kwargs_dict(),
     )
     applied = None
     if adversary is None and spec.adversary != "none":

@@ -9,10 +9,13 @@ simulation there from the (spec, seed) pair, and still guarantee the
 result is bit-identical to a serial run: every source of randomness is
 derived from the seed inside the worker.
 
-The sub-specs (:class:`LatencySpec`, :class:`WorkloadSpec`,
-:class:`DestinationSpec`, :class:`CrashSpec`) mirror the imperative
-helpers in :mod:`repro.net.topology`, :mod:`repro.workload.generators`
-and :mod:`repro.failure.schedule`; each knows how to ``build`` its live
+The system half of a scenario is the inherited
+:class:`~repro.runtime.builder.SystemSpec`.  The sub-specs
+(:class:`WorkloadSpec`, :class:`DestinationSpec`, :class:`CrashSpec`,
+and :class:`~repro.net.topology.LatencySpec`, kept beside the model it
+builds) mirror the imperative helpers in
+:mod:`repro.workload.generators`, :mod:`repro.failure.schedule` and
+:mod:`repro.net.topology`; each knows how to ``build`` its live
 counterpart.  :func:`matrix` expands a base spec along declared axes
 (dotted field paths) into the cartesian grid of scenarios — the paper's
 claims only hold *across* such grids, never at a single point.
@@ -27,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.failure.schedule import CrashSchedule
-from repro.net.topology import LatencyModel, Topology
+from repro.net.topology import LatencySpec, Topology
+from repro.runtime.builder import SystemSpec
 from repro.store.spec import StoreSpec
 from repro.workload.generators import (
     CastPlan,
@@ -39,47 +43,6 @@ from repro.workload.generators import (
     uniform_k_groups,
     zipf_group_count,
 )
-
-
-# ----------------------------------------------------------------------
-# Latency
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LatencySpec:
-    """Declarative stand-in for a :class:`LatencyModel`.
-
-    ``kind`` is ``"logical"`` (unit inter-group links, degree-reading)
-    or ``"wan"`` (milliseconds with exponential jitter).
-    """
-
-    kind: str = "logical"
-    intra_ms: float = 1.0
-    inter_ms: float = 100.0
-    intra_jitter_ms: float = 0.1
-    inter_jitter_ms: float = 5.0
-
-    def build(self) -> LatencyModel:
-        if self.kind == "logical":
-            return LatencyModel.logical()
-        if self.kind == "wan":
-            return LatencyModel.wan(
-                intra_ms=self.intra_ms, inter_ms=self.inter_ms,
-                intra_jitter_ms=self.intra_jitter_ms,
-                inter_jitter_ms=self.inter_jitter_ms,
-            )
-        raise ValueError(f"unknown latency kind {self.kind!r}")
-
-    @classmethod
-    def logical(cls) -> "LatencySpec":
-        return cls(kind="logical")
-
-    @classmethod
-    def wan(cls, intra_ms: float = 1.0, inter_ms: float = 100.0,
-            intra_jitter_ms: float = 0.1,
-            inter_jitter_ms: float = 5.0) -> "LatencySpec":
-        return cls(kind="wan", intra_ms=intra_ms, inter_ms=inter_ms,
-                   intra_jitter_ms=intra_jitter_ms,
-                   inter_jitter_ms=inter_jitter_ms)
 
 
 # ----------------------------------------------------------------------
@@ -204,23 +167,22 @@ class CrashSpec:
 # Scenario
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SystemSpec):
     """One fully declarative scenario: everything a worker needs.
 
-    ``checkers`` names entries of
+    The system itself is the inherited :class:`SystemSpec` (with a
+    :class:`LatencySpec`, so the scenario stays plain data); the
+    fields here say what to run on it and how to judge the run.
+    ``name`` is required.  ``checkers`` names entries of
     :data:`repro.campaigns.runner.CHECKERS`; requesting ``genuineness``
     automatically builds the system with the message trace enabled.
     ``metrics`` names entries of
     :data:`repro.campaigns.metrics.EXTRACTORS`.
-    ``protocol_kwargs`` is a tuple of (name, value) pairs forwarded to
-    the protocol factory (tuples keep the spec hashable-by-value and
-    picklable).
     """
 
-    name: str
-    protocol: str = "a1"
-    group_sizes: Tuple[int, ...] = (3, 3)
-    latency: LatencySpec = field(default_factory=LatencySpec)
+    # Defaulted only because it follows the inherited defaults; an
+    # empty name is refused in __post_init__.
+    name: str = ""
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     crashes: CrashSpec = field(default_factory=CrashSpec)
     # Transactional-store scenario (None = plain cast workload).  When
@@ -234,26 +196,12 @@ class ScenarioSpec:
     # ("none" = benign): a grid axis like any other dotted field path,
     # resolved and applied by the campaign runner after build_system.
     adversary: str = "none"
-    # "none" (raw quasi-reliable links) or "reliable" (mount the
-    # retransmitting transport of :mod:`repro.transport.reliable`
-    # beneath the protocol — what makes the lossy adversary kinds
-    # survivable).  Gridable like any other axis.
-    transport: str = "none"
-    detector: str = "perfect"
-    detector_delay: float = 5.0
-    stabilise_at: float = 0.0
-    # Heartbeat-detector knobs (used when detector is "heartbeat" or
-    # "heartbeat-elided"); the horizon bounds heartbeat traffic so
-    # finite workloads still reach quiescence in message mode.
-    heartbeat_period: float = 10.0
-    heartbeat_timeout: float = 35.0
-    heartbeat_horizon: Optional[float] = None
     start_rounds: bool = False
     max_events: int = 10_000_000
-    protocol_kwargs: Tuple[Tuple[str, object], ...] = ()
 
-    def kwargs_dict(self) -> Dict[str, object]:
-        return dict(self.protocol_kwargs)
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise TypeError("ScenarioSpec needs a non-empty name")
 
     def describe(self) -> Dict[str, object]:
         """A JSON-friendly summary for campaign artefacts."""

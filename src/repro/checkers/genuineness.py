@@ -56,8 +56,3 @@ def check_genuineness(
             f"processes {sorted(offenders)} participated but are neither "
             f"casters nor addressees (allowed: {sorted(allowed)})"
         )
-
-
-def participation_count(trace: MessageTrace) -> int:
-    """Number of distinct processes that touched the network."""
-    return len(trace.participants())

@@ -99,7 +99,7 @@ class Network:
         self._filters: List[DeliveryFilter] = []
         self._delay_hooks: List[DelayHook] = []
         #: Optional :class:`~repro.transport.reliable.ReliableTransport`
-        #: mounted by ``build_system(transport="reliable")``.  None on
+        #: mounted by ``SystemSpec(transport="reliable")``.  None on
         #: the hot paths costs one attribute read + is-None test.
         self.transport = None
         # src_gid -> {dst_gid -> constant link delay, or None when the

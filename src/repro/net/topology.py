@@ -4,7 +4,8 @@ The paper's system model (Section 2.1) partitions the processes into
 disjoint, non-empty groups.  Communication inside a group is fast;
 communication across groups is orders of magnitude slower.  This module
 captures both the membership structure (:class:`Topology`) and the
-latency distributions (:class:`LatencyModel` and friends).
+latency distributions (:class:`LatencyModel` and friends, and its
+declarative, picklable stand-in :class:`LatencySpec`).
 """
 
 from __future__ import annotations
@@ -174,6 +175,44 @@ class LatencyModel:
         time unit.
         """
         return cls(intra=Fixed(0.001), inter=Fixed(1.0))
+
+
+@dataclass(frozen=True)
+class LatencySpec:
+    """Declarative stand-in for a :class:`LatencyModel`.
+
+    ``kind`` is ``"logical"`` (unit inter-group links, degree-reading)
+    or ``"wan"`` (milliseconds with exponential jitter).
+    """
+
+    kind: str = "logical"
+    intra_ms: float = 1.0
+    inter_ms: float = 100.0
+    intra_jitter_ms: float = 0.1
+    inter_jitter_ms: float = 5.0
+
+    def build(self) -> LatencyModel:
+        if self.kind == "logical":
+            return LatencyModel.logical()
+        if self.kind == "wan":
+            return LatencyModel.wan(
+                intra_ms=self.intra_ms, inter_ms=self.inter_ms,
+                intra_jitter_ms=self.intra_jitter_ms,
+                inter_jitter_ms=self.inter_jitter_ms,
+            )
+        raise ValueError(f"unknown latency kind {self.kind!r}")
+
+    @classmethod
+    def logical(cls) -> "LatencySpec":
+        return cls(kind="logical")
+
+    @classmethod
+    def wan(cls, intra_ms: float = 1.0, inter_ms: float = 100.0,
+            intra_jitter_ms: float = 0.1,
+            inter_jitter_ms: float = 5.0) -> "LatencySpec":
+        return cls(kind="wan", intra_ms=intra_ms, inter_ms=inter_ms,
+                   intra_jitter_ms=intra_jitter_ms,
+                   inter_jitter_ms=inter_jitter_ms)
 
 
 # ----------------------------------------------------------------------

@@ -36,8 +36,8 @@ from repro.core.prediction import (
     RateAdaptivePredictor,
 )
 from repro.failure.schedule import CrashSchedule
-from repro.net.topology import Jittered, LatencyModel
-from repro.runtime.builder import build_system
+from repro.net.topology import Jittered, LatencyModel, LatencySpec
+from repro.runtime.builder import SystemSpec, build_system
 from repro.workload.generators import (
     burst_workload,
     periodic_workload,
@@ -99,8 +99,8 @@ def _one_cast(protocol: str, k: int, d: int, seed: int = 1
     """One multicast from pid 0 to groups 0..k-1 of ``d`` processes:
     (latency degree, inter-group messages).  Theorem 4.1's run is
     ``("a1", 2, 3)``."""
-    system = build_system(protocol=protocol, group_sizes=[d] * max(k, 2),
-                          seed=seed)
+    system = build_system(SystemSpec(protocol=protocol,
+                                     group_sizes=[d] * max(k, 2)), seed=seed)
     msg = system.cast(sender=0, dest_groups=tuple(range(k)))
     system.run_quiescent()
     return system.meter.latency_degree(msg.mid), system.inter_group_messages
@@ -115,8 +115,9 @@ def _warm_broadcast(protocol: str, sizes: Tuple[int, ...], seed: int) -> int:
     round's sim-time latency; under load the same degree comes from the
     second round in flight instead.
     """
-    system = build_system(protocol=protocol, group_sizes=list(sizes),
-                          seed=seed, propose_delay=0.05)
+    system = build_system(SystemSpec(
+        protocol=protocol, group_sizes=sizes,
+        protocol_kwargs=(("propose_delay", 0.05),)), seed=seed)
     system.start_rounds()
     msg = system.cast_at(0.01, 0)
     system.run_quiescent()
@@ -127,7 +128,8 @@ def _warm_broadcast(protocol: str, sizes: Tuple[int, ...], seed: int) -> int:
 def _late_broadcast(seed: int, gap: float) -> int:
     """Theorem 5.2's run: A2 on 3+3 primed by one broadcast, then a probe
     from pid 3 at ``gap``, long after the system went quiescent."""
-    system = build_system(protocol="a2", group_sizes=[3, 3], seed=seed)
+    system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                          seed=seed)
     system.cast(sender=0)
     probe = system.cast_at(gap, 3)
     system.run_quiescent()
@@ -139,7 +141,7 @@ def _two_group_cast(protocol: str, sizes: Tuple[int, int], seed: int,
                     offset: float, sender_gid: int) -> int:
     """One cell of the Prop 3.1/3.2 search: a multicast to both groups,
     cast at ``offset`` by the first member of ``sender_gid``."""
-    system = build_system(protocol=protocol, group_sizes=list(sizes),
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=sizes),
                           seed=seed)
     sender = system.topology.members(sender_gid)[0]
     msg = system.cast_at(offset, sender, (0, 1))
@@ -171,9 +173,9 @@ def _fig1b(protocol: str, d: int) -> Tuple[int, float]:
     """
     # The window places the cast inside round 1's bundle (Theorem 5.1's
     # favourable run); it adds its length to every round's latency.
-    kwargs = {"propose_delay": 0.05} if protocol == "a2" else {}
-    system = build_system(protocol=protocol, group_sizes=[d, d], seed=1,
-                          **kwargs)
+    kwargs = (("propose_delay", 0.05),) if protocol == "a2" else ()
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[d, d],
+                                     protocol_kwargs=kwargs), seed=1)
     system.start_rounds()
     senders = [p for p in system.topology.processes
                if system.topology.group_of(p) != 0]
@@ -222,9 +224,10 @@ def _tradeoff(protocol: str, groups: int, seed: int = 1,
     # propose_delay buys latency *degree* by adding 0.3 of sim-time
     # latency to every round (casts landing in the window share its
     # bundle).
-    kwargs = {"propose_delay": 0.3} if protocol == "nongenuine" else {}
-    system = build_system(protocol=protocol, group_sizes=[2] * groups,
-                          seed=seed, **kwargs)
+    kwargs = (("propose_delay", 0.3),) if protocol == "nongenuine" else ()
+    system = build_system(SystemSpec(protocol=protocol,
+                                     group_sizes=[2] * groups,
+                                     protocol_kwargs=kwargs), seed=seed)
     system.start_rounds()
     plans = poisson_workload(system.topology, system.rng.stream("wl"),
                              rate=0.8, duration=duration,
@@ -242,7 +245,7 @@ def _tradeoff(protocol: str, groups: int, seed: int = 1,
 def _ablation(protocol: str, seed: int = 1) -> Tuple[int, int, int]:
     """3 groups of 3, Zipf-local Poisson traffic (rate 0.6 over 20):
     (best degree of multi-group casts, inter-, intra-group messages)."""
-    system = build_system(protocol=protocol, group_sizes=[3, 3, 3],
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[3, 3, 3]),
                           seed=seed)
     plans = poisson_workload(system.topology, system.rng.stream("wl"),
                              rate=0.6, duration=20.0,
@@ -271,14 +274,14 @@ def _prediction(name: str, seed: int = 1, bursts: int = 6
                 ) -> Tuple[int, int, int]:
     """A2 on 3+3 over 100 ms links (1 unit = 1 ms), bursts of 4
     broadcasts 1.5 s apart: (broadcasts, wakeups, empty rounds)."""
-    system = build_system(
-        protocol="a2", group_sizes=[3, 3], seed=seed,
-        latency=LatencyModel.wan(intra_ms=1.0, inter_ms=100.0,
-                                 inter_jitter_ms=2.0),
+    system = build_system(SystemSpec(
+        protocol="a2", group_sizes=[3, 3],
+        latency=LatencySpec.wan(inter_jitter_ms=2.0),
         # A 5 ms bundling window per round: +5 ms of latency on every
         # round for burst-mates sharing a bundle.
-        propose_delay=5.0, predictor_factory=PREDICTORS[name],
-    )
+        protocol_kwargs=(("propose_delay", 5.0),
+                         ("predictor_factory", PREDICTORS[name])),
+    ), seed=seed)
     plans = burst_workload(system.topology, system.rng.stream("wl"),
                            bursts=bursts, burst_size=4, gap=1_500.0,
                            spread=120.0)
@@ -308,8 +311,8 @@ def _continent_cast(protocol: str, dest: Tuple[int, ...],
     latency = LatencyModel(intra=Jittered(0.5, 0.0),
                            inter=Jittered(100.0, 0.0),
                            pairwise_inter=pairwise)
-    system = build_system(protocol=protocol, group_sizes=[3, 3, 3], seed=1,
-                          latency=latency)
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[3, 3, 3],
+                                     latency=latency), seed=1)
     sender = system.topology.members(sender_gid)[0]
     msg = system.cast(sender=sender, dest_groups=dest)
     system.run_quiescent()
@@ -333,10 +336,11 @@ def _crash_run(seed: int, crash: bool, detector_delay: float = 30.0
     leader crashes at 300.5, before it R-Delivers the racing cast."""
     crashes = CrashSchedule({0: 300.5} if crash else {})
     system = build_system(
-        protocol="a1", group_sizes=[3, 3], seed=seed,
-        latency=LatencyModel.wan(intra_ms=1.0, inter_ms=100.0),
-        crashes=crashes, detector_delay=detector_delay, retry_timeout=40.0,
-    )
+        SystemSpec(protocol="a1", group_sizes=[3, 3],
+                   latency=LatencySpec.wan(),
+                   detector_delay=detector_delay,
+                   protocol_kwargs=(("retry_timeout", 40.0),)),
+        seed=seed, crashes=crashes)
     casts = {name: system.cast_at(at, 1, (0, 1))
              for name, at in (("before", 10.0), ("racing", 300.0),
                               ("after", 700.0))}

@@ -1,11 +1,15 @@
 """One-call construction of a complete simulated system.
 
-:func:`build_system` assembles kernel, topology, network, failure
-detector, crash schedule and one protocol endpoint per process, fully
-wired to a :class:`~repro.clocks.latency.LatencyMeter` and a
-:class:`~repro.runtime.results.DeliveryLog` that share one
-:class:`~repro.clocks.latency.MessageRecord` per message.  Every
-experiment, test and example in the repository goes through it.
+A :class:`SystemSpec` declares a system once: protocol, groups, link
+model, failure detector and transport.  :func:`build_system` turns a
+spec (plus a seed, a crash schedule and the trace switch) into kernel,
+topology, network, failure detector and one protocol endpoint per
+process, fully wired to a :class:`~repro.clocks.latency.LatencyMeter`
+and a :class:`~repro.runtime.results.DeliveryLog` that share one
+:class:`~repro.clocks.latency.MessageRecord` per message.  A campaign's
+:class:`~repro.campaigns.spec.ScenarioSpec` *is* a ``SystemSpec``, so
+campaigns, the claims table (:mod:`repro.paper`), the store, the
+examples and the tests all build through this one function.
 
 Protocol registry
 -----------------
@@ -28,7 +32,8 @@ detmerge    Aguilera & Strom [1] (deterministic merge)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clocks.latency import LatencyMeter, MessageRecord
 from repro.core.interfaces import AppMessage, MessageCatalog
@@ -39,7 +44,7 @@ from repro.failure.detectors import (
 )
 from repro.failure.schedule import CrashSchedule
 from repro.net.network import Network
-from repro.net.topology import LatencyModel, Topology
+from repro.net.topology import LatencyModel, LatencySpec, Topology
 from repro.net.trace import MessageTrace
 from repro.runtime.results import DeliveryLog
 from repro.sim.kernel import Simulator
@@ -411,38 +416,25 @@ PROTOCOLS: Dict[str, Callable] = {
 }
 
 
-#: Detector names accepted by :func:`build_system`.
+#: Detector names accepted by :class:`SystemSpec`.
 DETECTORS = ("perfect", "eventually-perfect", "heartbeat",
              "heartbeat-elided")
 
 
-def build_system(
-    protocol: str = "a1",
-    group_sizes: List[int] = (3, 3),
-    latency: Optional[LatencyModel] = None,
-    seed: int = 0,
-    crashes: Optional[CrashSchedule] = None,
-    detector: str = "perfect",
-    detector_delay: float = 5.0,
-    stabilise_at: float = 0.0,
-    heartbeat_period: float = 10.0,
-    heartbeat_timeout: float = 35.0,
-    heartbeat_horizon: Optional[float] = None,
-    transport: str = "none",
-    trace: bool = False,
-    **protocol_kwargs,
-) -> System:
-    """Assemble a ready-to-run :class:`System`.
+@dataclass(frozen=True)
+class SystemSpec:
+    """The knobs that describe one system (Section 2.1): its protocol,
+    its groups of processes, its link model and its failure detector.
 
-    Args:
+    Attributes:
         protocol: A key of :data:`PROTOCOLS`.
-        group_sizes: Processes per group, e.g. ``[3, 3, 3]``.
-        latency: Link latency model; defaults to
-            :meth:`LatencyModel.logical` (1 unit inter-group, ~0
-            intra-group) which reads latency degrees directly off the
-            virtual clock.
-        seed: Root seed for every random stream.
-        crashes: Crash schedule; validated against the topology.
+        group_sizes: Processes per group, e.g. ``(3, 3, 3)``.
+        latency: A :class:`~repro.net.topology.LatencySpec` (plain data,
+            what campaigns ship to workers) or a live
+            :class:`~repro.net.topology.LatencyModel` (pairwise or
+            ``Fixed`` links).  The default, logical, model (1 unit
+            inter-group, ~0 intra-group) reads latency degrees directly
+            off the virtual clock.
         detector: ``"perfect"``, ``"eventually-perfect"``,
             ``"heartbeat"`` (real message-driven heartbeats, one
             coalesced timer per group) or ``"heartbeat-elided"`` (the
@@ -457,28 +449,59 @@ def build_system(
         heartbeat_horizon: Virtual time after which heartbeating stops,
             so finite workloads reach quiescence (None = forever).
         transport: ``"none"`` (protocols ride the raw quasi-reliable
-            links, the default) or ``"reliable"`` (mount the sequenced
-            retransmitting transport of
-            :mod:`repro.transport.reliable` beneath every protocol
-            kind — required for the lossy adversary kinds to be
-            masked rather than fatal).
-        trace: Enable the full message trace (genuineness checks).
-        **protocol_kwargs: Forwarded to the protocol constructor.
+            links) or ``"reliable"`` (mount the sequenced retransmitting
+            transport of :mod:`repro.transport.reliable` beneath every
+            protocol kind — what makes the lossy adversary kinds masked
+            rather than fatal).
+        protocol_kwargs: ``(name, value)`` pairs forwarded to the
+            protocol constructor (pairs keep the spec hashable and
+            picklable).
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {protocol!r}; pick one of {sorted(PROTOCOLS)}"
-        )
-    from repro.transport import TRANSPORTS
 
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; pick one of {TRANSPORTS}"
-        )
+    protocol: str = "a1"
+    group_sizes: Sequence[int] = (3, 3)
+    latency: Union[LatencySpec, LatencyModel] = field(
+        default_factory=LatencySpec)
+    detector: str = "perfect"
+    detector_delay: float = 5.0
+    stabilise_at: float = 0.0
+    heartbeat_period: float = 10.0
+    heartbeat_timeout: float = 35.0
+    heartbeat_horizon: Optional[float] = None
+    transport: str = "none"
+    protocol_kwargs: Tuple[Tuple[str, object], ...] = ()
+
+    def validate(self) -> None:
+        """Refuse an unknown protocol, detector or transport name."""
+        from repro.transport import TRANSPORTS
+
+        for what, name, known in (("protocol", self.protocol, PROTOCOLS),
+                                  ("detector", self.detector, DETECTORS),
+                                  ("transport", self.transport, TRANSPORTS)):
+            if name not in known:
+                raise ValueError(
+                    f"unknown {what} {name!r}; pick one of {sorted(known)}"
+                )
+
+
+def build_system(spec: SystemSpec, seed: int = 0,
+                 crashes: Optional[CrashSchedule] = None,
+                 trace: bool = False) -> System:
+    """Assemble a ready-to-run :class:`System` from ``spec``.
+
+    Args:
+        spec: What system to build (validated here).
+        seed: Root seed for every random stream.
+        crashes: Crash schedule; validated against the topology.
+        trace: Enable the full message trace (genuineness checks).
+    """
+    spec.validate()
     sim = Simulator()
     rng = RngRegistry(seed)
-    topology = Topology(list(group_sizes))
-    latency = latency or LatencyModel.logical()
+    topology = Topology(list(spec.group_sizes))
+    latency = spec.latency
+    if not isinstance(latency, LatencyModel):
+        latency = latency.build()
     network = Network(sim, topology, latency, rng.stream("net"),
                       trace=MessageTrace(enabled=trace))
     for pid in topology.processes:
@@ -488,30 +511,27 @@ def build_system(
     crashes.validate(topology)
     crashes.apply(sim, network)
 
+    detector = spec.detector
     if detector == "perfect":
         fd: FailureDetector = PerfectDetector(sim, network,
-                                              delay=detector_delay)
+                                              delay=spec.detector_delay)
     elif detector == "eventually-perfect":
         fd = EventuallyPerfectDetector(
-            sim, network, rng.stream("fd"), stabilise_at=stabilise_at,
-            delay=detector_delay,
+            sim, network, rng.stream("fd"), stabilise_at=spec.stabilise_at,
+            delay=spec.detector_delay,
         )
-    elif detector in ("heartbeat", "heartbeat-elided"):
+    else:
         from repro.failure.heartbeat import HeartbeatFailureDetector
 
         fd = HeartbeatFailureDetector(
             sim, network, topology,
-            period=heartbeat_period, timeout=heartbeat_timeout,
-            horizon=heartbeat_horizon,
+            period=spec.heartbeat_period, timeout=spec.heartbeat_timeout,
+            horizon=spec.heartbeat_horizon,
             mode="elided" if detector == "heartbeat-elided" else "messages",
         )
-    else:
-        raise ValueError(
-            f"unknown detector {detector!r}; pick one of {DETECTORS}"
-        )
 
-    system = System(protocol, sim, topology, network, fd, rng, crashes)
-    if transport == "reliable":
+    system = System(spec.protocol, sim, topology, network, fd, rng, crashes)
+    if spec.transport == "reliable":
         from repro.transport import ReliableTransport
 
         # Mounted after crashes.apply (crash events are scheduled, so
@@ -520,8 +540,9 @@ def build_system(
         tsp = ReliableTransport(sim, network, rng.stream("transport"))
         tsp.mount()
         system.transport = tsp
-    factory = PROTOCOLS[protocol]
+    factory = PROTOCOLS[spec.protocol]
+    kwargs = dict(spec.protocol_kwargs)
     for pid in topology.processes:
-        endpoint = factory(system, network.process(pid), **protocol_kwargs)
+        endpoint = factory(system, network.process(pid), **kwargs)
         system.install_endpoint(pid, endpoint)
     return system

@@ -6,9 +6,9 @@ destination set and, through the run's
 :class:`~repro.clocks.latency.MessageRecord` table, each message's
 deliverers.
 
-:func:`format_table` renders experiment results the way the paper's
-Figure 1 does — one row per algorithm, aligned columns — so benchmark
-output can be eyeballed against the paper directly.
+:func:`format_table` renders aligned text tables in the style of the
+paper's Figure 1: the claims table (``python -m repro.cli paper``)
+and the sections of a :class:`~repro.runtime.report.RunReport`.
 """
 
 from __future__ import annotations

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
 
 class Event:
@@ -285,8 +285,3 @@ class EventQueue:
                 item._queue = None  # orphan: cancel() must not double-count
         self._heap.clear()
         self._live = 0
-
-
-def ordered_pair(a: Any, b: Any) -> Tuple[Any, Any]:
-    """Return ``(min(a, b), max(a, b))`` — handy for symmetric link keys."""
-    return (a, b) if a <= b else (b, a)

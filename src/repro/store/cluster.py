@@ -23,8 +23,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.interfaces import AppMessage
+from repro.failure.schedule import CrashSchedule
 from repro.reconfig.balancer import LoadBalancer, tick_times
-from repro.runtime.builder import System, build_system
+from repro.runtime.builder import System, SystemSpec, build_system
 from repro.store.client import CommitTracker, StoreClient
 from repro.store.partition import PartitionMap
 from repro.store.service import TransactionalStore
@@ -151,17 +152,11 @@ class StoreCluster:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        group_sizes: List[int],
-        store: Optional[StoreSpec] = None,
-        protocol: str = "a1",
-        seed: int = 0,
-        **system_kwargs,
-    ) -> "StoreCluster":
+    def build(cls, spec: SystemSpec, store: Optional[StoreSpec] = None,
+              seed: int = 0, crashes: Optional[CrashSchedule] = None,
+              trace: bool = False) -> "StoreCluster":
         """Build a store deployment over any protocol of the registry."""
-        system = build_system(protocol=protocol, group_sizes=group_sizes,
-                              seed=seed, **system_kwargs)
+        system = build_system(spec, seed=seed, crashes=crashes, trace=trace)
         return cls.attach(system, store or StoreSpec())
 
     @classmethod

@@ -1,8 +1,7 @@
 """Self-stabilizing reliable transport beneath the multicast protocols.
 
-See :mod:`repro.transport.reliable` for the protocol; mounted via
-``build_system(..., transport="reliable")`` or
-``ScenarioSpec.transport``.
+See :mod:`repro.transport.reliable` for the protocol; mounted by
+``SystemSpec(transport="reliable")`` (a ``ScenarioSpec`` is one).
 """
 
 from repro.transport.reliable import (
@@ -11,7 +10,7 @@ from repro.transport.reliable import (
     TransportStats,
 )
 
-#: Transport modes accepted by ``build_system`` / ``ScenarioSpec``.
+#: Transport modes accepted by ``SystemSpec``.
 TRANSPORTS = ("none", "reliable")
 
 __all__ = ["ACK_KIND", "ReliableTransport", "TransportStats", "TRANSPORTS"]

@@ -38,7 +38,7 @@ from repro.checkers.stabilization import (
     StreamingStabilizationChecker,
     check_stabilization,
 )
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.transport import ACK_KIND
 from repro.workload.generators import (
     poisson_workload,
@@ -54,8 +54,8 @@ LOSSY_NAMES = [name for name in ADVERSARIES if name.startswith("lossy-")]
 
 
 def _run_traced(adversary_name: str, seed: int):
-    system = build_system("a1", group_sizes=[3, 3], seed=seed,
-                          trace=True)
+    system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3]),
+                          seed=seed, trace=True)
     applied = apply_adversary(system, get_adversary(adversary_name))
     plans = poisson_workload(
         system.topology, system.rng.stream("wl"),
@@ -129,7 +129,8 @@ def test_fault_window_alignment(seed):
                 skip_faults=skip, max_faults=max_faults,
             ),),
         )
-        system = build_system("a1", group_sizes=[2, 2], seed=seed)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=seed)
         applied = apply_adversary(system, spec)
         plans = poisson_workload(
             system.topology, system.rng.stream("wl"),
@@ -164,8 +165,9 @@ def _run_reliable(adversary_name: str, seed: int):
     releases upward records its link sequence number — the raw
     observable behind the exactly-once, any-order contract.
     """
-    system = build_system("a1", group_sizes=[3, 3], seed=seed,
-                          transport="reliable")
+    system = build_system(
+        SystemSpec(protocol="a1", group_sizes=[3, 3], transport="reliable"),
+        seed=seed)
     applied = apply_adversary(system, get_adversary(adversary_name))
     system.applied_adversary = applied
     system.stabilization_checker = StreamingStabilizationChecker()

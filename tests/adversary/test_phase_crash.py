@@ -11,7 +11,7 @@ import pytest
 from repro.adversary.injectors import PHASES, apply_adversary, classify_kind
 from repro.adversary.spec import AdversarySpec, InjectorSpec, get_adversary
 from repro.checkers.properties import check_all
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.transport import ACK_KIND
 from repro.workload.generators import (
     poisson_workload,
@@ -42,8 +42,9 @@ class TestClassifyKind:
         assert {classify_kind(kind) for kind in kinds} == set(PHASES)
 
 
-def _system(**kwargs):
-    return build_system("a1", group_sizes=[3, 3], seed=1, **kwargs)
+def _system(**knobs):
+    return build_system(SystemSpec(protocol="a1", group_sizes=(3, 3),
+                                   **knobs), seed=1)
 
 
 def _phase_crash(phase):

@@ -10,14 +10,14 @@ from repro.checkers.quiescence import check_quiescence
 from repro.core import abcast
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import LatencyModel
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.tools import render_waits
 from repro.workload.generators import poisson_workload, schedule_workload
 
 
 class TestBasicDelivery:
     def test_cold_broadcast_delivers_everywhere(self):
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]), seed=1)
         m = s.cast(sender=0)
         s.run_quiescent()
         for pid in range(6):
@@ -25,23 +25,27 @@ class TestBasicDelivery:
 
     def test_cold_broadcast_degree_two(self):
         """Theorem 5.2: a broadcast into a quiescent system pays 2."""
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]), seed=1)
         m = s.cast(sender=0)
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 2
 
     def test_warm_broadcast_degree_one(self):
         """Theorem 5.1: a broadcast riding an active round pays 1."""
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1,
-                         propose_delay=0.05)
+        s = build_system(
+            SystemSpec(protocol="a2", group_sizes=[3, 3],
+                       protocol_kwargs=(("propose_delay", 0.05),)),
+            seed=1)
         s.start_rounds()
         m = s.cast_at(0.01, 0)
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 1
 
     def test_warm_broadcast_from_each_group(self):
-        s = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=1,
-                         propose_delay=0.05)
+        s = build_system(
+            SystemSpec(protocol="a2", group_sizes=[3, 3, 3],
+                       protocol_kwargs=(("propose_delay", 0.05),)),
+            seed=1)
         s.start_rounds()
         a = s.cast_at(0.01, 0)
         b = s.cast_at(0.01, 3)
@@ -52,12 +56,13 @@ class TestBasicDelivery:
         check_all(s.log, s.topology)
 
     def test_multicast_destinations_rejected(self):
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]), seed=1)
         with pytest.raises(ValueError):
             s.cast(sender=0, dest_groups=(0,))
 
     def test_properties_hold_failure_free(self):
-        s = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=5)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3, 3]),
+                         seed=5)
         for i, sender in enumerate([0, 3, 6, 1, 4]):
             s.cast_at(0.5 * i, sender)
         s.run_quiescent()
@@ -67,8 +72,8 @@ class TestBasicDelivery:
 class TestQuiescence:
     def test_system_quiesces_after_finite_workload(self):
         """Proposition A.9: finite casts => processes go silent."""
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1,
-                         trace=True)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                         seed=1, trace=True)
         for i in range(3):
             s.cast_at(float(i), 0)
         report = check_quiescence(s.sim, s.network.trace)
@@ -78,7 +83,7 @@ class TestQuiescence:
     def test_restart_after_quiescence(self):
         """Prediction mistakes are tolerated: a late broadcast still
         delivers (paper Section 5.2, Barrier restart)."""
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]), seed=1)
         a = s.cast(sender=0)
         b = s.cast_at(100.0, 3)  # long after the system went quiet
         s.run_quiescent()
@@ -88,7 +93,7 @@ class TestQuiescence:
     def test_empty_trailing_round_then_stop(self):
         """After a useful round the algorithm runs exactly one more
         (empty) round, then stops (lines 21-23)."""
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]), seed=1)
         s.cast(sender=0)
         s.run_quiescent()
         endpoint = s.endpoints[0]
@@ -99,10 +104,10 @@ class TestQuiescence:
         """Section 5.3: broadcasts faster than a round keep every round
         useful and the algorithm never reactive."""
         s = build_system(
-            protocol="a2", group_sizes=[2, 2], seed=3,
-            latency=LatencyModel.wan(inter_ms=100.0),
-            propose_delay=5.0,
-        )
+            SystemSpec(protocol="a2", group_sizes=[2, 2],
+                       latency=LatencyModel.wan(inter_ms=100.0),
+                       protocol_kwargs=(("propose_delay", 5.0),)),
+            seed=3)
         plans = poisson_workload(
             s.topology, s.rng.stream("wl"), rate=0.05, duration=2000.0,
         )  # 50 msg/s in ms units... 0.05/ms = 50/s with 100 ms rounds
@@ -121,7 +126,8 @@ class TestLatencyUnderLoad:
 
     @staticmethod
     def _run(seed, mid_run=None):
-        s = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=seed)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3, 3]),
+                         seed=seed)
         s.start_rounds()
         schedule_workload(s, poisson_workload(
             s.topology, s.rng.stream("wl"), rate=100.0, duration=30.0))
@@ -190,8 +196,10 @@ class TestOverlapUnderAdversity:
 
     @pytest.mark.parametrize("propose_delay", [0.05, 0.3])
     def test_bundling_window_composes(self, propose_delay):
-        system = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=4,
-                              propose_delay=propose_delay, trace=True)
+        system = build_system(
+            SystemSpec(protocol="a2", group_sizes=[3, 3, 3],
+                       protocol_kwargs=(("propose_delay", propose_delay),)),
+            seed=4, trace=True)
         system.start_rounds()
         schedule_workload(system, poisson_workload(
             system.topology, system.rng.stream("wl"), rate=60.0,
@@ -209,8 +217,10 @@ class TestOverlapUnderAdversity:
                       heartbeat_horizon=40.0)
                  if detector == "heartbeat" else dict(detector_delay=1.0))
         system = build_system(
-            protocol="a2", group_sizes=[3, 3, 3], seed=5, detector=detector,
-            crashes=crashes, retry_timeout=3.0, **knobs)
+            SystemSpec(protocol="a2", group_sizes=[3, 3, 3],
+                       detector=detector,
+                       protocol_kwargs=(("retry_timeout", 3.0),), **knobs),
+            seed=5, crashes=crashes)
         system.start_rounds()
         # p0 — group 0's ballot-0 leader, the one that will crash —
         # casts nothing, so every cast must be delivered (validity).
@@ -258,8 +268,8 @@ class TestOverlapUnderAdversity:
 class TestFaultTolerance:
     def test_caster_crash_after_cast(self):
         crashes = CrashSchedule({0: 0.5})
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=1,
-                         crashes=crashes)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                         seed=1, crashes=crashes)
         m = s.cast(sender=0)
         s.run_quiescent()
         check_all(s.log, s.topology, crashes)
@@ -268,8 +278,8 @@ class TestFaultTolerance:
 
     def test_minority_crashes(self):
         crashes = CrashSchedule({1: 1.0, 4: 2.0})
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=2,
-                         crashes=crashes)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                         seed=2, crashes=crashes)
         for i in range(4):
             s.cast_at(float(i), (0, 3)[i % 2])
         s.run_quiescent()
@@ -277,8 +287,8 @@ class TestFaultTolerance:
 
     def test_consensus_leader_crash(self):
         crashes = CrashSchedule({0: 0.8, 3: 1.2})
-        s = build_system(protocol="a2", group_sizes=[3, 3], seed=8,
-                         crashes=crashes)
+        s = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                         seed=8, crashes=crashes)
         s.cast(sender=1)
         s.cast_at(2.0, 4)
         s.run_quiescent()
@@ -287,10 +297,10 @@ class TestFaultTolerance:
     def test_wan_with_crashes_and_traffic(self):
         crashes = CrashSchedule({2: 150.0, 8: 250.0})
         s = build_system(
-            protocol="a2", group_sizes=[3, 3, 3], seed=21,
-            latency=LatencyModel.wan(), crashes=crashes,
-            propose_delay=5.0,
-        )
+            SystemSpec(protocol="a2", group_sizes=[3, 3, 3],
+                       latency=LatencyModel.wan(),
+                       protocol_kwargs=(("propose_delay", 5.0),)),
+            seed=21, crashes=crashes)
         plans = poisson_workload(
             s.topology, s.rng.stream("wl"), rate=0.01, duration=600.0,
         )
@@ -301,8 +311,9 @@ class TestFaultTolerance:
 
 class TestNonGenuineWrapper:
     def test_multicast_over_broadcast_filters(self):
-        s = build_system(protocol="nongenuine", group_sizes=[2, 2, 2],
-                         seed=1)
+        s = build_system(
+            SystemSpec(protocol="nongenuine", group_sizes=[2, 2, 2]),
+            seed=1)
         m = s.cast(sender=0, dest_groups=(0, 1))
         s.run_quiescent()
         for pid in (0, 1, 2, 3):
@@ -313,16 +324,19 @@ class TestNonGenuineWrapper:
     def test_warm_nongenuine_beats_genuine_latency(self):
         """The introduction's tradeoff: degree 1 vs A1's 2 — paid for
         with system-wide message complexity."""
-        s = build_system(protocol="nongenuine", group_sizes=[2, 2, 2],
-                         seed=1, propose_delay=0.05)
+        s = build_system(
+            SystemSpec(protocol="nongenuine", group_sizes=[2, 2, 2],
+                       protocol_kwargs=(("propose_delay", 0.05),)),
+            seed=1)
         s.start_rounds()
         m = s.cast_at(0.01, 0, (0, 1))
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 1
 
     def test_properties_hold(self):
-        s = build_system(protocol="nongenuine", group_sizes=[2, 2, 2],
-                         seed=6)
+        s = build_system(
+            SystemSpec(protocol="nongenuine", group_sizes=[2, 2, 2]),
+            seed=6)
         s.cast(sender=0, dest_groups=(0, 1))
         s.cast(sender=2, dest_groups=(1, 2))
         s.cast_at(1.0, 4, (0, 2))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.checkers.properties import check_all
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.workload.generators import (
     poisson_workload,
     schedule_workload,
@@ -12,9 +12,9 @@ from repro.workload.generators import (
 
 
 def _run_workload(protocol, group_sizes, seed, rate=1.0, duration=8.0,
-                  destinations=None, **kwargs):
-    s = build_system(protocol=protocol, group_sizes=group_sizes, seed=seed,
-                     **kwargs)
+                  destinations=None):
+    s = build_system(SystemSpec(protocol=protocol, group_sizes=group_sizes),
+                     seed=seed)
     plans = poisson_workload(
         s.topology, s.rng.stream("wl"), rate=rate, duration=duration,
         destinations=destinations,
@@ -27,14 +27,16 @@ def _run_workload(protocol, group_sizes, seed, rate=1.0, duration=8.0,
 
 class TestSkeen:
     def test_two_group_degree_two(self):
-        s = build_system(protocol="skeen", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="skeen", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=0, dest_groups=(0, 1))
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 2
 
     def test_degree_constant_in_k(self):
         for k, sizes in [(2, [2, 2]), (3, [2, 2, 2]), (4, [2, 2, 2, 2])]:
-            s = build_system(protocol="skeen", group_sizes=sizes, seed=1)
+            s = build_system(SystemSpec(protocol="skeen", group_sizes=sizes),
+                             seed=1)
             m = s.cast(sender=0, dest_groups=tuple(range(k)))
             s.run_quiescent()
             assert s.meter.latency_degree(m.mid) == 2, f"k={k}"
@@ -50,7 +52,8 @@ class TestSkeen:
 
 class TestFritzke:
     def test_degree_two(self):
-        s = build_system(protocol="fritzke", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="fritzke", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=0, dest_groups=(0, 1))
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 2
@@ -63,7 +66,8 @@ class TestFritzke:
         """[5]'s uniform rmcast + mandatory stage s2 cost extra traffic."""
 
         def totals(protocol):
-            s = build_system(protocol=protocol, group_sizes=[3, 3], seed=1)
+            s = build_system(SystemSpec(protocol=protocol, group_sizes=[3, 3]),
+                             seed=1)
             s.cast(sender=0, dest_groups=(0, 1))
             s.cast(sender=3, dest_groups=(0,))
             s.run_quiescent()
@@ -76,7 +80,8 @@ class TestRing:
     def test_degree_grows_with_k(self):
         degrees = {}
         for k, sizes in [(2, [2, 2]), (3, [2, 2, 2]), (4, [2, 2, 2, 2])]:
-            s = build_system(protocol="ring", group_sizes=sizes, seed=1)
+            s = build_system(SystemSpec(protocol="ring", group_sizes=sizes),
+                             seed=1)
             m = s.cast(sender=0, dest_groups=tuple(range(k)))
             s.run_quiescent()
             degrees[k] = s.meter.latency_degree(m.mid)
@@ -89,7 +94,8 @@ class TestRing:
                       destinations=uniform_k_groups(2))
 
     def test_single_group_message(self):
-        s = build_system(protocol="ring", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="ring", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=0, dest_groups=(0,))
         s.run_quiescent()
         assert s.log.sequence(0) == [m.mid]
@@ -97,7 +103,8 @@ class TestRing:
 
     def test_serialisation_blocks_second_message(self):
         """A group handles one ring message at a time, both delivered."""
-        s = build_system(protocol="ring", group_sizes=[2, 2], seed=6)
+        s = build_system(SystemSpec(protocol="ring", group_sizes=[2, 2]),
+                         seed=6)
         a = s.cast(sender=0, dest_groups=(0, 1))
         b = s.cast(sender=1, dest_groups=(0, 1))
         s.run_quiescent()
@@ -105,7 +112,8 @@ class TestRing:
         assert set(s.log.sequence(0)) == {a.mid, b.mid}
 
     def test_disjoint_rings_do_not_interfere(self):
-        s = build_system(protocol="ring", group_sizes=[2, 2, 2, 2], seed=7)
+        s = build_system(SystemSpec(protocol="ring", group_sizes=[2, 2, 2, 2]),
+                         seed=7)
         a = s.cast(sender=0, dest_groups=(0, 1))
         b = s.cast(sender=4, dest_groups=(2, 3))
         s.run_quiescent()
@@ -115,7 +123,8 @@ class TestRing:
 class TestGlobalConsensus:
     def test_degree_four(self):
         """[10]: ts exchange + cross-group consensus = 4 hops."""
-        s = build_system(protocol="global", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="global", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=0, dest_groups=(0, 1))
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 4
@@ -125,7 +134,8 @@ class TestGlobalConsensus:
                       destinations=uniform_k_groups(2))
 
     def test_single_group_message(self):
-        s = build_system(protocol="global", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="global", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=3, dest_groups=(1,))
         s.run_quiescent()
         assert s.log.sequence(3) == [m.mid]
@@ -133,7 +143,8 @@ class TestGlobalConsensus:
 
 class TestSequencerBroadcast:
     def test_degree_two(self):
-        s = build_system(protocol="sequencer", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="sequencer", group_sizes=[3, 3]),
+                         seed=1)
         # Cast from a non-sequencer process of group 0: the sequencer
         # (pid 0) is in the caster's group, so numbering costs no
         # inter-group hop and final delivery lands at degree 2.
@@ -145,13 +156,15 @@ class TestSequencerBroadcast:
         _run_workload("sequencer", [3, 3], seed=9)
 
     def test_optimistic_precedes_final(self):
-        s = build_system(protocol="sequencer", group_sizes=[2, 2], seed=1)
+        s = build_system(SystemSpec(protocol="sequencer", group_sizes=[2, 2]),
+                         seed=1)
         m = s.cast(sender=1)
         s.run_quiescent()
         assert s.endpoints[3].optimistic_deliveries == [m.mid]
 
     def test_interleaved_senders_from_both_groups(self):
-        s = build_system(protocol="sequencer", group_sizes=[2, 2], seed=2)
+        s = build_system(SystemSpec(protocol="sequencer", group_sizes=[2, 2]),
+                         seed=2)
         for t, sender in [(0.0, 1), (0.1, 3), (0.2, 0), (0.3, 2)]:
             s.cast_at(t, sender)
         s.run_quiescent()
@@ -161,7 +174,8 @@ class TestSequencerBroadcast:
 
 class TestOptimisticBroadcast:
     def test_final_degree_two_from_remote_group(self):
-        s = build_system(protocol="optimistic", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="optimistic", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=3)  # sequencer is pid 0, in the other group
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 2
@@ -169,13 +183,15 @@ class TestOptimisticBroadcast:
     def test_colocated_caster_degree_one(self):
         """The caster sharing the sequencer's group gets lucky: the
         ORDER rides the same hop as the DATA."""
-        s = build_system(protocol="optimistic", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="optimistic", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=0)
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 1
 
     def test_optimistic_delivery_is_immediate(self):
-        s = build_system(protocol="optimistic", group_sizes=[2, 2], seed=1)
+        s = build_system(SystemSpec(protocol="optimistic", group_sizes=[2, 2]),
+                         seed=1)
         m = s.cast(sender=2)
         s.run_quiescent()
         for pid in range(4):
@@ -183,7 +199,8 @@ class TestOptimisticBroadcast:
 
     def test_message_complexity_linear(self):
         """O(n) per message: n DATA + n ORDER copies."""
-        s = build_system(protocol="optimistic", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="optimistic", group_sizes=[3, 3]),
+                         seed=1)
         s.cast(sender=3)
         s.run_quiescent()
         n = s.topology.n_processes
@@ -196,7 +213,8 @@ class TestOptimisticBroadcast:
 class TestDeterministicMerge:
     def test_degree_one(self):
         """The strong-model protocol beats the genuine lower bound."""
-        s = build_system(protocol="detmerge", group_sizes=[3, 3], seed=1)
+        s = build_system(SystemSpec(protocol="detmerge", group_sizes=[3, 3]),
+                         seed=1)
         m = s.cast(sender=0)
         s.run_quiescent()
         assert s.meter.latency_degree(m.mid) == 1
@@ -206,13 +224,15 @@ class TestDeterministicMerge:
 
     def test_run_is_finite(self):
         """The finite-run adaptation actually quiesces."""
-        s = build_system(protocol="detmerge", group_sizes=[2, 2], seed=1)
+        s = build_system(SystemSpec(protocol="detmerge", group_sizes=[2, 2]),
+                         seed=1)
         s.cast(sender=0)
         s.cast_at(3.0, 2)
         s.run_quiescent(max_events=200_000)
 
     def test_merge_order_deterministic_across_processes(self):
-        s = build_system(protocol="detmerge", group_sizes=[2, 2], seed=12)
+        s = build_system(SystemSpec(protocol="detmerge", group_sizes=[2, 2]),
+                         seed=12)
         for t, sender in [(0.0, 0), (0.05, 2), (0.1, 1), (0.15, 3)]:
             s.cast_at(t, sender)
         s.run_quiescent()

@@ -11,7 +11,7 @@ the shared substrate — shows up as a divergence here.
 import pytest
 
 from repro.checkers.properties import check_all
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.store import StoreCluster, StoreSpec, check_serializability
 from repro.workload.generators import (
     poisson_workload,
@@ -24,7 +24,7 @@ BROADCASTS = ("a2", "sequencer", "optimistic", "detmerge")
 
 
 def _multicast_run(protocol, seed=17):
-    system = build_system(protocol=protocol, group_sizes=[2, 2, 2],
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[2, 2, 2]),
                           seed=seed)
     plans = poisson_workload(
         system.topology, system.rng.stream("shared-wl"), rate=0.6,
@@ -36,7 +36,7 @@ def _multicast_run(protocol, seed=17):
 
 
 def _broadcast_run(protocol, seed=23):
-    system = build_system(protocol=protocol, group_sizes=[2, 2],
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[2, 2]),
                           seed=seed)
     plans = poisson_workload(
         system.topology, system.rng.stream("shared-wl"), rate=0.5,
@@ -136,9 +136,9 @@ def _store_run(protocol, routing, seed=31):
     ``y`` (k00001) in group 1; clients sit at pids 0 and 2.
     """
     cluster = StoreCluster.build(
-        [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0,
-                                routing=routing),
-        protocol=protocol, seed=seed,
+        SystemSpec(protocol=protocol, group_sizes=(2, 2)),
+        store=StoreSpec(n_keys=4, kind="periodic", count=0, routing=routing),
+        seed=seed,
     )
     x, y = "k00000", "k00001"
     cluster.client(0).submit("A", (("put", x, "A"), ("put", y, "A")))

@@ -21,7 +21,7 @@ from repro.campaigns.spec import (
 )
 from repro.checkers.properties import check_all
 from repro.failure.schedule import CrashSchedule
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 
 # Keep hypothesis example counts modest: each example is a full
 # distributed-system run.
@@ -63,7 +63,8 @@ class TestA1Properties:
     def test_all_properties_on_random_runs(self, sys_params, data):
         sizes, seed = sys_params
         plans = data.draw(casts(len(sizes)))
-        system = build_system(protocol="a1", group_sizes=sizes, seed=seed)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=sizes),
+                              seed=seed)
         for time, sender_gid, dest in plans:
             sender = system.topology.members(sender_gid)[0]
             system.cast_at(time, sender, dest)
@@ -76,7 +77,8 @@ class TestA1Properties:
         """No multi-group message ever beats latency degree 2."""
         sizes, seed = sys_params
         plans = data.draw(casts(len(sizes), max_casts=3))
-        system = build_system(protocol="a1", group_sizes=sizes, seed=seed)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=sizes),
+                              seed=seed)
         multi = []
         for time, sender_gid, dest in plans:
             sender = system.topology.members(sender_gid)[0]
@@ -91,7 +93,8 @@ class TestA1Properties:
     @SLOW
     @given(st.integers(min_value=0, max_value=5_000), st.data())
     def test_properties_under_random_minority_crashes(self, seed, data):
-        system = build_system(protocol="a1", group_sizes=[3, 3], seed=seed)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3]),
+                              seed=seed)
         # Hypothesis-chosen minority crash schedule (at most 1 of 3 per
         # group), applied mid-run.
         crashes = {}
@@ -180,7 +183,8 @@ class TestA2Properties:
         min_size=1, max_size=5))
     def test_all_properties_on_random_runs(self, sys_params, times):
         sizes, seed = sys_params
-        system = build_system(protocol="a2", group_sizes=sizes, seed=seed)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=sizes),
+                              seed=seed)
         for i, time in enumerate(times):
             sender = system.topology.processes[i % len(
                 system.topology.processes)]
@@ -196,7 +200,8 @@ class TestA2Properties:
         """Prop A.9: the event queue always drains (enforced by
         run_quiescent — a livelock would trip the event budget)."""
         sizes, seed = sys_params
-        system = build_system(protocol="a2", group_sizes=sizes, seed=seed)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=sizes),
+                              seed=seed)
         for i, time in enumerate(times):
             system.cast_at(time, system.topology.processes[0])
         system.run_quiescent(max_events=2_000_000)
@@ -204,7 +209,8 @@ class TestA2Properties:
     @SLOW
     @given(st.integers(min_value=0, max_value=5_000), st.data())
     def test_properties_under_random_minority_crashes(self, seed, data):
-        system = build_system(protocol="a2", group_sizes=[3, 3], seed=seed)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                              seed=seed)
         crashes = {}
         for gid in (0, 1):
             if data.draw(st.booleans()):
@@ -228,7 +234,7 @@ class TestBaselineProperties:
     @given(st.integers(min_value=0, max_value=2_000), st.data())
     def test_skeen_random_runs(self, seed, data):
         plans = data.draw(casts(2, max_casts=4))
-        system = build_system(protocol="skeen", group_sizes=[2, 2],
+        system = build_system(SystemSpec(protocol="skeen", group_sizes=[2, 2]),
                               seed=seed)
         for time, sender_gid, dest in plans:
             sender = system.topology.members(sender_gid)[0]
@@ -240,8 +246,9 @@ class TestBaselineProperties:
     @given(st.integers(min_value=0, max_value=2_000), st.data())
     def test_ring_random_runs(self, seed, data):
         plans = data.draw(casts(3, max_casts=4))
-        system = build_system(protocol="ring", group_sizes=[2, 2, 2],
-                              seed=seed)
+        system = build_system(
+            SystemSpec(protocol="ring", group_sizes=[2, 2, 2]),
+            seed=seed)
         for time, sender_gid, dest in plans:
             sender = system.topology.members(sender_gid)[0]
             system.cast_at(time, sender, dest)
@@ -252,8 +259,9 @@ class TestBaselineProperties:
     @given(st.integers(min_value=0, max_value=2_000), st.data())
     def test_global_random_runs(self, seed, data):
         plans = data.draw(casts(2, max_casts=3))
-        system = build_system(protocol="global", group_sizes=[2, 2],
-                              seed=seed)
+        system = build_system(
+            SystemSpec(protocol="global", group_sizes=[2, 2]),
+            seed=seed)
         for time, sender_gid, dest in plans:
             sender = system.topology.members(sender_gid)[0]
             system.cast_at(time, sender, dest)

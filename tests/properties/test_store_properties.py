@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
 
 FAST = settings(max_examples=20, deadline=None,
@@ -49,10 +50,10 @@ def txn_batches(draw, max_txns=8):
 
 def run(protocol, routing, seed, txns):
     cluster = StoreCluster.build(
-        [2, 2],
+        SystemSpec(protocol=protocol, group_sizes=(2, 2)),
         store=StoreSpec(n_keys=len(KEYS), kind="periodic", count=0,
                         routing=routing),
-        protocol=protocol, seed=seed,
+        seed=seed,
     )
     client_pids = sorted(cluster.clients)
     for i, (time, client, ops) in enumerate(txns):

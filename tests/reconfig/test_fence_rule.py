@@ -19,6 +19,7 @@ from repro.campaigns.runner import build_scenario_system, run_checkers
 from repro.net.topology import Fixed, LatencyModel
 from repro.reconfig.checker import ReconfigViolation, check_reconfig
 from repro.reconfig.txn import ReconfigOp, is_control
+from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
 from repro.store.checker import SerializabilityViolation
 from repro.store.client import StoreClient
@@ -223,7 +224,8 @@ def crafted_window():
     """
     spec = StoreSpec(n_keys=9, kind="periodic", count=0,
                      rebalance_interval=10_000.0, notice_delay=0.5)
-    pmap = StoreCluster.build([2] * 4, store=spec, seed=2).partition_map
+    pmap = StoreCluster.build(SystemSpec(group_sizes=(2,) * 4), store=spec,
+                              seed=2).partition_map
     x = key_name(0)
     g = pmap.group_of(x)
     y = next(key_name(i) for i in range(9)
@@ -233,8 +235,8 @@ def crafted_window():
     latency = LatencyModel(
         intra=Fixed(0.001), inter=Fixed(1.0),
         pairwise_inter={(g, h): Fixed(10.0), (g, k): Fixed(10.0)})
-    cluster = StoreCluster.build([2] * 4, store=spec, seed=2,
-                                 latency=latency)
+    cluster = StoreCluster.build(
+        SystemSpec(group_sizes=(2,) * 4, latency=latency), store=spec, seed=2)
     sim, topology = cluster.system.sim, cluster.system.topology
     local, far = first_client(cluster, g), first_client(cluster, c)
     for i in range(20):

@@ -15,6 +15,7 @@ import pytest
 from repro.reconfig.balancer import LoadBalancer
 from repro.reconfig.checker import ReconfigViolation, check_reconfig
 from repro.reconfig.txn import ReconfigOp
+from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
 from repro.store.transaction import Transaction
 
@@ -22,8 +23,9 @@ from repro.store.transaction import Transaction
 def build_elastic(n_groups=3, seed=2, **kwargs):
     spec = StoreSpec(n_keys=9, kind="periodic", count=0,
                      rebalance_interval=10_000.0, **kwargs)
-    return StoreCluster.build([2] * n_groups, store=spec,
-                              protocol="a1", seed=seed)
+    return StoreCluster.build(
+        SystemSpec(protocol="a1", group_sizes=(2,) * n_groups),
+        store=spec, seed=seed)
 
 
 def settle(cluster):

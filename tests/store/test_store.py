@@ -4,16 +4,16 @@ import pytest
 
 from repro.checkers.properties import check_all
 from repro.failure.schedule import CrashSchedule
+from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
 
 
-def run_cluster(protocol="a1", seed=1, spec=None, group_sizes=(2, 2, 2),
-                **kwargs):
+def run_cluster(protocol="a1", seed=1, spec=None, group_sizes=(2, 2, 2)):
     cluster = StoreCluster.build(
-        list(group_sizes),
+        SystemSpec(protocol=protocol, group_sizes=group_sizes),
         store=spec or StoreSpec(n_keys=18, rate=1.0, duration=25.0,
                                 multi_partition_fraction=0.4),
-        protocol=protocol, seed=seed, **kwargs,
+        seed=seed,
     )
     cluster.system.run_quiescent()
     return cluster
@@ -31,8 +31,8 @@ class TestServing:
 
     def test_manual_submission_and_local_reads(self):
         cluster = StoreCluster.build(
-            [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0),
-            protocol="a1", seed=3,
+            SystemSpec(protocol="a1", group_sizes=(2, 2)),
+            store=StoreSpec(n_keys=4, kind="periodic", count=0), seed=3,
         )
         keymap = cluster.partition_map
         key = next(k for k in ("k00000", "k00001")
@@ -61,8 +61,8 @@ class TestServing:
         transaction spanning two partitions is an A1 multicast to two
         groups, delivered at the paper's latency degree 2."""
         cluster = StoreCluster.build(
-            [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0),
-            protocol="a1", seed=1,
+            SystemSpec(protocol="a1", group_sizes=(2, 2)),
+            store=StoreSpec(n_keys=4, kind="periodic", count=0), seed=1,
         )
         keymap = cluster.partition_map
         ops = tuple(("put", next(k for k in ("k00000", "k00001")
@@ -110,12 +110,13 @@ class TestServing:
 
     def test_genuine_routing_rejected_on_broadcast_protocols(self):
         with pytest.raises(ValueError, match="broadcast protocol"):
-            StoreCluster.build([2, 2], store=StoreSpec(), protocol="a2")
+            StoreCluster.build(SystemSpec(protocol="a2", group_sizes=(2, 2)),
+                               store=StoreSpec())
 
     def test_duplicate_tracker_registration_rejected(self):
         cluster = StoreCluster.build(
-            [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0),
-            protocol="a1", seed=3,
+            SystemSpec(protocol="a1", group_sizes=(2, 2)),
+            store=StoreSpec(n_keys=4, kind="periodic", count=0), seed=3,
         )
         cluster.client(0).submit("dup-1", (("put", "k00000", 1),))
         with pytest.raises(ValueError, match="already tracked"):
@@ -188,10 +189,10 @@ class TestConvergenceReporting:
 class TestUnderCrashes:
     def test_minority_crashes_stay_serialisable(self):
         cluster = StoreCluster.build(
-            [3, 3], store=StoreSpec(n_keys=12, rate=0.8, duration=30.0,
-                                    multi_partition_fraction=0.4),
-            protocol="a1", seed=5,
-            crashes=CrashSchedule({0: 6.0, 4: 12.0}),
+            SystemSpec(protocol="a1", group_sizes=(3, 3)),
+            store=StoreSpec(n_keys=12, rate=0.8, duration=30.0,
+                            multi_partition_fraction=0.4),
+            seed=5, crashes=CrashSchedule({0: 6.0, 4: 12.0}),
         )
         cluster.system.run_quiescent()
         cluster.assert_convergence()
@@ -204,10 +205,10 @@ class TestUnderCrashes:
         """Full replication over A2 keeps every correct replica of
         every group on the same execution order through crashes."""
         cluster = StoreCluster.build(
-            [3, 3], store=StoreSpec(n_keys=12, rate=0.8, duration=30.0,
-                                    routing="broadcast"),
-            protocol="a2", seed=9,
-            crashes=CrashSchedule({2: 0.5, 5: 1.5}),
+            SystemSpec(protocol="a2", group_sizes=(3, 3)),
+            store=StoreSpec(n_keys=12, rate=0.8, duration=30.0,
+                            routing="broadcast"),
+            seed=9, crashes=CrashSchedule({2: 0.5, 5: 1.5}),
         )
         cluster.system.run_quiescent()
         correct = [pid for pid in cluster.system.topology.processes
@@ -224,10 +225,10 @@ class TestUnderCrashes:
 class TestInvolvement:
     def test_spectator_groups_idle_under_genuine_routing(self):
         cluster = StoreCluster.build(
-            [2, 2, 2, 2],
+            SystemSpec(protocol="a1", group_sizes=(2, 2, 2, 2)),
             store=StoreSpec(n_keys=12, data_groups=(0, 1), rate=0.8,
                             duration=25.0, multi_partition_fraction=0.4),
-            protocol="a1", seed=2, trace=True,
+            seed=2, trace=True,
         )
         cluster.system.run_quiescent()
         report = cluster.involvement()
@@ -237,10 +238,10 @@ class TestInvolvement:
 
     def test_nongenuine_involves_spectators(self):
         cluster = StoreCluster.build(
-            [2, 2, 2, 2],
+            SystemSpec(protocol="nongenuine", group_sizes=(2, 2, 2, 2)),
             store=StoreSpec(n_keys=12, data_groups=(0, 1), rate=0.8,
                             duration=25.0, multi_partition_fraction=0.4),
-            protocol="nongenuine", seed=2, trace=True,
+            seed=2, trace=True,
         )
         cluster.system.run_quiescent()
         report = cluster.involvement()

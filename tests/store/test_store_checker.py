@@ -9,6 +9,7 @@ and pinpointed.
 import pytest
 
 from repro.core.interfaces import AppMessage
+from repro.runtime.builder import SystemSpec
 from repro.store import (
     SerializabilityViolation,
     StoreCluster,
@@ -31,7 +32,8 @@ def built_cluster(seed=1, **spec_kwargs):
                     multi_partition_fraction=0.4)
     defaults.update(spec_kwargs)
     cluster = StoreCluster.build(
-        [2, 2, 2], store=StoreSpec(**defaults), protocol="a1", seed=seed,
+        SystemSpec(protocol="a1", group_sizes=(2, 2, 2)),
+        store=StoreSpec(**defaults), seed=seed,
     )
     cluster.system.run_quiescent()
     return cluster
@@ -61,9 +63,10 @@ class TestStreamingCore:
 
     def test_streaming_hook_matches_post_hoc_feed(self):
         cluster = StoreCluster.build(
-            [2, 2, 2], store=StoreSpec(n_keys=16, rate=1.0, duration=25.0,
-                                       multi_partition_fraction=0.4),
-            protocol="a1", seed=4,
+            SystemSpec(protocol="a1", group_sizes=(2, 2, 2)),
+            store=StoreSpec(n_keys=16, rate=1.0, duration=25.0,
+                            multi_partition_fraction=0.4),
+            seed=4,
         )
         live = StreamingSerializabilityChecker(cluster.system.topology)
         cluster.system.add_delivery_hook(live.on_delivery)

@@ -18,6 +18,7 @@ import pytest
 from repro.campaigns.runner import build_scenario_system
 from repro.campaigns.spec import LatencySpec, ScenarioSpec
 from repro.core.interfaces import AppMessage
+from repro.runtime.builder import SystemSpec
 from repro.store import (
     SerializabilityViolation,
     StoreCluster,
@@ -45,9 +46,10 @@ def small_cluster(seed=1, crash_group_at=None):
     """A (2, 2, 2) A1 store run; optionally every replica of group 1
     crashes at ``crash_group_at``."""
     cluster = StoreCluster.build(
-        [2, 2, 2], store=StoreSpec(n_keys=16, rate=1.0, duration=25.0,
-                                   multi_partition_fraction=0.4),
-        protocol="a1", seed=seed,
+        SystemSpec(protocol="a1", group_sizes=(2, 2, 2)),
+        store=StoreSpec(n_keys=16, rate=1.0, duration=25.0,
+                        multi_partition_fraction=0.4),
+        seed=seed,
     )
     if crash_group_at is not None:
         for pid in cluster.system.topology.members(1):
@@ -84,8 +86,8 @@ class TestOneTransaction:
 
     def test_a_payload_from_elsewhere_is_parsed(self):
         cluster = StoreCluster.build(
-            [2, 2], store=StoreSpec(n_keys=4, kind="periodic", count=0),
-            protocol="a1", seed=3)
+            SystemSpec(protocol="a1", group_sizes=(2, 2)),
+            store=StoreSpec(n_keys=4, kind="periodic", count=0), seed=3)
         store = cluster.store(0)
         key = next(k for k in ("k00000", "k00001")
                    if cluster.partition_map.group_of(k) == 0)

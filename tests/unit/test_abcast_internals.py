@@ -6,7 +6,7 @@ from repro.checkers.properties import PropertyViolation, check_all
 from repro.checkers.quiescence import check_quiescence
 from repro.core import abcast
 from repro.net.topology import Fixed, LatencyModel
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.workload.generators import poisson_workload, schedule_workload
 
 
@@ -16,7 +16,8 @@ def _slow_wan():
 
 class TestRoundProgression:
     def test_round_counter_advances_per_completed_round(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0)
         system.run_quiescent()
         endpoint = system.endpoints[0]
@@ -25,7 +26,8 @@ class TestRoundProgression:
         assert endpoint.rounds_executed == 2
 
     def test_rounds_lock_step_across_groups(self):
-        system = build_system(protocol="a2", group_sizes=[3, 3], seed=2)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                              seed=2)
         for i in range(3):
             system.cast_at(float(i), i % 6)
         system.run_quiescent()
@@ -35,8 +37,9 @@ class TestRoundProgression:
     def test_bundle_for_future_round_is_buffered(self):
         """Lines 8-10: a bundle for round x > K parks in Msgs and
         pushes Barrier so the round eventually runs."""
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1,
-                              latency=_slow_wan())
+        system = build_system(
+            SystemSpec(protocol="a2", group_sizes=[2, 2], latency=_slow_wan()),
+            seed=1)
         system.cast(sender=0)
         probe = system.endpoints[2]  # group 1 observer
 
@@ -55,7 +58,8 @@ class TestRoundProgression:
 
     def test_empty_bundles_are_proposed_when_barrier_demands(self):
         """Line 12 may propose the empty set."""
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0)  # only group 0 has traffic
         system.run_quiescent()
         # Group 1 delivered group 0's message yet never R-Delivered
@@ -67,7 +71,8 @@ class TestRoundProgression:
 
 class TestBarrierLogic:
     def test_barrier_static_without_deliveries(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.start_rounds()  # Barrier 1, round 1 runs empty
         system.run_quiescent()
         endpoint = system.endpoints[0]
@@ -75,7 +80,8 @@ class TestBarrierLogic:
         assert endpoint.rounds_executed == 1  # exactly one empty round
 
     def test_useful_round_extends_barrier(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0)
         system.run_quiescent()
         endpoint = system.endpoints[0]
@@ -84,7 +90,8 @@ class TestBarrierLogic:
 
     def test_restart_lifts_remote_barriers(self):
         """Line 10 is the restart path for prediction mistakes."""
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0)
         system.cast_at(50.0, 0)  # after quiescence
         system.run_quiescent()
@@ -95,7 +102,8 @@ class TestBarrierLogic:
 
 class TestBundleHygiene:
     def test_completed_round_state_garbage_collected(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         for i in range(4):
             system.cast_at(float(i), 0)
         system.run_quiescent()
@@ -106,14 +114,16 @@ class TestBundleHygiene:
     def test_duplicate_bundles_ignored(self):
         """Several senders per group send the same bundle; the first
         copy wins and the rest are redundant by consensus agreement."""
-        system = build_system(protocol="a2", group_sizes=[3, 3], seed=3)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                              seed=3)
         msg = system.cast(sender=0)
         system.run_quiescent()
         for pid in range(6):
             assert system.log.sequence(pid) == [msg.mid]
 
     def test_no_message_rides_two_rounds(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=4)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=4)
         for i in range(5):
             system.cast_at(i * 0.3, i % 4)
         system.run_quiescent()
@@ -125,8 +135,10 @@ class TestBundleHygiene:
 class TestProposeDelayWindow:
     def test_delayed_proposal_rereads_backlog(self):
         """A cast landing inside the bundling window joins the round."""
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1,
-                              propose_delay=1.0)
+        system = build_system(
+            SystemSpec(protocol="a2", group_sizes=[2, 2],
+                       protocol_kwargs=(("propose_delay", 1.0),)),
+            seed=1)
         early = system.cast_at(0.0, 0)
         late = system.cast_at(0.5, 1)  # lands inside p0's window
         system.run_quiescent()
@@ -137,23 +149,28 @@ class TestProposeDelayWindow:
         assert set(system.log.sequence(0)) == {early.mid, late.mid}
 
     def test_zero_delay_is_immediate(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1,
-                              propose_delay=0.0)
+        system = build_system(
+            SystemSpec(protocol="a2", group_sizes=[2, 2],
+                       protocol_kwargs=(("propose_delay", 0.0),)),
+            seed=1)
         system.cast(sender=0)
         system.run_quiescent()
         assert system.endpoints[0].useful_rounds == 1
 
     def test_window_does_not_break_quiescence(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1,
-                              propose_delay=5.0)
+        system = build_system(
+            SystemSpec(protocol="a2", group_sizes=[2, 2],
+                       protocol_kwargs=(("propose_delay", 5.0),)),
+            seed=1)
         system.cast(sender=0)
         system.run_quiescent(max_events=500_000)  # must drain
 
 
-def _loaded(seed=42, rate=100.0, duration=4.0, sizes=(3, 3, 3), **kw):
+def _loaded(seed=42, rate=100.0, duration=4.0, sizes=(3, 3, 3),
+            trace=False):
     """A warm (3,3,3) system with a Poisson plan scheduled on it."""
-    system = build_system(protocol="a2", group_sizes=list(sizes), seed=seed,
-                          **kw)
+    system = build_system(SystemSpec(protocol="a2", group_sizes=sizes),
+                          seed=seed, trace=trace)
     system.start_rounds()
     schedule_workload(system, poisson_workload(
         system.topology, system.rng.stream("wl"), rate=rate,
@@ -280,8 +297,9 @@ class TestTwoRoundsInFlight:
         extra round is never started, and the run is event for event
         the run of one round in flight."""
         def run():
-            system = build_system(protocol="a2", group_sizes=[3, 3, 3],
-                                  seed=42)
+            system = build_system(
+                SystemSpec(protocol="a2", group_sizes=[3, 3, 3]),
+                seed=42)
             system.start_rounds()
             plans = poisson_workload(
                 system.topology, system.rng.stream("wl"), rate=100.0,
@@ -316,8 +334,10 @@ class TestTwoRoundsInFlight:
     def test_rounds_delivered_in_order_each_exactly_once(self):
         """Under jittered WAN links decisions and bundles of rounds K
         and K+1 arrive in either order; delivery stays by round."""
-        system = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=9,
-                              latency=LatencyModel.wan())
+        system = build_system(
+            SystemSpec(protocol="a2", group_sizes=[3, 3, 3],
+                       latency=LatencyModel.wan()),
+            seed=9)
         system.start_rounds()
         schedule_workload(system, poisson_workload(
             system.topology, system.rng.stream("wl"), rate=0.5,
@@ -340,7 +360,8 @@ class TestTwoRoundsInFlight:
 
 class TestBlockedOn:
     def test_names_head_round_and_missing_groups(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2, 2]),
+                              seed=1)
         assert system.endpoints[0].blocked_on() is None
         system.cast(sender=0)
         system.run(until=0.5)

@@ -28,7 +28,7 @@ from repro.core.amcast import Blocker, _Pending
 from repro.failure.schedule import CrashSchedule
 from repro.net.message import Message
 from repro.net.topology import Fixed, LatencyModel
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 
 
 def _asymmetric_latency():
@@ -38,8 +38,10 @@ def _asymmetric_latency():
 
 class TestStageTransitions:
     def test_message_enters_pending_at_s0(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
-                              latency=_asymmetric_latency())
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       latency=_asymmetric_latency()),
+            seed=1)
         msg = system.cast(sender=0, dest_groups=(0, 1))
         # Before any consensus decision: R-Deliver put it at stage s0.
         system.run(until=0.02)
@@ -47,8 +49,10 @@ class TestStageTransitions:
         assert endpoint.pending[msg.mid].stage == STAGE_S0
 
     def test_multi_group_message_reaches_s1_after_consensus(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
-                              latency=_asymmetric_latency())
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       latency=_asymmetric_latency()),
+            seed=1)
         msg = system.cast(sender=0, dest_groups=(0, 1))
         system.run(until=1.0)  # group 0 decided; TS still in flight
         endpoint = system.endpoints[0]
@@ -56,8 +60,10 @@ class TestStageTransitions:
 
     def test_single_group_message_jumps_to_s3(self):
         """Lines 28-29: second consensus not needed."""
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
-                              latency=_asymmetric_latency())
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       latency=_asymmetric_latency()),
+            seed=1)
         msg = system.cast(sender=0, dest_groups=(0,))
         system.run(until=1.0)
         endpoint = system.endpoints[0]
@@ -66,8 +72,10 @@ class TestStageTransitions:
         assert endpoint._heard == endpoint._unheard == set()
 
     def test_noskip_single_group_message_visits_s2(self):
-        system = build_system(protocol="a1-noskip", group_sizes=[2, 2],
-                              seed=1, latency=_asymmetric_latency())
+        system = build_system(
+            SystemSpec(protocol="a1-noskip", group_sizes=[2, 2],
+                       latency=_asymmetric_latency()),
+            seed=1)
         msg = system.cast(sender=0, dest_groups=(0,))
         seen_stages = set()
         endpoint = system.endpoints[0]
@@ -86,7 +94,8 @@ class TestStageTransitions:
 
     def test_group_clock_jumps_past_decided_timestamps(self):
         """Line 31: K <- max(max ts, K) + 1."""
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
         for pid in range(4):
@@ -95,7 +104,8 @@ class TestStageTransitions:
     def test_group_clocks_agree_within_group(self):
         """Lemma A.1: members' K sequences are prefix-related; at
         quiescence they are equal."""
-        system = build_system(protocol="a1", group_sizes=[3, 3], seed=2)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3]),
+                              seed=2)
         for i in range(5):
             system.cast(sender=i % 6, dest_groups=(0, 1))
         system.run_quiescent()
@@ -113,9 +123,10 @@ class TestTimestampExchange:
         # letting group 0's TS arrive instantly relative to group 1's
         # intra steps: use inter latency below intra latency.
         system = build_system(
-            protocol="a1", group_sizes=[2, 2], seed=1,
-            latency=LatencyModel(intra=Fixed(5.0), inter=Fixed(0.1)),
-        )
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       latency=LatencyModel(intra=Fixed(5.0),
+                                            inter=Fixed(0.1))),
+            seed=1)
         msg = system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
         # Despite the inverted timing, everything delivered consistently.
@@ -124,7 +135,8 @@ class TestTimestampExchange:
 
     def test_final_timestamp_is_max_of_proposals(self):
         """Stage s1 -> s3/s2 picks the maximum group proposal."""
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=3)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=3)
         # Pre-load group 1's clock with local traffic so its proposal
         # for the probe message is higher than group 0's.
         for _ in range(4):
@@ -140,8 +152,8 @@ class TestTimestampExchange:
     def test_ts_message_introduces_unknown_message(self):
         """Footnote 4: a (TS, m) from another group must create the
         pending entry if the R-MCast copy is still missing."""
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
-                              trace=True)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1, trace=True)
         # Drop the caster's direct copies into group 1; the TS message
         # from group 0 is then group 1's only way to learn about m.
         system.network.add_delivery_filter(
@@ -194,7 +206,8 @@ class TestDeliveryGuard:
     order — links promise none (§2.1)."""
 
     def _blocked_endpoint(self):
-        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         # "held" is final at 5; "open" still lacks group 1's proposal
         # and our own was 2, so it may yet finish below (5, "held").
@@ -244,7 +257,8 @@ class TestDeliveryGuard:
         """All members of a group number their copies identically
         (agreement), so rank 2 from member B fills the hole between
         member A's ranks 1 and 3."""
-        system = build_system(protocol="a1", group_sizes=[1, 2], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 2]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
@@ -261,7 +275,8 @@ class TestDeliveryGuard:
     def test_repeated_rank_does_not_advance_the_stream(self):
         """The second member's copy of a rank already counted is a
         duplicate, not the next rank."""
-        system = build_system(protocol="a1", group_sizes=[1, 2], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 2]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "open", (0, 1), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
@@ -333,7 +348,8 @@ class TestDeliveryGuard:
         assert system.log.sequence(0) == ["held"]
 
     def test_equal_watermark_blocks_a_smaller_message_id(self):
-        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "a-open", (0, 1), ts=2, stage=STAGE_S1)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
@@ -345,7 +361,8 @@ class TestDeliveryGuard:
     def test_s0_entry_never_blocks(self):
         """Its proposal will be an instance >= K, and K > ts of every
         s3 entry (line 31)."""
-        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "a-fresh", (0, 1), ts=1, stage=STAGE_S0)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
@@ -353,7 +370,8 @@ class TestDeliveryGuard:
         assert system.log.sequence(0) == ["held"]
 
     def test_s2_entry_blocks_by_its_final_timestamp(self):
-        system = build_system(protocol="a1", group_sizes=[1, 1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "catching-up", (0, 1), ts=4, stage=STAGE_S2)
         _plant(system, 0, "held", (0, 1), ts=5, stage=STAGE_S3)
@@ -366,7 +384,8 @@ class TestDeliveryGuard:
     def test_best_missing_group_bounds_a_three_group_entry(self):
         """max over the missing groups' watermarks: one far-ahead clock
         is enough, whichever group the entry was filed under."""
-        system = build_system(protocol="a1", group_sizes=[1, 1, 1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1, 1, 1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _delivered_before_proposal(endpoint, 1, "old-1")
         _delivered_before_proposal(endpoint, 2, "old-2")
@@ -380,7 +399,8 @@ class TestDeliveryGuard:
         assert endpoint.pending["open"].awaits == 2
 
     def test_no_handler_is_reported_before_state_is_touched(self):
-        system = build_system(protocol="a1", group_sizes=[1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "held", (0,), ts=5, stage=STAGE_S3)
         endpoint._handler = None
@@ -439,9 +459,10 @@ class TestDeliveryRule:
         """Line 4: a pending message with a smaller (ts, id) gates
         delivery even if a later message reached s3 first."""
         system = build_system(
-            protocol="a1", group_sizes=[2, 2, 2], seed=4,
-            latency=LatencyModel(intra=Fixed(0.01), inter=Fixed(10.0)),
-        )
+            SystemSpec(protocol="a1", group_sizes=[2, 2, 2],
+                       latency=LatencyModel(intra=Fixed(0.01),
+                                            inter=Fixed(10.0))),
+            seed=4)
         slow = system.cast(sender=0, dest_groups=(0, 2))   # 10ms hops
         fast = system.cast(sender=0, dest_groups=(0,))     # local
         system.run_quiescent()
@@ -458,7 +479,8 @@ class TestDeliveryRule:
         proposer, so this drives the delivery test directly: two s3
         entries with the same timestamp must come out in id order.
         """
-        system = build_system(protocol="a1", group_sizes=[1], seed=5)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[1]),
+                              seed=5)
         endpoint = system.endpoints[0]
         _plant(system, 0, "zz-later", (0,), ts=7, stage=STAGE_S3)
         _plant(system, 0, "aa-early", (0,), ts=7, stage=STAGE_S3)
@@ -467,7 +489,8 @@ class TestDeliveryRule:
         assert seq == ["aa-early", "zz-later"]
 
     def test_duplicate_rmcast_copy_is_not_reprocessed(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=6)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=6)
         copies = []
         system.network.add_delivery_filter(
             lambda msg: (msg.kind == "amc.rmc.data" and msg.dst == 1
@@ -485,7 +508,8 @@ class TestDeliveryRule:
     def test_rdeliver_after_adeliver_is_not_reprocessed(self):
         """p1 learns m from its group's decision (line 30) and delivers
         it; the R-Deliver that arrives afterwards is only struck off."""
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=6)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=6)
         system.network.add_delay_hook(
             lambda copy, delay: delay + 5.0
             if copy.kind == "amc.rmc.data" and copy.dst == 1 else delay)
@@ -518,8 +542,10 @@ class TestCastAfterDelivery:
             intra=Fixed(0.001), inter=Fixed(1.0),
             pairwise_inter={(self.G, self.H): Fixed(10.0),
                             (self.G, self.K): Fixed(10.0)})
-        system = build_system(protocol="a1", group_sizes=[3, 3, 3, 3],
-                              seed=seed, latency=latency, crashes=crashes)
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[3, 3, 3, 3],
+                       latency=latency),
+            seed=seed, crashes=crashes)
         for i in range(15):
             system.cast_at(0.1 * i, sender=0, dest_groups=(self.G,))
         rng = system.rng.stream("background")

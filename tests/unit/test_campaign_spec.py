@@ -162,4 +162,4 @@ class TestPicklability:
         )
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
-        assert clone.kwargs_dict() == {"propose_delay": 1.0}
+        assert dict(clone.protocol_kwargs) == {"propose_delay": 1.0}

@@ -24,7 +24,7 @@ from repro.campaigns.spec import (
     WorkloadSpec,
 )
 from repro.core.interfaces import AppMessage
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import SimulationError
 from repro.store.cluster import StoreCluster
 from repro.store.spec import StoreSpec
@@ -44,7 +44,8 @@ def _run(protocol, destinations, as_plan):
     Returns the per-process delivery sequences, every cast and delivery
     with its instant and the number of events executed before it, the
     total ``sim.events`` and the end time."""
-    system = build_system(protocol, (2, 2, 3), seed=11)
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=(2, 2, 3)),
+                          seed=11)
     sim = system.sim
     seen = []
     system.add_cast_hook(
@@ -86,7 +87,8 @@ class TestPlanOracle:
 
 class TestPastTimes:
     def test_a_plan_with_one_past_time_changes_nothing(self):
-        system = build_system("a1", (2, 2), seed=3)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=3)
         system.sim.call_at(5.0, lambda: None)
         system.run()
         plans = periodic_workload(system.topology, period=1.0, count=4,
@@ -102,7 +104,8 @@ class TestPastTimes:
         assert not system.log.cast_map
 
     def test_cast_at_in_the_past_mints_nothing(self):
-        system = build_system("a2", (2, 2), seed=3)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=(2, 2)),
+                              seed=3)
         system.sim.call_at(5.0, lambda: None)
         system.run()
         probe = AppMessage.fresh(0, (0,)).mid
@@ -120,7 +123,8 @@ class TestPastTimes:
     ])
     def test_store_attach_in_the_past_mounts_and_queues_nothing(self,
                                                                 spec):
-        system = build_system("a1", (2, 2), seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
         system.sim.call_at(5.0, lambda: None)
         system.run()
         with pytest.raises(SimulationError):
@@ -130,7 +134,8 @@ class TestPastTimes:
         assert not any(system._delivery_taps.values())
 
     def test_store_plan_is_one_pending_event(self):
-        system = build_system("a1", (2, 2), seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
         cluster = StoreCluster.attach(system, StoreSpec())
         assert len(cluster.plans) > 10
         assert system.sim.pending_events == 1
@@ -142,7 +147,8 @@ class TestPlanMemory:
         one queued event for the whole plan and ≤ 400 traced bytes per
         planned cast (plan, message and queue entry; ≈ 985 when every
         cast was its own ``Event``, closure and label)."""
-        system = build_system("a2", (3, 3, 3), seed=42)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=(3, 3, 3)),
+                              seed=42)
         system.start_rounds()
         warm = system.sim.pending_events
         gc.collect()

@@ -516,14 +516,15 @@ class TestStreamingIncremental:
             checker.on_delivery(0, _msg("ghost"))
 
     def test_live_system_hookup(self):
-        from repro.runtime.builder import build_system
+        from repro.runtime.builder import SystemSpec, build_system
         from repro.workload.generators import (
             poisson_workload,
             schedule_workload,
             uniform_k_groups,
         )
 
-        system = build_system(protocol="a1", group_sizes=[2, 2, 2], seed=9)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
+                              seed=9)
         checker = system.install_streaming_checker()
         plans = poisson_workload(
             system.topology, system.rng.stream("wl"),
@@ -540,11 +541,12 @@ class TestStreamingIncremental:
         on a store system sees every transaction cast before its
         deliveries, instead of failing on the first delivery with a
         false "never cast" integrity violation."""
-        from repro.runtime.builder import build_system
+        from repro.runtime.builder import SystemSpec, build_system
         from repro.store.cluster import StoreCluster
         from repro.store.spec import StoreSpec
 
-        system = build_system(protocol="a1", group_sizes=[2, 2, 2], seed=42)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
+                              seed=42)
         checker = system.install_streaming_checker()
         cluster = StoreCluster.attach(system, StoreSpec(duration=20.0))
         system.run_quiescent()

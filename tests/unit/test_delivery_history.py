@@ -23,7 +23,7 @@ from repro.failure.schedule import CrashSchedule
 from repro.net.message import Message
 from repro.net.topology import Fixed, LatencyModel
 from repro.rmcast.reliable import ReliableMulticast
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 
 
 def _slow(kind, dst, extra=5.0):
@@ -47,7 +47,8 @@ class TestRankDedup:
 
     @staticmethod
     def _receiver():
-        system = build_system(protocol="a1", group_sizes=[3], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3]),
+                              seed=1)
         rmc = ReliableMulticast(system.network.process(1), system.detector,
                                 namespace="t")
         got = []
@@ -103,7 +104,8 @@ class TestRankDedup:
         assert rmc._ahead == {}
 
     def test_each_addressee_gets_its_own_rank(self):
-        system = build_system(protocol="a1", group_sizes=[3], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3]),
+                              seed=1)
         rmc = [ReliableMulticast(process, system.detector, namespace="t")
                for process in system.network.processes()]
         for endpoint in rmc:
@@ -137,8 +139,10 @@ class TestLateCopies:
         first copy of group 1's rank clears ``_late_ts`` and the second
         member's copy of it is a seen rank."""
         system = build_system(
-            protocol="a1", group_sizes=[2, 2], seed=3,
-            latency=LatencyModel(intra=Fixed(0.01), inter=Fixed(1.0)))
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       latency=LatencyModel(intra=Fixed(0.01),
+                                            inter=Fixed(1.0))),
+            seed=3)
         for _ in range(4):  # push group 1's clock ahead
             system.cast(sender=2, dest_groups=(1,))
         system.network.add_delay_hook(_slow("amc.ts", 1))
@@ -165,7 +169,8 @@ class TestLateCopies:
         check_all(system.log, system.topology)
 
     def test_a2_rdeliver_after_adeliver_is_not_reproposed(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.network.add_delay_hook(_slow("abc.rmc.data", 1))
         msg = system.cast(sender=0)
         endpoint = system.endpoints[1]
@@ -185,7 +190,9 @@ class TestLateCopies:
 class TestCastOnce:
     @pytest.mark.parametrize("protocol", ["a1", "a2"])
     def test_second_cast_of_a_mid_is_refused(self, protocol):
-        system = build_system(protocol=protocol, group_sizes=[3, 3], seed=1)
+        system = build_system(
+            SystemSpec(protocol=protocol, group_sizes=[3, 3]),
+            seed=1)
         system.cast(sender=0, dest_groups=(0, 1), mid="x")
         system.run(until=2.002)
         with pytest.raises(ValueError, match="'x'"):
@@ -197,7 +204,8 @@ class TestCastOnce:
             assert system.log.sequence(pid) == ["x"]
 
     def test_scheduled_second_cast_is_refused_when_it_fires(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         system.cast_at(0.0, 0, (0, 1), mid="x")
         system.cast_at(1.0, 1, (0, 1), mid="x")
         with pytest.raises(ValueError, match="'x'"):
@@ -329,10 +337,12 @@ class TestInvariantsUnderCrash:
     @pytest.mark.parametrize("protocol", ["a1", "a2"])
     def test_invariants_hold_through_a_crash_and_relays(self, protocol):
         system = build_system(
-            protocol=protocol, group_sizes=[3, 3, 3], seed=2,
-            latency=LatencyModel(intra=Fixed(0.01), inter=Fixed(1.0)),
-            crashes=CrashSchedule({0: 3.0}), detector_delay=0.5,
-            relay_after=2.0)
+            SystemSpec(protocol=protocol, group_sizes=[3, 3, 3],
+                       latency=LatencyModel(intra=Fixed(0.01),
+                                            inter=Fixed(1.0)),
+                       detector_delay=0.5,
+                       protocol_kwargs=(("relay_after", 2.0),)),
+            seed=2, crashes=CrashSchedule({0: 3.0}))
         system.network.add_delivery_filter(
             lambda msg: not (msg.kind.endswith("rmc.data") and msg.src == 0
                              and msg.dst in (1, 5) and msg.send_time > 2.0))

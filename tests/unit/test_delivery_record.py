@@ -19,7 +19,7 @@ from repro.clocks.latency import LatencyMeter, MessageRecord
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
-from repro.runtime.builder import PROTOCOLS, build_system
+from repro.runtime.builder import PROTOCOLS, SystemSpec, build_system
 from repro.runtime.results import DeliveryLog
 from repro.workload.generators import (
     poisson_workload,
@@ -87,7 +87,8 @@ class TestSharedMaps:
 
     def _stub_system(self):
         """A built (2, 2) system whose pids 0 and 1 are fed by hand."""
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         stubs = {pid: _StubEndpoint() for pid in (0, 1)}
         for pid, stub in stubs.items():
             system.install_endpoint(pid, stub)
@@ -118,7 +119,8 @@ class TestSharedMaps:
         assert list(maps[0]) == [0, 1]
 
     def test_meter_map_is_unchanged_by_later_deliveries(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         meter, (p0, p1) = LatencyMeter(), (system.network.process(0),
                                           system.network.process(1))
         meter.record_cast("a", p0)
@@ -158,7 +160,8 @@ class TestSharedMaps:
         assert rec_a.delivery_time == {0: 1.0, 1: 1.5}
 
     def test_a2_run_maps_taken_mid_run_stay_as_they_were(self):
-        system = build_system(protocol="a2", group_sizes=[3, 3, 3], seed=42)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3, 3]),
+                              seed=42)
         system.start_rounds()
         schedule_workload(system, poisson_workload(
             system.topology, system.rng.stream("wl"), rate=100.0,
@@ -223,8 +226,8 @@ class TestCheckAllOnRecords:
 
 class TestBuiltSystem:
     def _crash_run(self):
-        system = build_system(protocol="a1", group_sizes=[3, 3, 3], seed=7,
-                              crashes=CrashSchedule({1: 2.5, 4: 6.0}))
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3, 3]),
+                              seed=7, crashes=CrashSchedule({1: 2.5, 4: 6.0}))
         msgs = [system.cast_at(0.5 * i, sender=(2 * i) % 9,
                                dest_groups=((i % 3), (i + 1) % 3))
                 for i in range(30)]
@@ -253,7 +256,8 @@ class TestBuiltSystem:
                 is msg.dest_groups
 
     def test_max_stamp_is_the_highest_delivering_clock(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=3)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=3)
         seen = {}
         msg = system.cast(sender=0, dest_groups=(0, 1))
         system.add_delivery_hook(lambda pid, m: seen.setdefault(
@@ -280,7 +284,7 @@ def _grid_run(protocol, crash, seed=5):
     on the same clock, so ``(pid, mid, now, stamp)`` is what the record
     must hold.
     """
-    system = build_system(protocol=protocol, group_sizes=[3, 3, 3],
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[3, 3, 3]),
                           seed=seed,
                           crashes=CrashSchedule({1: 4.5}) if crash else None)
     seen = []

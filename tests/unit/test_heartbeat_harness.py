@@ -12,7 +12,7 @@ import pytest
 from repro.failure.harness import SuspicionRecorder, compare_modes
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import (
@@ -26,13 +26,12 @@ def _make_factory(protocol, group_sizes, crashes, seed, rate=0.5,
                   duration=80.0, horizon=200.0):
     def make_system(mode):
         system = build_system(
-            protocol=protocol, group_sizes=group_sizes, seed=seed,
-            crashes=crashes,
-            detector=("heartbeat-elided" if mode == "elided"
-                      else "heartbeat"),
-            heartbeat_period=5.0, heartbeat_timeout=20.0,
-            heartbeat_horizon=horizon,
-        )
+            SystemSpec(protocol=protocol, group_sizes=group_sizes,
+                       detector=("heartbeat-elided" if mode == "elided"
+                                 else "heartbeat"),
+                       heartbeat_period=5.0, heartbeat_timeout=20.0,
+                       heartbeat_horizon=horizon),
+            seed=seed, crashes=crashes)
         kwargs = ({"destinations": uniform_k_groups(2)}
                   if hasattr(system.endpoints[0], "a_mcast") else {})
         plans = poisson_workload(

@@ -5,7 +5,7 @@ import pytest
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
-from repro.runtime.builder import PROTOCOLS, build_system
+from repro.runtime.builder import PROTOCOLS, SystemSpec, build_system
 
 
 class TestAppMessage:
@@ -38,29 +38,34 @@ class TestAppMessage:
 class TestProtocolRegistry:
     def test_all_protocols_constructible(self):
         for name in PROTOCOLS:
-            system = build_system(protocol=name, group_sizes=[2, 2],
-                                  seed=1)
+            system = build_system(
+                SystemSpec(protocol=name, group_sizes=[2, 2]),
+                seed=1)
             assert len(system.endpoints) == 4
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            build_system(protocol="nope", group_sizes=[2, 2])
+            build_system(SystemSpec(protocol="nope", group_sizes=[2, 2]))
 
     def test_unknown_detector_rejected(self):
         with pytest.raises(ValueError, match="unknown detector"):
-            build_system(protocol="a1", group_sizes=[2, 2],
-                         detector="psychic")
+            build_system(
+                SystemSpec(protocol="a1", group_sizes=[2, 2],
+                           detector="psychic"))
 
     def test_unknown_option_rejected(self):
         """Unknown keywords reach the protocol constructor and fail
         there; ``profile`` is not a build option."""
         with pytest.raises(TypeError, match="profile"):
-            build_system(protocol="a1", group_sizes=[2, 2], profile=True)
+            build_system(
+                SystemSpec(protocol="a1", group_sizes=[2, 2],
+                           protocol_kwargs=(("profile", True),)))
 
     def test_eventually_perfect_detector_option(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
-                              detector="eventually-perfect",
-                              stabilise_at=5.0)
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       detector="eventually-perfect", stabilise_at=5.0),
+            seed=1)
         msg = system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
         for pid in range(4):
@@ -69,13 +74,15 @@ class TestProtocolRegistry:
 
 class TestSystemCasting:
     def test_default_destinations_are_all_groups(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         msg = system.cast(sender=0)
         assert msg.dest_groups == (0, 1)
 
     def test_broadcast_protocol_rejects_partial_destinations(self):
-        system = build_system(protocol="sequencer", group_sizes=[2, 2],
-                              seed=1)
+        system = build_system(
+            SystemSpec(protocol="sequencer", group_sizes=[2, 2]),
+            seed=1)
         with pytest.raises(ValueError, match="broadcast protocol"):
             system.cast(sender=0, dest_groups=(0,))
 
@@ -83,22 +90,25 @@ class TestSystemCasting:
         """cast_at applies the same validation as cast, at scheduling
         time — a partial destination set must not silently reach
         a_bcast when the event fires."""
-        system = build_system(protocol="sequencer", group_sizes=[2, 2],
-                              seed=1)
+        system = build_system(
+            SystemSpec(protocol="sequencer", group_sizes=[2, 2]),
+            seed=1)
         with pytest.raises(ValueError, match="broadcast protocol"):
             system.cast_at(1.0, 0, dest_groups=(0,))
         system.run_quiescent()
         assert system.log.cast_messages() == {}
 
     def test_cast_at_accepts_full_destinations_for_broadcast(self):
-        system = build_system(protocol="sequencer", group_sizes=[2, 2],
-                              seed=1)
+        system = build_system(
+            SystemSpec(protocol="sequencer", group_sizes=[2, 2]),
+            seed=1)
         msg = system.cast_at(1.0, 0, dest_groups=(0, 1))
         system.run_quiescent()
         assert msg.mid in system.log.cast_messages()
 
     def test_cast_at_meters_at_fire_time(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         msg = system.cast_at(5.0, 0, (0, 1))
         assert system.meter.record_for(msg.mid) is None  # not yet cast
         system.run_quiescent()
@@ -106,13 +116,14 @@ class TestSystemCasting:
 
     def test_crash_schedule_validated_at_build(self):
         with pytest.raises(ValueError, match="majority"):
-            build_system(protocol="a1", group_sizes=[2, 2],
+            build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
                          crashes=CrashSchedule({0: 1.0}))
 
     def test_seed_reproducibility(self):
         def run(seed):
-            system = build_system(protocol="a1", group_sizes=[3, 3],
-                                  seed=seed)
+            system = build_system(
+                SystemSpec(protocol="a1", group_sizes=[3, 3]),
+                seed=seed)
             for i in range(4):
                 # Explicit mids: the auto-id counter is process-global,
                 # so it would differ between repetitions.
@@ -128,7 +139,8 @@ class TestSystemCasting:
         # seed is the property that matters.)
 
     def test_stats_shortcuts(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
         assert system.inter_group_messages > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue, ordered_pair
+from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
 
@@ -55,10 +55,6 @@ class TestEventQueue:
         q.push(1.0, lambda: None)
         q.clear()
         assert q.pop() is None
-
-    def test_ordered_pair(self):
-        assert ordered_pair(2, 1) == (1, 2)
-        assert ordered_pair(1, 2) == (1, 2)
 
 
 class TestSimulator:

@@ -7,7 +7,7 @@ from repro.core.prediction import (
     PaperPredictor,
     RateAdaptivePredictor,
 )
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 
 
 class TestPaperPredictor:
@@ -84,9 +84,11 @@ class TestPredictorIntegration:
     def test_linger_extends_rounds_but_still_quiesces(self):
         """Bounded lingering preserves Proposition A.9."""
         system = build_system(
-            protocol="a2", group_sizes=[2, 2], seed=1,
-            predictor_factory=lambda: LingerPredictor(linger_rounds=4),
-        )
+            SystemSpec(protocol="a2", group_sizes=[2, 2],
+                       protocol_kwargs=((
+                           "predictor_factory",
+                           lambda: LingerPredictor(linger_rounds=4)),)),
+            seed=1)
         system.cast(sender=0)
         system.run_quiescent(max_events=500_000)  # must drain
         endpoint = system.endpoints[0]
@@ -96,14 +98,16 @@ class TestPredictorIntegration:
         assert endpoint.rounds_executed >= 5
 
     def test_paper_predictor_is_the_default(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0)
         system.run_quiescent()
         endpoint = system.endpoints[0]
         assert endpoint.rounds_executed == 2  # useful + one empty
 
     def test_wakeups_counted_for_cold_casts(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         system.cast(sender=0)
         system.cast_at(100.0, 0)   # after quiescence: one wakeup
         system.run_quiescent()
@@ -114,8 +118,10 @@ class TestPredictorIntegration:
     def test_per_process_predictor_instances(self):
         """The factory must produce one predictor per endpoint."""
         system = build_system(
-            protocol="a2", group_sizes=[2, 2], seed=1,
-            predictor_factory=lambda: LingerPredictor(linger_rounds=1),
-        )
+            SystemSpec(protocol="a2", group_sizes=[2, 2],
+                       protocol_kwargs=((
+                           "predictor_factory",
+                           lambda: LingerPredictor(linger_rounds=1)),)),
+            seed=1)
         predictors = {id(ep.predictor) for ep in system.endpoints.values()}
         assert len(predictors) == 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.runtime.report import LatencySummary, RunReport, percentile
 from repro.workload.generators import (
     periodic_workload,
@@ -52,7 +52,8 @@ class TestLatencySummary:
 
 @pytest.fixture(scope="module")
 def finished_run():
-    system = build_system(protocol="a1", group_sizes=[2, 2, 2], seed=3)
+    system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
+                          seed=3)
     plans = periodic_workload(system.topology, period=1.0, count=12,
                               destinations=uniform_k_groups(2))
     plans += periodic_workload(system.topology, period=1.0, count=6,
@@ -116,12 +117,14 @@ class TestRunReport:
         assert "copies per application message" in text
 
     def test_empty_run_renders(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         text = RunReport(system).render()
         assert "Run report" in text
 
     def test_throughput_summary_in_run_report(self):
-        system = build_system(protocol="a1", group_sizes=[2, 2], seed=3)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=3)
         system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
         report = RunReport(system)

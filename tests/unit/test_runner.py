@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.runtime.runner import Aggregate
 
 
@@ -27,8 +27,9 @@ class TestRealUse:
         """The canonical multi-seed claim, aggregated across seeds."""
         degrees, inter = [], []
         for seed in range(6):
-            system = build_system(protocol="a1", group_sizes=[2, 2],
-                                  seed=seed)
+            system = build_system(
+                SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                seed=seed)
             msg = system.cast(sender=0, dest_groups=(0, 1))
             system.run_quiescent()
             degrees.append(float(system.meter.latency_degree(msg.mid)))

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.net.trace import MessageTrace
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.tools.timeline import (
     lane_summary,
     render_hop_diagram,
@@ -21,8 +21,8 @@ from repro.workload.generators import (
 
 @pytest.fixture(scope="module")
 def traced_run():
-    system = build_system(protocol="a1", group_sizes=[2, 2], seed=1,
-                          trace=True)
+    system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                          seed=1, trace=True)
     msg = system.cast(sender=0, dest_groups=(0, 1))
     system.run_quiescent()
     return system, msg
@@ -100,7 +100,8 @@ class TestLaneSummary:
 
 class TestRenderWaits:
     def test_names_blocker_group_and_watermark_mid_run(self):
-        system = build_system(protocol="a1", group_sizes=[3, 3, 3], seed=42)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3, 3]),
+                              seed=42)
         schedule_workload(system, poisson_workload(
             system.topology, system.rng.stream("wl"), rate=150.0,
             duration=3.0, destinations=uniform_k_groups(2)))
@@ -114,7 +115,8 @@ class TestRenderWaits:
         assert drained.count("nothing waits in s3") == 9
 
     def test_a2_names_head_round_and_missing_bundles(self):
-        system = build_system(protocol="a2", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[2, 2]),
+                              seed=1)
         assert render_waits(system.endpoints).count(
             "no round in flight") == 4
         system.cast(sender=0)
@@ -128,7 +130,8 @@ class TestRenderWaits:
             "no round in flight") == 4
 
     def test_protocols_without_the_hook_are_skipped(self):
-        system = build_system(protocol="skeen", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="skeen", group_sizes=[2, 2]),
+                              seed=1)
         assert render_waits(system.endpoints) == \
             "(no endpoint reports waits)"
 

@@ -22,7 +22,7 @@ from repro.checkers.stabilization import (
 )
 from repro.net.channel import ChannelModel
 from repro.net.message import Message
-from repro.runtime.builder import build_system
+from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import Simulator
 from repro.workload.generators import (
     poisson_workload,
@@ -115,7 +115,8 @@ class TestMemorylessDecide:
         position afterwards."""
         from repro.sim.rng import RngRegistry
 
-        system = build_system("a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         applied = apply_adversary(system,
                                   _adversary("drop", probability=0.3))
         injector = applied.injectors[0]
@@ -133,7 +134,8 @@ class TestMemorylessDecide:
 
 class TestCorruptInjectorSemantics:
     def _system_with_corrupt(self):
-        system = build_system("a1", group_sizes=[2, 2], seed=1)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
         applied = apply_adversary(system,
                                   _adversary("corrupt", probability=1.0))
         return system, applied.injectors[0]
@@ -162,8 +164,10 @@ class TestZeroLossTransport:
         """Without faults the transport never retransmits, never sees
         a frame ahead of a gap, never suppresses — it sequences, acks,
         and drains."""
-        system = build_system("a1", group_sizes=[3, 3], seed=3,
-                              transport="reliable")
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[3, 3],
+                       transport="reliable"),
+            seed=3)
         plans = poisson_workload(
             system.topology, system.rng.stream("wl"),
             rate=1.5, duration=15.0, destinations=uniform_k_groups(2),
@@ -203,8 +207,10 @@ class TestStabilizationCheckerViolations:
             check_stabilization(system)
 
     def test_fault_past_the_horizon_is_a_violation(self):
-        system = build_system("a1", group_sizes=[2, 2], seed=1,
-                              transport="reliable")
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       transport="reliable"),
+            seed=1)
         applied = apply_adversary(
             system, _adversary("drop", probability=0.2, until=5.0))
         system.applied_adversary = applied
@@ -214,8 +220,10 @@ class TestStabilizationCheckerViolations:
             check_stabilization(system)
 
     def test_clean_run_reports_horizon_and_settling(self):
-        system = build_system("a1", group_sizes=[2, 2], seed=1,
-                              transport="reliable")
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2],
+                       transport="reliable"),
+            seed=1)
         applied = apply_adversary(
             system, _adversary("drop", probability=0.2, until=5.0))
         system.applied_adversary = applied
