@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Campaign demo: declare a scenario matrix, run it on every core.
+"""Campaign demo: declare a scenario matrix, run it over a process pool.
 
 Shows the three-step campaign workflow:
 
 1. declare a base :class:`ScenarioSpec` and expand it with
    :func:`matrix` along two axes (protocol × arrival rate),
 2. execute the grid with :class:`CampaignRunner` — serially, then over
-   a process pool — and verify the per-seed metrics are bit-identical,
-3. persist the ``CAMPAIGN_demo.json`` artefact and print the markdown
-   summary table.
+   a pool of ``JOBS`` worker processes — and verify the per-seed
+   metrics are bit-identical,
+3. persist the ``CAMPAIGN_demo.json`` artefact to a temporary directory
+   (removed on exit) and print the markdown summary table.
 
 Run:  python examples/campaign_demo.py
 
@@ -28,6 +29,10 @@ from repro.campaigns import (
     matrix,
     verify_determinism,
 )
+
+#: Worker processes for the parallel run: enough to show the pool's
+#: determinism, and the same on every host.
+JOBS = 2
 
 
 def declare() -> Campaign:
@@ -59,22 +64,22 @@ def main() -> None:
         print(f"  {spec.name}")
 
     serial = CampaignRunner(campaign, jobs=1).run()
-    jobs = max(2, os.cpu_count() or 2)
-    parallel = CampaignRunner(campaign, jobs=jobs).run()
+    parallel = CampaignRunner(campaign, jobs=JOBS).run()
 
     # The executor's core guarantee: parallelism changes wall-clock
     # time only, never a single metric.
     verify_determinism(parallel, serial)
-    print(f"\nserial {serial.wall_seconds:.2f}s vs jobs={jobs} "
+    print(f"\nserial {serial.wall_seconds:.2f}s vs jobs={JOBS} "
           f"{parallel.wall_seconds:.2f}s — per-seed metrics identical ✓")
     assert parallel.all_checkers_ok, parallel.failures()
     print("properties + genuineness checkers green on every run ✓\n")
 
     print(parallel.markdown_summary())
 
-    out_dir = tempfile.mkdtemp(prefix="campaign-demo-")
-    path = parallel.write(out_dir)
-    print(f"\nartefact: {path}")
+    with tempfile.TemporaryDirectory(prefix="campaign-demo-") as out_dir:
+        path = parallel.write(out_dir)
+        print(f"\nartefact: {path} ({os.path.getsize(path)} bytes, "
+              f"removed on exit)")
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.adversary.explorer import CaseResult, Violation, run_case
+from repro.adversary.explorer import CaseResult, run_case
 from repro.adversary.spec import AdversarySpec
 from repro.campaigns.spec import ScenarioSpec
 

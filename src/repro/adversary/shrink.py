@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.adversary.explorer import CaseResult, run_case
 from repro.adversary.spec import AdversarySpec, InjectorSpec

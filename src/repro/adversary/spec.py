@@ -29,8 +29,8 @@ to find the minimal set of faults that still breaks the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 #: Injector kinds understood by :mod:`repro.adversary.injectors`.  The
 #: lossy kinds (drop/duplicate/corrupt) break the quasi-reliable link

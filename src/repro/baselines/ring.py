@@ -26,7 +26,7 @@ their assignment timestamp (a lower bound on their final).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from repro.consensus.paxos import GroupConsensus
 from repro.consensus.sequence import ConsensusSequence

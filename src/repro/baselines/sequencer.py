@@ -35,7 +35,6 @@ slot only when another sequencer's slot at the same index exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.interfaces import (

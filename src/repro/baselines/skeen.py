@@ -25,7 +25,7 @@ comparison, both of which are failure-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.core.interfaces import (
     AppMessage,

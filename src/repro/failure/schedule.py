@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 from repro.net.topology import Topology
 from repro.sim.kernel import Simulator

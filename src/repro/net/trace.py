@@ -12,7 +12,7 @@ disabled to keep memory bounded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set
 
 from repro.net.message import Message

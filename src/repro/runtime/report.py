@@ -10,8 +10,7 @@ the underlying accessors; examples and the CLI print the full report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.clocks.latency import MessageRecord
 from repro.runtime.results import Row, format_table
@@ -59,12 +58,13 @@ class RunReport:
     def __init__(self, system) -> None:
         self.system = system
 
-    @cached_property
-    def _metered(self) -> List[Tuple[int, MessageRecord]]:
-        """(latency degree, record) per metered message, message-id order;
-        built on first use (most extractors never read it)."""
-        pairs = ((r.latency_degree, r) for r in self.system.meter.records())
-        return [(degree, r) for degree, r in pairs if degree is not None]
+    def _metered(self) -> Iterator[Tuple[int, MessageRecord]]:
+        """(latency degree, record) per metered message, message-id
+        order, streamed from the meter's records: nothing is kept."""
+        for record in self.system.meter.records():
+            degree = record.latency_degree
+            if degree is not None:
+                yield degree, record
 
     # ------------------------------------------------------------------
     # Degree statistics
@@ -72,7 +72,7 @@ class RunReport:
     def degree_histogram(self) -> Dict[int, int]:
         """Latency degree -> message count."""
         hist: Dict[int, int] = {}
-        for degree, _ in self._metered:
+        for degree, _ in self._metered():
             hist[degree] = hist.get(degree, 0) + 1
         return dict(sorted(hist.items()))
 
@@ -83,7 +83,7 @@ class RunReport:
         counts messages whose degree was measurable (delivered at every
         metered replica).
         """
-        degrees = [degree for degree, _ in self._metered]
+        degrees = [degree for degree, _ in self._metered()]
         if not degrees:
             return {"metered": 0.0, "degree_mean": 0.0,
                     "degree_max": 0.0, "degree_le1_fraction": 0.0}
@@ -98,7 +98,7 @@ class RunReport:
     def degree_by_destination_count(self) -> Dict[int, Dict[int, int]]:
         """|dest| -> (degree -> count); the paper's k-dependence."""
         out: Dict[int, Dict[int, int]] = {}
-        for degree, rec in self._metered:
+        for degree, rec in self._metered():
             k = len(rec.dest_groups)
             out.setdefault(k, {})
             out[k][degree] = out[k].get(degree, 0) + 1
@@ -111,7 +111,7 @@ class RunReport:
                         ) -> Optional[LatencySummary]:
         """Percentiles of delivery latency across all messages."""
         values = []
-        for _, rec in self._metered:
+        for _, rec in self._metered():
             value = (rec.worst_delivery_latency if worst_replica
                      else rec.mean_delivery_latency)
             if value is not None:
@@ -121,7 +121,7 @@ class RunReport:
     def latency_by_destination_count(self) -> Dict[int, LatencySummary]:
         """|dest| -> worst-replica latency percentiles."""
         buckets: Dict[int, List[float]] = {}
-        for _, rec in self._metered:
+        for _, rec in self._metered():
             if rec.worst_delivery_latency is not None:
                 buckets.setdefault(len(rec.dest_groups), []).append(
                     rec.worst_delivery_latency)

@@ -4,28 +4,41 @@ One-shot transactions over atomic multicast are serialisable by
 construction *if the protocol keeps its promises*; this checker refuses
 to take that on faith.  It verifies, from observed behaviour only:
 
-1. **replica consistency** (streaming) — within each partition, every
-   replica's execution log must be a prefix of one per-group canonical
-   order.  This is the within-group reduction of PR 3's streaming
-   prefix-order checker, re-run at the transaction level: it folds over
-   individual deliveries through :meth:`on_delivery`, so it can run
-   incrementally via ``System.add_delivery_hook`` and flag the exact
-   delivery that diverges;
+1. **replica consistency** — within each partition, every replica's
+   execution log must be a prefix of one per-group canonical order.
+   Streaming, :meth:`~StreamingSerializabilityChecker.on_delivery`
+   folds one delivery at a time (so it can run via
+   ``System.add_delivery_hook`` and flag the exact delivery that
+   diverges).  Post hoc, the longest journal of each group is
+   canonical and every member's journal is compared with it whole: one
+   list compare per replica;
 2. **atomicity** (finalize) — a transaction executed by any partition
    must be executed by every destination partition that still has a
-   correct replica (no partial commits);
+   correct replica (no partial commits).  Each group's journal becomes
+   one map, and one pass over the executed items compares each item's
+   executing groups with its cast's destinations;
 3. **global embedding** (finalize) — the per-partition canonical
    orders of *data* transactions, read as precedence constraints, must
    admit a single global serial order (Kahn's topological sort; a
-   cycle is a serializability violation);
+   cycle is a serializability violation).  Without controls each
+   journal is its own chain, so nothing is refiltered;
 4. **one-copy equivalence** (finalize) — replaying every transaction
    in that global order on a *single-copy* store must reproduce both
    every read value and cas outcome each replica observed at execution
-   time, and every correct replica's final partition state.
+   time, and every correct replica's final partition state.  A
+   single-group txn's replayed effects are compared whole with each
+   distinct effects object its group's replicas hold (replicas that
+   observed the same thing share one); a multi-group txn's op by op;
+   each final state is one dict compare.
 
 Steps 1–3 establish that some serial order exists; step 4 establishes
 that the distributed execution is indistinguishable from executing it
 on one copy — which is the definition of one-copy serializability.
+
+The whole-record compares decide the passing case only.  When one
+fails, the check falls back to the item-by-item rule (journal item by
+journal item, atomicity entries in id order, op by op), which raises
+the first violation with its kind, context and message.
 
 **Epochs.**  Elastic scenarios (:mod:`repro.reconfig`) interleave
 reconfig (R) and handoff (H) control messages with data transactions,
@@ -40,19 +53,23 @@ semantics — instead each group's journal is *walked* deterministically
 each group should have executed under which epoch.  The one-copy
 replay then executes exactly those ops, which makes fenced
 (``WrongEpoch``) ops skip on the single copy precisely where they were
-skipped in the run.  With no control messages the walk is the constant
+skipped in the run.  With no control message and no route tag the walk
+would write nothing, so it is skipped: every group stays at the
 epoch-0 map and every rule degenerates to the static behaviour above.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.interfaces import AppMessage
 from repro.net.topology import Topology
 from repro.reconfig.txn import Handoff, ReconfigOp, is_control
-from repro.store.transaction import Transaction, execute
+from repro.store.transaction import Transaction, TxnEffects, execute
 
 
 class SerializabilityViolation(AssertionError):
@@ -92,7 +109,8 @@ class _GroupWalk:
     def __init__(self, epoch0, executed_in: Dict[str, Tuple[int, ...]],
                  controls: bool) -> None:
         self._epoch0 = epoch0
-        self._executed_in = executed_in
+        #: item id -> the groups whose journals hold it.
+        self.executed_in = executed_in
         #: does any journal hold a reconfig or handoff?
         self.controls = controls
         #: (txn id, key) -> did the responsible group execute the ops?
@@ -118,7 +136,7 @@ class _GroupWalk:
     def owned(self, txn: Transaction) -> Callable[[str], bool]:
         """The keys of ``txn`` whose ops the responsible group ran."""
         if txn.routes is None and not self.controls:
-            gids = self._executed_in[txn.txn_id]
+            gids = self.executed_in[txn.txn_id]
             group_of = self._epoch0.group_of
             return lambda key: group_of(key) in gids
         facts, txn_id = self.facts, txn.txn_id
@@ -174,11 +192,53 @@ class StreamingSerializabilityChecker:
         self.deliveries += 1
 
     def ingest_journals(self, cluster) -> None:
-        """Fold every replica's execution journal (data + controls)."""
-        for pid in sorted(cluster.stores):
-            store = cluster.stores[pid]
+        """Fold every replica's execution journal (data + controls).
+
+        The passing case is decided on whole journals: per group, the
+        longest member journal is canonical, and every member's must be
+        a prefix of it (one list compare each).  Only when one is not,
+        or when the streaming half already holds items, are the
+        journals folded item by item, which names the first divergence
+        exactly where delivery-time folding would.
+        """
+        stores = cluster.stores
+        pids = sorted(stores)
+        if not self._positions and self._fold_whole(stores, pids):
+            return
+        for pid in pids:
+            store = stores[pid]
             for item_id, item in zip(store.applied, store.applied_txns):
                 self._ingest(pid, item_id, item)
+
+    def _fold_whole(self, stores, pids: List[int]) -> bool:
+        """Install every group's longest journal as its canonical order
+        if each member's journal is a prefix of it; else change nothing
+        and return False."""
+        group_of = self._topology.group_of
+        members: Dict[int, List[int]] = {}
+        for pid in pids:
+            if stores[pid].applied:
+                members.setdefault(group_of(pid), []).append(pid)
+        canonical: Dict[int, List[str]] = {}
+        for gid, group in members.items():
+            journals = [stores[pid].applied for pid in group]
+            longest = max(journals, key=len)
+            for applied in journals:
+                if (applied is not longest
+                        and applied != longest[:len(applied)]):
+                    return False
+            canonical[gid] = longest
+        for gid, longest in canonical.items():
+            self._group_order[gid] = list(longest)
+            for pid in members[gid]:
+                self._positions[pid] = len(stores[pid].applied)
+        # The first journal to hold an id supplies its item, as the
+        # per-item fold does: later writes win, so write in reverse.
+        for pid in reversed(pids):
+            store = stores[pid]
+            self._txns.update(zip(reversed(store.applied),
+                                  reversed(store.applied_txns)))
+        return True
 
     def _ingest(self, pid: int, item_id: str, item) -> None:
         if item_id not in self._txns:
@@ -230,14 +290,38 @@ class StreamingSerializabilityChecker:
     def _check_atomicity(self, cluster, correct: Dict[int, List[int]]
                          ) -> Dict[str, Tuple[int, ...]]:
         """Raise on a partial commit; returns item id -> the groups
-        that executed it."""
-        cast_map = cluster.system.log.cast_map
+        that executed it (in group order).
+
+        One unsorted pass decides the passing case; only an item that
+        is unsubmitted or missing at a destination sends the table
+        through :meth:`_word_atomicity`, in item-id order."""
         executed_in: Dict[str, Tuple[int, ...]] = {}
         for gid, order in self._group_order.items():
-            for item_id in order:
-                gids = executed_in.get(item_id, ())
-                if gid not in gids:
-                    executed_in[item_id] = gids + (gid,)
+            mine = dict.fromkeys(order, (gid,))
+            joined = {item_id: executed_in[item_id] + (gid,)
+                      for item_id in mine.keys() & executed_in.keys()}
+            executed_in.update(mine)
+            executed_in.update(joined)
+        cast_map = cluster.system.log.cast_map
+        for item_id, gids in executed_in.items():
+            cast = cast_map.get(
+                item_id[1:] if item_id.startswith("@") else item_id)
+            if cast is None:
+                break
+            dest = cast.dest_groups
+            if dest != gids and any(gid not in gids and correct[gid]
+                                    for gid in dest):
+                break
+        else:
+            return executed_in
+        self._word_atomicity(cluster, correct, executed_in)
+        return executed_in
+
+    def _word_atomicity(self, cluster, correct: Dict[int, List[int]],
+                        executed_in: Dict[str, Tuple[int, ...]]) -> None:
+        """Raise the first atomicity violation in item-id order, if an
+        excuse (a crashed partition, a stalled txn) does not cover it."""
+        cast_map = cluster.system.log.cast_map
         for item_id, gids in sorted(executed_in.items()):
             mid = item_id[1:] if item_id.startswith("@") else item_id
             cast = cast_map.get(mid)
@@ -267,7 +351,6 @@ class StreamingSerializabilityChecker:
                     kind="partial_commit", txn=item_id, gid=gid,
                     executed_in=sorted(gids),
                 )
-        return executed_in
 
     def _global_order(self, walk: _GroupWalk) -> Tuple[str, ...]:
         """Kahn's topological sort over the per-group data chains and
@@ -284,35 +367,40 @@ class StreamingSerializabilityChecker:
         constraint between them) break by txn id, so the returned order
         is deterministic.
         """
-        data_ids = {t for t, item in self._txns.items()
-                    if isinstance(item, Transaction)}
+        if walk.controls:
+            data_ids = {t for t, item in self._txns.items()
+                        if isinstance(item, Transaction)}
+            chains = [[t for t in order if t in data_ids]
+                      for order in self._group_order.values()]
+        else:  # every item is data: each journal is its chain
+            data_ids = self._txns.keys()
+            chains = self._group_order.values()
         # An edge may repeat (two txns adjacent in several groups); it
         # counts once per occurrence on both sides, so a txn becomes
         # ready exactly when its last predecessor is serialised.
-        successors: Dict[str, List[str]] = {}
-        indegree: Dict[str, int] = {t: 0 for t in data_ids}
-        def edges():
-            for order in self._group_order.values():
-                chain = [t for t in order if t in data_ids]
-                yield from zip(chain, chain[1:])
-            for (key, rid), span in walk.spans.items():
-                if rid is not None:
-                    yield walk.last_before(rid, key), span[0]
-
-        for earlier, later in edges():
-            if earlier is not None:
-                successors.setdefault(earlier, []).append(later)
+        successors: Dict[str, List[str]] = defaultdict(list)
+        indegree: Dict[str, int] = dict.fromkeys(data_ids, 0)
+        for chain in chains:
+            for earlier, later in zip(chain, islice(chain, 1, None)):
+                successors[earlier].append(later)
                 indegree[later] += 1
+        for (key, rid), span in walk.spans.items():
+            earlier = walk.last_before(rid, key) if rid is not None else None
+            if earlier is not None:
+                successors[earlier].append(span[0])
+                indegree[span[0]] += 1
         ready = [t for t, deg in indegree.items() if deg == 0]
         heapq.heapify(ready)
         serial: List[str] = []
+        pop, push, after = heapq.heappop, heapq.heappush, successors.get
         while ready:
-            txn_id = heapq.heappop(ready)
+            txn_id = pop(ready)
             serial.append(txn_id)
-            for nxt in successors.get(txn_id, ()):
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    heapq.heappush(ready, nxt)
+            for nxt in after(txn_id, ()):
+                left = indegree[nxt] - 1
+                indegree[nxt] = left
+                if not left:
+                    push(ready, nxt)
         if len(serial) != len(data_ids):
             stuck = sorted(t for t, deg in indegree.items() if deg > 0)
             raise SerializabilityViolation(
@@ -333,9 +421,15 @@ class StreamingSerializabilityChecker:
         its outputs are a function of the journals alone, independent
         of any replica's in-memory state.
         """
-        controls = any(not isinstance(item, Transaction)
-                       for item in self._txns.values())
+        items = self._txns.values()
+        controls = not all(issubclass(kind, Transaction)
+                           for kind in set(map(type, items)))
         walk = _GroupWalk(cluster.partition_map, executed_in, controls)
+        if not controls and not any(map(attrgetter("routes"), items)):
+            # Every group stays at epoch 0 and no txn carries a route
+            # (a tagged one's routes are never empty): the walk would
+            # write nothing, and every view is the epoch-0 map.
+            return walk
         for gid in sorted(self._group_order):
             order = self._group_order[gid]
             view = cluster.partition_map.clone()
@@ -444,46 +538,49 @@ class StreamingSerializabilityChecker:
                 if k in single_copy:
                     captured[rid][k] = single_copy[k]
 
+        # gid -> (pid, effects table) of its correct replicas.
+        replicas = {gid: [(pid, cluster.stores[pid].effects)
+                          for pid in pids]
+                    for gid, pids in correct.items()}
+        group_of = static_map.group_of
+        executed_in = walk.executed_in
+        txns = self._txns
         capture(None)
         for txn_id in order:
-            txn = self._txns[txn_id]
-            expected = execute(txn, single_copy, owned=walk.owned(txn))
-            capture(txn_id)
-            for index, op in enumerate(txn.ops):
-                key = op[1]
-                gid = (txn.route_of(key) if txn.routes is not None
-                       else static_map.group_of(key))
-                for pid in correct[gid]:
-                    observed = cluster.stores[pid].effects_of(txn.txn_id)
-                    if observed is None:
-                        continue  # atomicity already vouched coverage
-                    # Ops the replay fenced out (stale route) have no
-                    # entry in `expected`; the replica must have fenced
-                    # them identically, so both sides read None.
-                    if op[0] == "get":
-                        want = expected.reads.get(index)
-                        got = observed.reads.get(index)
-                        if got != want:
-                            raise SerializabilityViolation(
-                                f"read divergence: replica {pid} served "
-                                f"{txn.txn_id} op#{index} get({key!r}) = "
-                                f"{got!r}, but the one-copy replay "
-                                f"reads {want!r}",
-                                kind="read_divergence", pid=pid,
-                                txn=txn.txn_id, key=key, op_index=index,
-                            )
-                    elif op[0] == "cas":
-                        want = expected.cas_applied.get(index)
-                        got = observed.cas_applied.get(index)
-                        if got != want:
-                            raise SerializabilityViolation(
-                                f"cas divergence: replica {pid} decided "
-                                f"{txn.txn_id} op#{index} cas({key!r}) "
-                                f"applied={got!r}, one-copy replay "
-                                f"says {want!r}",
-                                kind="cas_divergence", pid=pid,
-                                txn=txn.txn_id, key=key, op_index=index,
-                            )
+            txn = txns[txn_id]
+            if txn.routes is None:
+                gids = [*map(group_of, map(_KEY, txn.ops))]
+                # With no control anywhere the filter passes every op
+                # whose epoch-0 owner executed the txn: if all did, the
+                # replay needs no filter.
+                owned = (None if not walk.controls and all(
+                    map(executed_in[txn_id].__contains__, gids))
+                    else walk.owned(txn))
+            else:
+                # First tag per key wins, as in Transaction.route_of.
+                route = dict(reversed(txn.routes)).get
+                gids = [route(op[1]) for op in txn.ops]
+                owned = walk.owned(txn)
+            expected = execute(txn, single_copy, owned=owned)
+            if capture_after:
+                capture(txn_id)
+            first = gids[0]
+            if gids.count(first) != len(gids):
+                self._compare_effects(txn, gids, expected, replicas)
+                continue
+            # One group: its replicas must have observed exactly the
+            # replay's effects (ops the replay fenced out have no entry
+            # on either side), and those that observed the same thing
+            # share one effects object, which is compared once.
+            shared = None
+            for _, table in replicas[first]:
+                observed = table.get(txn_id)
+                if observed is None or observed is shared:
+                    continue  # atomicity already vouched coverage
+                if (observed.reads != expected.reads
+                        or observed.cas_applied != expected.cas_applied):
+                    self._compare_effects(txn, gids, expected, replicas)
+                shared = observed
         for rid, values in captured.items():
             self.reconfig_replay[rid] = {
                 "proceeded": True,
@@ -497,17 +594,31 @@ class StreamingSerializabilityChecker:
         # the run — shed by the source, never installed at the target
         # because the handoff was lost to a crash — are excluded: their
         # loss shows up as uncommitted transactions, not divergence.
-        for gid in self._topology.group_ids:
-            view = walk.views.get(gid, static_map)
+        group_ids = self._topology.group_ids
+        expected_states: Dict[int, Dict[str, object]] = {
+            gid: {} for gid in group_ids}
+        if walk.views:
+            for gid in group_ids:
+                owner = walk.views.get(gid, static_map).group_of
+                expected_states[gid] = {
+                    key: value for key, value in single_copy.items()
+                    if owner(key) == gid}
+        else:  # every group ends at epoch 0: one lookup per key
+            for key, value in single_copy.items():
+                state = expected_states.get(group_of(key))
+                if state is not None:
+                    state[key] = value
+        for gid in group_ids:
             skip = walk.pending_end.get(gid, set())
-            expected_state = {
-                key: value for key, value in single_copy.items()
-                if view.group_of(key) == gid and key not in skip
-            }
+            expected_state = expected_states[gid]
+            if skip:
+                expected_state = {k: v for k, v in expected_state.items()
+                                  if k not in skip}
             for pid in correct[gid]:
-                got_state = {k: v
-                             for k, v in cluster.stores[pid].state.items()
-                             if k not in skip}
+                got_state = cluster.stores[pid].state
+                if skip:
+                    got_state = {k: v for k, v in got_state.items()
+                                 if k not in skip}
                 if got_state == expected_state:
                     continue
                 diverging = sorted(
@@ -522,6 +633,53 @@ class StreamingSerializabilityChecker:
                     f"({len(diverging)} diverging key(s))",
                     kind="state_divergence", pid=pid, gid=gid, key=key,
                 )
+
+    @staticmethod
+    def _compare_effects(txn: Transaction, gids: List[int],
+                         expected: TxnEffects,
+                         replicas: Dict[int, List[Tuple[int, dict]]]
+                         ) -> None:
+        """Raise the first read or cas divergence of ``txn`` in op
+        order, then replica order: each op's replay outcome against
+        every replica of the group it was addressed to (``gids``)."""
+        for index, op in enumerate(txn.ops):
+            kind, key = op[0], op[1]
+            if kind == "get":
+                want = expected.reads.get(index)
+            elif kind == "cas":
+                want = expected.cas_applied.get(index)
+            else:
+                continue
+            for pid, table in replicas[gids[index]]:
+                observed = table.get(txn.txn_id)
+                if observed is None:
+                    continue
+                if kind == "get":
+                    got = observed.reads.get(index)
+                    if got != want:
+                        raise SerializabilityViolation(
+                            f"read divergence: replica {pid} served "
+                            f"{txn.txn_id} op#{index} get({key!r}) = "
+                            f"{got!r}, but the one-copy replay "
+                            f"reads {want!r}",
+                            kind="read_divergence", pid=pid,
+                            txn=txn.txn_id, key=key, op_index=index,
+                        )
+                else:
+                    got = observed.cas_applied.get(index)
+                    if got != want:
+                        raise SerializabilityViolation(
+                            f"cas divergence: replica {pid} decided "
+                            f"{txn.txn_id} op#{index} cas({key!r}) "
+                            f"applied={got!r}, one-copy replay "
+                            f"says {want!r}",
+                            kind="cas_divergence", pid=pid,
+                            txn=txn.txn_id, key=key, op_index=index,
+                        )
+
+
+#: An op's key.
+_KEY = itemgetter(1)
 
 
 def check_serializability(cluster) -> Tuple[str, ...]:

@@ -9,11 +9,11 @@ touches.  :class:`PartitionMap` is that key → group assignment.
 elastic repartitioning (:mod:`repro.reconfig`) moves key ranges
 between groups at totally-ordered points, mutating a replica's map
 view through :meth:`apply_assignments`.  Every mutation bumps
-:attr:`version` and invalidates the fallback memo, so a cached answer
-can never outlive the epoch it was computed in.  Consumers that cache
-``group_of`` results themselves must key their caches by
-``(map.version, key)`` or subscribe to the same delivery stream the
-map is mutated from.
+:attr:`version`.  The fallback memo survives it: it holds only ring
+(or hash) answers, which no explicit override changes, and explicit
+assignments are read first.  Consumers that cache ``group_of`` results
+themselves must key their caches by ``(map.version, key)`` or
+subscribe to the same delivery stream the map is mutated from.
 
 A key with no explicit assignment belongs to its owner on the
 consistent-hash ring (:class:`repro.reconfig.ring.HashRing`) when the
@@ -54,8 +54,9 @@ class PartitionMap:
         self._version = 0
         # Routing runs group_of per key per operation; hashing the same
         # hot keys over and over would dominate the serving layer's
-        # submit path.  The memo is epoch-aware: every version bump
-        # clears it, so no cached assignment survives a reconfiguration.
+        # submit path.  The memo holds fallback answers only — a
+        # function of the ring (or the group count) alone, which never
+        # changes — so epoch bumps keep it and clones share it.
         self._hash_memo: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
@@ -130,7 +131,6 @@ class PartitionMap:
             else:
                 self.explicit[key] = gid
         self._version += 1
-        self._hash_memo.clear()
         return self._version
 
     def apply_move(self, keys: Iterable[str], dst: int) -> int:
@@ -143,9 +143,11 @@ class PartitionMap:
         Each replica mutates its own clone at its own delivery points;
         the pristine construction-time map stays with the cluster as
         the epoch-0 authority the checkers replay from.  Rings are
-        immutable values, so the clone shares this map's.
+        immutable values, so the clone shares this map's, and with it
+        the fallback memo.
         """
         out = PartitionMap(self.topology, explicit=self.explicit,
                            ring=self.ring)
         out._version = self._version
+        out._hash_memo = self._hash_memo
         return out

@@ -222,6 +222,12 @@ class TransactionalStore:
         """The effects this replica observed executing ``txn_id``."""
         return self._effects.get(txn_id)
 
+    @property
+    def effects(self) -> Dict[str, TxnEffects]:
+        """txn id -> the effects this replica observed (the journal
+        itself, for readers that look up many ids; do not write it)."""
+        return self._effects
+
     def reconfig_finished(self, reconfig_id: str) -> bool:
         """Has this replica seen the reconfig through to an outcome?"""
         return (reconfig_id in self.completed_reconfigs

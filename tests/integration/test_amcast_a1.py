@@ -1,10 +1,7 @@
 """Integration tests for Algorithm A1 (genuine atomic multicast)."""
 
-import pytest
-
 from repro.checkers.genuineness import check_genuineness
 from repro.checkers.properties import check_all
-from repro.core.interfaces import STAGE_S3
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import LatencyModel
 from repro.runtime.builder import SystemSpec, build_system

@@ -1,7 +1,5 @@
 """Integration tests for the Figure 1 baseline protocols."""
 
-import pytest
-
 from repro.checkers.properties import check_all
 from repro.runtime.builder import SystemSpec, build_system
 from repro.workload.generators import (

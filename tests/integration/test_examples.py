@@ -26,12 +26,12 @@ def test_examples_found():
 
 @pytest.mark.parametrize("script", SCRIPTS)
 def test_example_runs(script, monkeypatch, tmp_path):
-    # The campaign demo sizes its pool by the host and writes its
-    # artefact to a fresh temporary directory: keep both small and
-    # inside this test's directory.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(tempfile, "mkdtemp", lambda **_: str(tmp_path))
+    # Temporary files land in this test's directory, and an example
+    # must leave none behind (the campaign demo writes its artefact to
+    # a temporary directory).
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runpy.run_path(os.path.join(_EXAMPLES, script), run_name="__main__")
     assert out.getvalue()
+    assert os.listdir(tmp_path) == []

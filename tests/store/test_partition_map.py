@@ -79,12 +79,27 @@ class TestMemo:
 
 
 class TestMutation:
-    def test_apply_bumps_epoch_and_clears_memo(self):
+    def test_apply_bumps_epoch_and_keeps_memo(self):
+        """The memo holds fallback answers only, which no override
+        changes: an epoch bump keeps it, and an override still wins."""
         pmap = PartitionMap(Topology([2, 2]))
-        pmap.group_of("hot-key")
-        assert pmap.apply_assignments({"a": 1}) == 1
-        assert pmap.version == 1 and pmap._hash_memo == {}
-        assert pmap.group_of("a") == 1
+        hot = pmap.group_of("hot-key")
+        home = pmap.group_of("a")
+        assert pmap.apply_assignments({"a": 1 - home}) == 1
+        assert pmap.version == 1
+        assert pmap._hash_memo == {"hot-key": hot, "a": home}
+        assert pmap.group_of("a") == 1 - home
+        pmap.apply_assignments({"a": None})
+        assert pmap.group_of("a") == home
+
+    def test_clones_share_the_memo(self):
+        ring = HashRing((0, 1), vnodes=8)
+        pmap = PartitionMap(Topology([2, 2]), ring=ring)
+        view = pmap.clone()
+        assert view._hash_memo is pmap._hash_memo
+        view.apply_move(["a"], 1 - pmap.group_of("a"))
+        assert view.group_of("b") == pmap.group_of("b") == ring.owner("b")
+        assert pmap.group_of("a") == ring.owner("a") != view.group_of("a")
 
     def test_rejected_assignment_changes_nothing(self):
         pmap = PartitionMap(Topology([2, 2]), explicit={"a": 0, "b": 0})

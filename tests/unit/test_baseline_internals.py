@@ -1,7 +1,5 @@
 """White-box tests of the baseline protocols' distinctive mechanisms."""
 
-import pytest
-
 from repro.net.topology import Fixed, LatencyModel
 from repro.runtime.builder import SystemSpec, build_system
 

@@ -21,9 +21,7 @@ from repro.checkers.properties import (
     _PrefixOrderTracker,
     check_all,
     check_uniform_agreement,
-    check_uniform_integrity,
     check_uniform_prefix_order,
-    check_validity,
 )
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule

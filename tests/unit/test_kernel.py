@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
 

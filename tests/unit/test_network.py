@@ -7,7 +7,7 @@ import pytest
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.topology import Fixed, Jittered, LatencyModel, Topology, Uniform
-from repro.net.trace import MessageTrace, NetworkStats
+from repro.net.trace import MessageTrace
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 

@@ -3,8 +3,6 @@
 import random
 from collections import Counter
 
-import pytest
-
 from repro.consensus.paxos import GroupConsensus
 from repro.failure.detectors import (
     EventuallyPerfectDetector,
