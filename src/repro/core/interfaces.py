@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+import types
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import islice, repeat
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.net.message import MessageCatalog
 
@@ -33,15 +36,60 @@ __all__ = [
 ]
 
 _APP_IDS = itertools.count()
+_MID_TEXT = "m%06d"
 
 #: ``dataclass`` options giving instances ``__slots__`` where the running
 #: Python supports it (3.10+): one message is kept per cast of a run.
 SLOTTED = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 
+def frozen_rows(cls, *columns: Sequence) -> list:
+    """Instances of the frozen dataclass ``cls``, one per row of
+    ``columns`` (one column per field, in field order), made without
+    running ``__init__`` or ``__post_init__``: the caller vouches for
+    every value.
+
+    Each field is set by one C-level pass over the rows: through the
+    field's slot where ``cls`` has slots, else through
+    ``object.__setattr__`` (CPython 3.9, where :data:`SLOTTED` is
+    empty).  The instances are ``==``, hash and order exactly as ones
+    built through ``cls(...)`` with the same values.
+    """
+    rows = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for field, values in zip(fields(cls), columns):
+        slot = cls.__dict__.get(field.name)
+        if isinstance(slot, types.MemberDescriptorType):
+            deque(map(slot.__set__, rows, values), 0)
+        else:
+            deque(map(object.__setattr__, rows, repeat(field.name),
+                      values), 0)
+    return rows
+
+
+def normalised(dest_groups) -> Tuple[int, ...]:
+    """``dest_groups`` as a sorted, duplicate-free tuple; a tuple that
+    already is one is returned itself, so messages can share it."""
+    if type(dest_groups) is tuple:
+        prev = None
+        for gid in dest_groups:
+            if prev is not None and gid <= prev:
+                break
+            prev = gid
+        else:
+            return dest_groups
+    return tuple(sorted(set(dest_groups)))
+
+
 @dataclass(frozen=True, order=True, **SLOTTED)
 class AppMessage:
     """One application-level message.
+
+    A message made one at a time (``AppMessage(...)``, :meth:`fresh`)
+    has its ``dest_groups`` normalised by :func:`normalised`.  A cast
+    plan makes its messages in one pass (:meth:`from_columns`) with ids
+    from :meth:`mint_mids`: each distinct destination tuple is
+    normalised once, and each message is equal to the one ``fresh``
+    would have made in its place.
 
     Attributes:
         mid: Unique message identifier; also the total-order tiebreaker
@@ -57,16 +105,9 @@ class AppMessage:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        dest = self.dest_groups
-        if type(dest) is tuple:
-            prev = None
-            for gid in dest:
-                if prev is not None and gid <= prev:
-                    break
-                prev = gid
-            else:
-                return  # sorted and free of duplicates: keep (and share) it
-        object.__setattr__(self, "dest_groups", tuple(sorted(set(dest))))
+        dest = normalised(self.dest_groups)
+        if dest is not self.dest_groups:
+            object.__setattr__(self, "dest_groups", dest)
 
     def to_wire(self) -> tuple:
         """Encode as plain data for message payloads/consensus values."""
@@ -84,9 +125,27 @@ class AppMessage:
               mid: Optional[str] = None) -> "AppMessage":
         """Create a message with an auto-generated unique id."""
         if mid is None:
-            mid = f"m{next(_APP_IDS):06d}"
-        return cls(mid=mid, sender=sender,
-                   dest_groups=tuple(dest_groups), payload=payload)
+            mid = _MID_TEXT % next(_APP_IDS)
+        return cls(mid, sender, dest_groups, payload)
+
+    @staticmethod
+    def mint_mids(n: int) -> List[str]:
+        """The ids of the next ``n`` auto-id messages: the ids ``n``
+        :meth:`fresh` calls would mint, in order, and the counter
+        advanced past them."""
+        return list(map(_MID_TEXT.__mod__, islice(_APP_IDS, n)))
+
+    @classmethod
+    def from_columns(cls, mids: Sequence[str], senders: Sequence[int],
+                     dest_groups: Sequence[Tuple[int, ...]],
+                     payloads: Sequence[Any]) -> List["AppMessage"]:
+        """One message per row of the aligned columns, in one pass.
+
+        Trusted: every ``dest_groups`` entry must already be
+        :func:`normalised` (a plan normalises each distinct tuple
+        once), since nothing here checks it.
+        """
+        return frozen_rows(cls, mids, senders, dest_groups, payloads)
 
 
 # Delivery callback: the delivered AppMessage.

@@ -142,16 +142,17 @@ def check_reconfig(cluster) -> Dict[str, object]:
     # -------------------------------------------------------------- 3
     for pid in sorted(cluster.stores):
         store = cluster.stores[pid]
-        if cluster.system.network.process(pid).crashed:
+        if (cluster.system.network.process(pid).crashed
+                or not store.rejections):
             continue
+        # journal item id -> its first item (a control's id is "@rid").
+        applied = dict(zip(reversed(store.applied),
+                           reversed(store.applied_txns)))
         for rejection in store.rejections:
             effects = store.effects_of(rejection["txn_id"])
             if effects is None:
                 continue
-            txn = next(
-                (t for t in store.applied_txns
-                 if getattr(t, "txn_id", None) == rejection["txn_id"]),
-                None)
+            txn = applied.get(rejection["txn_id"])
             if txn is None:
                 continue
             for index, op in enumerate(txn.ops):

@@ -33,10 +33,11 @@ detmerge    Aguilera & Strom [1] (deterministic merge)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clocks.latency import LatencyMeter, MessageRecord
-from repro.core.interfaces import AppMessage, MessageCatalog
+from repro.core.interfaces import AppMessage, MessageCatalog, normalised
 from repro.failure.detectors import (
     EventuallyPerfectDetector,
     FailureDetector,
@@ -51,6 +52,12 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.workload.generators import CastPlan
+
+#: A plan row's fields, read a column at a time.
+_TIME = attrgetter("time")
+_SENDER = attrgetter("sender")
+_DEST = attrgetter("dest_groups")
+_PAYLOAD = attrgetter("payload")
 
 
 class System:
@@ -247,20 +254,37 @@ class System:
         clock is read at the true cast instant.  Every time and every
         broadcast destination set is checked before a message id is
         minted or anything queued, so a plan that fails changes nothing.
-        ``mids`` (aligned with ``plans``) names messages; None mints
-        fresh ids in plan order.
+
+        The messages are made here, before the run, in one pass: each
+        distinct destination object is normalised once, the ids come
+        from one :meth:`AppMessage.mint_mids` block, and each message
+        equals the one :meth:`AppMessage.fresh` would have made for its
+        item.  ``mids`` (aligned with ``plans``) names messages; a None
+        entry, or no ``mids`` at all, takes the next fresh id in plan
+        order.
         """
-        times = [plan.time for plan in plans]
+        times = list(map(_TIME, plans))
         self.sim.check_times(times)
+        senders = list(map(_SENDER, plans))
+        dests = list(map(_DEST, plans))
+        # Plans share their destination tuples, so there are few
+        # distinct objects; keyed by identity, lists are welcome too.
+        keys = list(map(id, dests))
+        distinct = dict(zip(keys, dests))
+        normal = {key: normalised(dest) for key, dest in distinct.items()}
         self._check_broadcast_destinations(
-            {(plan.sender, tuple(plan.dest_groups)) for plan in plans})
-        fresh = AppMessage.fresh
+            {(sender, normal[key]) for sender, key in set(zip(senders, keys))})
+        if any(normal[key] is not dest for key, dest in distinct.items()):
+            dests = list(map(normal.__getitem__, keys))
         if mids is None:
-            msgs = [fresh(plan.sender, plan.dest_groups, plan.payload)
-                    for plan in plans]
+            mids = AppMessage.mint_mids(len(plans))
+        elif len(mids) != len(plans):
+            raise ValueError(f"{len(mids)} mids for {len(plans)} plan items")
         else:
-            msgs = [fresh(plan.sender, plan.dest_groups, plan.payload, mid)
-                    for plan, mid in zip(plans, mids)]
+            minted = iter(AppMessage.mint_mids(list(mids).count(None)))
+            mids = [next(minted) if mid is None else mid for mid in mids]
+        msgs = AppMessage.from_columns(mids, senders, dests,
+                                       list(map(_PAYLOAD, plans)))
         self.sim.call_at_each(times, self._do_cast, msgs)
         return msgs
 

@@ -11,7 +11,9 @@ to take that on faith.  It verifies, from observed behaviour only:
    ``System.add_delivery_hook`` and flag the exact delivery that
    diverges).  Post hoc, the longest journal of each group is
    canonical and every member's journal is compared with it whole: one
-   list compare per replica;
+   list compare per replica.  At quiescence a replica that never
+   crashed must hold the whole canonical journal; only a crashed one
+   may stop at a prefix;
 2. **atomicity** (finalize) — a transaction executed by any partition
    must be executed by every destination partition that still has a
    correct replica (no partial commits).  Each group's journal becomes
@@ -203,12 +205,31 @@ class StreamingSerializabilityChecker:
         """
         stores = cluster.stores
         pids = sorted(stores)
-        if not self._positions and self._fold_whole(stores, pids):
-            return
-        for pid in pids:
-            store = stores[pid]
-            for item_id, item in zip(store.applied, store.applied_txns):
-                self._ingest(pid, item_id, item)
+        if self._positions or not self._fold_whole(stores, pids):
+            for pid in pids:
+                store = stores[pid]
+                for item_id, item in zip(store.applied, store.applied_txns):
+                    self._ingest(pid, item_id, item)
+        self._check_whole_journals(cluster)
+
+    def _check_whole_journals(self, cluster) -> None:
+        """At quiescence a replica that never crashed has executed its
+        group's whole canonical journal; only a crashed one may hold a
+        prefix (a shorter journal, or none)."""
+        for gid, pids in correct_members(cluster).items():
+            order = self._group_order.get(gid, ())
+            for pid in pids:
+                position = self._positions.get(pid, 0)
+                if position < len(order):
+                    raise SerializabilityViolation(
+                        f"replica {pid} never crashed but executed only "
+                        f"{position} of group {gid}'s {len(order)} "
+                        f"journal items, stopping before "
+                        f"{order[position]} — a correct replica must "
+                        f"execute its group's whole journal",
+                        kind="truncated_journal", pid=pid, gid=gid,
+                        position=position, expected=order[position],
+                    )
 
     def _fold_whole(self, stores, pids: List[int]) -> bool:
         """Install every group's longest journal as its canonical order

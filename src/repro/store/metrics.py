@@ -21,10 +21,12 @@ scenarios with a :class:`~repro.store.spec.StoreSpec`;
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict
 
-from repro.reconfig.txn import is_control
 from repro.runtime.report import percentile
+
+_DEST = attrgetter("dest_groups")
 
 
 def _cluster(system):
@@ -49,12 +51,15 @@ def store_metrics(system) -> Dict[str, float]:
         "txn_uncommitted": float(len(tracker.uncommitted())),
     }
     # Reconfig/handoff control casts are protocol traffic, not client
-    # transactions; keep them out of the realised mix.
-    data_casts = [m for m in cluster.system.log.cast_map.values()
-                  if not is_control(m.payload)]
-    multi = [m for m in data_casts if len(m.dest_groups) > 1]
+    # transactions; keep them out of the realised mix.  A transaction is
+    # cast under its own id, so the data casts are the cast ids the
+    # cluster holds a transaction for.
+    cast_map = cluster.system.log.cast_map
+    sizes = list(map(len, map(_DEST, map(
+        cast_map.__getitem__, cast_map.keys() & cluster.txns.keys()))))
+    multi = sum(map((1).__lt__, sizes))  # casts to more than one group
     out["txn_multi_partition_fraction"] = (
-        len(multi) / len(data_casts) if data_casts else 0.0
+        multi / len(sizes) if sizes else 0.0
     )
     if latencies:
         out.update({

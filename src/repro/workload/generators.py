@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.interfaces import SLOTTED
+from repro.core.interfaces import SLOTTED, frozen_rows
 from repro.net.topology import Topology
 
 
@@ -28,6 +29,9 @@ class CastPlan:
 
 
 # A destination chooser maps (rng, topology, sender) to a group tuple.
+# One whose ``draws_nothing`` attribute is true never touches the rng,
+# and its answer depends on the sender's group at most: a plan asks it
+# once per sender, not once per cast.
 DestinationChooser = Callable[[random.Random, Topology, int], Tuple[int, ...]]
 
 
@@ -40,16 +44,32 @@ def all_groups(rng: random.Random, topology: Topology,
     return tuple(range(topology.n_groups))
 
 
-def _shared(destinations: DestinationChooser) -> DestinationChooser:
-    """``destinations``, returning one tuple per distinct group set:
-    every cast of a plan to the same groups shares it."""
-    seen: dict = {}
+all_groups.draws_nothing = True
 
-    def choose(rng, topology, sender):
+
+def _picker(destinations: DestinationChooser, rng: random.Random,
+            topology: Topology, senders: Sequence[int]
+            ) -> Callable[[int], Tuple[int, ...]]:
+    """sender -> the destinations of its next cast, for one plan.
+
+    A chooser that draws nothing is asked here, once per sender; any
+    other is called per cast, so its draws interleave with the plan's
+    own exactly as they always have.  Either way every cast of the
+    plan to the same groups shares one tuple.
+    """
+    seen: dict = {}
+    if getattr(destinations, "draws_nothing", False):
+        dest_of: dict = {}
+        for sender in senders:
+            dest = destinations(rng, topology, sender)
+            dest_of[sender] = seen.setdefault(dest, dest)
+        return dest_of.__getitem__
+
+    def pick(sender):
         dest = destinations(rng, topology, sender)
         return seen.setdefault(dest, dest)
 
-    return choose
+    return pick
 
 
 def fixed_groups(groups: Sequence[int]) -> DestinationChooser:
@@ -59,6 +79,7 @@ def fixed_groups(groups: Sequence[int]) -> DestinationChooser:
     def choose(rng, topology, sender):
         return dest
 
+    choose.draws_nothing = True
     return choose
 
 
@@ -92,6 +113,9 @@ def uniform_k_groups(k: int, include_sender_group: bool = True
             picked = rng.sample(gids, k)
         return tuple(sorted(picked))
 
+    # One group with the sender's own: ``rng.sample(..., 0)`` draws
+    # nothing, and the answer is the sender's group.
+    choose.draws_nothing = k == 1 and include_sender_group
     return choose
 
 
@@ -139,6 +163,10 @@ def poisson_workload(
     """Poisson arrivals at ``rate`` messages per time unit.
 
     Senders are drawn uniformly from ``senders`` (default: everyone).
+    Per cast the rng draws the gap, then the sender, then whatever the
+    destination chooser draws; a chooser that draws nothing (``all``,
+    ``fixed``, one group with the sender's) is asked once per sender
+    before the first draw.  Row ``i`` carries payload ``i``.
 
     Raises:
         ValueError: If ``rate`` is not strictly positive (expovariate
@@ -148,21 +176,23 @@ def poisson_workload(
         raise ValueError(
             f"poisson_workload needs a positive rate, got {rate!r}"
         )
-    destinations = _shared(destinations or all_groups)
     senders = list(senders) if senders is not None else topology.processes
-    plans: List[CastPlan] = []
+    pick = _picker(destinations or all_groups, rng, topology, senders)
+    expovariate, choice = rng.expovariate, rng.choice
+    times: List[float] = []
+    who: List[int] = []
+    dests: List[Tuple[int, ...]] = []
+    end = start + duration
     t = start
     while True:
-        t += rng.expovariate(rate)
-        if t >= start + duration:
+        t += expovariate(rate)
+        if t >= end:
             break
-        sender = rng.choice(senders)
-        plans.append(CastPlan(
-            time=t, sender=sender,
-            dest_groups=destinations(rng, topology, sender),
-            payload=len(plans),
-        ))
-    return plans
+        sender = choice(senders)
+        times.append(t)
+        who.append(sender)
+        dests.append(pick(sender))
+    return frozen_rows(CastPlan, times, who, dests, range(len(times)))
 
 
 def periodic_workload(
@@ -191,18 +221,12 @@ def periodic_workload(
         raise ValueError(
             f"periodic_workload needs a non-negative count, got {count!r}"
         )
-    destinations = _shared(destinations or all_groups)
     senders = list(senders) if senders is not None else topology.processes
     rng = rng or random.Random(0)
-    plans: List[CastPlan] = []
-    for i in range(count):
-        sender = senders[i % len(senders)]
-        plans.append(CastPlan(
-            time=start + i * period, sender=sender,
-            dest_groups=destinations(rng, topology, sender),
-            payload=i,
-        ))
-    return plans
+    pick = _picker(destinations or all_groups, rng, topology, senders)
+    who = [senders[i % len(senders)] for i in range(count)]
+    return frozen_rows(CastPlan, [start + i * period for i in range(count)],
+                       who, list(map(pick, who)), range(count))
 
 
 def burst_workload(
@@ -241,19 +265,23 @@ def burst_workload(
         raise ValueError(
             f"burst_workload needs a non-negative spread, got {spread!r}"
         )
-    destinations = _shared(destinations or all_groups)
     senders = list(senders) if senders is not None else topology.processes
-    plans: List[CastPlan] = []
+    pick = _picker(destinations or all_groups, rng, topology, senders)
+    choice, uniform = rng.choice, rng.uniform
+    times: List[float] = []
+    who: List[int] = []
+    dests: List[Tuple[int, ...]] = []
     for b in range(bursts):
         base = start + b * gap
-        for i in range(burst_size):
-            sender = rng.choice(senders)
-            plans.append(CastPlan(
-                time=base + rng.uniform(0.0, spread), sender=sender,
-                dest_groups=destinations(rng, topology, sender),
-                payload=(b, i),
-            ))
-    return sorted(plans, key=lambda p: p.time)
+        for _ in range(burst_size):
+            sender = choice(senders)
+            times.append(base + uniform(0.0, spread))
+            who.append(sender)
+            dests.append(pick(sender))
+    payloads = [(b, i) for b in range(bursts) for i in range(burst_size)]
+    plans = frozen_rows(CastPlan, times, who, dests, payloads)
+    plans.sort(key=attrgetter("time"))
+    return plans
 
 
 def schedule_workload(system, plans: List[CastPlan]) -> List:

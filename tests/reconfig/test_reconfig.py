@@ -17,7 +17,7 @@ from repro.reconfig.checker import ReconfigViolation, check_reconfig
 from repro.reconfig.txn import ReconfigOp
 from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
-from repro.store.transaction import Transaction
+from repro.store.transaction import Transaction, TxnEffects
 
 
 def build_elastic(n_groups=3, seed=2, **kwargs):
@@ -115,6 +115,23 @@ class TestMigration:
             assert cluster.stores[pid].state[key] == 7
         check_serializability(cluster)
         check_reconfig(cluster)
+
+    def test_effects_at_a_fenced_op_are_stale(self):
+        cluster = build_elastic()
+        key = "k00000"
+        src = cluster.partition_map.group_of(key)
+        migrate(cluster, "rc00001", key, (src + 1) % 3)
+        first_client(cluster, (src + 2) % 3).submit("t2", (("put", key, 7),))
+        settle(cluster)
+        check_reconfig(cluster)
+        store = cluster.stores[cluster.system.topology.members(src)[0]]
+        assert [r["txn_id"] for r in store.rejections] == ["t2"]
+        store._effects["t2"] = TxnEffects("t2", {0: "ran anyway"}, {})
+        with pytest.raises(ReconfigViolation,
+                           match="stale execution") as exc:
+            check_reconfig(cluster)
+        assert exc.value.context["txn"] == "t2"
+        assert exc.value.context["key"] == key
 
     def test_fence_legs_ride_later_transactions(self):
         cluster = build_elastic()

@@ -123,6 +123,24 @@ class OracleSerializabilityChecker:
             store = cluster.stores[pid]
             for item_id, item in zip(store.applied, store.applied_txns):
                 self._ingest(pid, item_id, item)
+        # A replica that never crashed must have executed every item of
+        # its group's canonical journal; a crashed one may stop early.
+        for gid, pids in correct_members(cluster).items():
+            order = self._group_order.get(gid, [])
+            for pid in pids:
+                store = cluster.stores.get(pid)
+                applied = store.applied if store is not None else []
+                for position, item_id in enumerate(order):
+                    if position >= len(applied):
+                        raise SerializabilityViolation(
+                            f"replica {pid} never crashed but executed "
+                            f"only {position} of group {gid}'s "
+                            f"{len(order)} journal items, stopping "
+                            f"before {item_id} — a correct replica must "
+                            f"execute its group's whole journal",
+                            kind="truncated_journal", pid=pid, gid=gid,
+                            position=position, expected=item_id,
+                        )
 
     def _ingest(self, pid: int, item_id: str, item) -> None:
         if item_id not in self._txns:

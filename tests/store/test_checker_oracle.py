@@ -200,14 +200,26 @@ def t_truncated_member(cluster):
     store = cluster.stores[members(cluster, 1)[0]]
     del store.applied[-3:]
     del store.applied_txns[-3:]
-    return None  # a prefix is consistent
+    # A prefix is consistent, but the replica never crashed.
+    return "truncated_journal"
 
 
 def t_emptied_member(cluster):
     store = cluster.stores[members(cluster, 0)[0]]
     store.applied.clear()
     store.applied_txns.clear()
-    return None  # an empty journal is a prefix; the state still agrees
+    # An empty journal is a prefix and the state still agrees, but the
+    # replica never crashed.
+    return "truncated_journal"
+
+
+def t_truncated_crashed_member(cluster):
+    pid = members(cluster, 1)[0]
+    store = cluster.stores[pid]
+    del store.applied[-3:]
+    del store.applied_txns[-3:]
+    cluster.system.network.process(pid).crashed = True
+    return None  # a crashed replica may stop at a prefix
 
 
 def t_phantom(cluster):
@@ -317,9 +329,10 @@ def t_state_missing_key(cluster):
 
 TAMPERS = [t_swap_second_member, t_swap_first_member, t_foreign_last_item,
            t_two_groups_diverge, t_truncated_member, t_emptied_member,
-           t_phantom, t_partial_commit, t_stalled, t_cycle, t_executed_twice,
-           t_read_shared, t_read_own, t_cas, t_foreign_effects_entry,
-           t_state_value, t_state_extra_key, t_state_missing_key]
+           t_truncated_crashed_member, t_phantom, t_partial_commit,
+           t_stalled, t_cycle, t_executed_twice, t_read_shared,
+           t_read_own, t_cas, t_foreign_effects_entry, t_state_value,
+           t_state_extra_key, t_state_missing_key]
 
 
 def kind_of(result):

@@ -7,10 +7,19 @@ be the same delivery for delivery and event for event.  A plan with a
 time in the past changes nothing, and a queued plan costs one pending
 event and a few hundred bytes per cast, not one ``Event`` each.  A whole
 A2 run keeps no plan row, only what each cast leaves behind.
+
+A plan is also built and turned into messages in one pass: rows and
+messages are made column by column, a chooser that draws nothing is asked
+once per sender, and ids come in one block.  The second oracle kept here
+is the per-row loop this replaced: a ``CastPlan(...)`` per row, the
+chooser called per cast, and an ``AppMessage.fresh`` per row.  The rows,
+the ids, the rng's state after generation and the messages' equality,
+hash and order must all be the loop's.
 """
 
 import dataclasses
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -23,17 +32,22 @@ from repro.campaigns.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
-from repro.core.interfaces import AppMessage
+from repro.core import interfaces
+from repro.core.interfaces import AppMessage, frozen_rows
 from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import SimulationError
 from repro.store.cluster import StoreCluster
 from repro.store.spec import StoreSpec
 from repro.workload.generators import (
+    CastPlan,
     all_groups,
+    burst_workload,
+    fixed_groups,
     periodic_workload,
     poisson_workload,
     schedule_workload,
     uniform_k_groups,
+    zipf_group_count,
 )
 
 
@@ -85,6 +99,176 @@ class TestPlanOracle:
         assert _run(protocol, destinations, as_plan=True) == reference
 
 
+# ----------------------------------------------------------------------
+# The per-row plan loop, kept as the oracle of the one-pass build
+# ----------------------------------------------------------------------
+def _shared(destinations):
+    seen = {}
+
+    def choose(rng, topology, sender):
+        dest = destinations(rng, topology, sender)
+        return seen.setdefault(dest, dest)
+
+    return choose
+
+
+def loop_poisson(topology, rng, rate, duration, destinations):
+    destinations = _shared(destinations)
+    senders = topology.processes
+    plans = []
+    t = 0.0
+    while True:
+        t += rng.expovariate(rate)
+        if t >= duration:
+            break
+        sender = rng.choice(senders)
+        plans.append(CastPlan(
+            time=t, sender=sender,
+            dest_groups=destinations(rng, topology, sender),
+            payload=len(plans)))
+    return plans
+
+
+def loop_periodic(topology, rng, period, count, destinations):
+    destinations = _shared(destinations)
+    senders = topology.processes
+    plans = []
+    for i in range(count):
+        sender = senders[i % len(senders)]
+        plans.append(CastPlan(
+            time=i * period, sender=sender,
+            dest_groups=destinations(rng, topology, sender), payload=i))
+    return plans
+
+
+def loop_burst(topology, rng, bursts, burst_size, gap, destinations):
+    destinations = _shared(destinations)
+    senders = topology.processes
+    plans = []
+    for b in range(bursts):
+        base = b * gap
+        for i in range(burst_size):
+            sender = rng.choice(senders)
+            plans.append(CastPlan(
+                time=base + rng.uniform(0.0, 0.5), sender=sender,
+                dest_groups=destinations(rng, topology, sender),
+                payload=(b, i)))
+    return sorted(plans, key=lambda p: p.time)
+
+
+#: name -> (one-pass generator, per-row oracle), same knobs.
+GENERATORS = {
+    "poisson": (
+        lambda top, rng, dest: poisson_workload(top, rng, rate=20.0,
+                                                duration=6.0,
+                                                destinations=dest),
+        lambda top, rng, dest: loop_poisson(top, rng, 20.0, 6.0, dest)),
+    "periodic": (
+        lambda top, rng, dest: periodic_workload(top, period=0.25,
+                                                 count=90,
+                                                 destinations=dest,
+                                                 rng=rng),
+        lambda top, rng, dest: loop_periodic(top, rng, 0.25, 90, dest)),
+    "burst": (
+        lambda top, rng, dest: burst_workload(top, rng, bursts=4,
+                                              burst_size=25, gap=3.0,
+                                              destinations=dest),
+        lambda top, rng, dest: loop_burst(top, rng, 4, 25, 3.0, dest)),
+}
+
+#: name -> a factory of a fresh chooser (choosers keep per-plan state).
+CHOOSERS = {
+    "all": lambda: all_groups,
+    "fixed": lambda: fixed_groups((2, 0, 2)),
+    "zipf": lambda: zipf_group_count(3),
+    **{f"uniform-{k}{'-own' if own else ''}":
+       (lambda k=k, own=own: uniform_k_groups(k, include_sender_group=own))
+       for k in (1, 2, 3) for own in (True, False)},
+}
+
+
+class TestPlanBuildOracle:
+    @pytest.mark.parametrize("chooser", sorted(CHOOSERS))
+    @pytest.mark.parametrize("generator", sorted(GENERATORS))
+    def test_rows_ids_draws_and_messages_match_the_loop(
+            self, generator, chooser, monkeypatch):
+        build, loop = GENERATORS[generator]
+        system = build_system(SystemSpec(protocol="a1",
+                                         group_sizes=(2, 2, 3)), seed=2)
+        top = system.topology
+        rng = random.Random(9)
+        plans = build(top, rng, CHOOSERS[chooser]())
+        ref_rng = random.Random(9)
+        reference = loop(top, ref_rng, CHOOSERS[chooser]())
+        assert len(plans) > 50
+        assert plans == reference
+        assert rng.getstate() == ref_rng.getstate()
+        # Casts to the same groups share one tuple, as in the loop.
+        assert (len({id(p.dest_groups) for p in plans})
+                == len({id(p.dest_groups) for p in reference}))
+
+        monkeypatch.setattr(interfaces, "_APP_IDS", itertools.count(999_990))
+        msgs = system.cast_plan(plans)
+        monkeypatch.setattr(interfaces, "_APP_IDS", itertools.count(999_990))
+        fresh = [AppMessage.fresh(p.sender, p.dest_groups, p.payload)
+                 for p in reference]
+        assert [m.mid for m in msgs] == [m.mid for m in fresh]
+        assert msgs == fresh
+        assert list(map(hash, msgs)) == list(map(hash, fresh))
+        by_new = sorted(range(len(msgs)), key=msgs.__getitem__)
+        assert by_new == sorted(range(len(fresh)), key=fresh.__getitem__)
+        assert all((new < ref) == (old < ref) for new, old, ref in
+                   zip(msgs, fresh, fresh[1:] + fresh[:1]))
+        # Both counters stopped at the same id.
+        assert AppMessage.fresh(0, (0,)).mid == "m%06d" % (
+            999_990 + len(plans))
+
+    def test_unsorted_and_duplicated_groups_are_normalised(self):
+        system = build_system(SystemSpec(protocol="a1",
+                                         group_sizes=(2, 2, 3)), seed=2)
+        raw = [(2, 0, 2), (2, 0, 2), [1, 0], (0, 1), (1, 1)]
+        plans = [CastPlan(float(i + 1), i, dest, i)
+                 for i, dest in enumerate(raw)]
+        msgs = system.cast_plan(plans)
+        assert [m.dest_groups for m in msgs] == [
+            (0, 2), (0, 2), (0, 1), (0, 1), (1,)]
+        assert all(type(m.dest_groups) is tuple for m in msgs)
+        assert msgs[0].dest_groups is msgs[1].dest_groups
+        assert msgs[3].dest_groups is plans[3].dest_groups
+        assert msgs == [AppMessage.fresh(p.sender, p.dest_groups,
+                                         p.payload, mid=m.mid)
+                        for p, m in zip(plans, msgs)]
+
+    def test_named_and_fresh_ids_mix_in_plan_order(self):
+        system = build_system(SystemSpec(protocol="a1",
+                                         group_sizes=(2, 2)), seed=2)
+        plans = [CastPlan(float(i + 1), 0, (0,), i) for i in range(4)]
+        probe = int(AppMessage.fresh(0, (0,)).mid[1:])
+        msgs = system.cast_plan(plans, mids=(None, "named", None, None))
+        assert [m.mid for m in msgs] == [
+            "m%06d" % (probe + 1), "named", "m%06d" % (probe + 2),
+            "m%06d" % (probe + 3)]
+        with pytest.raises(ValueError, match="2 mids for 4"):
+            system.cast_plan(plans, mids=(None, None))
+
+    def test_rows_without_slots(self):
+        """CPython 3.9 gives dataclasses no slots: the rows are then
+        set through ``object.__setattr__``, and equal the same."""
+
+        @dataclasses.dataclass(frozen=True, order=True)
+        class Row:
+            a: int
+            b: tuple
+            c: object = None
+
+        rows = frozen_rows(Row, [2, 1], [(0,), (1, 2)], ["x", None])
+        built = [Row(2, (0,), "x"), Row(1, (1, 2))]
+        assert rows == built and sorted(rows) == sorted(built)
+        assert list(map(hash, rows)) == list(map(hash, built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows[0].a = 3
+
+
 class TestPastTimes:
     def test_a_plan_with_one_past_time_changes_nothing(self):
         system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
@@ -111,6 +295,16 @@ class TestPastTimes:
         probe = AppMessage.fresh(0, (0,)).mid
         with pytest.raises(SimulationError):
             system.cast_at(4.0, 0)
+        assert int(AppMessage.fresh(0, (0,)).mid[1:]) == int(probe[1:]) + 1
+        assert system.sim.pending_events == 0
+
+    def test_partial_broadcast_plan_mints_nothing(self):
+        system = build_system(SystemSpec(protocol="a2", group_sizes=(2, 2)),
+                              seed=3)
+        plans = [CastPlan(1.0, 0, (0, 1)), CastPlan(2.0, 1, (0,))]
+        probe = AppMessage.fresh(0, (0,)).mid
+        with pytest.raises(ValueError, match="broadcast protocol"):
+            system.cast_plan(plans)
         assert int(AppMessage.fresh(0, (0,)).mid[1:]) == int(probe[1:]) + 1
         assert system.sim.pending_events == 0
 
