@@ -9,11 +9,12 @@ reproducer needs: per-process delivery orders, fault counts, event
 totals.
 
 Mids are canonicalised by cast order (``c000000`` is the first cast of
-the run) before they appear in a :class:`CaseResult`: the repository's
-message-id generator is a process-global counter, so raw mids differ
-between two runs of the same case in one interpreter even though the
-runs are behaviourally identical.  Canonical orders are the
-replay-comparison currency.
+the run) before they appear in a :class:`CaseResult`.  A run mints its
+own ids, so raw ids would replay too; the canonical names are kept
+because they are the committed artifact format, and because they also
+cover ids the run did not mint — a store scenario casts under its
+transaction ids — so every cast reads the same way in a violation.
+Canonical orders are the replay-comparison currency.
 """
 
 from __future__ import annotations

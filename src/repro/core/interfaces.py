@@ -19,13 +19,12 @@ the simulation (traces, persisted results).
 
 from __future__ import annotations
 
-import itertools
 import sys
 import types
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import islice, repeat
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.net.message import MessageCatalog
 
@@ -34,9 +33,6 @@ __all__ = [
     "MessageCatalog",
     "STAGE_S0", "STAGE_S1", "STAGE_S2", "STAGE_S3",
 ]
-
-_APP_IDS = itertools.count()
-_MID_TEXT = "m%06d"
 
 #: ``dataclass`` options giving instances ``__slots__`` where the running
 #: Python supports it (3.10+): one message is kept per cast of a run.
@@ -84,16 +80,20 @@ def normalised(dest_groups) -> Tuple[int, ...]:
 class AppMessage:
     """One application-level message.
 
-    A message made one at a time (``AppMessage(...)``, :meth:`fresh`)
-    has its ``dest_groups`` normalised by :func:`normalised`.  A cast
-    plan makes its messages in one pass (:meth:`from_columns`) with ids
-    from :meth:`mint_mids`: each distinct destination tuple is
-    normalised once, and each message is equal to the one ``fresh``
-    would have made in its place.
+    A message made one at a time (``AppMessage(...)``) has its
+    ``dest_groups`` normalised by :func:`normalised`.  A cast plan makes
+    its messages in one pass (:meth:`from_columns`): each distinct
+    destination tuple is normalised once, and each message is equal to
+    the one the constructor would have made in its place.
 
     Attributes:
-        mid: Unique message identifier; also the total-order tiebreaker
-            the protocols use, so it must be globally unique.
+        mid: Message identifier, unique within its run; also the
+            total-order tiebreaker the protocols use.  A built system
+            mints ids from its simulation's catalog
+            (:meth:`~repro.net.message.MessageCatalog.mint`), so a run's
+            ids do not depend on what ran before it in the process.
+            They compare as text: mint order below 10⁶ casts per run,
+            and past that still one deterministic total order.
         sender: Pid of the casting process.
         dest_groups: Sorted tuple of destination group ids.
         payload: Opaque hashable application data.
@@ -119,21 +119,6 @@ class AppMessage:
         mid, sender, dest_groups, payload = wire
         return cls(mid=mid, sender=sender,
                    dest_groups=tuple(dest_groups), payload=payload)
-
-    @classmethod
-    def fresh(cls, sender: int, dest_groups, payload: Any = None,
-              mid: Optional[str] = None) -> "AppMessage":
-        """Create a message with an auto-generated unique id."""
-        if mid is None:
-            mid = _MID_TEXT % next(_APP_IDS)
-        return cls(mid, sender, dest_groups, payload)
-
-    @staticmethod
-    def mint_mids(n: int) -> List[str]:
-        """The ids of the next ``n`` auto-id messages: the ids ``n``
-        :meth:`fresh` calls would mint, in order, and the counter
-        advanced past them."""
-        return list(map(_MID_TEXT.__mod__, islice(_APP_IDS, n)))
 
     @classmethod
     def from_columns(cls, mids: Sequence[str], senders: Sequence[int],

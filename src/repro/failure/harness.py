@@ -120,17 +120,10 @@ def run_mode(
         verdict = "ok"
     except AssertionError as exc:
         verdict = f"FAIL: {exc}"
-    # Message ids come from a process-global counter, so two otherwise
-    # identical runs label the same logical message differently.
-    # Renumber by cast order (cast instants are part of the plan, hence
-    # identical across modes) so delivery orders compare by position.
-    rename = {mid: f"c{i}"
-              for i, mid in enumerate(system.log.cast_messages())}
     return ModeTrace(
         mode=mode,
         suspicion_transitions=recorder.transitions,
-        delivery_orders={pid: [rename[mid] for mid in
-                               system.log.sequence(pid)]
+        delivery_orders={pid: system.log.sequence(pid)
                          for pid in system.log.processes()},
         checker_verdict=verdict,
         kernel_events=system.sim.events_executed,

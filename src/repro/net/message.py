@@ -33,7 +33,9 @@ shrink.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator
+from typing import Any, Dict, Iterator, List
+
+_MID_TEXT = "m%06d"
 
 
 class Message:
@@ -97,15 +99,24 @@ class MessageCatalog:
     per cast, so a second cast under one mid would be delivered twice.
     Interning a second message object under a known mid raises.
 
+    It also mints the run's ids (:meth:`mint`): ``m000000``,
+    ``m000001``, ... from the start of every simulation, so the same
+    seed gives the same ids in a fresh interpreter and in the tenth run
+    of one.  Ids compare as text, which is mint order below 10⁶ ids per
+    run; past that (``m1000000`` sorts before ``m999999``) the order is
+    still one deterministic total order every process agrees on, which
+    is all the protocols' tiebreaks need.
+
     The table is also a built system's cast map: its
     :class:`~repro.runtime.results.DeliveryLog` reads :attr:`by_mid`
     as ``cast_map``, so each cast message is kept once, in cast order.
     """
 
-    __slots__ = ("_by_mid",)
+    __slots__ = ("_by_mid", "_minted")
 
     def __init__(self) -> None:
         self._by_mid: Dict[str, Any] = {}
+        self._minted = 0
 
     @classmethod
     def of(cls, sim) -> "MessageCatalog":
@@ -121,6 +132,12 @@ class MessageCatalog:
             catalog = cls()
             sim._message_catalog = catalog
         return catalog
+
+    def mint(self, n: int) -> List[str]:
+        """The run's next ``n`` message ids, in order."""
+        first = self._minted
+        self._minted = first + n
+        return list(map(_MID_TEXT.__mod__, range(first, first + n)))
 
     def intern(self, msg) -> str:
         """Register the cast of ``msg``; returns its mid.

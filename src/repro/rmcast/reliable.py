@@ -38,7 +38,6 @@ R-Delivered twice (the layers above cast each id once).
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Set
 
@@ -48,8 +47,6 @@ from repro.sim.process import Process
 
 # Delivery callback: (payload, message_id, original_sender) -> None.
 RDeliveryHandler = Callable[[dict, str, int], None]
-
-_MCAST_IDS = itertools.count()
 
 
 class ReliableMulticast:
@@ -90,14 +87,11 @@ class ReliableMulticast:
             raise ValueError("delivery handler already set")
         self._handler = handler
 
-    def multicast(
-        self, dest_pids: List[int], payload: dict, mid: Optional[str] = None
-    ) -> str:
-        """R-MCast ``payload`` to ``dest_pids``; returns the message id."""
+    def multicast(self, dest_pids: List[int], payload: dict, mid: str) -> str:
+        """R-MCast ``payload`` to ``dest_pids`` under ``mid`` (A1 and A2
+        pass their application message's id); returns ``mid``."""
         if not dest_pids:
             raise ValueError("reliable multicast needs at least one addressee")
-        if mid is None:
-            mid = f"rm{next(_MCAST_IDS)}"
         dests = sorted(set(dest_pids))
         sent = self._sent
         sent.update(dests)

@@ -237,8 +237,9 @@ class System:
         if dest_groups is None:
             dest_groups = tuple(self.topology.group_ids)
         self._check_broadcast_destinations({(sender, tuple(dest_groups))})
-        msg = AppMessage.fresh(sender=sender, dest_groups=dest_groups,
-                               payload=payload, mid=mid)
+        if mid is None:
+            mid = self.catalog.mint(1)[0]
+        msg = AppMessage(mid, sender, dest_groups, payload)
         self._do_cast(msg)
         return msg
 
@@ -257,11 +258,11 @@ class System:
 
         The messages are made here, before the run, in one pass: each
         distinct destination object is normalised once, the ids come
-        from one :meth:`AppMessage.mint_mids` block, and each message
-        equals the one :meth:`AppMessage.fresh` would have made for its
-        item.  ``mids`` (aligned with ``plans``) names messages; a None
-        entry, or no ``mids`` at all, takes the next fresh id in plan
-        order.
+        from one :meth:`MessageCatalog.mint` block of the run's own
+        catalog, and each message equals the one :class:`AppMessage`
+        would have made for its item.  ``mids`` (aligned with
+        ``plans``) names messages; a None entry, or no ``mids`` at all,
+        takes the run's next id in plan order.
         """
         times = list(map(_TIME, plans))
         self.sim.check_times(times)
@@ -277,11 +278,11 @@ class System:
         if any(normal[key] is not dest for key, dest in distinct.items()):
             dests = list(map(normal.__getitem__, keys))
         if mids is None:
-            mids = AppMessage.mint_mids(len(plans))
+            mids = self.catalog.mint(len(plans))
         elif len(mids) != len(plans):
             raise ValueError(f"{len(mids)} mids for {len(plans)} plan items")
         else:
-            minted = iter(AppMessage.mint_mids(list(mids).count(None)))
+            minted = iter(self.catalog.mint(list(mids).count(None)))
             mids = [next(minted) if mid is None else mid for mid in mids]
         msgs = AppMessage.from_columns(mids, senders, dests,
                                        list(map(_PAYLOAD, plans)))

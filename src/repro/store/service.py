@@ -191,17 +191,15 @@ class TransactionalStore:
                 )
             self._waiters.setdefault(txn.txn_id, []).append(on_applied)
         self.txns.setdefault(txn.txn_id, txn)
-        msg = AppMessage.fresh(sender=self.process.pid, dest_groups=dest,
-                               payload=txn.to_payload(), mid=txn.txn_id)
+        msg = AppMessage(txn.txn_id, self.process.pid, dest,
+                         txn.to_payload())
         self.multicast.a_mcast(msg)
         return msg
 
     def submit_reconfig(self, op: ReconfigOp) -> AppMessage:
         """Multicast a reconfiguration genuinely to ``{src, dst}``."""
-        msg = AppMessage.fresh(sender=self.process.pid,
-                               dest_groups=op.dest_groups,
-                               payload=op.to_payload(),
-                               mid=op.reconfig_id)
+        msg = AppMessage(op.reconfig_id, self.process.pid, op.dest_groups,
+                         op.to_payload())
         self.multicast.a_mcast(msg)
         return msg
 
@@ -464,11 +462,9 @@ class TransactionalStore:
                 h = Handoff(reconfig_id=rid, src=op.src, dst=op.dst,
                             keys=op.keys, snapshot=snapshot,
                             aborted=not ok)
-                hmsg = AppMessage.fresh(
-                    sender=self.process.pid, dest_groups=h.dest_groups,
-                    payload=h.to_payload(),
-                    mid=f"{rid}:h{self.process.pid}",
-                )
+                hmsg = AppMessage(f"{rid}:h{self.process.pid}",
+                                  self.process.pid, h.dest_groups,
+                                  h.to_payload())
                 self.multicast.a_mcast(hmsg)
         elif self.my_gid == op.dst:
             if self.reconfig_finished(rid):

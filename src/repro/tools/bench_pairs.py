@@ -13,6 +13,10 @@ spread.  This runs exactly that: per pair and per side, the checkout's
 time.  Only the last stdout line — the driver contract's JSON object —
 is read, so the tool depends on nothing under ``bench/``.
 
+Both sides measure with bytecode caches: the children run without
+``PYTHONDONTWRITEBYTECODE``, after one discarded warm-up run per side
+(``"warmup_runs"`` in the ``--json`` output).
+
 Metrics whose unit is sim time or a count are exact per seed: they are
 reported as ``identical`` or ``old → new``.  Host-time metrics get
 median [Q1–Q3] per side, the ratio of the medians and "change better
@@ -43,7 +47,9 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     argv = list(declared["command"]) + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(declared["run_seconds"]), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True,
+    env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True,
                           text=True)
     lines = done.stdout.strip().splitlines()
     if not lines:
@@ -68,6 +74,8 @@ def compare(parent_dir: str, change_dir: str, workload: str,
             pairs: int, seed: int) -> dict:
     """Run ``pairs`` alternating pairs of ``workload``; raw and summary."""
     dirs = dict(zip(SIDES, (parent_dir, change_dir)))
+    for side in SIDES:  # warm-up: writes the bytecode caches, discarded
+        run_once(dirs[side], workload, seed)
     runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
     for pair in range(pairs):
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -93,7 +101,7 @@ def compare(parent_dir: str, change_dir: str, workload: str,
                                  for o, n in zip(old, new))}
     return {
         "workload": workload, "seed": seed, "pairs": pairs,
-        "metrics": metrics,
+        "warmup_runs": 1, "metrics": metrics,
         "not_ok": {side: sum(1 for run in runs[side]
                              if not run["correct"] or run["failed"])
                    for side in SIDES}}

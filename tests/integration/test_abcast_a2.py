@@ -228,8 +228,7 @@ class TestOverlapUnderAdversity:
             system.topology, system.rng.stream("wl"), rate=60.0,
             duration=8.0, senders=list(range(1, 9)))
         return system, [
-            system.cast_at(plan.time, plan.sender, mid=f"m{i:05d}")
-            for i, plan in enumerate(plans)]
+            system.cast_at(plan.time, plan.sender) for plan in plans]
 
     @pytest.mark.parametrize("detector", ["perfect", "heartbeat"])
     def test_leader_crash_with_two_rounds_in_flight(self, detector):

@@ -67,9 +67,8 @@ class TestMulticastFamily:
         """Same plan => every protocol delivers exactly the same
         operations at exactly the same processes.
 
-        Message ids come from a process-global counter (they differ
-        between runs), so footprints compare the workload payloads —
-        the plan indices — instead.
+        Footprints compare the workload payloads — the plan indices —
+        which name each operation the same way in every protocol's run.
         """
         footprints = {}
         for protocol, (system, messages) in multicast_runs.items():

@@ -2,7 +2,7 @@
 
 Each benchmark workload is run once at 1/20 of its plan
 (``python bench/measure.py <workload> --seed 42 --scale 20``, in a fresh
-interpreter because message ids come from a process-global counter) and
+interpreter, so the pins exercise the benchmark's own command line) and
 compared with values recorded at commit 73c21e3, *before* the
 dormant-timer change.  ``fingerprint`` is a sha256 over every process's
 delivery sequence and the commit set; the three numbers beside it say

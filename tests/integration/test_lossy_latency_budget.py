@@ -4,8 +4,8 @@ The ``a1_lossy`` benchmark workload (drop 0.10 / duplicate 0.05 /
 corrupt 0.02 under ``transport="reliable"``) is run at ``--seed 42
 --scale 4`` beside the very same ``ScenarioSpec`` with no adversary —
 both through ``bench/measure.py``'s ``measure`` (so through
-``build_scenario_system``), each in a fresh interpreter because message
-ids come from a process-global counter.  Commit latency is sim time,
+``build_scenario_system``), each in a fresh interpreter as the benchmark
+runs it.  Commit latency is sim time,
 exact per seed, so the ratio can gate: a transport that parks frames
 behind a lost one reads 3.5x here (10.46 / 2.99), release on arrival
 with selective repeat 1.3x (3.86 / 2.99).

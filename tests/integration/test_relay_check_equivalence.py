@@ -69,17 +69,14 @@ def _observe(spec, seed):
     system, _plans, _applied = build_scenario_system(spec, seed)
     system.run_quiescent(max_events=spec.max_events)
     log = system.log
-    # Auto-generated mids come from a process-global counter; name
-    # messages by cast order so two runs compare by content.
-    rename = {mid: f"c{index}" for index, mid in enumerate(log.cast_map)}
     stats = system.network.stats
     relays = sum(endpoint.rmcast.relays
                  for endpoint in system.endpoints.values())
     return {
-        "sequences": {pid: [rename[mid] for mid in log.sequence(pid)]
+        "sequences": {pid: log.sequence(pid)
                       for pid in system.topology.processes},
         "delivery_times": {
-            rename[rec.msg_id]: (rec.cast_time, rec.delivery_time,
+            rec.msg_id: (rec.cast_time, rec.delivery_time,
                                  rec.max_delivery_lamport)
             for rec in system.meter.records()},
         "stats": stats.snapshot(),

@@ -12,14 +12,14 @@ A plan is also built and turned into messages in one pass: rows and
 messages are made column by column, a chooser that draws nothing is asked
 once per sender, and ids come in one block.  The second oracle kept here
 is the per-row loop this replaced: a ``CastPlan(...)`` per row, the
-chooser called per cast, and an ``AppMessage.fresh`` per row.  The rows,
-the ids, the rng's state after generation and the messages' equality,
-hash and order must all be the loop's.
+chooser called per cast, and an ``AppMessage(...)`` per row with its id
+from a fresh catalog.  The rows, the ids, the rng's state after
+generation and the messages' equality, hash and order must all be the
+loop's.
 """
 
 import dataclasses
 import gc
-import itertools
 import random
 import tracemalloc
 
@@ -32,8 +32,7 @@ from repro.campaigns.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
-from repro.core import interfaces
-from repro.core.interfaces import AppMessage, frozen_rows
+from repro.core.interfaces import AppMessage, MessageCatalog, frozen_rows
 from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import SimulationError
 from repro.store.cluster import StoreCluster
@@ -76,9 +75,9 @@ def _run(protocol, destinations, as_plan):
     if as_plan:
         schedule_workload(system, plans)
     else:
-        for plan in plans:
-            msg = AppMessage.fresh(plan.sender, plan.dest_groups,
-                                   plan.payload)
+        for plan, mid in zip(plans, system.catalog.mint(len(plans))):
+            msg = AppMessage(mid, plan.sender, plan.dest_groups,
+                             plan.payload)
             system.sim.call_at(plan.time,
                                lambda m=msg: system._do_cast(m))
     system.run_quiescent()
@@ -191,7 +190,7 @@ class TestPlanBuildOracle:
     @pytest.mark.parametrize("chooser", sorted(CHOOSERS))
     @pytest.mark.parametrize("generator", sorted(GENERATORS))
     def test_rows_ids_draws_and_messages_match_the_loop(
-            self, generator, chooser, monkeypatch):
+            self, generator, chooser):
         build, loop = GENERATORS[generator]
         system = build_system(SystemSpec(protocol="a1",
                                          group_sizes=(2, 2, 3)), seed=2)
@@ -207,11 +206,10 @@ class TestPlanBuildOracle:
         assert (len({id(p.dest_groups) for p in plans})
                 == len({id(p.dest_groups) for p in reference}))
 
-        monkeypatch.setattr(interfaces, "_APP_IDS", itertools.count(999_990))
         msgs = system.cast_plan(plans)
-        monkeypatch.setattr(interfaces, "_APP_IDS", itertools.count(999_990))
-        fresh = [AppMessage.fresh(p.sender, p.dest_groups, p.payload)
-                 for p in reference]
+        catalog = MessageCatalog()
+        fresh = [AppMessage(mid, p.sender, p.dest_groups, p.payload)
+                 for p, mid in zip(reference, catalog.mint(len(reference)))]
         assert [m.mid for m in msgs] == [m.mid for m in fresh]
         assert msgs == fresh
         assert list(map(hash, msgs)) == list(map(hash, fresh))
@@ -219,9 +217,9 @@ class TestPlanBuildOracle:
         assert by_new == sorted(range(len(fresh)), key=fresh.__getitem__)
         assert all((new < ref) == (old < ref) for new, old, ref in
                    zip(msgs, fresh, fresh[1:] + fresh[:1]))
-        # Both counters stopped at the same id.
-        assert AppMessage.fresh(0, (0,)).mid == "m%06d" % (
-            999_990 + len(plans))
+        # Both catalogs stopped at the same id.
+        assert (system.catalog.mint(1) == catalog.mint(1)
+                == ["m%06d" % len(plans)])
 
     def test_unsorted_and_duplicated_groups_are_normalised(self):
         system = build_system(SystemSpec(protocol="a1",
@@ -235,19 +233,17 @@ class TestPlanBuildOracle:
         assert all(type(m.dest_groups) is tuple for m in msgs)
         assert msgs[0].dest_groups is msgs[1].dest_groups
         assert msgs[3].dest_groups is plans[3].dest_groups
-        assert msgs == [AppMessage.fresh(p.sender, p.dest_groups,
-                                         p.payload, mid=m.mid)
+        assert msgs == [AppMessage(m.mid, p.sender, p.dest_groups,
+                                   p.payload)
                         for p, m in zip(plans, msgs)]
 
     def test_named_and_fresh_ids_mix_in_plan_order(self):
         system = build_system(SystemSpec(protocol="a1",
                                          group_sizes=(2, 2)), seed=2)
         plans = [CastPlan(float(i + 1), 0, (0,), i) for i in range(4)]
-        probe = int(AppMessage.fresh(0, (0,)).mid[1:])
         msgs = system.cast_plan(plans, mids=(None, "named", None, None))
         assert [m.mid for m in msgs] == [
-            "m%06d" % (probe + 1), "named", "m%06d" % (probe + 2),
-            "m%06d" % (probe + 3)]
+            "m000000", "named", "m000001", "m000002"]
         with pytest.raises(ValueError, match="2 mids for 4"):
             system.cast_plan(plans, mids=(None, None))
 
@@ -278,12 +274,11 @@ class TestPastTimes:
         plans = periodic_workload(system.topology, period=1.0, count=4,
                                   start=6.0)
         plans[2] = dataclasses.replace(plans[2], time=1.0)
-        probe = AppMessage.fresh(0, (0,)).mid
         with pytest.raises(SimulationError, match="cannot schedule at 1"):
             schedule_workload(system, plans)
         assert system.sim.pending_events == 0
         # No id was minted for the refused plan.
-        assert int(AppMessage.fresh(0, (0,)).mid[1:]) == int(probe[1:]) + 1
+        assert system.catalog.mint(1) == ["m000000"]
         system.run_quiescent()
         assert not system.log.cast_map
 
@@ -292,20 +287,18 @@ class TestPastTimes:
                               seed=3)
         system.sim.call_at(5.0, lambda: None)
         system.run()
-        probe = AppMessage.fresh(0, (0,)).mid
         with pytest.raises(SimulationError):
             system.cast_at(4.0, 0)
-        assert int(AppMessage.fresh(0, (0,)).mid[1:]) == int(probe[1:]) + 1
+        assert system.catalog.mint(1) == ["m000000"]
         assert system.sim.pending_events == 0
 
     def test_partial_broadcast_plan_mints_nothing(self):
         system = build_system(SystemSpec(protocol="a2", group_sizes=(2, 2)),
                               seed=3)
         plans = [CastPlan(1.0, 0, (0, 1)), CastPlan(2.0, 1, (0,))]
-        probe = AppMessage.fresh(0, (0,)).mid
         with pytest.raises(ValueError, match="broadcast protocol"):
             system.cast_plan(plans)
-        assert int(AppMessage.fresh(0, (0,)).mid[1:]) == int(probe[1:]) + 1
+        assert system.catalog.mint(1) == ["m000000"]
         assert system.sim.pending_events == 0
 
     @pytest.mark.parametrize("spec", [

@@ -301,15 +301,12 @@ def _grid_run(protocol, crash, seed=5):
 
 
 def _observe(system):
-    """A run's records and sequences, with mids named by cast order."""
+    """A run's records and sequences."""
     log = system.log
-    # Auto-generated mids come from a process-global counter.
-    rename = {mid: f"c{index}" for index, mid in enumerate(log.cast_map)}
     return {
-        "sequences": {pid: [rename[mid] for mid in log.sequence(pid)]
-                      for pid in log.processes()},
+        "sequences": {pid: log.sequence(pid) for pid in log.processes()},
         "records": {
-            rename[mid]: (rec.cast_pid, rec.cast_lamport, rec.cast_time,
+            mid: (rec.cast_pid, rec.cast_lamport, rec.cast_time,
                           rec.dest_groups, list(rec.delivery_time.items()),
                           rec.max_delivery_lamport)
             for mid, rec in log.record_map.items()},

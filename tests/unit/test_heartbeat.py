@@ -284,7 +284,7 @@ class TestProtocolsOverHeartbeats:
             endpoint.set_delivery_handler(
                 lambda m, pid=pid: log.record_delivery(pid, m))
             endpoints[pid] = endpoint
-        msg = AppMessage.fresh(sender=0, dest_groups=(0, 1))
+        msg = AppMessage("m000000", sender=0, dest_groups=(0, 1))
         log.record_cast(msg)
         endpoints[0].a_mcast(msg)
         sim.run(until=500.0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.interfaces import AppMessage
+from repro.core.interfaces import AppMessage, MessageCatalog
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
 from repro.runtime.builder import PROTOCOLS, SystemSpec, build_system
@@ -18,15 +18,17 @@ class TestAppMessage:
                          payload=("x", 1))
         assert AppMessage.from_wire(msg.to_wire()) == msg
 
-    def test_fresh_ids_unique_and_ordered(self):
-        a = AppMessage.fresh(sender=0, dest_groups=(0,))
-        b = AppMessage.fresh(sender=0, dest_groups=(0,))
-        assert a.mid != b.mid
-        assert a.mid < b.mid  # zero-padded counter keeps ids sortable
+    def test_minted_ids_unique_and_ordered(self):
+        catalog = MessageCatalog()
+        assert catalog.mint(2) == ["m000000", "m000001"]
+        assert catalog.mint(1) == ["m000002"]
+        assert catalog.mint(0) == []
 
-    def test_fresh_respects_explicit_mid(self):
-        msg = AppMessage.fresh(sender=0, dest_groups=(0,), mid="custom")
-        assert msg.mid == "custom"
+    def test_cast_respects_explicit_mid(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
+        assert system.cast(0, (0,), mid="custom").mid == "custom"
+        assert system.cast(0, (0,)).mid == "m000000"
 
     def test_messages_are_hashable_and_orderable(self):
         a = AppMessage(mid="a", sender=0, dest_groups=(0,))
@@ -125,9 +127,7 @@ class TestSystemCasting:
                 SystemSpec(protocol="a1", group_sizes=[3, 3]),
                 seed=seed)
             for i in range(4):
-                # Explicit mids: the auto-id counter is process-global,
-                # so it would differ between repetitions.
-                system.cast_at(float(i), i % 6, (0, 1), mid=f"m{i}")
+                system.cast_at(float(i), i % 6, (0, 1))
             system.run_quiescent()
             return (tuple(system.log.sequence(0)),
                     system.inter_group_messages,

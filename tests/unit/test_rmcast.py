@@ -62,12 +62,6 @@ class TestIntegrity:
         for pid in range(6):
             assert delivered[pid] == ["m1"]
 
-    def test_auto_generated_ids_unique(self):
-        sim, topo, net, stacks, delivered = _setup()
-        a = stacks[0].multicast([1], {})
-        b = stacks[0].multicast([1], {})
-        assert a != b
-
 
 class TestAgreement:
     def test_lazy_relay_covers_faulty_sender(self):

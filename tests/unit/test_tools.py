@@ -143,7 +143,8 @@ class TestBenchPairs:
     STUB = (
         "import json, os, sys\n"
         "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
-        "open('calls.log', 'a').write(' '.join(sys.argv[1:]) + '\\n')\n"
+        "open('calls.log', 'a').write(' '.join(sys.argv[1:]) + ' '\n"
+        "    + os.environ.get('PYTHONDONTWRITEBYTECODE', '-') + '\\n')\n"
         "open('../order.log', 'a').write(\n"
         "    os.path.basename(os.getcwd()) + '\\n')\n"
         "print('progress noise')\n"
@@ -168,10 +169,13 @@ class TestBenchPairs:
                  "better": "lower"}]}))
         return str(path)
 
-    def test_one_pair_through_a_stub_command(self, tmp_path, capsys):
+    def test_one_pair_through_a_stub_command(self, tmp_path, capsys,
+                                             monkeypatch):
         import json
 
         from repro.tools import bench_pairs
+
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
 
         parent = self._checkout(tmp_path / "parent", 100.0)
         change = self._checkout(tmp_path / "change", 125.0)
@@ -187,19 +191,22 @@ class TestBenchPairs:
         assert "(1.000x, change better 0/1)" in table[2]  # setup_s ties
         assert "| identical |" in table[2]
         # Each checkout ran its own command, in its own directory, with
-        # the driver contract's arguments.
+        # the driver contract's arguments and bytecode caches allowed:
+        # one discarded warm-up, then the pair, per workload.
         for checkout in (parent, change):
             with open(checkout + "/calls.log") as fh:
                 assert fh.read().splitlines() == [
-                    f"--workload {w} --seed 7 --seconds 3 --trace 0"
-                    for w in ("w1", "w2")]
+                    f"--workload {w} --seed 7 --seconds 3 --trace 0 -"
+                    for w in ("w1", "w1", "w2", "w2")]
         assert bench_pairs.main(
             [parent, change, "--workload", "w1", "--pairs", "2",
              "--json"]) == 0
         (result,) = json.loads(capsys.readouterr().out)
-        # Which side goes first alternates from pair to pair.
-        assert (tmp_path / "order.log").read_text().split()[-4:] == [
-            "parent", "change", "change", "parent"]
+        # The warm-up runs each side once; then which side goes first
+        # alternates from pair to pair.
+        assert (tmp_path / "order.log").read_text().split()[-6:] == [
+            "parent", "change", "parent", "change", "change", "parent"]
+        assert result["warmup_runs"] == 1
         assert result["metrics"]["ops_per_s"]["parent"] == [100.0, 100.0]
         assert result["metrics"]["ops_per_s"]["change_better"] == 2
         assert result["metrics"]["lat_p50_sim"] == {
