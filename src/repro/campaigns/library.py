@@ -12,10 +12,9 @@ The ready-made campaigns cover the axes the paper's claims range over:
 * ``cross-protocol`` — one workload plan driven through A1 and every
   baseline, property-checked on each: the strongest cross-validation
   the repository offers, now as a single declarative matrix;
-* ``fd-overhead`` — the same workload under the oracle detector, real
-  message-driven heartbeats, and the elided analytic heartbeat mode:
-  failure-detector traffic is pure overhead in crash-free runs, and
-  this grid measures it;
+* ``fd-overhead`` — the same workload under the oracle detector and
+  real message-driven heartbeats: failure-detector traffic is pure
+  overhead in crash-free runs, and this grid measures it;
 * ``torture`` — the paper's four protocols (A1, A1-noskip, A2 and the
   non-genuine wrapper) under every built-in adversary: latency-skewed
   links, bounded delay/reorder, partition spikes and phase-boundary
@@ -178,13 +177,14 @@ def cross_protocol(seeds: Optional[Sequence[int]] = None) -> Campaign:
 
 
 def fd_overhead(seeds: Optional[Sequence[int]] = None) -> Campaign:
-    """Oracle vs heartbeat vs elided-heartbeat detector cost, A1 and A2.
+    """Oracle vs heartbeat detector cost, A1 and A2.
 
     Failure-detector traffic is pure overhead in crash-free executions
     (Aspnes' classic observation), so the grid quantifies it: the same
-    workload under the oracle detector, real message-driven heartbeats,
-    and the analytic elided mode — whose per-seed metrics must match
-    message mode's on everything but traffic and kernel-event counts.
+    workload under the oracle detector and under real message-driven
+    heartbeats, whose per-seed metrics must match the oracle's on
+    everything but traffic and kernel-event counts.  The heartbeat
+    horizon sits past the workload tail so every run quiesces.
     """
     base = ScenarioSpec(
         name="fd",
@@ -205,13 +205,12 @@ def fd_overhead(seeds: Optional[Sequence[int]] = None) -> Campaign:
         workload=WorkloadSpec(kind="poisson", rate=0.4, duration=60.0),
         name="fd-bcast",
     )
-    detectors = ["perfect", "heartbeat", "heartbeat-elided"]
+    detectors = ["perfect", "heartbeat"]
     scenarios = (matrix(base, {"detector": detectors})
                  + matrix(bcast, {"detector": detectors}))
     return Campaign(
         name="fd-overhead", scenarios=scenarios,
-        description="failure-detector cost: oracle vs real heartbeats vs "
-                    "the elided analytic fast path",
+        description="failure-detector cost: oracle vs real heartbeats",
     )
 
 

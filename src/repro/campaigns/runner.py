@@ -192,7 +192,7 @@ def validate_spec(spec: ScenarioSpec) -> None:
             f"scenario {spec.name!r}: detector='heartbeat' needs a "
             f"finite heartbeat_horizon (message-driven beats never "
             f"stop, so the run cannot quiesce); set heartbeat_horizon "
-            f"past the workload tail or use 'heartbeat-elided'"
+            f"past the workload tail"
         )
 
 

@@ -442,8 +442,7 @@ PROTOCOLS: Dict[str, Callable] = {
 
 
 #: Detector names accepted by :class:`SystemSpec`.
-DETECTORS = ("perfect", "eventually-perfect", "heartbeat",
-             "heartbeat-elided")
+DETECTORS = ("perfect", "eventually-perfect", "heartbeat")
 
 
 @dataclass(frozen=True)
@@ -460,17 +459,16 @@ class SystemSpec:
             ``Fixed`` links).  The default, logical, model (1 unit
             inter-group, ~0 intra-group) reads latency degrees directly
             off the virtual clock.
-        detector: ``"perfect"``, ``"eventually-perfect"``,
-            ``"heartbeat"`` (real message-driven heartbeats, one
-            coalesced timer per group) or ``"heartbeat-elided"`` (the
-            analytic zero-traffic fast path — same observable
-            behaviour, see :mod:`repro.failure.harness`).
+        detector: ``"perfect"``, ``"eventually-perfect"`` (oracles
+            that send nothing) or ``"heartbeat"`` (real message-driven
+            heartbeats, one coalesced timer per group; see
+            :mod:`repro.failure.heartbeat`).
         detector_delay: Crash-detection delay of the oracle detectors.
         stabilise_at: For the eventually-perfect detector, the virtual
             time after which it stops making mistakes.
-        heartbeat_period: Gap between heartbeats (heartbeat detectors).
+        heartbeat_period: Gap between heartbeats (heartbeat detector).
         heartbeat_timeout: Silence before suspicion (heartbeat
-            detectors); must exceed the period.
+            detector); must exceed the period.
         heartbeat_horizon: Virtual time after which heartbeating stops,
             so finite workloads reach quiescence (None = forever).
         transport: ``"none"`` (protocols ride the raw quasi-reliable
@@ -552,7 +550,6 @@ def build_system(spec: SystemSpec, seed: int = 0,
             sim, network, topology,
             period=spec.heartbeat_period, timeout=spec.heartbeat_timeout,
             horizon=spec.heartbeat_horizon,
-            mode="elided" if detector == "heartbeat-elided" else "messages",
         )
 
     system = System(spec.protocol, sim, topology, network, fd, rng, crashes)

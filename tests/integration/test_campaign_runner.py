@@ -26,6 +26,7 @@ from repro.campaigns import (
     run_scenario_seed,
     verify_determinism,
 )
+from repro.campaigns.runner import validate_spec
 from repro.runtime.runner import Aggregate
 
 
@@ -119,11 +120,17 @@ class TestRunnerMechanics:
     def test_message_heartbeat_without_horizon_rejected(self):
         """Fail fast: message-mode heartbeats can never quiesce."""
         spec = ScenarioSpec(name="hb", detector="heartbeat")
-        with pytest.raises(ValueError, match="heartbeat_horizon"):
+        with pytest.raises(ValueError, match="set heartbeat_horizon past "
+                                             "the workload tail"):
             run_scenario_seed(spec, 1)
-        # Elided mode schedules nothing, so no horizon is needed.
-        elided = dataclasses.replace(spec, detector="heartbeat-elided")
-        assert run_scenario_seed(elided, 1).ok
+        # There is no horizon-free heartbeat detector to fall back on.
+        gone = dataclasses.replace(spec, detector="heartbeat-elided")
+        with pytest.raises(ValueError) as excinfo:
+            validate_spec(gone)
+        message = str(excinfo.value)
+        assert "scenario 'hb'" in message
+        assert "unknown detector 'heartbeat-elided'" in message
+        assert "['eventually-perfect', 'heartbeat', 'perfect']" in message
 
     def test_unknown_metric_rejected_before_running(self):
         spec = dataclasses.replace(small_campaign().scenarios[0],
@@ -192,7 +199,11 @@ class TestLibrary:
     @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
     def test_builders_expand(self, name):
         campaign = get_campaign(name, seeds=(1,))
-        assert len(campaign.scenarios) >= 6
+        if name == "fd-overhead":
+            # Two detector columns (oracle, heartbeat) × A1 and A2.
+            assert len(campaign.scenarios) == 4
+        else:
+            assert len(campaign.scenarios) >= 6
         assert campaign.task_count == len(campaign.scenarios)
 
     def test_unknown_campaign_rejected(self):
@@ -208,26 +219,29 @@ class TestLibrary:
         result = run_campaign(campaign, jobs=2)
         assert result.all_checkers_ok
 
-    def test_fd_overhead_elided_matches_heartbeat_on_protocol_metrics(self):
-        """The elided detector changes traffic/events, nothing else."""
+    @pytest.mark.parametrize("half, perfect_msgs, heartbeat_msgs", [
+        ("fd/", 1892, 2264),
+        ("fd-bcast/", 1544, 1916),
+    ], ids=["fd", "fd-bcast"])
+    def test_fd_overhead_heartbeat_matches_perfect_on_protocol_metrics(
+            self, half, perfect_msgs, heartbeat_msgs):
+        """Crash-free heartbeats change traffic/events, nothing else."""
         campaign = get_campaign("fd-overhead", seeds=(1,))
-        by_detector = {
-            s.detector: s for s in campaign.scenarios
-            if s.name.startswith("fd/")
-        }
         runs = {
-            detector: run_scenario_seed(spec, 1)
-            for detector, spec in by_detector.items()
+            s.detector: run_scenario_seed(s, 1)
+            for s in campaign.scenarios if s.name.startswith(half)
         }
-        hb, elided = runs["heartbeat"], runs["heartbeat-elided"]
-        assert hb.ok and elided.ok
+        assert set(runs) == {"perfect", "heartbeat"}
+        perfect, hb = runs["perfect"], runs["heartbeat"]
+        assert perfect.ok and hb.ok
         for metric in ("casts", "deliveries", "degree_mean",
                        "latency_worst_mean"):
-            assert hb.metrics[metric] == elided.metrics[metric], metric
-        # The whole point: message mode pays for heartbeat copies.
-        assert hb.metrics["network_messages"] > \
-            elided.metrics["network_messages"]
-        assert hb.metrics["kernel_events"] > elided.metrics["kernel_events"]
+            assert hb.metrics[metric] == perfect.metrics[metric], metric
+        # The whole point: heartbeats pay for their copies.
+        assert perfect.metrics["network_messages"] == perfect_msgs
+        assert hb.metrics["network_messages"] == heartbeat_msgs
+        assert hb.metrics["kernel_events"] > \
+            perfect.metrics["kernel_events"]
 
 
 class TestWallClocks:

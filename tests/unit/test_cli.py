@@ -218,7 +218,7 @@ class TestCampaignVerb:
         assert data["all_checkers_ok"] is True
         detectors = {s["spec"]["detector"]
                      for s in data["scenarios"].values()}
-        assert detectors == {"perfect", "heartbeat", "heartbeat-elided"}
+        assert detectors == {"perfect", "heartbeat"}
 
 
 class TestTortureVerb:

@@ -15,8 +15,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
 
-def _system(group_sizes=(3,), period=10.0, timeout=35.0,
-            mode="messages", horizon=None):
+def _system(group_sizes=(3,), period=10.0, timeout=35.0, horizon=None):
     sim = Simulator()
     topo = Topology(list(group_sizes))
     net = Network(sim, topo, LatencyModel(Fixed(1.0), Fixed(50.0)),
@@ -24,9 +23,19 @@ def _system(group_sizes=(3,), period=10.0, timeout=35.0,
     for pid in topo.processes:
         net.register(Process(pid, topo.group_of(pid), sim))
     fd = HeartbeatFailureDetector(sim, net, topo, period=period,
-                                  timeout=timeout, mode=mode,
-                                  horizon=horizon)
+                                  timeout=timeout, horizon=horizon)
     return sim, topo, net, fd
+
+
+def _advance(sim, t):
+    """Advance the virtual clock to ``t``.
+
+    A stopped detector schedules nothing, so an otherwise empty queue
+    would leave ``sim.now`` at the last event; a sentinel no-op event
+    pins the clock where the test wants to probe.
+    """
+    sim.call_at(t, lambda: None)
+    sim.run(until=t)
 
 
 class TestDetectorBehaviour:
@@ -123,120 +132,40 @@ class TestDetectorBehaviour:
         assert fd.last_heartbeat(0, 1) is not None
         assert fd.last_heartbeat(0, 99) is None
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            _system(mode="psychic")
-
-
-def _advance(sim, t):
-    """Advance the virtual clock to ``t``.
-
-    The elided detector schedules nothing, so an otherwise empty queue
-    would leave ``sim.now`` at the last event; a sentinel no-op event
-    pins the clock where the test wants to probe.
-    """
-    sim.call_at(t, lambda: None)
-    sim.run(until=t)
-
-
-class TestElidedMode:
-    """The analytic mode answers like message mode, with zero traffic."""
-
-    def test_no_events_no_messages(self):
-        sim, topo, net, fd = _system(mode="elided")
-        assert sim.pending_events == 0
-        assert sim.run_until_quiescent(max_events=10) == 0.0
-        assert net.stats.total_messages == 0
-
-    def test_no_false_suspicions_among_correct_processes(self):
-        sim, topo, net, fd = _system(mode="elided")
-        _advance(sim, 500.0)
-        for p in topo.processes:
-            for q in topo.processes:
-                assert not fd.suspects(p, q)
-
-    def test_crashed_process_eventually_suspected(self):
-        sim, topo, net, fd = _system(mode="elided")
-        sim.call_at(100.0, net.process(1).crash)
-        _advance(sim, 150.0)
-        assert fd.suspects(0, 1)
-        assert fd.suspects(2, 1)
-        assert not fd.suspects(0, 2)
-
-    def test_not_suspected_before_timeout(self):
-        sim, topo, net, fd = _system(mode="elided")
-        sim.call_at(100.0, net.process(1).crash)
-        _advance(sim, 110.0)
-        assert not fd.suspects(0, 1)
-
-    def test_suspicion_instant_matches_message_mode(self):
-        """Transition times agree at sub-period probe resolution.
+    def test_crash_at_beat_instant_preempts_the_beat(self):
+        """Suspicion starts strictly after the last beat's arrival.
 
         A crash at exactly a beat instant preempts the beat (the crash
         event was scheduled first), so the last beat of process 1 is at
         90, arriving at 91; suspicion begins strictly after 91 + 35.
         """
-        for mode in ("messages", "elided"):
-            sim, topo, net, fd = _system(mode=mode)
-            sim.call_at(100.0, net.process(1).crash)
-            transitions = []
-            for t in (125.5, 126.5, 127.5):
-                _advance(sim, t)
-                transitions.append((t, fd.suspects(0, 1)))
-            assert transitions == [(125.5, False), (126.5, True),
-                                   (127.5, True)], mode
+        sim, topo, net, fd = _system()
+        sim.call_at(100.0, net.process(1).crash)
+        transitions = []
+        for t in (125.5, 126.5, 127.5):
+            _advance(sim, t)
+            transitions.append((t, fd.suspects(0, 1)))
+        assert transitions == [(125.5, False), (126.5, True),
+                               (127.5, True)]
 
-    def test_cross_group_peers_not_suspected(self):
-        sim, topo, net, fd = _system(group_sizes=(2, 2), mode="elided")
-        sim.call_at(50.0, net.process(3).crash)
-        _advance(sim, 300.0)
-        assert fd.suspects(2, 3)
-        assert not fd.suspects(0, 3)
+    def test_stop_silences_every_peer_one_timeout_later(self):
+        """Beats up to the stop instant count; later ones never fire."""
+        sim, topo, net, fd = _system()
+        _advance(sim, 95.0)
+        fd.stop()
+        probes = []
+        # Last beat at 90, seen at 91; suspicion after 126.
+        for t in (120.5, 126.5, 200.0):
+            _advance(sim, t)
+            probes.append((t, fd.suspects(0, 1)))
+        assert probes == [(120.5, False), (126.5, True), (200.0, True)]
 
-    def test_horizon_caps_analytic_beats(self):
-        sim, topo, net, fd = _system(mode="elided", horizon=50.0)
+    def test_horizon_leaves_peers_suspected(self):
+        sim, topo, net, fd = _system(horizon=50.0)
         _advance(sim, 300.0)
-        # Last analytic beat at 50 arrives at 51; by 300 everyone has
-        # been silent for 249 > timeout, exactly as message mode would.
+        # Last beat at 50 arrives at 51; by 300 everyone has been
+        # silent for 249 > timeout.
         assert fd.suspects(0, 1)
-
-    def test_jittered_intra_latency_rejected(self):
-        from repro.net.topology import Jittered
-
-        sim = Simulator()
-        topo = Topology([3])
-        net = Network(sim, topo, LatencyModel(Jittered(1.0, 0.5),
-                                              Fixed(50.0)),
-                      random.Random(0), trace=MessageTrace(False))
-        for pid in topo.processes:
-            net.register(Process(pid, topo.group_of(pid), sim))
-        with pytest.raises(ValueError, match="fixed intra-group"):
-            HeartbeatFailureDetector(sim, net, topo, mode="elided")
-
-    def test_last_heartbeat_analytic(self):
-        sim, topo, net, fd = _system(mode="elided")
-        _advance(sim, 50.0)
-        # Beats at 0, 10, ..., 50 arrive one unit later; last <= 50 is
-        # the beat of 40, seen at 41.
-        assert fd.last_heartbeat(0, 1) == 41.0
-        assert fd.last_heartbeat(0, 99) is None
-
-    def test_stop_caps_analytic_beats_like_message_mode(self):
-        """After stop(), both modes fall silent at the same instant."""
-        answers = {}
-        for mode in ("messages", "elided"):
-            sim, topo, net, fd = _system(mode=mode)
-            _advance(sim, 95.0)
-            fd.stop()
-            probes = []
-            # Last beat at 90, seen at 91; suspicion after 126.
-            for t in (120.5, 126.5, 200.0):
-                _advance(sim, t)
-                probes.append((t, fd.suspects(0, 1)))
-            answers[mode] = probes
-        assert answers["messages"] == answers["elided"]
-        assert answers["elided"] == [(120.5, False), (126.5, True),
-                                     (200.0, True)]
 
 
 class TestProtocolsOverHeartbeats:
@@ -291,3 +220,27 @@ class TestProtocolsOverHeartbeats:
         check_all(log, topo)
         for pid in topo.processes:
             assert log.sequence(pid) == [msg.mid]
+
+    def test_a1_over_heartbeats_with_crashes(self):
+        """Crashed members get suspected and the run stays correct."""
+        from repro.failure.schedule import CrashSchedule
+        from repro.runtime.builder import SystemSpec, build_system
+        from repro.workload.generators import (
+            poisson_workload, schedule_workload, uniform_k_groups,
+        )
+
+        system = build_system(
+            SystemSpec(protocol="a1", group_sizes=(3, 3),
+                       detector="heartbeat", heartbeat_period=5.0,
+                       heartbeat_timeout=20.0, heartbeat_horizon=200.0),
+            seed=5, crashes=CrashSchedule({1: 40.0, 4: 70.0}))
+        schedule_workload(system, poisson_workload(
+            system.topology, system.rng.stream("wl"), rate=0.5,
+            duration=80.0, destinations=uniform_k_groups(2)))
+        system.run(until=150.0)
+        fd = system.detector
+        assert fd.suspects(0, 1) and fd.suspects(5, 4)
+        assert not fd.suspects(0, 2)
+        system.run_quiescent()
+        assert len(system.log.cast_map) > 0
+        check_all(system.log, system.topology, system.crashes)
