@@ -43,10 +43,10 @@ below run, in the specification's order — integrity, validity,
 agreement, prefix order — to word the first violation exactly as they
 always have.
 
-Streaming prefix order
-----------------------
-The per-property prefix-order check is a single near-linear pass built
-on two reductions:
+Prefix order in one pass
+------------------------
+The per-property prefix-order check, which words an order violation, is
+a single near-linear pass built on two reductions:
 
 * **within a group** every member's projected sequence must be a prefix
   of a per-group *canonical* order (the union order in which members
@@ -57,14 +57,12 @@ on two reductions:
   one shared merge list per pair, extended by whichever group reaches a
   position first.
 
-Both reductions are order-insensitive folds over individual deliveries,
-so the same core (:class:`StreamingPropertyChecker`) runs incrementally
-via delivery hooks (``System.install_streaming_checker()``), flagging
-an order violation at the exact delivery that introduces it.
+Both reductions are folds over individual deliveries
+(:class:`_PrefixOrderTracker`), fed here from the finished sequences.
 
-The quadratic pre-streaming implementations and the four-pass
-``check_all`` live on in ``tests/unit/test_checkers_streaming.py`` as
-oracles; adversarial and fuzzed logs assert identical violations.
+The quadratic pairwise implementations and the four-pass ``check_all``
+live on in ``tests/unit/test_checkers_streaming.py`` as oracles;
+adversarial and fuzzed logs assert identical violations.
 """
 
 from __future__ import annotations
@@ -101,33 +99,28 @@ def check_uniform_integrity(log: DeliveryLog, topology: Topology) -> None:
         gid = topology.group_of(pid)
         seen = set()
         for msg in sequences[pid]:
-            _check_delivery(pid, gid, msg, msg.mid in seen, cast)
+            if msg.mid in seen:
+                raise PropertyViolation(
+                    f"process {pid} delivered {msg.mid} more than once",
+                    property="uniform_integrity", kind="duplicate",
+                    pid=pid, mid=msg.mid,
+                )
             seen.add(msg.mid)
-
-
-def _check_delivery(pid: int, gid: int, msg: AppMessage, repeated: bool,
-                    cast: Dict[str, AppMessage]) -> None:
-    """Uniform integrity of one delivery of ``msg`` by ``pid``."""
-    if repeated:
-        raise PropertyViolation(
-            f"process {pid} delivered {msg.mid} more than once",
-            property="uniform_integrity", kind="duplicate",
-            pid=pid, mid=msg.mid,
-        )
-    cast_msg = cast.get(msg.mid)
-    if cast_msg is None:
-        raise PropertyViolation(
-            f"process {pid} delivered {msg.mid}, which was never cast",
-            property="uniform_integrity", kind="uncast",
-            pid=pid, mid=msg.mid,
-        )
-    if gid not in cast_msg.dest_groups:
-        raise PropertyViolation(
-            f"process {pid} (group {gid}) delivered {msg.mid} "
-            f"addressed to {cast_msg.dest_groups}",
-            property="uniform_integrity", kind="not_addressed",
-            pid=pid, mid=msg.mid,
-        )
+            cast_msg = cast.get(msg.mid)
+            if cast_msg is None:
+                raise PropertyViolation(
+                    f"process {pid} delivered {msg.mid}, which was never "
+                    f"cast",
+                    property="uniform_integrity", kind="uncast",
+                    pid=pid, mid=msg.mid,
+                )
+            if gid not in cast_msg.dest_groups:
+                raise PropertyViolation(
+                    f"process {pid} (group {gid}) delivered {msg.mid} "
+                    f"addressed to {cast_msg.dest_groups}",
+                    property="uniform_integrity", kind="not_addressed",
+                    pid=pid, mid=msg.mid,
+                )
 
 
 def check_validity(
@@ -245,7 +238,7 @@ def _prefix_holds(log: DeliveryLog, topology: Topology) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Uniform prefix order, streaming
+# Uniform prefix order
 # ----------------------------------------------------------------------
 class _PrefixOrderTracker:
     """Near-linear prefix-order verification, one delivery at a time.
@@ -338,56 +331,6 @@ def check_uniform_prefix_order(log: DeliveryLog, topology: Topology) -> None:
     for pid in sorted(sequences):
         for msg in sequences[pid]:
             tracker.observe(pid, msg)
-
-
-# ----------------------------------------------------------------------
-# Incremental front-end
-# ----------------------------------------------------------------------
-class StreamingPropertyChecker:
-    """Check the paper's properties *during* a run, via delivery hooks.
-
-    Wire with ``system.install_streaming_checker()`` (or feed
-    :meth:`on_cast` / :meth:`on_delivery` by hand when replaying a
-    foreign log).  Integrity and prefix order are enforced at each
-    delivery — a violating run fails at the exact event that broke the
-    law, with the full simulator state still alive for debugging.
-    Validity and agreement are completion properties; call
-    :meth:`finalize` once the run is over.
-    """
-
-    def __init__(self, topology: Topology,
-                 crashes: Optional[CrashSchedule] = None) -> None:
-        self.topology = topology
-        self.crashes = crashes or CrashSchedule.none()
-        self.log = DeliveryLog()
-        self._prefix = _PrefixOrderTracker(topology)
-        self.deliveries_checked = 0
-
-    # ------------------------------------------------------------------
-    def on_cast(self, msg: AppMessage) -> None:
-        self.log.record_cast(msg)
-
-    def on_delivery(self, pid: int, msg: AppMessage) -> None:
-        """Integrity + prefix order for one delivery, immediately."""
-        self.deliveries_checked += 1
-        log = self.log
-        _check_delivery(pid, self.topology.group_of(pid), msg,
-                        pid in _deliverers(log.record_map.get(msg.mid)),
-                        log.cast_map)
-        log.record_delivery(pid, msg)
-        self._prefix.observe(pid, msg)
-
-    # ------------------------------------------------------------------
-    def finalize(self) -> None:
-        """Validity + uniform agreement over the accumulated log.
-
-        Integrity already held at every delivery, so the index test
-        fails only on a completion property; which one is worded as in
-        :func:`check_all`.
-        """
-        if not _index_holds(self.log, self.topology, self.crashes):
-            check_validity(self.log, self.topology, self.crashes)
-            check_uniform_agreement(self.log, self.topology, self.crashes)
 
 
 def check_all(

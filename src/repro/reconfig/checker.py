@@ -33,13 +33,10 @@ uncommitted transactions and ``keys_in_flight``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Optional, Set
 
 from repro.reconfig.txn import move_seq
-from repro.store.checker import (
-    StreamingSerializabilityChecker,
-    correct_members,
-)
+from repro.store.checker import correct_members, serializability_replay
 
 
 class ReconfigViolation(AssertionError):
@@ -54,17 +51,20 @@ class ReconfigViolation(AssertionError):
         self.context: Dict[str, object] = context
 
 
-def check_reconfig(cluster) -> Dict[str, object]:
+def check_reconfig(cluster, replay: Optional[Dict[str, dict]] = None
+                   ) -> Dict[str, object]:
     """Verify every migration of a finished run; returns a summary.
 
     The summary maps ``completed`` / ``aborted`` / ``unfinished`` to
     sorted reconfig-id lists and ``keys_in_flight`` to keys stranded by
     unfinished moves — the campaign's reconfig metrics read it.
+
+    ``replay`` is the ``reconfig_replay`` of a serializability check
+    that passed on this very cluster state; without one, the check runs
+    that whole check itself first.
     """
-    checker = StreamingSerializabilityChecker(cluster.system.topology)
-    checker.ingest_journals(cluster)
-    checker.finalize(cluster)
-    replay = checker.reconfig_replay
+    if replay is None:
+        replay = serializability_replay(cluster)
     correct = correct_members(cluster)
 
     # ------------------------------------------------------------ 1 + 2

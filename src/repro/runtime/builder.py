@@ -94,9 +94,9 @@ class System:
         #: The mounted :class:`~repro.transport.reliable.ReliableTransport`
         #: when built with ``transport="reliable"`` (None otherwise).
         self.transport = None
-        # Global (pid, msg) hooks: streaming checkers subscribe here.
+        # Global (pid, msg) hooks: run observers (the stabilization
+        # checker, a store's commit tracker) subscribe here.
         self._delivery_hooks: List[Callable] = []
-        self._cast_hooks: List[Callable] = []
 
     # ------------------------------------------------------------------
     # Wiring helpers (used by build_system)
@@ -158,29 +158,11 @@ class System:
         """Subscribe ``hook(pid, msg)`` to *every* A-Deliver event.
 
         Unlike :meth:`add_delivery_tap` (per-pid, message-only), hooks
-        see the delivering process too — the shape incremental checkers
-        need.
+        see the delivering process too — the shape run observers need
+        (the stabilization checker's settling time, a static store's
+        commit tracker).
         """
         self._delivery_hooks.append(hook)
-
-    def add_cast_hook(self, hook: Callable) -> None:
-        """Subscribe ``hook(msg)`` to every cast, at the cast instant."""
-        self._cast_hooks.append(hook)
-
-    def install_streaming_checker(self):
-        """Attach an incremental property checker to this system's run.
-
-        Returns the :class:`~repro.checkers.properties.
-        StreamingPropertyChecker`; order/integrity violations raise at
-        the offending delivery, and the caller runs ``finalize()`` after
-        the run for the completion properties (validity, agreement).
-        """
-        from repro.checkers.properties import StreamingPropertyChecker
-
-        checker = StreamingPropertyChecker(self.topology, self.crashes)
-        self.add_cast_hook(checker.on_cast)
-        self.add_delivery_hook(checker.on_delivery)
-        return checker
 
     # ------------------------------------------------------------------
     # Casting
@@ -202,7 +184,7 @@ class System:
                 )
 
     def record_cast(self, msg: AppMessage) -> None:
-        """Record the cast of ``msg``, now, and run the cast hooks.
+        """Record the cast of ``msg``, now.
 
         Every cast path calls this before it hands ``msg`` to an
         endpoint: :meth:`cast` / :meth:`cast_plan` and a store
@@ -214,8 +196,6 @@ class System:
         self.catalog.intern(msg)
         self.meter.record_cast(msg.mid, self.network.process(msg.sender),
                                dest_groups=msg.dest_groups, now=self.sim.now)
-        for hook in self._cast_hooks:
-            hook(msg)
 
     def _do_cast(self, msg: AppMessage) -> None:
         """Record and hand ``msg`` to its sender's endpoint, now."""

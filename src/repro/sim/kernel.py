@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import islice
 from operator import le
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.events import Event, EventQueue
 
@@ -37,7 +37,6 @@ class Simulator:
         self._running = False
         self._events_executed = 0
         self._stop_requested = False
-        self._idle_hooks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Clock
@@ -140,16 +139,6 @@ class Simulator:
         """
         return self._queue.push_reserved(time, slot, action, label)
 
-    def add_idle_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callback invoked when the queue drains.
-
-        Idle hooks let components (e.g. workload generators with lazy
-        arrivals) inject more events when the simulation would otherwise
-        terminate.  A hook that schedules nothing leaves the simulation
-        idle and :meth:`run` returns.
-        """
-        self._idle_hooks.append(hook)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -201,15 +190,7 @@ class Simulator:
                     break
                 next_time = self._queue.peek_time()
                 if next_time is None:
-                    # Queue drained: give idle hooks one chance to refill.
-                    # Re-peeking (rather than comparing counts) stays
-                    # exact even if a hook cancels stragglers while
-                    # scheduling fresh work.
-                    for hook in self._idle_hooks:
-                        hook()
-                    if self._queue.peek_time() is None:
-                        break
-                    continue
+                    break
                 if until is not None and next_time > until:
                     self._now = until
                     break

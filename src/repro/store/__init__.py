@@ -25,7 +25,7 @@ Layout:
   ratio);
 * :mod:`~repro.store.cluster` — :class:`StoreCluster`, one-call
   deployment over any protocol of the registry;
-* :mod:`~repro.store.checker` — the streaming one-copy-serializability
+* :mod:`~repro.store.checker` — the post-hoc one-copy-serializability
   checker;
 * :mod:`~repro.store.spec` — :class:`StoreSpec`, the declarative knob
   set campaigns and the CLI share;
@@ -33,8 +33,8 @@ Layout:
 """
 
 from repro.store.checker import (
+    SerializabilityChecker,
     SerializabilityViolation,
-    StreamingSerializabilityChecker,
     check_serializability,
 )
 from repro.store.client import CommitTracker, StoreClient
@@ -46,11 +46,11 @@ from repro.store.workload import TxnPlan, partition_keys, txn_workload
 
 __all__ = [
     "CommitTracker",
+    "SerializabilityChecker",
     "SerializabilityViolation",
     "StoreClient",
     "StoreCluster",
     "StoreSpec",
-    "StreamingSerializabilityChecker",
     "Transaction",
     "TransactionalStore",
     "TxnPlan",

@@ -1,19 +1,15 @@
-"""Streaming one-copy-serializability checker for the store.
+"""One-copy-serializability checker for the store.
 
 One-shot transactions over atomic multicast are serialisable by
 construction *if the protocol keeps its promises*; this checker refuses
 to take that on faith.  It verifies, from observed behaviour only:
 
 1. **replica consistency** — within each partition, every replica's
-   execution log must be a prefix of one per-group canonical order.
-   Streaming, :meth:`~StreamingSerializabilityChecker.on_delivery`
-   folds one delivery at a time (so it can run via
-   ``System.add_delivery_hook`` and flag the exact delivery that
-   diverges).  Post hoc, the longest journal of each group is
-   canonical and every member's journal is compared with it whole: one
-   list compare per replica.  At quiescence a replica that never
-   crashed must hold the whole canonical journal; only a crashed one
-   may stop at a prefix;
+   execution journal must be a prefix of one per-group canonical
+   order.  The longest journal of each group is canonical and every
+   member's journal is compared with it whole: one list compare per
+   replica.  At quiescence a replica that never crashed must hold the
+   whole canonical journal; only a crashed one may stop at a prefix;
 2. **atomicity** (finalize) — a transaction executed by any partition
    must be executed by every destination partition that still has a
    correct replica (no partial commits).  Each group's journal becomes
@@ -42,6 +38,11 @@ fails, the check falls back to the item-by-item rule (journal item by
 journal item, atomicity entries in id order, op by op), which raises
 the first violation with its kind, context and message.
 
+The check runs once, on the finished run: a passing check's
+``reconfig_replay`` is what :func:`repro.reconfig.checker.check_reconfig`
+compares the handoffs against, so a checker pass hands it on rather
+than replaying the run a second time.
+
 **Epochs.**  Elastic scenarios (:mod:`repro.reconfig`) interleave
 reconfig (R) and handoff (H) control messages with data transactions,
 so the post-hoc entry point :func:`check_serializability` folds over
@@ -68,9 +69,8 @@ from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.interfaces import AppMessage
 from repro.net.topology import Topology
-from repro.reconfig.txn import Handoff, ReconfigOp, is_control
+from repro.reconfig.txn import Handoff, ReconfigOp
 from repro.store.transaction import Transaction, TxnEffects, execute
 
 
@@ -153,15 +153,13 @@ class _GroupWalk:
         return self.spans.get((key, tenure), (None, None))[1]
 
 
-class StreamingSerializabilityChecker:
-    """Incremental collector + final one-copy verifier.
+class SerializabilityChecker:
+    """Journal collector + final one-copy verifier.
 
-    Feed every A-Deliver event through :meth:`on_delivery` (directly,
-    or via ``system.add_delivery_hook``), or fold finished execution
-    journals in with :meth:`ingest_journals`; replica-consistency
-    violations raise at the offending item.  After the run,
-    :meth:`finalize` runs the atomicity, embedding and replay checks
-    against the finished cluster.
+    :meth:`ingest_journals` folds a finished cluster's execution
+    journals in (replica-consistency violations raise at the offending
+    item); :meth:`finalize` then runs the atomicity, embedding and
+    replay checks against the same cluster.
     """
 
     def __init__(self, topology: Topology) -> None:
@@ -169,7 +167,6 @@ class StreamingSerializabilityChecker:
         self._group_order: Dict[int, List[str]] = {}
         self._positions: Dict[int, int] = {}
         self._txns: Dict[str, object] = {}
-        self.deliveries = 0
         #: Filled by finalize: reconfig id -> {"proceeded": bool,
         #: "snapshot": ((key, value), ...)} — the authoritative CAS
         #: decision and the one-copy source state at each R.  The
@@ -177,35 +174,20 @@ class StreamingSerializabilityChecker:
         self.reconfig_replay: Dict[str, dict] = {}
 
     # ------------------------------------------------------------------
-    # Streaming half
+    # Replica consistency
     # ------------------------------------------------------------------
-    def on_delivery(self, pid: int, msg: AppMessage) -> None:
-        """Fold one execution event into the per-group canonical orders.
-
-        Control messages (reconfig/handoff) are skipped here: the
-        delivery stream interleaves them with data, but their order
-        positions are only meaningful in the execution journals, which
-        :func:`check_serializability` folds post-hoc.
-        """
-        if is_control(msg.payload):
-            return
-        txn = Transaction.from_payload(msg.payload)
-        self._ingest(pid, txn.txn_id, txn)
-        self.deliveries += 1
-
     def ingest_journals(self, cluster) -> None:
         """Fold every replica's execution journal (data + controls).
 
         The passing case is decided on whole journals: per group, the
         longest member journal is canonical, and every member's must be
-        a prefix of it (one list compare each).  Only when one is not,
-        or when the streaming half already holds items, are the
-        journals folded item by item, which names the first divergence
-        exactly where delivery-time folding would.
+        a prefix of it (one list compare each).  Only when one is not
+        are the journals folded item by item, which names the first
+        divergence.
         """
         stores = cluster.stores
         pids = sorted(stores)
-        if self._positions or not self._fold_whole(stores, pids):
+        if not self._fold_whole(stores, pids):
             for pid in pids:
                 store = stores[pid]
                 for item_id, item in zip(store.applied, store.applied_txns):
@@ -283,12 +265,12 @@ class StreamingSerializabilityChecker:
         self._positions[pid] = position + 1
 
     def group_orders(self) -> Dict[int, Tuple[str, ...]]:
-        """Per-group canonical execution orders observed so far."""
+        """Per-group canonical execution orders."""
         return {gid: tuple(order)
                 for gid, order in self._group_order.items()}
 
     # ------------------------------------------------------------------
-    # Final half
+    # Atomicity, embedding, one-copy replay
     # ------------------------------------------------------------------
     def finalize(self, cluster) -> Tuple[str, ...]:
         """Run atomicity + embedding + one-copy replay; returns the
@@ -706,12 +688,23 @@ _KEY = itemgetter(1)
 def check_serializability(cluster) -> Tuple[str, ...]:
     """Post-hoc one-copy-serializability check over a finished run.
 
-    Folds the per-replica execution journals through the streaming core
-    (for static scenarios these equal the delivery logs; for elastic
-    ones they additionally carry the reconfig/handoff markers and the
-    effects of migration stalls) and runs the final checks; returns the
-    global serial order on success.
+    Folds the per-replica execution journals (for static scenarios
+    these equal the delivery logs; for elastic ones they additionally
+    carry the reconfig/handoff markers and the effects of migration
+    stalls) and runs the final checks; returns the global serial order
+    on success.
     """
-    checker = StreamingSerializabilityChecker(cluster.system.topology)
+    checker = SerializabilityChecker(cluster.system.topology)
     checker.ingest_journals(cluster)
     return checker.finalize(cluster)
+
+
+def serializability_replay(cluster) -> Dict[str, dict]:
+    """Run :func:`check_serializability`'s whole check; returns the
+    passing check's ``reconfig_replay``, which
+    :func:`~repro.reconfig.checker.check_reconfig` compares the
+    handoffs against."""
+    checker = SerializabilityChecker(cluster.system.topology)
+    checker.ingest_journals(cluster)
+    checker.finalize(cluster)
+    return checker.reconfig_replay

@@ -9,8 +9,7 @@ virtual instant by which every destination partition has executed it at
 at least one replica — from then on its position in the global serial
 order is fixed everywhere its data lives, and a read served by any of
 those partitions reflects it.  Static deployments observe this through
-the system-wide delivery hook (the same subscription surface the
-streaming checkers use; execution happens at delivery).  Elastic
+the system-wide delivery hook (execution happens at delivery).  Elastic
 deployments (service queues, migrations) observe per-replica
 *execution* notifications instead, because execution can lag delivery
 there — and a transaction fenced with ``WrongEpoch`` only commits once

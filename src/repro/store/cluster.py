@@ -48,8 +48,8 @@ class TappedEndpoint:
     so this adapter satisfies the replica's ``set_delivery_handler``
     call by registering a tap.  Casts are recorded by
     :meth:`System.record_cast <repro.runtime.builder.System.record_cast>`
-    first, so the latency meter, the property checkers and the cast
-    hooks (a streaming checker) see store traffic like any other cast.
+    first, so the latency meter and the property checkers see store
+    traffic like any other cast.
     """
 
     def __init__(self, system: System, pid: int) -> None:

@@ -1,7 +1,7 @@
 """The whole-journal store checker decides exactly as the per-item one.
 
 ``serializability_oracle.py`` keeps the item-by-item checker the store
-used to run.  :class:`StreamingSerializabilityChecker` now decides the
+used to run.  :class:`SerializabilityChecker` now decides the
 passing case on whole journals and whole effects records and falls back
 to an item loop only to word a violation, so on every cluster here both
 must agree: on a healthy run the same serial order, canonical group
@@ -20,10 +20,10 @@ from repro.campaigns.spec import LatencySpec, ScenarioSpec
 from repro.reconfig.checker import check_reconfig
 from repro.runtime.builder import SystemSpec
 from repro.store import (
+    SerializabilityChecker,
     SerializabilityViolation,
     StoreCluster,
     StoreSpec,
-    StreamingSerializabilityChecker,
 )
 from repro.store.transaction import Transaction, TxnEffects
 
@@ -42,7 +42,7 @@ def verdict(checker_class, cluster):
 
 def assert_agree(cluster):
     """Both checkers' verdicts, which must be equal; returns it."""
-    new = verdict(StreamingSerializabilityChecker, cluster)
+    new = verdict(SerializabilityChecker, cluster)
     assert new == verdict(OracleSerializabilityChecker, cluster)
     return new
 

@@ -1,9 +1,10 @@
-"""Tests for the streaming one-copy-serializability checker.
+"""Tests for the one-copy-serializability checker.
 
-Green paths run real clusters; violation paths either hand-feed the
-streaming core with adversarial delivery sequences or tamper with a
-finished run's replica journals — every violation kind must be caught
-and pinpointed.
+Green paths run real clusters; violation paths either hand-write
+replica execution journals on an idle cluster or tamper with a finished
+run's journals — every violation kind must be caught and pinpointed.
+Both go through the checker's one entry, ``ingest_journals`` then
+``finalize``.
 """
 
 import pytest
@@ -11,10 +12,10 @@ import pytest
 from repro.core.interfaces import AppMessage
 from repro.runtime.builder import SystemSpec
 from repro.store import (
+    SerializabilityChecker,
     SerializabilityViolation,
     StoreCluster,
     StoreSpec,
-    StreamingSerializabilityChecker,
     check_serializability,
 )
 from repro.store.transaction import Transaction
@@ -39,89 +40,106 @@ def built_cluster(seed=1, **spec_kwargs):
     return cluster
 
 
-class TestStreamingCore:
-    def test_replica_divergence_raises_at_offending_delivery(self):
-        cluster = built_cluster()
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
-        a = txn_msg("ta", (0,))
-        b = txn_msg("tb", (0,))
-        checker.on_delivery(0, a)  # pid 0 fixes group 0's order: ta…
-        checker.on_delivery(0, b)  # …tb
-        checker.on_delivery(1, a)  # pid 1 agrees so far
-        with pytest.raises(SerializabilityViolation,
-                           match="disagree on their serial order"):
-            checker.on_delivery(1, txn_msg("tc", (0,)))
+def idle_cluster():
+    """A (2, 2, 2) cluster whose run cast nothing: every journal empty."""
+    return built_cluster(kind="periodic", count=0)
 
-    def test_prefix_logs_are_consistent(self):
-        cluster = built_cluster()
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
+
+def execute_at(cluster, pids, *msgs):
+    """Append ``msgs``' transactions to the journals of ``pids``."""
+    for pid in pids:
+        store = cluster.stores[pid]
+        for msg in msgs:
+            store.applied.append(msg.mid)
+            store.applied_txns.append(Transaction.from_payload(msg.payload))
+
+
+def ingested(cluster):
+    checker = SerializabilityChecker(cluster.system.topology)
+    checker.ingest_journals(cluster)
+    return checker
+
+
+class TestReplicaConsistency:
+    def test_replica_divergence_raises_at_offending_item(self):
+        cluster = idle_cluster()
         a, b = txn_msg("ta", (0,)), txn_msg("tb", (0,))
-        checker.on_delivery(0, a)
-        checker.on_delivery(0, b)
-        checker.on_delivery(1, a)  # pid 1 stops after a prefix: fine
-        assert checker.group_orders()[0] == ("ta", "tb")
+        execute_at(cluster, [0], a, b)  # pid 0 fixes group 0's order
+        execute_at(cluster, [1], a, txn_msg("tc", (0,)))  # pid 1 strays
+        with pytest.raises(SerializabilityViolation,
+                           match="disagree on their serial order") as exc:
+            ingested(cluster)
+        assert exc.value.context == dict(
+            kind="replica_divergence", pid=1, gid=0, txn="tc",
+            position=1, expected="tb")
 
-    def test_streaming_hook_matches_post_hoc_feed(self):
-        cluster = StoreCluster.build(
-            SystemSpec(protocol="a1", group_sizes=(2, 2, 2)),
-            store=StoreSpec(n_keys=16, rate=1.0, duration=25.0,
-                            multi_partition_fraction=0.4),
-            seed=4,
-        )
-        live = StreamingSerializabilityChecker(cluster.system.topology)
-        cluster.system.add_delivery_hook(live.on_delivery)
-        cluster.system.run_quiescent()
-        order_live = live.finalize(cluster)
-        order_posthoc = check_serializability(cluster)
-        assert order_live == order_posthoc
-        assert live.deliveries == cluster.system.log.delivery_count()
+    def test_crashed_replica_may_stop_at_a_prefix(self):
+        cluster = idle_cluster()
+        a, b = txn_msg("ta", (0,)), txn_msg("tb", (0,))
+        execute_at(cluster, [0], a, b)
+        execute_at(cluster, [1], a)  # pid 1 stops after a prefix…
+        cluster.system.network.process(1).crashed = True  # …and crashed
+        assert ingested(cluster).group_orders()[0] == ("ta", "tb")
+
+    def test_static_journals_are_the_delivery_logs(self):
+        """Without service queues a replica executes at delivery, so
+        each group's canonical journal is its longest delivery log."""
+        cluster = built_cluster(seed=4)
+        log = cluster.system.log
+        topology = cluster.system.topology
+        longest = {}
+        for pid in log.processes():
+            seq = tuple(log.sequence(pid))
+            gid = topology.group_of(pid)
+            if len(seq) > len(longest.get(gid, ())):
+                longest[gid] = seq
+        checker = ingested(cluster)
+        assert checker.group_orders() == longest
+        assert checker.finalize(cluster) == check_serializability(cluster)
 
 
 class TestFinalizeViolations:
     def test_precedence_cycle_detected(self):
-        cluster = built_cluster(kind="periodic", count=0)
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
+        cluster = idle_cluster()
         a, b = txn_msg("ta", (0, 1)), txn_msg("tb", (0, 1))
         cluster.system.log.record_cast(a)
         cluster.system.log.record_cast(b)
-        for pid, msg in [(0, a), (0, b),   # group 0 says ta < tb
-                         (2, b), (2, a)]:  # group 1 says tb < ta
-            checker.on_delivery(pid, msg)
+        execute_at(cluster, [0, 1], a, b)  # group 0 says ta < tb
+        execute_at(cluster, [2, 3], b, a)  # group 1 says tb < ta
+        checker = ingested(cluster)
         with pytest.raises(SerializabilityViolation,
                            match="no global serial order"):
             checker.finalize(cluster)
 
     def test_partial_commit_detected(self):
-        cluster = built_cluster(kind="periodic", count=0)
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
+        cluster = idle_cluster()
         msg = txn_msg("ta", (0, 1))
         cluster.system.log.record_cast(msg)
-        checker.on_delivery(0, msg)  # group 0 executed, group 1 never did
+        execute_at(cluster, [0, 1], msg)  # group 0 executed, 1 never did
+        checker = ingested(cluster)
         with pytest.raises(SerializabilityViolation,
                            match="partial commit"):
             checker.finalize(cluster)
 
     def test_phantom_transaction_detected(self):
-        cluster = built_cluster(kind="periodic", count=0)
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
-        checker.on_delivery(0, txn_msg("ghost", (0,)))  # never cast
+        cluster = idle_cluster()
+        execute_at(cluster, [0, 1], txn_msg("ghost", (0,)))  # never cast
+        checker = ingested(cluster)
         with pytest.raises(SerializabilityViolation,
                            match="never submitted"):
             checker.finalize(cluster)
 
     def test_crashed_partition_excuses_missing_execution(self):
-        cluster = built_cluster(kind="periodic", count=0)
+        cluster = idle_cluster()
         for pid in cluster.system.topology.members(1):
             cluster.system.network.process(pid).crashed = True
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
         # k00001 is owned by (crashed) group 1, so the one-copy replay
         # has no surviving replica to compare its value against.
         msg = txn_msg("ta", (0, 1), ops=(("put", "k00001", 1),))
         cluster.system.log.record_cast(msg)
-        for pid in cluster.system.topology.members(0):
-            checker.on_delivery(pid, msg)
+        execute_at(cluster, cluster.system.topology.members(0), msg)
         # Group 1 never executed ta, but every replica of it crashed.
-        checker.finalize(cluster)
+        assert ingested(cluster).finalize(cluster) == ("ta",)
 
 
 class TestTamperedRuns:
@@ -179,12 +197,7 @@ class TestGreenPath:
         order = check_serializability(cluster)
         assert set(order) == set(cluster.system.log.cast_map)
         # The serial order respects every partition's canonical log.
-        checker = StreamingSerializabilityChecker(cluster.system.topology)
-        log = cluster.system.log
-        for pid in log.processes():
-            for msg in log.delivered_messages(pid):
-                checker.on_delivery(pid, msg)
         position = {txn: i for i, txn in enumerate(order)}
-        for group_order in checker.group_orders().values():
+        for group_order in ingested(cluster).group_orders().values():
             assert [position[t] for t in group_order] \
                 == sorted(position[t] for t in group_order)

@@ -20,10 +20,10 @@ from repro.campaigns.spec import LatencySpec, ScenarioSpec
 from repro.core.interfaces import AppMessage
 from repro.runtime.builder import SystemSpec
 from repro.store import (
+    SerializabilityChecker,
     SerializabilityViolation,
     StoreCluster,
     StoreSpec,
-    StreamingSerializabilityChecker,
     check_serializability,
 )
 from repro.store.checker import correct_members
@@ -66,7 +66,7 @@ def mix_run():
 
 
 def ingested(cluster):
-    checker = StreamingSerializabilityChecker(cluster.system.topology)
+    checker = SerializabilityChecker(cluster.system.topology)
     checker.ingest_journals(cluster)
     return checker
 

@@ -3,8 +3,8 @@
 The engine refactor made ``len(queue)`` (and therefore
 ``Simulator.pending_events``) track *live* events exactly: cancelled
 events still occupy heap slots until lazily pruned, but must never be
-counted, and the idle-hook refill check in ``Simulator.run`` must stay
-exact in the presence of cancelled stragglers.
+counted, and ``Simulator.run`` must see a queue of cancelled stragglers
+as drained.
 
 Reserved slots (``reserve`` / ``push_reserved``) extend the pinned
 ``(time, seq)`` contract: an event materialised later fires exactly
@@ -384,39 +384,7 @@ class TestCallAtEach:
             Simulator().call_at_each([1.0, 2.0], print, ["only one"])
 
 
-class TestIdleHookRefill:
-    def test_refill_runs_after_cancelled_stragglers(self):
-        """Cancelled stragglers leave tombstones in the heap; the idle
-        refill check must look through them — the hook still runs, and
-        its freshly scheduled work still fires."""
-        sim = Simulator()
-        fired = []
-        straggler = sim.schedule(50.0, lambda: fired.append("straggler"))
-        refills = [0]
-
-        def hook():
-            if refills[0] == 0:
-                refills[0] += 1
-                straggler.cancel()
-                sim.schedule(1.0, lambda: fired.append("refill"))
-
-        sim.add_idle_hook(hook)
-        sim.schedule(1.0, lambda: (fired.append("first"), straggler.cancel()))
-        sim.run()
-        assert fired == ["first", "refill"]
-
-    def test_idle_hook_not_rerun_when_it_schedules_nothing(self):
-        sim = Simulator()
-        calls = [0]
-
-        def hook():
-            calls[0] += 1
-
-        sim.add_idle_hook(hook)
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        assert calls[0] == 1
-
+class TestDrainedQueue:
     def test_run_drains_despite_cancelled_tail(self):
         sim = Simulator()
         tail = [sim.schedule(10.0 + i, lambda: None) for i in range(5)]
@@ -432,4 +400,17 @@ class TestIdleHookRefill:
         zombie = sim.schedule(2.0, lambda: None)
         zombie.cancel()
         sim.run_until_quiescent()
+        assert sim.pending_events == 0
+
+    def test_run_after_drain_fires_work_scheduled_between_runs(self):
+        """A drained queue ends ``run``; work a caller schedules after
+        that fires on the next ``run``, from the clock where it stopped."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(("first", sim.now)))
+        assert sim.run() == 1.0
+        assert fired == [("first", 1.0)]
+        sim.schedule(2.0, lambda: fired.append(("refill", sim.now)))
+        assert sim.run() == 3.0
+        assert fired == [("first", 1.0), ("refill", 3.0)]
         assert sim.pending_events == 0

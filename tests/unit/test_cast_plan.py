@@ -61,9 +61,14 @@ def _run(protocol, destinations, as_plan):
                           seed=11)
     sim = system.sim
     seen = []
-    system.add_cast_hook(
-        lambda msg: seen.append((sim.now, "cast", msg.payload,
-                                 sim.events_executed)))
+    # Every cast path goes through record_cast: observe casts there.
+    record_cast = system.record_cast
+
+    def observe_cast(msg):
+        record_cast(msg)
+        seen.append((sim.now, "cast", msg.payload, sim.events_executed))
+
+    system.record_cast = observe_cast
     system.add_delivery_hook(
         lambda pid, msg: seen.append((sim.now, pid, msg.payload,
                                       sim.events_executed)))

@@ -1,14 +1,17 @@
-"""Streaming and one-pass checkers vs the implementations they replaced.
+"""One-pass checkers vs the implementations they replaced.
 
 The prefix-order and agreement checks were rewritten from pairwise
-O(p²·m) scans into near-linear streaming passes, and ``check_all`` from
+O(p²·m) scans into near-linear folds over the deliveries, and ``check_all`` from
 four per-property passes into one pass over the log's indexes.  This
 suite keeps the *old* implementations alive (below, verbatim modulo
 naming) as oracles and asserts the new code returns identical verdicts
 on adversarial logs — conflicting prefixes, partial delivery, duplicate
 delivery, gaps, cross-group inversions, crashed senders and a seeded
 fuzz of mutated random logs — and, for ``check_all``, the identical
-violation: same message, same ``context``.
+violation: same message, same ``context``.  A last class checks that
+the finished run is enough to decide the safety properties: whatever a
+checker fed delivery by delivery would have caught mid-run, the
+post-hoc check still catches.
 """
 
 import random
@@ -17,10 +20,10 @@ import pytest
 
 from repro.checkers.properties import (
     PropertyViolation,
-    StreamingPropertyChecker,
     _PrefixOrderTracker,
     check_all,
     check_uniform_agreement,
+    check_uniform_integrity,
     check_uniform_prefix_order,
 )
 from repro.core.interfaces import AppMessage
@@ -453,13 +456,19 @@ class TestCheckAllMatchesFourPassOracle:
             _violation(oracle_check_all, log, TOPO3, crashes)
 
 
-class TestStreamingIncremental:
-    """The hook-fed checker agrees with the post-run functions."""
+class TestFinishedRunDecidesSafety:
+    """A safety violation on any prefix of the run stays on the whole run.
 
-    def _feed(self, checker, casts, deliveries):
-        for msg in casts.values():
-            checker.on_cast(msg)
-        # Interleave round-robin, the worst case for canonical races.
+    Delivery sequences only grow, so a duplicate, an uncast delivery or
+    two conflicting projections seen part-way through cannot be undone by
+    later deliveries.  Each adversarial log is replayed in round-robin
+    order across processes (the interleaving that most often shuffles
+    which process delivers first), and every prefix is checked.
+    """
+
+    @staticmethod
+    def _round_robin(deliveries):
+        order = []
         cursors = {pid: 0 for pid in deliveries}
         progressed = True
         while progressed:
@@ -467,89 +476,35 @@ class TestStreamingIncremental:
             for pid in sorted(cursors):
                 i = cursors[pid]
                 if i < len(deliveries[pid]):
-                    checker.on_delivery(pid, casts[deliveries[pid][i]])
+                    order.append((pid, deliveries[pid][i]))
                     cursors[pid] = i + 1
                     progressed = True
+        return order
+
+    @staticmethod
+    def _prefix_log(casts, order, k):
+        log = DeliveryLog()
+        for msg in casts.values():
+            log.record_cast(msg)
+        for pid, mid in order[:k]:
+            log.record_delivery(pid, casts[mid])
+        return log
 
     @pytest.mark.parametrize(
         "name", sorted(TestAdversarialLogsMatchOracle.CASES))
-    def test_matches_check_all(self, name):
+    def test_prefix_violations_survive_to_the_end(self, name):
         casts, deliveries = TestAdversarialLogsMatchOracle.CASES[name]
         topology = TOPO3 if name == "three_group_inversion" else TOPO
-        log = _log_with(casts, deliveries)
-        expected = _verdict(check_all, log, topology)
-
-        checker = StreamingPropertyChecker(topology)
-        try:
-            self._feed(checker, casts, deliveries)
-            checker.finalize()
-            streaming = None
-        except PropertyViolation:
-            streaming = PropertyViolation
-        assert streaming == expected, name
-
-    def test_order_violation_raises_at_offending_delivery(self):
-        checker = StreamingPropertyChecker(TOPO)
-        a, b = _msg("a"), _msg("b")
-        checker.on_cast(a)
-        checker.on_cast(b)
-        checker.on_delivery(0, a)
-        checker.on_delivery(0, b)
-        # p1 shares group 0, whose canonical order is now [a, b]; its
-        # first delivery being b diverges right here, mid-run.
-        with pytest.raises(PropertyViolation, match="prefix order"):
-            checker.on_delivery(1, b)
-
-    def test_duplicate_raises_immediately(self):
-        checker = StreamingPropertyChecker(TOPO)
-        a = _msg("a")
-        checker.on_cast(a)
-        checker.on_delivery(0, a)
-        with pytest.raises(PropertyViolation, match="more than once"):
-            checker.on_delivery(0, a)
-
-    def test_uncast_raises_immediately(self):
-        checker = StreamingPropertyChecker(TOPO)
-        with pytest.raises(PropertyViolation, match="never cast"):
-            checker.on_delivery(0, _msg("ghost"))
-
-    def test_live_system_hookup(self):
-        from repro.runtime.builder import SystemSpec, build_system
-        from repro.workload.generators import (
-            poisson_workload,
-            schedule_workload,
-            uniform_k_groups,
-        )
-
-        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
-                              seed=9)
-        checker = system.install_streaming_checker()
-        plans = poisson_workload(
-            system.topology, system.rng.stream("wl"),
-            rate=2.0, duration=15.0, destinations=uniform_k_groups(2),
-        )
-        schedule_workload(system, plans)
-        system.run_quiescent()
-        checker.finalize()
-        assert checker.deliveries_checked == system.log.delivery_count()
-        check_all(system.log, system.topology, system.crashes)
-
-    def test_store_system_hookup(self):
-        """Store casts run the system's cast hooks: a streaming checker
-        on a store system sees every transaction cast before its
-        deliveries, instead of failing on the first delivery with a
-        false "never cast" integrity violation."""
-        from repro.runtime.builder import SystemSpec, build_system
-        from repro.store.cluster import StoreCluster
-        from repro.store.spec import StoreSpec
-
-        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
-                              seed=42)
-        checker = system.install_streaming_checker()
-        cluster = StoreCluster.attach(system, StoreSpec(duration=20.0))
-        system.run_quiescent()
-        checker.finalize()
-        assert len(checker.log.cast_map) == len(system.log.cast_map) \
-            >= len(cluster.plans) > 0
-        assert checker.deliveries_checked == system.log.delivery_count()
-        check_all(system.log, system.topology, system.crashes)
+        order = self._round_robin(deliveries)
+        full = self._prefix_log(casts, order, len(order))
+        # The interleaving does not change the finished run's verdict.
+        assert _violation(check_all, full, topology) == \
+            _violation(check_all, _log_with(casts, deliveries), topology)
+        for check in (check_uniform_integrity, check_uniform_prefix_order):
+            final = _verdict(check, full, topology)
+            for k in range(len(order) + 1):
+                if _verdict(check, self._prefix_log(casts, order, k),
+                            topology) is not None:
+                    assert final is PropertyViolation, (name, check, k)
+                    assert _verdict(check_all, full, topology) \
+                        is PropertyViolation, (name, k)

@@ -140,21 +140,6 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.run_until_quiescent(max_events=100)
 
-    def test_idle_hook_refills_queue_once(self):
-        sim = Simulator()
-        fired = []
-        refills = [0]
-
-        def hook():
-            if refills[0] == 0:
-                refills[0] += 1
-                sim.schedule(1.0, lambda: fired.append("refill"))
-
-        sim.add_idle_hook(hook)
-        sim.schedule(1.0, lambda: fired.append("first"))
-        sim.run()
-        assert fired == ["first", "refill"]
-
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(5):
