@@ -28,7 +28,6 @@ from repro.adversary.spec import (
     AdversarySpec,
     InjectorSpec,
     get_adversary,
-    register_adversary,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "Violation",
     "apply_adversary",
     "get_adversary",
-    "register_adversary",
     "run_case",
     "shrink",
 ]

@@ -45,11 +45,6 @@ class Violation:
         return {"checker": self.checker, "message": self.message,
                 "context": dict(self.context)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Violation":
-        return cls(checker=data["checker"], message=data["message"],
-                   context=dict(data.get("context", {})))
-
 
 @dataclass
 class CaseResult:

@@ -289,18 +289,9 @@ ADVERSARIES: Dict[str, AdversarySpec] = _builtin_adversaries()
 
 
 def get_adversary(name: str) -> AdversarySpec:
-    """Look a built-in (or registered) adversary up by name."""
+    """Look a built-in adversary up by name."""
     if name not in ADVERSARIES:
         raise KeyError(
             f"unknown adversary {name!r}; have {sorted(ADVERSARIES)}"
         )
     return ADVERSARIES[name]
-
-
-def register_adversary(spec: AdversarySpec) -> None:
-    """Add a custom adversary to the registry (campaigns resolve by
-    name, so registration must happen at import time for pool workers
-    — the same rule as ``repro.campaigns.metrics.register_extractor``)."""
-    if spec.name in ADVERSARIES:
-        raise ValueError(f"adversary {spec.name!r} already registered")
-    ADVERSARIES[spec.name] = spec

@@ -9,13 +9,12 @@ run.  See :mod:`repro.campaigns.library` for the built-in campaigns and
 """
 
 from repro.campaigns.library import CAMPAIGNS, get_campaign
-from repro.campaigns.metrics import EXTRACTORS, extract, register_extractor
+from repro.campaigns.metrics import EXTRACTORS, extract
 from repro.campaigns.runner import (
     Campaign,
     CampaignResult,
     CampaignRunner,
     RunResult,
-    run_campaign,
     run_scenario_seed,
     verify_determinism,
 )
@@ -31,9 +30,9 @@ from repro.campaigns.spec import (
 
 __all__ = [
     "CAMPAIGNS", "get_campaign",
-    "EXTRACTORS", "extract", "register_extractor",
+    "EXTRACTORS", "extract",
     "Campaign", "CampaignResult", "CampaignRunner", "RunResult",
-    "run_campaign", "run_scenario_seed", "verify_determinism",
+    "run_scenario_seed", "verify_determinism",
     "CrashSpec", "DestinationSpec", "LatencySpec", "ScenarioSpec",
     "WorkloadSpec", "matrix", "with_seeds",
 ]

@@ -611,9 +611,13 @@ CAMPAIGNS: Dict[str, CampaignBuilder] = {
 
 def get_campaign(name: str,
                  seeds: Optional[Sequence[int]] = None) -> Campaign:
-    """Look a built-in campaign up by name."""
+    """Look a built-in campaign up by name, under ``seeds`` if given."""
     if name not in CAMPAIGNS:
         raise KeyError(
             f"unknown campaign {name!r}; have {sorted(CAMPAIGNS)}"
         )
+    # `is not None`, not truthiness: the builders read an empty list
+    # as "use the defaults".
+    if seeds is not None and not seeds:
+        raise ValueError("at least one seed is required")
     return CAMPAIGNS[name](seeds=seeds)

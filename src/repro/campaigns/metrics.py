@@ -158,21 +158,6 @@ EXTRACTORS: Dict[str, MetricExtractor] = {
 }
 
 
-def register_extractor(name: str, extractor: MetricExtractor) -> None:
-    """Add a custom extractor.
-
-    Pool workers re-import modules rather than inheriting this dict
-    under the ``spawn`` start method (macOS/Windows default), so the
-    registration call must live at module top level — *not* under an
-    ``if __name__ == "__main__"`` guard — to be visible with
-    ``jobs > 1`` there.  Under ``fork`` (Linux default) and ``jobs=1``
-    any call site works.
-    """
-    if name in EXTRACTORS:
-        raise ValueError(f"extractor {name!r} already registered")
-    EXTRACTORS[name] = extractor
-
-
 def extract(system, names: List[str]) -> Dict[str, float]:
     """Run the named extractors and merge their metric dicts."""
     out: Dict[str, float] = {}

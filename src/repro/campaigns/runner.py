@@ -26,11 +26,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaigns.metrics import extract
-from repro.campaigns.spec import ScenarioSpec, with_seeds
+from repro.campaigns.spec import ScenarioSpec
 from repro.checkers.genuineness import check_genuineness
 from repro.checkers.properties import check_all
 from repro.runtime.builder import build_system
@@ -323,10 +323,6 @@ class Campaign:
         if dupes:
             raise ValueError(f"duplicate scenario names: {sorted(dupes)}")
 
-    def with_seeds(self, seeds: Sequence[int]) -> "Campaign":
-        """The same matrix under an overridden seed list."""
-        return replace(self, scenarios=with_seeds(self.scenarios, seeds))
-
     @property
     def task_count(self) -> int:
         return sum(len(s.seeds) for s in self.scenarios)
@@ -504,14 +500,10 @@ class CampaignRunner:
     aspirational (see :func:`verify_determinism`).
     """
 
-    def __init__(self, campaign: Campaign, jobs: int = 1,
-                 seeds: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, campaign: Campaign, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        # `is not None`, not truthiness: an empty seed list must hit
-        # with_seeds' ValueError, not silently keep the spec defaults.
-        self.campaign = (campaign.with_seeds(seeds)
-                         if seeds is not None else campaign)
+        self.campaign = campaign
         self.jobs = jobs
 
     def tasks(self) -> List[Tuple[ScenarioSpec, int]]:
@@ -564,12 +556,6 @@ class CampaignRunner:
             # dwarfs the worker count keeps per-task IPC amortised.
             chunksize = max(1, len(tasks) // (self.jobs * 8))
             return pool.map(_run_task, tasks, chunksize=chunksize)
-
-
-def run_campaign(campaign: Campaign, jobs: int = 1,
-                 seeds: Optional[Sequence[int]] = None) -> CampaignResult:
-    """One-call convenience wrapper around :class:`CampaignRunner`."""
-    return CampaignRunner(campaign, jobs=jobs, seeds=seeds).run()
 
 
 def verify_determinism(parallel: CampaignResult,

@@ -196,15 +196,3 @@ class LatencyMeter:
     def degrees(self) -> Dict[str, Optional[int]]:
         """Map of message id to latency degree."""
         return {k: r.latency_degree for k, r in sorted(self._records.items())}
-
-    def max_degree(self) -> Optional[int]:
-        """The largest latency degree across fully delivered messages."""
-        degrees = [r.latency_degree for r in self._records.values()
-                   if r.latency_degree is not None]
-        return max(degrees) if degrees else None
-
-    def min_degree(self) -> Optional[int]:
-        """The smallest latency degree across fully delivered messages."""
-        degrees = [r.latency_degree for r in self._records.values()
-                   if r.latency_degree is not None]
-        return min(degrees) if degrees else None

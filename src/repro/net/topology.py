@@ -269,10 +269,6 @@ class Topology:
         """Group id of process ``pid``."""
         return self._group_of[pid]
 
-    def same_group(self, a: int, b: int) -> bool:
-        """True when processes ``a`` and ``b`` share a group."""
-        return self._group_of[a] == self._group_of[b]
-
     def processes_of_groups(self, gids) -> List[int]:
         """All processes in the given groups, ascending.
 

@@ -25,7 +25,6 @@ class NetworkStats:
         self.inter_group_messages = 0
         self.intra_group_messages = 0
         self.by_kind: Counter = Counter()
-        self.by_kind_inter: Counter = Counter()
         self.dropped = 0
         # Extra copies injected by the duplicate-channel adversary via
         # Network.inject_copy (each is also counted by on_send, so
@@ -41,7 +40,6 @@ class NetworkStats:
         """Account for one message copy entering the network."""
         if msg.inter_group:
             self.inter_group_messages += 1
-            self.by_kind_inter[msg.kind] += 1
         else:
             self.intra_group_messages += 1
         self.by_kind[msg.kind] += 1
@@ -51,22 +49,10 @@ class NetworkStats:
         self.inter_group_messages += inter
         self.intra_group_messages += total - inter
         self.by_kind[kind] += total
-        if inter:
-            self.by_kind_inter[kind] += inter
 
     def on_drop(self, msg: Message) -> None:
         """Account for a copy dropped (destination crashed, filter)."""
         self.dropped += 1
-
-    def snapshot(self) -> dict:
-        """A plain-dict summary for result tables."""
-        return {
-            "inter": self.inter_group_messages,
-            "intra": self.intra_group_messages,
-            "total": self.total_messages,
-            "dropped": self.dropped,
-            "duplicated": self.duplicated,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -120,14 +106,6 @@ class MessageTrace:
     # ------------------------------------------------------------------
     # Queries used by checkers
     # ------------------------------------------------------------------
-    def senders(self) -> Set[int]:
-        """Processes that sent at least one message."""
-        return set(self._senders)
-
-    def receivers(self) -> Set[int]:
-        """Processes that received at least one message."""
-        return set(self._receivers)
-
     def participants(self) -> Set[int]:
         """Processes that sent or received at least one message."""
         return self._senders | self._receivers

@@ -60,15 +60,6 @@ class HashRing:
         idx = bisect_right(self._positions, h) % len(self._points)
         return self._points[idx][1]
 
-    def with_group(self, gid: int) -> "HashRing":
-        """A new ring with ``gid`` added (value semantics)."""
-        return HashRing(self.groups + (gid,), vnodes=self.vnodes)
-
-    def without_group(self, gid: int) -> "HashRing":
-        """A new ring with ``gid`` removed."""
-        return HashRing((g for g in self.groups if g != gid),
-                        vnodes=self.vnodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"HashRing(groups={self.groups}, "
                 f"vnodes={self.vnodes})")

@@ -159,8 +159,7 @@ class System:
 
         Unlike :meth:`add_delivery_tap` (per-pid, message-only), hooks
         see the delivering process too — the shape run observers need
-        (the stabilization checker's settling time, a static store's
-        commit tracker).
+        (the stabilization checker's settling time).
         """
         self._delivery_hooks.append(hook)
 

@@ -7,8 +7,8 @@ destination set and, through the run's
 deliverers.
 
 :func:`format_table` renders aligned text tables in the style of the
-paper's Figure 1: the claims table (``python -m repro.cli paper``)
-and the sections of a :class:`~repro.runtime.report.RunReport`.
+paper's Figure 1; the claims table (``python -m repro.cli paper``)
+uses it.
 """
 
 from __future__ import annotations
@@ -83,17 +83,9 @@ class DeliveryLog:
         """Message ids delivered by ``pid``, in delivery order."""
         return [m.mid for m in self._sequences.get(pid, [])]
 
-    def delivered_messages(self, pid: int) -> List[AppMessage]:
-        """Messages delivered by ``pid``, in delivery order."""
-        return list(self._sequences.get(pid, []))
-
     def processes(self) -> List[int]:
         """Pids that delivered at least one message."""
         return sorted(self._sequences)
-
-    def cast_messages(self) -> Dict[str, AppMessage]:
-        """All cast messages, by id (a copy; mutate freely)."""
-        return dict(self._cast)
 
     # Live indexes, read in place by the checkers: do not mutate.
     @property

@@ -36,9 +36,8 @@ plan costs one heap entry and no :class:`Event` until its last item.
 
 Events sit on the hot path of every simulated message, so the queue's
 heap holds ``(time, seq, event)`` triples — the ``(time, seq)`` prefix
-is unique, which keeps every heap comparison inside the C tuple
-comparator instead of calling back into Python (the dataclass-generated
-``Event.__lt__`` used to dominate heap maintenance in profiles).  The
+is unique, so every heap comparison stays inside the C tuple comparator
+and an :class:`Event` itself is never compared.  The
 queue also keeps an exact count of *live* (non-cancelled) events:
 :meth:`Event.cancel` reports back to its owning queue, so ``len(queue)``
 never counts tombstones still sitting in the heap.  Until its tombstone
@@ -81,16 +80,6 @@ class Event:
         self.label = label
         self.cancelled = False
         self._queue = queue
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.seq == other.seq
 
     def cancel(self) -> None:
         """Mark the event so the kernel will skip it when popped."""

@@ -2,10 +2,17 @@
 
 :class:`Simulator` owns the virtual clock and the event queue.  All other
 subsystems (network, protocols, workloads, failure schedules) interact
-with the kernel exclusively through :meth:`Simulator.schedule` /
-:meth:`Simulator.call_at` (or :meth:`Simulator.call_at_each` for a
-whole plan), which keeps the whole run deterministic for a given
-seed.
+with the kernel exclusively through its entry points, which keeps the
+whole run deterministic for a given seed:
+
+* :meth:`Simulator.schedule` / :meth:`Simulator.call_at` queue a
+  cancellable event after a delay / at an instant;
+* :meth:`Simulator.schedule_action` queues a bare callback that is
+  never cancelled (the network's deliveries);
+* :meth:`Simulator.call_at_each` queues a whole plan as one entry;
+* :meth:`Simulator.reserve_slot` takes the tie-break slot of an event
+  that may never be needed, and :meth:`Simulator.call_at_reserved`
+  queues it there later.
 
 The kernel deliberately knows nothing about processes, messages, or
 protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.

@@ -36,8 +36,3 @@ class RngRegistry:
             digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
-
-    def fork(self, salt: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per repetition of a sweep)."""
-        digest = hashlib.sha256(f"{self._seed}/{salt}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))

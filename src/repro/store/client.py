@@ -8,13 +8,12 @@ asks the shared :class:`CommitTracker` to watch for the commit point.
 virtual instant by which every destination partition has executed it at
 at least one replica — from then on its position in the global serial
 order is fixed everywhere its data lives, and a read served by any of
-those partitions reflects it.  Static deployments observe this through
-the system-wide delivery hook (execution happens at delivery).  Elastic
-deployments (service queues, migrations) observe per-replica
-*execution* notifications instead, because execution can lag delivery
-there — and a transaction fenced with ``WrongEpoch`` only commits once
-the residue transaction carrying its bounced ops commits too, so the
-recorded latency spans the whole retry.
+those partitions reflects it.  The tracker observes per-replica
+*execution* notifications, because execution can lag delivery behind
+service queues and migrations (a static replica executes inside the
+A-Deliver itself) — and a transaction fenced with ``WrongEpoch`` only
+commits once the residue transaction carrying its bounced ops commits
+too, so the recorded latency spans the whole retry.
 
 The tracker also journals per-key issue heat (``key_issues``), which
 is the :class:`~repro.reconfig.balancer.LoadBalancer`'s only input —
@@ -29,9 +28,6 @@ from repro.core.interfaces import AppMessage
 from repro.reconfig.txn import move_seq
 from repro.store.service import TransactionalStore
 from repro.store.transaction import Transaction
-
-#: Commit observation modes.
-SOURCES = ("delivery", "execution")
 
 
 class _Entry:
@@ -53,16 +49,11 @@ class _Entry:
 
 
 class CommitTracker:
-    """Watches deliveries/executions, records commit latency and heat."""
+    """Watches replica executions, records commit latency and heat."""
 
-    def __init__(self, system, source: str = "delivery") -> None:
-        if source not in SOURCES:
-            raise ValueError(
-                f"unknown commit source {source!r}; have {list(SOURCES)}"
-            )
+    def __init__(self, system) -> None:
         self._system = system
         self._topology = system.topology
-        self.source = source
         self._pending: Dict[str, _Entry] = {}
         #: txn id -> (issue time, commit time), commit order.
         self.committed: Dict[str, Tuple[float, float]] = {}
@@ -75,8 +66,6 @@ class CommitTracker:
         self.key_issues: List[Tuple[float, tuple]] = []
         #: (txn id, gid) pairs that bounced with WrongEpoch.
         self.bounces: Set[Tuple[str, int]] = set()
-        if source == "delivery":
-            system.add_delivery_hook(self.on_delivery)
 
     def register(self, txn_id: str, dest_groups, issue_time: float,
                  keys: tuple = (), parent: Optional[str] = None) -> None:
@@ -95,15 +84,8 @@ class CommitTracker:
     # ------------------------------------------------------------------
     # Observation surfaces
     # ------------------------------------------------------------------
-    def on_delivery(self, pid: int, msg: AppMessage) -> None:
-        entry = self._pending.get(msg.mid)
-        if entry is None:
-            return
-        entry.remaining.discard(self._topology.group_of(pid))
-        self._maybe_commit(msg.mid)
-
     def on_executed(self, pid: int, txn_id: str) -> None:
-        """A replica executed the transaction (execution source)."""
+        """A replica executed the transaction."""
         entry = self._pending.get(txn_id)
         if entry is None:
             return

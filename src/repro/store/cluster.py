@@ -206,18 +206,16 @@ class StoreCluster:
             for store in group:
                 store.txns = txns
                 store.peers = [peer for peer in group if peer is not store]
-        # Elastic deployments observe commits at execution (execution
-        # can lag delivery behind service queues and migration stalls);
-        # static ones keep the legacy delivery hook — the two coincide
-        # exactly when service_time == 0 and nothing migrates.
-        tracker = CommitTracker(
-            system, source="execution" if spec.elastic else "delivery")
-        if spec.elastic:
-            for store in stores.values():
-                store.on_execute_hooks.append(tracker.on_executed)
-                store.on_reject_hooks.append(tracker.on_rejected)
-                store.peer_crashed = (
-                    lambda q, _n=system.network: _n.process(q).crashed)
+        # Commits are observed at execution, which lags delivery behind
+        # service queues and migration stalls; without them a replica
+        # executes inside the A-Deliver, and fences and peer crashes
+        # matter only to migrations.
+        tracker = CommitTracker(system)
+        for store in stores.values():
+            store.on_execute_hooks.append(tracker.on_executed)
+            store.on_reject_hooks.append(tracker.on_rejected)
+            store.peer_crashed = (
+                lambda q, _n=system.network: _n.process(q).crashed)
         clients = {pid: StoreClient(stores[pid], tracker,
                                     tag_routes=migrating,
                                     max_retries=spec.max_retries)

@@ -203,11 +203,6 @@ class StoreSpec:
             )
 
     @property
-    def elastic(self) -> bool:
-        """Does this spec enable any elastic-repartitioning machinery?"""
-        return self.rebalance_interval > 0 or self.service_time > 0
-
-    @property
     def horizon(self) -> float:
         """Virtual time by which every transaction has been issued."""
         if self.kind == "poisson":

@@ -113,26 +113,6 @@ class Transaction:
             seen.setdefault(op[1])
         return tuple(seen)
 
-    def read_set(self) -> Tuple[str, ...]:
-        """Keys read (``get`` targets plus ``incr``/``cas`` inputs)."""
-        seen: Dict[str, None] = {}
-        for op in self.ops:
-            if op[0] in ("get", "incr", "cas"):
-                seen.setdefault(op[1])
-        return tuple(seen)
-
-    def write_set(self) -> Tuple[str, ...]:
-        """Keys potentially written (``put``/``incr``/``cas`` targets)."""
-        seen: Dict[str, None] = {}
-        for op in self.ops:
-            if op[0] in ("put", "incr", "cas"):
-                seen.setdefault(op[1])
-        return tuple(seen)
-
-    @property
-    def is_read_only(self) -> bool:
-        return not self.write_set()
-
     # ------------------------------------------------------------------
     # Wire format (AppMessage payloads must be plain hashable data)
     # ------------------------------------------------------------------

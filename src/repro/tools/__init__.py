@@ -1,11 +1,5 @@
-"""Debugging and inspection tools (timelines, hop diagrams, waits)."""
+"""Debugging and measurement tools: delivery waits, bench pairs."""
 
-from repro.tools.timeline import (
-    lane_summary,
-    render_hop_diagram,
-    render_timeline,
-    render_waits,
-)
+from repro.tools.waits import render_waits
 
-__all__ = ["lane_summary", "render_hop_diagram", "render_timeline",
-           "render_waits"]
+__all__ = ["render_waits"]

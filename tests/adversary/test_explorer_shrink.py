@@ -23,6 +23,7 @@ from repro.adversary.spec import (
     get_adversary,
 )
 from repro.campaigns.spec import (
+    CrashSpec,
     DestinationSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -225,6 +226,32 @@ class TestShrinkMechanics:
         outcome = shrink(case, budget=3)
         assert outcome.runs_used <= 3
         assert not outcome.minimal.ok  # still a real counterexample
+
+    def test_shorter_horizon_drops_late_explicit_crashes(self, tmp_path):
+        """Halving the workload drops the explicit crash past the new
+        horizon in the same step, keeps the earlier one, and the
+        shrunk case still fails and replays."""
+        from repro.adversary.artifact import replay_file, write_artifact
+
+        scenario = dataclasses.replace(
+            BROKEN_SCENARIO, name="selftest-crashes", group_sizes=(3, 3),
+            crashes=CrashSpec(kind="explicit",
+                              crashes=((2, 3.0), (4, 14.0))),
+        )
+        case = run_case(scenario, get_adversary("delay-reorder"), seed=1)
+        assert not case.ok
+        outcome = shrink(case)
+        labels = [step.description for step in outcome.steps]
+        assert ("workload duration -> 7.5, 1 late crash(es) dropped"
+                in labels)
+        minimal = outcome.minimal
+        assert not minimal.ok
+        assert dict(minimal.scenario.crashes.crashes) == {2: 3.0}
+
+        path = tmp_path / "late_crash_counterexample.json"
+        write_artifact(minimal, str(path), shrink_summary=outcome.summary())
+        result = replay_file(str(path))
+        assert result.reproduced, result.diffs
 
     def test_drops_redundant_injectors(self):
         """A chaos-style composition shrinks to the one injector the

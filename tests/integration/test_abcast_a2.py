@@ -160,7 +160,8 @@ class TestLatencyUnderLoad:
         assert at_degree_one >= 0.45, (
             f"only {at_degree_one:.1%} of casts at latency degree <= 1; "
             f"at t=15.25:\n{waits}")
-        assert s.meter.max_degree() <= 3
+        assert max(d for d in s.meter.degrees().values()
+                   if d is not None) <= 3
 
         monkeypatch.setattr(abcast, "ROUNDS_IN_FLIGHT", 1)
         _, one_p50, one_at_degree_one, one_bundle_msgs, _ = self._run(seed)

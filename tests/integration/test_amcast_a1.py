@@ -228,4 +228,6 @@ class TestLatencyUnderLoad:
         assert p50 <= 2.3, (
             f"p50 worst-destination latency {p50:.3f} > 2.3; at t=2.5:\n"
             f"{waits}")
-        assert s.meter.max_degree() <= 3, s.meter.max_degree()
+        max_degree = max(d for d in s.meter.degrees().values()
+                         if d is not None)
+        assert max_degree <= 3, max_degree

@@ -22,7 +22,6 @@ from repro.campaigns import (
     WorkloadSpec,
     get_campaign,
     matrix,
-    run_campaign,
     run_scenario_seed,
     verify_determinism,
 )
@@ -56,14 +55,14 @@ class TestSerialParallelIdentity:
 
     def test_repeated_serial_runs_agree(self):
         campaign = small_campaign(seeds=(5,))
-        a = run_campaign(campaign)
-        b = run_campaign(campaign)
+        a = CampaignRunner(campaign).run()
+        b = CampaignRunner(campaign).run()
         assert a.per_seed_metrics() == b.per_seed_metrics()
 
     def test_verify_determinism_reports_divergence(self):
         campaign = small_campaign(seeds=(1,))
-        a = run_campaign(campaign)
-        b = run_campaign(campaign)
+        a = CampaignRunner(campaign).run()
+        b = CampaignRunner(campaign).run()
         scenario = campaign.scenarios[0].name
         b.result(scenario, 1).metrics["casts"] += 1.0
         with pytest.raises(AssertionError, match="diverged"):
@@ -72,14 +71,14 @@ class TestSerialParallelIdentity:
 
 class TestRunnerMechanics:
     def test_results_keyed_by_scenario_and_seed(self):
-        result = run_campaign(small_campaign(seeds=(1, 2)))
+        result = CampaignRunner(small_campaign(seeds=(1, 2))).run()
         run = result.result("small/protocol=a1", 2)
         assert run.seed == 2
         assert run.scenario == "small/protocol=a1"
         assert run.ok
 
     def test_aggregates_reuse_runtime_aggregate(self):
-        result = run_campaign(small_campaign(seeds=(1, 2, 3)))
+        result = CampaignRunner(small_campaign(seeds=(1, 2, 3))).run()
         aggs = result.aggregates("small/protocol=a1")
         assert isinstance(aggs["casts"], Aggregate)
         assert aggs["casts"].n == 3
@@ -175,7 +174,7 @@ class TestRunnerMechanics:
 
 class TestArtifacts:
     def test_json_artifact_shape(self, tmp_path):
-        result = run_campaign(small_campaign(seeds=(1, 2)))
+        result = CampaignRunner(small_campaign(seeds=(1, 2))).run()
         path = result.write(str(tmp_path))
         data = json.loads((tmp_path / "CAMPAIGN_small.json").read_text())
         assert path.endswith("CAMPAIGN_small.json")
@@ -188,7 +187,7 @@ class TestArtifacts:
         assert scenario["aggregates"]["casts"]["n"] == 2
 
     def test_markdown_summary_lists_every_scenario(self):
-        result = run_campaign(small_campaign(seeds=(1,)))
+        result = CampaignRunner(small_campaign(seeds=(1,))).run()
         md = result.markdown_summary()
         assert "| small/protocol=a1 |" in md
         assert "| small/protocol=skeen |" in md
@@ -206,6 +205,18 @@ class TestLibrary:
             assert len(campaign.scenarios) >= 6
         assert campaign.task_count == len(campaign.scenarios)
 
+    @pytest.mark.parametrize("name", sorted(CAMPAIGNS))
+    def test_seeds_override_every_scenario(self, name):
+        """``get_campaign(name, seeds=)`` is the one way to set seeds;
+        the CLI's ``--seeds`` goes through it."""
+        campaign = get_campaign(name, seeds=(7, 8))
+        assert {spec.seeds for spec in campaign.scenarios} == {(7, 8)}
+        assert campaign.task_count == 2 * len(campaign.scenarios)
+
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            get_campaign("wan-storm", seeds=())
+
     def test_unknown_campaign_rejected(self):
         with pytest.raises(KeyError, match="unknown campaign"):
             get_campaign("nope")
@@ -216,7 +227,7 @@ class TestLibrary:
     def test_wan_storm_single_seed_runs_green(self):
         campaign = get_campaign("wan-storm", seeds=(1,))
         campaign.scenarios = campaign.scenarios[:2]
-        result = run_campaign(campaign, jobs=2)
+        result = CampaignRunner(campaign, jobs=2).run()
         assert result.all_checkers_ok
 
     @pytest.mark.parametrize("half, perfect_msgs, heartbeat_msgs", [
@@ -260,8 +271,8 @@ class TestWallClocks:
 
     def test_wall_clock_is_outside_the_determinism_key(self):
         campaign = Campaign(name="timed", scenarios=[self.SPEC])
-        a = run_campaign(campaign)
-        b = run_campaign(campaign)
+        a = CampaignRunner(campaign).run()
+        b = CampaignRunner(campaign).run()
         for result in (a, b):
             run = result.result("timed", 1)
             assert run.wall_seconds > 0.0

@@ -75,7 +75,7 @@ class TestMulticastFamily:
             footprints[protocol] = tuple(sorted(
                 (pid, frozenset(
                     m.payload
-                    for m in system.log.delivered_messages(pid)))
+                    for m in system.log.sequences.get(pid, [])))
                 for pid in system.topology.processes
             ))
         assert len(set(footprints.values())) == 1
@@ -111,7 +111,7 @@ class TestBroadcastFamily:
             footprints[protocol] = tuple(sorted(
                 (pid, frozenset(
                     m.payload
-                    for m in system.log.delivered_messages(pid)))
+                    for m in system.log.sequences.get(pid, [])))
                 for pid in system.topology.processes
             ))
         assert len(set(footprints.values())) == 1

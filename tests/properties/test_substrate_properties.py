@@ -254,7 +254,7 @@ def _drive(script, per_copy):
               for e in net.trace.events]
     stats = net.stats
     return (seen, traced, sim.events_executed, dict(stats.by_kind),
-            dict(stats.by_kind_inter), stats.intra_group_messages,
+            stats.intra_group_messages,
             stats.inter_group_messages, stats.dropped)
 
 

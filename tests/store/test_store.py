@@ -4,6 +4,7 @@ import pytest
 
 from repro.checkers.properties import check_all
 from repro.failure.schedule import CrashSchedule
+from repro.net.topology import LatencySpec
 from repro.runtime.builder import SystemSpec
 from repro.store import StoreCluster, StoreSpec, check_serializability
 
@@ -220,6 +221,90 @@ class TestUnderCrashes:
         check_serializability(cluster)
         check_all(cluster.system.log, cluster.system.topology,
                   cluster.system.crashes)
+
+
+class TestCommitPoint:
+    """A static store (no service time, no balancer) executes inside
+    the A-Deliver, so the tracker's commit instant, observed at
+    execution, is the instant the last destination group first
+    A-Delivered the transaction."""
+
+    @pytest.mark.parametrize("protocol, routing, crashes", [
+        ("a1", "genuine", None),
+        ("a2", "broadcast", None),
+        ("a1", "genuine", {0: 6.0, 4: 12.0}),
+    ], ids=["genuine", "broadcast", "crash"])
+    def test_commit_instant_is_last_group_first_delivery(
+            self, protocol, routing, crashes):
+        # WAN jitter spreads a group's deliveries over distinct instants.
+        cluster = StoreCluster.build(
+            SystemSpec(protocol=protocol, group_sizes=(3, 3, 3),
+                       latency=LatencySpec.wan()),
+            store=StoreSpec(n_keys=18, rate=1.0, duration=25.0,
+                            multi_partition_fraction=0.4, routing=routing),
+            seed=5, crashes=CrashSchedule(crashes),
+        )
+        system = cluster.system
+        system.run_quiescent()
+        topology = system.topology
+        expected = {}
+        for mid, record in system.log.record_map.items():
+            firsts = []
+            for gid in record.dest_groups:
+                times = [t for pid, t in record.delivery_time.items()
+                         if topology.group_of(pid) == gid]
+                if not times:
+                    break
+                firsts.append(min(times))
+            else:
+                expected[mid] = max(firsts)
+        committed = cluster.tracker.committed
+        assert len(committed) > 20
+        assert {txn_id: commit for txn_id, (_, commit)
+                in committed.items()} == expected
+        if crashes:
+            assert any(system.network.process(pid).crashed
+                       for pid in crashes)
+
+    @pytest.mark.parametrize("routing", ["genuine", "broadcast"])
+    def test_service_time_commits_at_last_group_first_execution(
+            self, routing):
+        """With a service stage, execution lags delivery; the commit
+        instant follows execution."""
+        cluster = StoreCluster.build(
+            SystemSpec(protocol="a1", group_sizes=(2, 2, 2)),
+            store=StoreSpec(n_keys=18, rate=1.0, duration=25.0,
+                            multi_partition_fraction=0.4, routing=routing,
+                            service_time=0.5),
+            seed=5,
+        )
+        system = cluster.system
+        topology = system.topology
+        first_exec = {}
+
+        def on_execute(pid, txn_id):
+            at = first_exec.setdefault(txn_id, {})
+            at.setdefault(topology.group_of(pid), system.sim.now)
+
+        for store in cluster.stores.values():
+            store.on_execute_hooks.append(on_execute)
+        system.run_quiescent()
+        committed = cluster.tracker.committed
+        assert len(committed) > 20
+        lagged = 0
+        for txn_id, (_, commit) in committed.items():
+            record = system.log.record_map[txn_id]
+            assert commit == max(first_exec[txn_id][gid]
+                                 for gid in record.dest_groups)
+            delivered = max(min(t for pid, t in record.delivery_time.items()
+                                if topology.group_of(pid) == gid)
+                            for gid in record.dest_groups)
+            # A group with no local work for the transaction takes
+            # its journal position at delivery, without the service
+            # stage.
+            assert commit >= delivered
+            lagged += commit > delivered
+        assert lagged > len(committed) // 2
 
 
 class TestInvolvement:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaigns.library import get_campaign
 from repro.campaigns.runner import (
-    run_campaign,
+    CampaignRunner,
     run_scenario_seed,
     validate_spec,
 )
@@ -99,7 +99,7 @@ class TestBuiltInCampaigns:
     def test_store_scaling_smoke_runs_green(self):
         campaign = get_campaign("store-scaling", seeds=(1,))
         campaign.scenarios = campaign.scenarios[:1]
-        result = run_campaign(campaign)
+        result = CampaignRunner(campaign).run()
         assert result.all_checkers_ok
         run = result.result(campaign.scenarios[0].name, 1)
         assert run.metrics["txn_committed"] > 0
@@ -108,7 +108,7 @@ class TestBuiltInCampaigns:
     def test_txn_mix_smoke_runs_green(self):
         campaign = get_campaign("txn-mix", seeds=(1,))
         campaign.scenarios = campaign.scenarios[:1]
-        result = run_campaign(campaign)
+        result = CampaignRunner(campaign).run()
         assert result.all_checkers_ok
 
 

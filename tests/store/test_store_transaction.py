@@ -14,12 +14,6 @@ class TestTransactionModel:
         t = txn(("get", "a"), ("put", "b", 1), ("incr", "c", 2),
                 ("cas", "d", None, 9))
         assert t.keys() == ("a", "b", "c", "d")
-        assert t.read_set() == ("a", "c", "d")
-        assert t.write_set() == ("b", "c", "d")
-        assert not t.is_read_only
-
-    def test_read_only(self):
-        assert txn(("get", "a"), ("get", "b")).is_read_only
 
     def test_keys_dedupe_preserves_first_use_order(self):
         t = txn(("put", "b", 1), ("get", "a"), ("incr", "b", 1))

@@ -49,7 +49,7 @@ def _oracle_is_prefix(a, b):
 
 def oracle_prefix_order(log, topology):
     """The seed commit's pairwise prefix-order check, verbatim."""
-    cast = log.cast_messages()
+    cast = log.cast_map
     pids = log.processes()
     for i, p in enumerate(pids):
         for q in pids[i + 1:]:
@@ -65,10 +65,10 @@ def oracle_prefix_order(log, topology):
 
 def oracle_agreement(log, topology, crashes):
     """The seed commit's uniform agreement (per-mid sequence scans)."""
-    for mid, msg in log.cast_messages().items():
+    for mid, msg in log.cast_map.items():
         delivered_by = {
             pid for pid in log.processes()
-            if any(m.mid == mid for m in log.delivered_messages(pid))
+            if any(m.mid == mid for m in log.sequences.get(pid, []))
         }
         if not delivered_by:
             continue
@@ -87,7 +87,7 @@ def _oracle_integrity(log, topology):
     for pid in log.processes():
         gid = topology.group_of(pid)
         seen = set()
-        for msg in log.delivered_messages(pid):
+        for msg in log.sequences.get(pid, []):
             if msg.mid in seen:
                 raise PropertyViolation(
                     f"process {pid} delivered {msg.mid} more than once",
@@ -145,7 +145,7 @@ def _oracle_require_all_correct_addressees(log, topology, crashes, msg):
 def _oracle_prefix_streaming(log, topology):
     tracker = _PrefixOrderTracker(topology)
     for pid in log.processes():
-        for msg in log.delivered_messages(pid):
+        for msg in log.sequences.get(pid, []):
             tracker.observe(pid, msg)
 
 

@@ -220,6 +220,46 @@ class TestCampaignVerb:
                      for s in data["scenarios"].values()}
         assert detectors == {"perfect", "heartbeat"}
 
+    def test_failing_checker_exits_1_with_one_line_per_failure(
+            self, monkeypatch, tmp_path, capsys):
+        """The broken fixture under delay-reorder fails ``properties``
+        on every seed; its benign twin and ``genuineness`` pass."""
+        from repro.adversary.selftest import (
+            PROTOCOL_NAME,
+            register_selftest_protocol,
+        )
+        from repro.campaigns.runner import Campaign
+        from repro.campaigns.spec import ScenarioSpec, WorkloadSpec
+
+        register_selftest_protocol()
+        base = ScenarioSpec(
+            name="benign", protocol=PROTOCOL_NAME, group_sizes=(2, 2),
+            workload=WorkloadSpec(kind="poisson", rate=2.0, duration=15.0),
+            checkers=("properties", "genuineness"),
+        )
+
+        def broken(seeds=None):
+            seeds = tuple(seeds or (1,))
+            return Campaign(name="broken", scenarios=[
+                dataclasses.replace(base, seeds=seeds),
+                dataclasses.replace(base, name="reorder", seeds=seeds,
+                                    adversary="delay-reorder"),
+            ])
+
+        monkeypatch.setitem(CAMPAIGNS, "broken", broken)
+        status = main(["campaign", "broken", "--seeds", "1,2",
+                       "--out", str(tmp_path)])
+        assert status == 1
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("CHECKER FAILED:")]
+        assert [line.split(": FAIL")[0] for line in failed] == [
+            "CHECKER FAILED: reorder seed=1 properties",
+            "CHECKER FAILED: reorder seed=2 properties",
+        ]
+        assert all("prefix order violated" in line for line in failed)
+        data = json.loads((tmp_path / "CAMPAIGN_broken.json").read_text())
+        assert data["all_checkers_ok"] is False
+
 
 class TestTortureVerb:
     def test_smoke_grid_is_green_and_writes_summary(self, tmp_path,

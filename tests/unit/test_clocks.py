@@ -114,7 +114,7 @@ class TestLatencyMeter:
         assert rec.worst_delivery_latency == 6.0
         assert rec.mean_delivery_latency == 4.0
 
-    def test_min_max_degree_over_messages(self):
+    def test_degrees_over_messages(self):
         meter = LatencyMeter()
         caster = _proc(0)
         fast, slow = _proc(1), _proc(2)
@@ -123,8 +123,7 @@ class TestLatencyMeter:
         meter.record_delivery("a", fast)
         meter.record_cast("b", caster)
         meter.record_delivery("b", slow)
-        assert meter.min_degree() == 0
-        assert meter.max_degree() == 3
+        assert meter.degrees() == {"a": 0, "b": 3}
 
     def test_records_sorted_by_id(self):
         meter = LatencyMeter()

@@ -98,7 +98,7 @@ class TestSystemCasting:
         with pytest.raises(ValueError, match="broadcast protocol"):
             system.cast_at(1.0, 0, dest_groups=(0,))
         system.run_quiescent()
-        assert system.log.cast_messages() == {}
+        assert system.log.cast_map == {}
 
     def test_cast_at_accepts_full_destinations_for_broadcast(self):
         system = build_system(
@@ -106,7 +106,7 @@ class TestSystemCasting:
             seed=1)
         msg = system.cast_at(1.0, 0, dest_groups=(0, 1))
         system.run_quiescent()
-        assert msg.mid in system.log.cast_messages()
+        assert msg.mid in system.log.cast_map
 
     def test_cast_at_meters_at_fire_time(self):
         system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),

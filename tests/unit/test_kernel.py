@@ -182,10 +182,3 @@ class TestRngRegistry:
     def test_same_stream_returned_on_repeat_access(self):
         reg = RngRegistry(7)
         assert reg.stream("x") is reg.stream("x")
-
-    def test_fork_derives_child_registry(self):
-        parent = RngRegistry(42)
-        child1 = parent.fork("rep1")
-        child2 = parent.fork("rep2")
-        assert child1.seed != child2.seed
-        assert RngRegistry(42).fork("rep1").seed == child1.seed

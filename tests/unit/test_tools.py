@@ -1,101 +1,14 @@
-"""Unit tests for the timeline/inspection tools."""
+"""Unit tests for the inspection and measurement tools."""
 
 import sys
 
-import pytest
-
-from repro.net.trace import MessageTrace
 from repro.runtime.builder import SystemSpec, build_system
-from repro.tools.timeline import (
-    lane_summary,
-    render_hop_diagram,
-    render_timeline,
-    render_waits,
-)
+from repro.tools.waits import render_waits
 from repro.workload.generators import (
     poisson_workload,
     schedule_workload,
     uniform_k_groups,
 )
-
-
-@pytest.fixture(scope="module")
-def traced_run():
-    system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
-                          seed=1, trace=True)
-    msg = system.cast(sender=0, dest_groups=(0, 1))
-    system.run_quiescent()
-    return system, msg
-
-
-class TestRenderTimeline:
-    def test_contains_sends_and_receives(self, traced_run):
-        system, _ = traced_run
-        text = render_timeline(system.network.trace)
-        assert ">>" in text and "<<" in text
-        assert "inter" in text and "intra" in text
-
-    def test_kind_filter(self, traced_run):
-        system, _ = traced_run
-        text = render_timeline(system.network.trace,
-                               kinds_prefix="amc.ts")
-        assert "amc.ts" in text
-        assert "rmc.data" not in text
-
-    def test_time_window(self, traced_run):
-        system, _ = traced_run
-        text = render_timeline(system.network.trace, start=1e9)
-        assert text == "(no events in range)"
-
-    def test_limit_caps_output(self, traced_run):
-        system, _ = traced_run
-        text = render_timeline(system.network.trace, limit=3)
-        assert "shown)" in text
-        # 3 event lines + the truncation notice.
-        assert len(text.splitlines()) == 4
-
-    def test_requires_enabled_trace(self):
-        with pytest.raises(ValueError):
-            render_timeline(MessageTrace(enabled=False))
-
-
-class TestHopDiagram:
-    def test_follows_one_message(self, traced_run):
-        system, msg = traced_run
-        text = render_hop_diagram(system.network.trace, msg.mid)
-        assert msg.mid not in ("",)
-        assert ">>" in text
-        # The R-MCast and the TS exchange both mention the message.
-        assert "rmc.data" in text and "amc.ts" in text
-
-    def test_unknown_needle(self, traced_run):
-        system, _ = traced_run
-        assert "no events mention" in render_hop_diagram(
-            system.network.trace, "no-such-mid")
-
-    def test_requires_enabled_trace(self):
-        with pytest.raises(ValueError):
-            render_hop_diagram(MessageTrace(enabled=False), "x")
-
-
-class TestLaneSummary:
-    def test_per_process_rows(self, traced_run):
-        system, _ = traced_run
-        text = lane_summary(system.network.trace)
-        for pid in range(4):
-            assert f"p{pid}" in text
-
-    def test_counts_are_consistent(self, traced_run):
-        system, _ = traced_run
-        text = lane_summary(system.network.trace)
-        rows = text.splitlines()[1:]
-        sent = sum(int(r.split()[1]) for r in rows)
-        assert sent == len([e for e in system.network.trace.events
-                            if e.event == "send"])
-
-    def test_requires_enabled_trace(self):
-        with pytest.raises(ValueError):
-            lane_summary(MessageTrace(enabled=False))
 
 
 class TestRenderWaits:

@@ -146,7 +146,7 @@ class TestDeliveryLog:
         assert log.delivery_count() == 3
         assert log.processes() == [0, 1]
         assert sorted(log.deliveries_of("a")) == [0, 1]
-        assert set(log.cast_messages()) == {"a", "b"}
+        assert set(log.cast_map) == {"a", "b"}
 
 
 class TestFormatTable:
