@@ -257,7 +257,9 @@ class PhaseCrashInjector(FaultInjector):
     before the handler would run (the copy is then dropped, exactly as
     if the crash had happened an instant earlier).  The crash is
     recorded on the run's :class:`CrashSchedule` so checkers treat the
-    target as faulty.
+    target as faulty, and the target is declared to the failure
+    detector at install (:meth:`FailureDetector.expect_crash`), before
+    any event, so its relay checks are kept.
     """
 
     def __init__(self, spec, system, rng):
@@ -288,6 +290,7 @@ class PhaseCrashInjector(FaultInjector):
 
     def install(self) -> None:
         self.validate()
+        self.system.detector.expect_crash(self.target)
         self.system.network.add_delivery_filter(self._on_delivery)
 
     def uninstall(self) -> None:

@@ -70,7 +70,7 @@ class BrokenFifoMulticast(AtomicMulticast):
     def _on_ord(self, net_msg) -> None:
         # BUG (deliberate): payload["seq"] is ignored — delivery happens
         # in arrival order, which is sequencing order only on FIFO links.
-        self._deliver(AppMessage.from_wire(net_msg.payload["wire"]))
+        self._deliver((AppMessage.from_wire(net_msg.payload["wire"]),))
 
 
 def _make_broken_fifo(system, process, **kw):

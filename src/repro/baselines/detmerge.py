@@ -138,7 +138,7 @@ class DeterministicMergeBroadcast(AtomicBroadcast):
                 msg = self.catalog.get(mid)
                 if self._handler is None:
                     raise RuntimeError("no A-Deliver handler installed")
-                self._handler(msg)
+                self._handler((msg,))
             rank += 1
             if rank == len(publishers):
                 rank, index = 0, index + 1

@@ -102,4 +102,4 @@ class OptimisticBroadcast(AtomicBroadcast):
             msg = self.catalog.get(mid)
             if self._handler is None:
                 raise RuntimeError("no A-Deliver handler installed")
-            self._handler(msg)
+            self._handler((msg,))

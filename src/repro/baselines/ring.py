@@ -203,4 +203,4 @@ class RingMulticast(AtomicMulticast):
             self.delivered.add(head.msg.mid)
             if self._handler is None:
                 raise RuntimeError("no A-Deliver handler installed")
-            self._handler(head.msg)
+            self._handler((head.msg,))

@@ -168,7 +168,7 @@ class SequencerBroadcast(AtomicBroadcast):
                     return  # not yet validated by a majority
                 if self._handler is None:
                     raise RuntimeError("no A-Deliver handler installed")
-                self._handler(msg)
+                self._handler((msg,))
             del self._slots[key]
             rank += 1
             if rank == len(self.sequencers):

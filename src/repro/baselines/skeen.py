@@ -136,7 +136,7 @@ class SkeenMulticast(AtomicMulticast):
             self.delivered.add(candidate.msg.mid)
             if self._handler is None:
                 raise RuntimeError("no A-Deliver handler installed")
-            self._handler(candidate.msg)
+            self._handler((candidate.msg,))
 
     def _deliverable(self) -> Optional[_Entry]:
         final_entries = [e for e in self.entries.values()

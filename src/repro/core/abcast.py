@@ -427,13 +427,11 @@ class AtomicBroadcastA2(AtomicBroadcast):
         if self.predictor.should_continue(delivered=bool(mids), now=now) \
                 and self.k > self.barrier:
             self.barrier = self.k
-        # Line 19: deterministic delivery order (sorted by id).  State is
-        # already that of round K+1, so a handler sees a consistent
-        # endpoint.
+        # Line 19: deterministic delivery order (sorted by id), the
+        # whole round in one handler call.  State is already that of
+        # round K+1, so a handler sees a consistent endpoint.
         if mids:
-            get = self.catalog.get
-            for mid in sorted(mids):
-                handler(get(mid))
+            handler(tuple(map(self.catalog.get, sorted(mids))))
         return True
 
     # ------------------------------------------------------------------

@@ -605,7 +605,7 @@ class AtomicMulticastA1(AtomicMulticast):
                 heard.remove(mid)
             except KeyError:  # delivered before its R-Deliver
                 self._unheard.add(mid)
-            handler(head.msg)
+            handler((head.msg,))
 
     def inv(self) -> None:
         """Assert the delivery-history invariants at an event boundary."""

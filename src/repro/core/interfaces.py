@@ -5,8 +5,10 @@ process, the destination *groups* (paper Section 2.2 addresses groups,
 not processes), and an opaque hashable payload.
 
 Protocols deliver through a single callback installed with
-``set_delivery_handler``; the experiment runtime wires that callback to
-the delivery log and the latency meter.
+``set_delivery_handler``, one call per batch of messages an endpoint
+delivers at one instant (an A2 round, or one A1 message); the
+experiment runtime wires that callback to the delivery log and the
+latency meter.
 
 Hot-path note: protocol payloads and consensus values do not carry
 encoded message bodies.  Every endpoint interns the message it casts in
@@ -133,8 +135,10 @@ class AppMessage:
         return frozen_rows(cls, mids, senders, dest_groups, payloads)
 
 
-# Delivery callback: the delivered AppMessage.
-DeliveryHandler = Callable[[AppMessage], None]
+#: A-Deliver callback: the messages one endpoint delivers at one
+#: instant, in delivery order — a whole A2 round, or a one-message tuple
+#: (A1, the baselines).  One call per batch; never empty.
+DeliveryHandler = Callable[[Sequence[AppMessage]], None]
 
 
 class AtomicMulticast:

@@ -11,6 +11,8 @@ message-complexity columns of the tradeoff experiment quantify.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.abcast import AtomicBroadcastA2
 from repro.core.interfaces import AppMessage, AtomicMulticast, DeliveryHandler
 
@@ -47,11 +49,13 @@ class NonGenuineMulticast(AtomicMulticast):
         """Warm up the underlying broadcast rounds (see A2)."""
         self.abcast.start_rounds()
 
-    def _on_adeliver(self, msg: AppMessage) -> None:
-        """Deliver only if this process's group is addressed."""
-        if self.my_gid not in msg.dest_groups:
-            self.discarded_deliveries += 1
+    def _on_adeliver(self, msgs: Sequence[AppMessage]) -> None:
+        """Pass on the round's messages that address this group."""
+        gid = self.my_gid
+        mine = tuple(msg for msg in msgs if gid in msg.dest_groups)
+        self.discarded_deliveries += len(msgs) - len(mine)
+        if not mine:
             return
         if self._handler is None:
             raise RuntimeError("no A-Deliver handler installed")
-        self._handler(msg)
+        self._handler(mine)

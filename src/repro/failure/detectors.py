@@ -21,8 +21,13 @@ multicast's lazy relay) ask through
 :meth:`FailureDetector.call_if_suspected` instead of polling on a timer
 of their own: a detector that cannot know the future answers by polling
 at the asked instant, while :class:`PerfectDetector` — whose answer is a
-function of the crash instants alone — queues nothing unless the target
+function of the failure pattern alone — queues nothing unless the target
 does crash, so a failure-free run carries no detector events at all.
+It is told which processes may crash (its ``faulty`` set, filled from
+the run's crash schedule and by :meth:`FailureDetector.expect_crash`):
+a check on any other target is dropped at once, with no kernel slot
+reserved and nothing parked, and the crash of a process it was not told
+about raises instead of losing the relays it skipped.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import partial
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Iterable, Optional
 
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -72,6 +77,8 @@ class FailureDetector:
         this call, i.e. exactly where an event scheduled now would fire.
         This default queues that event and polls :meth:`suspects` when
         it fires; ``fn`` itself checks that the querier is still alive.
+        :class:`PerfectDetector` answers without the event, and without
+        the slot for a target that cannot crash.
         """
         def poll() -> None:
             if self.suspects(querying_pid, target_pid):
@@ -79,14 +86,35 @@ class FailureDetector:
 
         sim.call_at_reserved(when, sim.reserve_slot(), poll, label)
 
+    def expect_crash(self, pid: int) -> None:
+        """Declare, before the run starts, that ``pid`` may crash.
+
+        Whoever crashes a process outside the run's crash schedule (an
+        adversary injector, a test) declares it first.  A detector that
+        polls every check needs no declaration, so this default does
+        nothing; :class:`PerfectDetector` skips checks on undeclared
+        targets and refuses their crash.
+        """
+
 
 class PerfectDetector(FailureDetector):
-    """Suspects exactly the crashed processes after ``delay``."""
+    """Suspects exactly the crashed processes after ``delay``.
 
-    def __init__(self, sim: Simulator, network: Network, delay: float = 0.0) -> None:
+    ``faulty`` names the processes that may crash (default: every one).
+    A process outside it is never suspected, so a relay check on it is
+    dead work: :meth:`call_if_suspected` drops it at once.  A crash of
+    such a process raises, naming the pid and the declaration to make
+    (:meth:`expect_crash` before the run, or the crash schedule).
+    """
+
+    def __init__(self, sim: Simulator, network: Network, delay: float = 0.0,
+                 faulty: Optional[Iterable[int]] = None) -> None:
         self.sim = sim
         self.network = network
         self.delay = delay
+        #: Pids that may crash; only checks on these are parked.
+        self.faulty = set(process.pid for process in network.processes()) \
+            if faulty is None else set(faulty)
         self._crash_times: dict = {}
         # target pid -> (when, slot, fn, arg, label) checks parked by
         # call_if_suspected until the target crashes, oldest first.
@@ -95,7 +123,23 @@ class PerfectDetector(FailureDetector):
             process.add_crash_hook(
                 lambda pid=process.pid: self._on_crash(pid))
 
+    def expect_crash(self, pid: int) -> None:
+        if pid in self.faulty:
+            return
+        if self.sim.events_executed:
+            raise RuntimeError(
+                f"process {pid} declared faulty after the run started: "
+                f"relay checks on it may already have been skipped; call "
+                f"detector.expect_crash({pid}) before the first event")
+        self.faulty.add(pid)
+
     def _on_crash(self, pid: int) -> None:
+        if pid not in self.faulty:
+            raise RuntimeError(
+                f"process {pid} crashed, but the perfect detector was not "
+                f"told it may, so relay checks on it were skipped; name it "
+                f"in the run's CrashSchedule or call "
+                f"detector.expect_crash({pid}) before the run")
         now = self.sim.now
         self._crash_times[pid] = now
         # Parked checks that fall at or after the first suspected
@@ -109,7 +153,13 @@ class PerfectDetector(FailureDetector):
                           arg, label="") -> None:
         """Event-free unless the target crashes: the answer at ``when``
         is a function of the target's crash instant alone, so the check
-        is parked and queued only by the crash that makes it fire."""
+        is parked and queued only by the crash that makes it fire.  A
+        target outside :attr:`faulty` never crashes: the check returns
+        at once, with no slot reserved and nothing parked (the slots
+        the others reserve keep their relative order, so the run's
+        event order is unchanged)."""
+        if target_pid not in self.faulty:
+            return
         slot = sim.reserve_slot()
         crashed_at = self._crash_times.get(target_pid)
         if crashed_at is not None:

@@ -20,7 +20,8 @@ a finite local step, the primitive is *halting*, which Algorithm A2's
 quiescence proof requires (paper footnote 12).  The check is asked of
 the detector (:meth:`FailureDetector.call_if_suspected`), which decides
 whether it needs a kernel event at all: an oracle that knows the crash
-instants queues none in a failure-free run.
+instants queues none in a failure-free run, and drops a check on a
+sender that cannot crash outright, without reserving its kernel slot.
 
 Delivery is immediate on first receipt, giving the latency degree of 1
 the paper uses in its analyses (Theorem 4.1).

@@ -102,7 +102,16 @@ class System:
     # Wiring helpers (used by build_system)
     # ------------------------------------------------------------------
     def install_endpoint(self, pid: int, endpoint: object) -> None:
-        """Attach a protocol endpoint and wire its delivery callback."""
+        """Attach a protocol endpoint and wire its delivery callback.
+
+        The callback takes a batch: the messages the endpoint delivers
+        at one instant, in order.  It reads the instant and the Lamport
+        clock once and extends ``pid``'s sequence once per batch, then
+        writes each message's record by the :class:`DeliveryMaps
+        <repro.clocks.latency.DeliveryMaps>` rule; hooks and taps see
+        each message after its own record is written and before the
+        next message's.
+        """
         self.endpoints[pid] = endpoint
         cast = getattr(endpoint, "a_mcast", None)
         self._casts[pid] = (cast if cast is not None
@@ -119,33 +128,35 @@ class System:
         # and the successor it got.
         before_last = now_last = after_last = None
 
-        def on_deliver(msg: AppMessage) -> None:
+        def on_deliver(msgs: Sequence[AppMessage]) -> None:
             nonlocal before_last, now_last, after_last
             sequence = sequences.get(pid)
             if sequence is None:
                 sequence = sequences[pid] = []
-            sequence.append(msg)
-            # MessageRecord.add_delivery with DeliveryMaps.after, inlined:
-            # a batch delivered at one instant shares one successor map.
-            mid = msg.mid
-            rec = records.get(mid)
-            if rec is None:
-                rec = records[mid] = MessageRecord(mid)
-            before = rec.delivery_time
+            sequence.extend(msgs)
             now = sim.now
-            if before is before_last and now == now_last:
-                rec.delivery_time = after_last
-            else:
-                before_last, now_last = before, now
-                rec.delivery_time = after_last = {**before, pid: now}
             stamp = clock.value  # a delivery does not tick the clock
-            top = rec.max_delivery_lamport
-            if top is None or stamp > top:
-                rec.max_delivery_lamport = stamp
-            for hook in hooks:
-                hook(pid, msg)
-            for tap in taps:
-                tap(msg)
+            for msg in msgs:
+                # MessageRecord.add_delivery with DeliveryMaps.after,
+                # inlined: a batch delivered at one instant shares one
+                # successor map.
+                mid = msg.mid
+                rec = records.get(mid)
+                if rec is None:
+                    rec = records[mid] = MessageRecord(mid)
+                before = rec.delivery_time
+                if before is before_last and now == now_last:
+                    rec.delivery_time = after_last
+                else:
+                    before_last, now_last = before, now
+                    rec.delivery_time = after_last = {**before, pid: now}
+                top = rec.max_delivery_lamport
+                if top is None or stamp > top:
+                    rec.max_delivery_lamport = stamp
+                for hook in hooks:
+                    hook(pid, msg)
+                for tap in taps:
+                    tap(msg)
 
         endpoint.set_delivery_handler(on_deliver)
 
@@ -515,8 +526,11 @@ def build_system(spec: SystemSpec, seed: int = 0,
 
     detector = spec.detector
     if detector == "perfect":
+        # Only the scheduled victims can crash; anything else that
+        # crashes a process declares it (FailureDetector.expect_crash).
         fd: FailureDetector = PerfectDetector(sim, network,
-                                              delay=spec.detector_delay)
+                                              delay=spec.detector_delay,
+                                              faulty=crashes.crashes)
     elif detector == "eventually-perfect":
         fd = EventuallyPerfectDetector(
             sim, network, rng.stream("fd"), stabilise_at=spec.stabilise_at,

@@ -46,7 +46,8 @@ class TappedEndpoint:
     The system's builder already installed the real delivery handler
     (log + meter); a replica subscribes through a delivery tap instead,
     so this adapter satisfies the replica's ``set_delivery_handler``
-    call by registering a tap.  Casts are recorded by
+    call by registering a tap, which is called once per message (an
+    endpoint's own handler takes a batch).  Casts are recorded by
     :meth:`System.record_cast <repro.runtime.builder.System.record_cast>`
     first, so the latency meter and the property checkers see store
     traffic like any other cast.

@@ -86,8 +86,9 @@ class TransactionalStore:
     ) -> None:
         """Wrap a multicast endpoint into a transactional replica.
 
-        The endpoint must not have a delivery handler installed; the
-        store registers its own.  ``service_time`` > 0 gives the
+        The endpoint (a :class:`~repro.store.cluster.TappedEndpoint`)
+        must not have a delivery handler installed; the store registers
+        its own, called once per delivered message.  ``service_time`` > 0 gives the
         replica a serial execution queue (each transaction occupies the
         replica for that long), which is what makes hot partitions
         measurably hot; 0 keeps the legacy execute-at-delivery

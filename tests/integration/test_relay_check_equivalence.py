@@ -1,12 +1,13 @@
 """Event-free relay checks against the polling reference, whole runs.
 
 Crash scenarios — scheduled crashes and the ``phase-crash`` adversary,
-which crashes a process from inside a message handler — run once with
-``PerfectDetector`` (relay checks parked until a crash materialises
-them) and once with a subclass that inherits the base-class poll (one
-kernel event per check, as before).  Everything a run exposes about the
-protocol must be identical: who delivered what, when, in which order,
-over how many copies of which kind.
+which crashes a process from inside a message handler — and a
+crash-free run go once with ``PerfectDetector`` (relay checks parked
+until a crash materialises them, and dropped outright on a process
+that cannot crash) and once with a subclass that inherits the
+base-class poll (one kernel event per check, as before).  Everything a
+run exposes about the protocol must be identical: who delivered what,
+when, in which order, over how many copies of which kind.
 
 The one thing that legitimately differs is where the clock stops: a
 polling run executes no-op checks up to ``relay_after`` past the last
@@ -47,6 +48,8 @@ WORKLOADS = {
 }
 
 SCENARIOS = {
+    # Nobody crashes: the detector is told so and parks nothing.
+    "crash-free": BASE,
     # A caster and group leader dies mid-run, then a follower of
     # another group; detection lags the crash.
     "explicit-crash": dataclasses.replace(

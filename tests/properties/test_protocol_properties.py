@@ -21,6 +21,7 @@ from repro.campaigns.spec import (
 )
 from repro.checkers.properties import check_all
 from repro.failure.schedule import CrashSchedule
+from repro.net.topology import Topology
 from repro.runtime.builder import SystemSpec, build_system
 
 # Keep hypothesis example counts modest: each example is a full
@@ -93,21 +94,19 @@ class TestA1Properties:
     @SLOW
     @given(st.integers(min_value=0, max_value=5_000), st.data())
     def test_properties_under_random_minority_crashes(self, seed, data):
-        system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3]),
-                              seed=seed)
+        topology = Topology([3, 3])
         # Hypothesis-chosen minority crash schedule (at most 1 of 3 per
-        # group), applied mid-run.
+        # group), crashing mid-run.
         crashes = {}
         for gid in (0, 1):
             if data.draw(st.booleans()):
-                victim = data.draw(st.sampled_from(
-                    system.topology.members(gid)))
+                victim = data.draw(st.sampled_from(topology.members(gid)))
                 crashes[victim] = data.draw(
                     st.floats(min_value=0.1, max_value=20.0,
                               allow_nan=False))
         schedule = CrashSchedule(crashes)
-        schedule.validate(system.topology)
-        schedule.apply(system.sim, system.network)
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3]),
+                              seed=seed, crashes=schedule)
         for t in (0.0, 2.0, 9.0):
             sender = data.draw(st.sampled_from(system.topology.processes))
             system.cast_at(t, sender, (0, 1))
@@ -209,19 +208,17 @@ class TestA2Properties:
     @SLOW
     @given(st.integers(min_value=0, max_value=5_000), st.data())
     def test_properties_under_random_minority_crashes(self, seed, data):
-        system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
-                              seed=seed)
+        topology = Topology([3, 3])
         crashes = {}
         for gid in (0, 1):
             if data.draw(st.booleans()):
-                victim = data.draw(st.sampled_from(
-                    system.topology.members(gid)))
+                victim = data.draw(st.sampled_from(topology.members(gid)))
                 crashes[victim] = data.draw(
                     st.floats(min_value=0.1, max_value=15.0,
                               allow_nan=False))
         schedule = CrashSchedule(crashes)
-        schedule.validate(system.topology)
-        schedule.apply(system.sim, system.network)
+        system = build_system(SystemSpec(protocol="a2", group_sizes=[3, 3]),
+                              seed=seed, crashes=schedule)
         for t in (0.0, 5.0):
             sender = data.draw(st.sampled_from(system.topology.processes))
             system.cast_at(t, sender)

@@ -372,6 +372,8 @@ class TestTamperedRuns:
                             multi_partition_fraction=0.4),
             seed=1)
         for pid in members(cluster, 1):
+            # A whole group: no CrashSchedule validates that.
+            cluster.system.detector.expect_crash(pid)
             cluster.system.sim.call_at(
                 6.0, cluster.system.network.process(pid).crash)
         cluster.system.run_quiescent()

@@ -53,6 +53,8 @@ def small_cluster(seed=1, crash_group_at=None):
     )
     if crash_group_at is not None:
         for pid in cluster.system.topology.members(1):
+            # A whole group: no CrashSchedule validates that.
+            cluster.system.detector.expect_crash(pid)
             cluster.system.sim.call_at(
                 crash_group_at, cluster.system.network.process(pid).crash)
     return cluster

@@ -163,6 +163,7 @@ class TestTimestampExchange:
         # the caster so the relay logic (suspicion-driven) kicks in too,
         # but the TS path is faster.
         msg = system.cast(sender=0, dest_groups=(0, 1))
+        system.detector.expect_crash(0)
         system.sim.call_at(0.5, system.network.process(0).crash)
         system.run_quiescent()
         for pid in (1, 2, 3):

@@ -5,6 +5,13 @@ asks ``suspects`` when it fires — what reliable multicast's relay check
 did on its own timer before.  The oracle override queues nothing until
 the target crashes.  Both must fire the same checks in the same order,
 ties included, and consume the same tie-break slots.
+
+A perfect detector is told which processes may crash (``faulty``): a
+built system's detector knows its crash schedule's victims, and the
+``phase-crash`` injector declares its target when it is installed.  A
+check on any other target is dropped with no slot reserved, so a
+crash-free run parks nothing; the crash of an undeclared process
+raises, naming the pid, instead of losing the relays it skipped.
 """
 
 import itertools
@@ -12,12 +19,21 @@ import random
 
 import pytest
 
+from repro.adversary.injectors import apply_adversary
+from repro.adversary.spec import AdversarySpec, InjectorSpec
 from repro.failure.detectors import FailureDetector, PerfectDetector
+from repro.failure.schedule import CrashSchedule
 from repro.net.network import Network
 from repro.net.topology import Fixed, LatencyModel, Topology
 from repro.net.trace import MessageTrace
+from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
+from repro.workload.generators import (
+    poisson_workload,
+    schedule_workload,
+    uniform_k_groups,
+)
 
 
 class PollingPerfectDetector(PerfectDetector):
@@ -29,14 +45,14 @@ class PollingPerfectDetector(PerfectDetector):
 TARGET = 1
 
 
-def _world(detector_cls, delay):
+def _world(detector_cls, delay, **kw):
     sim = Simulator()
     topo = Topology([3])
     net = Network(sim, topo, LatencyModel(Fixed(1.0), Fixed(10.0)),
                   random.Random(0), trace=MessageTrace(False))
     for pid in topo.processes:
         net.register(Process(pid, 0, sim))
-    return sim, net, detector_cls(sim, net, delay=delay)
+    return sim, net, detector_cls(sim, net, delay=delay, **kw)
 
 
 def _scenario(detector_cls, crash_at, crash_slot, delay, register_at,
@@ -159,3 +175,130 @@ class TestEventFree:
         assert sim.pending_events == 1
         sim.run_until_quiescent()
         assert fired == ["due"]
+
+
+class TestUndeclaredTarget:
+    def test_check_on_an_undeclared_target_reserves_and_parks_nothing(self):
+        sim, net, fd = _world(PerfectDetector, 0.0, faulty=(2,))
+        before = sim.reserve_slot()
+        for i in range(10):
+            fd.call_if_suspected(sim, 0, TARGET, 20.0, lambda _: None, i)
+        assert sim.reserve_slot() == before + 1
+        assert fd._parked == {}
+        fd.call_if_suspected(sim, 0, 2, 20.0, lambda _: None, None)
+        assert sim.reserve_slot() == before + 3
+        assert len(fd._parked[2]) == 1
+
+    def test_default_declares_every_process(self):
+        sim, net, fd = _world(PerfectDetector, 0.0)
+        assert fd.faulty == set(net.topology.processes)
+
+    def test_crash_of_an_undeclared_process_raises(self):
+        sim, net, fd = _world(PerfectDetector, 0.0, faulty=())
+        with pytest.raises(RuntimeError, match=r"process 1 crashed.*"
+                           r"expect_crash\(1\)"):
+            net.process(TARGET).crash()
+
+    def test_declaring_after_the_first_event_is_refused(self):
+        sim, net, fd = _world(PerfectDetector, 0.0, faulty=())
+        fd.expect_crash(0)
+        sim.call_at(1.0, lambda: None)
+        sim.run_until_quiescent()
+        fd.expect_crash(0)  # declared already: nothing to refuse
+        with pytest.raises(RuntimeError, match=r"process 1 declared"):
+            fd.expect_crash(TARGET)
+        assert fd.faulty == {0}
+
+
+class _RelaySlots:
+    """Counts, per target, the relay checks a built system's detector
+    is asked for and the kernel slots it reserves while answering."""
+
+    def __init__(self, system):
+        self.asked = {}
+        self.reserved = 0
+        self._inside = False
+        detector, sim = system.detector, system.sim
+        check, reserve = detector.call_if_suspected, sim.reserve_slot
+
+        def counted_check(sim_, querying, target, *rest):
+            self.asked[target] = self.asked.get(target, 0) + 1
+            self._inside = True
+            try:
+                return check(sim_, querying, target, *rest)
+            finally:
+                self._inside = False
+
+        def counted_reserve():
+            if self._inside:
+                self.reserved += 1
+            return reserve()
+
+        detector.call_if_suspected = counted_check
+        sim.reserve_slot = counted_reserve
+
+
+def _built_run(protocol, crashes=None):
+    system = build_system(SystemSpec(protocol=protocol,
+                                     group_sizes=(3, 3, 3)),
+                          seed=3, crashes=crashes)
+    slots = _RelaySlots(system)
+    multicast = protocol == "a1"
+    schedule_workload(system, poisson_workload(
+        system.topology, system.rng.stream("wl"), rate=2.0, duration=20.0,
+        **({"destinations": uniform_k_groups(2)} if multicast else {})))
+    system.run_quiescent()
+    return system, slots
+
+
+class TestBuiltSystems:
+    """What a built system declares, and what a crash-free run costs."""
+
+    @pytest.mark.parametrize("protocol", ["a1", "a2"])
+    def test_crash_free_run_parks_nothing_and_reserves_no_relay_slot(
+            self, protocol):
+        system, slots = _built_run(protocol)
+        assert system.detector.faulty == set()
+        assert sum(slots.asked.values()) > 50
+        assert slots.reserved == 0
+        assert system.detector._parked == {}
+        assert sum(endpoint.rmcast.relays
+                   for endpoint in system.endpoints.values()) == 0
+
+    @pytest.mark.parametrize("protocol", ["a1", "a2"])
+    def test_scheduled_victim_alone_gets_its_checks(self, protocol):
+        """The counter sees reservations: a scheduled victim gets one
+        slot per check on it, and every other target none."""
+        system, slots = _built_run(protocol, CrashSchedule({4: 12.0}))
+        assert system.detector.faulty == {4}
+        assert slots.asked[4] > 0
+        assert slots.reserved == slots.asked[4]
+        assert set(system.detector._parked) <= {4}
+
+    def test_undeclared_hand_crash_raises_and_names_the_pid(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(3, 3)),
+                              seed=1)
+        system.cast(sender=0, dest_groups=(0, 1))
+        system.sim.call_at(0.5, system.network.process(4).crash)
+        with pytest.raises(RuntimeError) as info:
+            system.run_quiescent()
+        assert "process 4 crashed" in str(info.value)
+        assert "expect_crash(4)" in str(info.value)
+
+    def test_declared_hand_crash_runs(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(3, 3)),
+                              seed=1)
+        system.detector.expect_crash(4)
+        system.cast(sender=0, dest_groups=(0, 1))
+        system.sim.call_at(0.5, system.network.process(4).crash)
+        system.run_quiescent()
+        assert system.network.process(4).crashed
+
+    def test_phase_crash_target_is_declared_at_install(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(3, 3)),
+                              seed=1)
+        assert system.detector.faulty == set()
+        apply_adversary(system, AdversarySpec(name="pc", injectors=(
+            InjectorSpec(kind="phase-crash", params=(("target", 4),)),)))
+        assert system.detector.faulty == {4}
+        assert system.sim.events_executed == 0

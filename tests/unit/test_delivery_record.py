@@ -19,7 +19,7 @@ from repro.clocks.latency import LatencyMeter, MessageRecord
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
-from repro.runtime.builder import PROTOCOLS, SystemSpec, build_system
+from repro.runtime.builder import PROTOCOLS, System, SystemSpec, build_system
 from repro.runtime.results import DeliveryLog
 from repro.workload.generators import (
     poisson_workload,
@@ -95,10 +95,10 @@ class TestSharedMaps:
         return system, stubs
 
     def _deliver_at(self, system, time, deliveries):
-        """Feed ``(stub, msg)`` deliveries in one event at ``time``."""
+        """Feed ``(stub, msgs)`` batches in one event at ``time``."""
         def deliver():
-            for stub, msg in deliveries:
-                stub.deliver(msg)
+            for stub, msgs in deliveries:
+                stub.deliver(msgs)
 
         system.sim.call_at(time, deliver)
         system.run()
@@ -135,12 +135,11 @@ class TestSharedMaps:
         system, stubs = self._stub_system()
         for msg in (self.A, self.B):
             system.record_cast(msg)
-        self._deliver_at(system, 1.0, [(stubs[1], self.A),
-                                       (stubs[1], self.B)])
+        self._deliver_at(system, 1.0, [(stubs[1], (self.A, self.B))])
         first = system.log.record_map["a"].delivery_time
-        self._deliver_at(system, 2.0, [(stubs[0], self.A),
-                                       (stubs[0], self.B)])
-        self._deliver_at(system, 3.0, [(stubs[1], self.A)])
+        self._deliver_at(system, 2.0, [(stubs[0], (self.A,)),
+                                       (stubs[0], (self.B,))])
+        self._deliver_at(system, 3.0, [(stubs[1], (self.A,))])
         rec_a, rec_b = (system.log.record_map[mid] for mid in "ab")
         assert first == {1: 1.0}
         assert list(rec_a.delivery_time.items()) == [(1, 3.0), (0, 2.0)]
@@ -153,8 +152,7 @@ class TestSharedMaps:
         for msg in (self.A, self.B):
             system.record_cast(msg)
         for time, pid in ((1.0, 0), (1.5, 1)):
-            self._deliver_at(system, time, [(stubs[pid], self.A),
-                                            (stubs[pid], self.B)])
+            self._deliver_at(system, time, [(stubs[pid], (self.A, self.B))])
         rec_a, rec_b = (system.log.record_map[mid] for mid in "ab")
         assert rec_a.delivery_time is rec_b.delivery_time
         assert rec_a.delivery_time == {0: 1.0, 1: 1.5}
@@ -379,3 +377,95 @@ class TestEveryProtocol:
         system, _ = grid_runs(protocol, crash)
         replay, _ = _grid_run(protocol, crash)
         assert _observe(replay) == _observe(system)
+
+
+def _per_message_install(self, pid, endpoint):
+    """The reference delivery callback: each message of a batch on its
+    own, reading the instant and the clock and appending to the
+    sequence per message (the callback before it took batches)."""
+    self.endpoints[pid] = endpoint
+    cast = getattr(endpoint, "a_mcast", None)
+    self._casts[pid] = (cast if cast is not None
+                        else getattr(endpoint, "a_bcast", None))
+    clock = self.network.process(pid).lamport
+    sequences = self.log.sequences
+    records = self.log.record_map
+    sim = self.sim
+    hooks = self._delivery_hooks
+    taps = self._delivery_taps.setdefault(pid, [])
+    before_last = now_last = after_last = None
+
+    def on_deliver_one(msg):
+        nonlocal before_last, now_last, after_last
+        sequence = sequences.get(pid)
+        if sequence is None:
+            sequence = sequences[pid] = []
+        sequence.append(msg)
+        mid = msg.mid
+        rec = records.get(mid)
+        if rec is None:
+            rec = records[mid] = MessageRecord(mid)
+        before = rec.delivery_time
+        now = sim.now
+        if before is before_last and now == now_last:
+            rec.delivery_time = after_last
+        else:
+            before_last, now_last = before, now
+            rec.delivery_time = after_last = {**before, pid: now}
+        stamp = clock.value
+        top = rec.max_delivery_lamport
+        if top is None or stamp > top:
+            rec.max_delivery_lamport = stamp
+        for hook in hooks:
+            hook(pid, msg)
+        for tap in taps:
+            tap(msg)
+
+    def on_deliver(msgs):
+        for msg in msgs:
+            on_deliver_one(msg)
+
+    endpoint.set_delivery_handler(on_deliver)
+
+
+def _batched_run(protocol):
+    """A warm (3, 3, 3) run under load, so rounds deliver batches, and
+    what each hook call saw: ``(pid, mid, now, clock, n)`` with ``n``
+    the records holding ``pid``'s delivery at that moment — a hook runs
+    after its own message's record is written, before the next's."""
+    system = build_system(SystemSpec(protocol=protocol,
+                                     group_sizes=(3, 3, 3)), seed=11)
+    records = system.log.record_map
+    seen = []
+    system.add_delivery_hook(lambda pid, msg: seen.append(
+        (pid, msg.mid, system.sim.now,
+         system.network.process(pid).lamport.value,
+         sum(pid in rec.delivery_time for rec in records.values()))))
+    system.start_rounds()
+    schedule_workload(system, poisson_workload(
+        system.topology, system.rng.stream("wl"), rate=20.0, duration=8.0,
+        **({"destinations": uniform_k_groups(2)}
+           if protocol == "nongenuine" else {})))
+    system.run_quiescent()
+    return system, seen
+
+
+@pytest.mark.parametrize("protocol", ["a2", "nongenuine"])
+def test_batched_callback_equals_per_message_reference(monkeypatch,
+                                                       protocol):
+    """One call per round writes what one call per message wrote."""
+    system, seen = _batched_run(protocol)
+    monkeypatch.setattr(System, "install_endpoint", _per_message_install)
+    reference, reference_seen = _batched_run(protocol)
+
+    assert _observe(system) == _observe(reference)
+    assert seen == reference_seen
+
+    def maps(run):
+        return len({id(rec.delivery_time)
+                    for rec in run.log.record_map.values()})
+
+    assert maps(system) == maps(reference)
+    # The batches are real: rounds share maps across their messages.
+    assert maps(system) < len(system.log.record_map)
+    assert len(seen) > 500

@@ -490,7 +490,8 @@ class TestProtocolsOverHeartbeats:
         for pid in topo.processes:
             endpoint = AtomicMulticastA1(net.process(pid), topo, fd)
             endpoint.set_delivery_handler(
-                lambda m, pid=pid: log.record_delivery(pid, m))
+                lambda msgs, pid=pid: [log.record_delivery(pid, m)
+                                       for m in msgs])
             endpoints[pid] = endpoint
         msg = AppMessage("m000000", sender=0, dest_groups=(0, 1))
         log.record_cast(msg)
