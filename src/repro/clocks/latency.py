@@ -24,10 +24,25 @@ them, not one each.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.process import Process
+
+
+def normalised(dest_groups) -> Tuple[int, ...]:
+    """``dest_groups`` as a sorted, duplicate-free tuple; a tuple that
+    already is one is returned itself, so messages and records share
+    it."""
+    if type(dest_groups) is tuple:
+        prev = None
+        for gid in dest_groups:
+            if prev is not None and gid <= prev:
+                break
+            prev = gid
+        else:
+            return dest_groups
+    return tuple(sorted(set(dest_groups)))
 
 
 #: The map every record starts from.  Shared by every record, so never
@@ -168,9 +183,7 @@ class LatencyMeter:
         rec.cast_pid = process.pid
         rec.cast_lamport = process.lamport.local_event()
         rec.cast_time = now
-        groups = tuple(sorted(dest_groups))
-        # An AppMessage's tuple is sorted already: keep it, not a copy.
-        rec.dest_groups = dest_groups if groups == dest_groups else groups
+        rec.dest_groups = normalised(dest_groups)
 
     def record_delivery(self, msg_id: str, process: "Process", now: float = 0.0) -> None:
         """Record an A-Deliver event of ``msg_id`` on ``process``."""

@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Any, Callable, List, Sequence, Tuple
 
+from repro.clocks.latency import normalised
 from repro.net.message import MessageCatalog
 
 __all__ = [
@@ -62,20 +63,6 @@ def frozen_rows(cls, *columns: Sequence) -> list:
             deque(map(object.__setattr__, rows, repeat(field.name),
                       values), 0)
     return rows
-
-
-def normalised(dest_groups) -> Tuple[int, ...]:
-    """``dest_groups`` as a sorted, duplicate-free tuple; a tuple that
-    already is one is returned itself, so messages can share it."""
-    if type(dest_groups) is tuple:
-        prev = None
-        for gid in dest_groups:
-            if prev is not None and gid <= prev:
-                break
-            prev = gid
-        else:
-            return dest_groups
-    return tuple(sorted(set(dest_groups)))
 
 
 @dataclass(frozen=True, order=True, **SLOTTED)

@@ -10,12 +10,14 @@ the table, and ``tests/paper/test_claims.py`` checks every row as one
 case.
 
 A claim over several points measures its worst point; a comparison of
-two runs measures their ratio or difference.  Every input is fixed
-here — seed, sizes, duration, ``propose_delay`` — and runs shared by
-several rows are memoised, so each runs once per process.  The rate
-and scalability points are the ``rate-sweep`` and ``scalability``
-campaigns' scenarios (:mod:`repro.campaigns.library`); the constructive
-runs are built by the short functions below.
+two runs measures their ratio or difference.  Figure 1 rows count the
+points of a (k, d) grid where a run misses its closed form; only [1],
+whose dense, load-dependent regime has none, keeps a ratio row.  Every
+input is fixed here — seed, sizes, duration, ``propose_delay`` — and
+runs shared by several rows are memoised, so each runs once per
+process.  The rate and scalability points are the ``rate-sweep`` and
+``scalability`` campaigns' scenarios (:mod:`repro.campaigns.library`);
+the constructive runs are built by the short functions below.
 """
 
 from __future__ import annotations
@@ -161,9 +163,9 @@ def _min_genuine_degree(protocols, offsets) -> int:
 
 
 @lru_cache(maxsize=None)
-def _fig1b(protocol: str, d: int) -> Tuple[int, float]:
+def _fig1b(protocol: str, d: int) -> Tuple[int, int, int, float]:
     """Figure 1(b) on 2 groups of ``d``: (steady-state degree, inter-group
-    messages per broadcast).
+    messages, broadcasts, rounds every endpoint ran; NaN if they differ).
 
     Twelve broadcasts 0.7 apart, round-robin from outside group 0 so the
     sequencer protocols get no colocated-caster freebie.  [1] runs in
@@ -187,8 +189,52 @@ def _fig1b(protocol: str, d: int) -> Tuple[int, float]:
     msgs = schedule_workload(system, plans)
     system.run_quiescent()
     degrees = [system.meter.latency_degree(m.mid) for m in msgs[1:]]
+    rounds = _uniform(getattr(endpoint, "rounds_executed", 0)
+                      for endpoint in system.endpoints.values())
     return (min(x for x in degrees if x is not None),
-            system.inter_group_messages / len(msgs))
+            system.inter_group_messages, len(msgs), rounds)
+
+
+FIG1A_GRID = tuple((k, d) for k in range(2, 6) for d in range(1, 5))
+FIG1B_SIZES = tuple(range(1, 6))
+#: Figure 1(a): (latency degree, inter-group copies) of one cast from
+#: pid 0 to k groups of d, as :func:`_one_cast` returns them.
+FIG1A_FORMS: Dict[str, Tuple[Callable[[int, int], int], ...]] = {
+    "a1": (lambda k, d: 2, lambda k, d: d * (k - 1) * (d * k + 1)),
+    "skeen": (lambda k, d: 2, lambda k, d: d * (k - 1) * (d * k + 1)),
+    "fritzke": (lambda k, d: 2, lambda k, d: d * (k - 1) * (2 * d * k + 1)),
+    "global": (lambda k, d: 4, lambda k, d: d * (k - 1) * (2 * d * k + 3)),
+    "ring": (lambda k, d: k, lambda k, d: 2 * d * d * (k - 1)),
+}
+#: Figure 1(b): inter-group copies per broadcast (per round for A2).
+FIG1B_FORMS: Dict[str, Callable[[int], int]] = {
+    "sequencer": lambda d: d * (2 * d + 3),
+    "optimistic": lambda d: 2 * d,
+    "a2": lambda d: 2 * d * d,
+}
+
+
+def _fig1_misfits(protocol: str, column: int = 1) -> int:
+    """Grid points where a run misses its closed form; ``column`` picks
+    Figure 1(a)'s degree (0) or copies (1).
+
+    A1 and [2] send the caster's d(k-1) copies, then a timestamp (a
+    proposal) from each of the kd addressees to the d(k-1) outside its
+    group; [5] adds as many uniform R-MCast relays, [10] a cross-group
+    consensus (d(k-1) forwards, d(k-1) accepts, d^2 k(k-1) accepted
+    notices).  [4] sends d^2 per handoff down the k groups and d^2(k-1)
+    finals.  Per broadcast, [13] sends d DATA, 2d SEQ (one numbering m,
+    one filling the other sequencer's slot) and 2d^2 ACK, [12] d DATA
+    and d ORDER; A2 sends each process's bundle to the other group per
+    round, provided every endpoint ran the same rounds.
+    """
+    if protocol in FIG1B_FORMS:
+        unit = 3 if protocol == "a2" else 2
+        return sum(_fig1b(protocol, d)[1] != FIG1B_FORMS[protocol](d)
+                   * _fig1b(protocol, d)[unit] for d in FIG1B_SIZES)
+    form = FIG1A_FORMS[protocol][column]
+    return sum(_one_cast(protocol, k, d)[column] != form(k, d)
+               for k, d in FIG1A_GRID)
 
 
 @lru_cache(maxsize=None)
@@ -366,14 +412,6 @@ def _crash_mean(metric: str, crash: bool, seeds=range(4),
 THEOREM_SEEDS = (1, 2, 3, 7, 11)
 
 
-def _fig1a_msgs(protocol: str, k: int) -> int:
-    return _one_cast(protocol, k, 2)[1]
-
-
-def _fig1a_degree(protocol: str, k: int) -> int:
-    return _one_cast(protocol, k, 2)[0]
-
-
 CLAIMS: Tuple[Claim, ...] = (
     # -- Theorems 4.1 / 5.1 / 5.2: the constructive runs ----------------
     Claim("thm-4.1", "Thm 4.1",
@@ -433,74 +471,38 @@ CLAIMS: Tuple[Claim, ...] = (
       "Theorem 5.2's run achieves the bound (gap 200, seeds 0-4).",
       lambda: min(_late_broadcast(s, 200.0) for s in range(5)),
       ("==", 2)),
-    # -- Figure 1(a): atomic multicast, k = 2, 3, 4 groups of d = 2 -------
+    # -- Figure 1(a): cells of k = 2..5 groups x d = 1..4 off the form ----
+    Claim("fig1a-a1-msgs", "Fig 1(a)",
+      "A1 (paper) sends O(k^2 d^2): d(k-1)(dk+1), R-MCast and timestamps.",
+      lambda: _fig1_misfits("a1"), ("==", 0)),
     Claim("fig1a-a1-degree", "Fig 1(a)",
-      "Algorithm A1 (paper) pays latency degree 2 at every k.",
-      lambda: _uniform(_fig1a_degree("a1", k) for k in (2, 3, 4)),
-      ("==", 2)),
-    Claim("fig1a-fritzke-degree", "Fig 1(a)",
-      "[5] Fritzke et al. pays latency degree 2 at every k.",
-      lambda: _uniform(_fig1a_degree("fritzke", k) for k in (2, 3, 4)),
-      ("==", 2)),
+      "Algorithm A1 (paper) pays latency degree 2.",
+      lambda: _fig1_misfits("a1", 0), ("==", 0)),
+    Claim("fig1a-skeen-msgs", "Fig 1(a)",
+      "[2] Skeen sends A1's d(k-1)(dk+1), proposals for timestamps.",
+      lambda: _fig1_misfits("skeen"), ("==", 0)),
     Claim("fig1a-skeen-degree", "Fig 1(a)",
-      "[2] Skeen, the failure-free classic, pays 2 at every k; the "
-      "paper's corollary is that its degree of 2 is optimal.",
-      lambda: _uniform(_fig1a_degree("skeen", k) for k in (2, 3, 4)),
-      ("==", 2)),
+      "[2] Skeen pays 2, which the paper's corollary shows optimal.",
+      lambda: _fig1_misfits("skeen", 0), ("==", 0)),
+    Claim("fig1a-fritzke-msgs", "Fig 1(a)",
+      "[5] Fritzke et al. adds uniform R-MCast's relays: d(k-1)(2dk+1).",
+      lambda: _fig1_misfits("fritzke"), ("==", 0)),
+    Claim("fig1a-fritzke-degree", "Fig 1(a)",
+      "[5] Fritzke et al. pays latency degree 2.",
+      lambda: _fig1_misfits("fritzke", 0), ("==", 0)),
+    Claim("fig1a-global-msgs", "Fig 1(a)",
+      "[10] Rodrigues et al. adds a cross-group consensus: d(k-1)(2dk+3).",
+      lambda: _fig1_misfits("global"), ("==", 0)),
     Claim("fig1a-global-degree", "Fig 1(a)",
-      "[10] Rodrigues et al. pays latency degree 4 at every k.",
-      lambda: _uniform(_fig1a_degree("global", k) for k in (2, 3, 4)),
-      ("==", 4)),
-    Claim("fig1a-ring-degree", "Fig 1(a)",
-      "[4] Delporte & Fauconnier's ring grows linearly with k: degree "
-      "minus k at every k.  Our caster sits in the first ring group, so "
-      "it measures k where the paper counts k+1.",
-      lambda: _uniform(_fig1a_degree("ring", k) - k for k in (2, 3, 4)),
-      ("==", 0)),
-    Claim("fig1a-ring-vs-a1-degree", "Fig 1(a)",
-      "The ring loses to A1 beyond two groups: ring minus A1 degree, "
-      "worst of k = 3, 4.",
-      lambda: min(_fig1a_degree("ring", k) - _fig1a_degree("a1", k)
-                  for k in (3, 4)),
-      (">", 0)),
+      "[10] Rodrigues et al. pays latency degree 4.",
+      lambda: _fig1_misfits("global", 0), ("==", 0)),
     Claim("fig1a-ring-msgs", "Fig 1(a)",
-      "[4]'s O(kd^2) beats the O(k^2 d^2) protocols as k grows: ring "
-      "inter-group messages over A1's and over [10]'s at k = 4, worst.",
-      lambda: max(_fig1a_msgs("ring", 4) / _fig1a_msgs(p, 4)
-                  for p in ("a1", "global")),
-      ("<", 1)),
-    Claim("fig1a-a1-vs-fritzke-msgs", "Fig 1(a)",
-      "Non-uniform reliable multicast beats [5]'s uniform primitive: A1 "
-      "over [5] inter-group messages, worst of k = 2, 3, 4.",
-      lambda: max(_fig1a_msgs("a1", k) / _fig1a_msgs("fritzke", k)
-                  for k in (2, 3, 4)),
-      ("<=", 1)),
-    Claim("fig1a-a1-growth-k", "Fig 1(a)",
-      "O(k^2 d^2): doubling k much-more-than-doubles A1's inter-group "
-      "messages (k = 4 over k = 2).",
-      lambda: _fig1a_msgs("a1", 4) / _fig1a_msgs("a1", 2),
-      (">", 2.5)),
-    Claim("fig1a-ring-growth-k", "Fig 1(a)",
-      "O(kd^2): the ring grows linearly in k, 2d^2(k-1) exactly (8, 16, "
-      "24 for k = 2, 3, 4): k = 4 over k = 2.",
-      lambda: _fig1a_msgs("ring", 4) / _fig1a_msgs("ring", 2),
-      ("<=", 3.2)),
-    Claim("fig1a-ring-vs-a1-growth-k", "Fig 1(a)",
-      "The ring grows strictly slower in k than the quadratic A1: its "
-      "k = 4 / k = 2 growth over A1's.",
-      lambda: ((_fig1a_msgs("ring", 4) / _fig1a_msgs("ring", 2))
-               / (_fig1a_msgs("a1", 4) / _fig1a_msgs("a1", 2))),
-      ("<", 1)),
-    Claim("fig1a-a1-growth-d", "Fig 1(a)",
-      "O(k^2 d^2): d doubled predicts ~4x A1's inter-group messages "
-      "(k = 2, d = 4 over d = 2); at least 2.5x.",
-      lambda: _one_cast("a1", 2, 4)[1] / _one_cast("a1", 2, 2)[1],
-      (">", 2.5)),
-    Claim("fig1a-a1-growth-d-cap", "Fig 1(a)",
-      "... and below 6x.",
-      lambda: _one_cast("a1", 2, 4)[1] / _one_cast("a1", 2, 2)[1],
-      ("<", 6.0)),
-    # -- Figure 1(b): atomic broadcast, 2 groups of 3 ---------------------
+      "[4] Delporte & Fauconnier's ring hands off: O(kd^2), 2d^2(k-1).",
+      lambda: _fig1_misfits("ring"), ("==", 0)),
+    Claim("fig1a-ring-degree", "Fig 1(a)",
+      "[4] pays k; the paper's k+1 counts a caster outside the ring.",
+      lambda: _fig1_misfits("ring", 0), ("==", 0)),
+    # -- Figure 1(b): 2 groups of d (msgs: sizes d = 1..5 off the form) --
     Claim("fig1b-a2-degree", "Fig 1(b)",
       "Algorithm A2 (paper) reaches latency degree 1 (steady-state best "
       "case, first, cold message excluded).",
@@ -522,27 +524,24 @@ CLAIMS: Tuple[Claim, ...] = (
       lambda: _fig1b("a2", 3)[0] - min(_fig1b("optimistic", 3)[0],
                                         _fig1b("sequencer", 3)[0]),
       ("<", 0)),
+    Claim("fig1b-a2-msgs", "Fig 1(b)",
+      "Algorithm A2 sends O(n^2): 2d^2 inter-group copies per round, a "
+      "bundle from each process.",
+      lambda: _fig1_misfits("a2"), ("==", 0)),
+    Claim("fig1b-sequencer-msgs", "Fig 1(b)",
+      "[13] sends O(n^2): d(2d+3) inter-group copies per broadcast, "
+      "2d^2 of them ACKs.",
+      lambda: _fig1_misfits("sequencer"), ("==", 0)),
+    Claim("fig1b-optimistic-msgs", "Fig 1(b)",
+      "Footnote 7: non-uniform [12] sends n DATA + n ORDER per broadcast, "
+      "half inter-group: n = 2d exactly (6 <= 7 at n = 6).",
+      lambda: _fig1_misfits("optimistic"), ("==", 0)),
     Claim("fig1b-linear-vs-quadratic", "Fig 1(b)",
-      "O(n) rows beat O(n^2) rows at the same n: inter-group messages per "
-      "broadcast of [12] over [13] and of [1] over A2, worst.",
-      lambda: max(_fig1b("optimistic", 3)[1] / _fig1b("sequencer", 3)[1],
-                  _fig1b("detmerge", 3)[1] / _fig1b("a2", 3)[1]),
+      "[1]'s dense, load-dependent regime has no closed form; per "
+      "broadcast, its inter-group messages over A2's at d = 3.",
+      lambda: ((_fig1b("detmerge", 3)[1] / _fig1b("detmerge", 3)[2])
+               / (_fig1b("a2", 3)[1] / _fig1b("a2", 3)[2])),
       ("<", 1)),
-    Claim("fig1b-optimistic-growth-n", "Fig 1(b)",
-      "[12] scales linearly: n doubled (d = 4 over d = 2) predicts ~2x "
-      "messages per broadcast.",
-      lambda: _fig1b("optimistic", 4)[1] / _fig1b("optimistic", 2)[1],
-      ("<", 3.0)),
-    Claim("fig1b-sequencer-growth-n", "Fig 1(b)",
-      "[13] scales quadratically: n doubled predicts ~4x messages per "
-      "broadcast.",
-      lambda: _fig1b("sequencer", 4)[1] / _fig1b("sequencer", 2)[1],
-      (">", 2.5)),
-    Claim("fig1b-optimistic-non-uniform", "Fig 1(b)",
-      "Footnote 7: [12] guarantees agreement for correct processes only. "
-      "With no validation traffic it sends n DATA + n ORDER copies per "
-      "broadcast, half inter-group: at most n + 1 = 7 at n = 6.",
-      lambda: _fig1b("optimistic", 3)[1], ("<=", 7)),
     # -- Section 5.3: A2's broadcast rate over 100 ms links -------------
     Claim("rate-useful-rounds", "§5.3",
       "The paper: with 100 ms inter-group latency, 10 msg/s suffices for "

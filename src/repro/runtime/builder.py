@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.clocks.latency import LatencyMeter, MessageRecord
-from repro.core.interfaces import AppMessage, MessageCatalog, normalised
+from repro.clocks.latency import LatencyMeter, MessageRecord, normalised
+from repro.core.interfaces import AppMessage, MessageCatalog
 from repro.failure.detectors import (
     EventuallyPerfectDetector,
     FailureDetector,

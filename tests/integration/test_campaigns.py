@@ -10,8 +10,7 @@
 Wall-clock speedup is printed for eyeballing but deliberately not
 asserted: CI machines may schedule the pool on a single core, and the
 determinism + green-checkers invariants are the ones that must never
-flake.  The committed ``CAMPAIGN_cross-protocol.json`` records a
-measured multi-core run (see ``--compare-serial``).
+flake.  ``--compare-serial`` records a measured multi-core run.
 """
 
 import json

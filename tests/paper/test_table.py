@@ -88,6 +88,51 @@ class TestMemoisedRuns:
         assert info.hits > 0
 
 
+class TestFigure1Forms:
+    """The orderings Figure 1(a) states, read off the closed forms over
+    the whole grid; the rows hold each run to its form."""
+
+    @staticmethod
+    def _over_grid(protocol, other, column):
+        """(form, other form) at every grid cell, for one column."""
+        form = paper.FIG1A_FORMS[protocol][column]
+        other_form = paper.FIG1A_FORMS[other][column]
+        return [(k, d, form(k, d), other_form(k, d))
+                for k, d in paper.FIG1A_GRID]
+
+    def test_ring_sends_fewer_copies_than_a1_at_every_k(self):
+        for k, d, ring, a1 in self._over_grid("ring", "a1", 1):
+            assert ring < a1, (k, d)
+
+    def test_a1_sends_no_more_copies_than_fritzke(self):
+        for k, d, a1, fritzke in self._over_grid("a1", "fritzke", 1):
+            assert a1 <= fritzke, (k, d)
+
+    def test_ring_degree_exceeds_a1_from_three_groups(self):
+        cells = [cell for cell in self._over_grid("ring", "a1", 0)
+                 if cell[0] >= 3]
+        assert cells
+        for k, d, ring, a1 in cells:
+            assert ring > a1, (k, d)
+
+    @pytest.mark.parametrize("protocol", sorted(paper.FIG1A_FORMS))
+    def test_a_planted_misfit_misses_its_row(self, monkeypatch, protocol):
+        """One cell's count off by one reads 1 on that protocol's row."""
+        real = paper._one_cast
+        planted = paper.FIG1A_GRID[-1]
+
+        def one_cast(p, k, d, seed=1):
+            degree, copies = real(p, k, d, seed)
+            return degree, copies + ((p, k, d) == (protocol, *planted))
+
+        monkeypatch.setattr(paper, "_one_cast", one_cast)
+        by_id = {claim.id: claim for claim in CLAIMS}
+        row = by_id[f"fig1a-{protocol}-msgs"]
+        value = row.measure()
+        assert value == 1 and not row.holds(value)
+        assert by_id[f"fig1a-{protocol}-degree"].measure() == 0
+
+
 def _points(monkeypatch, name, result):
     """The arguments every row calls ``paper.<name>`` with, measured
     against a stand-in that runs nothing."""
