@@ -78,6 +78,20 @@ the messages in flight.  Round completion needs no filter either: a
 message rides exactly one decided bundle of its caster's group, since a
 member proposes only messages in no bundle decided so far (above), and
 ``check_all``'s integrity pass still catches a duplicate delivery.
+
+One batch per round
+-------------------
+Each of a round's bundles is a sorted tuple and, in a correct run, they
+are disjoint.  So the round's A-Deliver batch is the bundles
+concatenated in group-id order, sorted by id — no set union — and
+resolved (:meth:`MessageCatalog.batch`); a mid in two bundles is kept
+twice, for ``check_all``'s integrity pass to report.  Every process
+completes round K from the same bundle objects (a decided value and a
+bundle payload travel by reference), and the catalog holds the last
+batch it built for the parts it was built from, so when the members
+complete a round one after another the first builds it and the rest
+take that very tuple.  A process whose bundles differ gets its own
+batch, so a disagreement still reaches ``check_all``.
 """
 
 from __future__ import annotations
@@ -176,7 +190,8 @@ class AtomicBroadcastA2(AtomicBroadcast):
         self._members = tuple(topology.members(self.my_gid))
         self._others = tuple(p for p in topology.processes
                              if topology.group_of(p) != self.my_gid)
-        self._other_groups = len(topology.group_ids) - 1
+        self._group_ids = tuple(topology.group_ids)
+        self._other_groups = len(self._group_ids) - 1
 
         # Paper line 2-3: K=1, propK=1, sets empty, Barrier=0.
         self.k = 1
@@ -396,14 +411,17 @@ class AtomicBroadcastA2(AtomicBroadcast):
         if self._other_groups and (bundles is None
                                    or len(bundles) < self._other_groups):
             return False  # line 16: still waiting on some group's bundle
-        # Line 18: union of all bundles.  Nothing in it is delivered
-        # already: a message rides exactly one decided bundle, of its
-        # caster's group ("Delivery history").
-        mids = set(own)
-        if bundles is not None:
-            mids.update(*bundles.values())
+        # Line 18: union of all bundles, taken in group-id order (msgs
+        # holds no bundle of our own group).  They are disjoint and
+        # nothing in them is delivered already: a message rides exactly
+        # one decided bundle, of its caster's group ("Delivery
+        # history"), so the batch concatenates and sorts them, built
+        # once for a run of equal parts ("One batch per round").
+        parts = (own,) if bundles is None else tuple(
+            bundles.get(gid, own) for gid in self._group_ids)
+        useful = any(parts)
         handler = self._handler
-        if mids and handler is None:
+        if useful and handler is None:
             raise RuntimeError("no A-Deliver handler installed")
         # Lines 21-23: advance the round; keep going only if useful.
         # The predictor decides whether to commit to the next round (the
@@ -419,19 +437,18 @@ class AtomicBroadcastA2(AtomicBroadcast):
         self._round_time = now - self._proposed_at.pop(round_k)
         self._rounds_executed += 1
         self.k = round_k + 1
-        self._all_loaded = bool(own) and bundles is not None \
-            and all(bundles.values())
-        if mids:
+        self._all_loaded = bundles is not None and all(parts)
+        if useful:
             self._useful_rounds += 1
             self._last_useful = round_k
-        if self.predictor.should_continue(delivered=bool(mids), now=now) \
+        if self.predictor.should_continue(delivered=useful, now=now) \
                 and self.k > self.barrier:
             self.barrier = self.k
         # Line 19: deterministic delivery order (sorted by id), the
         # whole round in one handler call.  State is already that of
         # round K+1, so a handler sees a consistent endpoint.
-        if mids:
-            handler(tuple(map(self.catalog.get, sorted(mids))))
+        if useful:
+            handler(self.catalog.batch(parts))
         return True
 
     # ------------------------------------------------------------------

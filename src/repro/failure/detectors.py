@@ -28,6 +28,13 @@ the run's crash schedule and by :meth:`FailureDetector.expect_crash`):
 a check on any other target is dropped at once, with no kernel slot
 reserved and nothing parked, and the crash of a process it was not told
 about raises instead of losing the relays it skipped.
+
+:meth:`FailureDetector.can_suspect` asks that set whole: may a target
+*ever* be suspected?  The answer is fixed once the run starts (a late
+declaration is refused), so a caller may skip every other question
+about a target that cannot be suspected — reliable multicast does, per
+copy.  Only :class:`PerfectDetector` answers False; every other
+detector says True and keeps being polled.
 """
 
 from __future__ import annotations
@@ -86,6 +93,16 @@ class FailureDetector:
 
         sim.call_at_reserved(when, sim.reserve_slot(), poll, label)
 
+    def can_suspect(self, target_pid: int) -> bool:
+        """May ``target_pid`` ever be suspected in this run?
+
+        False promises that :meth:`suspects` answers False for it at
+        every process and instant, and that :meth:`call_if_suspected`
+        on it does nothing at all.  The answer is fixed from the first
+        event on.  This default cannot promise that, so it says True.
+        """
+        return True
+
     def expect_crash(self, pid: int) -> None:
         """Declare, before the run starts, that ``pid`` may crash.
 
@@ -132,6 +149,10 @@ class PerfectDetector(FailureDetector):
                 f"relay checks on it may already have been skipped; call "
                 f"detector.expect_crash({pid}) before the first event")
         self.faulty.add(pid)
+
+    def can_suspect(self, target_pid: int) -> bool:
+        """Only a process that may crash is ever suspected."""
+        return target_pid in self.faulty
 
     def _on_crash(self, pid: int) -> None:
         if pid not in self.faulty:

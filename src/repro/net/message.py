@@ -33,7 +33,8 @@ shrink.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+from itertools import chain
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 _MID_TEXT = "m%06d"
 
@@ -112,11 +113,13 @@ class MessageCatalog:
     as ``cast_map``, so each cast message is kept once, in cast order.
     """
 
-    __slots__ = ("_by_mid", "_minted")
+    __slots__ = ("_by_mid", "_minted", "_last_batch")
 
     def __init__(self) -> None:
         self._by_mid: Dict[str, Any] = {}
         self._minted = 0
+        # The last (parts, batch) pair :meth:`batch` built.
+        self._last_batch: Optional[Tuple[tuple, tuple]] = None
 
     @classmethod
     def of(cls, sim) -> "MessageCatalog":
@@ -163,6 +166,21 @@ class MessageCatalog:
     def get(self, mid: str):
         """The message interned under ``mid`` (KeyError if unknown)."""
         return self._by_mid[mid]
+
+    def batch(self, parts: tuple) -> tuple:
+        """The messages of ``parts``, a tuple of sorted mid tuples, in
+        one id order: their concatenation, sorted and resolved.
+
+        A mid in two parts is kept twice.  The last answer is held and
+        returned again for equal parts (identity first, then value), so
+        the processes that deliver one A2 round in a row build it once.
+        """
+        last = self._last_batch
+        if last is not None and last[0] == parts:
+            return last[1]
+        batch = tuple(map(self._by_mid.__getitem__, sorted(chain(*parts))))
+        self._last_batch = (parts, batch)
+        return batch
 
     def __contains__(self, mid: str) -> bool:
         return mid in self._by_mid

@@ -20,8 +20,11 @@ a finite local step, the primitive is *halting*, which Algorithm A2's
 quiescence proof requires (paper footnote 12).  The check is asked of
 the detector (:meth:`FailureDetector.call_if_suspected`), which decides
 whether it needs a kernel event at all: an oracle that knows the crash
-instants queues none in a failure-free run, and drops a check on a
-sender that cannot crash outright, without reserving its kernel slot.
+instants queues none in a failure-free run.  Each copy first asks
+whether its sender can be suspected at all
+(:meth:`FailureDetector.can_suspect`): a copy from a sender that cannot
+be (the perfect detector was not told it may crash) asks the detector
+nothing more — no suspicion, no check.
 
 Delivery is immediate on first receipt, giving the latency degree of 1
 the paper uses in its analyses (Theorem 4.1).
@@ -39,8 +42,7 @@ R-Delivered twice (the layers above cast each id once).
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Optional, Sequence, Set
 
 from repro.failure.detectors import FailureDetector
 from repro.net.message import Message
@@ -71,7 +73,7 @@ class ReliableMulticast:
         # Copies numbered so far per addressee; per original sender, the
         # rank up to which every copy addressed here arrived and the
         # ranks received past a gap (empty sets are dropped).
-        self._sent: Counter = Counter()
+        self._sent: Dict[int, int] = {}
         self._prefix: Dict[int, int] = {}
         self._ahead: Dict[int, Set[int]] = {}
         #: Relays sent (diagnostics).
@@ -88,22 +90,33 @@ class ReliableMulticast:
             raise ValueError("delivery handler already set")
         self._handler = handler
 
-    def multicast(self, dest_pids: List[int], payload: dict, mid: str) -> str:
+    def multicast(self, dest_pids: Sequence[int], payload: dict,
+                  mid: str) -> str:
         """R-MCast ``payload`` to ``dest_pids`` under ``mid`` (A1 and A2
-        pass their application message's id); returns ``mid``."""
+        pass their application message's id); returns ``mid``.
+
+        ``dest_pids`` is ascending and duplicate-free (A1 passes
+        ``processes_of_groups``, A2 its member tuple); it is sent as
+        given and rides every copy, so it must not change afterwards.
+        Correctness needs it duplicate-free: an addressee reads its
+        rank at the first index of its pid.  Ascending order only fixes
+        the order copies are sent in, and so every run's events.
+        """
         if not dest_pids:
             raise ValueError("reliable multicast needs at least one addressee")
-        dests = sorted(set(dest_pids))
         sent = self._sent
-        sent.update(dests)
+        ranks = []
+        for pid in dest_pids:
+            sent[pid] = rank = sent.get(pid, 0) + 1
+            ranks.append(rank)
         body = {
             "mid": mid,
             "sender": self._pid,
-            "dests": dests,
-            "ranks": tuple(map(sent.__getitem__, dests)),
+            "dests": dest_pids,
+            "ranks": tuple(ranks),
             "data": payload,
         }
-        self.process.send_many(dests, self._k_data, body)
+        self.process.send_many(dest_pids, self._k_data, body)
         return mid
 
     # ------------------------------------------------------------------
@@ -124,6 +137,8 @@ class ReliableMulticast:
             handler(body["data"], body["mid"], sender)
         else:
             handler(body["data"], body["mid"], sender)
+            if not self.detector.can_suspect(sender):
+                return  # never suspected: no relay, and no check to park
             pid = self._pid
             if self.detector.suspects(pid, sender):
                 self._relay(body)

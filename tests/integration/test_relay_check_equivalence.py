@@ -3,9 +3,10 @@
 Crash scenarios — scheduled crashes and the ``phase-crash`` adversary,
 which crashes a process from inside a message handler — and a
 crash-free run go once with ``PerfectDetector`` (relay checks parked
-until a crash materialises them, and dropped outright on a process
+until a crash materialises them, and never asked for on a process
 that cannot crash) and once with a subclass that inherits the
-base-class poll (one kernel event per check, as before).  Everything a
+base-class poll and the base-class answer to ``can_suspect`` (one
+kernel event per check on every sender, as before).  Everything a
 run exposes about the protocol must be identical: who delivered what,
 when, in which order, over how many copies of which kind.
 
@@ -29,9 +30,11 @@ from repro.failure.detectors import FailureDetector, PerfectDetector
 
 
 class PollingPerfectDetector(PerfectDetector):
-    """Same oracle, but every relay check polls: the reference."""
+    """Same oracle, but every copy asks and every relay check polls:
+    the reference."""
 
     call_if_suspected = FailureDetector.call_if_suspected
+    can_suspect = FailureDetector.can_suspect
 
 
 BASE = ScenarioSpec(

@@ -116,7 +116,7 @@ class TestRankDedup:
         rmc = rmc[0]
         rmc.multicast([0, 1, 2], {}, mid="a")
         rmc.multicast([1, 2], {}, mid="b")
-        rmc.multicast([2, 0], {}, mid="c")
+        rmc.multicast([0, 2], {}, mid="c")
         system.run_quiescent()
         ranks = {body["mid"]: dict(zip(body["dests"], body["ranks"]))
                  for body in bodies}

@@ -1,12 +1,16 @@
 """Unit tests for reliable multicast (non-uniform and uniform)."""
 
+import itertools
 import random
+
+import pytest
 
 from repro.failure.detectors import PerfectDetector
 from repro.net.network import Network
 from repro.net.topology import Fixed, LatencyModel, Topology
 from repro.net.trace import MessageTrace
 from repro.rmcast.reliable import ReliableMulticast, UniformReliableMulticast
+from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
@@ -133,3 +137,51 @@ class TestLatencyDegree:
         sim.run()
         assert net.process(3).lamport.value == 1
         assert net.process(0).lamport.value == 0
+
+
+class TestDestinationContract:
+    """``multicast`` sends to ``dest_pids`` as given: its callers pass
+    them ascending and duplicate-free."""
+
+    @staticmethod
+    def _recorded(system):
+        passed = []
+        for endpoint in system.endpoints.values():
+            multicast = endpoint.rmcast.multicast
+
+            def recording(dest_pids, payload, mid, multicast=multicast):
+                passed.append(dest_pids)
+                return multicast(dest_pids, payload, mid)
+
+            endpoint.rmcast.multicast = recording
+        return passed
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 3), (2,) * 8])
+    def test_a1_passes_normalised_pids_for_every_destination_set(
+            self, sizes):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=sizes),
+                              seed=1)
+        topo = system.topology
+        passed = self._recorded(system)
+        dest_sets = [dests for k in range(1, len(sizes) + 1)
+                     for dests in itertools.combinations(topo.group_ids, k)]
+        for i, dests in enumerate(dest_sets):
+            # Any order in: the pids still arrive normalised.
+            system.cast(sender=i % topo.n_processes,
+                        dest_groups=dests[::-1] if i % 2 else dests)
+        assert len(passed) == len(dest_sets) == 2 ** len(sizes) - 1
+        for dests, pids in zip(dest_sets, passed):
+            assert list(pids) == sorted(
+                {pid for gid in dests for pid in topo.members(gid)})
+
+    def test_a2_passes_its_sorted_member_tuple(self):
+        system = build_system(SystemSpec(protocol="a2",
+                                         group_sizes=(3, 3, 3)), seed=1)
+        passed = self._recorded(system)
+        for pid in system.topology.processes:
+            system.cast(sender=pid)
+        for pid, pids in zip(system.topology.processes, passed):
+            endpoint = system.endpoints[pid]
+            assert pids is endpoint._members
+            assert pids == tuple(system.topology.members(endpoint.my_gid))
+            assert list(pids) == sorted(set(pids))
