@@ -160,7 +160,7 @@ def run_case(scenario: ScenarioSpec, adversary: AdversarySpec,
         verdicts=verdicts,
         violation=violation,
         delivery_orders=orders,
-        casts=len(system.log.cast_map),
+        casts=len(system.catalog),
         deliveries=system.log.delivery_count(),
         events=system.sim.events_executed,
         fault_counts=(applied.fault_counts() if applied else {}),

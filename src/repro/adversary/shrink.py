@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.adversary.explorer import CaseResult, run_case
 from repro.adversary.spec import AdversarySpec, InjectorSpec
@@ -70,13 +70,11 @@ class ShrinkOutcome:
 
 
 class _Shrinker:
-    def __init__(self, case: CaseResult, budget: int,
-                 runner: Callable[..., CaseResult]) -> None:
+    def __init__(self, case: CaseResult, budget: int) -> None:
         if case.ok:
             raise ValueError("cannot shrink a passing case")
         self.current = case
         self.budget = budget
-        self.runner = runner
         self.runs_used = 0
         self.steps: List[ShrinkStep] = []
 
@@ -88,7 +86,7 @@ class _Shrinker:
             return None
         self.runs_used += 1
         try:
-            result = self.runner(scenario, adversary, self.current.seed)
+            result = run_case(scenario, adversary, self.current.seed)
         except Exception:
             # An invalid candidate (e.g. destinations need more groups
             # than remain) simply doesn't reproduce.
@@ -288,8 +286,7 @@ class _Shrinker:
         return improved
 
 
-def shrink(case: CaseResult, budget: int = 120,
-           runner: Callable[..., CaseResult] = run_case) -> ShrinkOutcome:
+def shrink(case: CaseResult, budget: int = 120) -> ShrinkOutcome:
     """Minimise a failing case to a small, still-failing reproducer.
 
     Runs the shrink passes to a fixpoint (or until ``budget`` candidate
@@ -297,7 +294,7 @@ def shrink(case: CaseResult, budget: int = 120,
     always a real executed result — never a speculated one — so writing
     it straight into a replay artifact is sound.
     """
-    shrinker = _Shrinker(case, budget, runner)
+    shrinker = _Shrinker(case, budget)
     while shrinker.run():
         if shrinker.exhausted:
             break

@@ -11,7 +11,7 @@ publisher, which arrives one direct hop after emission: latency degree
 application message, the cheapest row of Figure 1b.
 
 Finite-run adaptation (documented in DESIGN.md): real [1] streams are
-infinite.  We drive slots with a fixed emission period (``slot_period``)
+infinite.  We drive slots with a fixed emission period (:data:`SLOT_PERIOD`)
 and let a publisher with nothing to say emit an explicit empty slot —
 but only while some other publisher still has traffic in flight, so a
 finite workload produces a finite run.  Concretely, each process keeps
@@ -37,6 +37,10 @@ from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.sim.process import Process
 
+#: Virtual time between slot emissions; the merge delay of [1] is
+#: bounded by this plus one hop.
+SLOT_PERIOD = 0.5
+
 
 class DeterministicMergeBroadcast(AtomicBroadcast):
     """One process's endpoint of the [1]-style baseline."""
@@ -45,19 +49,11 @@ class DeterministicMergeBroadcast(AtomicBroadcast):
         self,
         process: Process,
         topology: Topology,
-        slot_period: float = 0.5,
         namespace: str = "dmrg",
     ) -> None:
-        """Attach the endpoint.
-
-        Args:
-            slot_period: Virtual time between slot emissions; the
-                merge delay of [1] is bounded by this plus one hop.
-        """
         self.process = process
         self.topology = topology
         self.ns = namespace
-        self.slot_period = slot_period
         self.catalog = MessageCatalog.of(process.sim)
 
         self._outbox: List[str] = []         # mids waiting for a slot
@@ -88,7 +84,7 @@ class DeterministicMergeBroadcast(AtomicBroadcast):
         if self._ticking or self.process.crashed:
             return
         self._ticking = True
-        delay = 0.0 if immediate else self.slot_period
+        delay = 0.0 if immediate else SLOT_PERIOD
         self.process.sim.schedule(delay, self._tick, label=f"{self.ns}.tick")
 
     def _tick(self) -> None:

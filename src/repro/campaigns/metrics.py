@@ -1,9 +1,10 @@
 """Per-run metric extraction for campaign scenarios.
 
 Every extractor maps a finished :class:`~repro.runtime.builder.System`
-to a flat ``{metric name: float}`` dict, computed through
-:class:`~repro.runtime.report.RunReport` so campaigns report exactly the
-numbers the rest of the repository reports.  Scenario specs name the
+to a flat ``{metric name: float}`` dict, read from the run's records
+(``system.meter.records()``), its log and its network counters, with
+the one :func:`~repro.runtime.report.percentile` rule the rest of the
+repository uses.  Scenario specs name the
 extractors they want (``ScenarioSpec.metrics``); the registry keeps the
 names picklable across worker processes — workers look extractors up by
 name instead of shipping function objects.
@@ -15,40 +16,68 @@ aggregation falls out of the existing multi-seed machinery.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, List
 
-from repro.runtime.report import RunReport
+from repro.runtime.report import percentile
 
 MetricExtractor = Callable[[object], Dict[str, float]]
 
+_DEGREE = attrgetter("latency_degree")
+
 
 def core_metrics(system) -> Dict[str, float]:
-    """Engine-level counters: casts, deliveries, events, traffic."""
-    return {k: float(v)
-            for k, v in RunReport(system).throughput_summary().items()}
+    """Engine-level counters: casts, deliveries, events, traffic.
+
+    ``kernel_events`` counts raw kernel events, which the batched
+    network deliberately keeps below ``network_messages``; ``casts``
+    counts the catalog's entries, one per cast message of a built run.
+    """
+    sim = system.sim
+    return {
+        "kernel_events": float(sim.events_executed),
+        "network_messages": float(system.network.stats.total_messages),
+        "casts": float(len(system.catalog)),
+        "deliveries": float(system.log.delivery_count()),
+        "virtual_end": float(sim.now),
+    }
 
 
 def latency_metrics(system) -> Dict[str, float]:
-    """Worst- and mean-replica delivery latency percentiles."""
-    report = RunReport(system)
-    out: Dict[str, float] = {}
-    worst = report.latency_summary(worst_replica=True)
-    if worst is not None:
-        out.update({
-            "latency_worst_mean": worst.mean,
-            "latency_worst_p50": worst.p50,
-            "latency_worst_p90": worst.p90,
-            "latency_worst_max": worst.max,
-        })
-    mean = report.latency_summary(worst_replica=False)
-    if mean is not None:
-        out["latency_mean_mean"] = mean.mean
-    return out
+    """Worst- and mean-replica delivery latency over the messages whose
+    latency degree is measurable (cast, and delivered at least once)."""
+    metered = [rec for rec in system.meter.records()
+               if rec.latency_degree is not None]
+    if not metered:
+        return {}
+    worst = [rec.worst_delivery_latency for rec in metered]
+    mean = [rec.mean_delivery_latency for rec in metered]
+    return {
+        "latency_worst_mean": sum(worst) / len(worst),
+        "latency_worst_p50": percentile(worst, 0.50),
+        "latency_worst_p90": percentile(worst, 0.90),
+        "latency_worst_max": max(worst),
+        "latency_mean_mean": sum(mean) / len(mean),
+    }
 
 
 def degree_metrics(system) -> Dict[str, float]:
-    """Latency-degree statistics (the paper's optimality currency)."""
-    return RunReport(system).degree_summary()
+    """Latency-degree statistics (the paper's optimality currency).
+
+    ``metered`` counts messages whose degree was measurable.
+    """
+    degrees = [degree for degree in map(_DEGREE, system.meter.records())
+               if degree is not None]
+    if not degrees:
+        return {"metered": 0.0, "degree_mean": 0.0,
+                "degree_max": 0.0, "degree_le1_fraction": 0.0}
+    return {
+        "metered": float(len(degrees)),
+        "degree_mean": sum(degrees) / len(degrees),
+        "degree_max": float(max(degrees)),
+        "degree_le1_fraction":
+            sum(1 for d in degrees if d <= 1) / len(degrees),
+    }
 
 
 def traffic_metrics(system) -> Dict[str, float]:
@@ -58,13 +87,11 @@ def traffic_metrics(system) -> Dict[str, float]:
         "inter_group_messages": float(stats.inter_group_messages),
         "intra_group_messages": float(stats.intra_group_messages),
     }
-    casts = len(system.log.cast_map)
+    casts = len(system.catalog)
     if casts:
         out["inter_per_cast"] = stats.inter_group_messages / casts
         out["intra_per_cast"] = stats.intra_group_messages / casts
-    per_cast = RunReport(system).messages_per_cast()
-    if per_cast is not None:
-        out["messages_per_cast"] = per_cast
+        out["messages_per_cast"] = stats.total_messages / casts
     return out
 
 

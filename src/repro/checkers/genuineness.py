@@ -30,7 +30,10 @@ def allowed_participants(log: DeliveryLog, topology: Topology) -> Set[int]:
     """Casters plus every addressee of every cast message."""
     allowed: Set[int] = set()
     seen_dest = set()
-    for msg in log.cast_map.values():
+    for rec in log.record_map.values():
+        msg = rec.msg
+        if msg is None:  # delivered, never cast: check_all reports it
+            continue
         allowed.add(msg.sender)
         if msg.dest_groups not in seen_dest:
             # Destination sets repeat heavily (broadcast runs have one);

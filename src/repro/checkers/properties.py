@@ -23,14 +23,15 @@ One pass over what the run indexed
 :func:`check_all` — the assertion every bench pass, campaign cell and
 most tests end with — rebuilds nothing.  The :class:`DeliveryLog`
 already holds, per process, its delivery list (``sequences``) and, per
-message, the run's one record (``record_map``), whose ``delivery_time``
-keys are the message's deliverers; the check compares those in place:
+message, the run's one record (``record_map``, its catalog's table):
+the cast message and its deliverers, the ``delivery_time`` keys.  The
+check compares those in place:
 
-* **integrity, validity, agreement** — one pass over the cast map.  No
+* **integrity, validity, agreement** — one pass over the records.  No
   process delivered twice iff the delivery count equals the number of
   (process, message) pairs in the records; nothing uncast was delivered
-  iff every record with a deliverer is of a cast id; and per message
-  the deliverers must lie between its correct addressees and all its
+  iff every record with a deliverer has a message; and per message the
+  deliverers must lie between its correct addressees and all its
   addressees, both sets memoised once per destination tuple;
 * **prefix order** — once integrity holds, a process's projection on
   its own group is its whole list, so every member's list must be a
@@ -69,7 +70,6 @@ from __future__ import annotations
 
 from typing import Collection, Dict, List, Optional, Tuple
 
-from repro.clocks.latency import MessageRecord
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
 from repro.net.topology import Topology
@@ -93,7 +93,7 @@ class PropertyViolation(AssertionError):
 
 def check_uniform_integrity(log: DeliveryLog, topology: Topology) -> None:
     """At most once; only addressees; only cast messages."""
-    cast = log.cast_map
+    records = log.record_map
     sequences = log.sequences
     for pid in sorted(sequences):
         gid = topology.group_of(pid)
@@ -106,7 +106,7 @@ def check_uniform_integrity(log: DeliveryLog, topology: Topology) -> None:
                     pid=pid, mid=msg.mid,
                 )
             seen.add(msg.mid)
-            cast_msg = cast.get(msg.mid)
+            cast_msg = records[msg.mid].msg
             if cast_msg is None:
                 raise PropertyViolation(
                     f"process {pid} delivered {msg.mid}, which was never "
@@ -127,27 +127,20 @@ def check_validity(
     log: DeliveryLog, topology: Topology, crashes: CrashSchedule
 ) -> None:
     """Correct caster => all correct addressees deliver."""
-    records = log.record_map
-    for mid, msg in log.cast_map.items():
-        if not crashes.is_faulty(msg.sender):
-            _require_addressees_in(_deliverers(records.get(mid)), topology,
-                                   crashes, msg)
+    for rec in log.record_map.values():
+        msg = rec.msg
+        if msg is not None and not crashes.is_faulty(msg.sender):
+            _require_addressees_in(rec.delivery_time, topology, crashes, msg)
 
 
 def check_uniform_agreement(
     log: DeliveryLog, topology: Topology, crashes: CrashSchedule
 ) -> None:
     """Any delivery => all correct addressees deliver."""
-    records = log.record_map
-    for mid, msg in log.cast_map.items():
-        deliverers = _deliverers(records.get(mid))
-        if deliverers:
-            _require_addressees_in(deliverers, topology, crashes, msg)
-
-
-def _deliverers(rec: Optional[MessageRecord]) -> Dict[int, float]:
-    """A record's deliverers, as its insertion-ordered key set."""
-    return rec.delivery_time if rec is not None else {}
+    for rec in log.record_map.values():
+        if rec.msg is not None and rec.delivery_time:
+            _require_addressees_in(rec.delivery_time, topology, crashes,
+                                   rec.msg)
 
 
 def _require_addressees_in(
@@ -174,27 +167,24 @@ def _index_holds(log: DeliveryLog, topology: Topology,
 
     Exact: False iff one of the three per-property checks would raise.
     """
-    cast = log.cast_map
     records = log.record_map
     if log.delivery_count() != sum(
             len(rec.delivery_time) for rec in records.values()):
         return False
-    if not records.keys() <= cast.keys() and any(
-            rec.delivery_time for mid, rec in records.items()
-            if mid not in cast):
-        return False
     faulty = crashes.crashes
     # dest tuple -> (all addressees, correct addressees)
     addressees: Dict[Tuple[int, ...], Tuple[frozenset, frozenset]] = {}
-    for mid, msg in cast.items():
+    for rec in records.values():
+        msg = rec.msg
+        if msg is None:  # only a delivery makes an entry with no cast
+            return False
         dests = msg.dest_groups
         sets = addressees.get(dests)
         if sets is None:
             everyone = frozenset(topology.processes_of_groups(dests))
             sets = addressees[dests] = (everyone, everyone.difference(faulty))
         everyone, correct = sets
-        rec = records.get(mid)
-        if rec is None or not rec.delivery_time:
+        if not rec.delivery_time:
             if correct and msg.sender not in faulty:
                 return False
         elif not correct <= rec.delivery_time.keys() <= everyone:

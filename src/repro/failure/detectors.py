@@ -80,10 +80,11 @@ class FailureDetector:
         """Run ``fn(arg)`` at ``when`` iff ``querying_pid`` suspects
         ``target_pid`` at that moment.
 
-        The moment is ``when`` at the kernel tie-break slot reserved by
-        this call, i.e. exactly where an event scheduled now would fire.
-        This default queues that event and polls :meth:`suspects` when
-        it fires; ``fn`` itself checks that the querier is still alive.
+        The moment is ``when`` at the kernel tie-break slot this call
+        takes, i.e. exactly where an event scheduled now would fire.
+        This default queues that event (a plain ``call_at``) and polls
+        :meth:`suspects` when it fires; ``fn`` itself checks that the
+        querier is still alive.
         :class:`PerfectDetector` answers without the event, and without
         the slot for a target that cannot crash.
         """
@@ -91,7 +92,7 @@ class FailureDetector:
             if self.suspects(querying_pid, target_pid):
                 fn(arg)
 
-        sim.call_at_reserved(when, sim.reserve_slot(), poll, label)
+        sim.call_at(when, poll, label)
 
     def can_suspect(self, target_pid: int) -> bool:
         """May ``target_pid`` ever be suspected in this run?

@@ -19,24 +19,30 @@ that keeps ``msg`` past its return may later read another receiver's
 reliable transport, delay hooks, delivery filters, the message trace —
 always see a :class:`Message` of their own per copy and may keep it.
 
-:class:`MessageCatalog` is the message plane's interning table: each
-application message is registered once, at cast time, and every protocol
-payload from then on carries only its compact ``mid``.  In a real
-deployment the first copy a node receives would carry the full body and
-populate that node's local table; in this single-address-space simulator
-one shared table per simulation models exactly that without re-encoding
-the body into every consensus value and timestamp exchange.  Network
-*copies* (and therefore every message-complexity counter and the
-genuineness trace) are unaffected — only the Python-level payloads
-shrink.
+:class:`MessageCatalog` is the message plane's interning table, and the
+run's one per-message table: each application message is registered
+once, at cast time, as a :class:`~repro.clocks.latency.MessageRecord`
+that holds the message itself and, later, its cast and delivery stamps,
+and every protocol payload from then on carries only its compact
+``mid``.  In a real deployment the first copy a node receives would
+carry the full body and populate that node's local table; in this
+single-address-space simulator one shared table per simulation models
+exactly that without re-encoding the body into every consensus value
+and timestamp exchange.  Network *copies* (and therefore every
+message-complexity counter and the genuineness trace) are unaffected —
+only the Python-level payloads shrink.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.clocks.latency import MessageRecord
+
 _MID_TEXT = "m%06d"
+_MSG = attrgetter("msg")
 
 
 class Message:
@@ -91,14 +97,19 @@ class Message:
 
 
 class MessageCatalog:
-    """Per-simulation interning table of application messages by mid.
+    """Per-simulation table of application messages by mid.
 
-    The catalog is the authoritative decode table for the compact mids
-    that protocol payloads and consensus values carry.  Every cast
-    interns its message, and a mid is cast at most once: it is the
-    protocols' total-order tiebreaker, and reliable multicast delivers
-    per cast, so a second cast under one mid would be delivered twice.
-    Interning a second message object under a known mid raises.
+    Each entry is the message's :class:`~repro.clocks.latency.MessageRecord`,
+    and :attr:`record_map` (mid → record, in cast order) is the run's
+    only per-message table: a built system's
+    :class:`~repro.runtime.results.DeliveryLog` and
+    :class:`~repro.clocks.latency.LatencyMeter` read that very dict.  It
+    is the authoritative decode table for the compact mids that
+    protocol payloads and consensus values carry.  Every cast interns
+    its message, and a mid is cast at most once: it is the protocols'
+    total-order tiebreaker, and reliable multicast delivers per cast, so
+    a second cast under one mid would be delivered twice.  Interning a
+    second message object under a known mid raises.
 
     It also mints the run's ids (:meth:`mint`): ``m000000``,
     ``m000001``, ... from the start of every simulation, so the same
@@ -107,16 +118,12 @@ class MessageCatalog:
     run; past that (``m1000000`` sorts before ``m999999``) the order is
     still one deterministic total order every process agrees on, which
     is all the protocols' tiebreaks need.
-
-    The table is also a built system's cast map: its
-    :class:`~repro.runtime.results.DeliveryLog` reads :attr:`by_mid`
-    as ``cast_map``, so each cast message is kept once, in cast order.
     """
 
-    __slots__ = ("_by_mid", "_minted", "_last_batch")
+    __slots__ = ("_records", "_minted", "_last_batch")
 
     def __init__(self) -> None:
-        self._by_mid: Dict[str, Any] = {}
+        self._records: Dict[str, MessageRecord] = {}
         self._minted = 0
         # The last (parts, batch) pair :meth:`batch` built.
         self._last_batch: Optional[Tuple[tuple, tuple]] = None
@@ -125,16 +132,27 @@ class MessageCatalog:
     def of(cls, sim) -> "MessageCatalog":
         """The catalog shared by everything attached to ``sim``.
 
-        Lazily creates one catalog per simulator instance, so every
-        process, protocol endpoint, and the :class:`System` wrapper of
-        one simulation resolve mids against the same table while
-        independent simulations stay isolated.
+        Lazily creates one catalog per simulator instance unless one was
+        attached (:meth:`attach`), so every process, protocol endpoint,
+        and the :class:`System` wrapper of one simulation resolve mids
+        against the same table while independent simulations stay
+        isolated.
         """
         catalog = getattr(sim, "_message_catalog", None)
         if catalog is None:
-            catalog = cls()
-            sim._message_catalog = catalog
+            catalog = cls().attach(sim)
         return catalog
+
+    def attach(self, sim) -> "MessageCatalog":
+        """Make this the catalog :meth:`of` returns for ``sim``.
+
+        Refused once ``sim`` has a catalog, so one simulation never
+        splits its messages between two tables.
+        """
+        if getattr(sim, "_message_catalog", None) is not None:
+            raise ValueError("this simulation already has a catalog")
+        sim._message_catalog = self
+        return self
 
     def mint(self, n: int) -> List[str]:
         """The run's next ``n`` message ids, in order."""
@@ -142,30 +160,38 @@ class MessageCatalog:
         self._minted = first + n
         return list(map(_MID_TEXT.__mod__, range(first, first + n)))
 
-    def intern(self, msg) -> str:
-        """Register the cast of ``msg``; returns its mid.
+    def intern(self, msg) -> MessageRecord:
+        """Register the cast of ``msg``; returns its entry.
 
         Idempotent for the same message object (the system and the
         endpoint below it both intern one cast); a second cast of the
-        mid raises before anything of it is recorded or sent.
+        mid raises before anything of it is stamped or sent.  An entry
+        that a hand-fed log made for a delivery before the cast takes
+        the message.
         """
-        if self._by_mid.setdefault(msg.mid, msg) is not msg:
-            raise ValueError(
-                f"mid {msg.mid!r} is already cast: a mid is cast at most "
-                f"once")
-        return msg.mid
+        rec = self._records.get(msg.mid)
+        if rec is None:
+            rec = self._records[msg.mid] = MessageRecord(msg)
+        elif rec.msg is not msg:
+            if rec.msg is not None:
+                raise ValueError(
+                    f"mid {msg.mid!r} is already cast: a mid is cast at "
+                    f"most once")
+            rec.msg = msg
+        return rec
 
     @property
-    def by_mid(self) -> Dict[str, Any]:
-        """The live table, mid → message, in cast order.
+    def record_map(self) -> Dict[str, MessageRecord]:
+        """The live table, mid → record, in cast order.
 
-        Read it in place; only :meth:`intern` writes it.
+        Read it in place; entries are made by :meth:`intern` and, for a
+        delivered mid that was never cast, by the delivery writers.
         """
-        return self._by_mid
+        return self._records
 
     def get(self, mid: str):
         """The message interned under ``mid`` (KeyError if unknown)."""
-        return self._by_mid[mid]
+        return self._records[mid].msg
 
     def batch(self, parts: tuple) -> tuple:
         """The messages of ``parts``, a tuple of sorted mid tuples, in
@@ -178,15 +204,16 @@ class MessageCatalog:
         last = self._last_batch
         if last is not None and last[0] == parts:
             return last[1]
-        batch = tuple(map(self._by_mid.__getitem__, sorted(chain(*parts))))
+        batch = tuple(map(_MSG, map(self._records.__getitem__,
+                                    sorted(chain(*parts)))))
         self._last_batch = (parts, batch)
         return batch
 
     def __contains__(self, mid: str) -> bool:
-        return mid in self._by_mid
+        return mid in self._records
 
     def __len__(self) -> int:
-        return len(self._by_mid)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._by_mid)
+        return iter(self._records)

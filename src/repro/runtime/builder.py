@@ -4,9 +4,13 @@ A :class:`SystemSpec` declares a system once: protocol, groups, link
 model, failure detector and transport.  :func:`build_system` turns a
 spec (plus a seed, a crash schedule and the trace switch) into kernel,
 topology, network, failure detector and one protocol endpoint per
-process, fully wired to a :class:`~repro.clocks.latency.LatencyMeter`
-and a :class:`~repro.runtime.results.DeliveryLog` that share one
-:class:`~repro.clocks.latency.MessageRecord` per message.  A campaign's
+process, fully wired to a :class:`~repro.runtime.results.DeliveryLog`
+and a :class:`~repro.clocks.latency.LatencyMeter` that read the
+simulation's :class:`~repro.net.message.MessageCatalog` table: one
+:class:`~repro.clocks.latency.MessageRecord` per message, holding the
+message, its cast stamps and its deliveries.  A cast is stamped by
+:meth:`System.record_cast` and a delivery written by the endpoint's
+delivery callback (:meth:`System.install_endpoint`).  A campaign's
 :class:`~repro.campaigns.spec.ScenarioSpec` *is* a ``SystemSpec``, so
 campaigns, the claims table (:mod:`repro.paper`), the store, the
 examples and the tests all build through this one function.
@@ -37,7 +41,7 @@ from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clocks.latency import LatencyMeter, MessageRecord, normalised
-from repro.core.interfaces import AppMessage, MessageCatalog
+from repro.core.interfaces import AppMessage
 from repro.failure.detectors import (
     EventuallyPerfectDetector,
     FailureDetector,
@@ -80,13 +84,11 @@ class System:
         self.detector = detector
         self.rng = rng
         self.crashes = crashes
-        # One record per message, shared: the meter reads its stamps,
-        # the log and the checkers its deliverers.  The log's cast map
-        # is the catalog's table.
-        records: Dict[str, MessageRecord] = {}
-        self.meter = LatencyMeter(records)
-        self.catalog = MessageCatalog.of(sim)
-        self.log = DeliveryLog(records, cast=self.catalog.by_mid)
+        # One record per message, in one table: the log's catalog is
+        # the simulation's, and the meter reads the same dict.
+        self.log = DeliveryLog()
+        self.catalog = self.log.catalog.attach(sim)
+        self.meter = LatencyMeter(self.catalog.record_map)
         self.endpoints: Dict[int, object] = {}
         #: pid -> its endpoint's bound ``a_mcast`` (or ``a_bcast``).
         self._casts: Dict[int, Callable[[AppMessage], None]] = {}
@@ -107,10 +109,10 @@ class System:
         The callback takes a batch: the messages the endpoint delivers
         at one instant, in order.  It reads the instant and the Lamport
         clock once and extends ``pid``'s sequence once per batch, then
-        writes each message's record by the :class:`DeliveryMaps
-        <repro.clocks.latency.DeliveryMaps>` rule; hooks and taps see
-        each message after its own record is written and before the
-        next message's.
+        writes each message's record by the copy-on-write rule of
+        :mod:`repro.clocks.latency`; hooks and taps see each message
+        after its own record is written and before the next message's.
+        It is the one writer of a built system's deliveries.
         """
         self.endpoints[pid] = endpoint
         cast = getattr(endpoint, "a_mcast", None)
@@ -120,11 +122,11 @@ class System:
         # run.  Hooks and taps subscribed later land in the same lists.
         clock = self.network.process(pid).lamport
         sequences = self.log.sequences
-        records = self.log.record_map
+        records = self.catalog.record_map
         sim = self.sim
         hooks = self._delivery_hooks
         taps = self._delivery_taps.setdefault(pid, [])
-        # DeliveryMaps.after's memo for this pid: (predecessor, instant)
+        # The successor-map memo for this pid: (predecessor, instant)
         # and the successor it got.
         before_last = now_last = after_last = None
 
@@ -137,13 +139,12 @@ class System:
             now = sim.now
             stamp = clock.value  # a delivery does not tick the clock
             for msg in msgs:
-                # MessageRecord.add_delivery with DeliveryMaps.after,
-                # inlined: a batch delivered at one instant shares one
+                # A batch delivered at one instant shares one
                 # successor map.
                 mid = msg.mid
                 rec = records.get(mid)
-                if rec is None:
-                    rec = records[mid] = MessageRecord(mid)
+                if rec is None:  # never cast: check_all reports it
+                    rec = records[mid] = MessageRecord(None)
                 before = rec.delivery_time
                 if before is before_last and now == now_last:
                     rec.delivery_time = after_last
@@ -199,13 +200,14 @@ class System:
         Every cast path calls this before it hands ``msg`` to an
         endpoint: :meth:`cast` / :meth:`cast_plan` and a store
         replica's :class:`~repro.store.cluster.TappedEndpoint`.
-        Interning fills the log's cast map (a second cast of a mid
-        raises here, before anything is recorded); the meter stamps
-        the cast on the sender's clock.
+        Interning makes the message's entry (a second cast of a mid
+        raises here, before anything is stamped); the entry takes the
+        cast's stamp on the sender's clock and the instant.
         """
-        self.catalog.intern(msg)
-        self.meter.record_cast(msg.mid, self.network.process(msg.sender),
-                               dest_groups=msg.dest_groups, now=self.sim.now)
+        rec = self.catalog.intern(msg)
+        clock = self.network.process(msg.sender).lamport
+        rec.cast_lamport = clock.local_event()
+        rec.cast_time = self.sim.now
 
     def _do_cast(self, msg: AppMessage) -> None:
         """Record and hand ``msg`` to its sender's endpoint, now."""

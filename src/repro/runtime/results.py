@@ -1,10 +1,10 @@
 """Run artefacts: delivery logs and result-table formatting.
 
 The :class:`DeliveryLog` is the ground truth the correctness checkers
-work from: per-process delivery sequences, every cast message's
-destination set and, through the run's
-:class:`~repro.clocks.latency.MessageRecord` table, each message's
-deliverers.
+work from: per-process delivery sequences and, through its
+:class:`~repro.net.message.MessageCatalog`, the run's one
+:class:`~repro.clocks.latency.MessageRecord` per message — its cast
+message, stamps and deliverers.
 
 :func:`format_table` renders aligned text tables in the style of the
 paper's Figure 1; the claims table (``python -m repro.cli paper``)
@@ -13,60 +13,82 @@ uses it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.clocks.latency import DeliveryMaps, MessageRecord
+from repro.clocks.latency import MessageRecord
 from repro.core.interfaces import AppMessage
+from repro.net.message import MessageCatalog
+
+
+class CastMap(Mapping):
+    """mid → cast message, read through a record table.
+
+    A view, not a second table: it holds nothing of its own, and skips
+    the entries a hand-fed log made for deliveries of uncast mids.
+    """
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: Dict[str, MessageRecord]) -> None:
+        self._records = records
+
+    def __getitem__(self, mid: str) -> AppMessage:
+        msg = self._records[mid].msg
+        if msg is None:
+            raise KeyError(mid)
+        return msg
+
+    def __iter__(self) -> Iterator[str]:
+        return (mid for mid, rec in self._records.items()
+                if rec.msg is not None)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 class DeliveryLog:
     """Per-process A-Deliver sequences for a run.
 
     The log owns what is per *process*: each pid's delivered messages,
-    in order.  What is per *message* it reads from tables it shares:
+    in order.  What is per *message* is its catalog's record table
+    (:attr:`record_map`): a built system makes the log's catalog its
+    simulation's, so the table every cast interns into, the one the
+    meter reads and the log's are one dict.  A message's deliverers are
+    its record's ``delivery_time`` keys, and that map is shared between
+    records and never changed in place (see :mod:`repro.clocks.latency`).
 
-    * the cast map, mid → cast message.  A built system's cast map *is*
-      its :class:`~repro.net.message.MessageCatalog` table
-      (:attr:`MessageCatalog.by_mid
-      <repro.net.message.MessageCatalog.by_mid>`), filled by the
-      catalog's ``intern`` at each cast, so the run keeps one mid-keyed
-      map of messages, not two;
-    * the :class:`~repro.clocks.latency.MessageRecord` table: a built
-      system hands its :class:`~repro.clocks.latency.LatencyMeter`'s
-      table to its log.  A message's deliverers are its record's
-      ``delivery_time`` keys, and that map is shared between records
-      and never changed in place (see
-      :class:`~repro.clocks.latency.DeliveryMaps`).
-
-    A standalone ``DeliveryLog()`` owns a cast map and a record table
-    of its own, filled by :meth:`record_cast` and
-    :meth:`record_delivery`.
+    A standalone ``DeliveryLog()`` is fed by hand: :meth:`record_cast`
+    interns into its catalog and :meth:`record_delivery` writes the
+    delivery.
     """
 
-    def __init__(self,
-                 records: Optional[Dict[str, MessageRecord]] = None,
-                 cast: Optional[Dict[str, AppMessage]] = None) -> None:
+    def __init__(self) -> None:
+        self.catalog = MessageCatalog()
+        self._records = self.catalog.record_map
         self._sequences: Dict[int, List[AppMessage]] = {}
-        self._cast: Dict[str, AppMessage] = {} if cast is None else cast
-        self._records: Dict[str, MessageRecord] = (
-            {} if records is None else records)
-        self._maps = DeliveryMaps()
+        #: pid -> (predecessor map, successor map) of its last delivery.
+        self._last: Dict[int, Tuple[dict, dict]] = {}
 
     # ------------------------------------------------------------------
     def record_cast(self, msg: AppMessage) -> None:
         """Remember a cast message (destination sets feed the checkers).
 
-        For standalone logs: a built system's catalog fills its log's
-        cast map at each cast.
+        For logs fed by hand: a built system records its casts with
+        ``System.record_cast``.
         """
-        self._cast[msg.mid] = msg
+        self.catalog.intern(msg)
 
     def record_delivery(self, pid: int, msg: AppMessage) -> None:
-        """Append ``msg`` to ``pid``'s delivery sequence.
+        """Append ``msg`` to ``pid``'s delivery sequence and write it to
+        the message's record.
 
         For logs fed by hand (tests, replayed foreign logs), which have
-        no clock: their records' delivery times read 0.0.  A built
+        no clock: every delivery is at 0.0, one instant, so the
+        successor map is memoised per pid on its predecessor alone.  A
+        mid that was never cast gets an entry with no message, which
+        :func:`~repro.checkers.properties.check_all` reports.  A built
         system writes its log from the endpoints' delivery callbacks.
         """
         sequence = self._sequences.get(pid)
@@ -75,8 +97,14 @@ class DeliveryLog:
         sequence.append(msg)
         rec = self._records.get(msg.mid)
         if rec is None:
-            rec = self._records[msg.mid] = MessageRecord(msg.mid)
-        rec.delivery_time = self._maps.after(rec.delivery_time, pid, 0.0)
+            rec = self._records[msg.mid] = MessageRecord(None)
+        before = rec.delivery_time
+        last = self._last.get(pid)
+        if last is not None and last[0] is before:
+            rec.delivery_time = last[1]
+        else:
+            rec.delivery_time = after = {**before, pid: 0.0}
+            self._last[pid] = (before, after)
 
     # ------------------------------------------------------------------
     def sequence(self, pid: int) -> List[str]:
@@ -89,9 +117,9 @@ class DeliveryLog:
 
     # Live indexes, read in place by the checkers: do not mutate.
     @property
-    def cast_map(self) -> Dict[str, AppMessage]:
-        """All cast messages, by id."""
-        return self._cast
+    def cast_map(self) -> CastMap:
+        """All cast messages, by id, in cast order (a view)."""
+        return CastMap(self._records)
 
     @property
     def sequences(self) -> Dict[int, List[AppMessage]]:
@@ -100,7 +128,8 @@ class DeliveryLog:
 
     @property
     def record_map(self) -> Dict[str, MessageRecord]:
-        """The per-message records, by id (deliverers and stamps)."""
+        """The catalog's table: mid -> record (message, stamps,
+        deliverers)."""
         return self._records
 
     def deliveries_of(self, mid: str) -> List[int]:

@@ -305,10 +305,11 @@ class SerializabilityChecker:
                       for item_id in mine.keys() & executed_in.keys()}
             executed_in.update(mine)
             executed_in.update(joined)
-        cast_map = cluster.system.log.cast_map
+        records = cluster.system.log.record_map
         for item_id, gids in executed_in.items():
-            cast = cast_map.get(
+            rec = records.get(
                 item_id[1:] if item_id.startswith("@") else item_id)
+            cast = rec.msg if rec is not None else None
             if cast is None:
                 break
             dest = cast.dest_groups
@@ -324,10 +325,11 @@ class SerializabilityChecker:
                         executed_in: Dict[str, Tuple[int, ...]]) -> None:
         """Raise the first atomicity violation in item-id order, if an
         excuse (a crashed partition, a stalled txn) does not cover it."""
-        cast_map = cluster.system.log.cast_map
+        records = cluster.system.log.record_map
         for item_id, gids in sorted(executed_in.items()):
             mid = item_id[1:] if item_id.startswith("@") else item_id
-            cast = cast_map.get(mid)
+            rec = records.get(mid)
+            cast = rec.msg if rec is not None else None
             if cast is None:
                 raise SerializabilityViolation(
                     f"transaction {item_id} was executed but never "

@@ -340,8 +340,8 @@ class StoreCluster:
                 gid = topology.group_of(event.msg.dst)
                 received[gid] = received.get(gid, 0) + 1
         dest_txns: Dict[int, int] = {}
-        for msg in self.system.log.cast_map.values():
-            for gid in msg.dest_groups:
+        for rec in self.system.log.record_map.values():
+            for gid in rec.msg.dest_groups:
                 dest_txns[gid] = dest_txns.get(gid, 0) + 1
         return InvolvementReport(sent, received, dest_txns,
                                  topology.group_ids)

@@ -21,12 +21,9 @@ scenarios with a :class:`~repro.store.spec.StoreSpec`;
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Dict
 
 from repro.runtime.report import percentile
-
-_DEST = attrgetter("dest_groups")
 
 
 def _cluster(system):
@@ -54,9 +51,9 @@ def store_metrics(system) -> Dict[str, float]:
     # transactions; keep them out of the realised mix.  A transaction is
     # cast under its own id, so the data casts are the cast ids the
     # cluster holds a transaction for.
-    cast_map = cluster.system.log.cast_map
-    sizes = list(map(len, map(_DEST, map(
-        cast_map.__getitem__, cast_map.keys() & cluster.txns.keys()))))
+    records = cluster.system.log.record_map
+    sizes = [len(records[txn_id].msg.dest_groups)
+             for txn_id in records.keys() & cluster.txns.keys()]
     multi = sum(map((1).__lt__, sizes))  # casts to more than one group
     out["txn_multi_partition_fraction"] = (
         multi / len(sizes) if sizes else 0.0

@@ -67,7 +67,7 @@ never be told from death.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
 #: Kind of acknowledgement messages (bypasses sequencing; see `covers`).
 ACK_KIND = "tsp.ack"
@@ -153,9 +153,7 @@ class ReliableTransport:
     #: Jitter fraction added to each rescheduled retransmission timer.
     JITTER = 0.25
 
-    def __init__(self, sim, network, rng: random.Random,
-                 rto: Optional[float] = None,
-                 ack_delay: Optional[float] = None) -> None:
+    def __init__(self, sim, network, rng: random.Random) -> None:
         self.sim = sim
         self.network = network
         self.rng = rng
@@ -165,11 +163,9 @@ class ReliableTransport:
         except ValueError:
             base = 1.0
         #: Ack coalescing window: one ack per link per burst of arrivals.
-        self.ack_delay = ack_delay if ack_delay is not None else base
+        self.ack_delay = base
         #: Base timeout for links whose latency needs sampling.
-        self._default_rto = (rto if rto is not None
-                             else 3.0 * base + 2.0 * self.ack_delay)
-        self._rto_override = rto
+        self._default_rto = 3.0 * base + 2.0 * self.ack_delay
         # Nested src -> dst -> link maps: the hot paths hoist the outer
         # row once per send/arrival instead of hashing a fresh (src,
         # dst) tuple per copy.
@@ -285,9 +281,7 @@ class ReliableTransport:
         group_of = self.network.topology.group_index
         delay = self.network.latency.fixed_delay(group_of[src],
                                                  group_of[dst])
-        if self._rto_override is not None:
-            rto = self._rto_override
-        elif delay is not None:
+        if delay is not None:
             # > one round trip plus the receiver's ack coalescing delay,
             # so a zero-loss run never retransmits spuriously.
             rto = 3.0 * delay + 2.0 * self.ack_delay

@@ -82,7 +82,7 @@ def _observe(spec, seed):
         "sequences": {pid: log.sequence(pid)
                       for pid in system.topology.processes},
         "delivery_times": {
-            rec.msg_id: (rec.cast_time, rec.delivery_time,
+            rec.msg.mid: (rec.cast_time, rec.delivery_time,
                                  rec.max_delivery_lamport)
             for rec in system.meter.records()},
         "stats": (stats.inter_group_messages, stats.intra_group_messages,

@@ -87,7 +87,7 @@ def _observe(name):
     return {
         "mids": list(log.cast_map),
         "sequences": {pid: log.sequence(pid) for pid in log.processes()},
-        "records": [(rec.msg_id, rec.cast_pid, rec.cast_lamport,
+        "records": [(rec.msg.mid, rec.msg.sender, rec.cast_lamport,
                      rec.cast_time, rec.dest_groups,
                      list(rec.delivery_time.items()),
                      rec.max_delivery_lamport)

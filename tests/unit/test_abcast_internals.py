@@ -308,7 +308,7 @@ class TestTwoRoundsInFlight:
                 system.cast_at(plan.time, plan.sender)
             system.run_quiescent()
             return (system.sim.events_executed,
-                    [(r.msg_id, r.delivery_time) for r in
+                    [(r.msg.mid, r.delivery_time) for r in
                      system.meter.records()])
 
         two = run()

@@ -5,9 +5,8 @@ scenarios mirror the appendix proofs of Theorems 4.1, 5.1 and 5.2.
 """
 
 from repro.clocks.lamport import LamportClock
-from repro.clocks.latency import LatencyMeter
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.core.interfaces import AppMessage
+from repro.runtime.builder import SystemSpec, build_system
 
 
 class TestLamportClock:
@@ -56,33 +55,60 @@ class TestLamportClock:
         assert c.local_event() == 0
 
 
-def _proc(pid, gid=0):
-    return Process(pid, gid, Simulator())
+class _StubEndpoint:
+    """Takes a built system's delivery callback, to feed it by hand."""
+
+    def set_delivery_handler(self, handler):
+        self.deliver = handler
 
 
 class TestLatencyMeter:
+    """The Lamport arithmetic of ``Δ(m, R)``, written by a built
+    system's two writers — ``System.record_cast`` and the endpoints'
+    delivery callback — and read back through its meter.  Pids 0, 1 are
+    group 0 and pids 2, 3 group 1; every endpoint is a stub."""
+
+    def setup_method(self):
+        self.system = build_system(
+            SystemSpec(protocol="a1", group_sizes=[2, 2]), seed=0)
+        self.stubs = {}
+        for pid in self.system.topology.processes:
+            self.stubs[pid] = _StubEndpoint()
+            self.system.install_endpoint(pid, self.stubs[pid])
+        self.meter = self.system.meter
+
+    def _proc(self, pid):
+        return self.system.network.process(pid)
+
+    def _at(self, now, action):
+        self.system.sim.call_at(now, action)
+        self.system.run()
+
+    def _cast(self, mid, pid, dest_groups=(0, 1), now=0.0):
+        msg = AppMessage(mid, pid, dest_groups)
+        self._at(now, lambda: self.system.record_cast(msg))
+        return msg
+
+    def _deliver(self, msg, pid, now=0.0):
+        self._at(now, lambda: self.stubs[pid].deliver((msg,)))
+
     def test_degree_none_before_delivery(self):
-        meter = LatencyMeter()
-        meter.record_cast("m1", _proc(0))
-        assert meter.latency_degree("m1") is None
+        self._cast("m1", 0)
+        assert self.meter.latency_degree("m1") is None
 
     def test_degree_zero_for_local_delivery(self):
-        meter = LatencyMeter()
-        p = _proc(0)
-        meter.record_cast("m1", p)
-        meter.record_delivery("m1", p)
-        assert meter.latency_degree("m1") == 0
+        msg = self._cast("m1", 0)
+        self._deliver(msg, 0)
+        assert self.meter.latency_degree("m1") == 0
 
     def test_degree_is_max_over_deliverers(self):
-        meter = LatencyMeter()
-        caster = _proc(0)
-        near, far = _proc(1), _proc(2)
+        near, far = self._proc(1), self._proc(2)
         near.lamport.observe_receive(1)
         far.lamport.observe_receive(2)
-        meter.record_cast("m1", caster)
-        meter.record_delivery("m1", near)
-        meter.record_delivery("m1", far)
-        assert meter.latency_degree("m1") == 2
+        msg = self._cast("m1", 0)
+        self._deliver(msg, 1)
+        self._deliver(msg, 2)
+        assert self.meter.latency_degree("m1") == 2
 
     def test_theorem_4_1_hand_run(self):
         """Replay the appendix run of Theorem 4.1 by hand.
@@ -91,47 +117,40 @@ class TestLatencyMeter:
         delivers after receiving g2's proposal (which took 2 hops from
         the cast: R-MCast then TS).
         """
-        meter = LatencyMeter()
-        p1 = _proc(0, gid=0)   # caster in g1
-        q1 = _proc(1, gid=1)   # member of g2
-        meter.record_cast("m", p1)
+        p1 = self._proc(0)   # caster in g1
+        q1 = self._proc(2)   # member of g2
+        msg = self._cast("m", 0)
         # R-MCast: p1 -> q1 is inter-group (ts = 1).
         q1.lamport.observe_receive(p1.lamport.timestamp_send(True))
         # TS exchange: q1 -> p1 (ts = 2) and p1 -> q1 (ts = 1).
         p1.lamport.observe_receive(q1.lamport.timestamp_send(True))
         q1.lamport.observe_receive(1)
-        meter.record_delivery("m", p1)   # delivers at LC = 2
-        meter.record_delivery("m", q1)   # delivers at LC = 1
-        assert meter.latency_degree("m") == 2
+        self._deliver(msg, 0)   # delivers at LC = 2
+        self._deliver(msg, 2)   # delivers at LC = 1
+        assert self.meter.latency_degree("m") == 2
 
     def test_wall_latencies(self):
-        meter = LatencyMeter()
-        p, q = _proc(0), _proc(1)
-        meter.record_cast("m1", p, now=10.0)
-        meter.record_delivery("m1", p, now=12.0)
-        meter.record_delivery("m1", q, now=16.0)
-        rec = meter.record_for("m1")
+        msg = self._cast("m1", 0, now=10.0)
+        self._deliver(msg, 0, now=12.0)
+        self._deliver(msg, 1, now=16.0)
+        rec = self.meter.record_for("m1")
         assert rec.worst_delivery_latency == 6.0
         assert rec.mean_delivery_latency == 4.0
 
     def test_degrees_over_messages(self):
-        meter = LatencyMeter()
-        caster = _proc(0)
-        fast, slow = _proc(1), _proc(2)
-        slow.lamport.observe_receive(3)
-        meter.record_cast("a", caster)
-        meter.record_delivery("a", fast)
-        meter.record_cast("b", caster)
-        meter.record_delivery("b", slow)
-        assert meter.degrees() == {"a": 0, "b": 3}
+        self._proc(2).lamport.observe_receive(3)
+        a = self._cast("a", 0)
+        self._deliver(a, 1)
+        b = self._cast("b", 0)
+        self._deliver(b, 2)
+        assert self.meter.degrees() == {"a": 0, "b": 3}
 
     def test_records_sorted_by_id(self):
-        meter = LatencyMeter()
-        meter.record_cast("b", _proc(0))
-        meter.record_cast("a", _proc(1))
-        assert [r.msg_id for r in meter.records()] == ["a", "b"]
+        self._cast("b", 0)
+        self._cast("a", 1)
+        assert [r.msg.mid for r in self.meter.records()] == ["a", "b"]
 
     def test_dest_groups_recorded(self):
-        meter = LatencyMeter()
-        meter.record_cast("m", _proc(0), dest_groups=(2, 0))
-        assert meter.record_for("m").dest_groups == (0, 2)
+        msg = self._cast("m", 0, dest_groups=(1, 0))
+        assert self.meter.record_for("m").dest_groups == (0, 1)
+        assert self.meter.record_for("m").dest_groups is msg.dest_groups

@@ -210,7 +210,7 @@ class TestCastOnce:
         system.cast_at(1.0, 1, (0, 1), mid="x")
         with pytest.raises(ValueError, match="'x'"):
             system.run_quiescent()
-        assert system.meter.record_for("x").cast_pid == 0
+        assert system.meter.record_for("x").msg.sender == 0
 
 
 def _history(endpoint):

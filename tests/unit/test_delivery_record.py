@@ -1,8 +1,9 @@
 """The one delivery record per message, and the log that reads it.
 
-A built system keeps exactly one :class:`MessageRecord` per message,
-shared by its :class:`LatencyMeter` and its :class:`DeliveryLog`: the
-record's ``delivery_time`` keys, in first-delivery order, are the
+A built system keeps exactly one :class:`MessageRecord` per message, in
+one table: its catalog's, which its :class:`LatencyMeter` and its
+:class:`DeliveryLog` read as the same dict.  A record holds the cast
+message; its ``delivery_time`` keys, in first-delivery order, are the
 message's deliverers, and ``max_delivery_lamport`` is all the latency
 degree needs.  The ``delivery_time`` map is shared and never changed
 in place: a delivery replaces it with a successor, and a batch that
@@ -15,9 +16,10 @@ hand-fed logs and for a run of every protocol.
 import pytest
 
 from repro.checkers.properties import PropertyViolation, check_all
-from repro.clocks.latency import LatencyMeter, MessageRecord
+from repro.clocks.latency import MessageRecord
 from repro.core.interfaces import AppMessage
 from repro.failure.schedule import CrashSchedule
+from repro.net.message import MessageCatalog
 from repro.net.topology import Topology
 from repro.runtime.builder import PROTOCOLS, System, SystemSpec, build_system
 from repro.runtime.results import DeliveryLog
@@ -119,17 +121,14 @@ class TestSharedMaps:
         assert list(maps[0]) == [0, 1]
 
     def test_meter_map_is_unchanged_by_later_deliveries(self):
-        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
-                              seed=1)
-        meter, (p0, p1) = LatencyMeter(), (system.network.process(0),
-                                          system.network.process(1))
-        meter.record_cast("a", p0)
-        meter.record_delivery("a", p1, now=1.0)
-        taken = meter.record_for("a").delivery_time
-        meter.record_delivery("a", p0, now=2.0)
-        meter.record_delivery("a", p1, now=3.0)
+        system, stubs = self._stub_system()
+        system.record_cast(self.A)
+        self._deliver_at(system, 1.0, [(stubs[1], (self.A,))])
+        taken = system.meter.record_for("a").delivery_time
+        self._deliver_at(system, 2.0, [(stubs[0], (self.A,))])
+        self._deliver_at(system, 3.0, [(stubs[1], (self.A,))])
         assert taken == {1: 1.0}
-        assert meter.record_for("a").delivery_time == {1: 3.0, 0: 2.0}
+        assert system.meter.record_for("a").delivery_time == {1: 3.0, 0: 2.0}
 
     def test_built_system_repeat_keeps_one_key_in_first_order(self):
         system, stubs = self._stub_system()
@@ -222,6 +221,98 @@ class TestCheckAllOnRecords:
         assert self._same_as_oracle(log, CrashSchedule({0: 1.0})) is None
 
 
+def _store_system():
+    """A store run: the cluster queues its own transactions."""
+    from repro.store import StoreCluster, StoreSpec
+
+    cluster = StoreCluster.build(
+        SystemSpec(protocol="a1", group_sizes=(2, 2)),
+        store=StoreSpec(n_keys=8, rate=1.0, duration=10.0,
+                        multi_partition_fraction=0.4), seed=1)
+    return cluster.system
+
+
+def _loaded_system(protocol):
+    """An A1 or A2 run under a Poisson workload to every group."""
+    system = build_system(SystemSpec(protocol=protocol, group_sizes=[2, 2]),
+                          seed=2)
+    system.start_rounds()
+    schedule_workload(system, poisson_workload(
+        system.topology, system.rng.stream("wl"), rate=2.0, duration=5.0))
+    return system
+
+
+class TestOneTable:
+    """The catalog's table is the run's only per-message table."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: _loaded_system("a1"),
+        lambda: _loaded_system("a2"),
+        _store_system,
+    ], ids=["a1", "a2", "store"])
+    def test_catalog_log_and_meter_share_one_table(self, make):
+        system = make()
+        table = system.catalog.record_map
+        assert system.log.record_map is table
+        assert system.meter.record_map is table
+        assert system.log.catalog is system.catalog
+        system.run_quiescent()
+        assert table and system.catalog.record_map is table
+        for mid, rec in table.items():
+            assert rec.msg.mid == mid
+            assert system.catalog.get(mid) is rec.msg
+            assert system.log.cast_map[mid] is rec.msg
+            assert rec.delivery_time and rec.cast_lamport is not None
+        assert list(system.log.cast_map) == list(table)
+        check_all(system.log, system.topology, system.crashes)
+
+    def test_a_simulation_takes_one_catalog(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
+        assert MessageCatalog.of(system.sim) is system.catalog
+        with pytest.raises(ValueError, match="already has a catalog"):
+            MessageCatalog().attach(system.sim)
+
+    def test_second_message_under_a_known_mid_raises_before_stamping(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=1)
+        first = system.cast(sender=0, dest_groups=(0, 1), mid="x")
+        system.run_quiescent()
+        rec = system.catalog.record_map["x"]
+        stamped = (rec.msg, rec.cast_lamport, rec.cast_time,
+                   rec.delivery_time, rec.max_delivery_lamport)
+        events = system.sim.events_executed
+        with pytest.raises(ValueError, match="'x'"):
+            system.record_cast(AppMessage("x", sender=2, dest_groups=(0, 1)))
+        assert rec.msg is first
+        assert (rec.msg, rec.cast_lamport, rec.cast_time, rec.delivery_time,
+                rec.max_delivery_lamport) == stamped
+        assert list(system.catalog.record_map) == ["x"]
+        assert system.sim.events_executed == events
+
+    def test_hand_fed_uncast_delivery_is_never_cast(self):
+        a = AppMessage(mid="a", sender=0, dest_groups=(0, 1))
+        log = _log([a], [(pid, "a") for pid in range(4)] + [(1, "ghost")])
+        ghost = log.record_map["ghost"]
+        assert ghost.msg is None and list(ghost.delivery_time) == [1]
+        assert "ghost" not in log.cast_map and list(log.cast_map) == ["a"]
+        with pytest.raises(PropertyViolation) as exc:
+            check_all(log, TOPO)
+        assert str(exc.value) == ("process 1 delivered ghost, which was "
+                                  "never cast")
+        assert exc.value.context == {"property": "uniform_integrity",
+                                     "kind": "uncast", "pid": 1,
+                                     "mid": "ghost"}
+
+    def test_cast_after_its_hand_fed_delivery_takes_the_entry(self):
+        a = AppMessage(mid="a", sender=0, dest_groups=(0, 1))
+        log = DeliveryLog()
+        log.record_delivery(0, a)
+        log.record_cast(a)
+        assert log.record_map["a"].msg is a
+        assert list(log.record_map["a"].delivery_time) == [0]
+
+
 class TestBuiltSystem:
     def _crash_run(self):
         system = build_system(SystemSpec(protocol="a1", group_sizes=[3, 3, 3]),
@@ -304,7 +395,7 @@ def _observe(system):
     return {
         "sequences": {pid: log.sequence(pid) for pid in log.processes()},
         "records": {
-            mid: (rec.cast_pid, rec.cast_lamport, rec.cast_time,
+            mid: (rec.msg.sender, rec.cast_lamport, rec.cast_time,
                           rec.dest_groups, list(rec.delivery_time.items()),
                           rec.max_delivery_lamport)
             for mid, rec in log.record_map.items()},
@@ -404,7 +495,7 @@ def _per_message_install(self, pid, endpoint):
         mid = msg.mid
         rec = records.get(mid)
         if rec is None:
-            rec = records[mid] = MessageRecord(mid)
+            rec = records[mid] = MessageRecord(None)
         before = rec.delivery_time
         now = sim.now
         if before is before_last and now == now_last:

@@ -1,9 +1,15 @@
-"""Unit tests for the run-report module."""
+"""The percentile rule and the campaign extractors that report a run."""
 
 import pytest
 
+from repro.campaigns.metrics import (
+    core_metrics,
+    degree_metrics,
+    latency_metrics,
+    traffic_metrics,
+)
 from repro.runtime.builder import SystemSpec, build_system
-from repro.runtime.report import LatencySummary, RunReport, percentile
+from repro.runtime.report import percentile
 from repro.workload.generators import (
     periodic_workload,
     schedule_workload,
@@ -37,19 +43,6 @@ class TestPercentile:
             percentile([1.0], 1.5)
 
 
-class TestLatencySummary:
-    def test_fields(self):
-        s = LatencySummary.of([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == 2.5
-        assert s.max == 4.0
-        assert s.p50 in (2.0, 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            LatencySummary.of([])
-
-
 @pytest.fixture(scope="module")
 def finished_run():
     system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
@@ -72,9 +65,13 @@ def _metered(system):
             if rec.latency_degree is not None]
 
 
-class TestRunReport:
-    def test_degree_summary_totals(self, finished_run):
-        summary = RunReport(finished_run).degree_summary()
+def _mean(values):
+    return sum(values) / len(values)
+
+
+class TestExtractors:
+    def test_degree_metrics_totals(self, finished_run):
+        summary = degree_metrics(finished_run)
         assert summary["metered"] == 18
         assert summary["degree_max"] >= summary["degree_mean"] >= 0
 
@@ -91,31 +88,40 @@ class TestRunReport:
         # The floor is attained by some message in this workload.
         assert 2 in by_k[2]
 
-    def test_latency_summary(self, finished_run):
-        report = RunReport(finished_run)
-        summary = report.latency_summary()
-        assert summary.count == 18
-        assert summary.p50 <= summary.p90 <= summary.p99 <= summary.max
+    def test_latency_metrics(self, finished_run):
+        summary = latency_metrics(finished_run)
+        worst = [latency for _, _, latency in _metered(finished_run)]
+        assert len(worst) == 18
+        assert summary["latency_worst_mean"] == _mean(worst)
+        assert summary["latency_worst_max"] == max(worst)
+        assert summary["latency_worst_p50"] == percentile(worst, 0.5)
+        assert (summary["latency_worst_p50"] <= summary["latency_worst_p90"]
+                <= summary["latency_worst_max"])
+        assert summary["latency_mean_mean"] <= summary["latency_worst_mean"]
+
+    def test_latency_metrics_of_an_unmetered_run_are_empty(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
+                              seed=3)
+        assert latency_metrics(system) == {}
+        assert degree_metrics(system)["metered"] == 0.0
 
     def test_latency_by_destination_count(self, finished_run):
         by_k = {}
         for k, _, latency in _metered(finished_run):
             by_k.setdefault(k, []).append(latency)
         # Cross-group messages are strictly slower than local ones.
-        assert (LatencySummary.of(by_k[2]).mean
-                > LatencySummary.of(by_k[1]).mean)
+        assert _mean(by_k[2]) > _mean(by_k[1])
 
     def test_messages_per_cast(self, finished_run):
-        report = RunReport(finished_run)
-        per_cast = report.messages_per_cast()
-        assert per_cast is not None and per_cast > 1.0
+        per_cast = traffic_metrics(finished_run)["messages_per_cast"]
+        assert per_cast > 1.0
 
-    def test_throughput_summary_in_run_report(self):
+    def test_core_metrics(self):
         system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
                               seed=3)
         system.cast(sender=0, dest_groups=(0, 1))
         system.run_quiescent()
-        summary = RunReport(system).throughput_summary()
+        summary = core_metrics(system)
         assert summary["casts"] == 1
         assert summary["deliveries"] == 4
         assert summary["network_messages"] > 0

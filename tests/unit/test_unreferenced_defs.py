@@ -55,12 +55,10 @@ ALLOWED = {
         "the optimistic order a baseline guesses before the final one",
     "baselines/sequencer.py:SequencerBroadcast.optimistic_deliveries":
         "the optimistic order a baseline guesses before the final one",
-    # Rules and records that build hand-made clocks, logs and meters.
+    # Rules and records that build hand-made clocks and logs.
     "clocks/lamport.py:LamportClock.timestamp_send": "Lamport send rule",
     "clocks/lamport.py:LamportClock.observe_receive":
         "Lamport receive rule",
-    "clocks/latency.py:LatencyMeter.record_delivery":
-        "feeds a hand-made meter",
     "runtime/results.py:DeliveryLog.record_delivery":
         "feeds a hand-made log",
     "runtime/results.py:DeliveryLog.deliveries_of":
