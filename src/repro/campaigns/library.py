@@ -41,13 +41,12 @@ The ready-made campaigns cover the axes the paper's claims range over:
   throughput quantifies what online key-range migration buys, with
   serializability and the reconfig checker green as the precondition;
 * ``rate-sweep`` — Section 5.3: A2 over 100 ms links as the Poisson
-  broadcast rate grows from 0.5 to 50 msg/s;
-* ``scalability`` — Figure 1's asymptotic columns as the group count
-  and the group size grow.
+  broadcast rate grows from 0.5 to 50 msg/s.
 
-:mod:`repro.paper` measures the paper's claims on these two campaigns'
-scenarios.  Each builder returns a :class:`Campaign`; pass ``seeds`` to
-widen or narrow the per-scenario seed list (the CLI's ``--seeds`` does).
+:mod:`repro.paper` measures Section 5.3's rate claims on the
+``rate-sweep`` scenarios.  Each builder returns a :class:`Campaign`;
+pass ``seeds`` to widen or narrow the per-scenario seed list (the CLI's
+``--seeds`` does).
 ``repro.cli campaign <name>`` is the front door.
 """
 
@@ -544,53 +543,6 @@ def rate_sweep(seeds: Optional[Sequence[int]] = None) -> Campaign:
     )
 
 
-#: Broadcast protocols must address every group.
-BROADCAST_PROTOCOLS = ("a2", "nongenuine", "sequencer", "optimistic",
-                       "detmerge")
-
-
-def scale_scenario(protocol: str, groups: int, d: int) -> ScenarioSpec:
-    """Ten periodic casts at one system size: multicasts to k=2 of the
-    groups, broadcasts to all of them."""
-    # propose_delay trades sim-time latency for degree (each proposal
-    # waits that long so a hand-placed cast catches it); under load the
-    # second round in flight is what reaches degree 1 (core/abcast.py).
-    kwargs: Tuple[Tuple[str, object], ...] = (
-        (("propose_delay", 0.05),) if protocol in ("a2", "nongenuine")
-        else ()
-    )
-    destinations = (DestinationSpec(kind="all")
-                    if protocol in BROADCAST_PROTOCOLS
-                    else DestinationSpec(kind="uniform-k", k=2))
-    return ScenarioSpec(
-        name=f"{protocol}@{groups}x{d}",
-        protocol=protocol,
-        group_sizes=(d,) * groups,
-        workload=WorkloadSpec(kind="periodic", period=0.9, count=10,
-                              destinations=destinations),
-        seeds=(1,),
-        checkers=("properties",),
-        metrics=("latency", "traffic"),
-        start_rounds=True,
-        protocol_kwargs=kwargs,
-    )
-
-
-def scalability(seeds: Optional[Sequence[int]] = None) -> Campaign:
-    """Figure 1's asymptotics: the group count grows at d=2, then the
-    group size at 2 groups."""
-    points = [(p, g, 2) for p in ("a1", "ring", "a2") for g in (2, 4, 6)]
-    points += [(p, 2, d) for p in ("a1", "sequencer", "optimistic")
-               for d in (2, 4)]
-    scenarios = with_seeds([scale_scenario(*point)
-                            for point in dict.fromkeys(points)],
-                           seeds or (1,))
-    return Campaign(
-        name="scalability", scenarios=scenarios,
-        description="group-count / group-size sweeps of Figure 1",
-    )
-
-
 CampaignBuilder = Callable[..., Campaign]
 
 CAMPAIGNS: Dict[str, CampaignBuilder] = {
@@ -605,7 +557,6 @@ CAMPAIGNS: Dict[str, CampaignBuilder] = {
     "txn-mix": txn_mix,
     "rebalance": rebalance,
     "rate-sweep": rate_sweep,
-    "scalability": scalability,
 }
 
 

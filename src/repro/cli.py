@@ -10,7 +10,7 @@ Usage::
     python -m repro.cli campaign wan-storm --seeds 1,2,3 --out results/
     python -m repro.cli campaign crash-storm --jobs 8 --compare-serial
     python -m repro.cli campaign rebalance --seeds 1,2,3 --out results/
-    python -m repro.cli campaign rate-sweep scalability --jobs 2
+    python -m repro.cli campaign rate-sweep fd-overhead --jobs 2
 
     python -m repro.cli torture --campaign torture --seeds 3
     python -m repro.cli torture --campaign rebalance --max-scenarios 2

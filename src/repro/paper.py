@@ -10,13 +10,15 @@ the table, and ``tests/paper/test_claims.py`` checks every row as one
 case.
 
 A claim over several points measures its worst point; a comparison of
-two runs measures their ratio or difference.  Figure 1 rows count the
-points of a (k, d) grid where a run misses its closed form; only [1],
-whose dense, load-dependent regime has none, keeps a ratio row.  Every
-input is fixed here — seed, sizes, duration, ``propose_delay`` — and
-runs shared by several rows are memoised, so each runs once per
-process.  The rate and scalability points are the ``rate-sweep`` and
-``scalability`` campaigns' scenarios (:mod:`repro.campaigns.library`);
+two runs measures their ratio or difference.  A row that states a
+message or discard count reads the cells of a grid where one cast
+misses its closed form (:data:`FORMS`); only [1], whose dense,
+load-dependent regime has none, keeps a ratio row, and the orderings
+the paper states between counts are read off the forms in
+``tests/paper/test_table.py``.  Every input is fixed here — seed,
+sizes, duration, ``propose_delay`` — and runs shared by several rows
+are memoised, so each runs once per process.  The rate points are the
+``rate-sweep`` campaign's scenarios (:mod:`repro.campaigns.library`);
 the constructive runs are built by the short functions below.
 """
 
@@ -26,9 +28,9 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Tuple
+from typing import Callable, Dict, Iterable, Sequence, Tuple
 
-from repro.campaigns.library import rate_scenario, scale_scenario
+from repro.campaigns.library import rate_scenario
 from repro.campaigns.runner import run_scenario_seed
 from repro.campaigns.spec import ScenarioSpec
 from repro.checkers.properties import check_all
@@ -43,10 +45,7 @@ from repro.runtime.builder import SystemSpec, build_system
 from repro.workload.generators import (
     burst_workload,
     periodic_workload,
-    poisson_workload,
     schedule_workload,
-    uniform_k_groups,
-    zipf_group_count,
 )
 
 #: The comparisons a bound may use.
@@ -95,17 +94,28 @@ def _checked(spec: ScenarioSpec) -> Dict[str, float]:
 # ----------------------------------------------------------------------
 # Constructive runs (time unit: one inter-group hop unless noted)
 # ----------------------------------------------------------------------
+#: The columns of :func:`_one_cast`'s result.
+DEGREE, INTER, INTRA, DISCARDED, LATENCY = range(5)
+
+
 @lru_cache(maxsize=None)
-def _one_cast(protocol: str, k: int, d: int, seed: int = 1
-              ) -> Tuple[int, int]:
-    """One multicast from pid 0 to groups 0..k-1 of ``d`` processes:
-    (latency degree, inter-group messages).  Theorem 4.1's run is
-    ``("a1", 2, 3)``."""
+def _one_cast(protocol: str, k: int, d: int, groups: int, seed: int
+              ) -> Tuple[int, int, int, int, float]:
+    """One cast from pid 0 to groups 0..k-1 of ``groups`` groups of ``d``
+    processes: (latency degree, inter-, intra-group copies, deliveries
+    discarded at non-addressees, worst delivery latency).  Theorem 4.1's
+    run is ``("a1", 2, 3, 2, seed)``.  No argument has a default, so a
+    cell has one cache key whichever row asks for it."""
     system = build_system(SystemSpec(protocol=protocol,
-                                     group_sizes=[d] * max(k, 2)), seed=seed)
+                                     group_sizes=[d] * groups), seed=seed)
     msg = system.cast(sender=0, dest_groups=tuple(range(k)))
     system.run_quiescent()
-    return system.meter.latency_degree(msg.mid), system.inter_group_messages
+    rec = system.meter.record_for(msg.mid)
+    discarded = sum(getattr(endpoint, "discarded_deliveries", 0)
+                    for endpoint in system.endpoints.values())
+    return (rec.latency_degree, system.inter_group_messages,
+            system.intra_group_messages, discarded,
+            rec.worst_delivery_latency)
 
 
 @lru_cache(maxsize=None)
@@ -195,46 +205,101 @@ def _fig1b(protocol: str, d: int) -> Tuple[int, int, int, float]:
             system.inter_group_messages, len(msgs), rounds)
 
 
-FIG1A_GRID = tuple((k, d) for k in range(2, 6) for d in range(1, 5))
-FIG1B_SIZES = tuple(range(1, 6))
-#: Figure 1(a): (latency degree, inter-group copies) of one cast from
-#: pid 0 to k groups of d, as :func:`_one_cast` returns them.
-FIG1A_FORMS: Dict[str, Tuple[Callable[[int, int], int], ...]] = {
-    "a1": (lambda k, d: 2, lambda k, d: d * (k - 1) * (d * k + 1)),
-    "skeen": (lambda k, d: 2, lambda k, d: d * (k - 1) * (d * k + 1)),
-    "fritzke": (lambda k, d: 2, lambda k, d: d * (k - 1) * (2 * d * k + 1)),
-    "global": (lambda k, d: 4, lambda k, d: d * (k - 1) * (2 * d * k + 3)),
-    "ring": (lambda k, d: k, lambda k, d: 2 * d * d * (k - 1)),
+def _round_copies(groups: int, d: int) -> int:
+    """A2's inter-group copies per round over ``groups`` groups of ``d``:
+    each process's bundle to the d(G-1) processes outside its group."""
+    return d * d * groups * (groups - 1)
+
+
+#: A cold broadcast runs two rounds: the one that carries it, and the
+#: empty one the paper's lines 22-23 start after a useful round.
+COLD_ROUNDS = 2
+
+
+#: The closed forms of :func:`_one_cast`'s columns, as functions of
+#: (k, d, G): protocol -> column -> form.
+#:
+#: A1 and [2] send the caster's d(k-1) copies, then a timestamp (a
+#: proposal) from each of the kd addressees to the d(k-1) outside its
+#: group; [5] adds as many uniform R-MCast relays, [10] a cross-group
+#: consensus (d(k-1) forwards, d(k-1) accepts, d^2 k(k-1) accepted
+#: notices).  [4] sends d^2 per handoff down the k groups and d^2(k-1)
+#: finals.  Inside the groups, a group consensus costs d^2+2d-1 copies:
+#: A1 runs one per addressed group, and without stage skipping
+#: (A1-noskip, [5]) two; the caster adds its d copies into its own
+#: group, and [5] has each addressee relay to its d-1 group peers.  A2
+#: and broadcast-to-all over it ("nongenuine") send every round's
+#: bundles across all G groups, and the latter's d(G-k) bystanders each
+#: discard the delivery.  A single-group cast (k = 1) has degree 0.
+_A1 = {DEGREE: lambda k, d, g: 2 if k > 1 else 0,
+       INTER: lambda k, d, g: d * (k - 1) * (d * k + 1)}
+_A2 = {INTER: lambda k, d, g: COLD_ROUNDS * _round_copies(g, d)}
+FORMS: Dict[str, Dict[int, Callable[[int, int, int], int]]] = {
+    "a1": {**_A1, INTRA: lambda k, d, g: k * (d * d + 2 * d - 1) + d,
+           DISCARDED: lambda k, d, g: 0},
+    "a1-noskip": {**_A1,
+                  INTRA: lambda k, d, g: 2 * k * (d * d + 2 * d - 1) + d},
+    "skeen": _A1,
+    "fritzke": {DEGREE: _A1[DEGREE],
+                INTER: lambda k, d, g: d * (k - 1) * (2 * d * k + 1),
+                INTRA: lambda k, d, g: (2 * k * (d * d + 2 * d - 1) + d
+                                        + k * d * (d - 1))},
+    "global": {DEGREE: lambda k, d, g: 4,
+               INTER: lambda k, d, g: d * (k - 1) * (2 * d * k + 3)},
+    "ring": {DEGREE: lambda k, d, g: k,
+             INTER: lambda k, d, g: 2 * d * d * (k - 1)},
+    "a2": _A2,
+    "nongenuine": {**_A2, DISCARDED: lambda k, d, g: d * (g - k)},
 }
+#: Cells (k, d, G).  Figure 1(a): a cast to all k = 2..10 groups of
+#: d = 1..6.
+FIG1A_GRID = tuple((k, d, k) for k in range(2, 11) for d in range(1, 7))
+#: Sections 4.1 / 6 add single-group casts (k = 1, on two groups).
+ABLATION_GRID = tuple((1, d, 2) for d in range(1, 7)) + FIG1A_GRID
+#: Section 1 and Figure 1's asymptotics: a cast to k = 2 of G = 2..8
+#: groups of d = 1..3, with no bystander group at G = 2.
+GROUPS_GRID = tuple((2, d, g) for g in range(2, 9) for d in range(1, 4))
+SMALL_GRID = tuple(cell for cell in GROUPS_GRID if cell[2] == 2)
+BYSTANDER_GRID = tuple(cell for cell in GROUPS_GRID if cell[2] > 2)
+ABLATED = ("a1", "a1-noskip", "fritzke")
+FIG1B_SIZES = tuple(range(1, 6))
 #: Figure 1(b): inter-group copies per broadcast (per round for A2).
 FIG1B_FORMS: Dict[str, Callable[[int], int]] = {
     "sequencer": lambda d: d * (2 * d + 3),
     "optimistic": lambda d: 2 * d,
-    "a2": lambda d: 2 * d * d,
+    "a2": lambda d: _round_copies(2, d),
 }
 
 
-def _fig1_misfits(protocol: str, column: int = 1) -> int:
-    """Grid points where a run misses its closed form; ``column`` picks
-    Figure 1(a)'s degree (0) or copies (1).
+def _misfits(protocols: Sequence[str], grid: Iterable[Tuple[int, int, int]],
+             *columns: int) -> int:
+    """Misses, over the cells (k, d, G) of ``grid``, of one cast of each
+    of ``protocols`` against its :data:`FORMS` form in each of
+    ``columns`` (A2 addresses all G groups)."""
+    return sum(_one_cast(p, g if p == "a2" else k, d, g, 1)[column]
+               != FORMS[p][column](k, d, g)
+               for p in protocols for k, d, g in grid for column in columns)
 
-    A1 and [2] send the caster's d(k-1) copies, then a timestamp (a
-    proposal) from each of the kd addressees to the d(k-1) outside its
-    group; [5] adds as many uniform R-MCast relays, [10] a cross-group
-    consensus (d(k-1) forwards, d(k-1) accepts, d^2 k(k-1) accepted
-    notices).  [4] sends d^2 per handoff down the k groups and d^2(k-1)
-    finals.  Per broadcast, [13] sends d DATA, 2d SEQ (one numbering m,
-    one filling the other sequencer's slot) and 2d^2 ACK, [12] d DATA
-    and d ORDER; A2 sends each process's bundle to the other group per
-    round, provided every endpoint ran the same rounds.
+
+def _fig1b_misfits(protocol: str) -> int:
+    """Sizes where a run misses its Figure 1(b) form.
+
+    Per broadcast, [13] sends d DATA, 2d SEQ (one numbering m, one
+    filling the other sequencer's slot) and 2d^2 ACK, [12] d DATA and d
+    ORDER; A2 sends each process's bundle to the other group per round,
+    provided every endpoint ran the same rounds.
     """
-    if protocol in FIG1B_FORMS:
-        unit = 3 if protocol == "a2" else 2
-        return sum(_fig1b(protocol, d)[1] != FIG1B_FORMS[protocol](d)
-                   * _fig1b(protocol, d)[unit] for d in FIG1B_SIZES)
-    form = FIG1A_FORMS[protocol][column]
-    return sum(_one_cast(protocol, k, d)[column] != form(k, d)
-               for k, d in FIG1A_GRID)
+    unit = 3 if protocol == "a2" else 2
+    return sum(_fig1b(protocol, d)[1] != FIG1B_FORMS[protocol](d)
+               * _fig1b(protocol, d)[unit] for d in FIG1B_SIZES)
+
+
+def _latency_spread(protocol: str) -> float:
+    """The worst delivery latency of the :data:`GROUPS_GRID` casts:
+    largest over smallest."""
+    latencies = [_one_cast(protocol, g if protocol == "a2" else k, d, g,
+                           1)[LATENCY] for k, d, g in GROUPS_GRID]
+    return max(latencies) / min(latencies)
 
 
 @lru_cache(maxsize=None)
@@ -250,58 +315,6 @@ def _degree1_window_gain() -> float:
     wide = replace(narrow, protocol_kwargs=(("propose_delay", 25.0),))
     return (_checked(wide)["degree_le1_fraction"]
             - _checked(narrow)["degree_le1_fraction"])
-
-
-@lru_cache(maxsize=None)
-def _scale(protocol: str, groups: int, d: int) -> Tuple[float, float]:
-    """One ``scalability`` point: (inter-group messages per cast, mean
-    worst-replica latency)."""
-    metrics = _checked(scale_scenario(protocol, groups, d))
-    return (metrics["inter_group_messages"] / metrics["planned_casts"],
-            metrics["latency_worst_mean"])
-
-
-@lru_cache(maxsize=None)
-def _tradeoff(protocol: str, groups: int, seed: int = 1,
-              duration: float = 25.0) -> Tuple[int, float, int]:
-    """Ops to k=2 of ``groups`` groups of 2, Poisson rate 0.8: (best
-    degree, inter-group messages per op, deliveries discarded at
-    non-addressees)."""
-    # propose_delay buys latency *degree* by adding 0.3 of sim-time
-    # latency to every round (casts landing in the window share its
-    # bundle).
-    kwargs = (("propose_delay", 0.3),) if protocol == "nongenuine" else ()
-    system = build_system(SystemSpec(protocol=protocol,
-                                     group_sizes=[2] * groups,
-                                     protocol_kwargs=kwargs), seed=seed)
-    system.start_rounds()
-    plans = poisson_workload(system.topology, system.rng.stream("wl"),
-                             rate=0.8, duration=duration,
-                             destinations=uniform_k_groups(2))
-    msgs = schedule_workload(system, plans)
-    system.run_quiescent()
-    degrees = [system.meter.latency_degree(m.mid) for m in msgs]
-    discarded = sum(getattr(endpoint, "discarded_deliveries", 0)
-                    for endpoint in system.endpoints.values())
-    return (min(x for x in degrees if x is not None),
-            system.inter_group_messages / max(len(msgs), 1), discarded)
-
-
-@lru_cache(maxsize=None)
-def _ablation(protocol: str, seed: int = 1) -> Tuple[int, int, int]:
-    """3 groups of 3, Zipf-local Poisson traffic (rate 0.6 over 20):
-    (best degree of multi-group casts, inter-, intra-group messages)."""
-    system = build_system(SystemSpec(protocol=protocol, group_sizes=[3, 3, 3]),
-                          seed=seed)
-    plans = poisson_workload(system.topology, system.rng.stream("wl"),
-                             rate=0.6, duration=20.0,
-                             destinations=zipf_group_count(3))
-    msgs = schedule_workload(system, plans)
-    system.run_quiescent()
-    multi = [system.meter.latency_degree(m.mid) for m in msgs
-             if len(m.dest_groups) > 1]
-    return (min(x for x in multi if x is not None),
-            system.inter_group_messages, system.intra_group_messages)
 
 
 PREDICTORS: Dict[str, Callable] = {
@@ -417,7 +430,8 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("thm-4.1", "Thm 4.1",
       "Algorithm A1 delivers a message multicast to two groups with "
       "Δ(m, R) = 2 (3+3 processes, seeds 1, 2, 3, 7, 11).",
-      lambda: _uniform(_one_cast("a1", 2, 3, s)[0] for s in THEOREM_SEEDS),
+      lambda: _uniform(_one_cast("a1", 2, 3, 2, s)[DEGREE]
+                       for s in THEOREM_SEEDS),
       ("==", 2)),
     Claim("thm-5.1", "Thm 5.1",
       "Algorithm A2 delivers a broadcast with Δ(m, R) = 1 when the message "
@@ -434,12 +448,14 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("thm-5.1-vs-4.1", "Thm 4.1, 5.1",
       "Broadcast is cheaper than multicast: A2's degree (Theorem 5.1) "
       "minus A1's (Theorem 4.1), seed 1.",
-      lambda: _warm_broadcast("a2", (3, 3), 1) - _one_cast("a1", 2, 3, 1)[0],
+      lambda: (_warm_broadcast("a2", (3, 3), 1)
+               - _one_cast("a1", 2, 3, 2, 1)[DEGREE]),
       ("<", 0)),
     Claim("thm-5.2-vs-4.1", "Thm 4.1, 5.2",
       "Once quiescent, A2 is no better than the multicast bound: "
       "Theorem 5.2's degree minus Theorem 4.1's, seed 1.",
-      lambda: _late_broadcast(1, 200.0) - _one_cast("a1", 2, 3, 1)[0],
+      lambda: (_late_broadcast(1, 200.0)
+               - _one_cast("a1", 2, 3, 2, 1)[DEGREE]),
       ("==", 0)),
     # -- Propositions 3.1-3.3: the counterexample search ------------------
     Claim("prop-3.1-3.2", "Prop 3.1-3.2",
@@ -471,37 +487,37 @@ CLAIMS: Tuple[Claim, ...] = (
       "Theorem 5.2's run achieves the bound (gap 200, seeds 0-4).",
       lambda: min(_late_broadcast(s, 200.0) for s in range(5)),
       ("==", 2)),
-    # -- Figure 1(a): cells of k = 2..5 groups x d = 1..4 off the form ----
+    # -- Figure 1(a): cells of k = 2..10 groups x d = 1..6 off the form ---
     Claim("fig1a-a1-msgs", "Fig 1(a)",
       "A1 (paper) sends O(k^2 d^2): d(k-1)(dk+1), R-MCast and timestamps.",
-      lambda: _fig1_misfits("a1"), ("==", 0)),
+      lambda: _misfits(("a1",), FIG1A_GRID, INTER), ("==", 0)),
     Claim("fig1a-a1-degree", "Fig 1(a)",
       "Algorithm A1 (paper) pays latency degree 2.",
-      lambda: _fig1_misfits("a1", 0), ("==", 0)),
+      lambda: _misfits(("a1",), FIG1A_GRID, DEGREE), ("==", 0)),
     Claim("fig1a-skeen-msgs", "Fig 1(a)",
       "[2] Skeen sends A1's d(k-1)(dk+1), proposals for timestamps.",
-      lambda: _fig1_misfits("skeen"), ("==", 0)),
+      lambda: _misfits(("skeen",), FIG1A_GRID, INTER), ("==", 0)),
     Claim("fig1a-skeen-degree", "Fig 1(a)",
       "[2] Skeen pays 2, which the paper's corollary shows optimal.",
-      lambda: _fig1_misfits("skeen", 0), ("==", 0)),
+      lambda: _misfits(("skeen",), FIG1A_GRID, DEGREE), ("==", 0)),
     Claim("fig1a-fritzke-msgs", "Fig 1(a)",
       "[5] Fritzke et al. adds uniform R-MCast's relays: d(k-1)(2dk+1).",
-      lambda: _fig1_misfits("fritzke"), ("==", 0)),
+      lambda: _misfits(("fritzke",), FIG1A_GRID, INTER), ("==", 0)),
     Claim("fig1a-fritzke-degree", "Fig 1(a)",
       "[5] Fritzke et al. pays latency degree 2.",
-      lambda: _fig1_misfits("fritzke", 0), ("==", 0)),
+      lambda: _misfits(("fritzke",), FIG1A_GRID, DEGREE), ("==", 0)),
     Claim("fig1a-global-msgs", "Fig 1(a)",
       "[10] Rodrigues et al. adds a cross-group consensus: d(k-1)(2dk+3).",
-      lambda: _fig1_misfits("global"), ("==", 0)),
+      lambda: _misfits(("global",), FIG1A_GRID, INTER), ("==", 0)),
     Claim("fig1a-global-degree", "Fig 1(a)",
       "[10] Rodrigues et al. pays latency degree 4.",
-      lambda: _fig1_misfits("global", 0), ("==", 0)),
+      lambda: _misfits(("global",), FIG1A_GRID, DEGREE), ("==", 0)),
     Claim("fig1a-ring-msgs", "Fig 1(a)",
       "[4] Delporte & Fauconnier's ring hands off: O(kd^2), 2d^2(k-1).",
-      lambda: _fig1_misfits("ring"), ("==", 0)),
+      lambda: _misfits(("ring",), FIG1A_GRID, INTER), ("==", 0)),
     Claim("fig1a-ring-degree", "Fig 1(a)",
       "[4] pays k; the paper's k+1 counts a caster outside the ring.",
-      lambda: _fig1_misfits("ring", 0), ("==", 0)),
+      lambda: _misfits(("ring",), FIG1A_GRID, DEGREE), ("==", 0)),
     # -- Figure 1(b): 2 groups of d (msgs: sizes d = 1..5 off the form) --
     Claim("fig1b-a2-degree", "Fig 1(b)",
       "Algorithm A2 (paper) reaches latency degree 1 (steady-state best "
@@ -527,15 +543,15 @@ CLAIMS: Tuple[Claim, ...] = (
     Claim("fig1b-a2-msgs", "Fig 1(b)",
       "Algorithm A2 sends O(n^2): 2d^2 inter-group copies per round, a "
       "bundle from each process.",
-      lambda: _fig1_misfits("a2"), ("==", 0)),
+      lambda: _fig1b_misfits("a2"), ("==", 0)),
     Claim("fig1b-sequencer-msgs", "Fig 1(b)",
       "[13] sends O(n^2): d(2d+3) inter-group copies per broadcast, "
       "2d^2 of them ACKs.",
-      lambda: _fig1_misfits("sequencer"), ("==", 0)),
+      lambda: _fig1b_misfits("sequencer"), ("==", 0)),
     Claim("fig1b-optimistic-msgs", "Fig 1(b)",
       "Footnote 7: non-uniform [12] sends n DATA + n ORDER per broadcast, "
       "half inter-group: n = 2d exactly (6 <= 7 at n = 6).",
-      lambda: _fig1_misfits("optimistic"), ("==", 0)),
+      lambda: _fig1b_misfits("optimistic"), ("==", 0)),
     Claim("fig1b-linear-vs-quadratic", "Fig 1(b)",
       "[1]'s dense, load-dependent regime has no closed form; per "
       "broadcast, its inter-group messages over A2's at d = 3.",
@@ -586,69 +602,60 @@ CLAIMS: Tuple[Claim, ...] = (
       "The degree-1 fraction tracks propose_delay / round duration: a "
       "25 ms window's fraction minus the 5 ms one's (20 msg/s, 8 s).",
       _degree1_window_gain, (">", 0)),
-    # -- Section 1: genuine multicast vs broadcast-to-all -----------------
+    # -- Section 1: genuine multicast vs broadcast-to-all (GROUPS_GRID) --
     Claim("tradeoff-broadcast-degree", "§1",
       "If latency is the main concern, every operation should be "
       "broadcast to all groups: broadcast-to-all over A2 reaches degree "
-      "1 on ops to k = 2 of 6 groups.",
-      lambda: _tradeoff("nongenuine", 6)[0], ("==", 1)),
+      "1 riding a running round on 6 groups of 2 (seeds 1, 2, 3, 7, 11).",
+      lambda: _uniform(_warm_broadcast("nongenuine", (2,) * 6, s)
+                       for s in THEOREM_SEEDS),
+      ("==", 1)),
     Claim("tradeoff-genuine-degree", "§1",
       "Any genuine multicast algorithm will have a latency degree of at "
-      "least two: A1's best degree on the same ops.",
-      lambda: _tradeoff("a1", 6)[0], ("==", 2)),
+      "least two: cells where A1's degree is not 2.",
+      lambda: _misfits(("a1",), GROUPS_GRID, DEGREE), ("==", 0)),
     Claim("tradeoff-broadcast-msgs", "§1",
-      "Broadcast-to-all has a high message complexity: its inter-group "
-      "messages per op over A1's.",
-      lambda: _tradeoff("nongenuine", 6)[1] / _tradeoff("a1", 6)[1],
-      (">", 2)),
+      "Broadcast-to-all has a high message complexity: d^2 G(G-1) "
+      "inter-group copies per round, two rounds for a cold cast, against "
+      "A1's d(2d+1); cells where either misses its form.",
+      lambda: _misfits(("nongenuine", "a1"), GROUPS_GRID, INTER), ("==", 0)),
     Claim("tradeoff-broadcast-discards", "§1",
-      "Broadcast-to-all drags every process into every operation: "
-      "deliveries discarded at non-addressees.",
-      lambda: _tradeoff("nongenuine", 6)[2], (">", 0)),
+      "Broadcast-to-all drags every process into every operation: cells "
+      "where the d(G-2) bystanders do not each discard one delivery.",
+      lambda: _misfits(("nongenuine",), GROUPS_GRID, DISCARDED), ("==", 0)),
     Claim("tradeoff-genuine-discards", "§1",
-      "Genuineness keeps bystander groups idle: A1 discards nothing.",
-      lambda: _tradeoff("a1", 6)[2], ("==", 0)),
+      "Genuineness keeps bystander groups idle: cells where A1 discards "
+      "a delivery.",
+      lambda: _misfits(("a1",), GROUPS_GRID, DISCARDED), ("==", 0)),
     Claim("tradeoff-gap-widens", "§1",
-      "More groups, more bystanders: the broadcast/A1 ratio of messages "
-      "per op at 8 groups over that at 4 (seed 2, duration 12).",
-      lambda: ((_tradeoff("nongenuine", 8, 2, 12.0)[1]
-                / _tradeoff("a1", 8, 2, 12.0)[1])
-               / (_tradeoff("nongenuine", 4, 2, 12.0)[1]
-                  / _tradeoff("a1", 4, 2, 12.0)[1])),
-      (">", 1)),
-    # -- Sections 4.1 / 6: A1's stage skipping vs Fritzke et al. [5] -----
+      "More groups, more bystanders: broadcast-to-all's copies grow as "
+      "G(G-1) while A1's stay put; cells with bystanders (G = 3..8) "
+      "where either misses its form.",
+      lambda: _misfits(("nongenuine", "a1"), BYSTANDER_GRID, INTER),
+      ("==", 0)),
+    # -- Sections 4.1 / 6: A1's stage skipping vs [5] (ABLATION_GRID) ----
     Claim("ablation-degree", "§4.1/§6",
-      "'This has no impact on the latency degree': the best multi-group "
-      "degree of A1, A1 without stage skipping and [5].",
-      lambda: _uniform(_ablation(p)[0]
-                       for p in ("a1", "a1-noskip", "fritzke")),
-      ("==", 2)),
+      "'This has no impact on the latency degree': cells where A1, A1 "
+      "without stage skipping or [5] misses degree 2 (0 for one group).",
+      lambda: _misfits(ABLATED, ABLATION_GRID, DEGREE), ("==", 0)),
     Claim("ablation-inter", "§4.1/§6",
-      "'... or on the number of inter-group messages sent': A1 minus A1 "
-      "without skipping.",
-      lambda: _ablation("a1")[1] - _ablation("a1-noskip")[1], ("==", 0)),
+      "'... or on the number of inter-group messages sent': cells where A1 "
+      "or A1 without skipping misses d(k-1)(dk+1).",
+      lambda: _misfits(("a1", "a1-noskip"), ABLATION_GRID, INTER), ("==", 0)),
     Claim("ablation-intra", "§4.1/§6",
-      "'However, our algorithm sends fewer intra-group messages': A1 "
-      "over A1 without skipping.",
-      lambda: _ablation("a1")[2] / _ablation("a1-noskip")[2], ("<", 1)),
+      "'However, our algorithm sends fewer intra-group messages': cells "
+      "where A1 misses k(d^2+2d-1)+d or A1 without skipping "
+      "2k(d^2+2d-1)+d.",
+      lambda: _misfits(("a1", "a1-noskip"), ABLATION_GRID, INTRA), ("==", 0)),
     Claim("ablation-uniform-rmcast", "§4.1/§6",
-      "[5]'s uniform reliable multicast relays across groups: its "
-      "inter-group messages over A1 without skipping.",
-      lambda: _ablation("fritzke")[1] / _ablation("a1-noskip")[1],
-      (">", 1)),
+      "[5]'s uniform reliable multicast relays: cells where [5] misses "
+      "d(k-1)(2dk+1) inter- or 2k(d^2+2d-1)+d+kd(d-1) intra-group copies.",
+      lambda: _misfits(("fritzke",), ABLATION_GRID, INTER, INTRA), ("==", 0)),
     Claim("ablation-total", "§4.1/§6",
-      "Total messages strictly decrease with each optimisation: A1 over "
-      "A1 without skipping and that over [5], worst.",
-      lambda: max(sum(_ablation("a1")[1:]) / sum(_ablation("a1-noskip")[1:]),
-                  sum(_ablation("a1-noskip")[1:])
-                  / sum(_ablation("fritzke")[1:])),
-      ("<", 1)),
-    Claim("ablation-saving", "§4.1/§6",
-      "Stage skipping mostly pays off on single-group messages: the "
-      "share of intra-group messages it saves (seed 3).",
-      lambda: ((_ablation("a1-noskip", 3)[2] - _ablation("a1", 3)[2])
-               / _ablation("a1-noskip", 3)[2]),
-      (">", 0.15)),
+      "Total messages strictly decrease with each optimisation: cells "
+      "where A1, A1 without skipping or [5] misses its inter- or "
+      "intra-group form.",
+      lambda: _misfits(ABLATED, ABLATION_GRID, INTER, INTRA), ("==", 0)),
     # -- Section 5.3 extension: quiescence prediction strategies ----------
     Claim("prediction-linger-bridges", "§5.3 extension",
       "A linger long enough to bridge the burst gap slashes wakeups: "
@@ -739,42 +746,31 @@ CLAIMS: Tuple[Claim, ...] = (
       lambda: (_continent_cast("ring", (1, 2), 0)[1]
                - _continent_cast("ring", (1, 2), 1)[1]),
       (">", 0)),
-    # -- Figure 1 asymptotics: the scalability campaign ------------------
+    # -- Figure 1 asymptotics: one cast over G groups (GROUPS_GRID) -----
     Claim("scale-a1-flat-in-groups", "Fig 1 asymptotics",
-      "Genuineness keeps bystander groups out: with k fixed at 2, A1's "
-      "inter-group messages per cast at 6 groups over 2 (d = 2).",
-      lambda: _scale("a1", 6, 2)[0] / _scale("a1", 2, 2)[0], ("<=", 1.3)),
+      "Genuineness keeps bystander groups out: cells where A1's "
+      "inter-group copies are not d(2d+1), whatever G.",
+      lambda: _misfits(("a1",), GROUPS_GRID, INTER), ("==", 0)),
     Claim("scale-a2-grows-with-groups", "Fig 1 asymptotics",
-      "A2 must involve every group: its messages per broadcast at 6 "
-      "groups over 2.",
-      lambda: _scale("a2", 6, 2)[0] / _scale("a2", 2, 2)[0], (">", 5)),
+      "A2 must involve every group: cells where a cold broadcast misses "
+      "two rounds of d^2 G(G-1) inter-group copies.",
+      lambda: _misfits(("a2",), GROUPS_GRID, INTER), ("==", 0)),
     Claim("scale-crossover", "Fig 1 asymptotics",
-      "At 6 groups genuine multicast is much cheaper per op: A2 over A1.",
-      lambda: _scale("a2", 6, 2)[0] / _scale("a1", 6, 2)[0], (">", 5)),
+      "With bystanders (G = 3..8) genuine multicast is much cheaper per "
+      "op: cells where A2 or A1 misses its form.",
+      lambda: _misfits(("a2", "a1"), BYSTANDER_GRID, INTER), ("==", 0)),
     Claim("scale-small-system", "Fig 1 asymptotics",
-      "At 2 groups the two coincide (k = G) and broadcast is fine: A2 "
-      "over A1.",
-      lambda: _scale("a2", 2, 2)[0] / _scale("a1", 2, 2)[0], ("<", 1.5)),
-    Claim("scale-a1-growth-d", "Fig 1 asymptotics",
-      "O(k^2 d^2): A1's messages per cast at d = 4 over d = 2 (2 groups).",
-      lambda: _scale("a1", 2, 4)[0] / _scale("a1", 2, 2)[0], (">", 2.5)),
-    Claim("scale-sequencer-growth-n", "Fig 1 asymptotics",
-      "O(n^2): [13]'s messages per broadcast at d = 4 over d = 2.",
-      lambda: (_scale("sequencer", 2, 4)[0]
-               / _scale("sequencer", 2, 2)[0]),
-      (">", 2.5)),
-    Claim("scale-optimistic-growth-n", "Fig 1 asymptotics",
-      "O(n): [12]'s messages per broadcast at d = 4 over d = 2.",
-      lambda: (_scale("optimistic", 2, 4)[0]
-               / _scale("optimistic", 2, 2)[0]),
-      ("<", 2.5)),
+      "At 2 groups the two coincide (k = G) and broadcast is fine: cells "
+      "where A2 or A1 misses its form.",
+      lambda: _misfits(("a2", "a1"), SMALL_GRID, INTER), ("==", 0)),
     Claim("scale-a1-latency-flat", "Fig 1 asymptotics",
-      "Hops, not system size, set the latency: A1's mean worst latency "
-      "at 6 groups over 2.",
-      lambda: _scale("a1", 6, 2)[1] / _scale("a1", 2, 2)[1], ("<", 1.5)),
+      "Hops, not system size, set the latency: A1's worst delivery "
+      "latency over G = 2..8 x d = 1..3, largest over smallest.",
+      lambda: _latency_spread("a1"), ("<", 1.01)),
     Claim("scale-a2-latency-flat", "Fig 1 asymptotics",
-      "A2's mean worst latency at 6 groups over 2.",
-      lambda: _scale("a2", 6, 2)[1] / _scale("a2", 2, 2)[1], ("<", 1.5)),
+      "A2's worst delivery latency over the same cells, largest over "
+      "smallest.",
+      lambda: _latency_spread("a2"), ("<", 1.01)),
     # -- Crashes cost time, never degree (A1, 100 ms WAN, seeds 0-3) -----
     Claim("crash-degree", "Thm 4.1, crashes",
       "Failures hurt liveness timing, never the logical structure: the "

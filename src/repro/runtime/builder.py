@@ -202,9 +202,14 @@ class System:
         replica's :class:`~repro.store.cluster.TappedEndpoint`.
         Interning makes the message's entry (a second cast of a mid
         raises here, before anything is stamped); the entry takes the
-        cast's stamp on the sender's clock and the instant.
+        cast's stamp on the sender's clock and the instant.  A cast is
+        final: recording the same message again raises too, so a
+        delivered message's latency never moves.
         """
         rec = self.catalog.intern(msg)
+        if rec.cast_time is not None:
+            raise ValueError(f"mid {msg.mid!r} is already cast: a cast is "
+                             f"final")
         clock = self.network.process(msg.sender).lamport
         rec.cast_lamport = clock.local_event()
         rec.cast_time = self.sim.now
@@ -254,7 +259,8 @@ class System:
         catalog, and each message equals the one :class:`AppMessage`
         would have made for its item.  ``mids`` (aligned with
         ``plans``) names messages; a None entry, or no ``mids`` at all,
-        takes the run's next id in plan order.
+        takes the run's next id in plan order; a named id that repeats
+        in the plan or is already in the catalog is refused first.
         """
         times = list(map(_TIME, plans))
         self.sim.check_times(times)
@@ -274,7 +280,14 @@ class System:
         elif len(mids) != len(plans):
             raise ValueError(f"{len(mids)} mids for {len(plans)} plan items")
         else:
-            minted = iter(self.catalog.mint(list(mids).count(None)))
+            named = set()
+            for mid in mids:
+                if mid is not None and (mid in named or mid in self.catalog):
+                    raise ValueError(f"mid {mid!r} is cast twice: a mid is "
+                                     f"cast at most once")
+                named.add(mid)
+            named.discard(None)
+            minted = iter(self.catalog.mint(len(mids) - len(named)))
             mids = [next(minted) if mid is None else mid for mid in mids]
         msgs = AppMessage.from_columns(mids, senders, dests,
                                        list(map(_PAYLOAD, plans)))

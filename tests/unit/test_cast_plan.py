@@ -333,6 +333,37 @@ class TestPastTimes:
         assert system.sim.pending_events == 1
 
 
+class TestACastIsFinal:
+    def test_recording_a_delivered_cast_again_raises(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
+        msg = system.cast(sender=0, dest_groups=(0, 1))
+        system.run_quiescent()
+        rec = system.meter.record_for(msg.mid)
+        stamps = (rec.cast_time, rec.cast_lamport, rec.worst_delivery_latency)
+        with pytest.raises(ValueError, match="already cast"):
+            system.record_cast(msg)
+        assert (rec.cast_time, rec.cast_lamport,
+                rec.worst_delivery_latency) == stamps
+
+    @pytest.mark.parametrize("cast_first, mids", [
+        (None, ("twice", None, "twice")),
+        ("taken", (None, "taken")),
+    ], ids=["repeated-in-plan", "already-in-catalog"])
+    def test_a_plan_naming_a_cast_mid_changes_nothing(self, cast_first,
+                                                      mids):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
+        if cast_first:
+            system.cast(sender=0, dest_groups=(0,), mid=cast_first)
+        pending = system.sim.pending_events
+        plans = [CastPlan(float(i + 1), 0, (0,), i) for i in range(len(mids))]
+        with pytest.raises(ValueError, match="cast twice"):
+            system.cast_plan(plans, mids=mids)
+        assert system.sim.pending_events == pending
+        assert system.catalog.mint(1) == ["m000000"]
+
+
 class TestPlanMemory:
     def test_a2_plan_is_one_event_and_few_bytes_per_cast(self):
         """A 30 000-cast A2 plan (the ``a2_bcast`` shape) after warm-up:
