@@ -55,6 +55,7 @@ class DeterministicMergeBroadcast(AtomicBroadcast):
         self.topology = topology
         self.ns = namespace
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
 
         self._outbox: List[str] = []         # mids waiting for a slot
         self._my_next_slot = 0
@@ -73,7 +74,9 @@ class DeterministicMergeBroadcast(AtomicBroadcast):
 
     def a_bcast(self, msg: AppMessage) -> None:
         """Queue m for our next slot; start the slot clock if idle."""
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         self._outbox.append(msg.mid)
         self._ensure_ticking(immediate=True)
 

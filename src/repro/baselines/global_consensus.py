@@ -72,6 +72,7 @@ class GlobalConsensusMulticast(AtomicMulticast):
         self.ns = namespace
         self.my_gid = topology.group_of(process.pid)
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
         self.clock = 0
         self.entries: Dict[str, _Entry] = {}
         self.delivered: Set[str] = set()
@@ -90,7 +91,9 @@ class GlobalConsensusMulticast(AtomicMulticast):
         self._handler = handler
 
     def a_mcast(self, msg: AppMessage) -> None:
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         dest = self.topology.processes_of_groups(msg.dest_groups)
         self.process.send_many(dest, f"{self.ns}.data",
                                {"mid": msg.mid})

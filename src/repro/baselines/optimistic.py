@@ -46,6 +46,7 @@ class OptimisticBroadcast(AtomicBroadcast):
         self.sequencer = topology.processes[0]
         self.i_am_sequencer = process.pid == self.sequencer
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
 
         self._next_seq = 0          # sequencer-side counter
         self._orders: Dict[int, str] = {}   # seq -> mid
@@ -68,7 +69,9 @@ class OptimisticBroadcast(AtomicBroadcast):
         return list(self._optimistic)
 
     def a_bcast(self, msg: AppMessage) -> None:
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         self.process.send_many(
             self.topology.processes, f"{self.ns}.data",
             {"mid": msg.mid},

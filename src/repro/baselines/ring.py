@@ -67,6 +67,7 @@ class RingMulticast(AtomicMulticast):
         self.ns = namespace
         self.my_gid = topology.group_of(process.pid)
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
 
         self.prop_k = 1
         self.floor = 0          # one past the largest final ts seen
@@ -95,7 +96,9 @@ class RingMulticast(AtomicMulticast):
 
     def a_mcast(self, msg: AppMessage) -> None:
         """Send m to every process of the *first* destination group."""
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         first_gid = min(msg.dest_groups)
         self.process.send_many(
             self.topology.members(first_gid), f"{self.ns}.data",

@@ -64,6 +64,7 @@ class SequencerBroadcast(AtomicBroadcast):
         self.ns = namespace
         self.my_gid = topology.group_of(process.pid)
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
         # One sequencer per group: its lowest pid.
         self.sequencers = [topology.members(g)[0] for g in topology.group_ids]
         self.my_sequencer = topology.members(self.my_gid)[0]
@@ -98,7 +99,9 @@ class SequencerBroadcast(AtomicBroadcast):
 
     def a_bcast(self, msg: AppMessage) -> None:
         """Send m to everyone; the sequencer copy rides the same send."""
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         self.process.send_many(
             self.topology.processes, f"{self.ns}.data",
             {"mid": msg.mid},

@@ -65,6 +65,22 @@ round K+1 while round K is still collecting bundles, as long as it still
   other group and pays 2; a cast into a warm system still rides the next
   proposal and pays 1 — under load there are twice as many of those.
 
+When a round is examined
+------------------------
+Whether to propose reads only the round state — K, the next round to
+propose, the decided bundles, ``Barrier``, the last round's timing, the
+bundling window — plus ``fresh`` and the clock, and every event that
+changes the round state looks at the round again: a decision, a bundle,
+a completed round, the propose timer and ``start_rounds``.  An R-Deliver
+only adds to ``fresh`` (and ``_heard``), which changes the answer in two
+cases: ``fresh`` was empty, so a quiescent round now has something to
+carry, or the last look waited for an instant that has now come, before
+the propose timer fired.  Only then does an R-Deliver look again; any
+other look would decide what the last one did.  So a round is examined
+per round, not per R-Delivered copy, and it proposes the same value at
+the same instant as a look per copy would
+(``tests/unit/test_run_path_equivalence.py`` holds it to that oracle).
+
 Delivery history
 ----------------
 The paper's ADELIVERED set answers one question: is this R-Delivered
@@ -77,7 +93,9 @@ R-Deliver arrived; that R-Deliver drops the entry): both are bounded by
 the messages in flight.  Round completion needs no filter either: a
 message rides exactly one decided bundle of its caster's group, since a
 member proposes only messages in no bundle decided so far (above), and
-``check_all``'s integrity pass still catches a duplicate delivery.
+``check_all``'s integrity pass still catches a duplicate delivery.  An
+R-Deliver of an ``_unheard`` mid, or of one riding a decided bundle,
+leaves ``fresh`` as it was and so examines no round.
 
 One batch per round
 -------------------
@@ -185,8 +203,14 @@ class AtomicBroadcastA2(AtomicBroadcast):
         self.ns = namespace
         self.propose_delay = propose_delay
         self.predictor = predictor or PaperPredictor()
+        # Told of every R-Delivered copy: skipped for a predictor that
+        # keeps the base class's no-op.
+        observe = self.predictor.observe_cast
+        self._observe = (None if getattr(observe, "__func__", None)
+                         is QuiescencePredictor.observe_cast else observe)
         self.my_gid = topology.group_of(process.pid)
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
         self._members = tuple(topology.members(self.my_gid))
         self._others = tuple(p for p in topology.processes
                              if topology.group_of(p) != self.my_gid)
@@ -226,6 +250,11 @@ class AtomicBroadcastA2(AtomicBroadcast):
         # behind both waits is pending.
         self._eligible_since: Optional[float] = None
         self._timer_armed = False
+        # The instant from which the last look at the proposable round
+        # would propose it, had it looked again with the state it saw;
+        # None unless that look waited for a time ("When a round is
+        # examined").
+        self._propose_due: Optional[float] = None
         self._propose_label = f"{self.ns}.propose"
         self._rounds_executed = 0
         self._useful_rounds = 0
@@ -280,7 +309,9 @@ class AtomicBroadcastA2(AtomicBroadcast):
 
     def a_bcast(self, msg: AppMessage) -> None:
         """Paper Task 1 (lines 4-5): R-MCast m inside our own group."""
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         self.rmcast.multicast(self._members, {"mid": msg.mid}, mid=msg.mid)
 
     def start_rounds(self) -> None:
@@ -299,15 +330,26 @@ class AtomicBroadcastA2(AtomicBroadcast):
     # Tasks 2 and 3
     # ------------------------------------------------------------------
     def _on_rdeliver(self, payload: dict, mid: str, sender: int) -> None:
-        """Paper lines 6-7 (``mid`` is the message's own: see a_bcast)."""
+        """Paper lines 6-7 (``mid`` is the message's own: see a_bcast).
+
+        The round up for proposal is examined again only when this copy
+        makes ``fresh`` non-empty or arrives once that round is due
+        ("When a round is examined").
+        """
+        fresh = self.fresh
+        wake = not fresh
         if mid in self._unheard:
             self._unheard.remove(mid)  # A-Delivered already
         else:
             self._heard.add(mid)
             if mid not in self._in_flight:
-                self.fresh.add(mid)
-        self.predictor.observe_cast(self.process.sim.now)
-        self._maybe_propose()
+                fresh.add(mid)
+        if self._observe is not None:
+            self._observe(self.process.sim.now)
+        due = self._propose_due
+        if (wake and fresh) or (due is not None
+                                and self.process.sim.now >= due):
+            self._maybe_propose()
 
     def _on_bundle(self, netmsg: Message) -> None:
         """Paper lines 8-10."""
@@ -329,6 +371,7 @@ class AtomicBroadcastA2(AtomicBroadcast):
         The one propose path: every event that can make a round
         proposable ends here, the timer behind the two waits included.
         """
+        self._propose_due = None
         k = self.k
         prop_k = self.prop_k
         decided = self._own_bundle
@@ -359,6 +402,7 @@ class AtomicBroadcastA2(AtomicBroadcast):
                 self._eligible_since = now
             due = max(due, self._eligible_since + self.propose_delay)
         if due > now:
+            self._propose_due = due
             if not self._timer_armed:
                 self._timer_armed = True
                 self.process.sim.call_at(due, self._on_propose_timer,

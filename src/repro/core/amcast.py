@@ -265,6 +265,7 @@ class AtomicMulticastA1(AtomicMulticast):
         self.enable_stage_skipping = enable_stage_skipping
         self.my_gid = topology.group_of(process.pid)
         self.catalog = MessageCatalog.of(process.sim)
+        self._records = self.catalog.record_map
 
         # Paper line 2: K=1, propK=1, PENDING and ADELIVERED empty (of
         # ADELIVERED only what the fourth engine note says is kept).
@@ -329,7 +330,9 @@ class AtomicMulticastA1(AtomicMulticast):
         """Paper Task 1 (line 8-9): R-MCast m to the addressees."""
         if not msg.dest_groups:
             raise ValueError("message must address at least one group")
-        self.catalog.intern(msg)
+        rec = self._records.get(msg.mid)
+        if rec is None or rec.msg is not msg:
+            self.catalog.intern(msg)  # not cast through a System
         dest_pids = self.topology.processes_of_groups(msg.dest_groups)
         self.rmcast.multicast(dest_pids, {"mid": msg.mid}, mid=msg.mid)
 

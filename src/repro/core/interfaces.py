@@ -11,9 +11,10 @@ experiment runtime wires that callback to the delivery log and the
 latency meter.
 
 Hot-path note: protocol payloads and consensus values do not carry
-encoded message bodies.  Every endpoint interns the message it casts in
-the per-simulation :class:`~repro.net.message.MessageCatalog`
-(re-exported here) and from then on only the compact ``mid`` travels;
+encoded message bodies.  Every cast is interned once in the
+per-simulation :class:`~repro.net.message.MessageCatalog` (re-exported
+here) — by the system that records it, or else by the endpoint that
+casts it — and from then on only the compact ``mid`` travels;
 receivers resolve it with ``catalog.get(mid)``.  ``to_wire`` /
 ``from_wire`` remain as the explicit encoding for anything that leaves
 the simulation (traces, persisted results).

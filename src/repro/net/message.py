@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.clocks.latency import MessageRecord
 
@@ -114,17 +114,20 @@ class MessageCatalog:
     It also mints the run's ids (:meth:`mint`): ``m000000``,
     ``m000001``, ... from the start of every simulation, so the same
     seed gives the same ids in a fresh interpreter and in the tenth run
-    of one.  Ids compare as text, which is mint order below 10⁶ ids per
-    run; past that (``m1000000`` sorts before ``m999999``) the order is
-    still one deterministic total order every process agrees on, which
-    is all the protocols' tiebreaks need.
+    of one.  An id picked by hand is claimed first (:meth:`name`), and
+    the mint passes over it.  Ids compare as text, which is mint order
+    below 10⁶ ids per run; past that (``m1000000`` sorts before
+    ``m999999``) the order is still one deterministic total order every
+    process agrees on, which is all the protocols' tiebreaks need.
     """
 
-    __slots__ = ("_records", "_minted", "_last_batch")
+    __slots__ = ("_records", "_minted", "_named", "_last_batch")
 
     def __init__(self) -> None:
         self._records: Dict[str, MessageRecord] = {}
         self._minted = 0
+        # Every id claimed by :meth:`name`, cast or still to be cast.
+        self._named: Set[str] = set()
         # The last (parts, batch) pair :meth:`batch` built.
         self._last_batch: Optional[Tuple[tuple, tuple]] = None
 
@@ -155,19 +158,41 @@ class MessageCatalog:
         return self
 
     def mint(self, n: int) -> List[str]:
-        """The run's next ``n`` message ids, in order."""
+        """The run's next ``n`` message ids, in order, passing over the
+        ids :meth:`name` claimed."""
         first = self._minted
         self._minted = first + n
-        return list(map(_MID_TEXT.__mod__, range(first, first + n)))
+        mids = list(map(_MID_TEXT.__mod__, range(first, first + n)))
+        named = self._named
+        if named and not named.isdisjoint(mids):
+            mids = [mid for mid in mids if mid not in named]
+            mids += self.mint(n - len(mids))
+        return mids
+
+    def name(self, mids: Iterable[str]) -> None:
+        """Claim hand-picked ids for casts to come; :meth:`mint` never
+        returns a claimed id.
+
+        All or nothing: an id that repeats, is cast already or was
+        claimed before raises, and then nothing is claimed.
+        """
+        named = self._named
+        claimed: Set[str] = set()
+        for mid in mids:
+            if mid in claimed or mid in named or mid in self._records:
+                raise ValueError(f"mid {mid!r} is cast twice: a mid is "
+                                 f"cast at most once")
+            claimed.add(mid)
+        named.update(claimed)
 
     def intern(self, msg) -> MessageRecord:
         """Register the cast of ``msg``; returns its entry.
 
-        Idempotent for the same message object (the system and the
-        endpoint below it both intern one cast); a second cast of the
-        mid raises before anything of it is stamped or sent.  An entry
-        that a hand-fed log made for a delivery before the cast takes
-        the message.
+        Idempotent for the same message object (an endpoint skips the
+        call for a message its system interned already); a second cast
+        of the mid raises before anything of it is stamped or sent.  An
+        entry that a hand-fed log made for a delivery before the cast
+        takes the message.
         """
         rec = self._records.get(msg.mid)
         if rec is None:

@@ -111,7 +111,8 @@ class System:
         clock once and extends ``pid``'s sequence once per batch, then
         writes each message's record by the copy-on-write rule of
         :mod:`repro.clocks.latency`; hooks and taps see each message
-        after its own record is written and before the next message's.
+        after its own record is written and before the next message's,
+        and a batch that nothing observes skips them.
         It is the one writer of a built system's deliveries.
         """
         self.endpoints[pid] = endpoint
@@ -138,6 +139,8 @@ class System:
             sequence.extend(msgs)
             now = sim.now
             stamp = clock.value  # a delivery does not tick the clock
+            # Only a hook or tap can subscribe another mid-batch.
+            observed = hooks or taps
             for msg in msgs:
                 # A batch delivered at one instant shares one
                 # successor map.
@@ -154,10 +157,11 @@ class System:
                 top = rec.max_delivery_lamport
                 if top is None or stamp > top:
                     rec.max_delivery_lamport = stamp
-                for hook in hooks:
-                    hook(pid, msg)
-                for tap in taps:
-                    tap(msg)
+                if observed:
+                    for hook in hooks:
+                        hook(pid, msg)
+                    for tap in taps:
+                        tap(msg)
 
         endpoint.set_delivery_handler(on_deliver)
 
@@ -229,13 +233,16 @@ class System:
         """A-XCast a message from ``sender`` and meter it.
 
         ``dest_groups`` defaults to all groups (broadcast).  Broadcast
-        protocols require the full destination set.
+        protocols require the full destination set.  A named ``mid`` is
+        claimed (:meth:`MessageCatalog.name`); else the run mints one.
         """
         if dest_groups is None:
             dest_groups = tuple(self.topology.group_ids)
         self._check_broadcast_destinations({(sender, tuple(dest_groups))})
         if mid is None:
             mid = self.catalog.mint(1)[0]
+        else:
+            self.catalog.name((mid,))
         msg = AppMessage(mid, sender, dest_groups, payload)
         self._do_cast(msg)
         return msg
@@ -259,8 +266,10 @@ class System:
         catalog, and each message equals the one :class:`AppMessage`
         would have made for its item.  ``mids`` (aligned with
         ``plans``) names messages; a None entry, or no ``mids`` at all,
-        takes the run's next id in plan order; a named id that repeats
-        in the plan or is already in the catalog is refused first.
+        takes the run's next id in plan order.  The named ids are
+        claimed (:meth:`MessageCatalog.name`) before any is minted: one
+        that repeats, is cast already or is claimed by an earlier plan
+        is refused, and the run's mint never hands one out.
         """
         times = list(map(_TIME, plans))
         self.sim.check_times(times)
@@ -280,13 +289,8 @@ class System:
         elif len(mids) != len(plans):
             raise ValueError(f"{len(mids)} mids for {len(plans)} plan items")
         else:
-            named = set()
-            for mid in mids:
-                if mid is not None and (mid in named or mid in self.catalog):
-                    raise ValueError(f"mid {mid!r} is cast twice: a mid is "
-                                     f"cast at most once")
-                named.add(mid)
-            named.discard(None)
+            named = [mid for mid in mids if mid is not None]
+            self.catalog.name(named)
             minted = iter(self.catalog.mint(len(mids) - len(named)))
             mids = [next(minted) if mid is None else mid for mid in mids]
         msgs = AppMessage.from_columns(mids, senders, dests,

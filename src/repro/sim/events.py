@@ -236,9 +236,9 @@ class EventQueue:
     def pop_entry(self) -> Optional[tuple]:
         """Remove and return the earliest live ``(time, seq, item)``.
 
-        ``item`` is either a live :class:`Event` or a bare callable; the
-        kernel's run loop consumes these directly to avoid per-event
-        wrapper churn.
+        ``item`` is either a live :class:`Event` or a bare callable.
+        :meth:`Simulator.run` inlines this loop (and the bookkeeping
+        below) over ``_heap``; a change here is a change there.
         """
         heap = self._heap
         while heap:

@@ -20,7 +20,9 @@ protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import islice
+from math import inf
 from operator import le
 from typing import Any, Callable, Optional, Sequence
 
@@ -188,30 +190,40 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         self._stop_requested = False
+        # step() inline, reading the queue's heap directly: one heappop
+        # per event, no peek_time() / pop_entry() frames.  A cancelled
+        # head is popped and dropped as pop_entry() drops it; the first
+        # live head past ``until`` goes back untouched, as peek_time()
+        # left it.
+        queue = self._queue
+        heap = queue._heap
+        horizon = inf if until is None else until
+        budget = inf if max_events is None else max_events
         executed = 0
         try:
-            while True:
-                if self._stop_requested:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
+            while heap and executed < budget and not self._stop_requested:
+                entry = heappop(heap)
+                item = entry[2]
+                if type(item) is Event:
+                    item._queue = None  # popped: see pop_entry()
+                    if item.cancelled:
+                        continue
+                    action = item.action
+                else:
+                    action = item
+                time = entry[0]
+                if time > horizon:
+                    if type(item) is Event:
+                        item._queue = queue
+                    heappush(heap, entry)
                     self._now = until
                     break
-                # Inline step(): peek_time() already pruned cancelled
-                # heads, so this pop returns the peeked entry without
-                # re-scanning — one call frame per event instead of three.
-                time, _, item = self._queue.pop_entry()
+                queue._live -= 1
+                queue._current = entry
                 self._now = time
                 self._events_executed += 1
-                if type(item) is Event:
-                    item.action()
-                else:
-                    item()
                 executed += 1
+                action()
         finally:
             self._running = False
         return self._now

@@ -32,6 +32,7 @@ from repro.campaigns.spec import (
     ScenarioSpec,
     WorkloadSpec,
 )
+from repro.checkers.properties import check_all
 from repro.core.interfaces import AppMessage, MessageCatalog, frozen_rows
 from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import SimulationError
@@ -424,3 +425,103 @@ class TestPlanMemory:
         assert system.log.delivery_count() == 9 * len(casts)
         per_cast = retained / len(casts)
         assert per_cast <= 600, f"{per_cast:.0f} B per cast"
+
+
+class TestNamedMidsAreNeverMinted:
+    def test_a_plan_named_mid_is_passed_over_by_later_casts(self):
+        """A plan names ``m000001`` for t = 5; two casts at t = 0 mint
+        around it, and the planned cast goes out under its name."""
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
+        planned = system.cast_plan([CastPlan(5.0, 1, (0, 1))],
+                                   mids=("m000001",))[0]
+        first = system.cast(sender=0, dest_groups=(0, 1))
+        second = system.cast(sender=0, dest_groups=(0, 1))
+        assert (first.mid, second.mid) == ("m000000", "m000002")
+        system.run_quiescent()
+        assert system.log.cast_map[planned.mid] is planned
+        assert len(system.log.deliveries_of(planned.mid)) == 4
+        check_all(system.log, system.topology)
+
+    def test_a_name_claimed_by_a_pending_plan_is_refused_at_plan_time(self):
+        system = build_system(SystemSpec(protocol="a1", group_sizes=(2, 2)),
+                              seed=1)
+        system.cast_plan([CastPlan(5.0, 1, (0,))], mids=("x",))
+        pending = system.sim.pending_events
+        with pytest.raises(ValueError, match="cast twice"):
+            system.cast_plan([CastPlan(6.0, 0, (0,))], mids=("x",))
+        with pytest.raises(ValueError, match="cast twice"):
+            system.cast(sender=0, dest_groups=(0,), mid="x")
+        assert system.sim.pending_events == pending
+        assert system.catalog.mint(1) == ["m000000"]
+
+    def test_mint_passes_over_named_ids_in_order(self):
+        catalog = MessageCatalog()
+        catalog.name(["m000001", "m000003", "other"])
+        assert catalog.mint(3) == ["m000000", "m000002", "m000004"]
+        assert catalog.mint(1) == ["m000005"]
+        with pytest.raises(ValueError, match="cast twice"):
+            catalog.name(["fresh", "m000003"])
+        assert "fresh" not in catalog._named  # all or nothing
+
+
+class TestInternOnce:
+    """A cast is interned once: by the system that records it, and the
+    endpoint it reaches skips its own intern for that very message."""
+
+    @pytest.fixture
+    def interns(self, monkeypatch):
+        calls = []
+        intern = MessageCatalog.intern
+
+        def counting(catalog, msg):
+            calls.append(msg.mid)
+            return intern(catalog, msg)
+
+        monkeypatch.setattr(MessageCatalog, "intern", counting)
+        return calls
+
+    @pytest.mark.parametrize("protocol", ["a1", "a2", "skeen"])
+    def test_a_system_cast_interns_once(self, interns, protocol):
+        system = build_system(SystemSpec(protocol=protocol,
+                                         group_sizes=(2, 2)), seed=1)
+        now = system.cast(sender=0, dest_groups=(0, 1))
+        later = system.cast_at(2.0, 1, (0, 1))
+        system.run_quiescent()
+        assert interns == [now.mid, later.mid]
+        check_all(system.log, system.topology)
+
+    @pytest.mark.parametrize("protocol", ["a1", "a2", "skeen"])
+    def test_an_endpoint_cast_without_the_system_interns(self, interns,
+                                                        protocol):
+        system = build_system(SystemSpec(protocol=protocol,
+                                         group_sizes=(2, 2)), seed=1)
+        endpoint = system.endpoints[0]
+        cast = getattr(endpoint, "a_mcast", None) or endpoint.a_bcast
+        msg = AppMessage("bare", 0, (0, 1))
+        cast(msg)
+        assert interns == ["bare"]
+        assert system.catalog.get("bare") is msg
+        system.run_quiescent()
+        assert len(system.log.deliveries_of("bare")) == 4
+
+    @pytest.mark.parametrize("protocol", ["a1", "a2", "skeen"])
+    def test_a_second_message_under_a_known_mid_sends_nothing(
+            self, interns, protocol):
+        system = build_system(SystemSpec(protocol=protocol,
+                                         group_sizes=(2, 2)), seed=1)
+        system.cast(sender=0, dest_groups=(0, 1), mid="known")
+        endpoint = system.endpoints[1]
+        cast = getattr(endpoint, "a_mcast", None) or endpoint.a_bcast
+        stats = system.network.stats
+        sent = (stats.inter_group_messages, stats.intra_group_messages)
+        pending = system.sim.pending_events
+        other = AppMessage("known", 1, (0, 1))
+        with pytest.raises(ValueError, match="already cast"):
+            system.record_cast(other)  # through the system
+        with pytest.raises(ValueError, match="already cast"):
+            cast(other)  # straight to an endpoint
+        assert (stats.inter_group_messages,
+                stats.intra_group_messages) == sent
+        assert system.sim.pending_events == pending
+        assert system.catalog.get("known").sender == 0

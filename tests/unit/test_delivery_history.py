@@ -203,14 +203,20 @@ class TestCastOnce:
         for pid in system.topology.processes:
             assert system.log.sequence(pid) == ["x"]
 
-    def test_scheduled_second_cast_is_refused_when_it_fires(self):
+    def test_scheduled_second_cast_is_refused_when_planned(self):
+        """The first plan claims the name, so the second is refused
+        before it queues anything, not mid-run when it fires."""
         system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2]),
                               seed=1)
         system.cast_at(0.0, 0, (0, 1), mid="x")
-        system.cast_at(1.0, 1, (0, 1), mid="x")
+        pending = system.sim.pending_events
         with pytest.raises(ValueError, match="'x'"):
-            system.run_quiescent()
+            system.cast_at(1.0, 1, (0, 1), mid="x")
+        assert system.sim.pending_events == pending
+        system.run_quiescent()
         assert system.meter.record_for("x").msg.sender == 0
+        for pid in system.topology.processes:
+            assert system.log.sequence(pid) == ["x"]
 
 
 def _history(endpoint):

@@ -65,6 +65,8 @@ ALLOWED = {
         "a message's deliverers, the query the record docs name",
     # Library surface a script drives directly.
     "sim/kernel.py:Simulator.step": "runs one event at a time",
+    "sim/events.py:EventQueue.peek_time":
+        "the queue's next live time; run() reads the heap inline",
     "sim/kernel.py:Simulator.stop": "ends run() from inside a callback",
     "sim/process.py:Process.handle":
         "hands a message to its handler without a network",
