@@ -43,11 +43,11 @@ def main() -> None:
 
     # Scenario 3: background traffic across all groups, spanning the
     # leader crash at t=250.
-    plans = poisson_workload(
+    plan = poisson_workload(
         system.topology, system.rng.stream("wl"), rate=0.01,
         duration=600.0, destinations=uniform_k_groups(2),
     )
-    messages = schedule_workload(system, plans)
+    messages = schedule_workload(system, plan)
 
     system.run_quiescent()
 

@@ -222,8 +222,9 @@ def build_scenario_system(spec: ScenarioSpec, seed: int,
     scenario, the cluster's transaction plans), one per planned cast;
     ``applied`` is the
     :class:`~repro.adversary.injectors.AppliedAdversary` (None when
-    benign).  The cast plan itself is not kept: its rows are garbage
-    once queued, and the messages are the run's anyway.
+    benign).  The cast plan itself is not kept: once queued, only its
+    times column lives on (the queue reads it), and the messages are
+    the run's anyway.
     """
     validate_spec(spec)
     crash_rng = RngRegistry(seed).stream("campaign-crashes")

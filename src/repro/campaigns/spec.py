@@ -34,7 +34,7 @@ from repro.net.topology import LatencySpec, Topology
 from repro.runtime.builder import SystemSpec
 from repro.store.spec import StoreSpec
 from repro.workload.generators import (
-    CastPlan,
+    WorkloadPlan,
     all_groups,
     burst_workload,
     fixed_groups,
@@ -106,7 +106,7 @@ class WorkloadSpec:
     spread: float = 0.5
 
     def plans(self, topology: Topology,
-              rng: random.Random) -> List[CastPlan]:
+              rng: random.Random) -> WorkloadPlan:
         """Materialise the plan for ``topology`` using ``rng``."""
         destinations = self.destinations.build()
         if self.kind == "poisson":

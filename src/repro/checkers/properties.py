@@ -166,6 +166,12 @@ def _index_holds(log: DeliveryLog, topology: Topology,
     """Integrity, validity and agreement together, on the log's index.
 
     Exact: False iff one of the three per-property checks would raise.
+    Records share their ``delivery_time`` maps (one per A2 round batch),
+    and the records of one map sit next to each other in cast order, so
+    the last map that passed is remembered with its destination tuple:
+    the next record that holds that very map and is cast to the same
+    groups passes without a second comparison.  A record with another
+    map or other groups is compared in full, so the verdict stays exact.
     """
     records = log.record_map
     if log.delivery_count() != sum(
@@ -174,20 +180,28 @@ def _index_holds(log: DeliveryLog, topology: Topology,
     faulty = crashes.crashes
     # dest tuple -> (all addressees, correct addressees)
     addressees: Dict[Tuple[int, ...], Tuple[frozenset, frozenset]] = {}
+    # The last delivery map that passed, and the groups it passed for.
+    passed: Optional[dict] = None
+    passed_for: Tuple[int, ...] = ()
     for rec in records.values():
         msg = rec.msg
         if msg is None:  # only a delivery makes an entry with no cast
             return False
         dests = msg.dest_groups
+        times = rec.delivery_time
+        if times is passed and dests == passed_for:
+            continue
         sets = addressees.get(dests)
         if sets is None:
             everyone = frozenset(topology.processes_of_groups(dests))
             sets = addressees[dests] = (everyone, everyone.difference(faulty))
         everyone, correct = sets
-        if not rec.delivery_time:
+        if not times:
             if correct and msg.sender not in faulty:
                 return False
-        elif not correct <= rec.delivery_time.keys() <= everyone:
+        elif correct <= times.keys() <= everyone:
+            passed, passed_for = times, dests
+        else:
             return False
     return True
 

@@ -173,8 +173,11 @@ class MessageCatalog:
         """Claim hand-picked ids for casts to come; :meth:`mint` never
         returns a claimed id.
 
-        All or nothing: an id that repeats, is cast already or was
-        claimed before raises, and then nothing is claimed.
+        All or nothing: an id that repeats, is cast already, was
+        claimed before or was minted already raises, and then nothing
+        is claimed.  A minted id may still wait in a queued plan, so
+        every id of the mint's own form below its cursor is refused: one
+        test per id, and no set entry per minted id.
         """
         named = self._named
         claimed: Set[str] = set()
@@ -182,8 +185,20 @@ class MessageCatalog:
             if mid in claimed or mid in named or mid in self._records:
                 raise ValueError(f"mid {mid!r} is cast twice: a mid is "
                                  f"cast at most once")
+            if self._minted_already(mid):
+                raise ValueError(f"mid {mid!r} was minted already: a mid "
+                                 f"is cast at most once")
             claimed.add(mid)
         named.update(claimed)
+
+    def _minted_already(self, mid: str) -> bool:
+        """Whether :meth:`mint` has reached ``mid``: it has the form
+        ``m%06d`` exactly and its index is below the mint's cursor."""
+        digits = mid[1:]
+        if mid[:1] != "m" or not digits.isdecimal():
+            return False
+        index = int(digits)
+        return index < self._minted and _MID_TEXT % index == mid
 
     def intern(self, msg) -> MessageRecord:
         """Register the cast of ``msg``; returns its entry.

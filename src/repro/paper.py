@@ -194,9 +194,9 @@ def _fig1b(protocol: str, d: int) -> Tuple[int, int, int, float]:
     period, count = 0.7, 12
     if protocol == "detmerge":
         senders, period, count = system.topology.processes, 0.08, 60
-    plans = periodic_workload(system.topology, period=period, count=count,
-                              senders=senders, start=0.01)
-    msgs = schedule_workload(system, plans)
+    plan = periodic_workload(system.topology, period=period, count=count,
+                             senders=senders, start=0.01)
+    msgs = schedule_workload(system, plan)
     system.run_quiescent()
     degrees = [system.meter.latency_degree(m.mid) for m in msgs[1:]]
     rounds = _uniform(getattr(endpoint, "rounds_executed", 0)
@@ -341,10 +341,10 @@ def _prediction(name: str, seed: int = 1, bursts: int = 6
         protocol_kwargs=(("propose_delay", 5.0),
                          ("predictor_factory", PREDICTORS[name])),
     ), seed=seed)
-    plans = burst_workload(system.topology, system.rng.stream("wl"),
-                           bursts=bursts, burst_size=4, gap=1_500.0,
-                           spread=120.0)
-    messages = schedule_workload(system, plans)
+    plan = burst_workload(system.topology, system.rng.stream("wl"),
+                          bursts=bursts, burst_size=4, gap=1_500.0,
+                          spread=120.0)
+    messages = schedule_workload(system, plan)
     system.run_quiescent()
     # A wakeup is a round started from the reactive state: a prediction
     # mistake, and a Theorem 5.2 situation for the cast that forced it.

@@ -37,7 +37,6 @@ detmerge    Aguilera & Strom [1] (deterministic merge)
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.clocks.latency import LatencyMeter, MessageRecord, normalised
@@ -55,13 +54,7 @@ from repro.runtime.results import DeliveryLog
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
-from repro.workload.generators import CastPlan
-
-#: A plan row's fields, read a column at a time.
-_TIME = attrgetter("time")
-_SENDER = attrgetter("sender")
-_DEST = attrgetter("dest_groups")
-_PAYLOAD = attrgetter("payload")
+from repro.workload.generators import WorkloadPlan
 
 
 class System:
@@ -247,34 +240,36 @@ class System:
         self._do_cast(msg)
         return msg
 
-    def cast_plan(self, plans: Sequence[CastPlan],
+    def cast_plan(self, plan: WorkloadPlan,
                   mids: Optional[Sequence[Optional[str]]] = None
                   ) -> List[AppMessage]:
-        """Schedule one cast per planned item; returns the messages.
+        """Schedule one cast per row of ``plan``; returns the messages.
 
         The plan is one kernel plan (:meth:`Simulator.call_at_each`):
-        each cast fires where a ``call_at`` per item, in plan order,
-        would have, while the plan holds one queued event.  The latency
-        meter records a cast when it fires, so the caster's Lamport
-        clock is read at the true cast instant.  Every time and every
-        broadcast destination set is checked before a message id is
-        minted or anything queued, so a plan that fails changes nothing.
+        each cast fires where a ``call_at`` per row, in row order, would
+        have, while the plan holds one queued event.  The latency meter
+        records a cast when it fires, so the caster's Lamport clock is
+        read at the true cast instant.  Every time and every broadcast
+        destination set is checked before a message id is minted or
+        anything queued, so a plan that fails changes nothing.
 
-        The messages are made here, before the run, in one pass: each
-        distinct destination object is normalised once, the ids come
-        from one :meth:`MessageCatalog.mint` block of the run's own
-        catalog, and each message equals the one :class:`AppMessage`
-        would have made for its item.  ``mids`` (aligned with
-        ``plans``) names messages; a None entry, or no ``mids`` at all,
-        takes the run's next id in plan order.  The named ids are
-        claimed (:meth:`MessageCatalog.name`) before any is minted: one
-        that repeats, is cast already or is claimed by an earlier plan
-        is refused, and the run's mint never hands one out.
+        The plan's columns are read as they are, and the messages are
+        made here, before the run, in one pass: each distinct
+        destination object is normalised once, the ids come from one
+        :meth:`MessageCatalog.mint` block of the run's own catalog, and
+        each message equals the one :class:`AppMessage` would have made
+        for its row.  ``mids`` (aligned with the rows) names messages; a
+        None entry, or no ``mids`` at all, takes the run's next id in
+        row order.  The named ids are claimed
+        (:meth:`MessageCatalog.name`) before any is minted: one that
+        repeats, is cast already, is claimed by an earlier plan or was
+        minted already is refused, and the run's mint never hands one
+        out.
         """
-        times = list(map(_TIME, plans))
+        times = plan.times
         self.sim.check_times(times)
-        senders = list(map(_SENDER, plans))
-        dests = list(map(_DEST, plans))
+        senders = plan.senders
+        dests = plan.dest_groups
         # Plans share their destination tuples, so there are few
         # distinct objects; keyed by identity, lists are welcome too.
         keys = list(map(id, dests))
@@ -285,16 +280,15 @@ class System:
         if any(normal[key] is not dest for key, dest in distinct.items()):
             dests = list(map(normal.__getitem__, keys))
         if mids is None:
-            mids = self.catalog.mint(len(plans))
-        elif len(mids) != len(plans):
-            raise ValueError(f"{len(mids)} mids for {len(plans)} plan items")
+            mids = self.catalog.mint(len(plan))
+        elif len(mids) != len(plan):
+            raise ValueError(f"{len(mids)} mids for {len(plan)} plan items")
         else:
             named = [mid for mid in mids if mid is not None]
             self.catalog.name(named)
             minted = iter(self.catalog.mint(len(mids) - len(named)))
             mids = [next(minted) if mid is None else mid for mid in mids]
-        msgs = AppMessage.from_columns(mids, senders, dests,
-                                       list(map(_PAYLOAD, plans)))
+        msgs = AppMessage.from_columns(mids, senders, dests, plan.payloads)
         self.sim.call_at_each(times, self._do_cast, msgs)
         return msgs
 
@@ -302,15 +296,16 @@ class System:
                 payload=None, mid: Optional[str] = None) -> AppMessage:
         """Schedule a cast at virtual ``time``; returns the message.
 
-        A one-item :meth:`cast_plan`.  Destination validation runs here,
+        A one-row :meth:`cast_plan`.  Destination validation runs here,
         at scheduling time, so a partial-destination cast against a
         broadcast protocol fails loudly instead of silently reaching
         ``a_bcast`` mid-run.
         """
         if dest_groups is None:
             dest_groups = self.topology.group_ids
-        plan = CastPlan(time, sender, tuple(dest_groups), payload)
-        return self.cast_plan((plan,), mids=(mid,))[0]
+        plan = WorkloadPlan((time,), (sender,), (tuple(dest_groups),),
+                            (payload,))
+        return self.cast_plan(plan, mids=(mid,))[0]
 
     # ------------------------------------------------------------------
     # Execution

@@ -1,31 +1,55 @@
 """Workload generators: who casts what, where, and when.
 
-A workload is a deterministic (seeded) list of :class:`CastPlan` items —
-(time, sender, destination groups, payload) — that the experiment
-runtime schedules onto a built system.  Separating plan generation from
-execution keeps runs reproducible and lets the same plan drive different
-protocols in a comparison.
+A workload is a deterministic (seeded) :class:`WorkloadPlan`: four
+aligned columns — times, senders, destination groups and payloads — with
+one row per planned cast, that the experiment runtime schedules onto a
+built system.  The generators fill the columns as they draw, and
+:meth:`~repro.runtime.builder.System.cast_plan` reads them as they are:
+no per-cast row object is made between the draw and the queue.
+Separating plan generation from execution keeps runs reproducible and
+lets the same plan drive different protocols in a comparison.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.interfaces import SLOTTED, frozen_rows
+from repro.core.interfaces import SLOTTED
 from repro.net.topology import Topology
 
 
 @dataclass(frozen=True, **SLOTTED)
-class CastPlan:
-    """One planned A-XCast."""
+class WorkloadPlan:
+    """Planned A-XCasts as four aligned columns: row ``i`` is a cast
+    from ``senders[i]`` to ``dest_groups[i]`` carrying ``payloads[i]``,
+    at virtual time ``times[i]``.  ``len()`` is the number of casts.
 
-    time: float
-    sender: int
-    dest_groups: Tuple[int, ...]
-    payload: object = None
+    Casts to the same groups may share one tuple (the generators make
+    them do so); :meth:`~repro.runtime.builder.System.cast_plan`
+    normalises each distinct destination object once.
+
+    Raises:
+        ValueError: If the columns differ in length.
+    """
+
+    times: Sequence[float]
+    senders: Sequence[int]
+    dest_groups: Sequence[Tuple[int, ...]]
+    payloads: Sequence[object]
+
+    def __post_init__(self) -> None:
+        n = len(self.times)
+        if not (len(self.senders) == len(self.dest_groups)
+                == len(self.payloads) == n):
+            raise ValueError(
+                f"plan columns differ in length: {n} times, "
+                f"{len(self.senders)} senders, {len(self.dest_groups)} "
+                f"destinations, {len(self.payloads)} payloads")
+
+    def __len__(self) -> int:
+        return len(self.times)
 
 
 # A destination chooser maps (rng, topology, sender) to a group tuple.
@@ -159,14 +183,15 @@ def poisson_workload(
     destinations: Optional[DestinationChooser] = None,
     senders: Optional[Sequence[int]] = None,
     start: float = 0.0,
-) -> List[CastPlan]:
+) -> WorkloadPlan:
     """Poisson arrivals at ``rate`` messages per time unit.
 
     Senders are drawn uniformly from ``senders`` (default: everyone).
     Per cast the rng draws the gap, then the sender, then whatever the
     destination chooser draws; a chooser that draws nothing (``all``,
     ``fixed``, one group with the sender's) is asked once per sender
-    before the first draw.  Row ``i`` carries payload ``i``.
+    before the first draw.  Row ``i`` carries payload ``i``.  The
+    columns are filled as the draws are made.
 
     Raises:
         ValueError: If ``rate`` is not strictly positive (expovariate
@@ -192,7 +217,7 @@ def poisson_workload(
         times.append(t)
         who.append(sender)
         dests.append(pick(sender))
-    return frozen_rows(CastPlan, times, who, dests, range(len(times)))
+    return WorkloadPlan(times, who, dests, range(len(times)))
 
 
 def periodic_workload(
@@ -203,7 +228,7 @@ def periodic_workload(
     senders: Optional[Sequence[int]] = None,
     start: float = 0.0,
     rng: Optional[random.Random] = None,
-) -> List[CastPlan]:
+) -> WorkloadPlan:
     """``count`` casts spaced exactly ``period`` apart, round-robin
     over ``senders``.
 
@@ -225,8 +250,8 @@ def periodic_workload(
     rng = rng or random.Random(0)
     pick = _picker(destinations or all_groups, rng, topology, senders)
     who = [senders[i % len(senders)] for i in range(count)]
-    return frozen_rows(CastPlan, [start + i * period for i in range(count)],
-                       who, list(map(pick, who)), range(count))
+    return WorkloadPlan([start + i * period for i in range(count)],
+                        who, list(map(pick, who)), range(count))
 
 
 def burst_workload(
@@ -239,10 +264,14 @@ def burst_workload(
     senders: Optional[Sequence[int]] = None,
     spread: float = 0.5,
     start: float = 0.0,
-) -> List[CastPlan]:
+) -> WorkloadPlan:
     """Bursty traffic: ``bursts`` clumps of ``burst_size`` casts,
     separated by idle ``gap`` — the adversarial pattern for quiescence
     prediction (paper Section 5.3).
+
+    The casts are drawn burst by burst, then put in time order by one
+    stable index sort applied to every column: casts at one instant keep
+    the order they were drawn in.
 
     Raises:
         ValueError: If ``bursts``/``burst_size`` is not strictly
@@ -279,16 +308,16 @@ def burst_workload(
             who.append(sender)
             dests.append(pick(sender))
     payloads = [(b, i) for b in range(bursts) for i in range(burst_size)]
-    plans = frozen_rows(CastPlan, times, who, dests, payloads)
-    plans.sort(key=attrgetter("time"))
-    return plans
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return WorkloadPlan(*(list(map(column.__getitem__, order))
+                          for column in (times, who, dests, payloads)))
 
 
-def schedule_workload(system, plans: List[CastPlan]) -> List:
+def schedule_workload(system, plan: WorkloadPlan) -> List:
     """Schedule every planned cast on a built system; returns messages.
 
     The whole plan is one kernel plan (:meth:`System.cast_plan`): it
     holds one queued event however long it is, and a plan with any time
     in the past raises before a message is made or a cast queued.
     """
-    return system.cast_plan(plans)
+    return system.cast_plan(plan)

@@ -229,7 +229,8 @@ class TestOverlapUnderAdversity:
             system.topology, system.rng.stream("wl"), rate=60.0,
             duration=8.0, senders=list(range(1, 9)))
         return system, [
-            system.cast_at(plan.time, plan.sender) for plan in plans]
+            system.cast_at(time, sender)
+            for time, sender in zip(plans.times, plans.senders)]
 
     @pytest.mark.parametrize("detector", ["perfect", "heartbeat"])
     def test_leader_crash_with_two_rounds_in_flight(self, detector):

@@ -304,8 +304,8 @@ class TestTwoRoundsInFlight:
             plans = poisson_workload(
                 system.topology, system.rng.stream("wl"), rate=100.0,
                 duration=4.0, senders=[0, 1, 2])
-            for plan in plans:
-                system.cast_at(plan.time, plan.sender)
+            for time, sender in zip(plans.times, plans.senders):
+                system.cast_at(time, sender)
             system.run_quiescent()
             return (system.sim.events_executed,
                     [(r.msg.mid, r.delivery_time) for r in

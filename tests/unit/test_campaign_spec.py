@@ -61,7 +61,7 @@ class TestWorkloadSpec:
 
     def test_periodic_and_burst_plans(self):
         periodic = WorkloadSpec(kind="periodic", period=2.0, count=3)
-        assert [p.time for p in periodic.plans(TOPO, random.Random(0))] \
+        assert periodic.plans(TOPO, random.Random(0)).times \
             == [0.0, 2.0, 4.0]
         burst = WorkloadSpec(kind="burst", bursts=2, burst_size=3, gap=50.0)
         assert len(burst.plans(TOPO, random.Random(0))) == 6

@@ -21,6 +21,7 @@ import pytest
 from repro.checkers.properties import (
     PropertyViolation,
     _PrefixOrderTracker,
+    _index_holds,
     check_all,
     check_uniform_agreement,
     check_uniform_integrity,
@@ -403,6 +404,27 @@ class TestCheckAllMatchesFourPassOracle:
         log = _log_with(casts, deliveries)
         assert _violation(check_all, log, topology) == \
             _violation(oracle_check_all, log, topology), name
+
+    @pytest.mark.parametrize("first", ["held", "missing"])
+    def test_a_shared_map_is_judged_per_destination_tuple(self, first):
+        """``b`` (to g0) and ``a`` (to g0 and g1) end on one delivery
+        map, {p0, p1}: it holds for ``b``, and ``a`` misses g1.  The map
+        passing for ``b`` must not pass it for ``a``, in either order."""
+        held, missing = _msg("b", dest=(0,)), _msg("a")
+        casts = [held, missing] if first == "held" else [missing, held]
+        log = DeliveryLog()
+        for msg in casts:
+            log.record_cast(msg)
+        for pid in (0, 1):
+            for msg in casts:
+                log.record_delivery(pid, msg)
+        records = log.record_map
+        assert records["a"].delivery_time is records["b"].delivery_time
+        crashes = CrashSchedule.none()
+        assert not _index_holds(log, TOPO, crashes)
+        expected = _violation(oracle_check_all, log, TOPO, crashes)
+        assert expected is not None and "never delivered a" in expected[0]
+        assert _violation(check_all, log, TOPO, crashes) == expected
 
     MUTATIONS = ["swap", "drop", "duplicate", "ghost", "stray",
                  "swap_group"]

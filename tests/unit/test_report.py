@@ -47,12 +47,12 @@ class TestPercentile:
 def finished_run():
     system = build_system(SystemSpec(protocol="a1", group_sizes=[2, 2, 2]),
                           seed=3)
-    plans = periodic_workload(system.topology, period=1.0, count=12,
-                              destinations=uniform_k_groups(2))
-    plans += periodic_workload(system.topology, period=1.0, count=6,
-                               destinations=uniform_k_groups(1),
-                               start=0.5)
-    schedule_workload(system, plans)
+    schedule_workload(system, periodic_workload(
+        system.topology, period=1.0, count=12,
+        destinations=uniform_k_groups(2)))
+    schedule_workload(system, periodic_workload(
+        system.topology, period=1.0, count=6,
+        destinations=uniform_k_groups(1), start=0.5))
     system.run_quiescent()
     return system
 

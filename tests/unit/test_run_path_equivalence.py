@@ -28,7 +28,7 @@ from repro.core.prediction import (
 from repro.net.topology import Fixed, LatencyModel, Uniform
 from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import Simulator
-from repro.workload.generators import CastPlan, poisson_workload
+from repro.workload.generators import WorkloadPlan, poisson_workload
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +83,9 @@ def _plans(system, latency, seed):
         rng = random.Random(seed)
         pids = system.topology.processes
         everyone = tuple(system.topology.group_ids)
-        return [CastPlan(0.25 * rng.randrange(200), rng.choice(pids),
-                         everyone)
-                for _ in range(160)]
+        rows = [(0.25 * rng.randrange(200), rng.choice(pids), everyone,
+                 None) for _ in range(160)]
+        return WorkloadPlan(*zip(*rows))
     return poisson_workload(system.topology, system.rng.stream("wl"),
                             rate=6.0, duration=25.0)
 
