@@ -126,14 +126,13 @@ class RingMulticast(AtomicMulticast):
     def _maybe_propose(self) -> None:
         if self.current is not None or not self.pending:
             return  # blocked on an in-flight message, or nothing to do
-        if self.prop_k > self.sequence.current:
+        k = self.sequence.current
+        if self.prop_k > k:
             return
         mid = min(self.pending)  # deterministic choice
         ts_in = self.pending[mid]
-        self.sequence.propose(
-            self.sequence.current, (mid, ts_in, self.floor)
-        )
-        self.prop_k = self.sequence.current + 1
+        self.consensus.propose(k, (mid, ts_in, self.floor))
+        self.prop_k = k + 1
 
     def _on_decided(self, instance: int, value: tuple) -> None:
         mid, ts_in, floor = value

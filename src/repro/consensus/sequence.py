@@ -6,11 +6,14 @@ members advance ``K`` in lock step (paper Lemma A.1), but over the
 network a process can *learn* decisions out of order — e.g. receive the
 ``decide`` of instance 7 while still waiting for instance 3.
 
-:class:`ConsensusSequence` buffers raw decisions and releases them to the
-client exactly when the client's current instance number matches,
-re-creating the pseudocode's ``When Decided(K, msgSet')`` guard.
+:class:`ConsensusSequence` releases raw decisions to the client exactly
+when the client's current instance number matches, re-creating the
+pseudocode's ``When Decided(K, msgSet')`` guard: the decision of the
+current instance goes straight to the client, and only a later one
+waits in a buffer until the cursor reaches it.  The client proposes to
+its consensus itself, always in its current instance.
 
-After each flush it promises the consensus a *floor* — its cursor
+After each release it promises the consensus a *floor* — its cursor
 (:meth:`GroupConsensus.set_floor`): every instance below it has been
 released, or skipped by the whole group, so it is decided here and will
 never be proposed here.  That lets the consensus drop decided records
@@ -25,7 +28,7 @@ itself at delivery, so it takes :class:`GroupConsensus`'s raw decisions
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable
+from typing import Any, Callable, Dict
 
 from repro.consensus.interfaces import ConsensusProtocol
 
@@ -33,6 +36,9 @@ from repro.consensus.interfaces import ConsensusProtocol
 # must call :meth:`ConsensusSequence.advance_to` with its next instance
 # number before the callback returns.
 OrderedDecisionHandler = Callable[[int, Any], None]
+
+# "Nothing buffered for this instance": any value may be decided.
+_NONE = object()
 
 
 class ConsensusSequence:
@@ -56,10 +62,6 @@ class ConsensusSequence:
             self._set_floor(first_instance)
 
     # ------------------------------------------------------------------
-    def propose(self, instance: int, value: Hashable) -> None:
-        """Propose in ``instance`` (must be the client's current one)."""
-        self.consensus.propose(instance, value)
-
     def advance_to(self, instance: int) -> None:
         """Move the cursor; called by the client inside its callback."""
         if instance <= self.current:
@@ -81,27 +83,43 @@ class ConsensusSequence:
 
     # ------------------------------------------------------------------
     def _on_raw_decision(self, instance: int, value: Any) -> None:
-        if instance < self.current:
-            return  # stale duplicate
-        self._buffer[instance] = value
-        if not self._flushing:
-            self._flush()
+        """A decision for the cursor's instance goes straight to the
+        client; a later one waits in the buffer, as does any decision
+        that arrives while a release is running (it is released in
+        turn)."""
+        if instance == self.current and not self._flushing:
+            self._release(instance, value)
+        elif instance >= self.current:
+            self._buffer[instance] = value
+        # else: a stale duplicate
 
     def _flush(self) -> None:
-        """Release buffered decisions while they match the cursor.
+        """Release the buffered decision for the cursor, if any; the
+        floor follows the cursor either way."""
+        value = self._buffer.pop(self.current, _NONE)
+        if value is not _NONE:
+            self._release(self.current, value)
+        elif self._set_floor is not None:
+            self._set_floor(self.current)
+
+    def _release(self, instance: int, value: Any) -> None:
+        """Hand ``instance``'s decision to the client, then each buffered
+        one the cursor reaches, then promise the floor.
 
         The client's callback advances the cursor synchronously (to
         ``max(ts)+1`` in A1), so the loop naturally walks the group's —
         possibly non-contiguous — instance sequence.
         """
+        buffer = self._buffer
         self._flushing = True
         try:
-            while self.current in self._buffer:
-                instance = self.current
-                value = self._buffer.pop(instance)
+            while True:
                 self.on_decide(instance, value)
                 if self.current == instance:
-                    # Client did not advance; stop instead of spinning.
+                    break  # client did not advance; stop, don't spin
+                instance = self.current
+                value = buffer.pop(instance, _NONE)
+                if value is _NONE:
                     break
         finally:
             self._flushing = False

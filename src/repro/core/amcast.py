@@ -318,7 +318,8 @@ class AtomicMulticastA1(AtomicMulticast):
     # ------------------------------------------------------------------
     @property
     def k(self) -> int:
-        """The group-clock / next-consensus-instance value K."""
+        """The group-clock / next-consensus-instance value K (tests and
+        diagnostics; the protocol reads ``self.sequence.current``)."""
         return self.sequence.current
 
     def set_delivery_handler(self, handler: DeliveryHandler) -> None:
@@ -345,7 +346,7 @@ class AtomicMulticastA1(AtomicMulticast):
             self._unheard.remove(mid)  # A-Delivered already
             return
         self._heard.add(mid)
-        self._ensure_pending(self.catalog.get(mid))
+        self._ensure_pending(self._records[mid].msg)
 
     def _ensure_pending(self, msg: AppMessage) -> None:
         """Add m to PENDING at stage s0 unless already pending.
@@ -355,7 +356,7 @@ class AtomicMulticastA1(AtomicMulticast):
         """
         if msg.mid in self.pending:
             return
-        entry = _Pending(msg=msg, ts=self.k, stage=STAGE_S0)
+        entry = _Pending(msg=msg, ts=self.sequence.current, stage=STAGE_S0)
         self.pending[msg.mid] = entry
         self._eligible[msg.mid] = entry
         self._maybe_propose()
@@ -364,17 +365,25 @@ class AtomicMulticastA1(AtomicMulticast):
     # Consensus interaction (paper lines 14-17)
     # ------------------------------------------------------------------
     def _maybe_propose(self) -> None:
-        if self.prop_k > self.k or not self._eligible:
+        k = self.sequence.current
+        eligible = self._eligible
+        if self.prop_k > k or not eligible:
             return
-        msg_set = sorted(
-            (mid, entry.stage, entry.ts)
-            for mid, entry in self._eligible.items()
-            if entry.stage == STAGE_S0 or entry.stage == STAGE_S2
-        )
-        if not msg_set:
-            return
-        self.sequence.propose(self.k, tuple(msg_set))
-        self.prop_k = self.k + 1
+        if len(eligible) == 1:  # the common case: no sort to make
+            (mid, entry), = eligible.items()
+            if entry.stage != STAGE_S0 and entry.stage != STAGE_S2:
+                return
+            msg_set = ((mid, entry.stage, entry.ts),)
+        else:
+            msg_set = tuple(sorted(
+                (mid, entry.stage, entry.ts)
+                for mid, entry in eligible.items()
+                if entry.stage == STAGE_S0 or entry.stage == STAGE_S2
+            ))
+            if not msg_set:
+                return
+        self.consensus.propose(k, msg_set)
+        self.prop_k = k + 1
 
     def _on_decided(self, instance: int, msg_set: tuple) -> None:
         """Paper lines 18-32: process the decision of instance K.
@@ -394,7 +403,7 @@ class AtomicMulticastA1(AtomicMulticast):
             if entry is None:
                 # Line 30: the decision introduces a message we had not
                 # seen (our R-Deliver is late); adopt it.
-                entry = _Pending(msg=self.catalog.get(mid), ts=ts,
+                entry = _Pending(msg=self._records[mid].msg, ts=ts,
                                  stage=stage)
                 self.pending[mid] = entry
             msg = entry.msg
@@ -442,8 +451,9 @@ class AtomicMulticastA1(AtomicMulticast):
                 eligible.pop(mid, None)
             decided_ts.append(entry.ts)
         # Line 31: K <- max(max ts, K) + 1.
-        new_k = max(max(decided_ts, default=0), self.k) + 1
-        self.sequence.advance_to(new_k)
+        sequence = self.sequence
+        new_k = max(max(decided_ts, default=0), sequence.current) + 1
+        sequence.advance_to(new_k)
         for mid in to_check_ts:
             self._check_ts_complete(mid)
         # Line 32.  Raising K alone releases nothing (s0 entries never
@@ -527,7 +537,7 @@ class AtomicMulticastA1(AtomicMulticast):
                 proposals[gid] = payload["ts"]
                 # Line 10: a TS message also introduces m (footnote 4
                 # liveness).
-                self._ensure_pending(self.catalog.get(mid))
+                self._ensure_pending(self._records[mid].msg)
                 self._check_ts_complete(mid)
                 entry = self.pending.get(mid)
                 if (entry is not None and entry.stage == STAGE_S1

@@ -30,6 +30,7 @@ above notice nothing.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import (
     Callable,
     Dict,
@@ -121,11 +122,19 @@ class Network:
     # Membership
     # ------------------------------------------------------------------
     def register(self, process: Process) -> None:
-        """Attach a process to the network."""
+        """Attach a process to the network.
+
+        The process's ``send`` / ``send_many`` become this network's
+        own, bound to its pid: a protocol's send is one call, and the
+        crash check is the network's.  They are bound here, so a wrapper
+        patched onto :meth:`send` / :meth:`send_many` before
+        registration sees every send, and one patched later does not.
+        """
         if process.pid in self._processes:
             raise ValueError(f"pid {process.pid} already registered")
         self._processes[process.pid] = process
-        process.attach_network(self)
+        process.send = partial(self.send, process.pid)
+        process.send_many = partial(self.send_many, process.pid)
 
     def process(self, pid: int) -> Process:
         """Look up a registered process."""
@@ -214,12 +223,12 @@ class Network:
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, kind: str, payload: dict) -> None:
         """Send one message from ``src`` to ``dst``."""
+        if self._processes[src].crashed:
+            return  # before sequencing: nothing enters the wire
         transport = self.transport
         if transport is not None:
             next_wire = transport.sequencer(src, kind, payload, self.sim.now)
             if next_wire is not None:
-                if self._processes[src].crashed:
-                    return  # don't sequence what can never enter the wire
                 self._send_copy(src, dst, kind, payload,
                                 next_wire(src, dst))
                 return

@@ -175,17 +175,29 @@ class System:
     # ------------------------------------------------------------------
     # Casting
     # ------------------------------------------------------------------
-    def _check_broadcast_destinations(self, casts) -> None:
+    def _check_broadcast_destinations(self, senders, dests,
+                                      distinct) -> None:
         """Broadcast protocols require the full destination set.
 
-        ``casts`` is a set of ``(sender, dest_groups)`` pairs, so a plan
-        is checked once per distinct pair, not once per cast.
+        ``senders`` and ``dests`` are a plan's aligned columns and
+        ``distinct`` maps the ``id`` of each distinct destination
+        object in ``dests`` to its groups.  Each distinct destination
+        is checked once; only if one of them is not every group, and
+        some endpoint has no ``a_mcast``, are the casts walked for a
+        broadcast-only sender that casts it.
         """
         everyone = set(self.topology.group_ids)
-        for sender, dest_groups in casts:
-            if hasattr(self.endpoints[sender], "a_mcast"):
-                continue
-            if set(dest_groups) != everyone:
+        partial = {key for key, groups in distinct.items()
+                   if set(groups) != everyone}
+        if not partial:
+            return
+        endpoints = self.endpoints
+        if all(hasattr(endpoint, "a_mcast")
+               for endpoint in endpoints.values()):
+            return
+        for sender, dest in zip(senders, dests):
+            if (id(dest) in partial
+                    and not hasattr(endpoints[sender], "a_mcast")):
                 raise ValueError(
                     f"{self.protocol_name} is a broadcast protocol; "
                     f"messages must address all groups"
@@ -231,7 +243,8 @@ class System:
         """
         if dest_groups is None:
             dest_groups = tuple(self.topology.group_ids)
-        self._check_broadcast_destinations({(sender, tuple(dest_groups))})
+        self._check_broadcast_destinations(
+            (sender,), (dest_groups,), {id(dest_groups): dest_groups})
         if mid is None:
             mid = self.catalog.mint(1)[0]
         else:
@@ -272,13 +285,11 @@ class System:
         dests = plan.dest_groups
         # Plans share their destination tuples, so there are few
         # distinct objects; keyed by identity, lists are welcome too.
-        keys = list(map(id, dests))
-        distinct = dict(zip(keys, dests))
+        distinct = dict(zip(map(id, dests), dests))
         normal = {key: normalised(dest) for key, dest in distinct.items()}
-        self._check_broadcast_destinations(
-            {(sender, normal[key]) for sender, key in set(zip(senders, keys))})
+        self._check_broadcast_destinations(senders, dests, normal)
         if any(normal[key] is not dest for key, dest in distinct.items()):
-            dests = list(map(normal.__getitem__, keys))
+            dests = [normal[id(dest)] for dest in dests]
         if mids is None:
             mids = self.catalog.mint(len(plan))
         elif len(mids) != len(plan):

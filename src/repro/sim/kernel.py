@@ -37,12 +37,13 @@ class Simulator:
     """A deterministic virtual-time event loop.
 
     Attributes:
-        now: Current virtual time (read-only for clients).
+        now: Current virtual time.  A plain attribute that only the run
+            loop (and :meth:`step`) writes; clients read it.
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        self.now = 0.0
         self._running = False
         self._events_executed = 0
         self._stop_requested = False
@@ -50,11 +51,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (diagnostics/benchmarks)."""
@@ -74,7 +70,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self._now + delay, action, label)
+        return self._queue.push(self.now + delay, action, label)
 
     def schedule_action(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule a non-cancellable callback ``delay`` units from now.
@@ -85,25 +81,25 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self._queue.push_action(self._now + delay, action)
+        self._queue.push_action(self.now + delay, action)
 
     def call_at(
         self, time: float, action: Callable[[], None], label: str = ""
     ) -> Event:
         """Schedule ``action`` at an absolute virtual time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, already at {self._now!r}"
+                f"cannot schedule at {time!r}, already at {self.now!r}"
             )
         return self._queue.push(time, action, label)
 
     def check_times(self, times: Sequence[float]) -> None:
         """Raise :class:`SimulationError` if any of ``times`` is in the
         past (what :meth:`call_at` refuses), naming the first one."""
-        if times and min(times) < self._now:
-            past = next(t for t in times if t < self._now)
+        if times and min(times) < self.now:
+            past = next(t for t in times if t < self.now)
             raise SimulationError(
-                f"cannot schedule at {past!r}, already at {self._now!r}"
+                f"cannot schedule at {past!r}, already at {self.now!r}"
             )
 
     def call_at_each(self, times: Sequence[float],
@@ -161,9 +157,9 @@ class Simulator:
         if entry is None:
             return False
         time, _, item = entry
-        if time < self._now:
+        if time < self.now:
             raise SimulationError("event queue yielded an event in the past")
-        self._now = time
+        self.now = time
         self._events_executed += 1
         if type(item) is Event:
             item.action()
@@ -216,17 +212,17 @@ class Simulator:
                     if type(item) is Event:
                         item._queue = queue
                     heappush(heap, entry)
-                    self._now = until
+                    self.now = until
                     break
                 queue._live -= 1
                 queue._current = entry
-                self._now = time
+                self.now = time
                 self._events_executed += 1
                 executed += 1
                 action()
         finally:
             self._running = False
-        return self._now
+        return self.now
 
     def run_until_quiescent(
         self, max_events: int = 10_000_000, until: Optional[float] = None

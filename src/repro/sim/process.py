@@ -12,11 +12,10 @@ message *kind*.  The network delivers every incoming message through
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.message import Message
-    from repro.net.network import Network
     from repro.sim.kernel import Simulator
 
 from repro.clocks.lamport import LamportClock
@@ -42,15 +41,10 @@ class Process:
         self.lamport = LamportClock()
         self._handlers: Dict[str, Callable[["Message"], None]] = {}
         self._crash_hooks: List[Callable[[], None]] = []
-        self.network: Optional["Network"] = None
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def attach_network(self, network: "Network") -> None:
-        """Called by the network when the process is registered."""
-        self.network = network
-
     def register_handler(
         self, kind: str, handler: Callable[["Message"], None]
     ) -> None:
@@ -71,12 +65,12 @@ class Process:
     # ------------------------------------------------------------------
     # Messaging
     # ------------------------------------------------------------------
+    # :meth:`Network.register` replaces both with the network's own
+    # ``send`` / ``send_many`` bound to this pid, so a protocol's send
+    # is one call; the network drops the sends of a crashed process.
     def send(self, dst: int, kind: str, payload: dict) -> None:
         """Send a point-to-point message through the network."""
-        if self.crashed:
-            return
-        assert self.network is not None, "process not attached to a network"
-        self.network.send(self.pid, dst, kind, payload)
+        raise RuntimeError(f"process {self.pid} is not on a network")
 
     def send_many(self, dsts, kind: str, payload: dict) -> None:
         """Send the same logical message to several destinations.
@@ -85,10 +79,7 @@ class Process:
         send is a single logical step, so it must not be charged one
         inter-group hop per destination (see paper Section 2.3).
         """
-        if self.crashed:
-            return
-        assert self.network is not None, "process not attached to a network"
-        self.network.send_many(self.pid, dsts, kind, payload)
+        raise RuntimeError(f"process {self.pid} is not on a network")
 
     def handle(self, msg: "Message") -> None:
         """Dispatch an incoming message to its protocol handler."""

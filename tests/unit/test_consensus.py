@@ -1,6 +1,7 @@
 """Unit tests for the Paxos-based uniform consensus substrate."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -224,3 +225,141 @@ class TestConsensusSequence:
         fake.handler(1, "a")
         fake.handler(1, "a")  # duplicate decide from another peer
         assert released == [1]
+
+
+class _FloorConsensus:
+    """A consensus double that keeps the floor its sequence promises."""
+
+    def __init__(self):
+        self.handler = None
+        self.floor = 0
+
+    def set_decision_handler(self, handler):
+        self.handler = handler
+
+    def set_floor(self, instance):
+        assert instance >= self.floor, (self.floor, instance)
+        self.floor = instance
+
+
+class _BufferedSequence:
+    """The reference: every decision goes through the buffer, one loop
+    releases the buffered decisions while they match the cursor, and
+    the floor follows the cursor after each loop."""
+
+    def __init__(self, consensus, on_decide, first_instance=1):
+        self.consensus = consensus
+        self.on_decide = on_decide
+        self.current = first_instance
+        self._buffer = {}
+        self._flushing = False
+        consensus.set_decision_handler(self._on_raw_decision)
+        consensus.set_floor(first_instance)
+
+    def advance_to(self, instance):
+        assert instance > self.current
+        self.current = instance
+        if not self._flushing:
+            self._flush()
+
+    def _on_raw_decision(self, instance, value):
+        if instance < self.current:
+            return
+        self._buffer[instance] = value
+        if not self._flushing:
+            self._flush()
+
+    def _flush(self):
+        self._flushing = True
+        try:
+            while self.current in self._buffer:
+                instance = self.current
+                self.on_decide(instance, self._buffer.pop(instance))
+                if self.current == instance:
+                    break
+        finally:
+            self._flushing = False
+        self.consensus.set_floor(self.current)
+
+
+K = 5
+#: Decided values, read as A1 reads a decision's timestamps: the client
+#: moves to ``max(ts, K) + 1``.  "skip" jumps K+1 (its decision arrives
+#: below the cursor), "contiguous" walks K..K+3 one by one.
+VALUES = {
+    "contiguous": {K: K, K + 1: K + 1, K + 2: K + 2, K + 3: K + 3},
+    "skip": {K: K + 1, K + 1: K + 1, K + 2: K + 2, K + 3: K + 3},
+}
+#: The instances the client is handed, in order.
+RELEASED = {"contiguous": [K, K + 1, K + 2, K + 3],
+            "skip": [K, K + 2, K + 3]}
+
+
+def _drive(cls, values, order, reentrant=False):
+    """Feed ``order``'s decisions to a ``cls`` sequence at cursor K.
+
+    Returns the client's calls (instance, value, and the floor the
+    consensus held at the call and once the cursor moved, where A1
+    proposes) and returns, the floor after each decision fed, and the
+    final cursor and buffer.  ``reentrant``: the client, once it has
+    moved its cursor, feeds the decision of its new instance, as a
+    consensus deciding inside the client's own propose would.
+    """
+    consensus = _FloorConsensus()
+    calls = []
+    fed = set()
+
+    def feed(instance):
+        fed.add(instance)
+        consensus.handler(instance, values[instance])
+
+    def on_decide(instance, ts):
+        floor = consensus.floor
+        nxt = max(ts, instance) + 1
+        seq.advance_to(nxt)
+        calls.append((instance, ts, floor, consensus.floor))
+        if reentrant and nxt in values and nxt not in fed:
+            feed(nxt)
+        calls.append(("returned", instance))
+
+    seq = cls(consensus, on_decide, first_instance=K)
+    floors = []
+    for instance in order:
+        feed(instance)
+        floors.append(consensus.floor)
+    return calls, floors, seq.current, seq._buffer
+
+
+class TestSequenceMatchesBufferedReference:
+    """Decisions for K..K+3 in every order, with a second copy of K's
+    (it lands below the cursor): the sequence calls the client, with
+    the floor the consensus holds at each call, and moves the floor
+    exactly as a sequence that buffers every decision."""
+
+    ORDERS = sorted(set(permutations([K, K, K + 1, K + 2, K + 3])))
+
+    @pytest.mark.parametrize("reentrant", [False, True],
+                             ids=["plain", "reentrant"])
+    @pytest.mark.parametrize("client", sorted(VALUES))
+    def test_every_order(self, client, reentrant):
+        values = VALUES[client]
+        assert len(self.ORDERS) == 60
+        for order in self.ORDERS:
+            got = _drive(ConsensusSequence, values, order, reentrant)
+            want = _drive(_BufferedSequence, values, order, reentrant)
+            assert got == want, order
+            calls, floors, current, buffer = got
+            assert current == K + 4, order
+            assert [call[0] for call in calls if call[0] != "returned"] \
+                == RELEASED[client], order
+            # Only a skipped instance's decision, fed before the skip,
+            # is left over (both sequences keep it).
+            assert set(buffer) <= set(values) - set(RELEASED[client])
+
+    def test_out_of_order_decision_waits_in_the_buffer(self):
+        calls, floors, current, buffer = _drive(
+            ConsensusSequence, VALUES["contiguous"], [K + 2, K + 1])
+        assert calls == [] and current == K
+        assert buffer == {K + 2: K + 2, K + 1: K + 1}
+        assert floors == [K, K]
+

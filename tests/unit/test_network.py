@@ -8,8 +8,10 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.topology import Fixed, Jittered, LatencyModel, Topology, Uniform
 from repro.net.trace import MessageTrace
+from repro.runtime.builder import SystemSpec, build_system
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
+from repro.transport import ReliableTransport
 
 
 class TestTopology:
@@ -463,6 +465,89 @@ class TestProcess:
         proc.crash()
         proc.crash()
         assert fired == [1]
+
+
+class TestBoundSends:
+    """A registered process's ``send`` / ``send_many`` are the network's
+    own, bound to its pid: the network's crash check is the only one,
+    and a wrapper patched onto the class before the build sees every
+    send."""
+
+    @pytest.mark.parametrize("reliable", [False, True],
+                             ids=["raw", "reliable"])
+    def test_crashed_after_attach_sends_nothing(self, reliable):
+        """Crashed after registration: neither bound call makes a copy
+        or a stats entry, and a mounted transport sequences nothing."""
+        sim, topo, net = _network(group_sizes=(2, 2))
+        transport = None
+        if reliable:
+            transport = ReliableTransport(sim, net, random.Random(1))
+            transport.mount()
+        got = []
+        for pid in (1, 2, 3):
+            net.process(pid).register_handler(
+                "amc.ts", lambda m: got.append(m.dst))
+        sender = net.process(0)
+        sender.crash()
+        sender.send(1, "amc.ts", {})
+        sender.send_many([1, 2, 3], "amc.ts", {})
+        sim.run()
+        assert got == []
+        assert net.stats.total_messages == 0
+        assert "amc.ts" not in net.stats.by_kind
+        assert [e for e in net.trace.events if e.event == "send"] == []
+        if reliable:
+            assert transport.stats.wrapped_sends == 0
+            assert transport.stats.data_copies == 0
+
+    def test_live_process_sends_through_the_network(self):
+        sim, topo, net = _network(group_sizes=(2, 2))
+        got = []
+        for pid in (1, 2, 3):
+            net.process(pid).register_handler(
+                "test", lambda m: got.append((m.src, m.dst)))
+        net.process(0).send(1, "test", {})
+        net.process(0).send_many([2, 3], "test", {})
+        sim.run()
+        assert sorted(got) == [(0, 1), (0, 2), (0, 3)]
+        assert net.stats.total_messages == 3
+
+    def test_unregistered_process_refuses_to_send(self):
+        proc = Process(0, 0, Simulator())
+        with pytest.raises(RuntimeError, match="not on a network"):
+            proc.send(1, "test", {})
+        with pytest.raises(RuntimeError, match="not on a network"):
+            proc.send_many([1], "test", {})
+
+    def test_wrapper_patched_before_the_build_sees_every_send(
+            self, monkeypatch):
+        """Counting wrappers on ``Network.send`` / ``send_many`` (the
+        bench tracer's seam) installed before ``build_system``: on a
+        transport-free A1 run their copies, ``len(dsts)`` per fan-out
+        and one per point-to-point send, are every copy the network
+        counted."""
+        copies = {"send": 0, "send_many": 0}
+        send, send_many = Network.send, Network.send_many
+
+        def counting_send(self, src, dst, kind, payload):
+            copies["send"] += 1
+            send(self, src, dst, kind, payload)
+
+        def counting_send_many(self, src, dsts, kind, payload):
+            copies["send_many"] += len(dsts)
+            send_many(self, src, dsts, kind, payload)
+
+        monkeypatch.setattr(Network, "send", counting_send)
+        monkeypatch.setattr(Network, "send_many", counting_send_many)
+        system = build_system(SystemSpec(protocol="a1",
+                                         group_sizes=(2, 2, 2)), seed=3)
+        for i in range(12):
+            system.cast_at(0.5 * i, i % 6, ((0, 1), (1, 2), (2,))[i % 3])
+        system.run_quiescent()
+        assert system.log.delivery_count() == 4 * 8 + 2 * 4
+        assert copies["send_many"] > 0
+        assert copies["send"] + copies["send_many"] \
+            == system.network.stats.total_messages
 
 
 class TestFanOutByLeg:

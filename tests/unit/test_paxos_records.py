@@ -156,7 +156,7 @@ def _sequenced_group(last, trace=False, sequence=ConsensusSequence):
             releases[pid] = instance
             seqs[pid].advance_to(instance + 1)
             if instance < last:
-                seqs[pid].propose(instance + 1, (f"v{instance + 1}", pid))
+                stacks[pid].propose(instance + 1, (f"v{instance + 1}", pid))
         return on_decide
 
     for pid, stack in stacks.items():
@@ -166,7 +166,7 @@ def _sequenced_group(last, trace=False, sequence=ConsensusSequence):
 
 def _start(seqs):
     for pid, seq in seqs.items():
-        seq.propose(1, ("v1", pid))
+        seq.consensus.propose(1, ("v1", pid))
 
 
 class TestPrunedInstance:

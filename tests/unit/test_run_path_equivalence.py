@@ -184,7 +184,7 @@ def _step_run(sim, until=None, max_events=None):
         if next_time is None:
             break
         if until is not None and next_time > until:
-            sim._now = until
+            sim.now = until
             break
         sim.step()
         executed += 1
