@@ -380,9 +380,10 @@ class Network:
 
     def _send_copy(self, src: int, dst: int, kind: str, payload: dict,
                    wire: "int | None" = None) -> None:
+        # Every caller has checked that ``src`` is up: :meth:`send`,
+        # the transport's timer and ack sender, and its ack handler
+        # (which :meth:`_deliver` runs only at a live process).
         sender = self._processes[src]
-        if sender.crashed:
-            return
         group_of = self.topology.group_index
         src_gid = group_of[src]
         dst_gid = group_of[dst]

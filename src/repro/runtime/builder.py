@@ -175,11 +175,18 @@ class System:
     # ------------------------------------------------------------------
     # Casting
     # ------------------------------------------------------------------
+    def _check_senders(self, senders) -> None:
+        """Every sender is a pid of this system (``KeyError`` if not)."""
+        unknown = set(senders).difference(self.endpoints)
+        if unknown:
+            raise KeyError(f"no process {min(unknown)} in this system")
+
     def _check_broadcast_destinations(self, senders, dests,
                                       distinct) -> None:
         """Broadcast protocols require the full destination set.
 
-        ``senders`` and ``dests`` are a plan's aligned columns and
+        ``senders`` (known pids, :meth:`_check_senders`) and ``dests``
+        are a plan's aligned columns and
         ``distinct`` maps the ``id`` of each distinct destination
         object in ``dests`` to its groups.  Each distinct destination
         is checked once; only if one of them is not every group, and
@@ -240,9 +247,11 @@ class System:
         ``dest_groups`` defaults to all groups (broadcast).  Broadcast
         protocols require the full destination set.  A named ``mid`` is
         claimed (:meth:`MessageCatalog.name`); else the run mints one.
+        An unknown sender or a partial broadcast raises before either.
         """
         if dest_groups is None:
             dest_groups = tuple(self.topology.group_ids)
+        self._check_senders((sender,))
         self._check_broadcast_destinations(
             (sender,), (dest_groups,), {id(dest_groups): dest_groups})
         if mid is None:
@@ -262,9 +271,10 @@ class System:
         each cast fires where a ``call_at`` per row, in row order, would
         have, while the plan holds one queued event.  The latency meter
         records a cast when it fires, so the caster's Lamport clock is
-        read at the true cast instant.  Every time and every broadcast
-        destination set is checked before a message id is minted or
-        anything queued, so a plan that fails changes nothing.
+        read at the true cast instant.  Every time, every sender and
+        every broadcast destination set is checked before a message id
+        is minted or anything queued, so a plan that fails changes
+        nothing.
 
         The plan's columns are read as they are, and the messages are
         made here, before the run, in one pass: each distinct
@@ -282,6 +292,7 @@ class System:
         times = plan.times
         self.sim.check_times(times)
         senders = plan.senders
+        self._check_senders(senders)
         dests = plan.dest_groups
         # Plans share their destination tuples, so there are few
         # distinct objects; keyed by identity, lists are welcome too.

@@ -351,6 +351,27 @@ class TestPastTimes:
         assert system.catalog.mint(1) == ["m000000"]
         assert system.sim.pending_events == 0
 
+    @pytest.mark.parametrize("protocol", ["a1", "a2"])
+    @pytest.mark.parametrize("how", ["cast", "cast_at", "cast_plan"])
+    def test_an_unknown_sender_mints_records_and_queues_nothing(
+            self, protocol, how):
+        """Checked apart from the broadcast rule: with every destination
+        all groups (A2) or every endpoint multicasting (A1), a sender
+        with no process still raises before anything changes."""
+        system = build_system(SystemSpec(protocol=protocol,
+                                         group_sizes=(2, 2)), seed=3)
+        with pytest.raises(KeyError, match="no process 99"):
+            if how == "cast":
+                system.cast(sender=99)
+            elif how == "cast_at":
+                system.cast_at(1.0, 99)
+            else:
+                system.cast_plan(_plan([(1.0, 0, (0, 1), None),
+                                        (2.0, 99, (0, 1), None)]))
+        assert not system.catalog.record_map
+        assert system.catalog.mint(1) == ["m000000"]
+        assert system.sim.pending_events == 0
+
     @pytest.mark.parametrize("spec", [
         StoreSpec(start=4.0),
         # Transactions all ahead of the clock, the first balancer tick
